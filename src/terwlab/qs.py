@@ -21,11 +21,11 @@ determine them among distance-regular graphs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import generators
 from .errors import BetaDegenerate, FitFailure, InvalidCell, OutOfRange
 from .predictor import in_upsilon, tridiagonal
 from .spectral import PPolyArray
@@ -56,34 +56,42 @@ class ExclusionReport:
         return None
 
 
+def _odd_graph_array(D: int) -> PPolyArray:
+    """Intersection array of the Odd graph of diameter D (valency D + 1)."""
+    i = np.arange(D + 1)
+    k = D + 1
+    b = np.where(i % 2 == 0, k - i // 2, k - 1 - i // 2)
+    b[D] = 0
+    c = (i + 1) // 2
+    return PPolyArray(c=c, a=k - b - c, b=b)
+
+
+def _folded_cube_array(D: int) -> PPolyArray:
+    """Intersection array of the folded (2D+1)-cube (valency 2D + 1)."""
+    i = np.arange(D + 1)
+    b = 2 * D + 1 - i
+    b[D] = 0
+    return PPolyArray(c=i, a=2 * D + 1 - b - i, b=b)
+
+
 def exclusion_check(pp: PPolyArray, n: int) -> ExclusionReport:
     """Match the intersection array against the two excluded families.
 
-    Both families are determined by their intersection numbers, so an
-    array comparison against a freshly generated instance of the same
-    diameter suffices; a vertex-count mismatch short-circuits.
+    Both families are determined by their intersection numbers, so a
+    comparison with the closed-form array of the same diameter suffices
+    (Brouwer-Cohen-Neumaier, ch. 9); a vertex-count mismatch short-circuits.
     """
-    import math
-
     D = pp.D
 
-    def same_array(scheme) -> bool:
-        from .scheme import intersection_tensor
-        from .spectral import intersection_array
-
-        other = intersection_array(intersection_tensor(scheme))
+    def same_array(other: PPolyArray) -> bool:
         return (
             np.array_equal(pp.c, other.c)
             and np.array_equal(pp.a, other.a)
             and np.array_equal(pp.b, other.b)
         )
 
-    is_odd = False
-    if D >= 2 and n == math.comb(2 * D + 1, D):
-        is_odd = same_array(generators.odd_graph(D))
-    is_folded = False
-    if D >= 2 and n == 1 << (2 * D):
-        is_folded = same_array(generators.folded_cube(D))
+    is_odd = D >= 2 and n == math.comb(2 * D + 1, D) and same_array(_odd_graph_array(D))
+    is_folded = D >= 2 and n == 1 << (2 * D) and same_array(_folded_cube_array(D))
     return ExclusionReport(is_odd_graph=is_odd, is_folded_cube=is_folded)
 
 

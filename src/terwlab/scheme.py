@@ -102,26 +102,37 @@ def validate_scheme(relation) -> AssociationScheme:
 
 
 def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
-    """Compute p[h, i, j], raising on any axiom (iv) violation."""
-    A = np.stack([(rel == i) for i in range(D + 1)]).astype(np.float64)
-    masks = [rel == h for h in range(D + 1)]
+    """Compute p[h, i, j], raising on any axiom (iv) violation.
+
+    Only the products ``M = A_i A_j`` with i <= j are formed: the classes
+    are symmetric, so ``A_j A_i = (A_i A_j)^T`` is constant on the (symmetric)
+    class h exactly when ``M`` is, and ``p[:, j, i] = p[:, i, j]``.  The
+    count ``p[h, i, j]`` is read at the first pair of class h in row-major
+    order, and constancy is one comparison of ``M`` against those counts
+    spread over the relation table.  The witness is the one a full scan in
+    (i, j, h) order would report: the first violating (i, j) has i <= j,
+    since a violation at (j, i) is the transpose of one at (i, j).  Class
+    matrices are built per product rather than stacked, so the working set
+    stays a few n x n arrays whatever D is.
+    """
+    first = np.unravel_index([int(np.argmax(rel == h)) for h in range(D + 1)], rel.shape)
     p = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
     for i in range(D + 1):
-        for j in range(D + 1):
-            M = A[i] @ A[j]
-            for h in range(D + 1):
-                vals = M[masks[h]]
-                v0 = vals.flat[0]
-                if not np.all(vals == v0):
-                    bad = int(np.argwhere(vals != v0)[0][0])
-                    xy = tuple(int(w) for w in np.argwhere(masks[h])[bad])
-                    raise AxiomViolation(
-                        "iv",
-                        f"count of z with classes ({i},{j}) is not constant on class {h}: "
-                        f"pair {xy} sees {int(M[xy])}, expected {int(v0)}",
-                        (h, i, j, xy),
-                    )
-                p[h, i, j] = int(v0)
+        Ai = (rel == i).astype(np.float64)
+        for j in range(i, D + 1):
+            M = Ai @ (rel == j).astype(np.float64)
+            vals = M[first]
+            bad = M != vals[rel]
+            if bad.any():
+                h = int(rel[bad].min())
+                xy = tuple(int(w) for w in np.argwhere(bad & (rel == h))[0])
+                raise AxiomViolation(
+                    "iv",
+                    f"count of z with classes ({i},{j}) is not constant on class {h}: "
+                    f"pair {xy} sees {int(M[xy])}, expected {int(vals[h])}",
+                    (h, i, j, xy),
+                )
+            p[:, i, j] = p[:, j, i] = vals
     k = np.diagonal(p[0]).copy()
     return IntersectionTensor(p=_freeze(p), k=_freeze(k))
 

@@ -100,22 +100,17 @@ def _pattern_ok(nonzero: np.ndarray, order) -> bool:
 
     The entry at (h, i, j) must vanish when one position index exceeds the
     sum of the other two and must not vanish when it equals that sum.
+    Reindexing by ``order`` puts the support in position coordinates, where
+    both conditions are fixed masks over the position grid: with ``hi`` the
+    largest of the three positions and ``rest`` the sum of the other two,
+    the support must miss ``hi > rest`` and cover ``hi == rest``.
     """
-    D = nonzero.shape[0] - 1
-    pos = np.empty(D + 1, dtype=np.int64)
-    for newi, old in enumerate(order):
-        pos[old] = newi
-    for h in range(D + 1):
-        for i in range(D + 1):
-            for j in range(D + 1):
-                ph, pi, pj = pos[h], pos[i], pos[j]
-                hi = max(ph, pi, pj)
-                rest = ph + pi + pj - hi
-                if hi > rest and nonzero[h, i, j]:
-                    return False
-                if hi == rest and not nonzero[h, i, j]:
-                    return False
-    return True
+    support = nonzero[np.ix_(order, order, order)]
+    r = np.arange(len(order))
+    a, b, c = np.ix_(r, r, r)
+    hi = np.maximum(np.maximum(a, b), c)
+    rest = a + b + c - hi
+    return not (support & (hi > rest)).any() and bool(support[hi == rest].all())
 
 
 def _greedy_orderings(nonzero: np.ndarray) -> list[tuple]:
@@ -131,13 +126,15 @@ def _greedy_orderings(nonzero: np.ndarray) -> list[tuple]:
     found = []
     for c1 in range(1, D + 1):
         order = [0, c1]
+        used = np.zeros(D + 1, dtype=bool)
+        used[order] = True
         while len(order) < D + 1:
-            prev = order[-1]
-            nxt = [h for h in range(D + 1) if h not in order and nonzero[h, c1, prev]]
+            nxt = np.flatnonzero(nonzero[:, c1, order[-1]] & ~used)
             if len(nxt) != 1:
                 order = None
                 break
-            order.append(nxt[0])
+            order.append(int(nxt[0]))
+            used[nxt[0]] = True
         if order is not None and _pattern_ok(nonzero, order):
             found.append(tuple(order))
     return found

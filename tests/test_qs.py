@@ -3,7 +3,7 @@ import pytest
 
 import terwlab as tw
 from terwlab.errors import BetaDegenerate, FitFailure, InvalidCell, OutOfRange
-from terwlab.qs import qs_theta, qs_theta_star
+from terwlab.qs import _folded_cube_array, _odd_graph_array, qs_theta, qs_theta_star
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,21 @@ def test_exclusion_check(c7, c9, o4, fc7, fc9):
         assert report.is_odd_graph == odd
         assert report.is_folded_cube == folded
         assert report.excluded == (odd or folded)
+
+
+@pytest.mark.parametrize(
+    "generate, closed_form, D",
+    [(tw.odd_graph, _odd_graph_array, D) for D in range(2, 6)]
+    + [(tw.folded_cube, _folded_cube_array, D) for D in range(2, 5)],
+)
+def test_exclusion_closed_forms_match_generated(generate, closed_form, D):
+    scheme = generate(D)
+    pp = tw.intersection_array(scheme.tensor)
+    expected = closed_form(D)
+    for field in ("c", "a", "b"):
+        assert np.array_equal(getattr(pp, field), getattr(expected, field)), field
+    report = tw.exclusion_check(pp, scheme.n)
+    assert report.family == generate.__name__
 
 
 def test_exclusion_vertex_count_match_but_different_array():

@@ -1,3 +1,5 @@
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,89 @@ def test_flipped_pair_breaks_axiom_iv():
         tw.validate_scheme(rel)
     assert err.value.axiom == "iv"
     assert err.value.witness is not None
+
+
+def reference_axiom_iv_scan(rel):
+    """Reference: scan every (i, j, h) and report the first violation as
+    ``(witness, message)``, or ``None`` when the triple counts are constant."""
+    D = int(rel.max())
+    A = np.stack([(rel == i) for i in range(D + 1)]).astype(np.float64)
+    masks = [rel == h for h in range(D + 1)]
+    for i in range(D + 1):
+        for j in range(D + 1):
+            M = A[i] @ A[j]
+            for h in range(D + 1):
+                vals = M[masks[h]]
+                v0 = vals.flat[0]
+                if not np.all(vals == v0):
+                    bad = int(np.argwhere(vals != v0)[0][0])
+                    xy = tuple(int(w) for w in np.argwhere(masks[h])[bad])
+                    message = (
+                        f"axiom (iv) violated: count of z with classes ({i},{j}) is not "
+                        f"constant on class {h}: pair {xy} sees {int(M[xy])}, expected {int(v0)}"
+                    )
+                    return (h, i, j, xy), message
+    return None
+
+
+def _flipped(rel, *pairs):
+    """Copy of ``rel`` with each symmetric pair ``(x, y)`` moved to class ``cls``."""
+    rel = rel.copy()
+    for x, y, cls in pairs:
+        rel[x, y] = rel[y, x] = cls
+    return rel
+
+
+PETERSEN = tw.odd_graph(2).relation
+
+
+def _path_relation(n):
+    idx = np.arange(n)
+    return np.abs(idx[:, None] - idx[None, :])
+
+
+@pytest.mark.parametrize(
+    "rel",
+    [
+        _flipped(cycle_relation(7), (0, 2, 1)),
+        _flipped(cycle_relation(7), (3, 6, 1)),
+        _flipped(cycle_relation(9), (0, 3, 2)),
+        _flipped(cycle_relation(9), (2, 4, 4)),
+        # swapping two classes on one row keeps A_1 and every row's class
+        # counts, so the first violation sits at (i, j) = (1, 2) and (1, 3)
+        _flipped(cycle_relation(11), (0, 3, 4), (0, 4, 3)),
+        _flipped(cycle_relation(11), (0, 4, 5), (0, 5, 4)),
+        _flipped(PETERSEN, (0, int(np.argmax(PETERSEN[0] == 2)), 1)),
+        _flipped(PETERSEN, (4, int(np.argmax(PETERSEN[4] == 1)), 2)),
+        _path_relation(4),
+    ],
+    ids=["C7-a", "C7-b", "C9-a", "C9-b", "C11-swap34", "C11-swap45", "petersen-a", "petersen-b", "P4"],
+)
+def test_axiom_iv_witness_matches_full_scan(rel):
+    expected = reference_axiom_iv_scan(rel)
+    assert expected is not None
+    with pytest.raises(AxiomViolation) as err:
+        tw.validate_scheme(rel)
+    assert err.value.axiom == "iv"
+    assert (err.value.witness, str(err.value)) == expected
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_cycle_ladder_tensor_and_orderings(D):
+    n = 2 * D + 1
+    scheme = tw.odd_cycle(D)
+    p = scheme.tensor.p
+    assert np.array_equal(p, p.transpose(0, 2, 1))
+    if D <= 12:
+        assert np.array_equal(p, brute_triple_counts(scheme.relation))
+    # the distance-j graph of C_n is a cycle exactly when gcd(j, n) = 1; its
+    # i-th class is the distance min(ij mod n, n - ij mod n)
+    multipliers = [j for j in range(1, D + 1) if gcd(j, n) == 1]
+    expected = [tuple(min(i * j % n, n - i * j % n) for i in range(D + 1)) for j in multipliers]
+    orderings = tw.detect_p_polynomial(scheme.tensor)
+    assert len(orderings) == sum(gcd(j, n) == 1 for j in range(1, n)) // 2
+    assert orderings[0] == tuple(range(D + 1))
+    assert orderings == expected
 
 
 def test_asymmetric_relation_rejected():

@@ -1,10 +1,81 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import terwlab as tw
 from terwlab.errors import NotPPolynomial
+from terwlab.spectral import KREIN_ZERO_TOL, _pattern_ok
+
+
+def reference_pattern_ok(nonzero, order):
+    """Reference: the tridiagonal-support test as a loop over every entry."""
+    D = nonzero.shape[0] - 1
+    pos = np.empty(D + 1, dtype=np.int64)
+    for newi, old in enumerate(order):
+        pos[old] = newi
+    for h in range(D + 1):
+        for i in range(D + 1):
+            for j in range(D + 1):
+                ph, pi, pj = pos[h], pos[i], pos[j]
+                hi = max(ph, pi, pj)
+                rest = ph + pi + pj - hi
+                if hi > rest and nonzero[h, i, j]:
+                    return False
+                if hi == rest and not nonzero[h, i, j]:
+                    return False
+    return True
+
+
+@st.composite
+def supports_and_orders(draw):
+    """A boolean (D+1)^3 support and an ordering fixing 0.
+
+    Half the supports are uniform random; the other half are tridiagonal
+    under the ordering with up to two entries flipped, so that both
+    outcomes of the test occur.
+    """
+    D = draw(st.integers(min_value=0, max_value=8))
+    order = (0,) + tuple(draw(st.permutations(range(1, D + 1))))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    shape = (D + 1,) * 3
+    if draw(st.booleans()):
+        nonzero = rng.random(shape) < draw(st.floats(min_value=0.0, max_value=1.0))
+    else:
+        r = np.arange(D + 1)
+        a, b, c = np.ix_(r, r, r)
+        hi = np.maximum(np.maximum(a, b), c)
+        rest = a + b + c - hi
+        nonzero = np.empty(shape, dtype=bool)
+        nonzero[np.ix_(order, order, order)] = (hi == rest) | ((hi < rest) & (rng.random(shape) < 0.5))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            nonzero[tuple(rng.integers(0, D + 1, size=3))] ^= True
+    return nonzero, order
+
+
+@given(supports_and_orders())
+@settings(max_examples=200, deadline=None)
+def test_pattern_ok_matches_reference_loop(case):
+    nonzero, order = case
+    assert _pattern_ok(nonzero, order) == reference_pattern_ok(nonzero, order)
+
+
+def test_pattern_ok_matches_reference_on_bundle_supports(all_bundles):
+    for bundle in all_bundles:
+        krein = bundle.spectral.krein
+        supports = (
+            bundle.scheme.tensor.p != 0,
+            np.abs(krein) > KREIN_ZERO_TOL * max(1.0, float(np.abs(krein).max())),
+        )
+        D = bundle.scheme.D
+        for nonzero in supports:
+            for perm in permutations(range(1, D + 1)):
+                order = (0,) + perm
+                assert _pattern_ok(nonzero, order) == reference_pattern_ok(nonzero, order), (
+                    bundle.name, order,
+                )
 
 
 def test_c7_theta_matches_cosines(c7):
