@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators, multiplicity, predictor, qs
-from .context import build_context, verify_operator_identities
+from .context import build_context
 from .decomposer import census as module_census
 from .decomposer import decompose as decompose_standard_module
 from .decomposer import measure_all, norm_ladder_check
@@ -135,8 +135,6 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
     def skip(name, reason):
         checks.append(VerifyCheck(name, "skip", detail=reason))
 
-    identity_tol = tol if tol is not None else None
-
     @stage("axioms")
     def scheme():
         s = _load(scheme_path)
@@ -173,7 +171,7 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
     @stage("operator_identities")
     def ctx():
         c = build_context(scheme, spectral, vertex)
-        rep = verify_operator_identities(c, tol=identity_tol)
+        rep = c.identities.at_tol(tol)
         if not rep.all_passed:
             bad = [chk.name for chk in rep.checks if not chk.passed]
             return "fail", rep.max_residual, f"failed: {bad}", c
@@ -329,7 +327,7 @@ def _cmd_analyze(args) -> int:
         print("no Q-polynomial ordering; context unavailable", file=sys.stderr)
         return EXIT_CHECK_FAILED
     ctx = build_context(scheme, sp, args.vertex)
-    rep = verify_operator_identities(ctx, tol=args.tol)
+    rep = ctx.identities.at_tol(args.tol)
     doc = {
         "vertex": args.vertex,
         "p_ordering": list(sp.p_ordering),
@@ -516,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--tol", type=float, default=None, help="override default tolerances")
-    common.add_argument("--seed", type=int, default=0, help="random seed for the decomposition")
+    common.add_argument("--seed", type=int, default=0, help="seed of the basis rotation inside blocks of isomorphic modules")
     common.add_argument("--vertex", type=int, default=0, help="base vertex")
     sub = parser.add_subparsers(dest="command", required=True)
 

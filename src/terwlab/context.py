@@ -15,7 +15,7 @@ diagonal vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +61,12 @@ class IdentityReport:
     def as_dict(self) -> dict:
         return {"checks": [c.as_dict() for c in self.checks], "all_passed": self.all_passed}
 
+    def at_tol(self, tol: float | None) -> IdentityReport:
+        """The same residuals judged against ``tol``; unchanged when it is None."""
+        if tol is None:
+            return self
+        return IdentityReport(checks=tuple(replace(c, tol=tol) for c in self.checks))
+
 
 @dataclass(frozen=True)
 class TerwContext:
@@ -80,6 +86,7 @@ class TerwContext:
     Rstar: np.ndarray
     Fstar: np.ndarray
     Lstar: np.ndarray
+    identities: IdentityReport | None = None  # set by build_context, at the default tolerance
 
     @property
     def n(self) -> int:
@@ -102,7 +109,9 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
 
     Requires both polynomial orderings; raises :class:`OrderingMissing`
     otherwise and :class:`NumericalCheckFailure` if any defining identity
-    exceeds tolerance.
+    exceeds the default tolerance.  The identity report is kept as
+    ``identities``, so callers judge it at another tolerance with
+    :meth:`IdentityReport.at_tol` instead of recomputing it.
     """
     if not spectral.is_q_polynomial:
         raise OrderingMissing("context needs a Q-polynomial ordering")
@@ -146,7 +155,7 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise NumericalCheckFailure(f"operator identities failed: {failed}")
-    return ctx
+    return replace(ctx, identities=report)
 
 
 def _exchange_residual(M: np.ndarray, Estar: np.ndarray, shift: int) -> float:

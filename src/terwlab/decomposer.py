@@ -1,24 +1,43 @@
-"""Brute-force decomposition of the standard module into irreducible pieces.
+"""Deterministic decomposition of the standard module into irreducible pieces.
 
-The algebra generated by A and A* is closed under transposition, so the
-coordinate space splits into an orthogonal sum of irreducible invariant
-subspaces.  To find one such splitting numerically we draw a random
-self-adjoint element
+The construction rests on thin-module theory (Terwilliger, *The
+subconstituent algebra of an association scheme I*, 1992).  Fix the base
+vertex x and let S_r be the r-th distance shell.  In a thin irreducible
+module W with endpoint r, E*_r W is one-dimensional and killed by the
+lowering map, and the lowering map is injective on every higher shell of
+W.  So the kernel
 
-    S = alpha A + beta A* + gamma (A A* + A* A),
+    K_r = ker(E*_{r-1} A E*_r) inside E*_r V        (K_0 = E*_0 V)
 
-diagonalize it, and walk its eigenspaces: within one irreducible subspace
-the eigenvalues of S are distinct, and isomorphic subspaces contribute
-equal eigenvalues, so each eigenspace of S meets the span of the not-yet-
-collected subspaces in vectors that each generate a single irreducible
-piece.  Generation is closure under A and A* with re-orthogonalization;
-a second draw with fresh coefficients must reproduce the census of
-(dual endpoint, diameter) pairs, otherwise the run is rejected.
+is exactly the sum of E*_r W over the modules W with endpoint r.  It is
+read off the 0/1 block A[S_{r-1}, S_r] alone.
 
-Each collected subspace is certified irreducible by regenerating it from
-a single vector in its lowest distance shell: if W is spanned by the
-closure of one vector of E*_r W and dim E*_r W = 1, no proper invariant
-subspace can contain that vector.
+Each E*_r W is an eigenvector of E*_r A E*_r and of E*_r A^2 E*_r, with
+eigenvalues a_0(W) and a_0(W)^2 + b_0(W) c_1(W) that depend only on the
+isomorphism class of W.  K_r is split into the eigenspaces of the first
+operator compressed to K_r, and each of those into the eigenspaces of the
+second; each resulting block is taken to hold isomorphic modules only.
+Inside a block the modules are not unique: every orthonormal basis of the
+block gives a valid splitting.  ``seed`` picks one by a random orthogonal
+rotation, so the census and the measured matrices must not depend on it.
+From the block basis W_0, every module of the block is built at once as
+the ladder W_{i+1} = E*_{r+i+1} A W_i, one column per module, until the
+next rung vanishes.
+
+Certification.  A ladder spans a subspace with one unit vector per shell.
+If that subspace is invariant under A and A* (residual at most
+``tol * n``), it is irreducible: an invariant subspace of it is invariant
+under A*, whose eigenvalues differ between shells, so it is spanned by
+some of the shell vectors; it is invariant under A, whose off-diagonal
+entries in the ladder basis are the rung norms and hence nonzero, so it
+holds all of them.  Its shell slices are one-dimensional, so it is thin.
+A ladder that is not invariant, a block whose ladders stop at different
+rungs, or a collection whose dimension is not n raises :class:`NotThin`
+with a witness.  The eigenspace ranks rank(E_i W) give the dual endpoint
+and the dual diameter.
+
+The oracle reads A, A*, the E*_i and the E_i only: never the predicted
+module matrices, the recurrence or the q,s formulas.
 """
 
 from __future__ import annotations
@@ -28,13 +47,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .context import TerwContext
-from .errors import DecompositionUnstable, NotThin, NumericalCheckFailure
-from .predictor import tridiagonal
+from .errors import NotThin, NumericalCheckFailure
+from .predictor import tridiagonal, tridiagonal_bands
 
-#: singular values below this fraction of the largest count as zero
+#: singular values and rung norms below this fraction of the largest count as zero
 RANK_TOL = 1e-8
-#: relative gap above which consecutive eigenvalues of S start a new group
-GROUP_GAP = 1e-6
+#: relative gap above which consecutive eigenvalues of a compressed operator start a new block
+SPLIT_GAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,8 +62,9 @@ class IrreducibleModule:
 
     ``r``/``t`` are the lowest distance shell (endpoint) and lowest
     eigenspace index (dual endpoint) meeting the subspace, ``d``/``dstar``
-    the lengths of those supports.  ``measured_B`` and ``measured_Bstar``
-    are filled by :func:`measure_module`.
+    the lengths of those supports.  ``measured_B``, ``measured_Bstar`` and
+    the squared norms of the two measuring ladders are filled by
+    :func:`measure_all`.
     """
 
     basis: np.ndarray
@@ -57,6 +77,8 @@ class IrreducibleModule:
     measured_B: np.ndarray | None = None
     measured_Bstar: np.ndarray | None = None
     measurement_residual: float = 0.0
+    ladder_norms2: np.ndarray | None = None
+    dual_ladder_norms2: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -72,182 +94,148 @@ def census(modules) -> dict:
     return dict(sorted(out.items()))
 
 
-class _BadDraw(Exception):
-    """One random draw produced an inconsistent splitting; redraw."""
+def _lowering_kernel(ctx: TerwContext, shells: list, r: int) -> np.ndarray:
+    """Orthonormal basis (n x g) of K_r: the vectors on shell r killed by E*_{r-1} A."""
+    cols = shells[r]
+    if r == 0:
+        Ks = np.eye(cols.size)
+    else:
+        _, s, vt = np.linalg.svd(ctx.A[np.ix_(shells[r - 1], cols)])
+        rank = int(np.sum(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
+        Ks = vt[rank:].T
+    K = np.zeros((ctx.n, Ks.shape[1]))
+    K[cols] = Ks
+    return K
 
 
-def _closure(u: np.ndarray, generators, tol: float) -> np.ndarray:
-    """Orthonormal basis of the smallest invariant subspace containing u.
-
-    Generators are applied one at a time and the basis is extended after
-    each, so candidate directions are always measured against the current
-    span.  The acceptance threshold scales with the norm of the generator
-    image, which keeps amplified starting noise below the gate.
-    """
-    B = (u / np.linalg.norm(u))[:, None]
-    changed = True
-    while changed:
-        changed = False
-        for G in generators:
-            W = G @ B
-            scale = max(1.0, float(np.linalg.norm(W)))
-            W = W - B @ (B.T @ W)
-            U, s, _ = np.linalg.svd(W, full_matrices=False)
-            keep = s > tol * scale
-            if keep.any():
-                B, _ = np.linalg.qr(np.hstack([B, U[:, keep]]))
-                changed = True
-    return B
+def _eigenblocks(M: np.ndarray) -> list:
+    """Eigenvectors of the symmetric M, split where consecutive eigenvalues part by SPLIT_GAP."""
+    w, Y = np.linalg.eigh(M)
+    cuts = np.flatnonzero(np.diff(w) > SPLIT_GAP * max(1.0, float(np.abs(w).max()))) + 1
+    return np.split(Y, cuts, axis=1)
 
 
-def _shell_dims(B: np.ndarray, projectors, diagonal: bool) -> list[int]:
-    """rank(P_i B) for each projector, with a shared relative threshold."""
-    svals = []
-    for P in projectors:
-        M = P[:, None] * B if diagonal else P @ B
-        svals.append(np.linalg.svd(M, compute_uv=False))
-    smax = max((s[0] for s in svals if s.size), default=1.0)
-    return [int(np.sum(s > RANK_TOL * max(1.0, smax))) for s in svals]
+def _blocks(ctx: TerwContext, K: np.ndarray) -> list:
+    """Orthonormal bases of the joint eigenspaces of E*_r A E*_r, then E*_r A^2 E*_r, on span(K)."""
+    if not K.shape[1]:
+        return []
+    AK = ctx.A @ K
+    out = []
+    for Y in _eigenblocks(K.T @ AK):
+        AKY = AK @ Y
+        out.extend(K @ (Y @ Z) for Z in _eigenblocks(AKY.T @ AKY))
+    return out
 
 
-def _support(dims: list[int], what: str) -> tuple[int, int]:
-    """(first index, support length - 1); the support must be an interval."""
+def _ladders(ctx: TerwContext, r: int, W0: np.ndarray, scale: float) -> np.ndarray:
+    """Rungs W_{i+1} = E*_{r+i+1} A W_i with unit columns, as an (n, g, d+1) array."""
+    rungs = [W0]
+    for shell in range(r + 1, ctx.D + 1):
+        W = ctx.Estar[shell][:, None] * (ctx.A @ rungs[-1])
+        norms = np.linalg.norm(W, axis=0)
+        if norms.max() <= RANK_TOL * scale:
+            break
+        if norms.min() <= RANK_TOL * scale:
+            low = float(norms.min())
+            raise NotThin(
+                f"ladders from shell {r} (block of {W0.shape[1]}) stop at different rungs: "
+                f"rung {shell - r} norm {low:.3e}",
+                witness=(r, W0.shape[1], "R", low),
+            )
+        rungs.append(W / norms)
+    return np.stack(rungs, axis=2)
+
+
+def _support(dims) -> tuple[int, int]:
+    """(first index, support length - 1) of the eigenspace ranks; the support must be an interval."""
     nz = [i for i, v in enumerate(dims) if v > 0]
     if not nz:
-        raise NumericalCheckFailure(f"module has empty {what} support")
+        raise NumericalCheckFailure("module has empty eigenspace support")
     lo, hi = nz[0], nz[-1]
     if nz != list(range(lo, hi + 1)):
-        raise NumericalCheckFailure(f"module {what} support {nz} is not an interval")
+        raise NumericalCheckFailure(f"module eigenspace support {nz} is not an interval")
     return lo, hi - lo
 
 
-def _classify(ctx: TerwContext, B: np.ndarray) -> IrreducibleModule:
-    D = ctx.D
-    star_dims = _shell_dims(B, [ctx.Estar[i] for i in range(D + 1)], diagonal=True)
-    e_dims = _shell_dims(B, [ctx.E[i] for i in range(D + 1)], diagonal=False)
-    r, d = _support(star_dims, "distance-shell")
-    t, dstar = _support(e_dims, "eigenspace")
-    return IrreducibleModule(
-        basis=B, r=r, t=t, d=d, dstar=dstar,
-        thin=max(star_dims) <= 1, dual_thin=max(e_dims) <= 1,
-    )
+def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
+    """Check the invariance of every ladder and classify it by its eigenspace ranks.
 
-
-def _certify_irreducible(ctx: TerwContext, B: np.ndarray, r: int, tol: float) -> bool:
-    """Regenerate the subspace from one vector of its lowest shell.
-
-    Works in the coordinates of B: compress A and A* to B, take the
-    dominant direction of the E*_r slice, and close it up.  Equality of
-    dimensions certifies there is no smaller invariant subspace through
-    that vector, hence (with a one-dimensional slice) irreducibility.
+    ``ladders`` holds (r, rungs) with rungs of shape (n, g, d+1).  All bases
+    are stacked into one n x n matrix, so A, A* and each E_i are applied
+    once to the whole collection.
     """
-    k = B.shape[1]
-    u, s, _ = np.linalg.svd(ctx.Estar[r][:, None] * B, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return False
-    v = B.T @ u[:, 0]
-    Ac = B.T @ (ctx.A @ B)
-    Asc = B.T @ (ctx.Astar[:, None] * B)
-    Bc = _closure(v / np.linalg.norm(v), [Ac, Asc], tol)
-    return Bc.shape[1] == k
-
-
-def _invariance_residual(ctx: TerwContext, B: np.ndarray) -> float:
-    resid = 0.0
-    for G in (ctx.A, np.diag(ctx.Astar)):
-        W = G @ B
-        resid = max(resid, float(np.abs(W - B @ (B.T @ W)).max()))
-    return resid
-
-
-def _decompose_once(ctx: TerwContext, rng: np.random.Generator, tol: float) -> list:
     n, D = ctx.n, ctx.D
-    alpha, beta, gamma = rng.standard_normal(3)
-    Astar = np.diag(ctx.Astar)
-    S = alpha * ctx.A + beta * Astar + gamma * (ctx.A @ Astar + Astar @ ctx.A)
-    evals, evecs = np.linalg.eigh(S)
-    spread = max(1.0, float(evals[-1] - evals[0]))
+    Bcat = np.hstack([L.reshape(n, -1) for _, L in ladders]) if ladders else np.zeros((n, 0))
+    if Bcat.shape[1] != n:
+        raise NotThin(f"collected dimension {Bcat.shape[1]} != {n}", witness=(Bcat.shape[1], n))
+    # (r, block size, column slice) of each module, in the column order of Bcat
+    spans = []
+    lo = 0
+    for r, L in ladders:
+        _, g, k = L.shape
+        spans.extend((r, g, slice(lo + j * k, lo + (j + 1) * k)) for j in range(g))
+        lo += g * k
 
-    groups = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or evals[i] - evals[i - 1] > GROUP_GAP * spread:
-            groups.append((start, i))
-            start = i
-
-    covered = np.zeros((n, 0))
-    modules = []
-    for lo, hi in groups:
-        eigenblock = evecs[:, lo:hi]
-        U = eigenblock
-        if covered.shape[1]:
-            U = U - covered @ (covered.T @ U)
-        u_basis, s, _ = np.linalg.svd(U, full_matrices=False)
-        fresh = u_basis[:, s > 0.5]
-        for col in range(fresh.shape[1]):
-            # re-project onto the clean eigenspace: the covered basis
-            # carries O(1e-10) drift that closure would amplify
-            u = eigenblock @ (eigenblock.T @ fresh[:, col])
-            B = _closure(u, [ctx.A, Astar], tol)
-            if covered.shape[1]:
-                overlap = float(np.abs(covered.T @ B).max())
-                if overlap > 1e-6:
-                    raise _BadDraw(f"closure overlaps collected modules by {overlap:.3e}")
-                B = B - covered @ (covered.T @ B)
-                B, _ = np.linalg.qr(B)
-            try:
-                mod = _classify(ctx, B)
-            except NumericalCheckFailure as exc:
-                raise _BadDraw(str(exc)) from exc
-            if not _certify_irreducible(ctx, B, mod.r, tol):
-                raise _BadDraw(f"subspace of dim {B.shape[1]} not regenerated from its lowest shell")
-            resid = _invariance_residual(ctx, B)
+    for op in ("A", "A*"):
+        image = ctx.A @ Bcat if op == "A" else ctx.Astar[:, None] * Bcat
+        for r, g, cols in spans:
+            B, W = Bcat[:, cols], image[:, cols]
+            resid = float(np.abs(W - B @ (B.T @ W)).max())
             if resid > tol * n:
-                raise _BadDraw(f"invariance residual {resid:.3e} exceeds {tol * n:.3e}")
-            modules.append(mod)
-            covered = np.hstack([covered, B])
+                raise NotThin(
+                    f"ladder from shell {r} (block of {g}) is not {op}-invariant: "
+                    f"residual {resid:.3e} exceeds {tol * n:.3e}",
+                    witness=(r, g, op, resid),
+                )
+        del image
 
-    total = sum(m.dim for m in modules)
-    if total != n:
-        raise _BadDraw(f"collected dimension {total} != {n}")
+    # rank(E_i B) per module; the bases are orthonormal, so every singular
+    # value is at most 1 and RANK_TOL is the absolute threshold
+    dims = np.array([cols.stop - cols.start for _, _, cols in spans])
+    starts = np.array([cols.start for _, _, cols in spans])
+    e_dims = np.zeros((len(spans), D + 1), dtype=int)
+    for i in range(D + 1):
+        P = ctx.E[i] @ Bcat
+        for k in np.unique(dims):
+            idx = np.flatnonzero(dims == k)
+            stack = P[:, starts[idx, None] + np.arange(k)].transpose(1, 0, 2)
+            e_dims[idx, i] = np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=1)
+        del P
+
+    modules = []
+    for (r, _, cols), ranks in zip(spans, e_dims):
+        t, dstar = _support(ranks)
+        modules.append(IrreducibleModule(
+            basis=Bcat[:, cols], r=r, t=t, d=cols.stop - cols.start - 1, dstar=dstar,
+            thin=True, dual_thin=bool(ranks.max() <= 1),
+        ))
     return modules
 
 
-def decompose(
-    ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0, draws: int = 2, max_attempts: int = 8
-) -> list:
+def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     """Split the coordinate space into irreducible invariant subspaces.
 
-    Runs the random-element decomposition until ``draws`` draws with
-    independent coefficients succeed, redrawing when a draw is internally
-    inconsistent (eigenvalue collisions across module classes make a draw
-    unsplittable; fresh coefficients resolve it).  All successful draws
-    must agree on the census; the first draw's modules are returned,
-    sorted by (t, d, r).  For the one-vertex scheme the single trivial
-    module is returned directly.
+    For each endpoint r, the lowering kernel K_r is split into blocks of
+    isomorphic modules by the compressed E*_r A E*_r and E*_r A^2 E*_r,
+    ``seed`` rotates each block's basis by a random orthogonal matrix, and
+    every module of a block is grown as a ladder through the shells (see
+    the module docstring).  Each module is certified invariant under A and
+    A* to ``tol * n``; that, its one-dimensional shell slices and its
+    nonzero rungs make it irreducible.  Raises :class:`NotThin`, with a
+    ``witness``, when a ladder is not invariant or the modules do not add
+    up to dimension n.  Returns the modules sorted by (t, d, r); the census
+    does not depend on ``seed``.
     """
-    n = ctx.n
-    if n == 1:
-        B = np.ones((1, 1))
-        return [IrreducibleModule(basis=B, r=0, t=0, d=0, dstar=0, thin=True, dual_thin=True)]
     rng = np.random.default_rng(seed)
-    runs = []
-    failures = []
-    attempts = 0
-    while len(runs) < max(1, draws) and attempts < max_attempts:
-        attempts += 1
-        try:
-            runs.append(_decompose_once(ctx, rng, tol))
-        except _BadDraw as exc:
-            failures.append(str(exc))
-    if len(runs) < max(1, draws):
-        raise DecompositionUnstable(
-            f"only {len(runs)}/{draws} draws succeeded in {attempts} attempts: {failures}"
-        )
-    censuses = [census(mods) for mods in runs]
-    if any(c != censuses[0] for c in censuses[1:]):
-        raise DecompositionUnstable(f"census disagrees across draws: {censuses}")
-    modules = runs[0]
+    shells = [np.flatnonzero(ctx.Estar[i]) for i in range(ctx.D + 1)]
+    scale = max(1.0, float(np.abs(ctx.A).sum(axis=1).max()))
+    ladders = []
+    for r in range(ctx.D + 1):
+        for W0 in _blocks(ctx, _lowering_kernel(ctx, shells, r)):
+            if W0.shape[1] > 1:
+                W0 = W0 @ np.linalg.qr(rng.standard_normal((W0.shape[1],) * 2))[0]
+            ladders.append((r, _ladders(ctx, r, W0, scale)))
+    modules = _certify(ctx, ladders, tol)
     order = sorted(range(len(modules)), key=lambda i: (modules[i].t, modules[i].d, modules[i].r, i))
     return [modules[i] for i in order]
 
@@ -266,80 +254,101 @@ def _principal_vector(M: np.ndarray) -> np.ndarray:
     return v
 
 
-def measure_module(ctx: TerwContext, mod: IrreducibleModule) -> IrreducibleModule:
-    """Read off the action coefficients of R, F, L and R*, F*, L*.
+def _ladder_actions(S: np.ndarray, spans: list, maps, what: str) -> list:
+    """Tridiagonal action of a raising/flat/lowering triple along every ladder.
 
-    Picks the unit vector spanning E_t W, splits it over the distance
-    shells, and extracts c_i(W), a_i(W), b_i(W) as the coefficients of the
-    raising/flat/lowering actions along that ladder; dually for the
-    starred numbers from the vector spanning E*_r W.  Raises
-    :class:`NotThin` when either family of slices has dimension above 1.
-    Returns a copy of the module with the measured tridiagonal matrices
-    and the worst coefficient-equation residual attached.
+    Column slice ``spans[j]`` of ``S`` holds the rungs of ladder j.  Each
+    map is applied once to all of ``S``.  c_i is the coefficient of rung i
+    in the raised rung i-1, a_i of rung i in its flat image, b_i of rung i
+    in the lowered rung i+1.  Returns, per ladder, the matrix with bands
+    (c, a, b), the worst norm of an image minus its fitted multiple, and
+    the squared rung norms.
     """
-    if not (mod.thin and mod.dual_thin):
-        raise NotThin(f"module with (t, d) = ({mod.t}, {mod.d}) is not thin/dual thin")
-    B, r, t, d = mod.basis, mod.r, mod.t, mod.d
-    resid = 0.0
-
-    v = _principal_vector(ctx.E[t] @ B)
-    shells = [ctx.Estar[r + i] * v for i in range(d + 1)]
-    norms2 = [float(w @ w) for w in shells]
-    if min(norms2) <= 0:
-        raise NumericalCheckFailure("ladder vector vanishes on a shell inside the support")
-
-    def coeff(image, target_idx):
-        nonlocal resid
-        w = shells[target_idx]
-        val = float(image @ w) / norms2[target_idx]
-        resid = max(resid, float(np.linalg.norm(image - val * w)))
-        return val
-
-    c = np.zeros(d + 1)
-    a = np.zeros(d + 1)
-    b = np.zeros(d + 1)
-    for i in range(1, d + 1):
-        c[i] = coeff(ctx.R @ shells[i - 1], i)
-    for i in range(d + 1):
-        a[i] = coeff(ctx.F @ shells[i], i)
-    for i in range(d):
-        b[i] = coeff(ctx.L @ shells[i + 1], i)
-    measured_B = tridiagonal(c, a, b)
-
-    vstar = _principal_vector(ctx.Estar[r][:, None] * B)
-    duals = [ctx.E[t + i] @ vstar for i in range(d + 1)]
-    dnorms2 = [float(w @ w) for w in duals]
-    if min(dnorms2) <= 0:
-        raise NumericalCheckFailure("dual ladder vector vanishes inside the support")
-
-    def dcoeff(image, target_idx):
-        nonlocal resid
-        w = duals[target_idx]
-        val = float(image @ w) / dnorms2[target_idx]
-        resid = max(resid, float(np.linalg.norm(image - val * w)))
-        return val
-
-    cs = np.zeros(d + 1)
-    as_ = np.zeros(d + 1)
-    bs = np.zeros(d + 1)
-    for i in range(1, d + 1):
-        cs[i] = dcoeff(ctx.Rstar @ duals[i - 1], i)
-    for i in range(d + 1):
-        as_[i] = dcoeff(ctx.Fstar @ duals[i], i)
-    for i in range(d):
-        bs[i] = dcoeff(ctx.Lstar @ duals[i + 1], i)
-    measured_Bstar = tridiagonal(cs, as_, bs)
-
-    return replace(
-        mod,
-        measured_B=measured_B,
-        measured_Bstar=measured_Bstar,
-        measurement_residual=resid,
-    )
+    norms2 = np.einsum("ij,ij->j", S, S)
+    if norms2.min(initial=np.inf) <= 0:
+        raise NumericalCheckFailure(f"{what} ladder vector vanishes inside the support")
+    bands = [np.zeros((3, cols.stop - cols.start)) for cols in spans]
+    resid = np.zeros(len(spans))
+    # (map, rungs whose images are fitted, rungs they are fitted to); the
+    # target slice is also the slice of the band the coefficients fill
+    fits = ((maps[0], slice(None, -1), slice(1, None)),
+            (maps[1], slice(None), slice(None)),
+            (maps[2], slice(1, None), slice(None, -1)))
+    for band, (M, src, dst) in enumerate(fits):
+        image = M @ S
+        for j, cols in enumerate(spans):
+            img, w = image[:, cols][:, src], S[:, cols][:, dst]
+            vals = np.einsum("ij,ij->j", img, w) / norms2[cols][dst]
+            bands[j][band, dst] = vals
+            if vals.size:
+                resid[j] = max(resid[j], float(np.linalg.norm(img - vals * w, axis=0).max()))
+        del image
+    return [(tridiagonal(*bands[j]), float(resid[j]), norms2[cols]) for j, cols in enumerate(spans)]
 
 
 def measure_all(ctx: TerwContext, modules) -> list:
-    return [measure_module(ctx, m) for m in modules]
+    """Read off the action coefficients of R, F, L and R*, F*, L* on every module.
+
+    For each module, the unit vector spanning E_t W is split over the
+    distance shells, and c_i(W), a_i(W), b_i(W) are the coefficients of the
+    raising/flat/lowering actions along that ladder; dually for the starred
+    numbers from the vector spanning E*_r W, split over the eigenspaces.
+    E_t is applied once to all modules with dual endpoint t, each E_j once
+    to the dual ladder vectors that lie in its eigenspace, and each of the
+    six maps once to the stacked ladders of all modules.  Raises
+    :class:`NotThin` when a module is not thin and dual thin.  Returns
+    copies of the modules with the measured tridiagonal matrices, the worst
+    coefficient-equation residual and the squared ladder norms attached.
+    """
+    modules = list(modules)
+    for mod in modules:
+        if not (mod.thin and mod.dual_thin):
+            raise NotThin(f"module with (t, d) = ({mod.t}, {mod.d}) is not thin/dual thin")
+    bounds = np.cumsum([0] + [mod.d + 1 for mod in modules])
+    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    # primal ladders: the vector spanning E_t W, split over the shells
+    S = np.empty((ctx.n, bounds[-1]))
+    by_t: dict = {}
+    for j, mod in enumerate(modules):
+        by_t.setdefault(mod.t, []).append(j)
+    for t, idx in by_t.items():
+        P = ctx.E[t] @ np.hstack([modules[j].basis for j in idx])
+        lo = 0
+        for j in idx:
+            mod = modules[j]
+            v = _principal_vector(P[:, lo:lo + mod.dim])
+            lo += mod.dim
+            S[:, spans[j]] = ctx.Estar[mod.r:mod.r + mod.d + 1].T * v[:, None]
+        del P
+    primal = _ladder_actions(S, spans, (ctx.R, ctx.F, ctx.L), "primal")
+
+    # dual ladders: the vector spanning E*_r W, split over the eigenspaces
+    by_level: dict = {}
+    for j, mod in enumerate(modules):
+        vstar = _principal_vector(ctx.Estar[mod.r][:, None] * mod.basis)
+        for i in range(mod.d + 1):
+            by_level.setdefault(mod.t + i, []).append((spans[j].start + i, vstar))
+    for level, rows in by_level.items():
+        S[:, [col for col, _ in rows]] = ctx.E[level] @ np.stack([vstar for _, vstar in rows], axis=1)
+    dual = _ladder_actions(S, spans, (ctx.Rstar, ctx.Fstar, ctx.Lstar), "dual")
+
+    return [
+        replace(
+            mod,
+            measured_B=measured_B,
+            measured_Bstar=measured_Bstar,
+            measurement_residual=max(resid, dresid),
+            ladder_norms2=norms2,
+            dual_ladder_norms2=dnorms2,
+        )
+        for mod, (measured_B, resid, norms2), (measured_Bstar, dresid, dnorms2) in zip(modules, primal, dual)
+    ]
+
+
+def measure_module(ctx: TerwContext, mod: IrreducibleModule) -> IrreducibleModule:
+    """:func:`measure_all` for one module."""
+    return measure_all(ctx, [mod])[0]
 
 
 @dataclass(frozen=True)
@@ -358,29 +367,20 @@ class NormLadderReport:
 
 def norm_ladder_check(ctx: TerwContext, mod: IrreducibleModule) -> NormLadderReport:
     """Verify c_i(W) ||E*_{r+i} v||^2 = b_{i-1}(W) ||E*_{r+i-1} v||^2 and
-    its dual, and collect the products b_{i-1}(W) c_i(W) for i = 1..d."""
+    its dual, and collect the products b_{i-1}(W) c_i(W) for i = 1..d.
+
+    The norms are those of the ladders the measurement used.
+    """
     if mod.measured_B is None:
         mod = measure_module(ctx, mod)
-    B, r, t, d = mod.basis, mod.r, mod.t, mod.d
-    c = np.concatenate([[0.0], np.diagonal(mod.measured_B, -1)]) if d else np.zeros(1)
-    b = np.concatenate([np.diagonal(mod.measured_B, 1), [0.0]]) if d else np.zeros(1)
-    cs = np.concatenate([[0.0], np.diagonal(mod.measured_Bstar, -1)]) if d else np.zeros(1)
-    bs = np.concatenate([np.diagonal(mod.measured_Bstar, 1), [0.0]]) if d else np.zeros(1)
-
-    v = _principal_vector(ctx.E[t] @ B)
-    nrm2 = np.array([float(np.sum((ctx.Estar[r + i] * v) ** 2)) for i in range(d + 1)])
-    vstar = _principal_vector(ctx.Estar[r][:, None] * B)
-    dnrm2 = np.array([float(np.sum((ctx.E[t + i] @ vstar) ** 2)) for i in range(d + 1)])
-
-    primal = max(
-        (abs(c[i] * nrm2[i] - b[i - 1] * nrm2[i - 1]) for i in range(1, d + 1)), default=0.0
-    )
-    dual = max(
-        (abs(cs[i] * dnrm2[i] - bs[i - 1] * dnrm2[i - 1]) for i in range(1, d + 1)), default=0.0
-    )
+    c, _, b = tridiagonal_bands(mod.measured_B)
+    cs, _, bs = tridiagonal_bands(mod.measured_Bstar)
+    nrm2, dnrm2 = mod.ladder_norms2, mod.dual_ladder_norms2
+    products = b[:-1] * c[1:]
+    dual_products = bs[:-1] * cs[1:]
     return NormLadderReport(
-        primal_residual=primal,
-        dual_residual=dual,
-        products=tuple(b[i - 1] * c[i] for i in range(1, d + 1)),
-        dual_products=tuple(bs[i - 1] * cs[i] for i in range(1, d + 1)),
+        primal_residual=float(np.abs(c[1:] * nrm2[1:] - b[:-1] * nrm2[:-1]).max(initial=0.0)),
+        dual_residual=float(np.abs(cs[1:] * dnrm2[1:] - bs[:-1] * dnrm2[:-1]).max(initial=0.0)),
+        products=tuple(float(p) for p in products),
+        dual_products=tuple(float(p) for p in dual_products),
     )

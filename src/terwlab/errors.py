@@ -44,11 +44,19 @@ class OrderingMissing(TerwLabError):
 
 
 class NotThin(TerwLabError):
-    """A module has a dual-idempotent slice of dimension greater than one."""
+    """The standard module does not split into thin irreducible modules.
 
+    ``witness`` says where: ``(r, g, op, residual)`` for a block of ``g``
+    ladders grown from shell ``r`` that is not invariant under ``op``
+    (``"A"`` or ``"A*"``), or whose rungs under the raising map ``"R"``
+    vanish for some ladders and not for others (``residual`` is then the
+    smallest rung norm); ``(collected, n)`` when the modules do not add up
+    to the dimension n; ``None`` when a measured module is not thin.
+    """
 
-class DecompositionUnstable(TerwLabError):
-    """Independent random draws of the decomposition disagree."""
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InvalidCell(TerwLabError):

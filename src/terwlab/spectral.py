@@ -243,10 +243,13 @@ def _krein_parameters(E: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     the expansion of E_i o E_j.
     """
     D1 = E.shape[0]
+    flat = E.reshape(D1, -1)
     krein = np.empty((D1, D1, D1))
+    # one n x n product at a time: a (D+1) n^2 temporary would be the
+    # largest allocation of the whole pipeline on the dense instances
     for i in range(D1):
-        prod = E[i][None, :, :] * E
-        krein[:, i, :] = np.tensordot(E, prod, axes=([1, 2], [1, 2])) * n / m[:, None]
+        for j in range(i, D1):
+            krein[:, i, j] = krein[:, j, i] = flat @ (E[i] * E[j]).ravel() * n / m
     return krein
 
 

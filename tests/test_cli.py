@@ -149,3 +149,31 @@ def test_tol_override_can_force_failure(c7_file):
     # an absurdly tight tolerance turns the identity checks into failures
     assert main(["analyze", "--scheme", c7_file, "--tol", "1e-30"]) == 1
     assert main(["analyze", "--scheme", c7_file]) == 0
+
+
+def test_verify_checks_identities_once(c7_file, monkeypatch):
+    import terwlab.context as context
+
+    calls = []
+    real = context.verify_operator_identities
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(context, "verify_operator_identities", counted)
+    assert main(["verify", "--scheme", c7_file, "--json"]) == 0
+    assert main(["analyze", "--scheme", c7_file, "--tol", "1e-30", "--json"]) == 1
+    assert calls == [None, None]
+
+
+def test_tol_rejudges_the_same_identity_residuals(c7_file):
+    # --tol changes the verdict of the identity stage, never its residual
+    stage = {
+        tol: [c for c in run_verify(c7_file, tol=tol).checks if c.name == "operator_identities"][0]
+        for tol in (None, 1e-30)
+    }
+    assert stage[None].status == "pass" and stage[1e-30].status == "fail"
+    assert stage[None].residual == stage[1e-30].residual > 0
+    ctx = tw.build_context(tw.odd_cycle(3), tw.spectral_data(tw.odd_cycle(3)), 0)
+    assert stage[None].residual == tw.verify_operator_identities(ctx).max_residual

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,8 +165,6 @@ def test_modules_sorted_by_class(all_bundles):
 
 
 def test_measure_rejects_non_thin(c7):
-    from dataclasses import replace
-
     from terwlab.errors import NotThin
 
     fat = replace(c7.modules[0], thin=False)
@@ -172,24 +172,122 @@ def test_measure_rejects_non_thin(c7):
         tw.measure_module(c7.ctx, fat)
 
 
-def test_disagreeing_draws_raise(c7, monkeypatch):
-    from terwlab import decomposer as dec_module
-    from terwlab.errors import DecompositionUnstable
-
-    fakes = iter([c7.modules[:1], c7.modules[1:]])
-    monkeypatch.setattr(dec_module, "_decompose_once", lambda ctx, rng, tol: list(next(fakes)))
-    with pytest.raises(DecompositionUnstable):
-        dec_module.decompose(c7.ctx, seed=0)
+def _without_edge(ctx, x, y):
+    A = ctx.A.copy()
+    A[x, y] = A[y, x] = 0.0
+    return replace(ctx, A=A)
 
 
-def test_exhausted_draws_raise(c7, monkeypatch):
-    from terwlab import decomposer as dec_module
-    from terwlab.decomposer import _BadDraw
-    from terwlab.errors import DecompositionUnstable
+def test_non_invariant_ladder_raises_with_witness(c7):
+    # without the edge 0-1 of C_7, the ladder from vertex 0 runs down the
+    # 6 side only, and A maps its second rung e_6 off the ladder
+    from terwlab.errors import NotThin
 
-    def always_bad(ctx, rng, tol):
-        raise _BadDraw("synthetic")
+    ctx = _without_edge(c7.ctx, 0, 1)
+    with pytest.raises(NotThin) as info:
+        tw.decompose(ctx, seed=0)
+    r, g, op, residual = info.value.witness
+    assert (r, g, op) == (0, 1, "A")
+    assert residual == pytest.approx(1.0, abs=1e-12)
+    assert residual > 1e-8 * c7.scheme.n
 
-    monkeypatch.setattr(dec_module, "_decompose_once", always_bad)
-    with pytest.raises(DecompositionUnstable):
-        dec_module.decompose(c7.ctx, seed=0)
+
+def test_collected_dimension_mismatch_raises_with_counts(c7):
+    # without the edge 1-2, vertex 2 has no neighbour one shell down, so it
+    # starts a third ladder: 4 + 3 + 2 dimensions out of 7
+    from terwlab.errors import NotThin
+
+    ctx = _without_edge(c7.ctx, 1, 2)
+    with pytest.raises(NotThin, match="collected dimension 9 != 7") as info:
+        tw.decompose(ctx, seed=0)
+    assert info.value.witness == (9, 7)
+
+
+def test_uneven_ladders_raise_with_witness(c7):
+    # without the edge 2-3, e_2 has no rung on shell 3 while e_5 has one,
+    # so the two cannot be modules of one block
+    from terwlab.decomposer import _ladders
+    from terwlab.errors import NotThin
+
+    ctx = _without_edge(c7.ctx, 2, 3)
+    W0 = np.zeros((7, 2))
+    W0[2, 0] = W0[5, 1] = 1.0
+    with pytest.raises(NotThin) as info:
+        _ladders(ctx, 2, W0, 2.0)
+    assert info.value.witness == (2, 2, "R", 0.0)
+
+
+@pytest.mark.parametrize("D", range(3, 18))
+def test_odd_cycle_ladder(D):
+    scheme = tw.odd_cycle(D)
+    sp = tw.spectral_data(scheme)
+    ctx = tw.build_context(scheme, sp, 0)
+    mods = tw.measure_all(ctx, tw.decompose(ctx, seed=0))
+    observed = tw.census(mods)
+    assert observed == {(0, D): 1, (1, D - 1): 1}
+    assert sum(m.dim for m in mods) == scheme.n
+    Bcat = np.hstack([m.basis for m in mods])
+    assert np.abs(Bcat.T @ Bcat - np.eye(scheme.n)).max() < 1e-8
+    for m in mods:
+        for G in (ctx.A, np.diag(ctx.Astar)):
+            W = G @ m.basis
+            assert np.abs(W - m.basis @ (m.basis.T @ W)).max() < 1e-8 * scheme.n
+        assert m.measurement_residual < 1e-8
+    if D <= 13:  # the recurrence's reach on cycles
+        assert tw.solve_multiplicities(sp).matches_census(observed)
+
+
+def test_seeds_rotate_blocks_but_keep_measurements(fc9):
+    runs = [tw.measure_all(fc9.ctx, tw.decompose(fc9.ctx, seed=s)) for s in (0, 1, 2)]
+    for mods in runs:
+        assert tw.census(mods) == EXPECTED_CENSUS["FC9"]
+    for mods in runs[1:]:
+        for a, b in zip(runs[0], mods):
+            assert (a.t, a.d, a.r) == (b.t, b.d, b.r)
+            assert np.abs(a.measured_B - b.measured_B).max() < 1e-9
+            assert np.abs(a.measured_Bstar - b.measured_Bstar).max() < 1e-9
+    block = [[m.basis for m in mods if (m.t, m.d) == (2, 1)] for mods in runs]
+    assert len(block[0]) == 48
+    stacked = [np.hstack(b) for b in block]
+    for other in stacked[1:]:
+        assert np.abs(stacked[0] - other).max() > 1e-3
+        # same block: the span is the same, only the basis inside it moves
+        assert np.abs(other - stacked[0] @ (stacked[0].T @ other)).max() < 1e-9
+
+
+def _reference_measure(ctx, mod):
+    """Per-module matrix-vector measurement, one coefficient at a time."""
+    from terwlab.decomposer import _principal_vector
+    from terwlab.predictor import tridiagonal
+
+    r, t, d = mod.r, mod.t, mod.d
+    out = []
+    for ladder, ops in (
+        ([ctx.Estar[r + i] * _principal_vector(ctx.E[t] @ mod.basis) for i in range(d + 1)],
+         (ctx.R, ctx.F, ctx.L)),
+        ([ctx.E[t + i] @ _principal_vector(ctx.Estar[r][:, None] * mod.basis) for i in range(d + 1)],
+         (ctx.Rstar, ctx.Fstar, ctx.Lstar)),
+    ):
+        up, flat, down = ops
+        norms2 = [float(w @ w) for w in ladder]
+        c, a, b = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d + 1)
+        for i in range(1, d + 1):
+            c[i] = float((up @ ladder[i - 1]) @ ladder[i]) / norms2[i]
+        for i in range(d + 1):
+            a[i] = float((flat @ ladder[i]) @ ladder[i]) / norms2[i]
+        for i in range(d):
+            b[i] = float((down @ ladder[i + 1]) @ ladder[i]) / norms2[i]
+        out.append((tridiagonal(c, a, b), np.array(norms2)))
+    return out
+
+
+def test_batched_measurement_matches_per_module_reference(all_bundles):
+    for bundle in all_bundles:
+        for m in bundle.modules:
+            (B, nrm2), (Bs, dnrm2) = _reference_measure(bundle.ctx, m)
+            assert np.abs(m.measured_B - B).max() < 1e-12
+            assert np.abs(m.measured_Bstar - Bs).max() < 1e-12
+            assert np.allclose(m.ladder_norms2, nrm2, rtol=1e-12, atol=0)
+            assert np.allclose(m.dual_ladder_norms2, dnrm2, rtol=1e-12, atol=0)
+            one = tw.measure_module(bundle.ctx, replace(m, measured_B=None))
+            assert np.abs(one.measured_B - m.measured_B).max() < 1e-12

@@ -275,3 +275,18 @@ def test_alternate_p_ordering_gives_same_census(c7):
     census2 = tw.census(tw.decompose(ctx2, seed=0))
     assert census2 == tw.census(c7.modules)
     assert tw.solve_multiplicities(sp2).matches_census(census2)
+
+
+def test_krein_parameters_match_stacked_reference(all_bundles):
+    # the former form, with one (D+1) n^2 product per class, as the reference
+    from terwlab.spectral import _krein_parameters
+
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        E, m, n = sp.E, sp.m.astype(np.float64), sp.n
+        reference = np.empty_like(sp.krein)
+        for i in range(E.shape[0]):
+            prod = E[i][None, :, :] * E
+            reference[:, i, :] = np.tensordot(E, prod, axes=([1, 2], [1, 2])) * n / m[:, None]
+        krein = _krein_parameters(E, m, n)
+        assert np.abs(krein - reference).max() < 1e-12 * max(1.0, float(np.abs(reference).max()))
