@@ -12,17 +12,22 @@ W.  So the kernel
 is exactly the sum of E*_r W over the modules W with endpoint r.  It is
 read off the 0/1 block A[S_{r-1}, S_r] alone.
 
-Each E*_r W is an eigenvector of E*_r A E*_r and of E*_r A^2 E*_r, with
-eigenvalues a_0(W) and a_0(W)^2 + b_0(W) c_1(W) that depend only on the
-isomorphism class of W.  K_r is split into the eigenspaces of the first
-operator compressed to K_r, and each of those into the eigenspaces of the
-second; each resulting block is taken to hold isomorphic modules only.
-Inside a block the modules are not unique: every orthonormal basis of the
-block gives a valid splitting.  ``seed`` picks one by a random orthogonal
-rotation, so the census and the measured matrices must not depend on it.
-From the block basis W_0, every module of the block is built at once as
-the ladder W_{i+1} = E*_{r+i+1} A W_i, one column per module, until the
-next rung vanishes.
+From an orthonormal basis of K_r, the ladders of all modules with
+endpoint r are grown at once, W_{i+1} = E*_{r+i+1} A W_i with unit
+columns, one column per vector.  The flat matrix W_i^T A W_i and the Gram
+matrix U^T U of the next raw rung U = E*_{r+i+1} A W_i hold the
+isomorphism invariants: on the span of the modules of one isomorphism
+class they are a_i(W) and the squared rung norm times the identity, and
+together with the rung where the ladder stops these numbers fix the
+tridiagonal action of A, hence the class.  So the basis is split, rung by
+rung, into the eigenspaces of the two matrices, and each resulting block
+holds the modules of one class (numerically: their invariants agree to
+the relative gap ``SPLIT_GAP``).  On the first rung the two matrices are
+the compressions of E*_r A E*_r and E*_r A^2 E*_r - (E*_r A E*_r)^2 to
+K_r.  Inside a block the modules are not unique: every orthonormal basis
+of the block gives a valid splitting.  ``seed`` picks one by a random
+orthogonal rotation, so the census and the measured matrices must not
+depend on it.
 
 Certification.  A ladder spans a subspace with one unit vector per shell.
 If that subspace is invariant under A and A* (residual at most
@@ -31,9 +36,11 @@ under A*, whose eigenvalues differ between shells, so it is spanned by
 some of the shell vectors; it is invariant under A, whose off-diagonal
 entries in the ladder basis are the rung norms and hence nonzero, so it
 holds all of them.  Its shell slices are one-dimensional, so it is thin.
-A ladder that is not invariant, a block whose ladders stop at different
-rungs, or a collection whose dimension is not n raises :class:`NotThin`
-with a witness.  The eigenspace ranks rank(E_i W) give the dual endpoint
+The modules must also be mutually orthogonal: the stacked bases
+B must satisfy |B^T B - I| <= ``tol * n``.  A collection whose dimension
+is not n, bases that overlap, a ladder that is not invariant, or a block
+whose ladders stop at different rungs raises :class:`NotThin` with a
+witness.  The eigenspace ranks rank(E_i W) give the dual endpoint
 and the dual diameter.
 
 The oracle reads A, A*, the E*_i and the E_i only: never the predicted
@@ -115,35 +122,35 @@ def _eigenblocks(M: np.ndarray) -> list:
     return np.split(Y, cuts, axis=1)
 
 
-def _blocks(ctx: TerwContext, K: np.ndarray) -> list:
-    """Orthonormal bases of the joint eigenspaces of E*_r A E*_r, then E*_r A^2 E*_r, on span(K)."""
-    if not K.shape[1]:
-        return []
-    AK = ctx.A @ K
-    out = []
-    for Y in _eigenblocks(K.T @ AK):
-        AKY = AK @ Y
-        out.extend(K @ (Y @ Z) for Z in _eigenblocks(AKY.T @ AKY))
-    return out
+def _ladders(ctx: TerwContext, r: int, rungs: list, scale: float) -> list:
+    """Ladders grown from the unit rungs ``rungs``, one (n, h, d+1) array per block.
 
-
-def _ladders(ctx: TerwContext, r: int, W0: np.ndarray, scale: float) -> np.ndarray:
-    """Rungs W_{i+1} = E*_{r+i+1} A W_i with unit columns, as an (n, g, d+1) array."""
-    rungs = [W0]
-    for shell in range(r + 1, ctx.D + 1):
-        W = ctx.Estar[shell][:, None] * (ctx.A @ rungs[-1])
-        norms = np.linalg.norm(W, axis=0)
+    Before each new rung the block is split into the eigenspaces of
+    W^T A W and of the next rung's Gram matrix (W the current rung); each
+    part is grown on its own, with all its earlier rungs rotated alike.
+    Appends to ``rungs``.
+    """
+    while True:
+        W = rungs[-1]
+        shell = r + len(rungs) - 1
+        AW = ctx.A @ W
+        up = ctx.Estar[shell + 1][:, None] * AW if shell < ctx.D else np.zeros_like(W)
+        if W.shape[1] > 1:
+            for X in (W.T @ AW, up.T @ up):
+                parts = _eigenblocks(X)
+                if len(parts) > 1:
+                    return [L for Z in parts for L in _ladders(ctx, r, [R @ Z for R in rungs], scale)]
+        norms = np.linalg.norm(up, axis=0)
         if norms.max() <= RANK_TOL * scale:
-            break
+            return [np.stack(rungs, axis=2)]
         if norms.min() <= RANK_TOL * scale:
             low = float(norms.min())
             raise NotThin(
-                f"ladders from shell {r} (block of {W0.shape[1]}) stop at different rungs: "
-                f"rung {shell - r} norm {low:.3e}",
-                witness=(r, W0.shape[1], "R", low),
+                f"ladders from shell {r} (block of {W.shape[1]}) stop at different rungs: "
+                f"rung {shell + 1 - r} norm {low:.3e}",
+                witness=(r, W.shape[1], "R", low),
             )
-        rungs.append(W / norms)
-    return np.stack(rungs, axis=2)
+        rungs.append(up / norms)
 
 
 def _support(dims) -> tuple[int, int]:
@@ -176,6 +183,22 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
         spans.extend((r, g, slice(lo + j * k, lo + (j + 1) * k)) for j in range(g))
         lo += g * k
 
+    # the bases must be orthonormal, within and across modules
+    G = Bcat.T @ Bcat
+    G[np.diag_indices(n)] -= 1.0
+    np.abs(G, out=G)
+    worst = int(np.argmax(G))
+    if G.flat[worst] > tol * n:
+        resid = float(G.flat[worst])
+        col = max(divmod(worst, n))
+        r, g, _ = next(span for span in spans if span[2].start <= col < span[2].stop)
+        raise NotThin(
+            f"ladder from shell {r} (block of {g}) overlaps another module: "
+            f"Gram residual {resid:.3e} exceeds {tol * n:.3e}",
+            witness=(r, g, "Gram", resid),
+        )
+    del G
+
     for op in ("A", "A*"):
         image = ctx.A @ Bcat if op == "A" else ctx.Astar[:, None] * Bcat
         for r, g, cols in spans:
@@ -196,7 +219,7 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
     e_dims = np.zeros((len(spans), D + 1), dtype=int)
     for i in range(D + 1):
         P = ctx.E[i] @ Bcat
-        for k in np.unique(dims):
+        for k in sorted(set(dims.tolist())):
             idx = np.flatnonzero(dims == k)
             stack = P[:, starts[idx, None] + np.arange(k)].transpose(1, 0, 2)
             e_dims[idx, i] = np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=1)
@@ -215,26 +238,32 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
 def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     """Split the coordinate space into irreducible invariant subspaces.
 
-    For each endpoint r, the lowering kernel K_r is split into blocks of
-    isomorphic modules by the compressed E*_r A E*_r and E*_r A^2 E*_r,
-    ``seed`` rotates each block's basis by a random orthogonal matrix, and
-    every module of a block is grown as a ladder through the shells (see
-    the module docstring).  Each module is certified invariant under A and
-    A* to ``tol * n``; that, its one-dimensional shell slices and its
-    nonzero rungs make it irreducible.  Raises :class:`NotThin`, with a
-    ``witness``, when a ladder is not invariant or the modules do not add
-    up to dimension n.  Returns the modules sorted by (t, d, r); the census
-    does not depend on ``seed``.
+    For each endpoint r, the ladders of the lowering kernel K_r are grown
+    through the shells and split, rung by rung, into blocks of isomorphic
+    modules by the rung Gram and flat matrices, and ``seed`` rotates each
+    block's basis by a random orthogonal matrix (see the module
+    docstring).  The modules are certified orthonormal to each other and
+    invariant under A and A*, both to ``tol * n``; invariance, the
+    one-dimensional shell slices and the nonzero rungs make each one
+    irreducible.  Raises :class:`NotThin`, with a ``witness``, when the
+    modules do not add up to dimension n, overlap, or are not invariant.
+    Returns the modules sorted by (t, d, r); the census does not depend on
+    ``seed``.
     """
     rng = np.random.default_rng(seed)
     shells = [np.flatnonzero(ctx.Estar[i]) for i in range(ctx.D + 1)]
     scale = max(1.0, float(np.abs(ctx.A).sum(axis=1).max()))
     ladders = []
     for r in range(ctx.D + 1):
-        for W0 in _blocks(ctx, _lowering_kernel(ctx, shells, r)):
-            if W0.shape[1] > 1:
-                W0 = W0 @ np.linalg.qr(rng.standard_normal((W0.shape[1],) * 2))[0]
-            ladders.append((r, _ladders(ctx, r, W0, scale)))
+        K = _lowering_kernel(ctx, shells, r)
+        if not K.shape[1]:
+            continue
+        for L in _ladders(ctx, r, [K], scale):
+            g = L.shape[1]
+            if g > 1:
+                Q = np.linalg.qr(rng.standard_normal((g, g)))[0]
+                L = np.tensordot(L, Q, axes=(1, 0)).transpose(0, 2, 1)
+            ladders.append((r, L))
     modules = _certify(ctx, ladders, tol)
     order = sorted(range(len(modules)), key=lambda i: (modules[i].t, modules[i].d, modules[i].r, i))
     return [modules[i] for i in order]

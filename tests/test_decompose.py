@@ -203,18 +203,69 @@ def test_collected_dimension_mismatch_raises_with_counts(c7):
     assert info.value.witness == (9, 7)
 
 
-def test_uneven_ladders_raise_with_witness(c7):
-    # without the edge 2-3, e_2 has no rung on shell 3 while e_5 has one,
-    # so the two cannot be modules of one block
+def test_ladders_split_blocks_by_where_they_stop(c7):
+    # without the edge 2-3, e_2 has no rung on shell 3 while e_5 has one, so
+    # the rung Gram matrix diag(0, 1) splits them into two blocks
     from terwlab.decomposer import _ladders
-    from terwlab.errors import NotThin
 
     ctx = _without_edge(c7.ctx, 2, 3)
     W0 = np.zeros((7, 2))
     W0[2, 0] = W0[5, 1] = 1.0
+    blocks = _ladders(ctx, 2, [W0], 2.0)
+    assert [L.shape for L in blocks] == [(7, 1, 1), (7, 1, 2)]
+    assert np.abs(blocks[0][:, 0, 0]).argmax() == 2
+    assert np.abs(blocks[1][:, 0, 1]).argmax() == 4
+
+
+def test_ladders_split_blocks_by_flat_action(c7):
+    # a loop at vertex 5 gives e_5 the flat coefficient 1 and e_2 the flat
+    # coefficient 0; the rungs have equal norms, so only W^T A W splits them
+    from terwlab.decomposer import _ladders
+
+    A = c7.ctx.A.copy()
+    A[5, 5] = 1.0
+    W0 = np.zeros((7, 2))
+    W0[2, 0] = W0[5, 1] = 1.0
+    blocks = _ladders(replace(c7.ctx, A=A), 2, [W0], 2.0)
+    assert [L.shape for L in blocks] == [(7, 1, 2), (7, 1, 2)]
+    assert np.abs(blocks[0][:, 0, 0]).argmax() == 2
+    assert np.abs(blocks[1][:, 0, 0]).argmax() == 5
+
+
+def test_uneven_ladders_raise_with_witness(c7):
+    # with the edge 2-3 removed and the edge 4-5 weighted 1e-4, the rung
+    # Gram matrix diag(0, 1e-8) lies inside one block, but only e_5 has a
+    # rung above the zero threshold
+    from terwlab.decomposer import _ladders
+    from terwlab.errors import NotThin
+
+    ctx = _without_edge(c7.ctx, 2, 3)
+    A = ctx.A.copy()
+    A[4, 5] = A[5, 4] = 1e-4
+    W0 = np.zeros((7, 2))
+    W0[2, 0] = W0[5, 1] = 1.0
     with pytest.raises(NotThin) as info:
-        _ladders(ctx, 2, W0, 2.0)
+        _ladders(replace(ctx, A=A), 2, [W0], 2.0)
     assert info.value.witness == (2, 2, "R", 0.0)
+
+
+def test_overlapping_modules_raise_with_witness(o4):
+    # each ladder is invariant and the dimensions add up to n, but one
+    # module of the (2, 1) class repeats another
+    from terwlab.decomposer import _certify
+    from terwlab.errors import NotThin
+
+    mods = list(o4.modules)
+    twins = [j for j, m in enumerate(mods) if (m.t, m.d) == (2, 1)]
+    mods[twins[1]] = mods[twins[0]]
+    ladders = [(m.r, m.basis[:, None, :]) for m in mods]
+    with pytest.raises(NotThin, match="overlaps another module") as info:
+        _certify(o4.ctx, ladders, 1e-8)
+    r, g, op, residual = info.value.witness
+    assert (r, g, op) == (mods[twins[0]].r, 1, "Gram")
+    assert residual == pytest.approx(1.0, abs=1e-12)
+    # the same ladders without the repeat pass the gate
+    _certify(o4.ctx, [(m.r, m.basis[:, None, :]) for m in o4.modules], 1e-8)
 
 
 @pytest.mark.parametrize("D", range(3, 18))
