@@ -17,6 +17,7 @@ from .multiplicity import (
     krein_product_lhs,
     recurrence_rhs_coefficient,
     solve_multiplicities,
+    trace_ladder,
     trace_lhs,
 )
 from .predictor import ModuleClass, feasibility, module_class, predict_a0star, predict_B, predict_Bstar
@@ -79,6 +80,7 @@ __all__ = [
     "scheme_from_graph",
     "solve_multiplicities",
     "spectral_data",
+    "trace_ladder",
     "trace_lhs",
     "triangle_vanishing_check",
     "validate_scheme",

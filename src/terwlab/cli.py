@@ -10,6 +10,7 @@ given the same scheme, vertex and seed, are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -214,14 +215,17 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
     def _predictor():
         worst = 0.0
         eig_worst = 0.0
+        classes = {}  # (t, d) -> (predicted class, its feasibility), built once per class
         for mod in modules:
-            mc = predictor.module_class(mod.t, mod.d, spectral)
+            if (mod.t, mod.d) not in classes:
+                mc = predictor.module_class(mod.t, mod.d, spectral)
+                classes[mod.t, mod.d] = mc, predictor.feasibility(mc, spectral.theta, spectral.theta_star)
+            mc, fr = classes[mod.t, mod.d]
             worst = max(
                 worst,
                 float(np.abs(mod.measured_B - mc.B).max()),
                 float(np.abs(mod.measured_Bstar - mc.Bstar).max()),
             )
-            fr = predictor.feasibility(mc, spectral.theta, spectral.theta_star)
             eig_worst = max(eig_worst, fr.eig_B_error, fr.eig_Bstar_error,
                             fr.trace_B_error, fr.trace_Bstar_error)
             if not fr.feasible:
@@ -235,9 +239,10 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
     @stage("trace_formula")
     def _trace():
         ups = multiplicity.build_upsilon(spectral.D)
+        ladders = [multiplicity.trace_ladder(ctx, t, spectral.D - t) for t in range(spectral.D + 1)]
         worst = 0.0
         for (t, d) in ups.cells:
-            lhs = multiplicity.trace_lhs(ctx, t, d)
+            lhs = ladders[t][d]
             rhs = multiplicity.krein_product_lhs(spectral, t, d)
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
         if worst > 1e-6:
@@ -544,8 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call and reused: parse_args starts every call
+    # from a fresh namespace, so no option carries over between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, AxiomViolation, InvalidParameter, FileNotFoundError) as exc:

@@ -100,9 +100,6 @@ class TerwContext:
     def E(self) -> np.ndarray:
         return self.spectral.E
 
-    def estar_matrix(self, i: int) -> np.ndarray:
-        return np.diag(self.Estar[i])
-
 
 def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0) -> TerwContext:
     """Assemble the operators at base vertex x and verify their identities.

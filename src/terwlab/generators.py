@@ -31,26 +31,33 @@ DEFAULT_VERTEX_CAP = 5000
 
 
 def distance_relation(adjacency: list[list[int]]) -> np.ndarray:
-    """BFS distance table of a connected graph given as adjacency lists."""
+    """BFS distance table of a connected graph given as adjacency lists.
+
+    The searches from all n sources run at once, one level per step: row s
+    of ``front`` is the frontier of the search from s, and the next
+    frontier is ``(front @ A > 0) & unreached`` with A[v, w] = 1 when w is
+    listed as a neighbour of v.  The 0/1 products are formed in float32 and
+    are exact, since every entry counts frontier vertices, at most n < 2**24.
+    A connected graph of diameter D takes D products.
+    """
     n = len(adjacency)
+    A = np.zeros((n, n), dtype=np.float32)
+    A[np.repeat(np.arange(n), [len(row) for row in adjacency]),
+      [w for row in adjacency for w in row]] = 1
     rel = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        dist = rel[s]
-        dist[s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adjacency[v]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-    if rel.min() < 0:
-        x, y = map(int, np.argwhere(rel < 0)[0])
-        raise ParseError(f"graph is disconnected: no path from {x} to {y}")
+    np.fill_diagonal(rel, 0)
+    unreached = rel < 0
+    front = np.eye(n, dtype=np.float32)
+    d = 0
+    while unreached.any():
+        nxt = (front @ A > 0) & unreached
+        if not nxt.any():
+            x, y = map(int, np.argwhere(unreached)[0])
+            raise ParseError(f"graph is disconnected: no path from {x} to {y}")
+        d += 1
+        rel[nxt] = d
+        unreached &= ~nxt
+        front = nxt.astype(np.float32)
     return rel
 
 
@@ -67,6 +74,15 @@ def odd_cycle(D: int) -> AssociationScheme:
     return scheme_from_graph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
 
 
+def _odd_graph_adjacency(D: int) -> list[list[int]]:
+    """Adjacency lists of K(2D+1, D): D-subsets in colexicographic order,
+    adjacent when disjoint, tested on their bitmasks all at once."""
+    verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
+    masks = np.array([sum(1 << e for e in v) for v in verts], dtype=np.int64)
+    disjoint = (masks[:, None] & masks[None, :]) == 0
+    return [np.flatnonzero(row).tolist() for row in disjoint]
+
+
 def odd_graph(D: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationScheme:
     """Distance scheme of the Kneser graph K(2D+1, D).
 
@@ -80,12 +96,7 @@ def odd_graph(D: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationScheme
     n = math.comb(2 * D + 1, D)
     if n > vertex_cap:
         raise ResourceLimit(f"odd_graph(D={D}) has {n} vertices, cap is {vertex_cap}")
-    verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
-    masks = [sum(1 << e for e in v) for v in verts]
-    adjacency = [
-        [j for j, mw in enumerate(masks) if not (mv & mw)] for mv in masks
-    ]
-    scheme = scheme_from_graph(adjacency)
+    scheme = scheme_from_graph(_odd_graph_adjacency(D))
     if scheme.D != D:
         raise InvalidParameter(f"odd_graph(D={D}) has diameter {scheme.D}")
     return scheme

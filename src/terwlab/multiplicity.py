@@ -50,9 +50,6 @@ class Upsilon:
         """a precedes b: a starts no later and ends no earlier."""
         return a[0] <= b[0] and b[0] + b[1] <= a[0] + a[1]
 
-    def below(self, cell) -> list:
-        return [c for c in self.cells if self.leq(c, cell)]
-
 
 def build_upsilon(D: int) -> Upsilon:
     """All feasible cells, listed in a linear extension of the order.
@@ -69,16 +66,23 @@ def build_upsilon(D: int) -> Upsilon:
     return Upsilon(D=D, cells=tuple(cells))
 
 
-def trace_lhs(ctx: TerwContext, t: int, d: int) -> float:
-    """Numerical trace of E_t L*^d R*^d E_t.
+def trace_ladder(ctx: TerwContext, t: int, dmax: int) -> list:
+    """Numerical traces of E_t L*^d R*^d E_t for d = 0..dmax.
 
-    Since L* is the transpose of R*, the trace is the squared Frobenius
-    norm of R*^d E_t.
+    Since L* is the transpose of R*, each trace is the squared Frobenius
+    norm of R*^d E_t; the powers are walked once, one product per d.
     """
     M = ctx.E[t].copy()
-    for _ in range(d):
+    traces = [float(np.sum(M * M))]
+    for _ in range(dmax):
         M = ctx.Rstar @ M
-    return float(np.sum(M * M))
+        traces.append(float(np.sum(M * M)))
+    return traces
+
+
+def trace_lhs(ctx: TerwContext, t: int, d: int) -> float:
+    """Numerical trace of E_t L*^d R*^d E_t, the last rung of :func:`trace_ladder`."""
+    return trace_ladder(ctx, t, d)[d]
 
 
 def krein_product_lhs(spectral: SpectralData, t: int, d: int) -> float:

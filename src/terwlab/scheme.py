@@ -9,8 +9,8 @@ the triple count
     p[h, i, j] = #{ z : relation[x, z] = i and relation[z, y] = j }
 
 depends only on ``h = relation[x, y]``.  The triple counts are assembled by
-multiplying the 0/1 class matrices; entries never exceed ``n``, so float64
-products are exact and are stored back as integers.
+multiplying the 0/1 class matrices in float32; entries never exceed ``n``,
+so the products are exact and are stored back as integers.
 """
 
 from __future__ import annotations
@@ -114,13 +114,18 @@ def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
     since a violation at (j, i) is the transpose of one at (i, j).  Class
     matrices are built per product rather than stacked, so the working set
     stays a few n x n arrays whatever D is.
+
+    The products are formed in float32.  They are exact: every term is 0
+    or 1, and every partial sum is an integer between 0 and n, which float32
+    represents exactly while n < 2**24 (a relation table that large would
+    not fit in memory).
     """
     first = np.unravel_index([int(np.argmax(rel == h)) for h in range(D + 1)], rel.shape)
     p = np.zeros((D + 1, D + 1, D + 1), dtype=np.int64)
     for i in range(D + 1):
-        Ai = (rel == i).astype(np.float64)
+        Ai = (rel == i).astype(np.float32)
         for j in range(i, D + 1):
-            M = Ai @ (rel == j).astype(np.float64)
+            M = Ai @ (rel == j).astype(np.float32)
             vals = M[first]
             bad = M != vals[rel]
             if bad.any():

@@ -177,3 +177,40 @@ def test_tol_rejudges_the_same_identity_residuals(c7_file):
     assert stage[None].residual == stage[1e-30].residual > 0
     ctx = tw.build_context(tw.odd_cycle(3), tw.spectral_data(tw.odd_cycle(3)), 0)
     assert stage[None].residual == tw.verify_operator_identities(ctx).max_residual
+
+
+def test_parser_reuse_leaks_no_option_between_calls(c7_file, capsys, monkeypatch):
+    # one process runs several subcommands through the cached parser; each
+    # call must print what it prints when it runs alone on a fresh parser
+    import terwlab.cli as cli
+
+    calls = [
+        ["verify", "--scheme", c7_file, "--json"],
+        ["multiplicities", "--scheme", c7_file, "--oracle", "--json"],
+        ["predict", "--scheme", c7_file, "--t", "1", "--d", "2", "--json"],
+        ["verify", "--scheme", c7_file, "--tol", "1e-3", "--json"],
+        ["analyze", "--scheme", c7_file, "--tol", "1e-30", "--json"],
+        ["analyze", "--scheme", c7_file, "--json"],
+        ["verify", "--scheme", c7_file, "--json"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    built = []
+    real_build = cli.build_parser
+
+    def counted_build():
+        built.append(1)
+        return real_build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+    assert len(built) == 1
+    assert [code for code, _ in alone] == [0, 0, 0, 0, 1, 0, 0]

@@ -1,11 +1,95 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import terwlab as tw
-from terwlab.errors import InvalidParameter, ParseError, ResourceLimit
-from terwlab.generators import scheme_from_json, scheme_to_json
+from terwlab.errors import AxiomViolation, InvalidParameter, ParseError, ResourceLimit
+from terwlab.generators import _odd_graph_adjacency, distance_relation, scheme_from_json, scheme_to_json
+
+
+def reference_distance_relation(adjacency):
+    """The per-source Python BFS that ``distance_relation`` replaced."""
+    n = len(adjacency)
+    rel = np.full((n, n), -1, dtype=np.int64)
+    for s in range(n):
+        dist = rel[s]
+        dist[s] = 0
+        frontier = [s]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for w in adjacency[v]:
+                    if dist[w] < 0:
+                        dist[w] = d
+                        nxt.append(w)
+            frontier = nxt
+    if rel.min() < 0:
+        x, y = map(int, np.argwhere(rel < 0)[0])
+        raise ParseError(f"graph is disconnected: no path from {x} to {y}")
+    return rel
+
+
+def _outcome(fn, adjacency):
+    try:
+        return "table", fn(adjacency).tolist()
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@st.composite
+def adjacency_lists(draw):
+    """Adjacency lists on 1..40 vertices: possibly asymmetric, with repeated
+    neighbours and self-loops; a random spanning cycle is added half the time,
+    so both connected and disconnected graphs appear."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=6), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        for a, b in zip(order, order[1:] + order[:1]):
+            rows[a].append(b)
+    return rows
+
+
+@given(adjacency_lists())
+@settings(max_examples=200, deadline=None)
+def test_distance_relation_matches_reference_bfs(adjacency):
+    assert _outcome(distance_relation, adjacency) == _outcome(reference_distance_relation, adjacency)
+
+
+def test_distance_relation_edge_cases():
+    for adjacency in ([[]], [[0]], [[0, 0]], [[1, 1], [0]], [[1], []], [[1], [2], [0]], [[1], [0], [3], [2]]):
+        assert _outcome(distance_relation, adjacency) == _outcome(reference_distance_relation, adjacency)
+    assert distance_relation([[1], [2], [0]]).tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+
+
+def test_empty_distance_graph_is_an_axiom_violation():
+    # an empty graph is an input error, not an uncaught ValueError from min() of an empty table
+    doc = {"n": 0, "D": 0, "relation": {"kind": "distance_graph", "adjacency": []}}
+    with pytest.raises(AxiomViolation, match="vertex set is empty"):
+        scheme_from_json(doc)
+
+
+def test_distance_relation_matches_reference_on_families(all_bundles):
+    for bundle in all_bundles:
+        adjacency = scheme_to_json(bundle.scheme)["relation"]["adjacency"]
+        assert np.array_equal(distance_relation(adjacency), reference_distance_relation(adjacency))
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+def test_odd_graph_adjacency_matches_pairwise_disjointness(D):
+    # the double loop the vectorized disjointness test replaced
+    verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
+    masks = [sum(1 << e for e in v) for v in verts]
+    expected = [[j for j, mw in enumerate(masks) if not (mv & mw)] for mv in masks]
+    adjacency = _odd_graph_adjacency(D)
+    assert adjacency == expected
+    assert all(type(w) is int for row in adjacency for w in row)
 
 
 def test_odd_cycle_basic():

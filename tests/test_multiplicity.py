@@ -74,6 +74,20 @@ def test_trace_lhs_d0_is_multiplicity(all_bundles):
             assert tw.trace_lhs(bundle.ctx, t, 0) == pytest.approx(float(sp.m[t]), rel=1e-9)
 
 
+def test_trace_ladder_equals_per_cell_products(all_bundles):
+    # the per-cell walk the ladder replaced: one R*^d E_t from scratch per cell
+    for bundle in all_bundles:
+        ctx, D = bundle.ctx, bundle.spectral.D
+        for t in range(D + 1):
+            ladder = tw.trace_ladder(ctx, t, D - t)
+            assert len(ladder) == D - t + 1
+            for d in range(D - t + 1):
+                M = ctx.E[t].copy()
+                for _ in range(d):
+                    M = ctx.Rstar @ M
+                assert ladder[d] == float(np.sum(M * M)) == tw.trace_lhs(ctx, t, d), (bundle.name, t, d)
+
+
 def test_trace_identity_sweep(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral

@@ -2,9 +2,12 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import terwlab as tw
 from terwlab.errors import AxiomViolation
+from terwlab.scheme import _triple_counts
 
 
 def cycle_relation(n):
@@ -43,6 +46,28 @@ def test_seven_cycle_tensor_matches_brute_force():
     scheme = tw.validate_scheme(rel)
     assert scheme.D == 3
     assert np.array_equal(scheme.tensor.p, brute_triple_counts(rel))
+
+
+@st.composite
+def product_schemes(draw):
+    """Relation tables of valid schemes that need not be P-polynomial: the
+    direct product of the symmetrized group schemes of Z_a and Z_b, with
+    the nonzero classes renamed by a random permutation."""
+    a = draw(st.integers(min_value=1, max_value=6))
+    b = draw(st.integers(min_value=1, max_value=6))
+    ra, rb = cycle_relation(a), cycle_relation(b)
+    rel = (ra[:, None, :, None] * (b // 2 + 1) + rb[None, :, None, :]).reshape(a * b, a * b)
+    classes = np.unique(rel)
+    names = np.zeros(int(rel.max()) + 1, dtype=np.int64)
+    names[classes[1:]] = np.array(draw(st.permutations(range(1, len(classes)))), dtype=np.int64)
+    return names[rel]
+
+
+@given(product_schemes())
+@settings(max_examples=25, deadline=None)
+def test_triple_counts_match_brute_force_on_random_schemes(rel):
+    D = int(rel.max())
+    assert np.array_equal(_triple_counts(rel, rel.shape[0], D).p, brute_triple_counts(rel))
 
 
 def test_seven_cycle_intersection_array():
