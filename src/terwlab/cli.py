@@ -277,11 +277,12 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
         ups = multiplicity.build_upsilon(spectral.D)
         worst = params.fit_residual
         for (t, d) in ups.cells:
-            B1 = predictor.predict_B(t, d, spectral.theta, spectral.theta_star, spectral.D)
-            B2 = qs.qs_predict_B(params, t, d)
-            Bs1 = predictor.predict_Bstar(t, d, spectral.theta, spectral.theta_star, spectral.D)
-            Bs2 = qs.qs_predict_Bstar(params, t, d)
-            worst = max(worst, float(np.abs(B1 - B2).max()), float(np.abs(Bs1 - Bs2).max()))
+            # bands, not matrices: both sides vanish off the three bands
+            cab = predictor.predict_cab(t, d, spectral.theta, spectral.theta_star, spectral.D)
+            cab_qs = qs.qs_predict_cab(params, t, d)
+            cab_star = predictor.predict_cab_star(t, d, spectral.theta, spectral.theta_star, spectral.D)
+            cab_star_qs = qs.qs_predict_cab_star(params, t, d)
+            worst = max(worst, predictor.band_gap(cab, cab_qs), predictor.band_gap(cab_star, cab_star_qs))
         if worst > 1e-8:
             return "fail", worst, "q,s forms disagree with eigenvalue forms", None
         if table is not None:

@@ -197,8 +197,9 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
         checks.append(CheckResult(name=name, residual=float(residual), tol=tol))
 
     add("sum(Estar) = I", np.abs(Estar.sum(axis=0) - 1.0).max())
+    pairs = Estar[:, None, :] * Estar[None, :, :]  # (D+1, D+1, n): E*_i E*_j as diagonals
     add("Estar idempotent-orthogonal",
-        max(np.abs(Estar[i] * Estar[j] - (i == j) * Estar[i]).max() for i in range(D + 1) for j in range(D + 1)))
+        np.abs(pairs - np.eye(D + 1)[:, :, None] * Estar[:, None, :]).max())
     add("sum(Astar) = n Estar_0", np.abs(ctx.Astar_all.sum(axis=0) - n * Estar[0]).max())
     if D >= 1:
         add("Astar_0 = I", np.abs(ctx.Astar_all[0] - 1.0).max())

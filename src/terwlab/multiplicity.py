@@ -42,9 +42,6 @@ class Upsilon:
     D: int
     cells: tuple
 
-    def __contains__(self, cell) -> bool:
-        return tuple(cell) in set(self.cells)
-
     @staticmethod
     def leq(a, b) -> bool:
         """a precedes b: a starts no later and ends no earlier."""
@@ -102,6 +99,14 @@ def restricted_trace(ctx: TerwContext, mod: IrreducibleModule, t: int, d: int) -
     return float(np.sum(M * M))
 
 
+def _rung_product(cs, bs, offset: int, d: int) -> float:
+    """prod_{h=offset}^{offset+d-1} b*_h c*_{h+1} over one cell's dual bands."""
+    value = 1.0
+    for h in range(offset, offset + d):
+        value *= bs[h] * cs[h + 1]
+    return value
+
+
 def recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D) -> float:
     """Coefficient of mult(i, j) in the trace equation of cell (t, d).
 
@@ -111,10 +116,7 @@ def recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D) -> float:
     if not Upsilon.leq((i, j), (t, d)):
         raise ValueError(f"({i}, {j}) does not precede ({t}, {d})")
     cs, _, bs = predict_cab_star(i, j, theta, theta_star, D)
-    value = 1.0
-    for h in range(t - i, t - i + d):
-        value *= bs[h] * cs[h + 1]
-    return value
+    return _rung_product(cs, bs, t - i, d)
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,10 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
     zero (relative to the size of its factors) forces multiplicity zero.
     Values are rounded to integers and the residual is kept for audit;
     residuals above the gate raise.
+
+    Each cell's dual bands are formed once: they give its leading
+    coefficient and, once it is solved, its coefficients as a
+    predecessor of later cells.
     """
     if spectral.theta_star is None:
         raise OrderingMissing("the multiplicity recurrence needs a Q-polynomial ordering")
@@ -165,19 +171,22 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
     mult: dict = {}
     pre: dict = {}
     zero_cells = []
+    # (i, j, mult, c*, b*) of the solved cells with nonzero multiplicity, in
+    # solve order: the order in which a scan of the whole grid meets them
+    solved = []
     for (t, d) in ups.cells:
         lhs = krein_product_lhs(spectral, t, d)
         lead = 1.0
         scale = 1.0
         if d:
             cs, _, bs = predict_cab_star(t, d, theta, theta_star, D)
+            lead = _rung_product(cs, bs, 0, d)
             for h in range(d):
-                lead *= bs[h] * cs[h + 1]
                 scale *= max(1.0, abs(bs[h])) * max(1.0, abs(cs[h + 1]))
         acc = 0.0
-        for (i, j) in ups.cells:
-            if (i, j) != (t, d) and Upsilon.leq((i, j), (t, d)) and mult.get((i, j)):
-                acc += mult[i, j] * recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D)
+        for (i, j, count, pcs, pbs) in solved:
+            if Upsilon.leq((i, j), (t, d)):
+                acc += count * _rung_product(pcs, pbs, t - i, d)
         if abs(lead) < LEADING_ZERO_TOL * scale:
             zero_cells.append((t, d))
             mult[t, d] = 0
@@ -192,6 +201,8 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
             raise NegativeMultiplicity(f"mult({t}, {d}) = {value}")
         mult[t, d] = rounded
         pre[t, d] = residual
+        if rounded and d:  # a cell with d = 0 precedes no other cell
+            solved.append((t, d, rounded, cs, bs))
     return MultiplicityTable(
         D=D, mult=mult, pre_rounding=pre, zero_coefficient_cells=tuple(zero_cells)
     )

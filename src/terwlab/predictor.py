@@ -28,6 +28,16 @@ def tridiagonal(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return M
 
 
+def band_gap(x: tuple, y: tuple) -> float:
+    """Largest entry of |tridiagonal(*x) - tridiagonal(*y)|, read from the bands.
+
+    Both matrices vanish off the three bands, so the largest entry is the
+    largest band difference over a, b[:-1] and c[1:]; no matrix is built.
+    """
+    (c1, a1, b1), (c2, a2, b2) = x, y
+    return float(np.abs(np.concatenate([a1 - a2, b1[:-1] - b2[:-1], c1[1:] - c2[1:]])).max())
+
+
 def tridiagonal_bands(M: np.ndarray) -> tuple:
     """Recover (c, a, b) with the boundary zeros materialized."""
     d = M.shape[0] - 1

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BetaDegenerate, FitFailure, InvalidCell, OutOfRange
-from .predictor import in_upsilon, tridiagonal
+from .errors import BetaDegenerate, FitFailure, OutOfRange
+from .predictor import _require_cell, tridiagonal
 from .spectral import PPolyArray
 
 #: residual gate for the recurrence and model fits (relative to |theta|)
@@ -249,19 +249,14 @@ def _verify_closed_forms(params: QSParams, scale: float) -> None:
         raise FitFailure("theta_0 does not match h (1 + s q)")
 
 
-def _require_cell(t: int, d: int, D: int) -> int:
-    if not in_upsilon(t, d, D):
-        raise InvalidCell(f"(t, d) = ({t}, {d}) is not feasible for D = {D}")
-    return D - d
-
-
-def qs_predict_B(params: QSParams, t: int, d: int) -> np.ndarray:
-    """Intersection matrix of the class (t, d) in the q, s coordinates."""
+def qs_predict_cab(params: QSParams, t: int, d: int) -> tuple:
+    """Bands (c_i(W), a_i(W), b_i(W)) of the class (t, d) in the q, s coordinates."""
     q, s, h, D = params.q, params.s, params.h, params.D
     _require_cell(t, d, D)
     scale = abs(h) * max(1.0, abs(s))
     if d == 0:
-        return np.array([[_real(h * q ** (-t) * (1 + s * q ** (2 * t + 1)), scale)]])
+        a0 = _real(h * q ** (-t) * (1 + s * q ** (2 * t + 1)), scale)
+        return np.zeros(1), np.array([a0]), np.zeros(1)
     c = np.zeros(d + 1)
     a = np.zeros(d + 1)
     b = np.zeros(d + 1)
@@ -283,17 +278,17 @@ def qs_predict_B(params: QSParams, t: int, d: int) -> np.ndarray:
     a[d] = _real(
         h * (q ** (d + 1) - 1) * (1 + s * q ** (1 + d + 2 * t)) / (q ** (t + d) * (q - 1)), scale
     )
-    return tridiagonal(c, a, b)
+    return c, a, b
 
 
-def qs_predict_Bstar(params: QSParams, t: int, d: int) -> np.ndarray:
-    """Dual intersection matrix of the class (t, d) in the q, s coordinates."""
+def qs_predict_cab_star(params: QSParams, t: int, d: int) -> tuple:
+    """Bands (c*_i(W), a*_i(W), b*_i(W)) of the class (t, d) in the q, s coordinates."""
     q, s, hstar, D = params.q, params.s, params.hstar, params.D
     r = _require_cell(t, d, D)
     theta_star_r = _real(qs_theta_star(params, r), abs(params.hstar))
     scale = abs(hstar) * max(1.0, abs(s)) ** 2
     if d == 0:
-        return np.array([[theta_star_r]])
+        return np.zeros(1), np.array([theta_star_r]), np.zeros(1)
     cs = np.zeros(d + 1)
     bs = np.zeros(d + 1)
     bs[0] = _real(
@@ -318,7 +313,17 @@ def qs_predict_Bstar(params: QSParams, t: int, d: int) -> np.ndarray:
         scale,
     )
     as_ = theta_star_r - bs - cs
-    return tridiagonal(cs, as_, bs)
+    return cs, as_, bs
+
+
+def qs_predict_B(params: QSParams, t: int, d: int) -> np.ndarray:
+    """Intersection matrix of the class (t, d) in the q, s coordinates."""
+    return tridiagonal(*qs_predict_cab(params, t, d))
+
+
+def qs_predict_Bstar(params: QSParams, t: int, d: int) -> np.ndarray:
+    """Dual intersection matrix of the class (t, d) in the q, s coordinates."""
+    return tridiagonal(*qs_predict_cab_star(params, t, d))
 
 
 def qs_multiplicity(params: QSParams, t: int, d: int) -> float:

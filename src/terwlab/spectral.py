@@ -18,6 +18,9 @@ show the same tridiagonal vanishing pattern.
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
 idempotents by the first Q-polynomial ordering (when one exists).
+``spectral_data`` stops the search at that first ordering; the
+``detect_*`` functions run the same search to the end and list every
+ordering, the first of which is the same one.
 """
 
 from __future__ import annotations
@@ -113,17 +116,19 @@ def _pattern_ok(nonzero: np.ndarray, order) -> bool:
     return not (support & (hi > rest)).any() and bool(support[hi == rest].all())
 
 
-def _greedy_orderings(nonzero: np.ndarray) -> list[tuple]:
-    """All relabelings fixing 0 under which the support is tridiagonal.
+def _orderings(nonzero: np.ndarray):
+    """Relabelings fixing 0 under which the support is tridiagonal, lazily.
 
-    Candidates for position 1 are extended greedily: the next label must be
-    the unique unused one linked to the previous by the position-1 label.
-    Every completed candidate is verified in full.
+    Candidates for position 1 are tried in increasing order and extended
+    greedily: the next label must be the unique unused one linked to the
+    previous by the position-1 label.  Every completed candidate is
+    verified in full and yielded as soon as it passes, so a caller that
+    needs only the first ordering stops the search there.
     """
     D = nonzero.shape[0] - 1
     if D == 0:
-        return [(0,)]
-    found = []
+        yield (0,)
+        return
     for c1 in range(1, D + 1):
         order = [0, c1]
         used = np.zeros(D + 1, dtype=bool)
@@ -136,8 +141,12 @@ def _greedy_orderings(nonzero: np.ndarray) -> list[tuple]:
             order.append(int(nxt[0]))
             used[nxt[0]] = True
         if order is not None and _pattern_ok(nonzero, order):
-            found.append(tuple(order))
-    return found
+            yield tuple(order)
+
+
+def _krein_support(krein: np.ndarray, tol: float = KREIN_ZERO_TOL) -> np.ndarray:
+    """Nonzero Krein parameters, with ``tol`` relative to the largest one."""
+    return np.abs(krein) > tol * max(1.0, float(np.abs(krein).max()))
 
 
 def detect_p_polynomial(tensor: IntersectionTensor) -> list[tuple]:
@@ -146,7 +155,7 @@ def detect_p_polynomial(tensor: IntersectionTensor) -> list[tuple]:
     Returns a (possibly empty) list of orderings; each is a tuple whose
     i-th entry is the original class placed at position i.
     """
-    return _greedy_orderings(tensor.p != 0)
+    return list(_orderings(tensor.p != 0))
 
 
 def detect_q_polynomial(
@@ -159,9 +168,9 @@ def detect_q_polynomial(
     (intended for D <= 8); otherwise the greedy extension is used.
     """
     D = krein.shape[0] - 1
-    nonzero = np.abs(krein) > tol * max(1.0, float(np.abs(krein).max()))
+    nonzero = _krein_support(krein, tol)
     if not full_search:
-        return _greedy_orderings(nonzero)
+        return list(_orderings(nonzero))
     if D == 0:
         return [(0,)]
     found = []
@@ -281,16 +290,15 @@ def spectral_data(
     scheme: AssociationScheme,
     tensor: IntersectionTensor | None = None,
     p_ordering: tuple | None = None,
-    full_q_search: bool = False,
 ) -> SpectralData:
     """Eigenvalues, idempotents, Krein parameters and orderings of a scheme.
 
-    Detects a P-polynomial ordering (raising :class:`NotPPolynomial` if
-    none exists, unless one is supplied), relabels the classes by it, and
-    computes all spectral quantities.  If a Q-polynomial ordering is found
-    the idempotents are relabeled by it as well; otherwise the dual data
-    are left ``None`` and the idempotents stay sorted by descending
-    eigenvalue.
+    Takes the first P-polynomial ordering found (raising
+    :class:`NotPPolynomial` if none exists, unless one is supplied),
+    relabels the classes by it, and computes all spectral quantities.  If
+    a Q-polynomial ordering is found the idempotents are relabeled by the
+    first one as well; otherwise the dual data are left ``None`` and the
+    idempotents stay sorted by descending eigenvalue.
     """
     if tensor is None:
         tensor = intersection_tensor(scheme)
@@ -300,10 +308,9 @@ def spectral_data(
         return _trivial_spectral(scheme)
 
     if p_ordering is None:
-        orderings = detect_p_polynomial(tensor)
-        if not orderings:
+        p_ordering = next(_orderings(tensor.p != 0), None)
+        if p_ordering is None:
             raise NotPPolynomial(f"no metric ordering among {D + 1} classes")
-        p_ordering = orderings[0]
     scheme_p = relabel_classes(scheme, p_ordering)
     tensor_p = scheme_p.tensor
     pp = intersection_array(tensor_p)
@@ -332,8 +339,7 @@ def spectral_data(
     if np.abs(krein[0] - np.diag(m)).max() > 1e-6 * kscale:
         raise NumericalCheckFailure("krein[0] != diag(m)")
 
-    q_orders = detect_q_polynomial(krein, full_search=full_q_search)
-    q_ordering = q_orders[0] if q_orders else None
+    q_ordering = next(_orderings(_krein_support(krein)), None)
 
     theta_star = None
     Q = None

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -112,3 +113,32 @@ def test_shell_ranks_cover_everything(all_bundles):
     for bundle in all_bundles:
         ranks = bundle.ctx.Estar.sum(axis=1)
         assert int(ranks.sum()) == bundle.scheme.n
+
+
+def _estar_pair_loop(Estar):
+    """Reference: the (D+1)^2 pair loop the broadcast replaced."""
+    D = Estar.shape[0] - 1
+    return max(
+        np.abs(Estar[i] * Estar[j] - (i == j) * Estar[i]).max()
+        for i in range(D + 1)
+        for j in range(D + 1)
+    )
+
+
+def _estar_orthogonality(ctx):
+    report = tw.verify_operator_identities(ctx)
+    [check] = [c for c in report.checks if c.name == "Estar idempotent-orthogonal"]
+    return check.residual
+
+
+def test_estar_orthogonality_residual_is_exactly_zero(all_bundles):
+    for bundle in all_bundles:
+        assert _estar_orthogonality(bundle.ctx) == _estar_pair_loop(bundle.ctx.Estar) == 0.0
+
+
+def test_estar_orthogonality_matches_pair_loop_off_01(c9):
+    # entries away from 0/1 make every pair contribute; the residual is the
+    # loop's to the bit
+    rng = np.random.default_rng(0)
+    Estar = c9.ctx.Estar + rng.uniform(-0.3, 0.3, c9.ctx.Estar.shape)
+    assert _estar_orthogonality(replace(c9.ctx, Estar=Estar)) == _estar_pair_loop(Estar) > 0.1

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
-from terwlab.multiplicity import Upsilon, krein_product_lhs, restricted_trace
+from terwlab.errors import NegativeMultiplicity, NonIntegerMultiplicity
+from terwlab.multiplicity import (
+    LEADING_ZERO_TOL,
+    ROUNDING_TOL,
+    MultiplicityTable,
+    Upsilon,
+    krein_product_lhs,
+    restricted_trace,
+)
 from terwlab.predictor import predict_cab_star
 from terwlab.spectral import PPolyArray
 
@@ -159,17 +167,20 @@ def test_d0_cells_count_eigenspace_dimensions(all_bundles):
                 assert covering == sp.m[t]
 
 
-def test_zero_leading_coefficient_branch():
+def _zero_lead_spectrum():
     # synthetic spectrum with theta_0 = 0 makes b*_0(0, 1) vanish, forcing
     # the zero-coefficient path; the d = 0 cell then absorbs everything
-    fake = SimpleNamespace(
+    return SimpleNamespace(
         D=1,
         theta=np.array([0.0, -2.0]),
         theta_star=np.array([1.0, -1.0]),
         m=np.array([1, 2]),
         ppstar=PPolyArray(c=np.array([0.0, 1.0]), a=np.array([0.0, 0.0]), b=np.array([0.0, 0.0])),
     )
-    table = tw.solve_multiplicities(fake)
+
+
+def test_zero_leading_coefficient_branch():
+    table = tw.solve_multiplicities(_zero_lead_spectrum())
     assert table.zero_coefficient_cells == ((0, 1),)
     assert table.mult == {(0, 1): 0, (1, 0): 2}
 
@@ -179,3 +190,74 @@ def test_trivial_scheme_table():
     table = tw.solve_multiplicities(sp)
     assert table.mult == {(0, 0): 1}
     assert table.total_dimension() == 1
+
+
+def reference_solve(spectral):
+    """Reference: the recurrence with one band computation per (cell, predecessor) pair.
+
+    This is the former solver: every cell scans the whole grid for solved
+    predecessors and re-derives each one's coefficient from its bands.
+    """
+    D = spectral.D
+    theta, theta_star = spectral.theta, spectral.theta_star
+    ups = tw.build_upsilon(D)
+    mult, pre, zero_cells = {}, {}, []
+    for (t, d) in ups.cells:
+        lhs = krein_product_lhs(spectral, t, d)
+        lead = 1.0
+        scale = 1.0
+        if d:
+            cs, _, bs = predict_cab_star(t, d, theta, theta_star, D)
+            for h in range(d):
+                lead *= bs[h] * cs[h + 1]
+                scale *= max(1.0, abs(bs[h])) * max(1.0, abs(cs[h + 1]))
+        acc = 0.0
+        for (i, j) in ups.cells:
+            if (i, j) != (t, d) and Upsilon.leq((i, j), (t, d)) and mult.get((i, j)):
+                acc += mult[i, j] * tw.recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D)
+        if abs(lead) < LEADING_ZERO_TOL * scale:
+            zero_cells.append((t, d))
+            mult[t, d] = 0
+            pre[t, d] = 0.0
+            continue
+        value = (lhs - acc) / lead
+        rounded = int(round(value))
+        residual = abs(value - rounded)
+        if residual > ROUNDING_TOL:
+            raise NonIntegerMultiplicity(f"mult({t}, {d}) = {value} is not near an integer")
+        if rounded < 0:
+            raise NegativeMultiplicity(f"mult({t}, {d}) = {value}")
+        mult[t, d] = rounded
+        pre[t, d] = residual
+    return MultiplicityTable(D=D, mult=mult, pre_rounding=pre, zero_coefficient_cells=tuple(zero_cells))
+
+
+def _assert_same_table(table, reference):
+    # ==, not approx: the predecessors are summed in the same order
+    assert table.mult == reference.mult
+    assert table.pre_rounding == reference.pre_rounding
+    assert table.zero_coefficient_cells == reference.zero_coefficient_cells
+
+
+def test_solver_equals_reference_on_bundles(all_bundles):
+    for bundle in all_bundles:
+        _assert_same_table(bundle.table, reference_solve(bundle.spectral))
+
+
+@pytest.mark.parametrize("D", range(3, 18))
+def test_solver_equals_reference_on_cycles(D):
+    # C_7..C_27 solve; C_29..C_35 fail the rounding gate with the same value
+    sp = tw.spectral_data(tw.odd_cycle(D))
+    if D <= 13:
+        _assert_same_table(tw.solve_multiplicities(sp), reference_solve(sp))
+        return
+    with pytest.raises(NonIntegerMultiplicity) as expected:
+        reference_solve(sp)
+    with pytest.raises(NonIntegerMultiplicity) as got:
+        tw.solve_multiplicities(sp)
+    assert str(got.value) == str(expected.value)
+
+
+def test_solver_equals_reference_on_zero_coefficient_branch():
+    fake = _zero_lead_spectrum()
+    _assert_same_table(tw.solve_multiplicities(fake), reference_solve(fake))

@@ -3,7 +3,15 @@ import pytest
 
 import terwlab as tw
 from terwlab.errors import BetaDegenerate, FitFailure, InvalidCell, OutOfRange
-from terwlab.qs import _folded_cube_array, _odd_graph_array, qs_theta, qs_theta_star
+from terwlab.predictor import band_gap, predict_cab, predict_cab_star, tridiagonal
+from terwlab.qs import (
+    _folded_cube_array,
+    _odd_graph_array,
+    qs_predict_cab,
+    qs_predict_cab_star,
+    qs_theta,
+    qs_theta_star,
+)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +89,36 @@ def test_qs_forms_match_theta_forms(c7, c9, params_c7, params_c9):
             Bs_theta = tw.predict_Bstar(t, d, sp.theta, sp.theta_star, sp.D)
             Bs_qs = tw.qs_predict_Bstar(params, t, d)
             assert np.abs(Bs_theta - Bs_qs).max() < 1e-8, (bundle.name, t, d)
+
+
+@pytest.mark.parametrize("D", range(4, 18))
+def test_band_gap_equals_matrix_gap_on_cycles(D):
+    # C_9..C_35: the gap read from the bands is the matrix gap, bit for bit,
+    # and the matrix forms are the band forms assembled
+    sp = tw.spectral_data(tw.odd_cycle(D))
+    params = tw.fit_qs(sp.theta, sp.theta_star, D)
+    for (t, d) in tw.build_upsilon(D).cells:
+        for theta_form, qs_form, matrix_form, qs_matrix_form in (
+            (predict_cab, qs_predict_cab, tw.predict_B, tw.qs_predict_B),
+            (predict_cab_star, qs_predict_cab_star, tw.predict_Bstar, tw.qs_predict_Bstar),
+        ):
+            x = theta_form(t, d, sp.theta, sp.theta_star, D)
+            y = qs_form(params, t, d)
+            B1 = matrix_form(t, d, sp.theta, sp.theta_star, D)
+            B2 = qs_matrix_form(params, t, d)
+            assert np.array_equal(B2, tridiagonal(*y)), (D, t, d)
+            assert band_gap(x, y) == float(np.abs(B1 - B2).max()), (D, t, d)
+
+
+def test_band_gap_reads_every_band():
+    c, a, b = np.array([0.0, 1.0, 2.0]), np.array([3.0, 4.0, 5.0]), np.array([6.0, 7.0, 0.0])
+    base = (c, a, b)
+    assert band_gap(base, base) == 0.0
+    # boundary entries c[0] and b[d] are not matrix entries
+    assert band_gap(base, (c + [9.0, 0, 0], a, b + [0, 0, 9.0])) == 0.0
+    assert band_gap(base, (c + [0, 0, 0.5], a, b)) == 0.5
+    assert band_gap(base, (c, a - [0, 0.25, 0], b)) == 0.25
+    assert band_gap(base, (c, a, b + [0.125, 0, 0])) == 0.125
 
 
 def test_d0_qs_form(params_c7, c7):

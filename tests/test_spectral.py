@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import terwlab as tw
 from terwlab.errors import NotPPolynomial
-from terwlab.spectral import KREIN_ZERO_TOL, _pattern_ok
+from terwlab.spectral import (
+    KREIN_ZERO_TOL,
+    _eigenmatrix,
+    _krein_support,
+    _orderings,
+    _pattern_ok,
+    _tridiagonal_eigenvalues,
+)
 
 
 def reference_pattern_ok(nonzero, order):
@@ -76,6 +83,54 @@ def test_pattern_ok_matches_reference_on_bundle_supports(all_bundles):
                 assert _pattern_ok(nonzero, order) == reference_pattern_ok(nonzero, order), (
                     bundle.name, order,
                 )
+
+
+@given(supports_and_orders())
+@settings(max_examples=200, deadline=None)
+def test_first_found_ordering_is_first_detected(case):
+    # the support as a 0/1 Krein tensor: 1 > tol * 1, so the mask is the support
+    nonzero, _ = case
+    detected = tw.detect_q_polynomial(nonzero.astype(np.float64))
+    assert _krein_support(nonzero.astype(np.float64)).tolist() == nonzero.tolist()
+    assert next(_orderings(nonzero), None) == (detected[0] if detected else None)
+
+
+def test_first_found_orderings_on_bundles(all_bundles):
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        assert next(_orderings(bundle.scheme.tensor.p != 0)) == tw.detect_p_polynomial(bundle.scheme.tensor)[0]
+        assert next(_orderings(_krein_support(sp.krein))) == tw.detect_q_polynomial(sp.krein)[0]
+        assert sp.p_ordering == tw.detect_p_polynomial(bundle.scheme.tensor)[0]
+
+
+def _eigenmatrix_krein(tensor):
+    """Krein tensor in descending-eigenvalue order from the eigenmatrix alone.
+
+    q^h_{ij} = (m_i m_j / n) sum_l P_{li} P_{lj} P_{lh} / k_l^2 (Bannai-Ito,
+    Algebraic Combinatorics I, 1984); needs no idempotents, so it reaches
+    diameters where the dense Lagrange idempotents fail their residual gate.
+    """
+    pp = tw.intersection_array(tensor)
+    P = _eigenmatrix(pp, _tridiagonal_eigenvalues(pp))
+    k = tensor.k.astype(np.float64)
+    n = k.sum()
+    m = n / np.sum(P * P / k[:, None], axis=0)
+    return np.einsum("i,j,li,lj,lh,l->hij", m, m, P, P, P, 1 / k**2) / n
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_first_found_orderings_on_cycles(D):
+    # C_7..C_61, every P-ordering metric and the classes already in P-order
+    tensor = tw.odd_cycle(D).tensor
+    p_orders = tw.detect_p_polynomial(tensor)
+    assert next(_orderings(tensor.p != 0)) == p_orders[0] == tuple(range(D + 1))
+    krein = _eigenmatrix_krein(tensor)
+    q_orders = tw.detect_q_polynomial(krein)
+    assert len(q_orders) == len(p_orders)
+    assert next(_orderings(_krein_support(krein))) == q_orders[0]
+    if D <= 17:  # spectral_data takes the first ordering of each search
+        sp = tw.spectral_data(tw.odd_cycle(D))
+        assert (sp.p_ordering, sp.q_ordering) == (p_orders[0], q_orders[0])
 
 
 def test_c7_theta_matches_cosines(c7):
