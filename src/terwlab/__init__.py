@@ -8,7 +8,7 @@ multiplicities against their closed forms.
 """
 
 from .context import IdentityReport, TerwContext, build_context, triangle_vanishing_check, verify_operator_identities
-from .decomposer import IrreducibleModule, census, decompose, measure_all, measure_module, norm_ladder_check
+from .decomposer import IrreducibleModule, census, decompose, measure_all, norm_ladder_check
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
 from .multiplicity import (
     MultiplicityTable,
@@ -18,7 +18,6 @@ from .multiplicity import (
     recurrence_rhs_coefficient,
     solve_multiplicities,
     trace_ladder,
-    trace_lhs,
 )
 from .predictor import ModuleClass, feasibility, module_class, predict_a0star, predict_B, predict_Bstar
 from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_multiplicity, qs_predict_B, qs_predict_Bstar
@@ -64,7 +63,6 @@ __all__ = [
     "krein_product_lhs",
     "load_scheme",
     "measure_all",
-    "measure_module",
     "module_class",
     "norm_ladder_check",
     "odd_cycle",
@@ -81,7 +79,6 @@ __all__ = [
     "solve_multiplicities",
     "spectral_data",
     "trace_ladder",
-    "trace_lhs",
     "triangle_vanishing_check",
     "validate_scheme",
     "verify_operator_identities",

@@ -22,7 +22,7 @@ from . import generators, multiplicity, predictor, qs
 from .context import build_context
 from .decomposer import census as module_census
 from .decomposer import decompose as decompose_standard_module
-from .decomposer import measure_all, norm_ladder_check
+from .decomposer import RANK_TOL, measure_all, norm_ladder_check
 from .errors import (
     AxiomViolation,
     InvalidParameter,
@@ -47,8 +47,17 @@ def _emit(doc: dict, as_json: bool, render_text) -> None:
         render_text(doc)
 
 
-def _load(path):
-    return generators.load_scheme(path)
+def _q_polynomial(scheme):
+    """Spectral data of a scheme that has a Q-polynomial ordering."""
+    sp = spectral_data(scheme)
+    if not sp.is_q_polynomial:
+        raise OrderingMissing("no Q-polynomial ordering")
+    return sp
+
+
+def _oracle(ctx, args) -> list:
+    """The oracle's modules at the run's seed and, if given, its tolerance."""
+    return decompose_standard_module(ctx, tol=RANK_TOL if args.tol is None else args.tol, seed=args.seed)
 
 
 # ---------------------------------------------------------------- verify
@@ -102,197 +111,185 @@ class VerifyReport:
         return "\n".join(lines)
 
 
+# Each stage takes the run's options and the values of the stages before it,
+# and returns (status, residual, detail, value); a value of None is missing.
+
+def _axioms(args, values):
+    s = generators.load_scheme(args.scheme)
+    return "pass", None, f"n={s.n} D={s.D}", s
+
+
+def _pq_orderings(args, values):
+    sp = _q_polynomial(values["scheme"])
+    return "pass", None, f"p_ordering={list(sp.p_ordering)} q_ordering={list(sp.q_ordering)}", sp
+
+
+def _almost_bipartite(args, values):
+    almost_bip = is_almost_bipartite(values["spectral data"].pp)
+    return "pass", None, f"almost_bipartite={almost_bip}", almost_bip
+
+
+def _operator_identities(args, values):
+    c = build_context(values["scheme"], values["spectral data"], args.vertex)
+    rep = c.identities.at_tol(args.tol)
+    if not rep.all_passed:
+        bad = [chk.name for chk in rep.checks if not chk.passed]
+        return "fail", rep.max_residual, f"failed: {bad}", c
+    return "pass", rep.max_residual, None, c
+
+
+def _decomposition(args, values):
+    mods = measure_all(values["context"], _oracle(values["context"], args))
+    return "pass", None, f"{len(mods)} modules, census={_census_str(module_census(mods))}", mods
+
+
+def _module_structure(args, values):
+    D = values["spectral data"].D
+    worst = 0.0
+    for mod in values["decomposition"]:
+        if not (mod.thin and mod.dual_thin and mod.d == mod.dstar):
+            return "fail", None, f"module ({mod.t},{mod.d}) not thin/dual-thin", None
+        if mod.r + mod.d != D or 2 * mod.t + mod.d < D:
+            return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
+        ladder = norm_ladder_check(values["context"], mod)
+        if not ladder.all_positive:
+            return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
+        worst = max(worst, ladder.primal_residual, ladder.dual_residual)
+    return "pass", worst, None, True
+
+
+def _predictor_vs_oracle(args, values):
+    spectral = values["spectral data"]
+    worst = 0.0
+    eig_worst = 0.0
+    classes = {}  # (t, d) -> (predicted class, its feasibility), built once per class
+    for mod in values["decomposition"]:
+        if (mod.t, mod.d) not in classes:
+            mc = predictor.module_class(mod.t, mod.d, spectral)
+            classes[mod.t, mod.d] = mc, predictor.feasibility(mc, spectral.theta, spectral.theta_star)
+        mc, fr = classes[mod.t, mod.d]
+        worst = max(
+            worst,
+            float(np.abs(mod.measured_B - mc.B).max()),
+            float(np.abs(mod.measured_Bstar - mc.Bstar).max()),
+        )
+        eig_worst = max(eig_worst, fr.eig_B_error, fr.eig_Bstar_error,
+                        fr.trace_B_error, fr.trace_Bstar_error)
+        if not fr.feasible:
+            return "fail", worst, f"predicted class ({mod.t},{mod.d}) infeasible", None
+    if worst > 1e-6:
+        return "fail", worst, "measured vs predicted exceeds 1e-6", None
+    if eig_worst > 1e-8:
+        return "fail", eig_worst, "spectral identities of predictions exceed 1e-8", None
+    return "pass", worst, None, True
+
+
+def _trace_formula(args, values):
+    spectral = values["spectral data"]
+    ups = multiplicity.build_upsilon(spectral.D)
+    ladders = [multiplicity.trace_ladder(values["context"], t, spectral.D - t) for t in range(spectral.D + 1)]
+    worst = 0.0
+    for (t, d) in ups.cells:
+        lhs = ladders[t][d]
+        rhs = multiplicity.krein_product_lhs(spectral, t, d)
+        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    if worst > 1e-6:
+        return "fail", worst, "trace identity exceeds 1e-6 relative", None
+    return "pass", worst, None, True
+
+
+def _multiplicity_recurrence(args, values):
+    spectral = values["spectral data"]
+    tab = multiplicity.solve_multiplicities(spectral)
+    observed = module_census(values["decomposition"])
+    if not tab.matches_census(observed):
+        return "fail", None, f"recurrence {tab.nonzero()} != census {observed}", None
+    if tab.mult.get((0, spectral.D)) != 1:
+        return "fail", None, "mult(0, D) != 1", None
+    if tab.total_dimension() != spectral.n:
+        return "fail", None, "dimension sum mismatch", None
+    residual = max(tab.pre_rounding.values(), default=0.0)
+    return "pass", residual, None, tab
+
+
+def _qs_engine(args, values):
+    spectral, table = values["spectral data"], values.get("multiplicity table")
+    if not values["almost-bipartite flag"]:
+        return "skip", None, "scheme is not almost-bipartite", None
+    excl = qs.exclusion_check(spectral.pp, spectral.n)
+    if excl.excluded:
+        return "skip", None, f"excluded family: {excl.family}", None
+    if spectral.D < 3:
+        return "skip", None, f"q,s model needs D >= 3, scheme has D = {spectral.D}", None
+    params = qs.fit_qs(spectral.theta, spectral.theta_star, spectral.D)
+    ups = multiplicity.build_upsilon(spectral.D)
+    worst = params.fit_residual
+    for (t, d) in ups.cells:
+        # bands, not matrices: both sides vanish off the three bands
+        cab = predictor.predict_cab(t, d, spectral.theta, spectral.theta_star, spectral.D)
+        cab_qs = qs.qs_predict_cab(params, t, d)
+        cab_star = predictor.predict_cab_star(t, d, spectral.theta, spectral.theta_star, spectral.D)
+        cab_star_qs = qs.qs_predict_cab_star(params, t, d)
+        worst = max(worst, predictor.band_gap(cab, cab_qs), predictor.band_gap(cab_star, cab_star_qs))
+    if worst > 1e-8:
+        return "fail", worst, "q,s forms disagree with eigenvalue forms", None
+    if table is not None:
+        for (t, d) in ups.cells:
+            if d >= spectral.D - 3:
+                closed = qs.qs_multiplicity(params, t, d)
+                if abs(closed - table.mult[t, d]) > 1e-6:
+                    return "fail", worst, f"closed-form mult({t},{d}) = {closed} != recurrence", None
+    return "pass", worst, None, True
+
+
+#: (check name, value it provides, values it reads, fn), in report order;
+#: the q,s stage also reads the multiplicity table when there is one
+STAGES = (
+    ("axioms", "scheme", (), _axioms),
+    ("pq_orderings", "spectral data", ("scheme",), _pq_orderings),
+    ("almost_bipartite", "almost-bipartite flag", ("spectral data",), _almost_bipartite),
+    ("operator_identities", "context", ("scheme", "spectral data"), _operator_identities),
+    ("decomposition", "decomposition", ("context",), _decomposition),
+    ("module_structure", None, ("spectral data", "context", "decomposition"), _module_structure),
+    ("predictor_vs_oracle", None, ("spectral data", "decomposition"), _predictor_vs_oracle),
+    ("trace_formula", None, ("spectral data", "context"), _trace_formula),
+    ("multiplicity_recurrence", "multiplicity table", ("spectral data", "decomposition"),
+     _multiplicity_recurrence),
+    ("qs_engine", None, ("spectral data", "almost-bipartite flag"), _qs_engine),
+)
+
+
 def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | None = None) -> VerifyReport:
-    """Run the full verification pipeline on one scheme file.
+    """Run the :data:`STAGES` table on one scheme file.
 
-    Stages: axiom validation, P/Q ordering detection, almost-bipartite
-    test, operator identities, oracle decomposition, per-module structure
-    checks, predictor-vs-oracle comparison, the trace identity over the
-    feasible grid, the multiplicity recurrence against the census, and the
-    q,s model (skipped for the excluded families).  Every stage failure is
-    recorded and later stages that lost their inputs are skipped.
+    The stages run in table order: axioms, P/Q orderings, almost-bipartite
+    test, operator identities, oracle decomposition, module structure,
+    predictor against oracle, trace identity, multiplicity recurrence and
+    the q,s model.  A stage that reads a missing value is skipped with the
+    reason that value went missing for, "<value> unavailable" from the
+    stage that failed to provide it, and its own value goes missing too.
     """
+    args = argparse.Namespace(scheme=scheme_path, vertex=vertex, seed=seed, tol=tol)
     report = VerifyReport(scheme_path=str(scheme_path), vertex=vertex, seed=seed, checks=[])
-    checks = report.checks
-
-    def stage(name):
-        # decorator-as-runner: executes the stage body at definition time
-        # and binds its payload to the decorated name
-        def wrap(fn):
-            t0 = time.perf_counter()
-            try:
-                status, residual, detail, value = fn()
-            except ParseError:
-                raise  # unreadable input is not a check failure
-            except TerwLabError as exc:
-                checks.append(VerifyCheck(name, "fail", detail=f"{type(exc).__name__}: {exc}",
-                                          elapsed=time.perf_counter() - t0))
-                return None
-            checks.append(VerifyCheck(name, status, residual, detail,
-                                      elapsed=time.perf_counter() - t0))
-            return value
-        return wrap
-
-    def skip(name, reason):
-        checks.append(VerifyCheck(name, "skip", detail=reason))
-
-    @stage("axioms")
-    def scheme():
-        s = _load(scheme_path)
-        return "pass", None, f"n={s.n} D={s.D}", s
-
-    if scheme is None:
-        for name in ("pq_orderings", "almost_bipartite", "operator_identities", "decomposition",
-                     "module_structure", "predictor_vs_oracle", "trace_formula",
-                     "multiplicity_recurrence", "qs_engine"):
-            skip(name, "scheme unavailable")
-        return report
-
-    @stage("pq_orderings")
-    def spectral():
-        sp = spectral_data(scheme)
-        if not sp.is_q_polynomial:
-            raise OrderingMissing("no Q-polynomial ordering")
-        detail = f"p_ordering={list(sp.p_ordering)} q_ordering={list(sp.q_ordering)}"
-        return "pass", None, detail, sp
-
-    if spectral is None:
-        for name in ("almost_bipartite", "operator_identities", "decomposition",
-                     "module_structure", "predictor_vs_oracle", "trace_formula",
-                     "multiplicity_recurrence", "qs_engine"):
-            skip(name, "spectral data unavailable")
-        return report
-
-    almost_bip = is_almost_bipartite(spectral.pp)
-
-    @stage("almost_bipartite")
-    def _ab():
-        return "pass", None, f"almost_bipartite={almost_bip}", almost_bip
-
-    @stage("operator_identities")
-    def ctx():
-        c = build_context(scheme, spectral, vertex)
-        rep = c.identities.at_tol(tol)
-        if not rep.all_passed:
-            bad = [chk.name for chk in rep.checks if not chk.passed]
-            return "fail", rep.max_residual, f"failed: {bad}", c
-        return "pass", rep.max_residual, None, c
-
-    if ctx is None:
-        for name in ("decomposition", "module_structure", "predictor_vs_oracle",
-                     "trace_formula", "multiplicity_recurrence", "qs_engine"):
-            skip(name, "context unavailable")
-        return report
-
-    @stage("decomposition")
-    def modules():
-        kwargs = {"seed": seed} if tol is None else {"seed": seed, "tol": tol}
-        mods = measure_all(ctx, decompose_standard_module(ctx, **kwargs))
-        return "pass", None, f"{len(mods)} modules, census={_census_str(module_census(mods))}", mods
-
-    if modules is None:
-        for name in ("module_structure", "predictor_vs_oracle", "trace_formula",
-                     "multiplicity_recurrence", "qs_engine"):
-            skip(name, "decomposition unavailable")
-        return report
-
-    @stage("module_structure")
-    def _structure():
-        D = spectral.D
-        worst = 0.0
-        for mod in modules:
-            if not (mod.thin and mod.dual_thin and mod.d == mod.dstar):
-                return "fail", None, f"module ({mod.t},{mod.d}) not thin/dual-thin", None
-            if mod.r + mod.d != D or 2 * mod.t + mod.d < D:
-                return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
-            ladder = norm_ladder_check(ctx, mod)
-            if not ladder.all_positive:
-                return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
-            worst = max(worst, ladder.primal_residual, ladder.dual_residual)
-        return "pass", worst, None, True
-
-    @stage("predictor_vs_oracle")
-    def _predictor():
-        worst = 0.0
-        eig_worst = 0.0
-        classes = {}  # (t, d) -> (predicted class, its feasibility), built once per class
-        for mod in modules:
-            if (mod.t, mod.d) not in classes:
-                mc = predictor.module_class(mod.t, mod.d, spectral)
-                classes[mod.t, mod.d] = mc, predictor.feasibility(mc, spectral.theta, spectral.theta_star)
-            mc, fr = classes[mod.t, mod.d]
-            worst = max(
-                worst,
-                float(np.abs(mod.measured_B - mc.B).max()),
-                float(np.abs(mod.measured_Bstar - mc.Bstar).max()),
-            )
-            eig_worst = max(eig_worst, fr.eig_B_error, fr.eig_Bstar_error,
-                            fr.trace_B_error, fr.trace_Bstar_error)
-            if not fr.feasible:
-                return "fail", worst, f"predicted class ({mod.t},{mod.d}) infeasible", None
-        if worst > 1e-6:
-            return "fail", worst, "measured vs predicted exceeds 1e-6", None
-        if eig_worst > 1e-8:
-            return "fail", eig_worst, "spectral identities of predictions exceed 1e-8", None
-        return "pass", worst, None, True
-
-    @stage("trace_formula")
-    def _trace():
-        ups = multiplicity.build_upsilon(spectral.D)
-        ladders = [multiplicity.trace_ladder(ctx, t, spectral.D - t) for t in range(spectral.D + 1)]
-        worst = 0.0
-        for (t, d) in ups.cells:
-            lhs = ladders[t][d]
-            rhs = multiplicity.krein_product_lhs(spectral, t, d)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        if worst > 1e-6:
-            return "fail", worst, "trace identity exceeds 1e-6 relative", None
-        return "pass", worst, None, True
-
-    @stage("multiplicity_recurrence")
-    def table():
-        tab = multiplicity.solve_multiplicities(spectral)
-        observed = module_census(modules)
-        if not tab.matches_census(observed):
-            return "fail", None, f"recurrence {tab.nonzero()} != census {observed}", None
-        if tab.mult.get((0, spectral.D)) != 1:
-            return "fail", None, "mult(0, D) != 1", None
-        if tab.total_dimension() != spectral.n:
-            return "fail", None, "dimension sum mismatch", None
-        residual = max(tab.pre_rounding.values(), default=0.0)
-        return "pass", residual, None, tab
-
-    if not almost_bip:
-        skip("qs_engine", "scheme is not almost-bipartite")
-        return report
-
-    @stage("qs_engine")
-    def _qs():
-        excl = qs.exclusion_check(spectral.pp, spectral.n)
-        if excl.excluded:
-            return "skip", None, f"excluded family: {excl.family}", None
-        if spectral.D < 3:
-            return "skip", None, f"q,s model needs D >= 3, scheme has D = {spectral.D}", None
-        params = qs.fit_qs(spectral.theta, spectral.theta_star, spectral.D)
-        ups = multiplicity.build_upsilon(spectral.D)
-        worst = params.fit_residual
-        for (t, d) in ups.cells:
-            # bands, not matrices: both sides vanish off the three bands
-            cab = predictor.predict_cab(t, d, spectral.theta, spectral.theta_star, spectral.D)
-            cab_qs = qs.qs_predict_cab(params, t, d)
-            cab_star = predictor.predict_cab_star(t, d, spectral.theta, spectral.theta_star, spectral.D)
-            cab_star_qs = qs.qs_predict_cab_star(params, t, d)
-            worst = max(worst, predictor.band_gap(cab, cab_qs), predictor.band_gap(cab_star, cab_star_qs))
-        if worst > 1e-8:
-            return "fail", worst, "q,s forms disagree with eigenvalue forms", None
-        if table is not None:
-            for (t, d) in ups.cells:
-                if d >= spectral.D - 3:
-                    closed = qs.qs_multiplicity(params, t, d)
-                    if abs(closed - table.mult[t, d]) > 1e-6:
-                        return "fail", worst, f"closed-form mult({t},{d}) = {closed} != recurrence", None
-        return "pass", worst, None, True
-
+    values, missing = {}, {}  # value -> payload; value -> why it is missing
+    for name, provides, reads, fn in STAGES:
+        lost = [missing[r] for r in reads if r not in values]
+        if lost:
+            report.checks.append(VerifyCheck(name, "skip", detail=lost[0]))
+            missing[provides] = lost[0]
+            continue
+        t0 = time.perf_counter()
+        try:
+            status, residual, detail, value = fn(args, values)
+        except ParseError:
+            raise  # unreadable input is not a check failure
+        except TerwLabError as exc:
+            status, residual, detail, value = "fail", None, f"{type(exc).__name__}: {exc}", None
+        report.checks.append(VerifyCheck(name, status, residual, detail, elapsed=time.perf_counter() - t0))
+        if value is None:
+            missing[provides] = f"{provides} unavailable"
+        else:
+            values[provides] = value
     return report
 
 
@@ -310,7 +307,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scheme = _load(args.scheme)
+    scheme = generators.load_scheme(args.scheme)
     tensor = scheme.tensor
     doc = {
         "n": scheme.n,
@@ -327,11 +324,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    scheme = _load(args.scheme)
-    sp = spectral_data(scheme)
-    if not sp.is_q_polynomial:
-        print("no Q-polynomial ordering; context unavailable", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    scheme = generators.load_scheme(args.scheme)
+    sp = _q_polynomial(scheme)
     ctx = build_context(scheme, sp, args.vertex)
     rep = ctx.identities.at_tol(args.tol)
     doc = {
@@ -356,11 +350,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    scheme = _load(args.scheme)
-    sp = spectral_data(scheme)
-    if not sp.is_q_polynomial:
-        print("no Q-polynomial ordering", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    sp = _q_polynomial(generators.load_scheme(args.scheme))
     mc = predictor.module_class(args.t, args.d, sp)
     fr = predictor.feasibility(mc, sp.theta, sp.theta_star)
     doc = {
@@ -384,14 +374,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    scheme = _load(args.scheme)
-    sp = spectral_data(scheme)
-    if not sp.is_q_polynomial:
-        print("no Q-polynomial ordering", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    ctx = build_context(scheme, sp, args.vertex)
-    kwargs = {"seed": args.seed} if args.tol is None else {"seed": args.seed, "tol": args.tol}
-    mods = measure_all(ctx, decompose_standard_module(ctx, **kwargs))
+    scheme = generators.load_scheme(args.scheme)
+    ctx = build_context(scheme, _q_polynomial(scheme), args.vertex)
+    mods = measure_all(ctx, _oracle(ctx, args))
     doc = {
         "vertex": args.vertex,
         "seed": args.seed,
@@ -419,17 +404,14 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiplicities(args) -> int:
-    scheme = _load(args.scheme)
-    sp = spectral_data(scheme)
-    if not sp.is_q_polynomial:
-        print("no Q-polynomial ordering", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    scheme = generators.load_scheme(args.scheme)
+    sp = _q_polynomial(scheme)
     tab = multiplicity.solve_multiplicities(sp)
     doc = tab.as_dict()
     exit_code = EXIT_OK
     if args.oracle:
         ctx = build_context(scheme, sp, args.vertex)
-        observed = module_census(decompose_standard_module(ctx, seed=args.seed))
+        observed = module_census(_oracle(ctx, args))
         doc["oracle_census"] = [
             {"t": t, "d": d, "count": v} for (t, d), v in sorted(observed.items())
         ]
@@ -460,11 +442,7 @@ def _cmd_multiplicities(args) -> int:
 
 
 def _cmd_qs(args) -> int:
-    scheme = _load(args.scheme)
-    sp = spectral_data(scheme)
-    if not sp.is_q_polynomial:
-        print("no Q-polynomial ordering", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    sp = _q_polynomial(generators.load_scheme(args.scheme))
     if not is_almost_bipartite(sp.pp):
         print("scheme is not almost-bipartite; q,s model does not apply", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -508,10 +486,7 @@ def _cmd_qs(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_verify(args.scheme, vertex=args.vertex, seed=args.seed, tol=args.tol)
-    if args.json:
-        print(json.dumps({"schema": SCHEMA, **report.as_dict()}, sort_keys=True))
-    else:
-        print(report.render_text())
+    _emit(report.as_dict(), args.json, lambda doc: print(report.render_text()))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 

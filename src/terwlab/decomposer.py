@@ -375,11 +375,6 @@ def measure_all(ctx: TerwContext, modules) -> list:
     ]
 
 
-def measure_module(ctx: TerwContext, mod: IrreducibleModule) -> IrreducibleModule:
-    """:func:`measure_all` for one module."""
-    return measure_all(ctx, [mod])[0]
-
-
 @dataclass(frozen=True)
 class NormLadderReport:
     """Norm-balance identities and positivity of consecutive products."""
@@ -401,7 +396,7 @@ def norm_ladder_check(ctx: TerwContext, mod: IrreducibleModule) -> NormLadderRep
     The norms are those of the ladders the measurement used.
     """
     if mod.measured_B is None:
-        mod = measure_module(ctx, mod)
+        mod = measure_all(ctx, [mod])[0]
     c, _, b = tridiagonal_bands(mod.measured_B)
     cs, _, bs = tridiagonal_bands(mod.measured_Bstar)
     nrm2, dnrm2 = mod.ladder_norms2, mod.dual_ladder_norms2

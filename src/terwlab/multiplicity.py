@@ -77,11 +77,6 @@ def trace_ladder(ctx: TerwContext, t: int, dmax: int) -> list:
     return traces
 
 
-def trace_lhs(ctx: TerwContext, t: int, d: int) -> float:
-    """Numerical trace of E_t L*^d R*^d E_t, the last rung of :func:`trace_ladder`."""
-    return trace_ladder(ctx, t, d)[d]
-
-
 def krein_product_lhs(spectral: SpectralData, t: int, d: int) -> float:
     """Closed form of the same trace: m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}."""
     bs, cs = spectral.ppstar.b, spectral.ppstar.c

@@ -25,7 +25,6 @@ ordering, the first of which is the same one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,27 +157,12 @@ def detect_p_polynomial(tensor: IntersectionTensor) -> list[tuple]:
     return list(_orderings(tensor.p != 0))
 
 
-def detect_q_polynomial(
-    krein: np.ndarray, tol: float = KREIN_ZERO_TOL, full_search: bool = False
-) -> list[tuple]:
+def detect_q_polynomial(krein: np.ndarray, tol: float = KREIN_ZERO_TOL) -> list[tuple]:
     """All idempotent orderings under which the Krein pattern is tridiagonal.
 
     Zero-detection uses ``tol`` relative to the largest Krein parameter.
-    With ``full_search`` every permutation fixing position 0 is tried
-    (intended for D <= 8); otherwise the greedy extension is used.
     """
-    D = krein.shape[0] - 1
-    nonzero = _krein_support(krein, tol)
-    if not full_search:
-        return list(_orderings(nonzero))
-    if D == 0:
-        return [(0,)]
-    found = []
-    for perm in itertools.permutations(range(1, D + 1)):
-        order = (0,) + perm
-        if _pattern_ok(nonzero, order):
-            found.append(order)
-    return found
+    return list(_orderings(_krein_support(krein, tol)))
 
 
 def intersection_array(tensor: IntersectionTensor) -> PPolyArray:
@@ -286,11 +270,7 @@ def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
     )
 
 
-def spectral_data(
-    scheme: AssociationScheme,
-    tensor: IntersectionTensor | None = None,
-    p_ordering: tuple | None = None,
-) -> SpectralData:
+def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) -> SpectralData:
     """Eigenvalues, idempotents, Krein parameters and orderings of a scheme.
 
     Takes the first P-polynomial ordering found (raising
@@ -300,8 +280,7 @@ def spectral_data(
     first one as well; otherwise the dual data are left ``None`` and the
     idempotents stay sorted by descending eigenvalue.
     """
-    if tensor is None:
-        tensor = intersection_tensor(scheme)
+    tensor = intersection_tensor(scheme)
     n, D = scheme.n, scheme.D
 
     if D == 0:

@@ -59,3 +59,22 @@ def fc9():
 @pytest.fixture(scope="session")
 def all_bundles(c7, c9, o4, fc7, fc9):
     return (c7, c9, o4, fc7, fc9)
+
+
+@pytest.fixture(scope="session")
+def petersen_line_graph():
+    """The line graph of the Petersen graph: P-polynomial but not Q-polynomial."""
+    from itertools import combinations
+
+    pverts = list(combinations(range(5), 2))
+    pedges = [
+        (i, j)
+        for i in range(10)
+        for j in range(i + 1, 10)
+        if not (set(pverts[i]) & set(pverts[j]))
+    ]
+    adj = [
+        [k for k, f in enumerate(pedges) if k != idx and (set(e) & set(f))]
+        for idx, e in enumerate(pedges)
+    ]
+    return tw.scheme_from_graph(adj)

@@ -112,7 +112,7 @@ def test_criterion_06_trace_formula(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for (t, d) in tw.build_upsilon(sp.D).cells:
-            lhs = tw.trace_lhs(bundle.ctx, t, d)
+            lhs = tw.trace_ladder(bundle.ctx, t, d)[d]
             rhs = krein_product_lhs(sp, t, d)
             rel = abs(lhs - rhs) / max(1.0, abs(rhs))
             assert rel < 1e-6, (bundle.name, t, d)

@@ -6,6 +6,11 @@ import pytest
 import terwlab as tw
 from terwlab.cli import main, run_verify
 
+STAGE_NAMES = [
+    "axioms", "pq_orderings", "almost_bipartite", "operator_identities", "decomposition",
+    "module_structure", "predictor_vs_oracle", "trace_formula", "multiplicity_recurrence", "qs_engine",
+]
+
 
 @pytest.fixture(scope="module")
 def c7_file(tmp_path_factory):
@@ -92,11 +97,7 @@ def test_verify_passes(c7_file, capsys):
     assert main(["verify", "--scheme", c7_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "pass"
-    assert {c["name"] for c in doc["checks"]} == {
-        "axioms", "pq_orderings", "almost_bipartite", "operator_identities",
-        "decomposition", "module_structure", "predictor_vs_oracle",
-        "trace_formula", "multiplicity_recurrence", "qs_engine",
-    }
+    assert [c["name"] for c in doc["checks"]] == STAGE_NAMES
 
 
 def test_verify_report_deterministic(c7_file):
@@ -124,6 +125,7 @@ def test_verify_corrupted_scheme_records_axiom_violation(tmp_path, capsys):
     assert axioms[0]["status"] == "fail"
     assert "AxiomViolation" in axioms[0]["detail"]
     assert doc["verdict"] == "fail"
+    assert {(c["status"], c["detail"]) for c in doc["checks"][1:]} == {("skip", "scheme unavailable")}
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):
@@ -214,3 +216,101 @@ def test_parser_reuse_leaks_no_option_between_calls(c7_file, capsys, monkeypatch
     assert [run(argv) for argv in calls] == alone
     assert len(built) == 1
     assert [code for code, _ in alone] == [0, 0, 0, 0, 1, 0, 0]
+
+
+# ---------------------------------------------------------------- stage table
+
+def test_stages_read_only_earlier_values():
+    from terwlab.cli import STAGES
+
+    assert [name for name, _, _, _ in STAGES] == STAGE_NAMES
+    provided = set()
+    for name, provides, reads, _ in STAGES:
+        assert set(reads) <= provided, name
+        provided.add(provides)
+
+
+@pytest.fixture(scope="module")
+def lpg_file(tmp_path_factory, petersen_line_graph):
+    path = tmp_path_factory.mktemp("schemes") / "lpg.json"
+    tw.save_scheme(petersen_line_graph, path)
+    return str(path)
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+def _verify_checks(path, capsys):
+    assert main(["verify", "--scheme", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "fail"
+    assert [c["name"] for c in doc["checks"]] == STAGE_NAMES
+    return {c["name"]: (c["status"], c.get("detail")) for c in doc["checks"]}
+
+
+def _after(checks, stage):
+    return {name: checks[name] for name in STAGE_NAMES[STAGE_NAMES.index(stage) + 1:]}
+
+
+def test_missing_q_ordering_skips_every_later_stage(lpg_file, capsys):
+    checks = _verify_checks(lpg_file, capsys)
+    assert checks["axioms"][0] == "pass"
+    assert checks["pq_orderings"] == ("fail", "OrderingMissing: no Q-polynomial ordering")
+    assert set(_after(checks, "pq_orderings").values()) == {("skip", "spectral data unavailable")}
+
+
+def test_context_failure_skips_only_its_readers(c7_file, capsys, monkeypatch):
+    import terwlab.cli as cli
+    from terwlab.errors import NumericalCheckFailure
+
+    monkeypatch.setattr(cli, "build_context", _raise(NumericalCheckFailure("no context")))
+    checks = _verify_checks(c7_file, capsys)
+    assert [checks[name][0] for name in STAGE_NAMES[:3]] == ["pass"] * 3
+    assert checks["operator_identities"] == ("fail", "NumericalCheckFailure: no context")
+    lost = ("skip", "context unavailable")
+    assert _after(checks, "operator_identities") == {
+        "decomposition": lost,
+        "module_structure": lost,
+        "predictor_vs_oracle": lost,
+        "trace_formula": lost,
+        "multiplicity_recurrence": lost,
+        "qs_engine": ("pass", None),  # reads the spectral data and the almost-bipartite flag only
+    }
+
+
+def test_oracle_failure_skips_only_its_readers(c7_file, capsys, monkeypatch):
+    import terwlab.cli as cli
+    from terwlab.errors import NotThin
+
+    monkeypatch.setattr(cli, "decompose_standard_module", _raise(NotThin("no modules")))
+    checks = _verify_checks(c7_file, capsys)
+    assert [checks[name][0] for name in STAGE_NAMES[:4]] == ["pass"] * 4
+    assert checks["decomposition"] == ("fail", "NotThin: no modules")
+    lost = ("skip", "decomposition unavailable")
+    assert _after(checks, "decomposition") == {
+        "module_structure": lost,
+        "predictor_vs_oracle": lost,
+        "trace_formula": ("pass", None),  # reads the spectral data and the context only
+        "multiplicity_recurrence": lost,
+        "qs_engine": ("pass", None),  # compares closed-form multiplicities only when the table exists
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["predict", "--t", "1", "--d", "1"], ["decompose"], ["multiplicities"], ["qs"],
+], ids=lambda argv: argv[0])
+def test_subcommands_share_the_q_polynomial_guard(argv, lpg_file, capsys):
+    assert main([*argv, "--scheme", lpg_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "check failed: OrderingMissing: no Q-polynomial ordering\n"
+
+
+def test_multiplicities_oracle_honours_tol(c7_file, capsys):
+    # the oracle of multiplicities --oracle gets --tol, as that of decompose does
+    for sub in (["decompose"], ["multiplicities", "--oracle"]):
+        assert main([*sub, "--scheme", c7_file, "--tol", "1e-30"]) == 1
+        assert capsys.readouterr().err.startswith("check failed: NotThin: ")

@@ -169,7 +169,7 @@ def test_measure_rejects_non_thin(c7):
 
     fat = replace(c7.modules[0], thin=False)
     with pytest.raises(NotThin):
-        tw.measure_module(c7.ctx, fat)
+        tw.measure_all(c7.ctx, [fat])
 
 
 def _without_edge(ctx, x, y):
@@ -340,5 +340,5 @@ def test_batched_measurement_matches_per_module_reference(all_bundles):
             assert np.abs(m.measured_Bstar - Bs).max() < 1e-12
             assert np.allclose(m.ladder_norms2, nrm2, rtol=1e-12, atol=0)
             assert np.allclose(m.dual_ladder_norms2, dnrm2, rtol=1e-12, atol=0)
-            one = tw.measure_module(bundle.ctx, replace(m, measured_B=None))
+            [one] = tw.measure_all(bundle.ctx, [replace(m, measured_B=None)])
             assert np.abs(one.measured_B - m.measured_B).max() < 1e-12

@@ -79,7 +79,7 @@ def test_trace_lhs_d0_is_multiplicity(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for t in range(sp.D + 1):
-            assert tw.trace_lhs(bundle.ctx, t, 0) == pytest.approx(float(sp.m[t]), rel=1e-9)
+            assert tw.trace_ladder(bundle.ctx, t, 0)[0] == pytest.approx(float(sp.m[t]), rel=1e-9)
 
 
 def test_trace_ladder_equals_per_cell_products(all_bundles):
@@ -93,14 +93,14 @@ def test_trace_ladder_equals_per_cell_products(all_bundles):
                 M = ctx.E[t].copy()
                 for _ in range(d):
                     M = ctx.Rstar @ M
-                assert ladder[d] == float(np.sum(M * M)) == tw.trace_lhs(ctx, t, d), (bundle.name, t, d)
+                assert ladder[d] == float(np.sum(M * M)) == tw.trace_ladder(ctx, t, d)[d], (bundle.name, t, d)
 
 
 def test_trace_identity_sweep(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for (t, d) in tw.build_upsilon(sp.D).cells:
-            lhs = tw.trace_lhs(bundle.ctx, t, d)
+            lhs = tw.trace_ladder(bundle.ctx, t, d)[d]
             rhs = krein_product_lhs(sp, t, d)
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (bundle.name, t, d)
 
