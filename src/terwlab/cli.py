@@ -214,13 +214,9 @@ def _multiplicity_recurrence(args, values):
 
 def _qs_engine(args, values):
     spectral, table = values["spectral data"], values.get("multiplicity table")
-    if not values["almost-bipartite flag"]:
-        return "skip", None, "scheme is not almost-bipartite", None
-    excl = qs.exclusion_check(spectral.pp, spectral.n)
-    if excl.excluded:
-        return "skip", None, f"excluded family: {excl.family}", None
-    if spectral.D < 3:
-        return "skip", None, f"q,s model needs D >= 3, scheme has D = {spectral.D}", None
+    _, skipped = qs.skip_reason(spectral.pp, spectral.n)
+    if skipped is not None:
+        return "skip", None, skipped, None
     params = qs.fit_qs(spectral.theta, spectral.theta_star, spectral.D)
     ups = multiplicity.build_upsilon(spectral.D)
     worst = params.fit_residual
@@ -255,7 +251,7 @@ STAGES = (
     ("trace_formula", None, ("spectral data", "context"), _trace_formula),
     ("multiplicity_recurrence", "multiplicity table", ("spectral data", "decomposition"),
      _multiplicity_recurrence),
-    ("qs_engine", None, ("spectral data", "almost-bipartite flag"), _qs_engine),
+    ("qs_engine", None, ("spectral data",), _qs_engine),
 )
 
 
@@ -443,17 +439,12 @@ def _cmd_multiplicities(args) -> int:
 
 def _cmd_qs(args) -> int:
     sp = _q_polynomial(generators.load_scheme(args.scheme))
-    if not is_almost_bipartite(sp.pp):
-        print("scheme is not almost-bipartite; q,s model does not apply", file=sys.stderr)
+    excl, skipped = qs.skip_reason(sp.pp, sp.n)
+    if skipped == qs.NOT_ALMOST_BIPARTITE:
+        print(f"{skipped}; q,s model does not apply", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    excl = qs.exclusion_check(sp.pp, sp.n)
     doc = {"exclusion": {"is_odd_graph": excl.is_odd_graph,
                          "is_folded_cube": excl.is_folded_cube}}
-    skipped = None
-    if excl.excluded:
-        skipped = f"excluded family: {excl.family}"
-    elif sp.D < 3:
-        skipped = f"q,s model needs D >= 3, scheme has D = {sp.D}"
     if skipped is not None:
         doc["skipped"] = skipped
 

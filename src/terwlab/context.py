@@ -9,6 +9,14 @@ dual adjacency A* = A*_1 splits as R* + F* + L* through the idempotents.
 These eight matrices generate everything downstream; the algebra they
 generate is never materialized.
 
+The idempotents enter through the orthonormal eigenspace bases U_t of the
+spectral data, E_t = U_t U_t^T, never through the dense stack: with U the
+orthogonal matrix of all the U_t and N = U^T A* U, the block (j, i) of N
+is U_j^T A* U_i, so R* = sum_i E_{i+1} A* E_i is U N_{+1} U^T, where N_{+1}
+keeps the blocks with j = i + 1; likewise F* (j = i) and L* (j = i - 1).
+Only the dual class matrices A*_i (row x of each E_i) and
+:func:`triangle_vanishing_check` read the dense idempotents.
+
 All operator matrices here are real and dense; A* and the E*_i are kept as
 diagonal vectors.
 """
@@ -131,17 +139,10 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
     F = A * (dist[:, None] == dist[None, :])
     L = A * up.T
 
-    E = spectral.E
-    Rstar = np.zeros((n, n))
-    Fstar = np.zeros((n, n))
-    Lstar = np.zeros((n, n))
-    for i in range(D + 1):
-        AsEi = Astar[:, None] * E[i]
-        if i + 1 <= D:
-            Rstar += E[i + 1] @ AsEi
-        Fstar += E[i] @ AsEi
-        if i - 1 >= 0:
-            Lstar += E[i - 1] @ AsEi
+    U = spectral.U
+    lab = spectral.eigenspace_labels()
+    N = U.T @ (Astar[:, None] * U)
+    Rstar, Fstar, Lstar = (U @ (N * (lab[:, None] == lab[None, :] + s)) @ U.T for s in (1, 0, -1))
 
     ctx = TerwContext(
         scheme=scheme, spectral=spectral, x=x, dist=dist, A=A, Astar=Astar,
@@ -155,26 +156,34 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
     return replace(ctx, identities=report)
 
 
-def _exchange_residual(M: np.ndarray, Estar: np.ndarray, shift: int) -> float:
-    """max_i || M E*_i - E*_{i+shift} M ||_inf with out-of-range E* = 0."""
-    D = Estar.shape[0] - 1
-    worst = 0.0
-    for i in range(D + 1):
-        left = M * Estar[i][None, :]
-        j = i + shift
-        right = Estar[j][:, None] * M if 0 <= j <= D else 0.0
-        worst = max(worst, float(np.abs(left - right).max()))
-    return worst
+def _exchange_residual(M: np.ndarray, dist: np.ndarray, shift: int) -> float:
+    """max_i || M E*_i - E*_{i+shift} M ||_inf with out-of-range E* = 0.
+
+    Entry (y, z) of M E*_i - E*_{i+shift} M is M_yz when exactly one of
+    dist(z) = i and dist(y) = i + shift holds, and 0 otherwise, so the
+    maximum over i is that of |M_yz| over dist(y) != dist(z) + shift.
+    """
+    return float(np.abs(M[dist[:, None] != dist[None, :] + shift]).max(initial=0.0))
 
 
-def _dual_exchange_residual(M: np.ndarray, E: np.ndarray, shift: int) -> float:
-    D = E.shape[0] - 1
-    worst = 0.0
-    for i in range(D + 1):
-        left = M @ E[i]
-        right = E[i + shift] @ M if 0 <= i + shift <= D else 0.0
-        worst = max(worst, float(np.abs(left - right).max()))
-    return worst
+def _dual_exchange_residual(M: np.ndarray, sp: SpectralData, shift: int) -> float:
+    """max_i || M E_i - E_{i+shift} M ||_F with out-of-range E = 0.
+
+    With E_i = U_i U_i^T and X = U^T M U, M E_i - E_{i+shift} M is U times
+    the matrix that keeps column block i of X off block (i+shift, i) and
+    negates row block i+shift off that block.  U is orthogonal, so the
+    Frobenius norm is read off the block norms of X; it bounds the max norm
+    from above.
+    """
+    X = sp.U.T @ M @ sp.U
+    starts = np.cumsum(sp.m) - sp.m
+    blocks = np.add.reduceat(np.add.reduceat(X * X, starts, axis=0), starts, axis=1)
+    blocks[np.eye(sp.D + 1, k=-shift, dtype=bool)] = 0.0  # the pattern: blocks (i+shift, i)
+    row_off = np.zeros(sp.D + 1)  # row block i+shift, for each i it exists for
+    i = np.arange(sp.D + 1)
+    inside = (0 <= i + shift) & (i + shift <= sp.D)
+    row_off[inside] = blocks.sum(axis=1)[i[inside] + shift]
+    return float(np.sqrt((blocks.sum(axis=0) + row_off).max()))
 
 
 def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> IdentityReport:
@@ -184,13 +193,16 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     A*, the three-way splits A = R + F + L and A* = R* + F* + L*, the
     transpose pairings, the idempotent-exchange rules, and (when the
     scheme is almost-bipartite) the collapse of the flat part to the far
-    shell.
+    shell.  Residuals are max norms, except for the identities that involve
+    the idempotents E_i: those are Frobenius norms in the eigenspace bases
+    (see :func:`_dual_exchange_residual`), which bound the max norm from
+    above.
     """
     n, D = ctx.n, ctx.D
     if tol is None:
         tol = IDENTITY_TOL_PER_VERTEX * n
     sp = ctx.spectral
-    E, Estar = sp.E, ctx.Estar
+    Estar = ctx.Estar
     checks = []
 
     def add(name, residual):
@@ -203,8 +215,10 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     add("sum(Astar) = n Estar_0", np.abs(ctx.Astar_all.sum(axis=0) - n * Estar[0]).max())
     if D >= 1:
         add("Astar_0 = I", np.abs(ctx.Astar_all[0] - 1.0).max())
-        add("A E_i = theta_i E_i",
-            max(np.abs(ctx.A @ E[i] - sp.theta[i] * E[i]).max() for i in range(D + 1)))
+        # ||(A - theta_i) E_i||_F = ||(A - theta_i) U_i||_F, as U_i^T has orthonormal rows
+        lab = sp.eigenspace_labels()
+        AU = ctx.A @ sp.U - sp.U * sp.theta[lab]
+        add("A E_i = theta_i E_i", np.sqrt(np.bincount(lab, np.einsum("ij,ij->j", AU, AU)).max()))
         add("Astar Estar_i = theta*_i Estar_i",
             max(np.abs((ctx.Astar - sp.theta_star[i]) * Estar[i]).max() for i in range(D + 1)))
     add("A = R + F + L", np.abs(ctx.A - ctx.R - ctx.F - ctx.L).max())
@@ -212,12 +226,12 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     add("Astar = Rstar + Fstar + Lstar",
         np.abs(np.diag(ctx.Astar) - ctx.Rstar - ctx.Fstar - ctx.Lstar).max())
     add("Rstar = Lstar^T", np.abs(ctx.Rstar - ctx.Lstar.T).max())
-    add("R Estar_i = Estar_{i+1} R", _exchange_residual(ctx.R, Estar, +1))
-    add("F Estar_i = Estar_i F", _exchange_residual(ctx.F, Estar, 0))
-    add("L Estar_i = Estar_{i-1} L", _exchange_residual(ctx.L, Estar, -1))
-    add("Rstar E_i = E_{i+1} Rstar", _dual_exchange_residual(ctx.Rstar, E, +1))
-    add("Fstar E_i = E_i Fstar", _dual_exchange_residual(ctx.Fstar, E, 0))
-    add("Lstar E_i = E_{i-1} Lstar", _dual_exchange_residual(ctx.Lstar, E, -1))
+    add("R Estar_i = Estar_{i+1} R", _exchange_residual(ctx.R, ctx.dist, +1))
+    add("F Estar_i = Estar_i F", _exchange_residual(ctx.F, ctx.dist, 0))
+    add("L Estar_i = Estar_{i-1} L", _exchange_residual(ctx.L, ctx.dist, -1))
+    add("Rstar E_i = E_{i+1} Rstar", _dual_exchange_residual(ctx.Rstar, sp, +1))
+    add("Fstar E_i = E_i Fstar", _dual_exchange_residual(ctx.Fstar, sp, 0))
+    add("Lstar E_i = E_{i-1} Lstar", _dual_exchange_residual(ctx.Lstar, sp, -1))
 
     if D >= 1 and is_almost_bipartite(sp.pp):
         add("F = Estar_D A Estar_D",

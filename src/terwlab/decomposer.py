@@ -40,11 +40,12 @@ The modules must also be mutually orthogonal: the stacked bases
 B must satisfy |B^T B - I| <= ``tol * n``.  A collection whose dimension
 is not n, bases that overlap, a ladder that is not invariant, or a block
 whose ladders stop at different rungs raises :class:`NotThin` with a
-witness.  The eigenspace ranks rank(E_i W) give the dual endpoint
-and the dual diameter.
+witness.  The eigenspace ranks rank(E_i W) = rank(U_i^T W) give the
+dual endpoint and the dual diameter (U_i the orthonormal eigenspace basis,
+E_i = U_i U_i^T).
 
-The oracle reads A, A*, the E*_i and the E_i only: never the predicted
-module matrices, the recurrence or the q,s formulas.
+The oracle reads A, A*, the E*_i and the eigenspaces of A only: never the
+predicted module matrices, the recurrence or the q,s formulas.
 """
 
 from __future__ import annotations
@@ -168,8 +169,8 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
     """Check the invariance of every ladder and classify it by its eigenspace ranks.
 
     ``ladders`` holds (r, rungs) with rungs of shape (n, g, d+1).  All bases
-    are stacked into one n x n matrix, so A, A* and each E_i are applied
-    once to the whole collection.
+    are stacked into one n x n matrix, so A, A* and the eigenspace bases
+    are applied once to the whole collection.
     """
     n, D = ctx.n, ctx.D
     Bcat = np.hstack([L.reshape(n, -1) for _, L in ladders]) if ladders else np.zeros((n, 0))
@@ -212,18 +213,22 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
                 )
         del image
 
-    # rank(E_i B) per module; the bases are orthonormal, so every singular
-    # value is at most 1 and RANK_TOL is the absolute threshold
+    # rank(E_i B) per module: E_i B = U_i (U_i^T B) and U_i has orthonormal
+    # columns, so the singular values are those of U_i^T B.  The bases are
+    # orthonormal too, so every singular value is at most 1 and RANK_TOL is
+    # the absolute threshold
     dims = np.array([cols.stop - cols.start for _, _, cols in spans])
     starts = np.array([cols.start for _, _, cols in spans])
     e_dims = np.zeros((len(spans), D + 1), dtype=int)
-    for i in range(D + 1):
-        P = ctx.E[i] @ Bcat
+    P = ctx.spectral.U.T @ Bcat
+    lo = 0
+    for i, mi in enumerate(ctx.spectral.m.tolist()):
         for k in sorted(set(dims.tolist())):
             idx = np.flatnonzero(dims == k)
-            stack = P[:, starts[idx, None] + np.arange(k)].transpose(1, 0, 2)
+            stack = P[lo:lo + mi][:, starts[idx, None] + np.arange(k)].transpose(1, 0, 2)
             e_dims[idx, i] = np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=1)
-        del P
+        lo += mi
+    del P
 
     modules = []
     for (r, _, cols), ranks in zip(spans, e_dims):
@@ -269,14 +274,16 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     return [modules[i] for i in order]
 
 
-def _principal_vector(M: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the dominant direction of M's column space.
+def _principal_vector(M: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
+    """Unit vector spanning the dominant direction of the column space of ``basis @ M``.
 
-    The sign is fixed by making the first coordinate of visible size
+    ``basis`` has orthonormal columns (the identity when None), so the
+    dominant left singular vector of ``basis @ M`` is ``basis`` times that
+    of M.  The sign is fixed by making the first coordinate of visible size
     positive, for reproducible reports.
     """
     u, s, _ = np.linalg.svd(M, full_matrices=False)
-    v = u[:, 0]
+    v = u[:, 0] if basis is None else basis @ u[:, 0]
     nz = np.flatnonzero(np.abs(v) > 1e-8)
     if nz.size and v[nz[0]] < 0:
         v = -v
@@ -322,12 +329,15 @@ def measure_all(ctx: TerwContext, modules) -> list:
     distance shells, and c_i(W), a_i(W), b_i(W) are the coefficients of the
     raising/flat/lowering actions along that ladder; dually for the starred
     numbers from the vector spanning E*_r W, split over the eigenspaces.
-    E_t is applied once to all modules with dual endpoint t, each E_j once
-    to the dual ladder vectors that lie in its eigenspace, and each of the
-    six maps once to the stacked ladders of all modules.  Raises
-    :class:`NotThin` when a module is not thin and dual thin.  Returns
-    copies of the modules with the measured tridiagonal matrices, the worst
-    coefficient-equation residual and the squared ladder norms attached.
+    The idempotents act through the eigenspace bases, E_t = U_t U_t^T: the
+    vector spanning E_t W is U_t u, with u the dominant left singular vector
+    of U_t^T W, formed once for all modules with dual endpoint t, and the
+    dual ladder vectors are U_j (U_j^T v*), formed once per eigenspace j.
+    Each of the six maps is applied once to the stacked ladders of all
+    modules.  Raises :class:`NotThin` when a module is not thin and dual
+    thin.  Returns copies of the modules with the measured tridiagonal
+    matrices, the worst coefficient-equation residual and the squared
+    ladder norms attached.
     """
     modules = list(modules)
     for mod in modules:
@@ -341,12 +351,14 @@ def measure_all(ctx: TerwContext, modules) -> list:
     by_t: dict = {}
     for j, mod in enumerate(modules):
         by_t.setdefault(mod.t, []).append(j)
+    sp = ctx.spectral
     for t, idx in by_t.items():
-        P = ctx.E[t] @ np.hstack([modules[j].basis for j in idx])
+        Ut = sp.eigenbasis(t)
+        P = Ut.T @ np.hstack([modules[j].basis for j in idx])
         lo = 0
         for j in idx:
             mod = modules[j]
-            v = _principal_vector(P[:, lo:lo + mod.dim])
+            v = _principal_vector(P[:, lo:lo + mod.dim], Ut)
             lo += mod.dim
             S[:, spans[j]] = ctx.Estar[mod.r:mod.r + mod.d + 1].T * v[:, None]
         del P
@@ -359,7 +371,8 @@ def measure_all(ctx: TerwContext, modules) -> list:
         for i in range(mod.d + 1):
             by_level.setdefault(mod.t + i, []).append((spans[j].start + i, vstar))
     for level, rows in by_level.items():
-        S[:, [col for col, _ in rows]] = ctx.E[level] @ np.stack([vstar for _, vstar in rows], axis=1)
+        Uj = sp.eigenbasis(level)
+        S[:, [col for col, _ in rows]] = Uj @ (Uj.T @ np.stack([vstar for _, vstar in rows], axis=1))
     dual = _ladder_actions(S, spans, (ctx.Rstar, ctx.Fstar, ctx.Lstar), "dual")
 
     return [

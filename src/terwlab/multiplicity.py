@@ -67,9 +67,11 @@ def trace_ladder(ctx: TerwContext, t: int, dmax: int) -> list:
     """Numerical traces of E_t L*^d R*^d E_t for d = 0..dmax.
 
     Since L* is the transpose of R*, each trace is the squared Frobenius
-    norm of R*^d E_t; the powers are walked once, one product per d.
+    norm of R*^d E_t.  With E_t = U_t U_t^T and U_t^T having orthonormal
+    rows, that is the squared Frobenius norm of the n x m_t matrix R*^d U_t;
+    the powers are walked once, one product per d.
     """
-    M = ctx.E[t].copy()
+    M = ctx.spectral.eigenbasis(t)
     traces = [float(np.sum(M * M))]
     for _ in range(dmax):
         M = ctx.Rstar @ M
@@ -88,7 +90,8 @@ def krein_product_lhs(spectral: SpectralData, t: int, d: int) -> float:
 
 def restricted_trace(ctx: TerwContext, mod: IrreducibleModule, t: int, d: int) -> float:
     """Trace of E_t L*^d R*^d E_t restricted to one module."""
-    M = ctx.E[t] @ mod.basis
+    Ut = ctx.spectral.eigenbasis(t)
+    M = Ut @ (Ut.T @ mod.basis)
     for _ in range(d):
         M = ctx.Rstar @ M
     return float(np.sum(M * M))

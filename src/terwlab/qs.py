@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import BetaDegenerate, FitFailure, OutOfRange
 from .predictor import _require_cell, tridiagonal
-from .spectral import PPolyArray
+from .spectral import PPolyArray, is_almost_bipartite
 
 #: residual gate for the recurrence and model fits (relative to |theta|)
 FIT_TOL = 1e-8
@@ -93,6 +93,27 @@ def exclusion_check(pp: PPolyArray, n: int) -> ExclusionReport:
     is_odd = D >= 2 and n == math.comb(2 * D + 1, D) and same_array(_odd_graph_array(D))
     is_folded = D >= 2 and n == 1 << (2 * D) and same_array(_folded_cube_array(D))
     return ExclusionReport(is_odd_graph=is_odd, is_folded_cube=is_folded)
+
+
+NOT_ALMOST_BIPARTITE = "scheme is not almost-bipartite"
+
+
+def skip_reason(pp: PPolyArray, n: int) -> tuple[ExclusionReport | None, str | None]:
+    """Why the q,s model does not apply to a P- and Q-polynomial scheme.
+
+    The model needs an almost-bipartite scheme outside the excluded
+    families with D >= 3.  Returns the exclusion report (None when the
+    scheme is not almost-bipartite, as the families are not matched then)
+    and the first rule that fails, or None when the model applies.
+    """
+    if not is_almost_bipartite(pp):
+        return None, NOT_ALMOST_BIPARTITE
+    excl = exclusion_check(pp, n)
+    if excl.excluded:
+        return excl, f"excluded family: {excl.family}"
+    if pp.D < 3:
+        return excl, f"q,s model needs D >= 3, scheme has D = {pp.D}"
+    return excl, None
 
 
 @dataclass(frozen=True)

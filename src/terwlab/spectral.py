@@ -10,7 +10,11 @@ The eigenvalue matrix P follows from the three-term recurrence
     c_{i+1} v_{i+1}(x) = (x - a_i) v_i(x) - b_{i-1} v_{i-1}(x),
 
 multiplicities from column orthogonality, and the primitive idempotents
-from Lagrange projectors in the class-1 matrix.  Krein parameters are the
+from Lagrange projectors in the class-1 matrix.  One symmetric eigensolve
+of the class-1 matrix gives orthonormal bases U_t of the eigenspaces, with
+E_t = U_t U_t^T; the stages after this one work through U_t instead of
+multiplying by the dense (D+1) n^2 idempotent stack, which stays for the
+Bose-Mesner, Krein and dual-class checks.  Krein parameters are the
 structure constants of the idempotents under the entrywise product; a
 Q-polynomial ordering is a relabeling of the idempotents under which they
 show the same tridiagonal vanishing pattern.
@@ -69,7 +73,10 @@ class SpectralData:
     ``theta_star[i]`` is the dual eigenvalue of the position-1 idempotent on
     class i (P-order).  ``ppstar`` holds the Krein analogue of the
     intersection array.  ``q_ordering``, ``theta_star`` and ``ppstar`` are
-    ``None`` when the scheme admits no Q-polynomial ordering.
+    ``None`` when the scheme admits no Q-polynomial ordering.  ``U`` is an
+    orthogonal n x n matrix whose columns are eigenvectors of the class-1
+    matrix, grouped by eigenspace in idempotent order: the ``m[t]`` columns
+    of :meth:`eigenbasis` span the range of ``E[t]``.
     """
 
     n: int
@@ -85,6 +92,7 @@ class SpectralData:
     theta: np.ndarray
     theta_star: np.ndarray | None
     E: np.ndarray
+    U: np.ndarray
     ppstar: PPolyArray | None
 
     @property
@@ -95,6 +103,15 @@ class SpectralData:
     def k(self) -> np.ndarray:
         """Valencies, recovered from the first column of P."""
         return self.P[:, 0]
+
+    def eigenbasis(self, t: int) -> np.ndarray:
+        """U_t, the orthonormal columns of ``U`` spanning the range of E_t (a view)."""
+        lo = int(self.m[:t].sum())
+        return self.U[:, lo:lo + int(self.m[t])]
+
+    def eigenspace_labels(self) -> np.ndarray:
+        """The eigenspace index of each column of ``U``."""
+        return np.repeat(np.arange(self.D + 1), self.m)
 
 
 def _pattern_ok(nonzero: np.ndarray, order) -> bool:
@@ -246,17 +263,26 @@ def _krein_parameters(E: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     return krein
 
 
-def _cross_validate_adjacency(A1: np.ndarray, theta: np.ndarray, m: np.ndarray) -> None:
-    """Match the adjacency spectrum against the tridiagonal eigenvalues."""
-    ev = np.linalg.eigvalsh(A1)
+def _cross_validate_adjacency(A1: np.ndarray, theta: np.ndarray, m: np.ndarray):
+    """Match the adjacency spectrum against the tridiagonal eigenvalues.
+
+    Returns the eigenvectors of A1 and, for each theta[j], the indices of
+    the m[j] eigenvector columns within the matching window of it.  The
+    groups must partition the n columns.
+    """
+    ev, V = np.linalg.eigh(A1)
     scale = 1.0 + float(np.abs(theta).max())
+    hits = np.abs(ev[None, :] - theta[:, None]) < EIG_MATCH_TOL * scale * 10
     for j, th in enumerate(theta):
-        hits = int(np.sum(np.abs(ev - th) < EIG_MATCH_TOL * scale * 10))
-        if hits != int(round(m[j])):
+        count = int(hits[j].sum())
+        if count != int(round(m[j])):
             raise NumericalCheckFailure(
                 f"adjacency spectrum disagrees with tridiagonal eigenvalue {th}: "
-                f"multiplicity {hits} vs expected {m[j]}"
+                f"multiplicity {count} vs expected {m[j]}"
             )
+    if not (hits.sum(axis=0) == 1).all():
+        raise NumericalCheckFailure("eigenspace groups do not partition the adjacency eigenvectors")
+    return V, [np.flatnonzero(h) for h in hits]
 
 
 def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
@@ -266,12 +292,12 @@ def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
         n=1, D=0, relation=scheme.relation, p_ordering=(0,), q_ordering=(0,),
         pp=pp, P=one, Q=one, m=np.array([1], dtype=np.int64),
         krein=np.ones((1, 1, 1)), theta=np.zeros(1), theta_star=np.zeros(1),
-        E=np.ones((1, 1, 1)), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
+        E=np.ones((1, 1, 1)), U=np.ones((1, 1)), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
     )
 
 
 def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) -> SpectralData:
-    """Eigenvalues, idempotents, Krein parameters and orderings of a scheme.
+    """Eigenvalues, idempotents, eigenspace bases, Krein parameters and orderings.
 
     Takes the first P-polynomial ordering found (raising
     :class:`NotPPolynomial` if none exists, unless one is supplied),
@@ -307,9 +333,13 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
         raise NumericalCheckFailure(f"multiplicities not integral: {m}")
 
     A1 = scheme_p.class_matrix(1)
-    _cross_validate_adjacency(A1, theta, m)
+    V, groups = _cross_validate_adjacency(A1, theta, m)
     E = _idempotents(A1, theta)
     _verify_bose_mesner(E, P, scheme_p, n, D)
+    # tie the eigenvector groups to the gated idempotents: E_t U_t = U_t
+    worst = max(float(np.abs(E[j] @ V[:, g] - V[:, g]).max()) for j, g in enumerate(groups))
+    if worst > IDEMPOTENT_TOL:
+        raise NumericalCheckFailure(f"eigenspace basis residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
 
     krein = _krein_parameters(E, m.astype(np.float64), n)
     kscale = max(1.0, float(np.abs(krein).max()))
@@ -319,6 +349,8 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
         raise NumericalCheckFailure("krein[0] != diag(m)")
 
     q_ordering = next(_orderings(_krein_support(krein)), None)
+    order = range(D + 1) if q_ordering is None else q_ordering
+    U = V[:, np.concatenate([groups[j] for j in order])]
 
     theta_star = None
     Q = None
@@ -341,13 +373,13 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 
-    for arr in (E, P, krein, theta) + (() if Q is None else (Q, theta_star)):
+    for arr in (E, U, P, krein, theta) + (() if Q is None else (Q, theta_star)):
         arr.flags.writeable = False
     return SpectralData(
         n=n, D=D, relation=scheme_p.relation,
         p_ordering=tuple(p_ordering), q_ordering=q_ordering,
         pp=pp, P=P, Q=Q, m=m_int, krein=krein,
-        theta=theta, theta_star=theta_star, E=E, ppstar=ppstar,
+        theta=theta, theta_star=theta_star, E=E, U=U, ppstar=ppstar,
     )
 
 

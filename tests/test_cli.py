@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ def test_context_failure_skips_only_its_readers(c7_file, capsys, monkeypatch):
         "predictor_vs_oracle": lost,
         "trace_formula": lost,
         "multiplicity_recurrence": lost,
-        "qs_engine": ("pass", None),  # reads the spectral data and the almost-bipartite flag only
+        "qs_engine": ("pass", None),  # reads the spectral data only
     }
 
 
@@ -314,3 +315,60 @@ def test_multiplicities_oracle_honours_tol(c7_file, capsys):
     for sub in (["decompose"], ["multiplicities", "--oracle"]):
         assert main([*sub, "--scheme", c7_file, "--tol", "1e-30"]) == 1
         assert capsys.readouterr().err.startswith("check failed: NotThin: ")
+
+
+@pytest.fixture(scope="module")
+def c8_file(tmp_path_factory):
+    # the 8-cycle: P- and Q-polynomial, bipartite (a_D = 0), so not almost-bipartite
+    path = tmp_path_factory.mktemp("schemes") / "c8.json"
+    tw.save_scheme(tw.scheme_from_graph([[(i - 1) % 8, (i + 1) % 8] for i in range(8)]), path)
+    return str(path)
+
+
+def test_qs_rule_is_shared(c7_file, c8_file, o4_file):
+    from terwlab import qs
+
+    reasons = {}
+    for path in (c7_file, c8_file, o4_file):
+        sp = tw.spectral_data(tw.load_scheme(path))
+        reasons[path] = qs.skip_reason(sp.pp, sp.n)[1]
+    five = tw.spectral_data(tw.odd_cycle(2))
+    assert reasons == {c7_file: None, c8_file: qs.NOT_ALMOST_BIPARTITE, o4_file: "excluded family: odd_graph"}
+    assert qs.skip_reason(five.pp, five.n)[1] == "q,s model needs D >= 3, scheme has D = 2"
+
+
+def test_qs_subcommand_rejects_a_scheme_that_is_not_almost_bipartite(c8_file, capsys):
+    assert main(["qs", "--scheme", c8_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scheme is not almost-bipartite; q,s model does not apply\n"
+
+
+def test_verify_skips_qs_on_a_scheme_that_is_not_almost_bipartite(c8_file, capsys):
+    main(["verify", "--scheme", c8_file, "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    [check] = [c for c in doc["checks"] if c["name"] == "qs_engine"]
+    assert check == {"name": "qs_engine", "status": "skip", "detail": "scheme is not almost-bipartite"}
+
+
+def test_verify_stdout_is_byte_identical_in_and_across_processes(tmp_path, capfd):
+    # the eigenspace bases come from LAPACK's symmetric eigensolver; the
+    # report must not depend on the run or the process
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for label, scheme in (("O4", tw.odd_graph(3)), ("FC9", tw.folded_cube(4)), ("C35", tw.odd_cycle(17))):
+        path = str(tmp_path / f"{label}.json")
+        tw.save_scheme(scheme, path)
+        argv = ["verify", "--scheme", path, "--json"]
+        outs = []
+        for _ in range(2):
+            main(argv)
+            outs.append(capfd.readouterr().out)
+        for _ in range(2):
+            done = subprocess.run([sys.executable, "-m", "terwlab.cli", *argv], capture_output=True,
+                                  env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            outs.append(done.stdout.decode())
+        assert outs[0] and outs.count(outs[0]) == 4, label

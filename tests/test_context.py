@@ -142,3 +142,107 @@ def test_estar_orthogonality_matches_pair_loop_off_01(c9):
     rng = np.random.default_rng(0)
     Estar = c9.ctx.Estar + rng.uniform(-0.3, 0.3, c9.ctx.Estar.shape)
     assert _estar_orthogonality(replace(c9.ctx, Estar=Estar)) == _estar_pair_loop(Estar) > 0.1
+
+
+def _exchange_loop(M, Estar, shift):
+    """Reference: max_i ||M E*_i - E*_{i+shift} M||_inf as the D+1 passes the mask replaced."""
+    D = Estar.shape[0] - 1
+    worst = 0.0
+    for i in range(D + 1):
+        left = M * Estar[i][None, :]
+        j = i + shift
+        right = Estar[j][:, None] * M if 0 <= j <= D else 0.0
+        worst = max(worst, float(np.abs(left - right).max()))
+    return worst
+
+
+def test_exchange_residual_matches_shell_loop(all_bundles):
+    from terwlab.context import _exchange_residual
+
+    for bundle in all_bundles:
+        ctx = bundle.ctx
+        for M in (ctx.R, ctx.F, ctx.L, ctx.A):
+            for shift in (-1, 0, 1):
+                assert _exchange_residual(M, ctx.dist, shift) == _exchange_loop(M, ctx.Estar, shift)
+
+
+def test_exchange_residual_matches_shell_loop_on_perturbed_operator(o4):
+    # every entry nonzero and of a different size: the masked maximum is the
+    # loop's to the bit
+    from terwlab.context import _exchange_residual
+
+    ctx = o4.ctx
+    M = ctx.R + np.random.default_rng(1).uniform(-1e-3, 1e-3, ctx.R.shape)
+    for shift in (-1, 0, 1):
+        value = _exchange_residual(M, ctx.dist, shift)
+        assert value == _exchange_loop(M, ctx.Estar, shift) > 0.0
+
+
+def _dense_dual_operators(ctx):
+    """Reference: R*, F*, L* as sums of products with the dense idempotents."""
+    E, n, D = ctx.E, ctx.n, ctx.D
+    Rstar, Fstar, Lstar = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for i in range(D + 1):
+        AsEi = ctx.Astar[:, None] * E[i]
+        if i + 1 <= D:
+            Rstar += E[i + 1] @ AsEi
+        Fstar += E[i] @ AsEi
+        if i >= 1:
+            Lstar += E[i - 1] @ AsEi
+    return Rstar, Fstar, Lstar
+
+
+def _dense_dual_exchange(M, E, shift):
+    """Reference: max_i ||M E_i - E_{i+shift} M||_inf with the dense idempotents."""
+    D = E.shape[0] - 1
+    worst = 0.0
+    for i in range(D + 1):
+        right = E[i + shift] @ M if 0 <= i + shift <= D else 0.0
+        worst = max(worst, float(np.abs(M @ E[i] - right).max()))
+    return worst
+
+
+def test_dual_operators_match_dense_idempotent_construction(all_bundles):
+    for bundle in all_bundles:
+        ctx = bundle.ctx
+        for dense, ours in zip(_dense_dual_operators(ctx), (ctx.Rstar, ctx.Fstar, ctx.Lstar)):
+            assert np.abs(dense - ours).max() <= 1e-12 * ctx.n, bundle.name
+
+
+def _identity(ctx, name):
+    [check] = [c for c in tw.verify_operator_identities(ctx).checks if c.name == name]
+    return check.residual
+
+
+DUAL_EXCHANGES = (
+    ("Rstar E_i = E_{i+1} Rstar", "Rstar", 1),
+    ("Fstar E_i = E_i Fstar", "Fstar", 0),
+    ("Lstar E_i = E_{i-1} Lstar", "Lstar", -1),
+)
+
+
+def test_dual_exchange_frobenius_bounds_dense_max_norm(all_bundles):
+    for bundle in all_bundles:
+        ctx = bundle.ctx
+        for name, op, shift in DUAL_EXCHANGES:
+            dense = _dense_dual_exchange(getattr(ctx, op), ctx.E, shift)
+            assert dense <= _identity(ctx, name) <= 1e-9 * ctx.n, (bundle.name, name)
+
+
+def test_dual_exchange_frobenius_bounds_dense_max_norm_off_pattern(fc7):
+    # a perturbation that breaks every exchange rule: the residual moves far
+    # above rounding, and the Frobenius form still bounds the max-norm form
+    ctx = fc7.ctx
+    rng = np.random.default_rng(2)
+    noise = rng.standard_normal((ctx.n, ctx.n)) * 1e-4
+    for name, op, shift in DUAL_EXCHANGES:
+        perturbed = replace(ctx, **{op: getattr(ctx, op) + noise})
+        dense = _dense_dual_exchange(getattr(perturbed, op), ctx.E, shift)
+        assert 1e-5 < dense <= _identity(perturbed, name), name
+
+
+def test_eigenvalue_identity_matches_dense_idempotents(all_bundles):
+    for bundle in all_bundles:
+        ctx, sp = bundle.ctx, bundle.spectral
+        dense = max(np.abs(ctx.A @ sp.E[i] - sp.theta[i] * sp.E[i]).max() for i in range(sp.D + 1))
+        assert dense <= _identity(ctx, "A E_i = theta_i E_i") <= 1e-9 * ctx.n, bundle.name

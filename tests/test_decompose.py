@@ -307,7 +307,7 @@ def test_seeds_rotate_blocks_but_keep_measurements(fc9):
 
 
 def _reference_measure(ctx, mod):
-    """Per-module matrix-vector measurement, one coefficient at a time."""
+    """Per-module matrix-vector measurement with the dense idempotents E_t, one coefficient at a time."""
     from terwlab.decomposer import _principal_vector
     from terwlab.predictor import tridiagonal
 
@@ -342,3 +342,20 @@ def test_batched_measurement_matches_per_module_reference(all_bundles):
             assert np.allclose(m.dual_ladder_norms2, dnrm2, rtol=1e-12, atol=0)
             [one] = tw.measure_all(bundle.ctx, [replace(m, measured_B=None)])
             assert np.abs(one.measured_B - m.measured_B).max() < 1e-12
+
+
+def test_certified_ranks_match_dense_idempotents(all_bundles):
+    # rank(E_i W) from the dense n x n idempotents, the form the eigenspace
+    # bases replaced: same dual endpoints, dual diameters and census
+    from terwlab.decomposer import RANK_TOL, _support
+
+    for bundle in all_bundles:
+        E = bundle.spectral.E
+        dense = []
+        for m in bundle.modules:
+            ranks = [int(np.sum(np.linalg.svd(E[i] @ m.basis, compute_uv=False) > RANK_TOL))
+                     for i in range(len(E))]
+            t, dstar = _support(ranks)
+            assert (t, dstar, max(ranks) <= 1) == (m.t, m.dstar, m.dual_thin), bundle.name
+            dense.append(replace(m, t=t))
+        assert tw.census(dense) == tw.census(bundle.modules) == EXPECTED_CENSUS[bundle.name]

@@ -340,3 +340,38 @@ def test_krein_parameters_match_stacked_reference(all_bundles):
             reference[:, i, :] = np.tensordot(E, prod, axes=([1, 2], [1, 2])) * n / m[:, None]
         krein = _krein_parameters(E, m, n)
         assert np.abs(krein - reference).max() < 1e-12 * max(1.0, float(np.abs(reference).max()))
+
+
+def test_eigenspace_bases_are_orthonormal_and_fixed_by_the_idempotents(all_bundles):
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        assert sp.U.shape == (sp.n, sp.n)
+        assert np.abs(sp.U.T @ sp.U - np.eye(sp.n)).max() < 1e-12, bundle.name
+        for t in range(sp.D + 1):
+            Ut = sp.eigenbasis(t)
+            assert Ut.shape == (sp.n, sp.m[t])
+            assert np.abs(Ut.T @ Ut - np.eye(sp.m[t])).max() < 1e-12, (bundle.name, t)
+            assert np.abs(sp.E[t] @ Ut - Ut).max() < 1e-12, (bundle.name, t)
+
+
+def test_eigenspace_groups_partition_the_columns(all_bundles):
+    from terwlab.spectral import _cross_validate_adjacency
+
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        A1 = (sp.relation == 1).astype(float)
+        V, groups = _cross_validate_adjacency(A1, sp.theta, sp.m)
+        assert [len(g) for g in groups] == sp.m.tolist()
+        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(sp.n))
+        assert np.array_equal(sp.eigenspace_labels(), np.repeat(np.arange(sp.D + 1), sp.m))
+
+
+def test_overlapping_eigenspace_groups_raise():
+    # two eigenvalues inside one matching window both claim the same two
+    # eigenvectors: the counts agree with m, but the groups overlap and
+    # leave the eigenvalue 3 unclaimed
+    from terwlab.errors import NumericalCheckFailure
+    from terwlab.spectral import _cross_validate_adjacency
+
+    with pytest.raises(NumericalCheckFailure, match="partition"):
+        _cross_validate_adjacency(np.diag([1.0, 1.0, 3.0, 3.0]), np.array([1.0, 1.0 + 1e-10]), np.array([2.0, 2.0]))
