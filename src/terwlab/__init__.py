@@ -18,6 +18,7 @@ from .multiplicity import (
     recurrence_rhs_coefficient,
     solve_multiplicities,
     trace_ladder,
+    trace_ladders,
 )
 from .predictor import ModuleClass, feasibility, module_class, predict_a0star, predict_B, predict_Bstar
 from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_multiplicity, qs_predict_B, qs_predict_Bstar
@@ -79,6 +80,7 @@ __all__ = [
     "solve_multiplicities",
     "spectral_data",
     "trace_ladder",
+    "trace_ladders",
     "triangle_vanishing_check",
     "validate_scheme",
     "verify_operator_identities",

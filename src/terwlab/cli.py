@@ -187,11 +187,12 @@ def _predictor_vs_oracle(args, values):
 def _trace_formula(args, values):
     spectral = values["spectral data"]
     ups = multiplicity.build_upsilon(spectral.D)
-    ladders = [multiplicity.trace_ladder(values["context"], t, spectral.D - t) for t in range(spectral.D + 1)]
+    ladders = multiplicity.trace_ladders(values["context"])
+    closed = multiplicity.krein_products(spectral).tolist()
     worst = 0.0
     for (t, d) in ups.cells:
         lhs = ladders[t][d]
-        rhs = multiplicity.krein_product_lhs(spectral, t, d)
+        rhs = closed[t][d]
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     if worst > 1e-6:
         return "fail", worst, "trace identity exceeds 1e-6 relative", None
@@ -218,19 +219,12 @@ def _qs_engine(args, values):
     if skipped is not None:
         return "skip", None, skipped, None
     params = qs.fit_qs(spectral.theta, spectral.theta_star, spectral.D)
-    ups = multiplicity.build_upsilon(spectral.D)
-    worst = params.fit_residual
-    for (t, d) in ups.cells:
-        # bands, not matrices: both sides vanish off the three bands
-        cab = predictor.predict_cab(t, d, spectral.theta, spectral.theta_star, spectral.D)
-        cab_qs = qs.qs_predict_cab(params, t, d)
-        cab_star = predictor.predict_cab_star(t, d, spectral.theta, spectral.theta_star, spectral.D)
-        cab_star_qs = qs.qs_predict_cab_star(params, t, d)
-        worst = max(worst, predictor.band_gap(cab, cab_qs), predictor.band_gap(cab_star, cab_star_qs))
+    # bands, not matrices: both sides vanish off the three bands
+    worst = max(params.fit_residual, spectral.bands.gap(qs.qs_band_grid(params)))
     if worst > 1e-8:
         return "fail", worst, "q,s forms disagree with eigenvalue forms", None
     if table is not None:
-        for (t, d) in ups.cells:
+        for (t, d) in spectral.bands.cells:
             if d >= spectral.D - 3:
                 closed = qs.qs_multiplicity(params, t, d)
                 if abs(closed - table.mult[t, d]) > 1e-6:

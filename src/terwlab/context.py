@@ -3,9 +3,9 @@
 Fixing a base vertex x splits the coordinate space by distance from x.
 The dual idempotents E*_i are the diagonal 0/1 projectors onto those
 distance shells, and the dual class matrices A*_i are diagonal with
-entries n * (E_i)_{x, y}.  The class-1 adjacency A splits as R + F + L by
-whether an edge increases, keeps, or decreases distance from x, and the
-dual adjacency A* = A*_1 splits as R* + F* + L* through the idempotents.
+entries n * (E_i)_{x, y} = Q[i, dist(x, y)].  The class-1 adjacency A
+splits as R + F + L by whether an edge increases, keeps, or decreases
+distance from x, and the dual adjacency A* = A*_1 splits as R* + F* + L* through the idempotents.
 These eight matrices generate everything downstream; the algebra they
 generate is never materialized.
 
@@ -14,8 +14,9 @@ spectral data, E_t = U_t U_t^T, never through the dense stack: with U the
 orthogonal matrix of all the U_t and N = U^T A* U, the block (j, i) of N
 is U_j^T A* U_i, so R* = sum_i E_{i+1} A* E_i is U N_{+1} U^T, where N_{+1}
 keeps the blocks with j = i + 1; likewise F* (j = i) and L* (j = i - 1).
-Only the dual class matrices A*_i (row x of each E_i) and
-:func:`triangle_vanishing_check` read the dense idempotents.
+No n x n idempotent is formed: the dual class matrices are read off the
+dual eigenmatrix Q, and :func:`triangle_vanishing_check` works in the
+bases as well.
 
 All operator matrices here are real and dense; A* and the E*_i are kept as
 diagonal vectors.
@@ -104,10 +105,6 @@ class TerwContext:
     def D(self) -> int:
         return self.scheme.D
 
-    @property
-    def E(self) -> np.ndarray:
-        return self.spectral.E
-
 
 def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0) -> TerwContext:
     """Assemble the operators at base vertex x and verify their identities.
@@ -126,7 +123,7 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
 
     dist = spectral.relation[x]
     Estar = np.stack([(dist == i) for i in range(D + 1)]).astype(np.float64)
-    Astar_all = n * spectral.E[:, x, :]
+    Astar_all = spectral.Q[:, dist]
     if D >= 1:
         A = (spectral.relation == 1).astype(np.float64)
         Astar = Astar_all[1].copy()
@@ -209,9 +206,10 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
         checks.append(CheckResult(name=name, residual=float(residual), tol=tol))
 
     add("sum(Estar) = I", np.abs(Estar.sum(axis=0) - 1.0).max())
-    pairs = Estar[:, None, :] * Estar[None, :, :]  # (D+1, D+1, n): E*_i E*_j as diagonals
+    # row i: E*_i E*_j - delta_ij E*_i as diagonals, for every j
+    eye = np.eye(D + 1)
     add("Estar idempotent-orthogonal",
-        np.abs(pairs - np.eye(D + 1)[:, :, None] * Estar[:, None, :]).max())
+        max(np.abs(Estar[i] * Estar - eye[i][:, None] * Estar[i]).max() for i in range(D + 1)))
     add("sum(Astar) = n Estar_0", np.abs(ctx.Astar_all.sum(axis=0) - n * Estar[0]).max())
     if D >= 1:
         add("Astar_0 = I", np.abs(ctx.Astar_all[0] - 1.0).max())
@@ -236,10 +234,11 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     if D >= 1 and is_almost_bipartite(sp.pp):
         add("F = Estar_D A Estar_D",
             np.abs(ctx.F - Estar[D][:, None] * ctx.A * Estar[D][None, :]).max())
-        add("F Estar_i = 0 for i < D",
-            max((np.abs(ctx.F * Estar[i][None, :]).max() for i in range(D)), default=0.0))
+        # one masked pass each: the entries that some E*_i with i < D keeps
+        near = ctx.dist < D
+        add("F Estar_i = 0 for i < D", np.abs(ctx.F[:, near]).max(initial=0.0))
         add("Estar_i A Estar_i = 0 for i < D",
-            max((np.abs(Estar[i][:, None] * ctx.A * Estar[i][None, :]).max() for i in range(D)), default=0.0))
+            np.abs(ctx.A[(ctx.dist[:, None] == ctx.dist[None, :]) & near[:, None]]).max(initial=0.0))
         far = np.abs(Estar[D][:, None] * ctx.A * Estar[D][None, :]).max()
         add("Estar_D A Estar_D != 0", 0.0 if far > 0.5 else 1.0)
 
@@ -278,7 +277,9 @@ def triangle_vanishing_check(ctx: TerwContext, zero_tol: float = 1e-7) -> Triang
     q[h, i, j] = 0 iff E_i A*_j E_h = 0.  The matrix side is exact (0/1
     blocks); the Krein side compares squared Frobenius norms against
     ``zero_tol`` relative to the largest block, matching the relative
-    threshold used for Q-ordering detection.
+    threshold used for Q-ordering detection.  With E_i = U_i U_i^T and
+    orthonormal U_i, ||E_i A*_j E_h||_F = ||U_i^T A*_j U_h||_F, so each A*_j
+    takes one product in the eigenspace bases.
     """
     sp = ctx.spectral
     D = ctx.D
@@ -297,14 +298,12 @@ def triangle_vanishing_check(ctx: TerwContext, zero_tol: float = 1e-7) -> Triang
                 if (p[h, i, j] != 0) != block_nonzero:
                     bad_p.append((h, i, j))
 
-    E = sp.E
+    starts = np.cumsum(sp.m) - sp.m
     frob2 = np.empty((D + 1,) * 3)
     for j in range(D + 1):
-        aj = ctx.Astar_all[j]
-        for i in range(D + 1):
-            for h in range(D + 1):
-                # ||E_i A*_j E_h||_F^2 contracts to a weighted entrywise sum
-                frob2[h, i, j] = np.einsum("yz,y,z,yz->", E[i], aj, aj, E[h])
+        X = sp.U.T @ (ctx.Astar_all[j][:, None] * sp.U)
+        # block (i, h) of X is U_i^T A*_j U_h
+        frob2[:, :, j] = np.add.reduceat(np.add.reduceat(X * X, starts, axis=0), starts, axis=1).T
     kscale = max(1.0, float(np.abs(sp.krein).max()))
     fscale = max(1.0, float(frob2.max()))
     bad_q = [

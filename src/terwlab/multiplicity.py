@@ -26,7 +26,7 @@ import numpy as np
 from .context import TerwContext
 from .decomposer import IrreducibleModule
 from .errors import NegativeMultiplicity, NonIntegerMultiplicity, OrderingMissing
-from .predictor import predict_cab_star
+from .predictor import predict_cab_star, upsilon_cells
 from .spectral import SpectralData
 
 #: pre-rounding distance from an integer above which the solve is rejected
@@ -49,43 +49,60 @@ class Upsilon:
 
 
 def build_upsilon(D: int) -> Upsilon:
-    """All feasible cells, listed in a linear extension of the order.
-
-    Sorting by (t ascending, t + d descending) puts every cell after all
-    of its predecessors, so one forward pass can solve the recurrence.
-    """
-    cells = [
-        (t, d)
-        for d in range(D + 1)
-        for t in range(-((D - d) // -2), D - d + 1)
-    ]
-    cells.sort(key=lambda td: (td[0], -(td[0] + td[1])))
-    return Upsilon(D=D, cells=tuple(cells))
+    """All feasible cells, listed in a linear extension of the order (see :func:`upsilon_cells`)."""
+    return Upsilon(D=D, cells=upsilon_cells(D))
 
 
-def trace_ladder(ctx: TerwContext, t: int, dmax: int) -> list:
-    """Numerical traces of E_t L*^d R*^d E_t for d = 0..dmax.
+def trace_ladders(ctx: TerwContext) -> list:
+    """Numerical traces of E_t L*^d R*^d E_t for every t and d = 0..D-t.
 
     Since L* is the transpose of R*, each trace is the squared Frobenius
     norm of R*^d E_t.  With E_t = U_t U_t^T and U_t^T having orthonormal
-    rows, that is the squared Frobenius norm of the n x m_t matrix R*^d U_t;
-    the powers are walked once, one product per d.
+    rows, that is the squared Frobenius norm of the n x m_t matrix R*^d U_t.
+    One walk covers every t: the columns of U are grouped by eigenspace in
+    order, so after d products the walk keeps the leading columns, those of
+    the blocks t <= D - d, and drops the blocks that have finished.
     """
-    M = ctx.spectral.eigenbasis(t)
-    traces = [float(np.sum(M * M))]
-    for _ in range(dmax):
-        M = ctx.Rstar @ M
-        traces.append(float(np.sum(M * M)))
-    return traces
+    sp = ctx.spectral
+    D = sp.D
+    lab = sp.eigenspace_labels()
+    ends = np.cumsum(sp.m)  # the columns of the blocks t <= D - d are the first ends[D - d]
+    ladders = [[] for _ in range(D + 1)]
+    M = sp.U
+    for d in range(D + 1):
+        M = M[:, : ends[D - d]]
+        if d:
+            M = ctx.Rstar @ M
+        for t, value in enumerate(np.bincount(lab[: ends[D - d]], np.einsum("ij,ij->j", M, M)).tolist()):
+            ladders[t].append(value)
+    return ladders
+
+
+def trace_ladder(ctx: TerwContext, t: int, dmax: int) -> list:
+    """Numerical traces of E_t L*^d R*^d E_t for d = 0..dmax <= D - t, read from :func:`trace_ladders`."""
+    if not 0 <= dmax <= ctx.D - t:
+        raise ValueError(f"dmax = {dmax} outside 0..{ctx.D - t} for t = {t}")
+    return trace_ladders(ctx)[t][: dmax + 1]
+
+
+def krein_products(spectral: SpectralData) -> np.ndarray:
+    """Closed form of the same trace for every t + d <= D, as a (D+1, D+1) array.
+
+    Entry [t, d] is m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}, multiplied from
+    m_t onwards in the order of h; entries with t + d > D are NaN.
+    """
+    D = spectral.D
+    bs, cs = np.asarray(spectral.ppstar.b, dtype=np.float64), np.asarray(spectral.ppstar.c, dtype=np.float64)
+    t, d = np.ix_(np.arange(D + 1), np.arange(D + 1))
+    value = np.repeat(np.asarray(spectral.m, dtype=np.float64)[:, None], D + 1, axis=1)
+    for j in range(D):  # h = t + j, for every cell with d > j at once
+        value *= np.where(j < d, bs[np.clip(t + j, 0, D)] * cs[np.clip(d - j, 0, D)], 1.0)
+    return np.where(t + d <= D, value, np.nan)
 
 
 def krein_product_lhs(spectral: SpectralData, t: int, d: int) -> float:
-    """Closed form of the same trace: m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}."""
-    bs, cs = spectral.ppstar.b, spectral.ppstar.c
-    value = float(spectral.m[t])
-    for h in range(t, t + d):
-        value *= bs[h] * cs[t + d - h]
-    return value
+    """Closed form of the same trace: m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}, read from :func:`krein_products`."""
+    return float(krein_products(spectral)[t, d])
 
 
 def restricted_trace(ctx: TerwContext, mod: IrreducibleModule, t: int, d: int) -> float:
@@ -97,24 +114,24 @@ def restricted_trace(ctx: TerwContext, mod: IrreducibleModule, t: int, d: int) -
     return float(np.sum(M * M))
 
 
-def _rung_product(cs, bs, offset: int, d: int) -> float:
-    """prod_{h=offset}^{offset+d-1} b*_h c*_{h+1} over one cell's dual bands."""
-    value = 1.0
-    for h in range(offset, offset + d):
-        value *= bs[h] * cs[h + 1]
-    return value
+def _rung_windows(rungs: np.ndarray) -> np.ndarray:
+    """[o, e] = rungs[o] rungs[o+1] ... rungs[e] for o <= e, multiplied left to right (cumprods)."""
+    h = np.arange(len(rungs))
+    return np.cumprod(np.where(h[None, :] >= h[:, None], rungs, 1.0), axis=1)
 
 
 def recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D) -> float:
     """Coefficient of mult(i, j) in the trace equation of cell (t, d).
 
     Defined for (i, j) preceding (t, d); it is the product of the first d
-    rung weights of the (i, j) ladder starting at offset t - i.
+    rung weights b*_h c*_{h+1} of the (i, j) ladder starting at offset t - i.
     """
     if not Upsilon.leq((i, j), (t, d)):
         raise ValueError(f"({i}, {j}) does not precede ({t}, {d})")
+    if d == 0:
+        return 1.0
     cs, _, bs = predict_cab_star(i, j, theta, theta_star, D)
-    return _rung_product(cs, bs, t - i, d)
+    return float(_rung_windows(bs[:-1] * cs[1:])[t - i, t - i + d - 1])
 
 
 @dataclass(frozen=True)
@@ -157,40 +174,40 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
     Values are rounded to integers and the residual is kept for audit;
     residuals above the gate raise.
 
-    Each cell's dual bands are formed once: they give its leading
-    coefficient and, once it is solved, its coefficients as a
-    predecessor of later cells.
+    The dual bands of every cell are read from ``spectral.bands``.  The
+    leading coefficients of all cells are running products over it, one
+    rung at a time, and when a cell is solved with a nonzero multiplicity
+    the cumulative products of its rungs give its coefficient as a
+    predecessor of every later cell at once.
     """
     if spectral.theta_star is None:
         raise OrderingMissing("the multiplicity recurrence needs a Q-polynomial ordering")
     D = spectral.D
-    theta, theta_star = spectral.theta, spectral.theta_star
-    ups = build_upsilon(D)
+    grid = spectral.bands
+    cs, _, bs = grid.cab_star
+    # entry start + h of a cell with h < d: its rung b*_h c*_{h+1} and that rung's size
+    rungs = bs[:-1] * cs[1:]
+    sizes = np.maximum(1.0, np.abs(bs[:-1])) * np.maximum(1.0, np.abs(cs[1:]))
+    cell_t, cell_d = np.array(grid.cells, dtype=np.int64).reshape(-1, 2).T
+    start = grid.first[cell_t, cell_d]
+    lead, scale = np.ones(len(grid.cells)), np.ones(len(grid.cells))
+    for h in range(D):
+        live = cell_d > h
+        lead[live] *= rungs[start[live] + h]
+        scale[live] *= sizes[start[live] + h]
+    lhs = krein_products(spectral).tolist()
+    # acc[k]: the solved predecessors' part of cell k's trace, summed in solve order
+    acc = np.zeros(len(grid.cells))
     mult: dict = {}
     pre: dict = {}
     zero_cells = []
-    # (i, j, mult, c*, b*) of the solved cells with nonzero multiplicity, in
-    # solve order: the order in which a scan of the whole grid meets them
-    solved = []
-    for (t, d) in ups.cells:
-        lhs = krein_product_lhs(spectral, t, d)
-        lead = 1.0
-        scale = 1.0
-        if d:
-            cs, _, bs = predict_cab_star(t, d, theta, theta_star, D)
-            lead = _rung_product(cs, bs, 0, d)
-            for h in range(d):
-                scale *= max(1.0, abs(bs[h])) * max(1.0, abs(cs[h + 1]))
-        acc = 0.0
-        for (i, j, count, pcs, pbs) in solved:
-            if Upsilon.leq((i, j), (t, d)):
-                acc += count * _rung_product(pcs, pbs, t - i, d)
-        if abs(lead) < LEADING_ZERO_TOL * scale:
+    for k, (t, d) in enumerate(grid.cells):  # the grid lists the cells in a linear extension
+        if abs(lead[k]) < LEADING_ZERO_TOL * scale[k]:
             zero_cells.append((t, d))
             mult[t, d] = 0
             pre[t, d] = 0.0
             continue
-        value = (lhs - acc) / lead
+        value = (lhs[t][d] - float(acc[k])) / float(lead[k])
         rounded = int(round(value))
         residual = abs(value - rounded)
         if residual > ROUNDING_TOL:
@@ -200,7 +217,11 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
         mult[t, d] = rounded
         pre[t, d] = residual
         if rounded and d:  # a cell with d = 0 precedes no other cell
-            solved.append((t, d, rounded, cs, bs))
+            # a later cell (t', d') takes the rungs t' - t .. t' - t + d' - 1 of this one
+            later = (cell_t >= t) & (cell_t + cell_d <= t + d)
+            offset = np.clip(cell_t - t, 0, d - 1)
+            windows = _rung_windows(rungs[start[k]:start[k] + d])[offset, np.clip(offset + cell_d - 1, 0, d - 1)]
+            acc[later] += rounded * np.where(cell_d == 0, 1.0, windows)[later]
     return MultiplicityTable(
         D=D, mult=mult, pre_rounding=pre, zero_coefficient_cells=tuple(zero_cells)
     )

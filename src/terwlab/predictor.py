@@ -6,8 +6,9 @@ and diameter d alone (the endpoint is forced to r = D - d).  The entries
 of the tridiagonal action matrix B(W) come from a 2x2 linear system in
 (c_i, b_i) with row sums theta_t; the dual entries from a Vandermonde
 3x3 system in (c*_i, a*_i, b*_i) with row sums theta*_r.  These formulas
-are evaluated verbatim for every feasible cell, whether or not a module
-of that shape exists.
+are evaluated for every feasible cell at once, whether or not a module of
+that shape exists, as one array computation over the whole grid
+(:func:`band_grid`); the per-cell functions read that grid.
 """
 
 from __future__ import annotations
@@ -58,57 +59,132 @@ def _require_cell(t: int, d: int, D: int) -> int:
     return D - d
 
 
+@dataclass(frozen=True)
+class BandGrid:
+    """Bands of every feasible cell, in flat arrays.
+
+    The cell (t, d) owns the entries ``first[t, d]`` to ``first[t, d] + d``
+    of each array, entry i of its band at ``first[t, d] + i``; ``cells``
+    lists the cells in the order of their entries.  ``cab`` is (c, a, b)
+    and ``cab_star`` is (c*, a*, b*).
+    """
+
+    D: int
+    cells: tuple
+    first: np.ndarray
+    cab: tuple
+    cab_star: tuple
+
+    def bands(self, t: int, d: int) -> tuple:
+        lo = int(self.first[t, d])
+        return tuple(x[lo:lo + d + 1] for x in self.cab)
+
+    def bands_star(self, t: int, d: int) -> tuple:
+        lo = int(self.first[t, d])
+        return tuple(x[lo:lo + d + 1] for x in self.cab_star)
+
+    def gap(self, other: BandGrid) -> float:
+        """Largest band difference from another grid over every cell.
+
+        :func:`band_gap` of the flat arrays: the two entries it skips, c_0
+        of the first cell and b_d of the last, are 0 in both grids.
+        """
+        return max(band_gap(self.cab, other.cab), band_gap(self.cab_star, other.cab_star))
+
+
+def upsilon_cells(D: int) -> tuple:
+    """All feasible cells, listed in a linear extension of the order.
+
+    Sorting by (t ascending, t + d descending) puts every cell after all
+    of its predecessors, so one forward pass can solve the recurrence.
+    """
+    cells = [(t, d) for d in range(D + 1) for t in range(-((D - d) // -2), D - d + 1)]
+    cells.sort(key=lambda td: (td[0], -(td[0] + td[1])))
+    return tuple(cells)
+
+
+def band_entries(D: int) -> tuple:
+    """The layout of a :class:`BandGrid` and the (t, d, i) of each of its entries.
+
+    Returns the cells, the (D+1, D+1) array of the first entry of each
+    (-1 off the grid), the d of every entry, and the entries of each kind
+    (0 < i < d, i = 0 < d, i = d > 0, and d = 0), each as the (t, d, i)
+    arrays of those entries and their positions.  A formula of one kind is
+    evaluated on its own entries only.
+    """
+    cells = upsilon_cells(D)
+    td = np.array(cells, dtype=np.int64).reshape(-1, 2)
+    size = td[:, 1] + 1
+    start = np.cumsum(size) - size
+    t, d = np.repeat(td[:, 0], size), np.repeat(td[:, 1], size)
+    i = np.arange(len(t)) - np.repeat(start, size)
+    first = np.full((D + 1, D + 1), -1)
+    first[td[:, 0], td[:, 1]] = start
+    kinds = ((0 < i) & (i < d), (i == 0) & (0 < d), (i == d) & (0 < d), d == 0)
+    return cells, first, d, tuple((t[m], d[m], i[m], np.flatnonzero(m)) for m in kinds)
+
+
+def _grid(D: int, cells, first, cab, cab_star) -> BandGrid:
+    for arr in cab + cab_star:
+        arr.flags.writeable = False
+    return BandGrid(D=D, cells=cells, first=first, cab=cab, cab_star=cab_star)
+
+
+def band_grid(theta, theta_star, D: int) -> BandGrid:
+    """Bands (c, a, b) and (c*, a*, b*) of every feasible cell, from one array computation.
+
+    Each formula is evaluated on the entries of its kind (:func:`band_entries`)
+    for all cells at once, with r = D - d.
+    """
+    T = np.asarray(theta, dtype=np.float64)  # theta_j
+    S = np.asarray(theta_star, dtype=np.float64)  # theta*_j
+    cells, first_entry, d_all, (inner, first, last, single) = band_entries(D)
+    c, a, b, cs, bs = (np.zeros(len(d_all)) for _ in range(5))
+
+    t, d, i, at = inner
+    r = D - d
+    c[at] = (T[t] * (S[r + i + 1] - S[r + 1]) - T[t + 1] * (S[r + i] - S[r])) / (S[r + i + 1] - S[r + i - 1])
+    b[at] = (T[t] * (S[r + i - 1] - S[r + 1]) - T[t + 1] * (S[r + i] - S[r])) / (S[r + i - 1] - S[r + i + 1])
+    # squares by the scalar power, as the per-cell loop took them: the
+    # array power rounds some of them differently
+    T2 = np.array([x**2 for x in T.tolist()])
+    quad = (T2[t + i] - T2[t]) * (S[r + 2] - S[r + 1])
+    cs[at] = (quad + (T[t] * T[t + 1] - T[t + i] * T[t + i + 1]) * (S[r + 1] - S[r])) / (
+        (T[t + i - 1] - T[t + i]) * (T[t + i - 1] - T[t + i + 1]))
+    bs[at] = (quad + (T[t] * T[t + 1] - T[t + i] * T[t + i - 1]) * (S[r + 1] - S[r])) / (
+        (T[t + i + 1] - T[t + i]) * (T[t + i + 1] - T[t + i - 1]))
+
+    t, d, _, at = first
+    b[at] = T[t]
+    bs[at] = T[t] * (S[D - d] - S[D - d + 1]) / (T[t] - T[t + 1])
+
+    t, d, _, at = last
+    r = D - d
+    c[at] = (T[t] * (S[r + d] - S[r + 1]) - T[t + 1] * (S[r + d] - S[r])) / (S[r + d] - S[r + d - 1])
+    a[at] = (T[t] * (S[r + d - 1] - S[r + 1]) - T[t + 1] * (S[r + d] - S[r])) / (S[r + d - 1] - S[r + d])
+    cs[at] = T[t + d] * (S[r + 1] - S[r]) / (T[t + d - 1] - T[t + d])
+
+    t, _, _, at = single
+    a[at] = T[t]
+    as_ = S[D - d_all] - bs - cs
+    return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs))
+
+
 def predict_cab(t: int, d: int, theta, theta_star, D: int) -> tuple:
-    """Bands (c_i(W), a_i(W), b_i(W)) for the module class (t, d)."""
-    r = _require_cell(t, d, D)
-    th = np.asarray(theta, dtype=np.float64)
-    ths = np.asarray(theta_star, dtype=np.float64)
-    if d == 0:
-        return np.zeros(1), np.array([th[t]]), np.zeros(1)
-    c = np.zeros(d + 1)
-    a = np.zeros(d + 1)
-    b = np.zeros(d + 1)
-    b[0] = th[t]
-    for i in range(1, d):
-        num_c = th[t] * (ths[r + i + 1] - ths[r + 1]) - th[t + 1] * (ths[r + i] - ths[r])
-        c[i] = num_c / (ths[r + i + 1] - ths[r + i - 1])
-        num_b = th[t] * (ths[r + i - 1] - ths[r + 1]) - th[t + 1] * (ths[r + i] - ths[r])
-        b[i] = num_b / (ths[r + i - 1] - ths[r + i + 1])
-    c[d] = (th[t] * (ths[r + d] - ths[r + 1]) - th[t + 1] * (ths[r + d] - ths[r])) / (
-        ths[r + d] - ths[r + d - 1]
-    )
-    a[d] = (th[t] * (ths[r + d - 1] - ths[r + 1]) - th[t + 1] * (ths[r + d] - ths[r])) / (
-        ths[r + d - 1] - ths[r + d]
-    )
-    return c, a, b
+    """Bands (c_i(W), a_i(W), b_i(W)) for the module class (t, d), read from :func:`band_grid`."""
+    _require_cell(t, d, D)
+    return band_grid(theta, theta_star, D).bands(t, d)
 
 
 def predict_cab_star(t: int, d: int, theta, theta_star, D: int) -> tuple:
-    """Bands (c*_i(W), a*_i(W), b*_i(W)) for the module class (t, d).
+    """Bands (c*_i(W), a*_i(W), b*_i(W)) for the module class (t, d), read from :func:`band_grid`.
 
     These are the quantities written c*_i(t, d), b*_i(t, d) with r = D - d;
     for cells that carry no module they are still well defined and feed the
     multiplicity recurrence.
     """
-    r = _require_cell(t, d, D)
-    th = np.asarray(theta, dtype=np.float64)
-    ths = np.asarray(theta_star, dtype=np.float64)
-    if d == 0:
-        return np.zeros(1), np.array([ths[r]]), np.zeros(1)
-    cs = np.zeros(d + 1)
-    bs = np.zeros(d + 1)
-    bs[0] = th[t] * (ths[r] - ths[r + 1]) / (th[t] - th[t + 1])
-    for i in range(1, d):
-        quad = (th[t + i] ** 2 - th[t] ** 2) * (ths[r + 2] - ths[r + 1])
-        cs[i] = (quad + (th[t] * th[t + 1] - th[t + i] * th[t + i + 1]) * (ths[r + 1] - ths[r])) / (
-            (th[t + i - 1] - th[t + i]) * (th[t + i - 1] - th[t + i + 1])
-        )
-        bs[i] = (quad + (th[t] * th[t + 1] - th[t + i] * th[t + i - 1]) * (ths[r + 1] - ths[r])) / (
-            (th[t + i + 1] - th[t + i]) * (th[t + i + 1] - th[t + i - 1])
-        )
-    cs[d] = th[t + d] * (ths[r + 1] - ths[r]) / (th[t + d - 1] - th[t + d])
-    as_ = ths[r] - bs - cs
-    return cs, as_, bs
+    _require_cell(t, d, D)
+    return band_grid(theta, theta_star, D).bands_star(t, d)
 
 
 def predict_B(t: int, d: int, theta, theta_star, D: int) -> np.ndarray:
@@ -147,11 +223,11 @@ class ModuleClass:
 
 
 def module_class(t: int, d: int, spectral) -> ModuleClass:
-    """Convenience constructor working directly from spectral data."""
+    """Convenience constructor working directly from spectral data, read from its :attr:`bands`."""
     D = spectral.D
     r = _require_cell(t, d, D)
-    B = predict_B(t, d, spectral.theta, spectral.theta_star, D)
-    Bs = predict_Bstar(t, d, spectral.theta, spectral.theta_star, D)
+    B = tridiagonal(*spectral.bands.bands(t, d))
+    Bs = tridiagonal(*spectral.bands.bands_star(t, d))
     a0s = predict_a0star(r, t, spectral.theta, spectral.theta_star) if d >= 1 else None
     return ModuleClass(t=t, d=d, r=r, B=B, Bstar=Bs, a0star=a0s)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BetaDegenerate, FitFailure, OutOfRange
-from .predictor import _require_cell, tridiagonal
+from .predictor import BandGrid, _grid, _require_cell, band_entries, tridiagonal
 from .spectral import PPolyArray, is_almost_bipartite
 
 #: residual gate for the recurrence and model fits (relative to |theta|)
@@ -270,71 +270,106 @@ def _verify_closed_forms(params: QSParams, scale: float) -> None:
         raise FitFailure("theta_0 does not match h (1 + s q)")
 
 
+def _qs_grid(params: QSParams) -> tuple:
+    """Bands of every feasible cell in the q, s coordinates, before the realness gate.
+
+    Returns the grid, whose bands other than a* are still complex, and
+    theta*_0, ..., theta*_D.  Every power of q comes from one table of
+    q^k, each entry formed as ``q ** k``.
+    """
+    q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
+    K = 4 * D + 2  # no exponent below exceeds 4D + 2 in size
+    table = np.array([q**k for k in range(-K, K + 1)])
+
+    def Q(k):  # q^k
+        return table[k + K]
+
+    cells, first_entry, d_all, (inner, first, last, single) = band_entries(D)
+    c, a, b, cs, bs = (np.zeros(len(d_all), dtype=complex) for _ in range(5))
+    s2 = s**2
+
+    t, d, i, at = inner
+    c[at] = h * (1 - Q(i)) * (1 + s * Q(2 + 2 * d + 2 * t - i)) / (Q(t + i) * (Q(2 * d - 2 * i + 1) - 1))
+    b[at] = h * (Q(2 * d + 1 - i) - 1) * (1 + s * Q(2 * t + i + 1)) / (Q(t + i) * (Q(2 * d - 2 * i + 1) - 1))
+    cs[at] = hstar * (1 - Q(2 * i)) * (1 - s2 * Q(2 + 2 * d + 4 * t + 2 * i)) / (
+        Q(D + d + 1) * (1 - s * Q(2 * i + 2 * t)) * (1 - s * Q(1 + 2 * i + 2 * t)))
+    bs[at] = hstar * (Q(2 * d - 2 * i) - 1) * (1 - s2 * Q(2 + 2 * i + 4 * t)) / (
+        Q(D + d - 2 * i) * (1 - s * Q(2 + 2 * i + 2 * t)) * (1 - s * Q(1 + 2 * i + 2 * t)))
+
+    t, d, _, at = first
+    b[at] = h * Q(-t) * (s * Q(2 * t + 1) + 1)
+    bs[at] = hstar * (Q(2 * d) - 1) * (1 + s * Q(2 * t + 1)) / (Q(D + d) * (1 - s * Q(2 + 2 * t)))
+
+    t, d, _, at = last
+    c[at] = h * (1 - Q(d)) * (1 + s * Q(2 + d + 2 * t)) / (Q(t + d) * (q - 1))
+    a[at] = h * (Q(d + 1) - 1) * (1 + s * Q(1 + d + 2 * t)) / (Q(t + d) * (q - 1))
+    cs[at] = hstar * (1 - Q(2 * d)) * (1 + s * Q(2 * t + 2 * d + 1)) / (Q(D + d + 1) * (1 - s * Q(2 * t + 2 * d)))
+
+    t, _, _, at = single
+    a[at] = h * Q(-t) * (1 + s * Q(2 * t + 1))
+
+    theta_star = np.array([qs_theta_star(params, k) for k in range(D + 1)])
+    as_ = theta_star[D - d_all].real - bs.real - cs.real
+    theta_star.flags.writeable = False
+    return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs)), theta_star
+
+
+def _scales(params: QSParams) -> tuple:
+    """Realness scales of the primal bands, of theta*_r and of the dual bands."""
+    return (abs(params.h) * max(1.0, abs(params.s)), abs(params.hstar),
+            abs(params.hstar) * max(1.0, abs(params.s)) ** 2)
+
+
+def _gated_bands(grid: BandGrid, params: QSParams, t: int, d: int) -> tuple:
+    """The real (c, a, b) of one cell, each entry through the realness gate in the order b_0, c_1, b_1, ..., c_d, a_d."""
+    c, a, b = grid.bands(t, d)
+    scale = _scales(params)[0]
+    for value in [a[0]] if d == 0 else [b[0], *np.column_stack([c[1:d], b[1:d]]).ravel(), c[d], a[d]]:
+        _real(complex(value), scale)
+    return c.real, a.real, b.real
+
+
+def _gated_bands_star(grid: BandGrid, theta_star, params: QSParams, t: int, d: int) -> tuple:
+    """The real (c*, a*, b*) of one cell, after theta*_r and then b*_0, c*_1, b*_1, ..., c*_d pass the realness gate."""
+    _, star_scale, scale = _scales(params)
+    _real(complex(theta_star[params.D - d]), star_scale)
+    cs, as_, bs = grid.bands_star(t, d)
+    for value in [] if d == 0 else [bs[0], *np.column_stack([cs[1:d], bs[1:d]]).ravel(), cs[d]]:
+        _real(complex(value), scale)
+    return cs.real, as_, bs.real
+
+
 def qs_predict_cab(params: QSParams, t: int, d: int) -> tuple:
-    """Bands (c_i(W), a_i(W), b_i(W)) of the class (t, d) in the q, s coordinates."""
-    q, s, h, D = params.q, params.s, params.h, params.D
-    _require_cell(t, d, D)
-    scale = abs(h) * max(1.0, abs(s))
-    if d == 0:
-        a0 = _real(h * q ** (-t) * (1 + s * q ** (2 * t + 1)), scale)
-        return np.zeros(1), np.array([a0]), np.zeros(1)
-    c = np.zeros(d + 1)
-    a = np.zeros(d + 1)
-    b = np.zeros(d + 1)
-    b[0] = _real(h * q ** (-t) * (s * q ** (2 * t + 1) + 1), scale)
-    for i in range(1, d):
-        c[i] = _real(
-            h * (1 - q**i) * (1 + s * q ** (2 + 2 * d + 2 * t - i))
-            / (q ** (t + i) * (q ** (2 * d - 2 * i + 1) - 1)),
-            scale,
-        )
-        b[i] = _real(
-            h * (q ** (2 * d + 1 - i) - 1) * (1 + s * q ** (2 * t + i + 1))
-            / (q ** (t + i) * (q ** (2 * d - 2 * i + 1) - 1)),
-            scale,
-        )
-    c[d] = _real(
-        h * (1 - q**d) * (1 + s * q ** (2 + d + 2 * t)) / (q ** (t + d) * (q - 1)), scale
-    )
-    a[d] = _real(
-        h * (q ** (d + 1) - 1) * (1 + s * q ** (1 + d + 2 * t)) / (q ** (t + d) * (q - 1)), scale
-    )
-    return c, a, b
+    """Bands (c_i(W), a_i(W), b_i(W)) of the class (t, d) in the q, s coordinates, read from the grid."""
+    _require_cell(t, d, params.D)
+    return _gated_bands(_qs_grid(params)[0], params, t, d)
 
 
 def qs_predict_cab_star(params: QSParams, t: int, d: int) -> tuple:
-    """Bands (c*_i(W), a*_i(W), b*_i(W)) of the class (t, d) in the q, s coordinates."""
-    q, s, hstar, D = params.q, params.s, params.hstar, params.D
-    r = _require_cell(t, d, D)
-    theta_star_r = _real(qs_theta_star(params, r), abs(params.hstar))
-    scale = abs(hstar) * max(1.0, abs(s)) ** 2
-    if d == 0:
-        return np.zeros(1), np.array([theta_star_r]), np.zeros(1)
-    cs = np.zeros(d + 1)
-    bs = np.zeros(d + 1)
-    bs[0] = _real(
-        hstar * (q ** (2 * d) - 1) * (1 + s * q ** (2 * t + 1))
-        / (q ** (D + d) * (1 - s * q ** (2 + 2 * t))),
-        scale,
-    )
-    for i in range(1, d):
-        cs[i] = _real(
-            hstar * (1 - q ** (2 * i)) * (1 - s**2 * q ** (2 + 2 * d + 4 * t + 2 * i))
-            / (q ** (D + d + 1) * (1 - s * q ** (2 * i + 2 * t)) * (1 - s * q ** (1 + 2 * i + 2 * t))),
-            scale,
-        )
-        bs[i] = _real(
-            hstar * (q ** (2 * d - 2 * i) - 1) * (1 - s**2 * q ** (2 + 2 * i + 4 * t))
-            / (q ** (D + d - 2 * i) * (1 - s * q ** (2 + 2 * i + 2 * t)) * (1 - s * q ** (1 + 2 * i + 2 * t))),
-            scale,
-        )
-    cs[d] = _real(
-        hstar * (1 - q ** (2 * d)) * (1 + s * q ** (2 * t + 2 * d + 1))
-        / (q ** (D + d + 1) * (1 - s * q ** (2 * t + 2 * d))),
-        scale,
-    )
-    as_ = theta_star_r - bs - cs
-    return cs, as_, bs
+    """Bands (c*_i(W), a*_i(W), b*_i(W)) of the class (t, d) in the q, s coordinates, read from the grid."""
+    _require_cell(t, d, params.D)
+    return _gated_bands_star(*_qs_grid(params), params, t, d)
+
+
+def qs_band_grid(params: QSParams) -> BandGrid:
+    """The real bands of every feasible cell in the q, s coordinates.
+
+    Raises :class:`FitFailure` where reading the cells one by one in grid
+    order, primal before dual, would raise it first.
+    """
+    grid, theta_star = _qs_grid(params)
+    primal, star, dual = (IMAG_TOL * max(1.0, scale) for scale in _scales(params))
+    c, a, b = grid.cab
+    cs, as_, bs = grid.cab_star
+    # a NaN fails these comparisons and goes to the cell-by-cell gate, which
+    # lets it through as the per-cell forms do
+    if not (max(np.abs(x.imag).max() for x in (c, a, b)) <= primal
+            and np.abs(theta_star.imag).max() <= star
+            and max(np.abs(x.imag).max() for x in (cs, bs)) <= dual):
+        for cell in grid.cells:
+            _gated_bands(grid, params, *cell)
+            _gated_bands_star(grid, theta_star, params, *cell)
+    return replace(grid, cab=(c.real, a.real, b.real), cab_star=(cs.real, as_, bs.real))
 
 
 def qs_predict_B(params: QSParams, t: int, d: int) -> np.ndarray:

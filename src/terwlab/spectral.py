@@ -9,15 +9,18 @@ The eigenvalue matrix P follows from the three-term recurrence
 
     c_{i+1} v_{i+1}(x) = (x - a_i) v_i(x) - b_{i-1} v_{i-1}(x),
 
-multiplicities from column orthogonality, and the primitive idempotents
-from Lagrange projectors in the class-1 matrix.  One symmetric eigensolve
-of the class-1 matrix gives orthonormal bases U_t of the eigenspaces, with
-E_t = U_t U_t^T; the stages after this one work through U_t instead of
-multiplying by the dense (D+1) n^2 idempotent stack, which stays for the
-Bose-Mesner, Krein and dual-class checks.  Krein parameters are the
-structure constants of the idempotents under the entrywise product; a
-Q-polynomial ordering is a relabeling of the idempotents under which they
-show the same tridiagonal vanishing pattern.
+multiplicities from column orthogonality, and the dual eigenmatrix
+Q = m P^T / k.  The primitive idempotents are E_j = sum_l Q[j, l] A_l / n,
+so everything that lives in the Bose-Mesner algebra is read off Q and the
+intersection numbers in (D+1)-dimensional work: the Bose-Mesner residuals
+are coefficients of the class matrices, and the Krein parameters (the
+structure constants of the idempotents under the entrywise product) are a
+sum over classes.  One symmetric eigensolve of the class-1 matrix gives
+orthonormal bases U_t of the eigenspaces, with E_t = U_t U_t^T; the stages
+after this one work through U_t and never hold the (D+1) n^2 stack of
+idempotents.  A Q-polynomial ordering is a relabeling of the idempotents
+under which the Krein parameters show the same tridiagonal vanishing
+pattern.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
@@ -30,10 +33,12 @@ ordering, the first of which is the same one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotPPolynomial, NumericalCheckFailure
+from .predictor import BandGrid, band_grid
 from .scheme import AssociationScheme, IntersectionTensor, intersection_tensor, relabel_classes
 
 #: spacing under which two eigenvalues count as equal (scaled by 1 + |theta|)
@@ -76,7 +81,7 @@ class SpectralData:
     ``None`` when the scheme admits no Q-polynomial ordering.  ``U`` is an
     orthogonal n x n matrix whose columns are eigenvectors of the class-1
     matrix, grouped by eigenspace in idempotent order: the ``m[t]`` columns
-    of :meth:`eigenbasis` span the range of ``E[t]``.
+    of :meth:`eigenbasis` span the range of E_t = Q[t, relation] / n.
     """
 
     n: int
@@ -91,7 +96,6 @@ class SpectralData:
     krein: np.ndarray
     theta: np.ndarray
     theta_star: np.ndarray | None
-    E: np.ndarray
     U: np.ndarray
     ppstar: PPolyArray | None
 
@@ -103,6 +107,11 @@ class SpectralData:
     def k(self) -> np.ndarray:
         """Valencies, recovered from the first column of P."""
         return self.P[:, 0]
+
+    @cached_property
+    def bands(self) -> BandGrid:
+        """The predicted bands of every feasible cell (:func:`band_grid`), formed on first use."""
+        return band_grid(self.theta, self.theta_star, self.D)
 
     def eigenbasis(self, t: int) -> np.ndarray:
         """U_t, the orthonormal columns of ``U`` spanning the range of E_t (a view)."""
@@ -232,35 +241,20 @@ def _eigenmatrix(pp: PPolyArray, theta: np.ndarray) -> np.ndarray:
     return P
 
 
-def _idempotents(A1: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Primitive idempotents as Lagrange projectors in the class-1 matrix."""
-    n = A1.shape[0]
-    E = np.empty((len(theta), n, n))
-    I = np.eye(n)
-    for j in range(len(theta)):
-        M = I
-        for l in range(len(theta)):
-            if l != j:
-                M = M @ (A1 - theta[l] * I) / (theta[j] - theta[l])
-        E[j] = M
-    return E
-
-
-def _krein_parameters(E: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
+def _krein_parameters(Q: np.ndarray, k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
     """Structure constants of the idempotents under the entrywise product.
 
     q[h, i, j] = n * sum(E_i o E_j o E_h) / m_h, the coefficient of E_h in
-    the expansion of E_i o E_j.
+    the expansion of E_i o E_j.  E_i is Q[i, l] / n on the n k_l entries of
+    class l, so the sum groups by class:
+
+        q[h, i, j] = sum_l k_l Q[i, l] Q[j, l] Q[h, l] / (n m_h),
+
+    the eigenmatrix form of Bannai-Ito (1984) and Brouwer-Cohen-Neumaier
+    (1989), in O(D^4) work.
     """
-    D1 = E.shape[0]
-    flat = E.reshape(D1, -1)
-    krein = np.empty((D1, D1, D1))
-    # one n x n product at a time: a (D+1) n^2 temporary would be the
-    # largest allocation of the whole pipeline on the dense instances
-    for i in range(D1):
-        for j in range(i, D1):
-            krein[:, i, j] = krein[:, j, i] = flat @ (E[i] * E[j]).ravel() * n / m
-    return krein
+    Qk = Q * k
+    return np.moveaxis((Q[:, None, :] * Qk[None, :, :]) @ Q.T, 2, 0) / (n * m[:, None, None])
 
 
 def _cross_validate_adjacency(A1: np.ndarray, theta: np.ndarray, m: np.ndarray):
@@ -292,12 +286,12 @@ def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
         n=1, D=0, relation=scheme.relation, p_ordering=(0,), q_ordering=(0,),
         pp=pp, P=one, Q=one, m=np.array([1], dtype=np.int64),
         krein=np.ones((1, 1, 1)), theta=np.zeros(1), theta_star=np.zeros(1),
-        E=np.ones((1, 1, 1)), U=np.ones((1, 1)), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
+        U=np.ones((1, 1)), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
     )
 
 
 def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) -> SpectralData:
-    """Eigenvalues, idempotents, eigenspace bases, Krein parameters and orderings.
+    """Eigenvalues, eigenmatrices, eigenspace bases, Krein parameters and orderings.
 
     Takes the first P-polynomial ordering found (raising
     :class:`NotPPolynomial` if none exists, unless one is supplied),
@@ -332,16 +326,18 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
     if np.abs(m - m_int).max() > 1e-6 or m_int.sum() != n:
         raise NumericalCheckFailure(f"multiplicities not integral: {m}")
 
-    A1 = scheme_p.class_matrix(1)
-    V, groups = _cross_validate_adjacency(A1, theta, m)
-    E = _idempotents(A1, theta)
-    _verify_bose_mesner(E, P, scheme_p, n, D)
-    # tie the eigenvector groups to the gated idempotents: E_t U_t = U_t
-    worst = max(float(np.abs(E[j] @ V[:, g] - V[:, g]).max()) for j, g in enumerate(groups))
+    V, groups = _cross_validate_adjacency(scheme_p.class_matrix(1), theta, m)
+    Q = m[:, None] * P.T / k[None, :]
+    _verify_bose_mesner(Q, P, tensor_p.p, n)
+    # tie the eigenvector groups to the gated idempotents: E_t U_t = U_t,
+    # with one dense E_t = Q[t, relation] / n at a time
+    worst = max(
+        float(np.abs(Q[j][scheme_p.relation] / n @ V[:, g] - V[:, g]).max()) for j, g in enumerate(groups)
+    )
     if worst > IDEMPOTENT_TOL:
         raise NumericalCheckFailure(f"eigenspace basis residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
 
-    krein = _krein_parameters(E, m.astype(np.float64), n)
+    krein = _krein_parameters(Q, k, m, n)
     kscale = max(1.0, float(np.abs(krein).max()))
     if krein.min() < -1e-8 * kscale:
         raise NumericalCheckFailure(f"Krein parameter significantly negative: {krein.min()}")
@@ -353,17 +349,16 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
     U = V[:, np.concatenate([groups[j] for j in order])]
 
     theta_star = None
-    Q = None
     ppstar = None
-    if q_ordering is not None:
+    if q_ordering is None:
+        Q = None
+    else:
         sg = list(q_ordering)
-        E = E[sg]
-        m = m[sg]
         m_int = m_int[sg]
         theta = theta[sg]
         P = P[:, sg]
+        Q = Q[sg]
         krein = krein[np.ix_(sg, sg, sg)]
-        Q = m[:, None] * P.T / k[None, :]
         theta_star = Q[1].copy()
         _check_distinct(theta_star)
         cs = np.array([0.0] + [krein[i, 1, i - 1] for i in range(1, D + 1)])
@@ -373,33 +368,44 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 
-    for arr in (E, U, P, krein, theta) + (() if Q is None else (Q, theta_star)):
+    for arr in (U, P, krein, theta) + (() if Q is None else (Q, theta_star)):
         arr.flags.writeable = False
     return SpectralData(
         n=n, D=D, relation=scheme_p.relation,
         p_ordering=tuple(p_ordering), q_ordering=q_ordering,
         pp=pp, P=P, Q=Q, m=m_int, krein=krein,
-        theta=theta, theta_star=theta_star, E=E, U=U, ppstar=ppstar,
+        theta=theta, theta_star=theta_star, U=U, ppstar=ppstar,
     )
 
 
-def _verify_bose_mesner(E, P, scheme_p, n, D):
-    """Idempotency, completeness, and the change of basis to the classes."""
-    worst = 0.0
-    S = E.sum(axis=0)
-    worst = max(worst, float(np.abs(S - np.eye(n)).max()))
-    worst = max(worst, float(np.abs(E[0] - 1.0 / n).max()))
-    for i in range(D + 1):
-        for j in range(i, D + 1):
-            prod = E[i] @ E[j]
-            if i == j:
-                prod = prod - E[i]
-            worst = max(worst, float(np.abs(prod).max()))
+def _verify_bose_mesner(Q, P, p, n) -> tuple:
+    """Completeness, idempotency, and the change of basis to the classes.
+
+    Returns the idempotent residual and the class-1 expansion residual, or
+    raises :class:`NumericalCheckFailure` when one exceeds its gate.
+
+    Each residual is that of the dense idempotents E_j = sum_l Q[j, l] A_l / n,
+    read off its coefficients in the class matrices A_h.  These have
+    disjoint 0/1 supports, so the max norm of sum_h r_h A_h is max_h |r_h|.
+    Axiom iv certified the intersection numbers as exact integers, so
+    A_l A_m = sum_h p[h, l, m] A_h and
+
+        E_i E_j = n^-2 sum_h (sum_{l,m} Q[i, l] Q[j, m] p[h, l, m]) A_h,
+
+    two contractions of O(D^4) work.
+    """
+    delta = np.eye(len(Q))
+    worst = float(np.abs(Q.sum(axis=0) / n - delta[0]).max())  # sum_j E_j = I
+    worst = max(worst, float(np.abs(Q[0] / n - 1.0 / n).max()))  # E_0 = J / n
+    # [i, h, j]: coefficient of A_h in E_i E_j - delta_ij E_i
+    prod = np.tensordot(np.tensordot(Q, p, axes=(1, 1)), Q, axes=(2, 1)) / n**2
+    prod -= delta[:, None, :] * Q[:, :, None] / n
+    worst = max(worst, float(np.abs(prod).max()))
     if worst > IDEMPOTENT_TOL:
         raise NumericalCheckFailure(f"idempotent residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
     # A_i = sum_j P[i, j] E_j for a spot-check class (the full identity for
-    # i = 1 implies the rest through the recurrence).
-    A1 = scheme_p.class_matrix(1)
-    recon = np.tensordot(P[1], E, axes=(0, 0))
-    if np.abs(recon - A1).max() > 1e-8 * max(1.0, float(np.abs(P[1]).max())):
+    # i = 1 implies the rest through the recurrence)
+    recon = float(np.abs(P[1] @ Q / n - delta[1]).max())
+    if recon > 1e-8 * max(1.0, float(np.abs(P[1]).max())):
         raise NumericalCheckFailure("class-1 matrix does not match its spectral expansion")
+    return worst, recon

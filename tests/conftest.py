@@ -3,6 +3,8 @@
 Each bundle carries the validated scheme, its spectral data, the context
 at base vertex 0, the measured module decomposition, and the solved
 multiplicity table.  Building them once per session keeps the suite fast.
+Tests that compare with the dense idempotents build them with
+:func:`dense_idempotents`; the program never holds that stack.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,11 @@ from dataclasses import dataclass
 import pytest
 
 import terwlab as tw
+
+
+def dense_idempotents(spectral):
+    """The (D+1, n, n) stack of primitive idempotents, E_j = Q[j, relation] / n."""
+    return spectral.Q[:, spectral.relation] / spectral.n
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import terwlab as tw
+from conftest import dense_idempotents
 
 # censuses confirmed two independent ways: the oracle decomposition and the
 # trace recurrence agree on every instance
@@ -312,11 +313,12 @@ def _reference_measure(ctx, mod):
     from terwlab.predictor import tridiagonal
 
     r, t, d = mod.r, mod.t, mod.d
+    E = dense_idempotents(ctx.spectral)
     out = []
     for ladder, ops in (
-        ([ctx.Estar[r + i] * _principal_vector(ctx.E[t] @ mod.basis) for i in range(d + 1)],
+        ([ctx.Estar[r + i] * _principal_vector(E[t] @ mod.basis) for i in range(d + 1)],
          (ctx.R, ctx.F, ctx.L)),
-        ([ctx.E[t + i] @ _principal_vector(ctx.Estar[r][:, None] * mod.basis) for i in range(d + 1)],
+        ([E[t + i] @ _principal_vector(ctx.Estar[r][:, None] * mod.basis) for i in range(d + 1)],
          (ctx.Rstar, ctx.Fstar, ctx.Lstar)),
     ):
         up, flat, down = ops
@@ -350,7 +352,7 @@ def test_certified_ranks_match_dense_idempotents(all_bundles):
     from terwlab.decomposer import RANK_TOL, _support
 
     for bundle in all_bundles:
-        E = bundle.spectral.E
+        E = dense_idempotents(bundle.spectral)
         dense = []
         for m in bundle.modules:
             ranks = [int(np.sum(np.linalg.svd(E[i] @ m.basis, compute_uv=False) > RANK_TOL))

@@ -107,3 +107,39 @@ def test_verify_fails_without_q_ordering(tmp_path):
     assert not report.passed
     pq = [c for c in report.checks if c.name == "pq_orderings"][0]
     assert pq.status == "fail" and "OrderingMissing" in pq.detail
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_verify_diameter_ladder(D, tmp_path):
+    # C_7..C_61: the spectral data and every stage after them pass, with
+    # the census {(0,D):1, (1,D-1):1}; the recurrence passes up to D = 18
+    # and from D = 19 fails its rounding gate alone
+    path = tmp_path / f"c{2 * D + 1}.json"
+    tw.save_scheme(tw.odd_cycle(D), path)
+    checks = {c.name: c for c in run_verify(str(path)).checks}
+    assert checks["pq_orderings"].status == "pass"
+    assert checks["decomposition"].detail == f"2 modules, census={{(0,{D}):1, (1,{D - 1}):1}}"
+    recurrence = checks.pop("multiplicity_recurrence")
+    assert all(c.status == "pass" for c in checks.values()), [c.as_dict() for c in checks.values()]
+    if D <= 18:
+        assert recurrence.status == "pass"
+    else:
+        assert recurrence.status == "fail" and recurrence.detail.startswith("NonIntegerMultiplicity"), D
+
+
+DENSE_TABLES = {
+    "O5": (lambda: tw.odd_graph(5), {(0, 5): 1, (1, 3): 4, (1, 4): 5, (2, 1): 5, (2, 2): 9, (2, 3): 20, (3, 0): 5,
+                                     (3, 1): 25, (3, 2): 36, (4, 0): 20, (4, 1): 45, (5, 0): 25}),
+    "FC9": (lambda: tw.folded_cube(4), {(0, 4): 1, (1, 2): 27, (1, 3): 8, (2, 0): 42, (2, 1): 48}),
+    "FC11": (lambda: tw.folded_cube(5), {(0, 5): 1, (1, 3): 44, (1, 4): 10, (2, 1): 165, (2, 2): 110, (3, 0): 132}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_TABLES))
+def test_dense_instances_keep_census_and_multiplicity_table(name):
+    build, expected = DENSE_TABLES[name]
+    scheme = build()
+    sp = tw.spectral_data(scheme)
+    table = tw.solve_multiplicities(sp)
+    assert table.nonzero() == expected and table.zero_coefficient_cells == ()
+    assert tw.census(tw.decompose(tw.build_context(scheme, sp, 0), seed=0)) == expected

@@ -154,3 +154,73 @@ def test_row_sum_property_on_synthetic_data(data):
     if d >= 1:
         a0s = tw.predict_a0star(r, t, theta, theta_star)
         assert abs(as_[0] - a0s) < 1e-8
+
+
+def reference_cab(t, d, theta, theta_star, D):
+    """Reference: the former per-cell loop for the bands (c, a, b) of one cell."""
+    r = D - d
+    th, ths = np.asarray(theta, dtype=np.float64), np.asarray(theta_star, dtype=np.float64)
+    if d == 0:
+        return np.zeros(1), np.array([th[t]]), np.zeros(1)
+    c, a, b = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d + 1)
+    b[0] = th[t]
+    for i in range(1, d):
+        num_c = th[t] * (ths[r + i + 1] - ths[r + 1]) - th[t + 1] * (ths[r + i] - ths[r])
+        c[i] = num_c / (ths[r + i + 1] - ths[r + i - 1])
+        num_b = th[t] * (ths[r + i - 1] - ths[r + 1]) - th[t + 1] * (ths[r + i] - ths[r])
+        b[i] = num_b / (ths[r + i - 1] - ths[r + i + 1])
+    c[d] = (th[t] * (ths[r + d] - ths[r + 1]) - th[t + 1] * (ths[r + d] - ths[r])) / (ths[r + d] - ths[r + d - 1])
+    a[d] = (th[t] * (ths[r + d - 1] - ths[r + 1]) - th[t + 1] * (ths[r + d] - ths[r])) / (ths[r + d - 1] - ths[r + d])
+    return c, a, b
+
+
+def reference_cab_star(t, d, theta, theta_star, D):
+    """Reference: the former per-cell loop for the dual bands (c*, a*, b*) of one cell."""
+    r = D - d
+    th, ths = np.asarray(theta, dtype=np.float64), np.asarray(theta_star, dtype=np.float64)
+    if d == 0:
+        return np.zeros(1), np.array([ths[r]]), np.zeros(1)
+    cs, bs = np.zeros(d + 1), np.zeros(d + 1)
+    bs[0] = th[t] * (ths[r] - ths[r + 1]) / (th[t] - th[t + 1])
+    for i in range(1, d):
+        quad = (th[t + i] ** 2 - th[t] ** 2) * (ths[r + 2] - ths[r + 1])
+        cs[i] = (quad + (th[t] * th[t + 1] - th[t + i] * th[t + i + 1]) * (ths[r + 1] - ths[r])) / (
+            (th[t + i - 1] - th[t + i]) * (th[t + i - 1] - th[t + i + 1]))
+        bs[i] = (quad + (th[t] * th[t + 1] - th[t + i] * th[t + i - 1]) * (ths[r + 1] - ths[r])) / (
+            (th[t + i + 1] - th[t + i]) * (th[t + i + 1] - th[t + i - 1]))
+    cs[d] = th[t + d] * (ths[r + 1] - ths[r]) / (th[t + d - 1] - th[t + d])
+    return cs, ths[r] - bs - cs, bs
+
+
+def _assert_grid_is_per_cell_reference(sp):
+    # the same floating-point operations in the same order: equal to the bit
+    grid = sp.bands
+    assert grid.cells == tw.build_upsilon(sp.D).cells
+    for (t, d) in grid.cells:
+        for got, want in ((grid.bands(t, d), reference_cab(t, d, sp.theta, sp.theta_star, sp.D)),
+                          (grid.bands_star(t, d), reference_cab_star(t, d, sp.theta, sp.theta_star, sp.D))):
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and np.array_equal(x, y), (sp.D, t, d)
+
+
+def test_band_grid_is_per_cell_reference_on_bundles(all_bundles):
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        _assert_grid_is_per_cell_reference(sp)
+        for (t, d) in tw.build_upsilon(sp.D).cells:
+            for read, got in ((sp.bands.bands, predict_cab(t, d, sp.theta, sp.theta_star, sp.D)),
+                              (sp.bands.bands_star, predict_cab_star(t, d, sp.theta, sp.theta_star, sp.D))):
+                assert all(np.array_equal(x, y) for x, y in zip(read(t, d), got)), (bundle.name, t, d)
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_band_grid_is_per_cell_reference_on_cycles(D):
+    _assert_grid_is_per_cell_reference(tw.spectral_data(tw.odd_cycle(D)))
+
+
+def test_per_cell_bands_reject_cells_off_the_grid(c9):
+    sp = c9.spectral
+    for (t, d) in ((0, sp.D + 1), (sp.D, 1), (0, 0), (-1, sp.D)):
+        for form in (predict_cab, predict_cab_star):
+            with pytest.raises(InvalidCell):
+                form(t, d, sp.theta, sp.theta_star, sp.D)

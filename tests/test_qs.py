@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from terwlab.predictor import band_gap, predict_cab, predict_cab_star, tridiagon
 from terwlab.qs import (
     _folded_cube_array,
     _odd_graph_array,
+    qs_band_grid,
     qs_predict_cab,
     qs_predict_cab_star,
     qs_theta,
@@ -206,3 +209,117 @@ def test_exclusion_vertex_count_match_but_different_array():
     pp = tw.intersection_array(scheme.tensor)
     report = tw.exclusion_check(pp, scheme.n)
     assert not report.excluded
+
+
+def reference_qs_cab(params, t, d):
+    """Reference: the former per-cell loop in scalar complex arithmetic for (c, a, b)."""
+    from terwlab.qs import _real
+
+    q, s, h = params.q, params.s, params.h
+    scale = abs(h) * max(1.0, abs(s))
+    if d == 0:
+        return np.zeros(1), np.array([_real(h * q ** (-t) * (1 + s * q ** (2 * t + 1)), scale)]), np.zeros(1)
+    c, a, b = np.zeros(d + 1), np.zeros(d + 1), np.zeros(d + 1)
+    b[0] = _real(h * q ** (-t) * (s * q ** (2 * t + 1) + 1), scale)
+    for i in range(1, d):
+        den = q ** (t + i) * (q ** (2 * d - 2 * i + 1) - 1)
+        c[i] = _real(h * (1 - q**i) * (1 + s * q ** (2 + 2 * d + 2 * t - i)) / den, scale)
+        b[i] = _real(h * (q ** (2 * d + 1 - i) - 1) * (1 + s * q ** (2 * t + i + 1)) / den, scale)
+    c[d] = _real(h * (1 - q**d) * (1 + s * q ** (2 + d + 2 * t)) / (q ** (t + d) * (q - 1)), scale)
+    a[d] = _real(h * (q ** (d + 1) - 1) * (1 + s * q ** (1 + d + 2 * t)) / (q ** (t + d) * (q - 1)), scale)
+    return c, a, b
+
+
+def reference_qs_cab_star(params, t, d):
+    """Reference: the former per-cell loop in scalar complex arithmetic for (c*, a*, b*)."""
+    from terwlab.qs import _real
+
+    q, s, hstar, D = params.q, params.s, params.hstar, params.D
+    r = D - d
+    theta_star_r = _real(qs_theta_star(params, r), abs(hstar))
+    scale = abs(hstar) * max(1.0, abs(s)) ** 2
+    if d == 0:
+        return np.zeros(1), np.array([theta_star_r]), np.zeros(1)
+    cs, bs = np.zeros(d + 1), np.zeros(d + 1)
+    bs[0] = _real(hstar * (q ** (2 * d) - 1) * (1 + s * q ** (2 * t + 1))
+                  / (q ** (D + d) * (1 - s * q ** (2 + 2 * t))), scale)
+    for i in range(1, d):
+        cs[i] = _real(hstar * (1 - q ** (2 * i)) * (1 - s**2 * q ** (2 + 2 * d + 4 * t + 2 * i))
+                      / (q ** (D + d + 1) * (1 - s * q ** (2 * i + 2 * t)) * (1 - s * q ** (1 + 2 * i + 2 * t))), scale)
+        bs[i] = _real(hstar * (q ** (2 * d - 2 * i) - 1) * (1 - s**2 * q ** (2 + 2 * i + 4 * t))
+                      / (q ** (D + d - 2 * i) * (1 - s * q ** (2 + 2 * i + 2 * t)) * (1 - s * q ** (1 + 2 * i + 2 * t))),
+                      scale)
+    cs[d] = _real(hstar * (1 - q ** (2 * d)) * (1 + s * q ** (2 * t + 2 * d + 1))
+                  / (q ** (D + d + 1) * (1 - s * q ** (2 * t + 2 * d))), scale)
+    return cs, theta_star_r - bs - cs, bs
+
+
+def _reference_failure(params):
+    """The FitFailure the former cell-by-cell loop raised first, primal before dual, or None."""
+    for (t, d) in tw.build_upsilon(params.D).cells:
+        for form in (reference_qs_cab, reference_qs_cab_star):
+            try:
+                form(params, t, d)
+            except FitFailure as exc:
+                return (t, d), form, exc
+    return None
+
+
+def _failing_value(exc):
+    return complex(str(exc).split("value ", 1)[1].split(" has", 1)[0])
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_qs_band_grid_is_per_cell_reference_on_cycles(D):
+    # numpy's complex products and quotients round differently from Python's
+    # scalar ones, so the grid equals the loop up to rounding
+    sp = tw.spectral_data(tw.odd_cycle(D))
+    params = tw.fit_qs(sp.theta, sp.theta_star, D)
+    grid = qs_band_grid(params)
+    for (t, d) in grid.cells:
+        for got, want in ((grid.bands(t, d), reference_qs_cab(params, t, d)),
+                          (grid.bands_star(t, d), reference_qs_cab_star(params, t, d))):
+            for x, z in zip(got, want):
+                assert x.shape == z.shape, (D, t, d)
+                assert np.abs(x - z).max() <= 1e-13 * max(1.0, float(np.abs(z).max())), (D, t, d)
+    assert grid.gap(sp.bands) <= 1e-8
+    if D <= 9:  # the per-cell forms read the same grid
+        for (t, d) in grid.cells:
+            for x, y in zip(grid.bands(t, d) + grid.bands_star(t, d),
+                            qs_predict_cab(params, t, d) + qs_predict_cab_star(params, t, d)):
+                assert np.array_equal(x, y), (D, t, d)
+
+
+@pytest.mark.parametrize("D", [5, 9])
+def test_qs_band_grid_fails_where_the_per_cell_loop_fails(D):
+    # s off the unit circle makes the bands complex: the grid raises the
+    # FitFailure of the first cell and band the loop raises at, and each
+    # per-cell form raises exactly where the loop does
+    sp = tw.spectral_data(tw.odd_cycle(D))
+    params = tw.fit_qs(sp.theta, sp.theta_star, D)
+    bad = replace(params, s=params.s * (1 + 1e-3))
+    cell, form, expected = _reference_failure(bad)
+    with pytest.raises(FitFailure) as got:
+        qs_band_grid(bad)
+    assert _failing_value(got.value) == pytest.approx(_failing_value(expected), rel=1e-12)
+    for (t, d) in tw.build_upsilon(D).cells:
+        for ours, ref in ((qs_predict_cab, reference_qs_cab), (qs_predict_cab_star, reference_qs_cab_star)):
+            try:
+                ref(bad, t, d)
+                failed = False
+            except FitFailure:
+                failed = True
+            if failed:
+                with pytest.raises(FitFailure):
+                    ours(bad, t, d)
+            else:
+                ours(bad, t, d)
+    assert _reference_failure(params) is None
+    qs_band_grid(params)
+
+
+def test_qs_per_cell_forms_reject_cells_off_the_grid(params_c9):
+    for (t, d) in ((0, 5), (4, 1), (0, 0)):
+        for form in (qs_predict_cab, qs_predict_cab_star):
+            with pytest.raises(InvalidCell):
+                form(params_c9, t, d)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
+from conftest import dense_idempotents
 from terwlab.errors import NotPPolynomial
+from terwlab.scheme import relabel_classes
 from terwlab.spectral import (
     KREIN_ZERO_TOL,
     _eigenmatrix,
@@ -181,10 +183,10 @@ def test_basis_change_reconstructions(c7, o4):
         scheme = bundle.scheme
         A = np.stack([(sp.relation == i).astype(float) for i in range(sp.D + 1)])
         for i in range(sp.D + 1):
-            recon_A = np.tensordot(sp.P[i], sp.E, axes=(0, 0))
+            recon_A = np.tensordot(sp.P[i], dense_idempotents(sp), axes=(0, 0))
             assert np.abs(recon_A - A[i]).max() < 1e-8
             recon_E = np.tensordot(sp.Q[i], A, axes=(0, 0)) / sp.n
-            assert np.abs(recon_E - sp.E[i]).max() < 1e-8
+            assert np.abs(recon_E - dense_idempotents(sp)[i]).max() < 1e-8
 
 
 def test_valency_product_formula(all_bundles):
@@ -206,7 +208,7 @@ def test_krein_nonnegative_and_diagonal(all_bundles):
 
 def test_idempotency(all_bundles):
     for bundle in all_bundles:
-        E = bundle.spectral.E
+        E = dense_idempotents(bundle.spectral)
         D1 = E.shape[0]
         for i in range(D1):
             for j in range(D1):
@@ -327,19 +329,83 @@ def test_alternate_p_ordering_gives_same_census(c7):
     assert tw.solve_multiplicities(sp2).matches_census(census2)
 
 
+def reference_krein(E, m, n):
+    """Reference: the former dense form, n * sum(E_i o E_j o E_h) / m_h with one n x n product per pair."""
+    D1 = E.shape[0]
+    flat = E.reshape(D1, -1)
+    krein = np.empty((D1, D1, D1))
+    for i in range(D1):
+        for j in range(i, D1):
+            krein[:, i, j] = krein[:, j, i] = flat @ (E[i] * E[j]).ravel() * n / m
+    return krein
+
+
+def reference_bose_mesner(E, P, relation):
+    """Reference: the former dense residuals, with one n x n product per pair of idempotents.
+
+    Returns the idempotent residual and the class-1 expansion residual.
+    """
+    n = E.shape[1]
+    worst = max(float(np.abs(E.sum(axis=0) - np.eye(n)).max()), float(np.abs(E[0] - 1.0 / n).max()))
+    for i in range(len(E)):
+        for j in range(i, len(E)):
+            prod = E[i] @ E[j]
+            if i == j:
+                prod = prod - E[i]
+            worst = max(worst, float(np.abs(prod).max()))
+    A1 = (relation == 1).astype(np.float64)
+    return worst, float(np.abs(np.tensordot(P[1], E, axes=(0, 0)) - A1).max())
+
+
+def _perturbed(Q, size, seed=0):
+    return Q * (1.0 + np.random.default_rng(seed).uniform(-size, size, Q.shape))
+
+
 def test_krein_parameters_match_stacked_reference(all_bundles):
-    # the former form, with one (D+1) n^2 product per class, as the reference
+    # q[h, i, j] = sum_l k_l Q_il Q_jl Q_hl / (n m_h) is the dense entrywise
+    # sum grouped by class, for any Q: a perturbed Q gives the same Krein
+    # tensor in both forms and fails the krein[0] = diag(m) gate in both
     from terwlab.spectral import _krein_parameters
 
     for bundle in all_bundles:
         sp = bundle.spectral
-        E, m, n = sp.E, sp.m.astype(np.float64), sp.n
-        reference = np.empty_like(sp.krein)
-        for i in range(E.shape[0]):
-            prod = E[i][None, :, :] * E
-            reference[:, i, :] = np.tensordot(E, prod, axes=([1, 2], [1, 2])) * n / m[:, None]
-        krein = _krein_parameters(E, m, n)
-        assert np.abs(krein - reference).max() < 1e-12 * max(1.0, float(np.abs(reference).max()))
+        m = sp.m.astype(np.float64)
+        for Q in (sp.Q, _perturbed(sp.Q, 1e-3)):
+            reference = reference_krein(Q[:, sp.relation] / sp.n, m, sp.n)
+            krein = _krein_parameters(Q, sp.k, m, sp.n)
+            scale = max(1.0, float(np.abs(reference).max()))
+            assert np.abs(krein - reference).max() < 1e-12 * scale, bundle.name
+            off_diag = [np.abs(kr[0] - np.diag(m)).max() > 1e-6 * scale for kr in (krein, reference)]
+            assert off_diag == [Q is not sp.Q] * 2, bundle.name
+
+
+def test_bose_mesner_residuals_match_dense_reference(all_bundles):
+    # the residuals are read off the coefficients of the class matrices; the
+    # dense products of E_j = Q[j, relation] / n give the same values up to
+    # rounding, and a perturbed Q or P fails the same gate in both forms
+    import re
+
+    from terwlab.errors import NumericalCheckFailure
+    from terwlab.spectral import IDEMPOTENT_TOL, _verify_bose_mesner
+
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        p = relabel_classes(bundle.scheme, sp.p_ordering).tensor.p
+        dense = reference_bose_mesner(dense_idempotents(sp), sp.P, sp.relation)
+        assert np.abs(np.subtract(_verify_bose_mesner(sp.Q, sp.P, p, sp.n), dense)).max() < 1e-13, bundle.name
+
+        noisy = _perturbed(sp.Q, 1e-6)
+        worst, _ = reference_bose_mesner(noisy[:, sp.relation] / sp.n, sp.P, sp.relation)
+        assert worst > IDEMPOTENT_TOL
+        with pytest.raises(NumericalCheckFailure, match=re.escape(f"idempotent residual {worst:.3e} exceeds")):
+            _verify_bose_mesner(noisy, sp.P, p, sp.n)
+
+        P = sp.P.copy()
+        P[1] *= 1.0 + 1e-6
+        _, recon = reference_bose_mesner(dense_idempotents(sp), P, sp.relation)
+        assert recon > 1e-8 * max(1.0, float(np.abs(P[1]).max()))
+        with pytest.raises(NumericalCheckFailure, match="class-1 matrix does not match"):
+            _verify_bose_mesner(sp.Q, P, p, sp.n)
 
 
 def test_eigenspace_bases_are_orthonormal_and_fixed_by_the_idempotents(all_bundles):
@@ -351,7 +417,7 @@ def test_eigenspace_bases_are_orthonormal_and_fixed_by_the_idempotents(all_bundl
             Ut = sp.eigenbasis(t)
             assert Ut.shape == (sp.n, sp.m[t])
             assert np.abs(Ut.T @ Ut - np.eye(sp.m[t])).max() < 1e-12, (bundle.name, t)
-            assert np.abs(sp.E[t] @ Ut - Ut).max() < 1e-12, (bundle.name, t)
+            assert np.abs(dense_idempotents(sp)[t] @ Ut - Ut).max() < 1e-12, (bundle.name, t)
 
 
 def test_eigenspace_groups_partition_the_columns(all_bundles):
