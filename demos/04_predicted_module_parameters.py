@@ -44,7 +44,7 @@ for (t, d) in [(1, 3), (2, 1)]:
     print(f"theta[{t}..{t + d}]   = {np.sort(sp.theta[t:t + d + 1])}")
 
 # feasibility screens cells that cannot carry a module
-for (t, d) in tw.build_upsilon(scheme.D).cells:
+for (t, d) in sp.bands.cells:
     report = tw.feasibility(tw.module_class(t, d, sp), sp.theta, sp.theta_star)
     if not report.feasible:
         print(f"\ncell (t={t}, d={d}) infeasible -> multiplicity forced to 0")

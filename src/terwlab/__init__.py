@@ -10,18 +10,9 @@ multiplicities against their closed forms.
 from .context import IdentityReport, TerwContext, build_context, triangle_vanishing_check, verify_operator_identities
 from .decomposer import IrreducibleModule, census, decompose, measure_all, norm_ladder_check
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
-from .multiplicity import (
-    MultiplicityTable,
-    Upsilon,
-    build_upsilon,
-    krein_product_lhs,
-    recurrence_rhs_coefficient,
-    solve_multiplicities,
-    trace_ladder,
-    trace_ladders,
-)
-from .predictor import ModuleClass, feasibility, module_class, predict_a0star, predict_B, predict_Bstar
-from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_multiplicity, qs_predict_B, qs_predict_Bstar
+from .multiplicity import MultiplicityTable, krein_products, solve_multiplicities, trace_ladders
+from .predictor import ModuleClass, feasibility, module_class, predict_a0star, upsilon_cells
+from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_band_grid, qs_multiplicity
 from .scheme import AssociationScheme, IntersectionTensor, intersection_tensor, validate_scheme
 from .spectral import (
     PPolyArray,
@@ -47,9 +38,7 @@ __all__ = [
     "QSParams",
     "SpectralData",
     "TerwContext",
-    "Upsilon",
     "build_context",
-    "build_upsilon",
     "census",
     "decompose",
     "detect_p_polynomial",
@@ -61,27 +50,23 @@ __all__ = [
     "intersection_array",
     "intersection_tensor",
     "is_almost_bipartite",
-    "krein_product_lhs",
+    "krein_products",
     "load_scheme",
     "measure_all",
     "module_class",
     "norm_ladder_check",
     "odd_cycle",
     "odd_graph",
-    "predict_B",
-    "predict_Bstar",
     "predict_a0star",
+    "qs_band_grid",
     "qs_multiplicity",
-    "qs_predict_B",
-    "qs_predict_Bstar",
-    "recurrence_rhs_coefficient",
     "save_scheme",
     "scheme_from_graph",
     "solve_multiplicities",
     "spectral_data",
-    "trace_ladder",
     "trace_ladders",
     "triangle_vanishing_check",
+    "upsilon_cells",
     "validate_scheme",
     "verify_operator_identities",
 ]

@@ -186,11 +186,10 @@ def _predictor_vs_oracle(args, values):
 
 def _trace_formula(args, values):
     spectral = values["spectral data"]
-    ups = multiplicity.build_upsilon(spectral.D)
     ladders = multiplicity.trace_ladders(values["context"])
     closed = multiplicity.krein_products(spectral).tolist()
     worst = 0.0
-    for (t, d) in ups.cells:
+    for (t, d) in predictor.upsilon_cells(spectral.D):
         lhs = ladders[t][d]
         rhs = closed[t][d]
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
@@ -271,8 +270,8 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
         t0 = time.perf_counter()
         try:
             status, residual, detail, value = fn(args, values)
-        except ParseError:
-            raise  # unreadable input is not a check failure
+        except (ParseError, InvalidParameter):
+            raise  # unreadable input or an out-of-range option is not a check failure
         except TerwLabError as exc:
             status, residual, detail, value = "fail", None, f"{type(exc).__name__}: {exc}", None
         report.checks.append(VerifyCheck(name, status, residual, detail, elapsed=time.perf_counter() - t0))
@@ -450,7 +449,7 @@ def _cmd_qs(args) -> int:
     params = qs.fit_qs(sp.theta, sp.theta_star, sp.D)
     doc["params"] = params.as_dict()
     table = []
-    for (t, d) in multiplicity.build_upsilon(sp.D).cells:
+    for (t, d) in predictor.upsilon_cells(sp.D):
         try:
             value = qs.qs_multiplicity(params, t, d)
         except OutOfRange:

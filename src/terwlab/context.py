@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalCheckFailure, OrderingMissing
+from .errors import InvalidParameter, NumericalCheckFailure, OrderingMissing
 from .scheme import AssociationScheme, intersection_tensor
 from .spectral import KREIN_ZERO_TOL, SpectralData, is_almost_bipartite
 
@@ -110,8 +110,9 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
     """Assemble the operators at base vertex x and verify their identities.
 
     Requires both polynomial orderings; raises :class:`OrderingMissing`
-    otherwise and :class:`NumericalCheckFailure` if any defining identity
-    exceeds the default tolerance.  The identity report is kept as
+    otherwise, :class:`InvalidParameter` for a vertex outside 0..n-1, and
+    :class:`NumericalCheckFailure` if any defining identity exceeds the
+    default tolerance.  The identity report is kept as
     ``identities``, so callers judge it at another tolerance with
     :meth:`IdentityReport.at_tol` instead of recomputing it.
     """
@@ -119,7 +120,7 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
         raise OrderingMissing("context needs a Q-polynomial ordering")
     n, D = spectral.n, spectral.D
     if not (0 <= x < n):
-        raise ValueError(f"base vertex {x} out of range for {n} vertices")
+        raise InvalidParameter(f"base vertex {x} out of range for {n} vertices")
 
     dist = spectral.relation[x]
     Estar = np.stack([(dist == i) for i in range(D + 1)]).astype(np.float64)

@@ -1,7 +1,8 @@
-"""The feasible grid, the trace identity, and the multiplicity recurrence.
+"""The trace identity and the multiplicity recurrence over the feasible grid.
 
 A module class is a pair (t, d) with 0 <= d <= D and
-ceil((D - d)/2) <= t <= D - d; the grid of such cells is ordered by
+ceil((D - d)/2) <= t <= D - d (:func:`terwlab.predictor.upsilon_cells`
+lists them); the grid of such cells is ordered by
 
     (t, d) <= (t', d')  iff  t <= t' and t' + d' <= t + d,
 
@@ -15,6 +16,10 @@ same trace accumulated module by module gives a linear equation in the
 multiplicities of the cells below (t, d).  Walking the grid in a linear
 extension solves for every multiplicity; a vanishing leading coefficient
 certifies that no module of that shape exists.
+
+Both sides of the identity are formed for every cell at once: the traces
+by :func:`trace_ladders` (read ``[t][d]``) and their closed forms by
+:func:`krein_products` (read ``[t, d]``).
 """
 
 from __future__ import annotations
@@ -26,31 +31,12 @@ import numpy as np
 from .context import TerwContext
 from .decomposer import IrreducibleModule
 from .errors import NegativeMultiplicity, NonIntegerMultiplicity, OrderingMissing
-from .predictor import predict_cab_star, upsilon_cells
 from .spectral import SpectralData
 
 #: pre-rounding distance from an integer above which the solve is rejected
 ROUNDING_TOL = 1e-4
 #: relative threshold for declaring the leading coefficient zero
 LEADING_ZERO_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Upsilon:
-    """The feasible (dual endpoint, diameter) grid with its partial order."""
-
-    D: int
-    cells: tuple
-
-    @staticmethod
-    def leq(a, b) -> bool:
-        """a precedes b: a starts no later and ends no earlier."""
-        return a[0] <= b[0] and b[0] + b[1] <= a[0] + a[1]
-
-
-def build_upsilon(D: int) -> Upsilon:
-    """All feasible cells, listed in a linear extension of the order (see :func:`upsilon_cells`)."""
-    return Upsilon(D=D, cells=upsilon_cells(D))
 
 
 def trace_ladders(ctx: TerwContext) -> list:
@@ -78,13 +64,6 @@ def trace_ladders(ctx: TerwContext) -> list:
     return ladders
 
 
-def trace_ladder(ctx: TerwContext, t: int, dmax: int) -> list:
-    """Numerical traces of E_t L*^d R*^d E_t for d = 0..dmax <= D - t, read from :func:`trace_ladders`."""
-    if not 0 <= dmax <= ctx.D - t:
-        raise ValueError(f"dmax = {dmax} outside 0..{ctx.D - t} for t = {t}")
-    return trace_ladders(ctx)[t][: dmax + 1]
-
-
 def krein_products(spectral: SpectralData) -> np.ndarray:
     """Closed form of the same trace for every t + d <= D, as a (D+1, D+1) array.
 
@@ -100,11 +79,6 @@ def krein_products(spectral: SpectralData) -> np.ndarray:
     return np.where(t + d <= D, value, np.nan)
 
 
-def krein_product_lhs(spectral: SpectralData, t: int, d: int) -> float:
-    """Closed form of the same trace: m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}, read from :func:`krein_products`."""
-    return float(krein_products(spectral)[t, d])
-
-
 def restricted_trace(ctx: TerwContext, mod: IrreducibleModule, t: int, d: int) -> float:
     """Trace of E_t L*^d R*^d E_t restricted to one module."""
     Ut = ctx.spectral.eigenbasis(t)
@@ -118,20 +92,6 @@ def _rung_windows(rungs: np.ndarray) -> np.ndarray:
     """[o, e] = rungs[o] rungs[o+1] ... rungs[e] for o <= e, multiplied left to right (cumprods)."""
     h = np.arange(len(rungs))
     return np.cumprod(np.where(h[None, :] >= h[:, None], rungs, 1.0), axis=1)
-
-
-def recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D) -> float:
-    """Coefficient of mult(i, j) in the trace equation of cell (t, d).
-
-    Defined for (i, j) preceding (t, d); it is the product of the first d
-    rung weights b*_h c*_{h+1} of the (i, j) ladder starting at offset t - i.
-    """
-    if not Upsilon.leq((i, j), (t, d)):
-        raise ValueError(f"({i}, {j}) does not precede ({t}, {d})")
-    if d == 0:
-        return 1.0
-    cs, _, bs = predict_cab_star(i, j, theta, theta_star, D)
-    return float(_rung_windows(bs[:-1] * cs[1:])[t - i, t - i + d - 1])
 
 
 @dataclass(frozen=True)

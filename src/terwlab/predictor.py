@@ -8,7 +8,8 @@ of the tridiagonal action matrix B(W) come from a 2x2 linear system in
 3x3 system in (c*_i, a*_i, b*_i) with row sums theta*_r.  These formulas
 are evaluated for every feasible cell at once, whether or not a module of
 that shape exists, as one array computation over the whole grid
-(:func:`band_grid`); the per-cell functions read that grid.
+(:func:`band_grid`); a cell's bands are read from that grid with
+:meth:`BandGrid.bands` and :meth:`BandGrid.bands_star`.
 """
 
 from __future__ import annotations
@@ -76,10 +77,18 @@ class BandGrid:
     cab_star: tuple
 
     def bands(self, t: int, d: int) -> tuple:
+        """(c, a, b) of the cell (t, d); raises :class:`InvalidCell` off the grid."""
+        _require_cell(t, d, self.D)
         lo = int(self.first[t, d])
         return tuple(x[lo:lo + d + 1] for x in self.cab)
 
     def bands_star(self, t: int, d: int) -> tuple:
+        """(c*, a*, b*) of the cell (t, d), with r = D - d; raises :class:`InvalidCell` off the grid.
+
+        Cells that carry no module still have well-defined dual bands; they
+        feed the multiplicity recurrence.
+        """
+        _require_cell(t, d, self.D)
         lo = int(self.first[t, d])
         return tuple(x[lo:lo + d + 1] for x in self.cab_star)
 
@@ -170,33 +179,6 @@ def band_grid(theta, theta_star, D: int) -> BandGrid:
     return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs))
 
 
-def predict_cab(t: int, d: int, theta, theta_star, D: int) -> tuple:
-    """Bands (c_i(W), a_i(W), b_i(W)) for the module class (t, d), read from :func:`band_grid`."""
-    _require_cell(t, d, D)
-    return band_grid(theta, theta_star, D).bands(t, d)
-
-
-def predict_cab_star(t: int, d: int, theta, theta_star, D: int) -> tuple:
-    """Bands (c*_i(W), a*_i(W), b*_i(W)) for the module class (t, d), read from :func:`band_grid`.
-
-    These are the quantities written c*_i(t, d), b*_i(t, d) with r = D - d;
-    for cells that carry no module they are still well defined and feed the
-    multiplicity recurrence.
-    """
-    _require_cell(t, d, D)
-    return band_grid(theta, theta_star, D).bands_star(t, d)
-
-
-def predict_B(t: int, d: int, theta, theta_star, D: int) -> np.ndarray:
-    """Predicted intersection matrix B(W) for the class (t, d)."""
-    return tridiagonal(*predict_cab(t, d, theta, theta_star, D))
-
-
-def predict_Bstar(t: int, d: int, theta, theta_star, D: int) -> np.ndarray:
-    """Predicted dual intersection matrix B*(W) for the class (t, d)."""
-    return tridiagonal(*predict_cab_star(t, d, theta, theta_star, D))
-
-
 def predict_a0star(r: int, t: int, theta, theta_star) -> float:
     """The flat dual coefficient on the lowest shell, for modules with d >= 1."""
     th = np.asarray(theta, dtype=np.float64)
@@ -224,10 +206,9 @@ class ModuleClass:
 
 def module_class(t: int, d: int, spectral) -> ModuleClass:
     """Convenience constructor working directly from spectral data, read from its :attr:`bands`."""
-    D = spectral.D
-    r = _require_cell(t, d, D)
-    B = tridiagonal(*spectral.bands.bands(t, d))
+    B = tridiagonal(*spectral.bands.bands(t, d))  # raises InvalidCell off the grid
     Bs = tridiagonal(*spectral.bands.bands_star(t, d))
+    r = spectral.D - d
     a0s = predict_a0star(r, t, spectral.theta, spectral.theta_star) if d >= 1 else None
     return ModuleClass(t=t, d=d, r=r, B=B, Bstar=Bs, a0star=a0s)
 

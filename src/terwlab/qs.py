@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BetaDegenerate, FitFailure, OutOfRange
-from .predictor import BandGrid, _grid, _require_cell, band_entries, tridiagonal
+from .predictor import BandGrid, _grid, _require_cell, band_entries
 from .spectral import PPolyArray, is_almost_bipartite
 
 #: residual gate for the recurrence and model fits (relative to |theta|)
@@ -339,18 +339,6 @@ def _gated_bands_star(grid: BandGrid, theta_star, params: QSParams, t: int, d: i
     return cs.real, as_, bs.real
 
 
-def qs_predict_cab(params: QSParams, t: int, d: int) -> tuple:
-    """Bands (c_i(W), a_i(W), b_i(W)) of the class (t, d) in the q, s coordinates, read from the grid."""
-    _require_cell(t, d, params.D)
-    return _gated_bands(_qs_grid(params)[0], params, t, d)
-
-
-def qs_predict_cab_star(params: QSParams, t: int, d: int) -> tuple:
-    """Bands (c*_i(W), a*_i(W), b*_i(W)) of the class (t, d) in the q, s coordinates, read from the grid."""
-    _require_cell(t, d, params.D)
-    return _gated_bands_star(*_qs_grid(params), params, t, d)
-
-
 def qs_band_grid(params: QSParams) -> BandGrid:
     """The real bands of every feasible cell in the q, s coordinates.
 
@@ -362,7 +350,7 @@ def qs_band_grid(params: QSParams) -> BandGrid:
     c, a, b = grid.cab
     cs, as_, bs = grid.cab_star
     # a NaN fails these comparisons and goes to the cell-by-cell gate, which
-    # lets it through as the per-cell forms do
+    # lets it through: it is not above the gate there either
     if not (max(np.abs(x.imag).max() for x in (c, a, b)) <= primal
             and np.abs(theta_star.imag).max() <= star
             and max(np.abs(x.imag).max() for x in (cs, bs)) <= dual):
@@ -370,16 +358,6 @@ def qs_band_grid(params: QSParams) -> BandGrid:
             _gated_bands(grid, params, *cell)
             _gated_bands_star(grid, theta_star, params, *cell)
     return replace(grid, cab=(c.real, a.real, b.real), cab_star=(cs.real, as_, bs.real))
-
-
-def qs_predict_B(params: QSParams, t: int, d: int) -> np.ndarray:
-    """Intersection matrix of the class (t, d) in the q, s coordinates."""
-    return tridiagonal(*qs_predict_cab(params, t, d))
-
-
-def qs_predict_Bstar(params: QSParams, t: int, d: int) -> np.ndarray:
-    """Dual intersection matrix of the class (t, d) in the q, s coordinates."""
-    return tridiagonal(*qs_predict_cab_star(params, t, d))
 
 
 def qs_multiplicity(params: QSParams, t: int, d: int) -> float:

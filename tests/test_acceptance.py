@@ -13,8 +13,7 @@ import pytest
 
 import terwlab as tw
 from terwlab.cli import main, run_verify
-from terwlab.multiplicity import krein_product_lhs
-from terwlab.predictor import tridiagonal_bands
+from terwlab.predictor import tridiagonal, tridiagonal_bands
 
 
 def _report(criterion, detail):
@@ -111,9 +110,9 @@ def test_criterion_06_trace_formula(all_bundles):
     worst = 0.0
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
-            lhs = tw.trace_ladder(bundle.ctx, t, d)[d]
-            rhs = krein_product_lhs(sp, t, d)
+        ladders, closed = tw.trace_ladders(bundle.ctx), tw.krein_products(sp)
+        for (t, d) in tw.upsilon_cells(sp.D):
+            lhs, rhs = ladders[t][d], float(closed[t, d])
             rel = abs(lhs - rhs) / max(1.0, abs(rhs))
             assert rel < 1e-6, (bundle.name, t, d)
             worst = max(worst, rel)
@@ -151,14 +150,11 @@ def test_criterion_08_qs_engine(c7, c9):
         assert abs(params.h - h_closed) < 1e-8 * abs(h_closed)
         assert abs(params.hstar - hstar_closed) < 1e-8 * abs(hstar_closed)
 
-        cells = tw.build_upsilon(D).cells
+        grid = tw.qs_band_grid(params)
+        cells = grid.cells
         for (t, d) in cells:
-            assert np.abs(
-                tw.predict_B(t, d, sp.theta, sp.theta_star, D) - tw.qs_predict_B(params, t, d)
-            ).max() < 1e-8
-            assert np.abs(
-                tw.predict_Bstar(t, d, sp.theta, sp.theta_star, D) - tw.qs_predict_Bstar(params, t, d)
-            ).max() < 1e-8
+            for read, qs_read in ((sp.bands.bands, grid.bands), (sp.bands.bands_star, grid.bands_star)):
+                assert np.abs(tridiagonal(*read(t, d)) - tridiagonal(*qs_read(t, d))).max() < 1e-8
 
         covered = [(t, d) for (t, d) in cells if d >= D - 3]
         if bundle.name == "C7":

@@ -140,6 +140,17 @@ def test_missing_file_is_input_error():
     assert main(["validate", "--scheme", "/nonexistent.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--vertex", "99"], ["verify", "--vertex", "-1"], ["analyze", "--vertex", "99"],
+    ["decompose", "--vertex", "99"], ["multiplicities", "--oracle", "--vertex", "99"],
+], ids=" ".join)
+def test_vertex_out_of_range_is_input_error(argv, c7_file, capsys):
+    assert main([*argv, "--scheme", c7_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: base vertex {argv[-1]} out of range for 7 vertices\n"
+
+
 def test_text_rendering_lists_all_checks(c7_file, capsys):
     assert main(["verify", "--scheme", c7_file]) == 0
     text = capsys.readouterr().out

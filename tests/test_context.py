@@ -6,7 +6,7 @@ import pytest
 
 import terwlab as tw
 from conftest import dense_idempotents
-from terwlab.errors import OrderingMissing
+from terwlab.errors import InvalidParameter, OrderingMissing
 
 
 def test_estar_traces_are_valencies(c7):
@@ -93,8 +93,9 @@ def test_context_requires_q_ordering():
 
 
 def test_vertex_out_of_range(c7):
-    with pytest.raises(ValueError):
-        tw.build_context(c7.scheme, c7.spectral, 99)
+    for x in (99, -1):
+        with pytest.raises(InvalidParameter):
+            tw.build_context(c7.scheme, c7.spectral, x)
 
 
 @pytest.mark.parametrize("which", ["c7", "o4"])

@@ -23,18 +23,12 @@ def test_long_odd_cycles(D):
 
     params = tw.fit_qs(sp.theta, sp.theta_star, D)
     assert abs(params.q - np.exp(2j * np.pi / scheme.n)) < 1e-9
-    covered = [(t, d) for (t, d) in tw.build_upsilon(D).cells if d >= D - 3]
+    covered = [(t, d) for (t, d) in tw.upsilon_cells(D) if d >= D - 3]
     assert len(covered) == 6
     for (t, d) in covered:
         closed = tw.qs_multiplicity(params, t, d)
         assert closed == pytest.approx(table.mult[(t, d)], abs=1e-6), (D, t, d)
-    for (t, d) in tw.build_upsilon(D).cells:
-        assert np.abs(
-            tw.qs_predict_B(params, t, d) - tw.predict_B(t, d, sp.theta, sp.theta_star, D)
-        ).max() < 1e-8
-        assert np.abs(
-            tw.qs_predict_Bstar(params, t, d) - tw.predict_Bstar(t, d, sp.theta, sp.theta_star, D)
-        ).max() < 1e-8
+    assert sp.bands.gap(tw.qs_band_grid(params)) < 1e-8
 
 
 def test_o5_full_pipeline():

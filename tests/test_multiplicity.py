@@ -12,100 +12,105 @@ from terwlab.multiplicity import (
     LEADING_ZERO_TOL,
     ROUNDING_TOL,
     MultiplicityTable,
-    Upsilon,
-    krein_product_lhs,
+    _rung_windows,
     restricted_trace,
 )
-from terwlab.predictor import band_grid, predict_cab_star
+from terwlab.predictor import band_grid
 from terwlab.spectral import PPolyArray
 
 
+def precedes(a, b) -> bool:
+    """The order of the grid: a starts no later than b and ends no earlier."""
+    return a[0] <= b[0] and b[0] + b[1] <= a[0] + a[1]
+
+
 def test_upsilon_d3():
-    cells = set(tw.build_upsilon(3).cells)
+    cells = set(tw.upsilon_cells(3))
     assert cells == {(0, 3), (1, 2), (1, 1), (2, 1), (2, 0), (3, 0)}
 
 
 def test_upsilon_d7_has_twenty_cells():
-    assert len(tw.build_upsilon(7).cells) == 20
+    assert len(tw.upsilon_cells(7)) == 20
 
 
 def test_upsilon_trivial():
-    assert tw.build_upsilon(0).cells == ((0, 0),)
+    assert tw.upsilon_cells(0) == ((0, 0),)
 
 
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=30, deadline=None)
 def test_upsilon_membership_and_count(D):
-    ups = tw.build_upsilon(D)
-    for (t, d) in ups.cells:
+    cells = tw.upsilon_cells(D)
+    for (t, d) in cells:
         assert 0 <= d <= D
         assert 2 * t >= D - d and t <= D - d
     # one cell per (d, t) pair satisfying the band condition
-    assert len(ups.cells) == sum(g // 2 + 1 for g in range(D + 1))
-    assert len(set(ups.cells)) == len(ups.cells)
+    assert len(cells) == sum(g // 2 + 1 for g in range(D + 1))
+    assert len(set(cells)) == len(cells)
 
 
 @given(st.integers(min_value=0, max_value=9))
 @settings(max_examples=20, deadline=None)
 def test_upsilon_partial_order_axioms(D):
-    cells = tw.build_upsilon(D).cells
+    cells = tw.upsilon_cells(D)
     for a in cells:
-        assert Upsilon.leq(a, a)
+        assert precedes(a, a)
         for b in cells:
-            if Upsilon.leq(a, b) and Upsilon.leq(b, a):
+            if precedes(a, b) and precedes(b, a):
                 assert a == b
             for c in cells:
-                if Upsilon.leq(a, b) and Upsilon.leq(b, c):
-                    assert Upsilon.leq(a, c)
+                if precedes(a, b) and precedes(b, c):
+                    assert precedes(a, c)
 
 
 @given(st.integers(min_value=0, max_value=12))
 @settings(max_examples=30, deadline=None)
 def test_upsilon_minimum_and_linear_extension(D):
-    ups = tw.build_upsilon(D)
+    cells = tw.upsilon_cells(D)
     top = (0, D)
-    for cell in ups.cells:
-        assert Upsilon.leq(top, cell)
-        if Upsilon.leq(cell, top):
+    for cell in cells:
+        assert precedes(top, cell)
+        if precedes(cell, top):
             assert cell == top
     # linear extension: predecessors appear earlier
-    index = {cell: i for i, cell in enumerate(ups.cells)}
-    for a in ups.cells:
-        for b in ups.cells:
-            if a != b and Upsilon.leq(a, b):
+    index = {cell: i for i, cell in enumerate(cells)}
+    for a in cells:
+        for b in cells:
+            if a != b and precedes(a, b):
                 assert index[a] < index[b]
 
 
 def test_trace_lhs_d0_is_multiplicity(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
+        ladders = tw.trace_ladders(bundle.ctx)
         for t in range(sp.D + 1):
-            assert tw.trace_ladder(bundle.ctx, t, 0)[0] == pytest.approx(float(sp.m[t]), rel=1e-9)
+            assert ladders[t][0] == pytest.approx(float(sp.m[t]), rel=1e-9)
 
 
 def test_trace_ladder_equals_per_cell_products(all_bundles):
-    # the dense walk the ladder replaced: one R*^d E_t from scratch per cell,
+    # the dense walk the ladders replaced: one R*^d E_t from scratch per cell,
     # with the n x n idempotent E_t in place of its eigenspace basis U_t
     for bundle in all_bundles:
         ctx, D = bundle.ctx, bundle.spectral.D
         E = dense_idempotents(bundle.spectral)
+        ladders = tw.trace_ladders(ctx)
+        assert len(ladders) == D + 1
         for t in range(D + 1):
-            ladder = tw.trace_ladder(ctx, t, D - t)
-            assert len(ladder) == D - t + 1
+            assert len(ladders[t]) == D - t + 1
             for d in range(D - t + 1):
                 M = E[t].copy()
                 for _ in range(d):
                     M = ctx.Rstar @ M
-                assert ladder[d] == pytest.approx(float(np.sum(M * M)), rel=1e-12), (bundle.name, t, d)
-                assert ladder[d] == tw.trace_ladder(ctx, t, d)[d], (bundle.name, t, d)
+                assert ladders[t][d] == pytest.approx(float(np.sum(M * M)), rel=1e-12), (bundle.name, t, d)
 
 
 def test_trace_identity_sweep(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
-            lhs = tw.trace_ladder(bundle.ctx, t, d)[d]
-            rhs = krein_product_lhs(sp, t, d)
+        ladders, closed = tw.trace_ladders(bundle.ctx), tw.krein_products(sp)
+        for (t, d) in tw.upsilon_cells(sp.D):
+            lhs, rhs = ladders[t][d], float(closed[t, d])
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (bundle.name, t, d)
 
 
@@ -114,13 +119,12 @@ def test_restricted_traces(c7, o4):
     # precedes the cell, zero otherwise
     for bundle in (c7, o4):
         sp = bundle.spectral
-        ups = tw.build_upsilon(sp.D)
         for mod in bundle.modules:
             cls = (mod.t, mod.d)
-            for (t, d) in ups.cells:
+            cs, _, bs = sp.bands.bands_star(*cls)
+            for (t, d) in tw.upsilon_cells(sp.D):
                 value = restricted_trace(bundle.ctx, mod, t, d)
-                if Upsilon.leq(cls, (t, d)):
-                    cs, _, bs = predict_cab_star(mod.t, mod.d, sp.theta, sp.theta_star, sp.D)
+                if precedes(cls, (t, d)):
                     expected = 1.0
                     for h in range(t - mod.t, t - mod.t + d):
                         expected *= bs[h] * cs[h + 1]
@@ -133,22 +137,16 @@ def test_rhs_coefficient_against_dual_bands(c7):
     # for a cell carrying a module the helper bands equal the module bands,
     # so the leading coefficient is the product of its ladder weights
     sp = c7.spectral
-    cs, _, bs = predict_cab_star(2, 1, sp.theta, sp.theta_star, sp.D)
-    lead = tw.recurrence_rhs_coefficient(2, 1, 2, 1, sp.theta, sp.theta_star, sp.D)
+    cs, _, bs = sp.bands.bands_star(2, 1)
+    lead = rhs_coefficient(sp.bands, 2, 1, 2, 1)
     assert lead == pytest.approx(bs[0] * cs[1], abs=1e-10)
 
 
 def test_rhs_coefficient_d0_is_one(c9):
-    sp = c9.spectral
-    assert tw.recurrence_rhs_coefficient(3, 0, 3, 0, sp.theta, sp.theta_star, sp.D) == 1.0
+    grid = c9.spectral.bands
+    assert rhs_coefficient(grid, 3, 0, 3, 0) == 1.0
     # any predecessor contributes coefficient 1 to a d = 0 cell
-    assert tw.recurrence_rhs_coefficient(3, 0, 1, 3, sp.theta, sp.theta_star, sp.D) == 1.0
-
-
-def test_rhs_coefficient_rejects_non_predecessor(c7):
-    sp = c7.spectral
-    with pytest.raises(ValueError):
-        tw.recurrence_rhs_coefficient(1, 2, 2, 1, sp.theta, sp.theta_star, sp.D)
+    assert rhs_coefficient(grid, 3, 0, 1, 3) == 1.0
 
 
 def test_solved_tables_match_census(all_bundles):
@@ -163,7 +161,7 @@ def test_d0_cells_count_eigenspace_dimensions(all_bundles):
     # with d = 0 every coefficient is 1: m_t counts modules covering t
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             if d == 0:
                 covering = sum(
                     v for (i, j), v in bundle.table.mult.items() if i <= t <= i + j
@@ -198,29 +196,42 @@ def test_trivial_scheme_table():
     assert table.total_dimension() == 1
 
 
+def rhs_coefficient(grid, t, d, i, j):
+    """Coefficient of mult(i, j) in the trace equation of cell (t, d), for (i, j) preceding (t, d).
+
+    The product of the first d rung weights b*_h c*_{h+1} of the (i, j)
+    ladder, starting at offset t - i.
+    """
+    if d == 0:
+        return 1.0
+    cs, _, bs = grid.bands_star(i, j)
+    return float(_rung_windows(bs[:-1] * cs[1:])[t - i, t - i + d - 1])
+
+
 def reference_solve(spectral):
-    """Reference: the recurrence with one band computation per (cell, predecessor) pair.
+    """Reference: the recurrence with one coefficient per (cell, predecessor) pair.
 
     This is the former solver: every cell scans the whole grid for solved
-    predecessors and re-derives each one's coefficient from its bands.
+    predecessors and works out each one's coefficient from its dual bands.
     """
     D = spectral.D
-    theta, theta_star = spectral.theta, spectral.theta_star
-    ups = tw.build_upsilon(D)
+    grid = spectral.bands
+    closed = tw.krein_products(spectral)
+    cells = tw.upsilon_cells(D)
     mult, pre, zero_cells = {}, {}, []
-    for (t, d) in ups.cells:
-        lhs = krein_product_lhs(spectral, t, d)
+    for (t, d) in cells:
+        lhs = float(closed[t, d])
         lead = 1.0
         scale = 1.0
         if d:
-            cs, _, bs = predict_cab_star(t, d, theta, theta_star, D)
+            cs, _, bs = grid.bands_star(t, d)
             for h in range(d):
                 lead *= bs[h] * cs[h + 1]
                 scale *= max(1.0, abs(bs[h])) * max(1.0, abs(cs[h + 1]))
         acc = 0.0
-        for (i, j) in ups.cells:
-            if (i, j) != (t, d) and Upsilon.leq((i, j), (t, d)) and mult.get((i, j)):
-                acc += mult[i, j] * tw.recurrence_rhs_coefficient(t, d, i, j, theta, theta_star, D)
+        for (i, j) in cells:
+            if (i, j) != (t, d) and precedes((i, j), (t, d)) and mult.get((i, j)):
+                acc += mult[i, j] * rhs_coefficient(grid, t, d, i, j)
         if abs(lead) < LEADING_ZERO_TOL * scale:
             zero_cells.append((t, d))
             mult[t, d] = 0

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import terwlab as tw
 from terwlab.errors import InvalidCell
-from terwlab.predictor import predict_cab, predict_cab_star, tridiagonal_bands
+from terwlab.predictor import band_grid, tridiagonal, tridiagonal_bands
 
 
 def test_full_diameter_class_is_scheme_array(all_bundles):
@@ -25,9 +25,9 @@ def test_full_diameter_class_is_scheme_array(all_bundles):
 def test_b0_equals_theta_t(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             if d >= 1:
-                _, _, b = predict_cab(t, d, sp.theta, sp.theta_star, sp.D)
+                _, _, b = sp.bands.bands(t, d)
                 assert b[0] == pytest.approx(sp.theta[t], abs=1e-10)
 
 
@@ -35,7 +35,7 @@ def test_row_sums(all_bundles):
     # c_i + a_i + b_i = theta_t and c*_i + a*_i + b*_i = theta*_r
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             mc = tw.module_class(t, d, sp)
             assert np.abs(mc.B.sum(axis=1) - sp.theta[t]).max() < 1e-10
             assert np.abs(mc.Bstar.sum(axis=1) - sp.theta_star[mc.r]).max() < 1e-10
@@ -44,7 +44,7 @@ def test_row_sums(all_bundles):
 def test_eigenvalues_of_predictions(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             mc = tw.module_class(t, d, sp)
             eig = np.sort(np.linalg.eigvals(mc.B).real)
             assert np.abs(eig - np.sort(sp.theta[t : t + d + 1])).max() < 1e-8
@@ -55,7 +55,7 @@ def test_eigenvalues_of_predictions(all_bundles):
 def test_trace_identities(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             mc = tw.module_class(t, d, sp)
             assert np.trace(mc.B) == pytest.approx(sp.theta[t : t + d + 1].sum(), abs=1e-8)
             assert np.trace(mc.Bstar) == pytest.approx(
@@ -65,7 +65,7 @@ def test_trace_identities(all_bundles):
 
 def test_c7_cell_12_eigenvalues(c7):
     sp = c7.spectral
-    B = tw.predict_B(1, 2, sp.theta, sp.theta_star, sp.D)
+    B = tridiagonal(*sp.bands.bands(1, 2))
     eig = np.sort(np.linalg.eigvals(B).real)
     assert np.abs(eig - np.sort(sp.theta[1:4])).max() < 1e-8
 
@@ -73,7 +73,7 @@ def test_c7_cell_12_eigenvalues(c7):
 def test_a0star_matches_matrix_entry(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             if d >= 1:
                 mc = tw.module_class(t, d, sp)
                 value = tw.predict_a0star(mc.r, t, sp.theta, sp.theta_star)
@@ -101,7 +101,7 @@ def test_invalid_cells(c7):
     sp = c7.spectral
     for (t, d) in [(0, 1), (0, 2), (3, 1), (4, 0), (-1, 3), (0, 4)]:
         with pytest.raises(InvalidCell):
-            tw.predict_B(t, d, sp.theta, sp.theta_star, sp.D)
+            tw.module_class(t, d, sp)
     with pytest.raises(InvalidCell):
         tw.predict_a0star(3, 3, sp.theta, sp.theta_star)  # needs t + 1 <= D
 
@@ -119,7 +119,7 @@ def test_feasibility_of_realized_cells(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         realized = set(tw.census(bundle.modules))
-        for (t, d) in tw.build_upsilon(sp.D).cells:
+        for (t, d) in tw.upsilon_cells(sp.D):
             mc = tw.module_class(t, d, sp)
             report = tw.feasibility(mc, sp.theta, sp.theta_star)
             if (t, d) in realized:
@@ -147,9 +147,10 @@ def test_row_sum_property_on_synthetic_data(data):
     # distinct eigenvalue sequences, not just realized schemes
     D, t, d, theta, theta_star = data
     r = D - d
-    c, a, b = predict_cab(t, d, theta, theta_star, D)
+    grid = band_grid(theta, theta_star, D)
+    c, a, b = grid.bands(t, d)
     assert np.abs(c + a + b - theta[t]).max() < 1e-8
-    cs, as_, bs = predict_cab_star(t, d, theta, theta_star, D)
+    cs, as_, bs = grid.bands_star(t, d)
     assert np.abs(cs + as_ + bs - theta_star[r]).max() < 1e-8
     if d >= 1:
         a0s = tw.predict_a0star(r, t, theta, theta_star)
@@ -195,7 +196,7 @@ def reference_cab_star(t, d, theta, theta_star, D):
 def _assert_grid_is_per_cell_reference(sp):
     # the same floating-point operations in the same order: equal to the bit
     grid = sp.bands
-    assert grid.cells == tw.build_upsilon(sp.D).cells
+    assert grid.cells == tw.upsilon_cells(sp.D)
     for (t, d) in grid.cells:
         for got, want in ((grid.bands(t, d), reference_cab(t, d, sp.theta, sp.theta_star, sp.D)),
                           (grid.bands_star(t, d), reference_cab_star(t, d, sp.theta, sp.theta_star, sp.D))):
@@ -205,12 +206,7 @@ def _assert_grid_is_per_cell_reference(sp):
 
 def test_band_grid_is_per_cell_reference_on_bundles(all_bundles):
     for bundle in all_bundles:
-        sp = bundle.spectral
-        _assert_grid_is_per_cell_reference(sp)
-        for (t, d) in tw.build_upsilon(sp.D).cells:
-            for read, got in ((sp.bands.bands, predict_cab(t, d, sp.theta, sp.theta_star, sp.D)),
-                              (sp.bands.bands_star, predict_cab_star(t, d, sp.theta, sp.theta_star, sp.D))):
-                assert all(np.array_equal(x, y) for x, y in zip(read(t, d), got)), (bundle.name, t, d)
+        _assert_grid_is_per_cell_reference(bundle.spectral)
 
 
 @pytest.mark.parametrize("D", range(3, 31))
@@ -220,7 +216,7 @@ def test_band_grid_is_per_cell_reference_on_cycles(D):
 
 def test_per_cell_bands_reject_cells_off_the_grid(c9):
     sp = c9.spectral
-    for (t, d) in ((0, sp.D + 1), (sp.D, 1), (0, 0), (-1, sp.D)):
-        for form in (predict_cab, predict_cab_star):
+    for (t, d) in ((0, sp.D + 1), (sp.D, 1), (0, 0), (-1, sp.D), (0, 1), (3, 3), (5, 0)):
+        for read in (sp.bands.bands, sp.bands.bands_star):
             with pytest.raises(InvalidCell):
-                form(t, d, sp.theta, sp.theta_star, sp.D)
+                read(t, d)

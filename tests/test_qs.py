@@ -1,17 +1,19 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import terwlab as tw
 from terwlab.errors import BetaDegenerate, FitFailure, InvalidCell, OutOfRange
-from terwlab.predictor import band_gap, predict_cab, predict_cab_star, tridiagonal
+from terwlab.predictor import band_gap, tridiagonal
 from terwlab.qs import (
     _folded_cube_array,
+    _gated_bands,
+    _gated_bands_star,
     _odd_graph_array,
+    _qs_grid,
     qs_band_grid,
-    qs_predict_cab,
-    qs_predict_cab_star,
     qs_theta,
     qs_theta_star,
 )
@@ -85,32 +87,27 @@ def test_guards_hold(params_c7, params_c9):
 def test_qs_forms_match_theta_forms(c7, c9, params_c7, params_c9):
     for bundle, params in ((c7, params_c7), (c9, params_c9)):
         sp = bundle.spectral
-        for (t, d) in tw.build_upsilon(sp.D).cells:
-            B_theta = tw.predict_B(t, d, sp.theta, sp.theta_star, sp.D)
-            B_qs = tw.qs_predict_B(params, t, d)
-            assert np.abs(B_theta - B_qs).max() < 1e-8, (bundle.name, t, d)
-            Bs_theta = tw.predict_Bstar(t, d, sp.theta, sp.theta_star, sp.D)
-            Bs_qs = tw.qs_predict_Bstar(params, t, d)
-            assert np.abs(Bs_theta - Bs_qs).max() < 1e-8, (bundle.name, t, d)
+        grid = qs_band_grid(params)
+        for (t, d) in grid.cells:
+            for read, qs_read in ((sp.bands.bands, grid.bands), (sp.bands.bands_star, grid.bands_star)):
+                gap = np.abs(tridiagonal(*read(t, d)) - tridiagonal(*qs_read(t, d))).max()
+                assert gap < 1e-8, (bundle.name, t, d)
 
 
 @pytest.mark.parametrize("D", range(4, 18))
 def test_band_gap_equals_matrix_gap_on_cycles(D):
     # C_9..C_35: the gap read from the bands is the matrix gap, bit for bit,
-    # and the matrix forms are the band forms assembled
+    # cell by cell and over the whole grid
     sp = tw.spectral_data(tw.odd_cycle(D))
-    params = tw.fit_qs(sp.theta, sp.theta_star, D)
-    for (t, d) in tw.build_upsilon(D).cells:
-        for theta_form, qs_form, matrix_form, qs_matrix_form in (
-            (predict_cab, qs_predict_cab, tw.predict_B, tw.qs_predict_B),
-            (predict_cab_star, qs_predict_cab_star, tw.predict_Bstar, tw.qs_predict_Bstar),
-        ):
-            x = theta_form(t, d, sp.theta, sp.theta_star, D)
-            y = qs_form(params, t, d)
-            B1 = matrix_form(t, d, sp.theta, sp.theta_star, D)
-            B2 = qs_matrix_form(params, t, d)
-            assert np.array_equal(B2, tridiagonal(*y)), (D, t, d)
-            assert band_gap(x, y) == float(np.abs(B1 - B2).max()), (D, t, d)
+    grid = qs_band_grid(tw.fit_qs(sp.theta, sp.theta_star, D))
+    worst = 0.0
+    for (t, d) in grid.cells:
+        for read, qs_read in ((sp.bands.bands, grid.bands), (sp.bands.bands_star, grid.bands_star)):
+            x, y = read(t, d), qs_read(t, d)
+            gap = float(np.abs(tridiagonal(*x) - tridiagonal(*y)).max())
+            assert band_gap(x, y) == gap, (D, t, d)
+            worst = max(worst, gap)
+    assert sp.bands.gap(grid) == worst
 
 
 def test_band_gap_reads_every_band():
@@ -125,20 +122,20 @@ def test_band_gap_reads_every_band():
 
 
 def test_d0_qs_form(params_c7, c7):
-    B = tw.qs_predict_B(params_c7, 3, 0)
+    B = tridiagonal(*qs_band_grid(params_c7).bands(3, 0))
     assert B.shape == (1, 1)
     assert B[0, 0] == pytest.approx(c7.spectral.theta[3], abs=1e-10)
 
 
 def test_closed_form_multiplicities_c7(c7, params_c7):
     # D = 3 puts every cell within reach of the six closed forms
-    for (t, d) in tw.build_upsilon(3).cells:
+    for (t, d) in tw.upsilon_cells(3):
         closed = tw.qs_multiplicity(params_c7, t, d)
         assert closed == pytest.approx(c7.table.mult[(t, d)], abs=1e-6), (t, d)
 
 
 def test_closed_form_multiplicities_c9(c9, params_c9):
-    covered = [(t, d) for (t, d) in tw.build_upsilon(4).cells if d >= 1]
+    covered = [(t, d) for (t, d) in tw.upsilon_cells(4) if d >= 1]
     assert len(covered) == 6
     for (t, d) in covered:
         closed = tw.qs_multiplicity(params_c9, t, d)
@@ -256,7 +253,7 @@ def reference_qs_cab_star(params, t, d):
 
 def _reference_failure(params):
     """The FitFailure the former cell-by-cell loop raised first, primal before dual, or None."""
-    for (t, d) in tw.build_upsilon(params.D).cells:
+    for (t, d) in tw.upsilon_cells(params.D):
         for form in (reference_qs_cab, reference_qs_cab_star):
             try:
                 form(params, t, d)
@@ -283,10 +280,11 @@ def test_qs_band_grid_is_per_cell_reference_on_cycles(D):
                 assert x.shape == z.shape, (D, t, d)
                 assert np.abs(x - z).max() <= 1e-13 * max(1.0, float(np.abs(z).max())), (D, t, d)
     assert grid.gap(sp.bands) <= 1e-8
-    if D <= 9:  # the per-cell forms read the same grid
+    if D <= 9:  # the gated per-cell reads of the fallback give the same bands
+        raw, theta_star = _qs_grid(params)
         for (t, d) in grid.cells:
             for x, y in zip(grid.bands(t, d) + grid.bands_star(t, d),
-                            qs_predict_cab(params, t, d) + qs_predict_cab_star(params, t, d)):
+                            _gated_bands(raw, params, t, d) + _gated_bands_star(raw, theta_star, params, t, d)):
                 assert np.array_equal(x, y), (D, t, d)
 
 
@@ -294,7 +292,7 @@ def test_qs_band_grid_is_per_cell_reference_on_cycles(D):
 def test_qs_band_grid_fails_where_the_per_cell_loop_fails(D):
     # s off the unit circle makes the bands complex: the grid raises the
     # FitFailure of the first cell and band the loop raises at, and each
-    # per-cell form raises exactly where the loop does
+    # gated per-cell read of the fallback raises exactly where the loop does
     sp = tw.spectral_data(tw.odd_cycle(D))
     params = tw.fit_qs(sp.theta, sp.theta_star, D)
     bad = replace(params, s=params.s * (1 + 1e-3))
@@ -302,8 +300,10 @@ def test_qs_band_grid_fails_where_the_per_cell_loop_fails(D):
     with pytest.raises(FitFailure) as got:
         qs_band_grid(bad)
     assert _failing_value(got.value) == pytest.approx(_failing_value(expected), rel=1e-12)
-    for (t, d) in tw.build_upsilon(D).cells:
-        for ours, ref in ((qs_predict_cab, reference_qs_cab), (qs_predict_cab_star, reference_qs_cab_star)):
+    raw, theta_star = _qs_grid(bad)
+    for (t, d) in tw.upsilon_cells(D):
+        for ours, ref in ((partial(_gated_bands, raw), reference_qs_cab),
+                          (partial(_gated_bands_star, raw, theta_star), reference_qs_cab_star)):
             try:
                 ref(bad, t, d)
                 failed = False
@@ -319,7 +319,8 @@ def test_qs_band_grid_fails_where_the_per_cell_loop_fails(D):
 
 
 def test_qs_per_cell_forms_reject_cells_off_the_grid(params_c9):
+    grid = qs_band_grid(params_c9)
     for (t, d) in ((0, 5), (4, 1), (0, 0)):
-        for form in (qs_predict_cab, qs_predict_cab_star):
+        for read in (grid.bands, grid.bands_star):
             with pytest.raises(InvalidCell):
-                form(params_c9, t, d)
+                read(t, d)
