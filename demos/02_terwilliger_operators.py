@@ -3,8 +3,11 @@
 Distance from the base vertex splits the coordinate space into shells;
 the dual idempotents project onto them.  The adjacency matrix splits as
 A = R + F + L by whether an edge steps away from, along, or toward the
-base vertex, and the dual adjacency splits the same way through the
-primitive idempotents.
+base vertex, so R, F and L are the entries of A one shell up, on the same
+shell and one shell down.  The dual adjacency splits the same way through
+the primitive idempotents: in the eigenspace basis it is the matrix N,
+and R*, F* and L* are its blocks one eigenspace up, on the same
+eigenspace and one eigenspace down.
 """
 
 import numpy as np
@@ -18,14 +21,23 @@ ctx = tw.build_context(scheme, sp, x=0)
 print(f"folded 7-cube, base vertex {ctx.x}")
 print("shell sizes:", ctx.Estar.sum(axis=1).astype(int), "(= valencies)")
 
-# For an almost-bipartite scheme no edge stays inside a shell except at
-# the far end, so the flat part F lives entirely on the last shell.
+# An edge never skips a shell, so A vanishes between shells more than one
+# apart; that is A = R + F + L.  For an almost-bipartite scheme no edge
+# stays inside a shell except at the far end, so the flat part F lives
+# entirely on the last shell.
 D = scheme.D
+step = ctx.dist[:, None] - ctx.dist[None, :]
+F = ctx.A * (step == 0)
 far_block = ctx.Estar[D][:, None] * ctx.A * ctx.Estar[D][None, :]
-print("\n||A - (R + F + L)|| =", np.abs(ctx.A - ctx.R - ctx.F - ctx.L).max())
-print("||F - E*_D A E*_D|| =", np.abs(ctx.F - far_block).max())
+print("\n||A - (R + F + L)|| =", np.abs(ctx.A[np.abs(step) > 1]).max(initial=0.0))
+print("||F - E*_D A E*_D|| =", np.abs(F - far_block).max())
 print("F restricted to inner shells:",
-      max(np.abs(ctx.F * ctx.Estar[i][None, :]).max() for i in range(D)))
+      max(np.abs(F * ctx.Estar[i][None, :]).max() for i in range(D)))
+
+# Dually, A* never skips an eigenspace: N vanishes off its three block bands.
+lab = sp.eigenspace_labels()
+dual_step = lab[:, None] - lab[None, :]
+print("||A* - (R* + F* + L*)||_F =", np.sqrt(np.sum(ctx.N[np.abs(dual_step) > 1] ** 2)))
 
 # The full identity report covers the exchange rules like R E*_i = E*_{i+1} R.
 report = tw.verify_operator_identities(ctx)

@@ -47,6 +47,14 @@ def _emit(doc: dict, as_json: bool, render_text) -> None:
         render_text(doc)
 
 
+def _load(args):
+    """The scheme of ``--scheme``; raises :class:`InvalidParameter` when ``--vertex`` is not one of its vertices."""
+    scheme = generators.load_scheme(args.scheme)
+    if not 0 <= args.vertex < scheme.n:
+        raise InvalidParameter(f"base vertex {args.vertex} out of range for {scheme.n} vertices")
+    return scheme
+
+
 def _q_polynomial(scheme):
     """Spectral data of a scheme that has a Q-polynomial ordering."""
     sp = spectral_data(scheme)
@@ -115,7 +123,7 @@ class VerifyReport:
 # and returns (status, residual, detail, value); a value of None is missing.
 
 def _axioms(args, values):
-    s = generators.load_scheme(args.scheme)
+    s = _load(args)
     return "pass", None, f"n={s.n} D={s.D}", s
 
 
@@ -296,7 +304,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scheme = generators.load_scheme(args.scheme)
+    scheme = _load(args)
     tensor = scheme.tensor
     doc = {
         "n": scheme.n,
@@ -313,7 +321,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    scheme = generators.load_scheme(args.scheme)
+    scheme = _load(args)
     sp = _q_polynomial(scheme)
     ctx = build_context(scheme, sp, args.vertex)
     rep = ctx.identities.at_tol(args.tol)
@@ -339,7 +347,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    sp = _q_polynomial(generators.load_scheme(args.scheme))
+    sp = _q_polynomial(_load(args))
     mc = predictor.module_class(args.t, args.d, sp)
     fr = predictor.feasibility(mc, sp.theta, sp.theta_star)
     doc = {
@@ -363,7 +371,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    scheme = generators.load_scheme(args.scheme)
+    scheme = _load(args)
     ctx = build_context(scheme, _q_polynomial(scheme), args.vertex)
     mods = measure_all(ctx, _oracle(ctx, args))
     doc = {
@@ -393,7 +401,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiplicities(args) -> int:
-    scheme = generators.load_scheme(args.scheme)
+    scheme = _load(args)
     sp = _q_polynomial(scheme)
     tab = multiplicity.solve_multiplicities(sp)
     doc = tab.as_dict()
@@ -431,7 +439,7 @@ def _cmd_multiplicities(args) -> int:
 
 
 def _cmd_qs(args) -> int:
-    sp = _q_polynomial(generators.load_scheme(args.scheme))
+    sp = _q_polynomial(_load(args))
     excl, skipped = qs.skip_reason(sp.pp, sp.n)
     if skipped == qs.NOT_ALMOST_BIPARTITE:
         print(f"{skipped}; q,s model does not apply", file=sys.stderr)

@@ -5,21 +5,26 @@ The dual idempotents E*_i are the diagonal 0/1 projectors onto those
 distance shells, and the dual class matrices A*_i are diagonal with
 entries n * (E_i)_{x, y} = Q[i, dist(x, y)].  The class-1 adjacency A
 splits as R + F + L by whether an edge increases, keeps, or decreases
-distance from x, and the dual adjacency A* = A*_1 splits as R* + F* + L* through the idempotents.
-These eight matrices generate everything downstream; the algebra they
-generate is never materialized.
+distance from x: R, F and L are the entries of A with dist(y) - dist(z)
+equal to 1, 0 and -1, masks of A on ``dist`` applied where they are
+needed and never stored.
 
-The idempotents enter through the orthonormal eigenspace bases U_t of the
-spectral data, E_t = U_t U_t^T, never through the dense stack: with U the
-orthogonal matrix of all the U_t and N = U^T A* U, the block (j, i) of N
-is U_j^T A* U_i, so R* = sum_i E_{i+1} A* E_i is U N_{+1} U^T, where N_{+1}
-keeps the blocks with j = i + 1; likewise F* (j = i) and L* (j = i - 1).
+The dual adjacency A* = A*_1 splits the same way through the primitive
+idempotents E_t = U_t U_t^T, with U_t the orthonormal eigenspace bases of
+the spectral data.  With U the orthogonal matrix of all the U_t, the
+context holds N = U^T A* U, whose block (j, i) is U_j^T A* U_i: R*, F* and
+L* are U N_s U^T, with N_s the blocks j = i + s for s = 1, 0, -1.  They act
+in that basis and no U N_s U^T is formed.  For a Q-polynomial ordering
+E_j A* E_i = 0 when |i - j| > 1 (Terwilliger, "The subconstituent algebra
+of an association scheme I", J. Algebraic Combin. 1992), so
+A* = R* + F* + L* holds exactly when N vanishes off its three block bands.
+The Frobenius norm of N's off-band blocks is that identity's residual; it
+bounds the max norm of A* - R* - F* - L* from above.
+
 No n x n idempotent is formed: the dual class matrices are read off the
 dual eigenmatrix Q, and :func:`triangle_vanishing_check` works in the
-bases as well.
-
-All operator matrices here are real and dense; A* and the E*_i are kept as
-diagonal vectors.
+bases as well.  A and N are dense; A* and the E*_i are kept as diagonal
+vectors.
 """
 
 from __future__ import annotations
@@ -79,22 +84,17 @@ class IdentityReport:
 
 @dataclass(frozen=True)
 class TerwContext:
-    """Base-vertex data for one scheme: dual idempotents and split operators."""
+    """Base-vertex data for one scheme: the shells, A, A* and A* in the eigenspace bases."""
 
     scheme: AssociationScheme
     spectral: SpectralData
     x: int
     dist: np.ndarray      # distance from x, i.e. class of (x, y) in P-order
-    A: np.ndarray         # class-1 adjacency
+    A: np.ndarray         # class-1 adjacency; R, F, L are its entries with dist(y) - dist(z) = 1, 0, -1
     Astar: np.ndarray     # diagonal of the dual adjacency A*_1
     Estar: np.ndarray     # (D+1, n) rows are diagonals of E*_i
     Astar_all: np.ndarray # (D+1, n) rows are diagonals of A*_i
-    R: np.ndarray
-    F: np.ndarray
-    L: np.ndarray
-    Rstar: np.ndarray
-    Fstar: np.ndarray
-    Lstar: np.ndarray
+    N: np.ndarray         # U^T A* U; R*, F*, L* are its blocks (j, i) with j - i = 1, 0, -1
     identities: IdentityReport | None = None  # set by build_context, at the default tolerance
 
     @property
@@ -131,27 +131,22 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
     else:
         A = np.zeros((n, n))
         Astar = np.zeros(n)
-
-    up = dist[:, None] == dist[None, :] + 1
-    R = A * up
-    F = A * (dist[:, None] == dist[None, :])
-    L = A * up.T
-
-    U = spectral.U
-    lab = spectral.eigenspace_labels()
-    N = U.T @ (Astar[:, None] * U)
-    Rstar, Fstar, Lstar = (U @ (N * (lab[:, None] == lab[None, :] + s)) @ U.T for s in (1, 0, -1))
+    N = spectral.U.T @ (Astar[:, None] * spectral.U)
 
     ctx = TerwContext(
         scheme=scheme, spectral=spectral, x=x, dist=dist, A=A, Astar=Astar,
-        Estar=Estar, Astar_all=Astar_all, R=R, F=F, L=L,
-        Rstar=Rstar, Fstar=Fstar, Lstar=Lstar,
+        Estar=Estar, Astar_all=Astar_all, N=N,
     )
     report = verify_operator_identities(ctx)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise NumericalCheckFailure(f"operator identities failed: {failed}")
     return replace(ctx, identities=report)
+
+
+def _max_abs(M: np.ndarray, where: np.ndarray) -> float:
+    """max |M| over the entries ``where`` selects, 0 if none, without copying them out."""
+    return float(max(M.max(where=where, initial=0.0), -M.min(where=where, initial=0.0)))
 
 
 def _exchange_residual(M: np.ndarray, dist: np.ndarray, shift: int) -> float:
@@ -161,25 +156,29 @@ def _exchange_residual(M: np.ndarray, dist: np.ndarray, shift: int) -> float:
     dist(z) = i and dist(y) = i + shift holds, and 0 otherwise, so the
     maximum over i is that of |M_yz| over dist(y) != dist(z) + shift.
     """
-    return float(np.abs(M[dist[:, None] != dist[None, :] + shift]).max(initial=0.0))
+    return _max_abs(M, dist[:, None] != dist[None, :] + shift)
 
 
-def _dual_exchange_residual(M: np.ndarray, sp: SpectralData, shift: int) -> float:
-    """max_i || M E_i - E_{i+shift} M ||_F with out-of-range E = 0.
-
-    With E_i = U_i U_i^T and X = U^T M U, M E_i - E_{i+shift} M is U times
-    the matrix that keeps column block i of X off block (i+shift, i) and
-    negates row block i+shift off that block.  U is orthogonal, so the
-    Frobenius norm is read off the block norms of X; it bounds the max norm
-    from above.
-    """
-    X = sp.U.T @ M @ sp.U
+def _block_norms2(X: np.ndarray, sp: SpectralData) -> np.ndarray:
+    """(D+1, D+1) squared Frobenius norms of the eigenspace blocks (j, i) of X."""
     starts = np.cumsum(sp.m) - sp.m
-    blocks = np.add.reduceat(np.add.reduceat(X * X, starts, axis=0), starts, axis=1)
-    blocks[np.eye(sp.D + 1, k=-shift, dtype=bool)] = 0.0  # the pattern: blocks (i+shift, i)
-    row_off = np.zeros(sp.D + 1)  # row block i+shift, for each i it exists for
-    i = np.arange(sp.D + 1)
-    inside = (0 <= i + shift) & (i + shift <= sp.D)
+    return np.add.reduceat(np.add.reduceat(X * X, starts, axis=0), starts, axis=1)
+
+
+def _dual_exchange_residual(blocks: np.ndarray, shift: int) -> float:
+    """max_i || M E_i - E_{i+shift} M ||_F with out-of-range E = 0, for M = U X U^T.
+
+    ``blocks`` are the squared block norms of X (:func:`_block_norms2`).
+    With E_i = U_i U_i^T, M E_i - E_{i+shift} M is U times the matrix that
+    keeps column block i of X off block (i+shift, i) and negates row block
+    i+shift off that block.  U is orthogonal, so the Frobenius norm is read
+    off the block norms of X; it bounds the max norm from above.
+    """
+    D = len(blocks) - 1
+    blocks = np.where(np.eye(D + 1, k=-shift, dtype=bool), 0.0, blocks)  # the pattern: blocks (i+shift, i)
+    row_off = np.zeros(D + 1)  # row block i+shift, for each i it exists for
+    i = np.arange(D + 1)
+    inside = (0 <= i + shift) & (i + shift <= D)
     row_off[inside] = blocks.sum(axis=1)[i[inside] + shift]
     return float(np.sqrt((blocks.sum(axis=0) + row_off).max()))
 
@@ -191,10 +190,13 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     A*, the three-way splits A = R + F + L and A* = R* + F* + L*, the
     transpose pairings, the idempotent-exchange rules, and (when the
     scheme is almost-bipartite) the collapse of the flat part to the far
-    shell.  Residuals are max norms, except for the identities that involve
-    the idempotents E_i: those are Frobenius norms in the eigenspace bases
-    (see :func:`_dual_exchange_residual`), which bound the max norm from
-    above.
+    shell.  R, F and L are masks of A on ``dist``, so A = R + F + L reads
+    the entries of A between shells more than one apart.  The identities
+    that involve the idempotents E_i are read in the eigenspace bases:
+    A* - R* - F* - L* is U times N off its three block bands, and the
+    exchange rules are taken on the bands (see
+    :func:`_dual_exchange_residual`).  Those residuals are Frobenius norms,
+    which bound the max norm from above; the others are max norms.
     """
     n, D = ctx.n, ctx.D
     if tol is None:
@@ -212,36 +214,40 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     add("Estar idempotent-orthogonal",
         max(np.abs(Estar[i] * Estar - eye[i][:, None] * Estar[i]).max() for i in range(D + 1)))
     add("sum(Astar) = n Estar_0", np.abs(ctx.Astar_all.sum(axis=0) - n * Estar[0]).max())
+    lab = sp.eigenspace_labels()
     if D >= 1:
         add("Astar_0 = I", np.abs(ctx.Astar_all[0] - 1.0).max())
         # ||(A - theta_i) E_i||_F = ||(A - theta_i) U_i||_F, as U_i^T has orthonormal rows
-        lab = sp.eigenspace_labels()
-        AU = ctx.A @ sp.U - sp.U * sp.theta[lab]
+        AU = ctx.A @ sp.U
+        AU -= sp.U * sp.theta[lab]
         add("A E_i = theta_i E_i", np.sqrt(np.bincount(lab, np.einsum("ij,ij->j", AU, AU)).max()))
         add("Astar Estar_i = theta*_i Estar_i",
             max(np.abs((ctx.Astar - sp.theta_star[i]) * Estar[i]).max() for i in range(D + 1)))
-    add("A = R + F + L", np.abs(ctx.A - ctx.R - ctx.F - ctx.L).max())
-    add("R = L^T", np.abs(ctx.R - ctx.L.T).max())
-    add("Astar = Rstar + Fstar + Lstar",
-        np.abs(np.diag(ctx.Astar) - ctx.Rstar - ctx.Fstar - ctx.Lstar).max())
-    add("Rstar = Lstar^T", np.abs(ctx.Rstar - ctx.Lstar.T).max())
-    add("R Estar_i = Estar_{i+1} R", _exchange_residual(ctx.R, ctx.dist, +1))
-    add("F Estar_i = Estar_i F", _exchange_residual(ctx.F, ctx.dist, 0))
-    add("L Estar_i = Estar_{i-1} L", _exchange_residual(ctx.L, ctx.dist, -1))
-    add("Rstar E_i = E_{i+1} Rstar", _dual_exchange_residual(ctx.Rstar, sp, +1))
-    add("Fstar E_i = E_i Fstar", _dual_exchange_residual(ctx.Fstar, sp, 0))
-    add("Lstar E_i = E_{i-1} Lstar", _dual_exchange_residual(ctx.Lstar, sp, -1))
+    # R, F, L keep the entries (y, z) of A at steps dist(y) - dist(z) = 1, 0, -1,
+    # and R*, F*, L* the blocks (j, i) of N at steps j - i = 1, 0, -1
+    dist, lab = ctx.dist.astype(np.int16), lab.astype(np.int16)  # keeps the n x n step masks small
+    step = dist[:, None] - dist[None, :]
+    blocks = _block_norms2(ctx.N, sp)
+    block_step = np.subtract.outer(np.arange(D + 1), np.arange(D + 1))
+    add("A = R + F + L", _max_abs(ctx.A, np.abs(step) > 1))
+    add("R = L^T", _max_abs(ctx.A - ctx.A.T, step == 1))
+    add("Astar = Rstar + Fstar + Lstar", np.sqrt(blocks[np.abs(block_step) > 1].sum()))
+    add("Rstar = Lstar^T", np.sqrt(np.sum((ctx.N - ctx.N.T) ** 2, where=lab[:, None] == lab[None, :] + 1)))
+    for name, s in (("R Estar_i = Estar_{i+1} R", 1), ("F Estar_i = Estar_i F", 0),
+                    ("L Estar_i = Estar_{i-1} L", -1)):
+        add(name, _exchange_residual(ctx.A * (step == s), dist, s))
+    for name, s in (("Rstar E_i = E_{i+1} Rstar", 1), ("Fstar E_i = E_i Fstar", 0),
+                    ("Lstar E_i = E_{i-1} Lstar", -1)):
+        add(name, _dual_exchange_residual(np.where(block_step == s, blocks, 0.0), s))
 
     if D >= 1 and is_almost_bipartite(sp.pp):
-        add("F = Estar_D A Estar_D",
-            np.abs(ctx.F - Estar[D][:, None] * ctx.A * Estar[D][None, :]).max())
-        # one masked pass each: the entries that some E*_i with i < D keeps
-        near = ctx.dist < D
-        add("F Estar_i = 0 for i < D", np.abs(ctx.F[:, near]).max(initial=0.0))
-        add("Estar_i A Estar_i = 0 for i < D",
-            np.abs(ctx.A[(ctx.dist[:, None] == ctx.dist[None, :]) & near[:, None]]).max(initial=0.0))
-        far = np.abs(Estar[D][:, None] * ctx.A * Estar[D][None, :]).max()
-        add("Estar_D A Estar_D != 0", 0.0 if far > 0.5 else 1.0)
+        # F keeps the entries of A inside one shell, E*_D A E*_D those inside the far shell
+        same, near = step == 0, dist < D
+        on_far = (dist == D)[:, None] & (dist == D)[None, :]
+        add("F = Estar_D A Estar_D", _max_abs(ctx.A, same != on_far))
+        add("F Estar_i = 0 for i < D", _max_abs(ctx.A, same & near[None, :]))
+        add("Estar_i A Estar_i = 0 for i < D", _max_abs(ctx.A, same & near[:, None]))
+        add("Estar_D A Estar_D != 0", 0.0 if _max_abs(ctx.A, on_far) > 0.5 else 1.0)
 
     return IdentityReport(checks=tuple(checks))
 

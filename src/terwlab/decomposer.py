@@ -274,52 +274,34 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     return [modules[i] for i in order]
 
 
-def _principal_vector(M: np.ndarray, basis: np.ndarray | None = None) -> np.ndarray:
-    """Unit vector spanning the dominant direction of the column space of ``basis @ M``.
+def _ladder_actions(image: np.ndarray, S: np.ndarray, bounds: np.ndarray, what: str) -> list:
+    """Tridiagonal action of one operator M along every ladder, read off its image.
 
-    ``basis`` has orthonormal columns (the identity when None), so the
-    dominant left singular vector of ``basis @ M`` is ``basis`` times that
-    of M.  The sign is fixed by making the first coordinate of visible size
-    positive, for reproducible reports.
-    """
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    v = u[:, 0] if basis is None else basis @ u[:, 0]
-    nz = np.flatnonzero(np.abs(v) > 1e-8)
-    if nz.size and v[nz[0]] < 0:
-        v = -v
-    return v
-
-
-def _ladder_actions(S: np.ndarray, spans: list, maps, what: str) -> list:
-    """Tridiagonal action of a raising/flat/lowering triple along every ladder.
-
-    Column slice ``spans[j]`` of ``S`` holds the rungs of ladder j.  Each
-    map is applied once to all of ``S``.  c_i is the coefficient of rung i
-    in the raised rung i-1, a_i of rung i in its flat image, b_i of rung i
-    in the lowered rung i+1.  Returns, per ladder, the matrix with bands
-    (c, a, b), the worst norm of an image minus its fitted multiple, and
-    the squared rung norms.
+    Columns ``bounds[j]:bounds[j+1]`` of ``S`` are the rungs w_0..w_d of
+    ladder j, on disjoint supports (one shell or one eigenspace each), and
+    ``image`` (overwritten) is M applied to all of ``S``.  The action is
+    M w_i = b_{i-1} w_{i-1} + a_i w_i + c_{i+1} w_{i+1}: c_i is the
+    coefficient of rung i in the image of rung i-1 (its raising part), a_i
+    of rung i in its own image, b_i of rung i in the image of rung i+1.
+    Returns, per ladder, the matrix with bands (c, a, b), the worst norm of
+    M w_i minus that expansion, and the squared rung norms.
     """
     norms2 = np.einsum("ij,ij->j", S, S)
     if norms2.min(initial=np.inf) <= 0:
         raise NumericalCheckFailure(f"{what} ladder vector vanishes inside the support")
-    bands = [np.zeros((3, cols.stop - cols.start)) for cols in spans]
-    resid = np.zeros(len(spans))
-    # (map, rungs whose images are fitted, rungs they are fitted to); the
-    # target slice is also the slice of the band the coefficients fill
-    fits = ((maps[0], slice(None, -1), slice(1, None)),
-            (maps[1], slice(None), slice(None)),
-            (maps[2], slice(1, None), slice(None, -1)))
-    for band, (M, src, dst) in enumerate(fits):
-        image = M @ S
-        for j, cols in enumerate(spans):
-            img, w = image[:, cols][:, src], S[:, cols][:, dst]
-            vals = np.einsum("ij,ij->j", img, w) / norms2[cols][dst]
-            bands[j][band, dst] = vals
-            if vals.size:
-                resid[j] = max(resid[j], float(np.linalg.norm(img - vals * w, axis=0).max()))
-        del image
-    return [(tridiagonal(*bands[j]), float(resid[j]), norms2[cols]) for j, cols in enumerate(spans)]
+    link = np.ones(len(norms2) - 1, dtype=bool)  # columns k and k + 1 are rungs of one ladder
+    link[bounds[1:-1] - 1] = False
+    a = np.einsum("ij,ij->j", image, S) / norms2
+    c = np.append(0.0, np.where(link, np.einsum("ij,ij->j", image[:, :-1], S[:, 1:]) / norms2[1:], 0.0))
+    b = np.append(np.where(link, np.einsum("ij,ij->j", image[:, 1:], S[:, :-1]) / norms2[:-1], 0.0), 0.0)
+    image -= a * S
+    image[:, :-1] -= c[1:] * S[:, 1:]
+    image[:, 1:] -= b[:-1] * S[:, :-1]
+    resid = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->j", image, image), bounds[:-1]))
+    return [
+        (tridiagonal(c[lo:hi], a[lo:hi], b[lo:hi]), float(r), norms2[lo:hi])
+        for lo, hi, r in zip(bounds[:-1], bounds[1:], resid)
+    ]
 
 
 def measure_all(ctx: TerwContext, modules) -> list:
@@ -329,51 +311,51 @@ def measure_all(ctx: TerwContext, modules) -> list:
     distance shells, and c_i(W), a_i(W), b_i(W) are the coefficients of the
     raising/flat/lowering actions along that ladder; dually for the starred
     numbers from the vector spanning E*_r W, split over the eigenspaces.
-    The idempotents act through the eigenspace bases, E_t = U_t U_t^T: the
-    vector spanning E_t W is U_t u, with u the dominant left singular vector
-    of U_t^T W, formed once for all modules with dual endpoint t, and the
-    dual ladder vectors are U_j (U_j^T v*), formed once per eigenspace j.
-    Each of the six maps is applied once to the stacked ladders of all
-    modules.  Raises :class:`NotThin` when a module is not thin and dual
-    thin.  Returns copies of the modules with the measured tridiagonal
-    matrices, the worst coefficient-equation residual and the squared
-    ladder norms attached.
+    The vector spanning E_t W is U_t u, with u the dominant left singular
+    vector of U_t^T W, from one stacked SVD per class (t, d).  The module
+    bases hold one rung per shell, from shell r up, so E*_r W is spanned by
+    rung 0; its dual ladder is held in the eigenspace basis, where rung i is
+    U_{t+i}^T of it on block t + i.  Each side takes one product for all the
+    ladders: A with the shell ladders, whose rows on shells s + 1, s, s - 1
+    are the R, F, L images, and N = U^T A* U with the eigenspace ladders,
+    whose row blocks give the R*, F*, L* images.  U is orthogonal, so the
+    dual coefficients and residual norms are read in that basis.  Raises
+    :class:`NotThin` when a module is not thin and dual thin.  Returns
+    copies of the modules with the measured tridiagonal matrices, the worst
+    coefficient-equation residual and the squared ladder norms attached.
     """
     modules = list(modules)
     for mod in modules:
         if not (mod.thin and mod.dual_thin):
             raise NotThin(f"module with (t, d) = ({mod.t}, {mod.d}) is not thin/dual thin")
-    bounds = np.cumsum([0] + [mod.d + 1 for mod in modules])
-    spans = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if not modules:
+        return []
+    sp = ctx.spectral
+    dims = np.array([mod.d + 1 for mod in modules])
+    bounds = np.concatenate([[0], np.cumsum(dims)])
+    owner = np.repeat(np.arange(len(modules)), dims)  # the module of each ladder column
+    rung = np.arange(bounds[-1]) - bounds[owner]
 
     # primal ladders: the vector spanning E_t W, split over the shells
-    S = np.empty((ctx.n, bounds[-1]))
-    by_t: dict = {}
+    V = np.empty((ctx.n, len(modules)))
+    by_class: dict = {}
     for j, mod in enumerate(modules):
-        by_t.setdefault(mod.t, []).append(j)
-    sp = ctx.spectral
-    for t, idx in by_t.items():
+        by_class.setdefault((mod.t, mod.d), []).append(j)
+    for (t, d), idx in by_class.items():
         Ut = sp.eigenbasis(t)
-        P = Ut.T @ np.hstack([modules[j].basis for j in idx])
-        lo = 0
-        for j in idx:
-            mod = modules[j]
-            v = _principal_vector(P[:, lo:lo + mod.dim], Ut)
-            lo += mod.dim
-            S[:, spans[j]] = ctx.Estar[mod.r:mod.r + mod.d + 1].T * v[:, None]
-        del P
-    primal = _ladder_actions(S, spans, (ctx.R, ctx.F, ctx.L), "primal")
+        P = (Ut.T @ np.hstack([modules[j].basis for j in idx])).reshape(-1, len(idx), d + 1)
+        V[:, idx] = Ut @ np.linalg.svd(P.transpose(1, 0, 2), full_matrices=False)[0][:, :, 0].T
+    shell = np.array([mod.r for mod in modules])[owner] + rung
+    S = np.where(ctx.dist[:, None] == shell, V[:, owner], 0.0)
+    primal = _ladder_actions(ctx.A @ S, S, bounds, "primal")
+    del S
 
-    # dual ladders: the vector spanning E*_r W, split over the eigenspaces
-    by_level: dict = {}
-    for j, mod in enumerate(modules):
-        vstar = _principal_vector(ctx.Estar[mod.r][:, None] * mod.basis)
-        for i in range(mod.d + 1):
-            by_level.setdefault(mod.t + i, []).append((spans[j].start + i, vstar))
-    for level, rows in by_level.items():
-        Uj = sp.eigenbasis(level)
-        S[:, [col for col, _ in rows]] = Uj @ (Uj.T @ np.stack([vstar for _, vstar in rows], axis=1))
-    dual = _ladder_actions(S, spans, (ctx.Rstar, ctx.Fstar, ctx.Lstar), "dual")
+    # dual ladders: rung 0 spans E*_r W, split over the eigenspaces
+    lab = sp.eigenspace_labels()
+    level = np.array([mod.t for mod in modules])[owner] + rung
+    C = sp.U.T @ np.stack([mod.basis[:, 0] for mod in modules], axis=1)
+    X = np.where(lab[:, None] == level, C[:, owner], 0.0)
+    dual = _ladder_actions(ctx.N @ X, X, bounds, "dual")
 
     return [
         replace(

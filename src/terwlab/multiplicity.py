@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .context import TerwContext
-from .decomposer import IrreducibleModule
 from .errors import NegativeMultiplicity, NonIntegerMultiplicity, OrderingMissing
 from .spectral import SpectralData
 
@@ -43,23 +42,24 @@ def trace_ladders(ctx: TerwContext) -> list:
     """Numerical traces of E_t L*^d R*^d E_t for every t and d = 0..D-t.
 
     Since L* is the transpose of R*, each trace is the squared Frobenius
-    norm of R*^d E_t.  With E_t = U_t U_t^T and U_t^T having orthonormal
-    rows, that is the squared Frobenius norm of the n x m_t matrix R*^d U_t.
-    One walk covers every t: the columns of U are grouped by eigenspace in
-    order, so after d products the walk keeps the leading columns, those of
-    the blocks t <= D - d, and drops the blocks that have finished.
+    norm of R*^d E_t, and with E_t = U_t U_t^T that is the squared
+    Frobenius norm of R*^d U_t.  In the eigenspace basis R* is the band of
+    blocks N_{j+1, j} of N = U^T A* U, and U is orthogonal, so R*^d U_t is
+    U times the m_{t+d} x m_t chain N_{t+d, t+d-1} ... N_{t+1, t}.  One walk
+    covers every t: at step k the walk holds the chains that end in block k
+    side by side, one per t <= k, so the next step is one product with
+    N_{k+1, k}, with the identity of block k + 1 appended for t = k + 1.
     """
     sp = ctx.spectral
-    D = sp.D
     lab = sp.eigenspace_labels()
-    ends = np.cumsum(sp.m)  # the columns of the blocks t <= D - d are the first ends[D - d]
-    ladders = [[] for _ in range(D + 1)]
-    M = sp.U
-    for d in range(D + 1):
-        M = M[:, : ends[D - d]]
-        if d:
-            M = ctx.Rstar @ M
-        for t, value in enumerate(np.bincount(lab[: ends[D - d]], np.einsum("ij,ij->j", M, M)).tolist()):
+    ends = np.cumsum(sp.m)
+    blocks = [slice(hi - mi, hi) for mi, hi in zip(sp.m.tolist(), ends.tolist())]
+    ladders = [[] for _ in range(sp.D + 1)]
+    H = np.eye(int(sp.m[0]))
+    for k in range(sp.D + 1):
+        if k:
+            H = np.hstack([ctx.N[blocks[k], blocks[k - 1]] @ H, np.eye(int(sp.m[k]))])
+        for t, value in enumerate(np.bincount(lab[: ends[k]], np.einsum("ij,ij->j", H, H)).tolist()):
             ladders[t].append(value)
     return ladders
 
@@ -77,15 +77,6 @@ def krein_products(spectral: SpectralData) -> np.ndarray:
     for j in range(D):  # h = t + j, for every cell with d > j at once
         value *= np.where(j < d, bs[np.clip(t + j, 0, D)] * cs[np.clip(d - j, 0, D)], 1.0)
     return np.where(t + d <= D, value, np.nan)
-
-
-def restricted_trace(ctx: TerwContext, mod: IrreducibleModule, t: int, d: int) -> float:
-    """Trace of E_t L*^d R*^d E_t restricted to one module."""
-    Ut = ctx.spectral.eigenbasis(t)
-    M = Ut @ (Ut.T @ mod.basis)
-    for _ in range(d):
-        M = ctx.Rstar @ M
-    return float(np.sum(M * M))
 
 
 def _rung_windows(rungs: np.ndarray) -> np.ndarray:

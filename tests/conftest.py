@@ -4,11 +4,15 @@ Each bundle carries the validated scheme, its spectral data, the context
 at base vertex 0, the measured module decomposition, and the solved
 multiplicity table.  Building them once per session keeps the suite fast.
 Tests that compare with the dense idempotents build them with
-:func:`dense_idempotents`; the program never holds that stack.
+:func:`dense_idempotents`; the program never holds that stack.  Nor does
+it hold the split operators: tests that read R, F, L or R*, F*, L* as
+n x n matrices build them with :func:`split_operators` and
+:func:`dense_dual_operators`.
 """
 
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import terwlab as tw
@@ -17,6 +21,26 @@ import terwlab as tw
 def dense_idempotents(spectral):
     """The (D+1, n, n) stack of primitive idempotents, E_j = Q[j, relation] / n."""
     return spectral.Q[:, spectral.relation] / spectral.n
+
+
+def split_operators(ctx):
+    """Dense R, F, L: the entries of A with dist(y) - dist(z) = 1, 0, -1."""
+    step = ctx.dist[:, None] - ctx.dist[None, :]
+    return tuple(ctx.A * (step == s) for s in (1, 0, -1))
+
+
+def dense_dual_operators(ctx, Astar=None):
+    """Dense R*, F*, L*: sum_i E_{i+s} A* E_i for s = 1, 0, -1, with the dense idempotents.
+
+    ``Astar`` is the n x n dual adjacency, diag(ctx.Astar) when None.
+    """
+    E, D = dense_idempotents(ctx.spectral), ctx.D
+    Astar = np.diag(ctx.Astar) if Astar is None else Astar
+    ops = []
+    for s in (1, 0, -1):
+        ops.append(sum((E[i + s] @ Astar @ E[i] for i in range(D + 1) if 0 <= i + s <= D),
+                       np.zeros((ctx.n, ctx.n))))
+    return tuple(ops)
 
 
 @dataclass(frozen=True)

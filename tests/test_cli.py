@@ -140,15 +140,22 @@ def test_missing_file_is_input_error():
     assert main(["validate", "--scheme", "/nonexistent.json"]) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--vertex", "99"], ["verify", "--vertex", "-1"], ["analyze", "--vertex", "99"],
-    ["decompose", "--vertex", "99"], ["multiplicities", "--oracle", "--vertex", "99"],
-], ids=" ".join)
-def test_vertex_out_of_range_is_input_error(argv, c7_file, capsys):
-    assert main([*argv, "--scheme", c7_file, "--json"]) == 2
+@pytest.mark.parametrize("argv, scheme, n", [
+    *(pytest.param(argv, "c7_file", 7, id=" ".join(argv)) for argv in (
+        ["verify", "--vertex", "99"], ["verify", "--vertex", "-1"], ["analyze", "--vertex", "99"],
+        ["decompose", "--vertex", "99"], ["multiplicities", "--oracle", "--vertex", "99"],
+        ["multiplicities", "--vertex", "99"], ["predict", "--t", "1", "--d", "2", "--vertex", "99"],
+        ["qs", "--vertex", "99"], ["validate", "--vertex", "99"],
+    )),
+    # no Q-polynomial ordering: the vertex is rejected before the orderings are sought
+    pytest.param(["verify", "--vertex", "99"], "lpg_file", 15,
+                 id="verify --vertex 99 on a scheme that is not Q-polynomial"),
+])
+def test_vertex_out_of_range_is_input_error(argv, scheme, n, request, capsys):
+    assert main([*argv, "--scheme", request.getfixturevalue(scheme), "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"input error: base vertex {argv[-1]} out of range for 7 vertices\n"
+    assert captured.err == f"input error: base vertex {argv[-1]} out of range for {n} vertices\n"
 
 
 def test_text_rendering_lists_all_checks(c7_file, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import terwlab as tw
-from conftest import dense_idempotents
+from conftest import dense_dual_operators, dense_idempotents, split_operators
 
 # censuses confirmed two independent ways: the oracle decomposition and the
 # trace recurrence agree on every instance
@@ -307,9 +307,14 @@ def test_seeds_rotate_blocks_but_keep_measurements(fc9):
         assert np.abs(other - stacked[0] @ (stacked[0].T @ other)).max() < 1e-9
 
 
+def _principal_vector(M):
+    """Dominant left singular vector of M."""
+    return np.linalg.svd(M, full_matrices=False)[0][:, 0]
+
+
 def _reference_measure(ctx, mod):
-    """Per-module matrix-vector measurement with the dense idempotents E_t, one coefficient at a time."""
-    from terwlab.decomposer import _principal_vector
+    """Per-module matrix-vector measurement with the dense idempotents E_t and the
+    dense split operators, one coefficient at a time."""
     from terwlab.predictor import tridiagonal
 
     r, t, d = mod.r, mod.t, mod.d
@@ -317,9 +322,9 @@ def _reference_measure(ctx, mod):
     out = []
     for ladder, ops in (
         ([ctx.Estar[r + i] * _principal_vector(E[t] @ mod.basis) for i in range(d + 1)],
-         (ctx.R, ctx.F, ctx.L)),
+         split_operators(ctx)),
         ([E[t + i] @ _principal_vector(ctx.Estar[r][:, None] * mod.basis) for i in range(d + 1)],
-         (ctx.Rstar, ctx.Fstar, ctx.Lstar)),
+         dense_dual_operators(ctx)),
     ):
         up, flat, down = ops
         norms2 = [float(w @ w) for w in ladder]

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
-from conftest import dense_idempotents
+from conftest import dense_dual_operators, dense_idempotents
 from terwlab.errors import NegativeMultiplicity, NonIntegerMultiplicity
 from terwlab.multiplicity import (
     LEADING_ZERO_TOL,
     ROUNDING_TOL,
     MultiplicityTable,
     _rung_windows,
-    restricted_trace,
 )
 from terwlab.predictor import band_grid
 from terwlab.spectral import PPolyArray
@@ -94,6 +93,7 @@ def test_trace_ladder_equals_per_cell_products(all_bundles):
     for bundle in all_bundles:
         ctx, D = bundle.ctx, bundle.spectral.D
         E = dense_idempotents(bundle.spectral)
+        Rstar, _, _ = dense_dual_operators(ctx)
         ladders = tw.trace_ladders(ctx)
         assert len(ladders) == D + 1
         for t in range(D + 1):
@@ -101,7 +101,7 @@ def test_trace_ladder_equals_per_cell_products(all_bundles):
             for d in range(D - t + 1):
                 M = E[t].copy()
                 for _ in range(d):
-                    M = ctx.Rstar @ M
+                    M = Rstar @ M
                 assert ladders[t][d] == pytest.approx(float(np.sum(M * M)), rel=1e-12), (bundle.name, t, d)
 
 
@@ -114,16 +114,26 @@ def test_trace_identity_sweep(all_bundles):
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (bundle.name, t, d)
 
 
+def restricted_trace(E, Rstar, mod, t, d) -> float:
+    """Reference: trace of E_t L*^d R*^d E_t restricted to one module, with dense E_t and R*."""
+    M = E[t] @ mod.basis
+    for _ in range(d):
+        M = Rstar @ M
+    return float(np.sum(M * M))
+
+
 def test_restricted_traces(c7, o4):
     # module-by-module contributions: ladder product when the module class
     # precedes the cell, zero otherwise
     for bundle in (c7, o4):
         sp = bundle.spectral
+        E = dense_idempotents(sp)
+        Rstar, _, _ = dense_dual_operators(bundle.ctx)
         for mod in bundle.modules:
             cls = (mod.t, mod.d)
             cs, _, bs = sp.bands.bands_star(*cls)
             for (t, d) in tw.upsilon_cells(sp.D):
-                value = restricted_trace(bundle.ctx, mod, t, d)
+                value = restricted_trace(E, Rstar, mod, t, d)
                 if precedes(cls, (t, d)):
                     expected = 1.0
                     for h in range(t - mod.t, t - mod.t + d):
