@@ -3,7 +3,7 @@
 Three distance-regular families serve as test instances: odd cycles
 C_{2D+1}, Odd graphs (Kneser graphs K(2D+1, D)), and folded (2D+1)-cubes.
 Each generator builds the graph, takes its distance partition, and runs
-the full axiom validation.
+the axiom validation.
 
 Scheme files are JSON::
 
@@ -33,32 +33,41 @@ DEFAULT_VERTEX_CAP = 5000
 def distance_relation(adjacency: list[list[int]]) -> np.ndarray:
     """BFS distance table of a connected graph given as adjacency lists.
 
-    The searches from all n sources run at once, one level per step: row s
-    of ``front`` is the frontier of the search from s, and the next
-    frontier is ``(front @ A > 0) & unreached`` with A[v, w] = 1 when w is
-    listed as a neighbour of v.  The 0/1 products are formed in float32 and
-    are exact, since every entry counts frontier vertices, at most n < 2**24.
-    A connected graph of diameter D takes D products.
+    The searches from all n sources run at once, one level per step, on
+    the transposed table: entry (w, s) is the distance from s to w, and row
+    w of the bool array ``front`` marks the sources whose search reaches w
+    at the current level.  The next frontier is the OR, over the
+    in-neighbours v of w (the vertices that list w), of the gathered rows
+    ``front[v]``, less what is already reached.  The in-neighbour lists are
+    padded with w itself; a padded slot gathers w's own frontier row, which
+    is already reached.  On symmetric lists the in-neighbours are the
+    neighbours.  Each level adds 1 to every pair still unreached, so a pair
+    ends at its distance.  A connected graph of diameter D takes D levels
+    of one gather per slot.
     """
     n = len(adjacency)
-    A = np.zeros((n, n), dtype=np.float32)
-    A[np.repeat(np.arange(n), [len(row) for row in adjacency]),
-      [w for row in adjacency for w in row]] = 1
-    rel = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(rel, 0)
-    unreached = rel < 0
-    front = np.eye(n, dtype=np.float32)
-    d = 0
+    src = np.repeat(np.arange(n), [len(row) for row in adjacency])
+    dst = np.array([w for row in adjacency for w in row], dtype=np.int64)
+    order = np.argsort(dst, kind="stable")
+    indeg = np.bincount(dst, minlength=n)
+    slots = np.arange(len(dst)) - np.repeat(np.cumsum(indeg) - indeg, indeg)
+    into = np.tile(np.arange(n), (max(1, int(indeg.max(initial=0))), 1))
+    into[slots, dst[order]] = src[order]
+    rel = np.zeros((n, n), dtype=np.min_scalar_type(n))
+    front = np.eye(n, dtype=bool)
+    unreached = ~front
     while unreached.any():
-        nxt = (front @ A > 0) & unreached
+        nxt = front[into[0]]
+        for vs in into[1:]:
+            nxt |= front[vs]
+        nxt &= unreached
         if not nxt.any():
-            x, y = map(int, np.argwhere(unreached)[0])
+            x, y = map(int, np.argwhere(unreached.T)[0])
             raise ParseError(f"graph is disconnected: no path from {x} to {y}")
-        d += 1
-        rel[nxt] = d
-        unreached &= ~nxt
-        front = nxt.astype(np.float32)
-    return rel
+        rel += unreached
+        unreached ^= nxt
+        front = nxt
+    return rel.T.astype(np.int64, order="C")
 
 
 def scheme_from_graph(adjacency: list[list[int]]) -> AssociationScheme:

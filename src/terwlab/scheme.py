@@ -8,9 +8,12 @@ the triple count
 
     p[h, i, j] = #{ z : relation[x, z] = i and relation[z, y] = j }
 
-depends only on ``h = relation[x, y]``.  The triple counts are assembled by
-multiplying the 0/1 class matrices in float32; entries never exceed ``n``,
-so the products are exact and are stored back as integers.
+depends only on ``h = relation[x, y]``.  The triple counts are exact
+integers.  When the classes are the distance classes of a distance-regular
+graph, in distance order, axiom (iv) is certified from the class-1
+neighbour lists alone, and p follows from the three-term recurrence of the
+intersection numbers.  Any other table gets the full scan, which forms the
+products of the 0/1 class matrices and names the first violation.
 """
 
 from __future__ import annotations
@@ -56,9 +59,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def validate_scheme(relation) -> AssociationScheme:
     """Check the scheme axioms for a relation table and return the scheme.
 
-    The constancy of the triple counts (axiom iv) is checked exhaustively,
-    and the resulting intersection tensor is attached to the returned
-    scheme.  Raises :class:`AxiomViolation` with a witness on failure.
+    Axiom (iv), the constancy of the triple counts, is first tried as a
+    certificate from the class-1 neighbour lists
+    (:func:`_p_polynomial_counts`); it decides every distance scheme of a
+    distance-regular graph with its classes in distance order.  When the
+    certificate does not apply, the full scan (:func:`_triple_counts`)
+    checks every product of two classes and reports the first violation.
+    The intersection tensor is attached to the returned scheme.  Raises
+    :class:`AxiomViolation` with a witness on failure.
     """
     rel = np.asarray(relation)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
@@ -96,13 +104,73 @@ def validate_scheme(relation) -> AssociationScheme:
             "iii", f"relation{xy} = {rel[xy]} but the reverse pair has class {rel[xy[::-1]]}", xy
         )
 
-    tensor = _triple_counts(rel, n, D)
+    tensor = _p_polynomial_counts(rel, n, D)
+    if tensor is None:
+        tensor = _triple_counts(rel, n, D)
     scheme = AssociationScheme(n=n, D=D, relation=_freeze(rel), tensor=tensor)
     return scheme
 
 
+def _p_polynomial_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor | None:
+    """Certify axiom (iv) from the class-1 graph and derive p, or return None.
+
+    Let y run over the k class-1 neighbours of x.  When every step
+    ``rel[y, z] - rel[x, z]`` lies in {-1, 0, +1}, and the numbers c_h, a_h,
+    b_h of -1, 0 and +1 steps depend only on h = rel[x, z], then
+    A_1 A_h = b_{h-1} A_{h-1} + a_h A_h + c_{h+1} A_{h+1}.  With c_h > 0 for
+    h >= 1, each A_i is a polynomial of degree i in A_1, so the classes span
+    an algebra and axiom (iv) holds (Brouwer-Cohen-Neumaier,
+    *Distance-Regular Graphs*, ch. 4).  The matrices P_i[h, j] = p[h, i, j]
+    then follow in exact integers, one (D+1)^2 product per step:
+
+        P_{i+1} = (P_1 P_i - b_{i-1} P_{i-1} - a_i P_i) / c_{i+1}.
+
+    Returns None, so that the caller runs the full scan, when D = 0, when
+    class 1 is not regular, or when a step, a count or a division fails the
+    test: the classes are then not the distance classes of a
+    distance-regular graph in this order, or the scheme is not P-polynomial.
+    """
+    if D == 0:
+        return None
+    adj = rel == 1
+    k = int(np.count_nonzero(adj[0]))
+    if (np.count_nonzero(adj, axis=1) != k).any():
+        return None
+    nbr = (np.flatnonzero(adj).reshape(n, k) % n).T.copy()
+    del adj
+    small, unsigned = (np.int8, np.uint8) if D < 127 else (np.int32, np.uint32)
+    r = rel.astype(small)
+    below = r - 1
+    step = np.empty_like(r)  # 1 + rel[y, z] - rel[x, z], in {0, 1, 2} when the test holds
+    down = np.zeros((n, n), dtype=np.min_scalar_type(k))
+    up = np.zeros_like(down)
+    for ys in nbr:
+        np.subtract(r[ys], below, out=step)
+        if step.view(unsigned).max() > 2:  # a negative step wraps past 2
+            return None
+        down += step == 0
+        up += step == 2
+    # the counts are read on row 0; a class missing there keeps c_h = 0
+    c = np.zeros(D + 1, dtype=down.dtype)
+    b = np.zeros_like(c)
+    c[rel[0]] = down[0]
+    b[rel[0]] = up[0]
+    if not c[1:].all() or (c[rel] != down).any() or (b[rel] != up).any():
+        return None
+    c, b = c.astype(np.int64), b.astype(np.int64)
+    a = k - c - b
+    P = [np.eye(D + 1, dtype=np.int64), np.diag(a) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)]
+    for i in range(1, D):
+        quot, rem = np.divmod(P[1] @ P[i] - b[i - 1] * P[i - 1] - a[i] * P[i], c[i + 1])
+        if rem.any():
+            return None
+        P.append(quot)
+    p = np.stack(P, axis=1)
+    return IntersectionTensor(p=_freeze(p), k=_freeze(np.diagonal(p[0]).copy()))
+
+
 def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
-    """Compute p[h, i, j], raising on any axiom (iv) violation.
+    """Compute p[h, i, j] by the full scan, raising on any axiom (iv) violation.
 
     Only the products ``M = A_i A_j`` with i <= j are formed: the classes
     are symmetric, so ``A_j A_i = (A_i A_j)^T`` is constant on the (symmetric)

@@ -56,8 +56,26 @@ def adjacency_lists(draw):
     return rows
 
 
-@given(adjacency_lists())
-@settings(max_examples=200, deadline=None)
+@st.composite
+def undirected_adjacency_lists(draw):
+    """Symmetric adjacency lists on 1..40 vertices: every drawn edge is listed
+    at both ends, so repeated edges and self-loops appear twice or more; a
+    random spanning path is added half the time, so both connected and
+    disconnected graphs appear."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += list(zip(order, order[1:]))
+    rows = [[] for _ in range(n)]
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
+    return rows
+
+
+@given(st.one_of(adjacency_lists(), undirected_adjacency_lists()))
+@settings(max_examples=400, deadline=None)
 def test_distance_relation_matches_reference_bfs(adjacency):
     assert _outcome(distance_relation, adjacency) == _outcome(reference_distance_relation, adjacency)
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
+from terwlab import scheme as scheme_module
 from terwlab.errors import AxiomViolation
-from terwlab.scheme import _triple_counts
+from terwlab.generators import distance_relation
+from terwlab.scheme import _triple_counts, relabel_classes
 
 
 def cycle_relation(n):
@@ -48,15 +50,20 @@ def test_seven_cycle_tensor_matches_brute_force():
     assert np.array_equal(scheme.tensor.p, brute_triple_counts(rel))
 
 
+def product_relation(a, b):
+    """The direct product of the symmetrized group schemes of Z_a and Z_b."""
+    ra, rb = cycle_relation(a), cycle_relation(b)
+    return (ra[:, None, :, None] * (b // 2 + 1) + rb[None, :, None, :]).reshape(a * b, a * b)
+
+
 @st.composite
 def product_schemes(draw):
-    """Relation tables of valid schemes that need not be P-polynomial: the
-    direct product of the symmetrized group schemes of Z_a and Z_b, with
-    the nonzero classes renamed by a random permutation."""
+    """Relation tables of valid schemes that need not be P-polynomial:
+    ``product_relation(a, b)`` with the nonzero classes renamed by a random
+    permutation."""
     a = draw(st.integers(min_value=1, max_value=6))
     b = draw(st.integers(min_value=1, max_value=6))
-    ra, rb = cycle_relation(a), cycle_relation(b)
-    rel = (ra[:, None, :, None] * (b // 2 + 1) + rb[None, :, None, :]).reshape(a * b, a * b)
+    rel = product_relation(a, b)
     classes = np.unique(rel)
     names = np.zeros(int(rel.max()) + 1, dtype=np.int64)
     names[classes[1:]] = np.array(draw(st.permutations(range(1, len(classes)))), dtype=np.int64)
@@ -66,8 +73,53 @@ def product_schemes(draw):
 @given(product_schemes())
 @settings(max_examples=25, deadline=None)
 def test_triple_counts_match_brute_force_on_random_schemes(rel):
+    # validate_scheme may decide by the class-1 certificate or by the full scan
     D = int(rel.max())
-    assert np.array_equal(_triple_counts(rel, rel.shape[0], D).p, brute_triple_counts(rel))
+    expected = brute_triple_counts(rel)
+    assert np.array_equal(_triple_counts(rel, rel.shape[0], D).p, expected)
+    assert np.array_equal(tw.validate_scheme(rel).tensor.p, expected)
+
+
+@pytest.fixture
+def full_scan_calls(monkeypatch):
+    """Record each call of the full axiom-iv scan made by ``validate_scheme``."""
+    calls = []
+
+    def spy(rel, n, D):
+        calls.append((n, D))
+        return _triple_counts(rel, n, D)
+
+    monkeypatch.setattr(scheme_module, "_triple_counts", spy)
+    return calls
+
+
+DISTANCE_REGULAR = (
+    [(f"C{2 * D + 1}", tw.odd_cycle, D) for D in range(3, 31)]
+    + [(f"O{D}", tw.odd_graph, D) for D in (3, 4, 5)]
+    + [(f"FC{2 * D + 1}", tw.folded_cube, D) for D in (2, 3, 4, 5)]
+)
+
+
+@pytest.mark.parametrize("family, D", [c[1:] for c in DISTANCE_REGULAR], ids=[c[0] for c in DISTANCE_REGULAR])
+def test_certificate_decides_distance_regular_schemes(family, D, full_scan_calls):
+    rel = family(D).relation
+    tensor = tw.validate_scheme(rel).tensor
+    assert full_scan_calls == []
+    reference = _triple_counts(rel, rel.shape[0], D)
+    assert (tensor.p == reference.p).all() and (tensor.k == reference.k).all()
+
+
+@pytest.mark.parametrize(
+    "rel",
+    [relabel_classes(tw.odd_cycle(3), (0, 1, 3, 2)).relation, product_relation(3, 3)],
+    ids=["C7-order-0132", "Z3xZ3"],
+)
+def test_full_scan_decides_when_certificate_fails(rel, full_scan_calls):
+    # C_7 with classes 2 and 3 swapped is not in a P-order; the class-1 graph
+    # of Z_3 x Z_3 is three disjoint triangles, so c_2 = 0
+    tensor = tw.validate_scheme(rel).tensor
+    assert full_scan_calls == [(rel.shape[0], int(rel.max()))]
+    assert np.array_equal(tensor.p, brute_triple_counts(rel))
 
 
 def test_seven_cycle_intersection_array():
@@ -119,6 +171,10 @@ def _flipped(rel, *pairs):
 
 
 PETERSEN = tw.odd_graph(2).relation
+# regular graphs that are not distance-regular: the certificate sees constant
+# valency and fails later, so the full scan must report the witness
+PRISM = distance_relation([[1, 2, 3], [0, 2, 4], [0, 1, 5], [0, 4, 5], [1, 3, 5], [2, 3, 4]])
+C8_1_4 = distance_relation([[(x + s) % 8 for s in (1, 4, 7)] for x in range(8)])
 
 
 def _path_relation(n):
@@ -140,8 +196,13 @@ def _path_relation(n):
         _flipped(PETERSEN, (0, int(np.argmax(PETERSEN[0] == 2)), 1)),
         _flipped(PETERSEN, (4, int(np.argmax(PETERSEN[4] == 1)), 2)),
         _path_relation(4),
+        PRISM,
+        C8_1_4,
     ],
-    ids=["C7-a", "C7-b", "C9-a", "C9-b", "C11-swap34", "C11-swap45", "petersen-a", "petersen-b", "P4"],
+    ids=[
+        "C7-a", "C7-b", "C9-a", "C9-b", "C11-swap34", "C11-swap45", "petersen-a", "petersen-b", "P4",
+        "prism", "C8-1-4",
+    ],
 )
 def test_axiom_iv_witness_matches_full_scan(rel):
     expected = reference_axiom_iv_scan(rel)
