@@ -28,7 +28,7 @@ print(f"\ndimension check: {total} = {scheme.n}")
 # The ladder structure inside one module: norms balance along the rungs
 # and consecutive products are strictly positive.
 mod = next(m for m in modules if m.d == scheme.D)
-ladder = tw.norm_ladder_check(ctx, mod)
+ladder = tw.norm_ladder_check(mod)
 print(f"\ntrivial module ladder: residuals {ladder.primal_residual:.2e} /"
       f" {ladder.dual_residual:.2e}, products {[round(p, 6) for p in ladder.products]}")
 

@@ -7,22 +7,14 @@ invariant subspaces, and compare the measured module parameters and
 multiplicities against their closed forms.
 """
 
-from .context import IdentityReport, TerwContext, build_context, triangle_vanishing_check, verify_operator_identities
+from .context import IdentityReport, TerwContext, build_context, verify_operator_identities
 from .decomposer import IrreducibleModule, census, decompose, measure_all, norm_ladder_check
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
 from .multiplicity import MultiplicityTable, krein_products, solve_multiplicities, trace_ladders
 from .predictor import ModuleClass, feasibility, module_class, predict_a0star, upsilon_cells
 from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_band_grid, qs_multiplicity
-from .scheme import AssociationScheme, IntersectionTensor, intersection_tensor, validate_scheme
-from .spectral import (
-    PPolyArray,
-    SpectralData,
-    detect_p_polynomial,
-    detect_q_polynomial,
-    intersection_array,
-    is_almost_bipartite,
-    spectral_data,
-)
+from .scheme import AssociationScheme, IntersectionTensor, validate_scheme
+from .spectral import PPolyArray, SpectralData, intersection_array, is_almost_bipartite, spectral_data
 
 __version__ = "0.1.0"
 
@@ -41,14 +33,11 @@ __all__ = [
     "build_context",
     "census",
     "decompose",
-    "detect_p_polynomial",
-    "detect_q_polynomial",
     "exclusion_check",
     "feasibility",
     "fit_qs",
     "folded_cube",
     "intersection_array",
-    "intersection_tensor",
     "is_almost_bipartite",
     "krein_products",
     "load_scheme",
@@ -65,7 +54,6 @@ __all__ = [
     "solve_multiplicities",
     "spectral_data",
     "trace_ladders",
-    "triangle_vanishing_check",
     "upsilon_cells",
     "validate_scheme",
     "verify_operator_identities",

@@ -159,7 +159,7 @@ def _module_structure(args, values):
             return "fail", None, f"module ({mod.t},{mod.d}) not thin/dual-thin", None
         if mod.r + mod.d != D or 2 * mod.t + mod.d < D:
             return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
-        ladder = norm_ladder_check(values["context"], mod)
+        ladder = norm_ladder_check(mod)
         if not ladder.all_positive:
             return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
         worst = max(worst, ladder.primal_residual, ladder.dual_residual)
@@ -247,7 +247,7 @@ STAGES = (
     ("almost_bipartite", "almost-bipartite flag", ("spectral data",), _almost_bipartite),
     ("operator_identities", "context", ("scheme", "spectral data"), _operator_identities),
     ("decomposition", "decomposition", ("context",), _decomposition),
-    ("module_structure", None, ("spectral data", "context", "decomposition"), _module_structure),
+    ("module_structure", None, ("spectral data", "decomposition"), _module_structure),
     ("predictor_vs_oracle", None, ("spectral data", "decomposition"), _predictor_vs_oracle),
     ("trace_formula", None, ("spectral data", "context"), _trace_formula),
     ("multiplicity_recurrence", "multiplicity table", ("spectral data", "decomposition"),

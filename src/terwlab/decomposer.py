@@ -135,7 +135,7 @@ def _ladders(ctx: TerwContext, r: int, rungs: list, scale: float) -> list:
         W = rungs[-1]
         shell = r + len(rungs) - 1
         AW = ctx.A @ W
-        up = ctx.Estar[shell + 1][:, None] * AW if shell < ctx.D else np.zeros_like(W)
+        up = (ctx.dist == shell + 1)[:, None] * AW if shell < ctx.D else np.zeros_like(W)
         if W.shape[1] > 1:
             for X in (W.T @ AW, up.T @ up):
                 parts = _eigenblocks(X)
@@ -256,7 +256,7 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     ``seed``.
     """
     rng = np.random.default_rng(seed)
-    shells = [np.flatnonzero(ctx.Estar[i]) for i in range(ctx.D + 1)]
+    shells = [np.flatnonzero(ctx.dist == i) for i in range(ctx.D + 1)]
     scale = max(1.0, float(np.abs(ctx.A).sum(axis=1).max()))
     ladders = []
     for r in range(ctx.D + 1):
@@ -384,14 +384,13 @@ class NormLadderReport:
         return all(p > 0 for p in self.products) and all(p > 0 for p in self.dual_products)
 
 
-def norm_ladder_check(ctx: TerwContext, mod: IrreducibleModule) -> NormLadderReport:
+def norm_ladder_check(mod: IrreducibleModule) -> NormLadderReport:
     """Verify c_i(W) ||E*_{r+i} v||^2 = b_{i-1}(W) ||E*_{r+i-1} v||^2 and
     its dual, and collect the products b_{i-1}(W) c_i(W) for i = 1..d.
 
-    The norms are those of the ladders the measurement used.
+    ``mod`` is a measured module (:func:`measure_all`); the norms are those
+    of the ladders the measurement used.
     """
-    if mod.measured_B is None:
-        mod = measure_all(ctx, [mod])[0]
     c, _, b = tridiagonal_bands(mod.measured_B)
     cs, _, bs = tridiagonal_bands(mod.measured_Bstar)
     nrm2, dnrm2 = mod.ladder_norms2, mod.dual_ladder_norms2

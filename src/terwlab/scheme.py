@@ -44,7 +44,7 @@ class AssociationScheme:
     n: int
     D: int
     relation: np.ndarray
-    tensor: IntersectionTensor | None = field(default=None, compare=False, repr=False)
+    tensor: IntersectionTensor = field(compare=False, repr=False)
 
     def class_matrix(self, i: int) -> np.ndarray:
         """The 0/1 associate matrix of class ``i`` (float64)."""
@@ -210,13 +210,6 @@ def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
     return IntersectionTensor(p=_freeze(p), k=_freeze(k))
 
 
-def intersection_tensor(scheme: AssociationScheme) -> IntersectionTensor:
-    """The exact integer intersection tensor of a validated scheme."""
-    if scheme.tensor is not None:
-        return scheme.tensor
-    return _triple_counts(scheme.relation, scheme.n, scheme.D)
-
-
 def relabel_classes(scheme: AssociationScheme, ordering) -> AssociationScheme:
     """Rename classes so that position ``i`` of ``ordering`` becomes class ``i``."""
     ordering = tuple(int(i) for i in ordering)
@@ -227,9 +220,6 @@ def relabel_classes(scheme: AssociationScheme, ordering) -> AssociationScheme:
     for newi, old in enumerate(ordering):
         pos[old] = newi
     rel = pos[scheme.relation]
-    tensor = None
-    if scheme.tensor is not None:
-        ix = np.ix_(ordering, ordering, ordering)
-        p = scheme.tensor.p[ix]
-        tensor = IntersectionTensor(p=_freeze(p.copy()), k=_freeze(np.diagonal(p[0]).copy()))
+    p = scheme.tensor.p[np.ix_(ordering, ordering, ordering)]
+    tensor = IntersectionTensor(p=_freeze(p), k=_freeze(np.diagonal(p[0]).copy()))
     return AssociationScheme(n=scheme.n, D=D, relation=_freeze(rel), tensor=tensor)

@@ -24,10 +24,8 @@ pattern.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
-idempotents by the first Q-polynomial ordering (when one exists).
-``spectral_data`` stops the search at that first ordering; the
-``detect_*`` functions run the same search to the end and list every
-ordering, the first of which is the same one.
+idempotents by the first Q-polynomial ordering (when one exists), and the
+search for each stops at that first ordering.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NotPPolynomial, NumericalCheckFailure
 from .predictor import BandGrid, band_grid
-from .scheme import AssociationScheme, IntersectionTensor, intersection_tensor, relabel_classes
+from .scheme import AssociationScheme, IntersectionTensor, relabel_classes
 
 #: spacing under which two eigenvalues count as equal (scaled by 1 + |theta|)
 EIG_MATCH_TOL = 1e-8
@@ -152,7 +150,8 @@ def _orderings(nonzero: np.ndarray):
     """
     D = nonzero.shape[0] - 1
     if D == 0:
-        yield (0,)
+        if _pattern_ok(nonzero, (0,)):
+            yield (0,)
         return
     for c1 in range(1, D + 1):
         order = [0, c1]
@@ -172,23 +171,6 @@ def _orderings(nonzero: np.ndarray):
 def _krein_support(krein: np.ndarray, tol: float = KREIN_ZERO_TOL) -> np.ndarray:
     """Nonzero Krein parameters, with ``tol`` relative to the largest one."""
     return np.abs(krein) > tol * max(1.0, float(np.abs(krein).max()))
-
-
-def detect_p_polynomial(tensor: IntersectionTensor) -> list[tuple]:
-    """All class orderings under which the scheme is P-polynomial.
-
-    Returns a (possibly empty) list of orderings; each is a tuple whose
-    i-th entry is the original class placed at position i.
-    """
-    return list(_orderings(tensor.p != 0))
-
-
-def detect_q_polynomial(krein: np.ndarray, tol: float = KREIN_ZERO_TOL) -> list[tuple]:
-    """All idempotent orderings under which the Krein pattern is tridiagonal.
-
-    Zero-detection uses ``tol`` relative to the largest Krein parameter.
-    """
-    return list(_orderings(_krein_support(krein, tol)))
 
 
 def intersection_array(tensor: IntersectionTensor) -> PPolyArray:
@@ -290,26 +272,24 @@ def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
     )
 
 
-def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) -> SpectralData:
+def spectral_data(scheme: AssociationScheme) -> SpectralData:
     """Eigenvalues, eigenmatrices, eigenspace bases, Krein parameters and orderings.
 
     Takes the first P-polynomial ordering found (raising
-    :class:`NotPPolynomial` if none exists, unless one is supplied),
-    relabels the classes by it, and computes all spectral quantities.  If
-    a Q-polynomial ordering is found the idempotents are relabeled by the
-    first one as well; otherwise the dual data are left ``None`` and the
-    idempotents stay sorted by descending eigenvalue.
+    :class:`NotPPolynomial` if none exists), relabels the classes by it,
+    and computes all spectral quantities.  If a Q-polynomial ordering is
+    found the idempotents are relabeled by the first one as well;
+    otherwise the dual data are left ``None`` and the idempotents stay
+    sorted by descending eigenvalue.
     """
-    tensor = intersection_tensor(scheme)
     n, D = scheme.n, scheme.D
 
     if D == 0:
         return _trivial_spectral(scheme)
 
+    p_ordering = next(_orderings(scheme.tensor.p != 0), None)
     if p_ordering is None:
-        p_ordering = next(_orderings(tensor.p != 0), None)
-        if p_ordering is None:
-            raise NotPPolynomial(f"no metric ordering among {D + 1} classes")
+        raise NotPPolynomial(f"no metric ordering among {D + 1} classes")
     scheme_p = relabel_classes(scheme, p_ordering)
     tensor_p = scheme_p.tensor
     pp = intersection_array(tensor_p)
@@ -372,7 +352,7 @@ def spectral_data(scheme: AssociationScheme, p_ordering: tuple | None = None) ->
         arr.flags.writeable = False
     return SpectralData(
         n=n, D=D, relation=scheme_p.relation,
-        p_ordering=tuple(p_ordering), q_ordering=q_ordering,
+        p_ordering=p_ordering, q_ordering=q_ordering,
         pp=pp, P=P, Q=Q, m=m_int, krein=krein,
         theta=theta, theta_star=theta_star, U=U, ppstar=ppstar,
     )

@@ -53,8 +53,13 @@ def test_analyze_json(c7_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["almost_bipartite"] is True
     assert doc["identities"]["all_passed"] is True
-    names = {c["name"] for c in doc["identities"]["checks"]}
-    assert "A = R + F + L" in names
+    assert [c["name"] for c in doc["identities"]["checks"]] == [
+        "A E_i = theta_i E_i",
+        "A = R + F + L",
+        "Astar = Rstar + Fstar + Lstar",
+        "F = Estar_D A Estar_D",
+        "Estar_D A Estar_D != 0",
+    ]
 
 
 def test_predict_json(c7_file, capsys):

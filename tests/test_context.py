@@ -6,13 +6,25 @@ import pytest
 
 import terwlab as tw
 from conftest import dense_dual_operators, dense_idempotents, split_operators
+from terwlab.context import _block_norms2
 from terwlab.errors import InvalidParameter, OrderingMissing
+from terwlab.scheme import relabel_classes
+from terwlab.spectral import _krein_support
+
+#: the identity report of an almost-bipartite scheme, in report order; the
+#: middle two are the band checks every scheme gets
+IDENTITY_CHECKS = (
+    "A E_i = theta_i E_i",
+    "A = R + F + L",
+    "Astar = Rstar + Fstar + Lstar",
+    "F = Estar_D A Estar_D",
+    "Estar_D A Estar_D != 0",
+)
 
 
 def test_estar_traces_are_valencies(c7):
     # shell sizes around any vertex equal the valencies
-    traces = c7.ctx.Estar.sum(axis=1)
-    assert traces.tolist() == [1, 2, 2, 2]
+    assert np.bincount(c7.ctx.dist).tolist() == [1, 2, 2, 2]
 
 
 def test_rfl_partition_exact(all_bundles):
@@ -34,8 +46,8 @@ def test_identities_all_pass_two_vertices(all_bundles):
 def test_exchange_identity_o4(o4):
     ctx = o4.ctx
     R, _, _ = split_operators(ctx)
-    lhs = R * ctx.Estar[1][None, :]
-    rhs = ctx.Estar[2][:, None] * R
+    lhs = R * (ctx.dist == 1)[None, :]
+    rhs = (ctx.dist == 2)[:, None] * R
     assert np.abs(lhs - rhs).max() < 1e-9
 
 
@@ -44,25 +56,26 @@ def test_dual_adjacency_eigenvalues(all_bundles):
         ctx = bundle.ctx
         ths = bundle.spectral.theta_star
         for i in range(bundle.scheme.D + 1):
-            resid = (ctx.Astar - ths[i]) * ctx.Estar[i]
+            resid = (ctx.Astar - ths[i]) * (ctx.dist == i)
             assert np.abs(resid).max() < 1e-9 * bundle.scheme.n
 
 
 def test_dual_class_sum(all_bundles):
     for bundle in all_bundles:
         ctx = bundle.ctx
-        total = ctx.Astar_all.sum(axis=0)
-        assert np.abs(total - bundle.scheme.n * ctx.Estar[0]).max() < 1e-9 * bundle.scheme.n
+        total = bundle.spectral.Q[:, ctx.dist].sum(axis=0)
+        assert np.abs(total - bundle.scheme.n * (ctx.dist == 0)).max() < 1e-9 * bundle.scheme.n
 
 
 def test_flat_part_lives_on_far_shell(fc7):
     ctx = fc7.ctx
     D = fc7.scheme.D
     _, F, _ = split_operators(ctx)
-    far = ctx.Estar[D][:, None] * ctx.A * ctx.Estar[D][None, :]
+    shell = ctx.dist == D
+    far = shell[:, None] * ctx.A * shell[None, :]
     assert np.abs(F - far).max() < 1e-10
     for i in range(D):
-        assert np.abs(F * ctx.Estar[i][None, :]).max() < 1e-10
+        assert np.abs(F * (ctx.dist == i)[None, :]).max() < 1e-10
     assert far.max() > 0.5
 
 
@@ -100,97 +113,71 @@ def test_vertex_out_of_range(c7):
             tw.build_context(c7.scheme, c7.spectral, x)
 
 
+def test_identity_report_names(all_bundles):
+    # the five standard schemes are almost-bipartite; the 6-cycle is
+    # bipartite and Q-polynomial, so it gets no far-shell checks; the
+    # one-vertex scheme has no class 1 and gets the two band checks only
+    for bundle in all_bundles:
+        assert tuple(c.name for c in bundle.ctx.identities.checks) == IDENTITY_CHECKS, bundle.name
+    hexagon = tw.scheme_from_graph([[(v - 1) % 6, (v + 1) % 6] for v in range(6)])
+    for scheme, names in ((hexagon, IDENTITY_CHECKS[:3]), (tw.validate_scheme([[0]]), IDENTITY_CHECKS[1:3])):
+        ctx = tw.build_context(scheme, tw.spectral_data(scheme), 0)
+        assert tuple(c.name for c in ctx.identities.checks) == names
+
+
+def _triangle_counterexamples(ctx, zero_tol=1e-7):
+    """Reference: the vanishing biconditionals for triple products at the base vertex.
+
+    For every (h, i, j): p[h, i, j] = 0 iff E*_i A_j E*_h = 0, and
+    q[h, i, j] = 0 iff E_i A*_j E_h = 0, with E*_i the mask ``dist == i``
+    and A*_j = diag(Q[j, dist]).  The matrix side is exact (0/1 blocks).
+    With E_i = U_i U_i^T, ||E_i A*_j E_h||_F = ||U_i^T A*_j U_h||_F; the
+    Krein side compares those squared norms against ``zero_tol`` relative
+    to the largest block, and the Krein parameters against the threshold
+    of the Q-ordering search.  Returns the (h, i, j) of both sides that
+    disagree.
+    """
+    sp, D, dist = ctx.spectral, ctx.D, ctx.dist
+    p = relabel_classes(ctx.scheme, sp.p_ordering).tensor.p
+    shells = [np.flatnonzero(dist == i) for i in range(D + 1)]
+    bad_p = [
+        (h, i, j)
+        for j in range(D + 1)
+        for i in range(D + 1)
+        for h in range(D + 1)
+        if (p[h, i, j] != 0) != bool((sp.relation[np.ix_(shells[i], shells[h])] == j).any())
+    ]
+    # frob2[h, i, j] is the squared norm of block (i, h) of U^T A*_j U
+    frob2 = np.stack([_block_norms2(sp.U.T @ (sp.Q[j, dist][:, None] * sp.U), sp).T for j in range(D + 1)], axis=2)
+    vanishing = frob2 > zero_tol * max(1.0, float(frob2.max()))
+    bad_q = [tuple(int(v) for v in hij) for hij in np.argwhere(_krein_support(sp.krein) != vanishing)]
+    return bad_p, bad_q
+
+
 @pytest.mark.parametrize("which", ["c7", "o4"])
 def test_triangle_vanishing(which, request):
     bundle = request.getfixturevalue(which)
-    report = tw.triangle_vanishing_check(bundle.ctx)
-    assert report.passed, (report.p_counterexamples, report.q_counterexamples)
+    assert _triangle_counterexamples(bundle.ctx) == ([], [])
 
 
 def test_triangle_vanishing_trivial_scheme():
     scheme = tw.validate_scheme([[0]])
     ctx = tw.build_context(scheme, tw.spectral_data(scheme), 0)
-    assert tw.triangle_vanishing_check(ctx).passed
+    assert _triangle_counterexamples(ctx) == ([], [])
+
+
+def test_triangle_vanishing_fires_on_wrong_shells(c7):
+    # vertices 1 and 2 swap shells: both sides find counterexamples
+    dist = c7.ctx.dist.copy()
+    dist[[1, 2]] = dist[[2, 1]]
+    bad_p, bad_q = _triangle_counterexamples(replace(c7.ctx, dist=dist))
+    assert bad_p and bad_q
 
 
 def test_shell_ranks_cover_everything(all_bundles):
     for bundle in all_bundles:
-        ranks = bundle.ctx.Estar.sum(axis=1)
-        assert int(ranks.sum()) == bundle.scheme.n
-
-
-def _estar_pair_loop(Estar):
-    """Reference: the (D+1)^2 pair loop the broadcast replaced."""
-    D = Estar.shape[0] - 1
-    return max(
-        np.abs(Estar[i] * Estar[j] - (i == j) * Estar[i]).max()
-        for i in range(D + 1)
-        for j in range(D + 1)
-    )
-
-
-def _estar_orthogonality(ctx):
-    report = tw.verify_operator_identities(ctx)
-    [check] = [c for c in report.checks if c.name == "Estar idempotent-orthogonal"]
-    return check.residual
-
-
-def test_estar_orthogonality_residual_is_exactly_zero(all_bundles):
-    for bundle in all_bundles:
-        assert _estar_orthogonality(bundle.ctx) == _estar_pair_loop(bundle.ctx.Estar) == 0.0
-
-
-def test_estar_orthogonality_matches_pair_loop_off_01(c9):
-    # entries away from 0/1 make every pair contribute; the residual is the
-    # loop's to the bit
-    rng = np.random.default_rng(0)
-    Estar = c9.ctx.Estar + rng.uniform(-0.3, 0.3, c9.ctx.Estar.shape)
-    assert _estar_orthogonality(replace(c9.ctx, Estar=Estar)) == _estar_pair_loop(Estar) > 0.1
-
-
-def _exchange_loop(M, Estar, shift):
-    """Reference: max_i ||M E*_i - E*_{i+shift} M||_inf as the D+1 passes the mask replaced."""
-    D = Estar.shape[0] - 1
-    worst = 0.0
-    for i in range(D + 1):
-        left = M * Estar[i][None, :]
-        j = i + shift
-        right = Estar[j][:, None] * M if 0 <= j <= D else 0.0
-        worst = max(worst, float(np.abs(left - right).max()))
-    return worst
-
-
-def test_exchange_residual_matches_shell_loop(all_bundles):
-    from terwlab.context import _exchange_residual
-
-    for bundle in all_bundles:
-        ctx = bundle.ctx
-        for M in (*split_operators(ctx), ctx.A):
-            for shift in (-1, 0, 1):
-                assert _exchange_residual(M, ctx.dist, shift) == _exchange_loop(M, ctx.Estar, shift)
-
-
-def test_exchange_residual_matches_shell_loop_on_perturbed_operator(o4):
-    # every entry nonzero and of a different size: the masked maximum is the
-    # loop's to the bit
-    from terwlab.context import _exchange_residual
-
-    ctx = o4.ctx
-    R, _, _ = split_operators(ctx)
-    M = R + np.random.default_rng(1).uniform(-1e-3, 1e-3, R.shape)
-    for shift in (-1, 0, 1):
-        value = _exchange_residual(M, ctx.dist, shift)
-        assert value == _exchange_loop(M, ctx.Estar, shift) > 0.0
-
-
-def _dense_dual_exchange(M, E, shift):
-    """Reference: max_i ||M E_i - E_{i+shift} M||_inf with the dense idempotents."""
-    D = E.shape[0] - 1
-    worst = 0.0
-    for i in range(D + 1):
-        right = E[i + shift] @ M if 0 <= i + shift <= D else 0.0
-        worst = max(worst, float(np.abs(M @ E[i] - right).max()))
-    return worst
+        ranks = np.bincount(bundle.ctx.dist, minlength=bundle.scheme.D + 1)
+        assert len(ranks) == bundle.scheme.D + 1 and int(ranks.sum()) == bundle.scheme.n
 
 
 def _dual_step(ctx):
@@ -217,40 +204,6 @@ def test_dual_operators_match_dense_idempotent_construction(all_bundles):
 def _identity(ctx, name):
     [check] = [c for c in tw.verify_operator_identities(ctx).checks if c.name == name]
     return check.residual
-
-
-DUAL_EXCHANGES = (
-    ("Rstar E_i = E_{i+1} Rstar", 1),
-    ("Fstar E_i = E_i Fstar", 0),
-    ("Lstar E_i = E_{i-1} Lstar", -1),
-)
-
-
-def test_dual_exchange_frobenius_bounds_dense_max_norm(all_bundles):
-    # the bands of N satisfy the exchange rules exactly; the dense R*, F*, L*
-    # satisfy them up to the rounding of their products
-    for bundle in all_bundles:
-        ctx = bundle.ctx
-        E = dense_idempotents(ctx.spectral)
-        for (name, shift), op in zip(DUAL_EXCHANGES, dense_dual_operators(ctx)):
-            dense = _dense_dual_exchange(op, E, shift)
-            assert dense <= _identity(ctx, name) + _rounding(ctx), (bundle.name, name)
-            assert _identity(ctx, name) <= 1e-9 * ctx.n, (bundle.name, name)
-
-
-def test_dual_exchange_frobenius_bounds_dense_max_norm_off_pattern(fc7):
-    # a perturbation that breaks every exchange rule: the residual moves far
-    # above rounding, and the Frobenius form still bounds the max-norm form
-    from terwlab.context import _block_norms2, _dual_exchange_residual
-
-    ctx, sp = fc7.ctx, fc7.spectral
-    rng = np.random.default_rng(2)
-    noise = rng.standard_normal((ctx.n, ctx.n)) * 1e-4
-    step = _dual_step(ctx)
-    for name, shift in DUAL_EXCHANGES:
-        X = ctx.N * (step == shift) + noise
-        dense = _dense_dual_exchange(sp.U @ X @ sp.U.T, dense_idempotents(sp), shift)
-        assert 1e-5 < dense <= _dual_exchange_residual(_block_norms2(X, sp), shift), name
 
 
 def test_off_band_gate_bounds_dense_split_residual(all_bundles, fc7):
@@ -288,29 +241,28 @@ def test_eigenvalue_identity_matches_dense_idempotents(all_bundles):
 
 
 def _near_shell_loops(ctx):
-    """Reference: the two almost-bipartite checks as the D masked n x n passes each that one pass on dist replaced."""
-    D, Estar = ctx.D, ctx.Estar
+    """Reference: F E*_i and E*_i A E*_i on the near shells i < D, as D masked n x n passes each."""
+    shells = [ctx.dist == i for i in range(ctx.D)]
     _, F, _ = split_operators(ctx)
-    flat = max((np.abs(F * Estar[i][None, :]).max() for i in range(D)), default=0.0)
-    inner = max((np.abs(Estar[i][:, None] * ctx.A * Estar[i][None, :]).max() for i in range(D)), default=0.0)
+    flat = max((np.abs(F * s[None, :]).max() for s in shells), default=0.0)
+    inner = max((np.abs(s[:, None] * ctx.A * s[None, :]).max() for s in shells), default=0.0)
     return flat, inner
 
 
-NEAR_SHELL_CHECKS = ("F Estar_i = 0 for i < D", "Estar_i A Estar_i = 0 for i < D")
-
-
 def test_near_shell_checks_match_shell_loops(all_bundles):
+    # F - E*_D A E*_D keeps the entries of A inside one near shell: the
+    # entries that F E*_i = 0 and E*_i A E*_i = 0 for i < D read as well
     for bundle in all_bundles:
-        ctx = bundle.ctx
-        assert tuple(_identity(ctx, name) for name in NEAR_SHELL_CHECKS) == _near_shell_loops(ctx) == (0.0, 0.0)
+        residual = _identity(bundle.ctx, "F = Estar_D A Estar_D")
+        assert (residual, residual) == _near_shell_loops(bundle.ctx) == (0.0, 0.0)
 
 
 def test_near_shell_checks_match_shell_loops_on_perturbed_operators(o4, fc9):
-    # every entry nonzero and of a different size: the masked maxima are the
-    # loops' to the bit; F is the mask of the perturbed A
+    # every entry nonzero and of a different size: the far-shell check fires,
+    # and reads the loops' maxima to the bit; F is the mask of the perturbed A
     rng = np.random.default_rng(3)
     for bundle in (o4, fc9):
         ctx = bundle.ctx
         perturbed = replace(ctx, A=ctx.A + rng.uniform(-1e-3, 1e-3, (ctx.n, ctx.n)))
-        got = tuple(_identity(perturbed, name) for name in NEAR_SHELL_CHECKS)
-        assert got == _near_shell_loops(perturbed) and min(got) > 0.0, bundle.name
+        residual = _identity(perturbed, "F = Estar_D A Estar_D")
+        assert (residual, residual) == _near_shell_loops(perturbed) and residual > 0.0, bundle.name

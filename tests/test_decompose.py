@@ -117,7 +117,7 @@ def test_measurement_residuals_small(all_bundles):
 def test_norm_ladder(all_bundles):
     for bundle in all_bundles:
         for m in bundle.modules:
-            report = tw.norm_ladder_check(bundle.ctx, m)
+            report = tw.norm_ladder_check(m)
             assert report.primal_residual < 1e-8
             assert report.dual_residual < 1e-8
             assert report.all_positive
@@ -321,9 +321,9 @@ def _reference_measure(ctx, mod):
     E = dense_idempotents(ctx.spectral)
     out = []
     for ladder, ops in (
-        ([ctx.Estar[r + i] * _principal_vector(E[t] @ mod.basis) for i in range(d + 1)],
+        ([(ctx.dist == r + i) * _principal_vector(E[t] @ mod.basis) for i in range(d + 1)],
          split_operators(ctx)),
-        ([E[t + i] @ _principal_vector(ctx.Estar[r][:, None] * mod.basis) for i in range(d + 1)],
+        ([E[t + i] @ _principal_vector((ctx.dist == r)[:, None] * mod.basis) for i in range(d + 1)],
          dense_dual_operators(ctx)),
     ):
         up, flat, down = ops

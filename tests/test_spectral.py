@@ -38,6 +38,12 @@ def reference_pattern_ok(nonzero, order):
     return True
 
 
+def reference_orderings(nonzero):
+    """Reference: every ordering fixing 0 tried in turn, in lexicographic order."""
+    orders = ((0,) + perm for perm in permutations(range(1, nonzero.shape[0])))
+    return [order for order in orders if reference_pattern_ok(nonzero, order)]
+
+
 @st.composite
 def supports_and_orders(draw):
     """A boolean (D+1)^3 support and an ordering fixing 0.
@@ -92,17 +98,17 @@ def test_pattern_ok_matches_reference_on_bundle_supports(all_bundles):
 def test_first_found_ordering_is_first_detected(case):
     # the support as a 0/1 Krein tensor: 1 > tol * 1, so the mask is the support
     nonzero, _ = case
-    detected = tw.detect_q_polynomial(nonzero.astype(np.float64))
     assert _krein_support(nonzero.astype(np.float64)).tolist() == nonzero.tolist()
-    assert next(_orderings(nonzero), None) == (detected[0] if detected else None)
+    if nonzero.shape[0] <= 6:  # the reference tries all D! orderings
+        assert list(_orderings(nonzero)) == reference_orderings(nonzero)
 
 
 def test_first_found_orderings_on_bundles(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        assert next(_orderings(bundle.scheme.tensor.p != 0)) == tw.detect_p_polynomial(bundle.scheme.tensor)[0]
-        assert next(_orderings(_krein_support(sp.krein))) == tw.detect_q_polynomial(sp.krein)[0]
-        assert sp.p_ordering == tw.detect_p_polynomial(bundle.scheme.tensor)[0]
+        p_support, q_support = bundle.scheme.tensor.p != 0, _krein_support(sp.krein)
+        assert next(_orderings(p_support)) == reference_orderings(p_support)[0] == sp.p_ordering
+        assert next(_orderings(q_support)) == reference_orderings(q_support)[0]
 
 
 def _eigenmatrix_krein(tensor):
@@ -124,12 +130,11 @@ def _eigenmatrix_krein(tensor):
 def test_first_found_orderings_on_cycles(D):
     # C_7..C_61, every P-ordering metric and the classes already in P-order
     tensor = tw.odd_cycle(D).tensor
-    p_orders = tw.detect_p_polynomial(tensor)
-    assert next(_orderings(tensor.p != 0)) == p_orders[0] == tuple(range(D + 1))
+    p_orders = list(_orderings(tensor.p != 0))
+    assert p_orders[0] == tuple(range(D + 1))
     krein = _eigenmatrix_krein(tensor)
-    q_orders = tw.detect_q_polynomial(krein)
+    q_orders = list(_orderings(_krein_support(krein)))
     assert len(q_orders) == len(p_orders)
-    assert next(_orderings(_krein_support(krein))) == q_orders[0]
     if D <= 17:  # spectral_data takes the first ordering of each search
         sp = tw.spectral_data(tw.odd_cycle(D))
         assert (sp.p_ordering, sp.q_ordering) == (p_orders[0], q_orders[0])
@@ -218,14 +223,14 @@ def test_idempotency(all_bundles):
 
 def test_detect_p_identity_on_cycle(c7):
     assert c7.spectral.p_ordering == (0, 1, 2, 3)
-    orderings = tw.detect_p_polynomial(c7.scheme.tensor)
+    orderings = list(_orderings(c7.scheme.tensor.p != 0))
     # every distance power of an odd cycle is again a cycle
     assert orderings == [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]
 
 
 def test_detect_p_trivial_scheme():
     scheme = tw.validate_scheme([[0]])
-    assert tw.detect_p_polynomial(scheme.tensor) == [(0,)]
+    assert list(_orderings(scheme.tensor.p != 0)) == [(0,)]
     sp = tw.spectral_data(scheme)
     assert sp.p_ordering == (0,) and sp.q_ordering == (0,)
 
@@ -234,13 +239,13 @@ def test_petersen_both_orderings_metric():
     verts = list(combinations(range(5), 2))
     adj = [[j for j, w in enumerate(verts) if not (set(v) & set(w))] for v in verts]
     scheme = tw.scheme_from_graph(adj)
-    assert tw.detect_p_polynomial(scheme.tensor) == [(0, 1, 2), (0, 2, 1)]
+    assert list(_orderings(scheme.tensor.p != 0)) == [(0, 1, 2), (0, 2, 1)]
 
 
 def test_group_scheme_not_p_polynomial():
     rel = np.array([[x ^ y for y in range(4)] for x in range(4)])
     scheme = tw.validate_scheme(rel)
-    assert tw.detect_p_polynomial(scheme.tensor) == []
+    assert list(_orderings(scheme.tensor.p != 0)) == []
     with pytest.raises(NotPPolynomial):
         tw.spectral_data(scheme)
 
@@ -254,18 +259,11 @@ def test_colliding_eigenvalues_rejected():
     _check_distinct(np.array([2.0, 1.0, -1.0]))  # distinct values pass
 
 
-def reference_q_orderings(krein):
-    """Reference: every ordering fixing 0 tried in turn, in lexicographic order."""
-    nonzero = _krein_support(krein)
-    orders = ((0,) + perm for perm in permutations(range(1, krein.shape[0])))
-    return [order for order in orders if reference_pattern_ok(nonzero, order)]
-
-
 def test_detect_q_greedy_matches_full_search(c7, c9):
     for bundle in (c7, c9):
         krein = bundle.spectral.krein
-        greedy = tw.detect_q_polynomial(krein)
-        assert greedy == reference_q_orderings(krein) and bundle.spectral.q_ordering in greedy
+        greedy = list(_orderings(_krein_support(krein)))
+        assert greedy == reference_orderings(_krein_support(krein)) and bundle.spectral.q_ordering in greedy
 
 
 def test_line_graph_petersen_not_q_polynomial(petersen_line_graph):
@@ -318,14 +316,16 @@ def test_theta_star_zero_is_first_multiplicity(all_bundles):
 
 
 def test_alternate_p_ordering_gives_same_census(c7):
-    # relabeling the classes by another metric ordering must not change
-    # module-level conclusions
-    sp2 = tw.spectral_data(c7.scheme, p_ordering=(0, 2, 3, 1))
-    assert sp2.p_ordering == (0, 2, 3, 1)
+    # a table with its classes in another metric ordering: spectral_data
+    # finds that ordering's metric structure as the first one, and the
+    # module-level conclusions do not change
+    scheme = tw.validate_scheme(relabel_classes(c7.scheme, (0, 2, 3, 1)).relation)
+    sp2 = tw.spectral_data(scheme)
+    assert sp2.p_ordering == (0, 1, 2, 3)
     assert np.allclose(np.sort(sp2.theta), np.sort(c7.spectral.theta))
-    ctx2 = tw.build_context(c7.scheme, sp2, 0)
+    ctx2 = tw.build_context(scheme, sp2, 0)
     census2 = tw.census(tw.decompose(ctx2, seed=0))
-    assert census2 == tw.census(c7.modules)
+    assert census2 == tw.census(c7.modules) == {(0, 3): 1, (1, 2): 1}
     assert tw.solve_multiplicities(sp2).matches_census(census2)
 
 
