@@ -8,6 +8,7 @@ is thin, its endpoint is forced to r = D - d, and 2t + d >= D.
 """
 
 import terwlab as tw
+from terwlab.predictor import tridiagonal
 
 scheme = tw.odd_graph(3)
 sp = tw.spectral_data(scheme)
@@ -17,10 +18,11 @@ modules = tw.measure_all(ctx, tw.decompose(ctx, seed=0))
 print(f"O_4 standard module: {scheme.n} dimensions ->"
       f" {len(modules)} irreducible pieces\n")
 
+# thin: one dimension on each of the d + 1 shells the module meets
 print(" t  d  r  dim  thin  count")
 for (t, d), count in tw.census(modules).items():
     sample = next(m for m in modules if (m.t, m.d) == (t, d))
-    print(f" {t}  {d}  {sample.r}   {sample.dim}   {sample.thin}   x{count}")
+    print(f" {t}  {d}  {sample.r}   {sample.dim}   {sample.dim == d + 1}   x{count}")
 
 total = sum(m.dim for m in modules)
 print(f"\ndimension check: {total} = {scheme.n}")
@@ -33,5 +35,5 @@ print(f"\ntrivial module ladder: residuals {ladder.primal_residual:.2e} /"
       f" {ladder.dual_residual:.2e}, products {[round(p, 6) for p in ladder.products]}")
 
 print("\nmeasured intersection matrix of the trivial module:")
-print(mod.measured_B)
+print(tridiagonal(*mod.cab))
 print("(equals the scheme's own intersection array)")

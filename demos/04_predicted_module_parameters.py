@@ -4,12 +4,15 @@ For an almost-bipartite P- and Q-polynomial scheme the two eigenvalue
 sequences determine every module intersection number: the class (t, d)
 fixes the whole tridiagonal action matrix B(W) and its dual B*(W).  The
 oracle decomposition measures the same numbers independently, so the two
-routes cross-check each other to floating precision.
+routes cross-check each other to floating precision.  Both hold a matrix
+as its three bands (c, a, b); `band_gap` is the largest entry of the
+difference of two such matrices.
 """
 
 import numpy as np
 
 import terwlab as tw
+from terwlab.predictor import band_gap, tridiagonal
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -24,27 +27,23 @@ for mod in modules:
     if (mod.t, mod.d) in seen:
         continue
     seen.add((mod.t, mod.d))
-    mc = tw.module_class(mod.t, mod.d, sp)
-    err_B = np.abs(mod.measured_B - mc.B).max()
-    err_Bs = np.abs(mod.measured_Bstar - mc.Bstar).max()
+    err_B = band_gap(mod.cab, sp.bands.bands(mod.t, mod.d))
+    err_Bs = band_gap(mod.cab_star, sp.bands.bands_star(mod.t, mod.d))
     print(f"  (t={mod.t}, d={mod.d}):  |B - B_pred| = {err_B:.2e}"
           f"   |B* - B*_pred| = {err_Bs:.2e}")
 
 # the prediction for the class of the whole distance partition
-mc = tw.module_class(0, scheme.D, sp)
 print("\npredicted B for (t, d) = (0, D):")
-print(mc.B)
+print(tridiagonal(*sp.bands.bands(0, scheme.D)))
 print("scheme array c:", sp.pp.c, " a:", sp.pp.a, " b:", sp.pp.b)
 
 # eigenvalues of the predicted matrices are consecutive runs of theta
 for (t, d) in [(1, 3), (2, 1)]:
-    mc = tw.module_class(t, d, sp)
-    eig = np.sort(np.linalg.eigvals(mc.B).real)
+    eig = np.sort(np.linalg.eigvals(tridiagonal(*sp.bands.bands(t, d))).real)
     print(f"\neig B(t={t}, d={d}) = {eig}")
     print(f"theta[{t}..{t + d}]   = {np.sort(sp.theta[t:t + d + 1])}")
 
 # feasibility screens cells that cannot carry a module
 for (t, d) in sp.bands.cells:
-    report = tw.feasibility(tw.module_class(t, d, sp), sp.theta, sp.theta_star)
-    if not report.feasible:
+    if not tw.feasibility(sp, t, d).feasible:
         print(f"\ncell (t={t}, d={d}) infeasible -> multiplicity forced to 0")

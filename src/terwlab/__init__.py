@@ -11,7 +11,7 @@ from .context import IdentityReport, TerwContext, build_context, verify_operator
 from .decomposer import IrreducibleModule, census, decompose, measure_all, norm_ladder_check
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
 from .multiplicity import MultiplicityTable, krein_products, solve_multiplicities, trace_ladders
-from .predictor import ModuleClass, feasibility, module_class, predict_a0star, upsilon_cells
+from .predictor import feasibility, upsilon_cells
 from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_band_grid, qs_multiplicity
 from .scheme import AssociationScheme, IntersectionTensor, validate_scheme
 from .spectral import PPolyArray, SpectralData, intersection_array, is_almost_bipartite, spectral_data
@@ -24,7 +24,6 @@ __all__ = [
     "IdentityReport",
     "IntersectionTensor",
     "IrreducibleModule",
-    "ModuleClass",
     "MultiplicityTable",
     "PPolyArray",
     "QSParams",
@@ -42,11 +41,9 @@ __all__ = [
     "krein_products",
     "load_scheme",
     "measure_all",
-    "module_class",
     "norm_ladder_check",
     "odd_cycle",
     "odd_graph",
-    "predict_a0star",
     "qs_band_grid",
     "qs_multiplicity",
     "save_scheme",

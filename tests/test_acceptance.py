@@ -13,7 +13,7 @@ import pytest
 
 import terwlab as tw
 from terwlab.cli import main, run_verify
-from terwlab.predictor import tridiagonal, tridiagonal_bands
+from terwlab.predictor import band_gap, tridiagonal
 
 
 def _report(criterion, detail):
@@ -62,7 +62,7 @@ def test_criterion_03_module_structure(all_bundles):
     for bundle in all_bundles:
         D = bundle.scheme.D
         for mod in bundle.modules:
-            assert mod.thin and mod.dual_thin, bundle.name
+            assert mod.dual_thin, bundle.name
             assert mod.d == mod.dstar
             assert mod.r + mod.d == D
             assert 2 * mod.t + mod.d >= D
@@ -76,17 +76,13 @@ def test_criterion_04_formula_vs_oracle(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for mod in bundle.modules:
-            mc = tw.module_class(mod.t, mod.d, sp)
-            worst_entry = max(
-                worst_entry,
-                float(np.abs(mod.measured_B - mc.B).max()),
-                float(np.abs(mod.measured_Bstar - mc.Bstar).max()),
-            )
-            eig = np.sort(np.linalg.eigvals(mc.B).real)
+            cab, cab_star = sp.bands.bands(mod.t, mod.d), sp.bands.bands_star(mod.t, mod.d)
+            worst_entry = max(worst_entry, band_gap(mod.cab, cab), band_gap(mod.cab_star, cab_star))
+            eig = np.sort(np.linalg.eigvals(tridiagonal(*cab)).real)
             worst_eig = max(worst_eig, float(np.abs(eig - np.sort(sp.theta[mod.t : mod.t + mod.d + 1])).max()))
-            assert np.trace(mc.B) == pytest.approx(sp.theta[mod.t : mod.t + mod.d + 1].sum(), abs=1e-8)
-            assert np.trace(mc.Bstar) == pytest.approx(
-                sp.theta_star[mc.r : mc.r + mod.d + 1].sum(), abs=1e-8
+            assert cab[1].sum() == pytest.approx(sp.theta[mod.t : mod.t + mod.d + 1].sum(), abs=1e-8)
+            assert cab_star[1].sum() == pytest.approx(
+                sp.theta_star[mod.r : mod.r + mod.d + 1].sum(), abs=1e-8
             )
     assert worst_entry < 1e-6
     assert worst_eig < 1e-8
@@ -97,8 +93,8 @@ def test_criterion_05_positivity(all_bundles):
     checked = 0
     for bundle in all_bundles:
         for mod in bundle.modules:
-            c, _, b = tridiagonal_bands(mod.measured_B)
-            cs, _, bs = tridiagonal_bands(mod.measured_Bstar)
+            c, _, b = mod.cab
+            cs, _, bs = mod.cab_star
             for i in range(1, mod.d + 1):
                 assert b[i - 1] * c[i] > 0, bundle.name
                 assert bs[i - 1] * cs[i] > 0, bundle.name

@@ -6,6 +6,7 @@ import pytest
 
 import terwlab as tw
 from terwlab.cli import main, run_verify
+from terwlab.predictor import tridiagonal
 
 STAGE_NAMES = [
     "axioms", "pq_orderings", "almost_bipartite", "operator_identities", "decomposition",
@@ -67,12 +68,31 @@ def test_predict_json(c7_file, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["B"]) == 3
     assert doc["feasibility"]["feasible"] is True
+    # the printed matrices are those of the grid bands, on a d = 0 cell too
+    sp = tw.spectral_data(tw.load_scheme(c7_file))
+    for (t, d) in ((1, 2), (0, 3), (3, 0)):
+        assert main(["predict", "--scheme", c7_file, "--t", str(t), "--d", str(d), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["t"], doc["d"], doc["r"]) == (t, d, sp.D - d)
+        assert doc["B"] == tridiagonal(*sp.bands.bands(t, d)).tolist()
+        assert doc["Bstar"] == tridiagonal(*sp.bands.bands_star(t, d)).tolist()
+        assert doc["a0star"] == (doc["Bstar"][0][0] if d else None)
+        assert doc["feasibility"] == tw.feasibility(sp, t, d).as_dict()
+
+
+@pytest.mark.parametrize("t, d", [(9, 9), (0, 1)])
+def test_predict_off_the_grid_is_input_error(t, d, c7_file, capsys):
+    assert main(["predict", "--scheme", c7_file, "--t", str(t), "--d", str(d), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: (t, d) = ({t}, {d}) is not feasible for D = 3\n"
 
 
 def test_decompose_json(c7_file, capsys):
     assert main(["decompose", "--scheme", c7_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["census"] == [{"t": 0, "d": 3, "count": 1}, {"t": 1, "d": 2, "count": 1}]
+    assert all(m["thin"] is True and m["dual_thin"] is True for m in doc["modules"])
 
 
 def test_multiplicities_with_oracle(c7_file, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import terwlab as tw
+from terwlab.predictor import band_gap
 from conftest import dense_dual_operators, dense_idempotents, split_operators
 
 # censuses confirmed two independent ways: the oracle decomposition and the
@@ -51,7 +52,7 @@ def test_invariance(all_bundles):
 def test_thin_dual_thin_and_diameters(all_bundles):
     for bundle in all_bundles:
         for m in bundle.modules:
-            assert m.thin and m.dual_thin
+            assert m.dual_thin
             assert m.d == m.dstar
 
 
@@ -81,21 +82,15 @@ def test_trivial_module_measures_scheme_arrays(all_bundles):
     for bundle in all_bundles:
         pp = bundle.spectral.pp
         trivial = [m for m in bundle.modules if m.d == bundle.scheme.D][0]
-        c, a, b = _bands(trivial.measured_B)
+        c, a, b = trivial.cab
         assert np.allclose(c, pp.c, atol=1e-9)
         assert np.allclose(a, pp.a, atol=1e-9)
         assert np.allclose(b, pp.b, atol=1e-9)
         ps = bundle.spectral.ppstar
-        cs, as_, bs = _bands(trivial.measured_Bstar)
+        cs, as_, bs = trivial.cab_star
         assert np.allclose(cs, ps.c, atol=1e-8)
         assert np.allclose(as_, ps.a, atol=1e-8)
         assert np.allclose(bs, ps.b, atol=1e-8)
-
-
-def _bands(M):
-    from terwlab.predictor import tridiagonal_bands
-
-    return tridiagonal_bands(M)
 
 
 def test_measured_boundary_zeros(all_bundles):
@@ -103,7 +98,7 @@ def test_measured_boundary_zeros(all_bundles):
     # coefficients must vanish off the last rung for almost-bipartite schemes
     for bundle in all_bundles:
         for m in bundle.modules:
-            _, a, _ = _bands(m.measured_B)
+            _, a, _ = m.cab
             assert np.abs(a[: m.d]).max(initial=0.0) < 1e-9
             assert abs(a[m.d]) > 1e-6  # a_d(W) != 0
 
@@ -131,8 +126,8 @@ def test_isomorphic_modules_have_equal_measurements(o4, fc9):
             by_class.setdefault((m.t, m.d), []).append(m)
         for mods in by_class.values():
             for other in mods[1:]:
-                assert np.abs(mods[0].measured_B - other.measured_B).max() < 1e-6
-                assert np.abs(mods[0].measured_Bstar - other.measured_Bstar).max() < 1e-6
+                assert band_gap(mods[0].cab, other.cab) < 1e-6
+                assert band_gap(mods[0].cab_star, other.cab_star) < 1e-6
 
 
 def test_distinct_classes_have_distinct_B(o4, fc9):
@@ -144,9 +139,8 @@ def test_distinct_classes_have_distinct_B(o4, fc9):
         classes = list(reps.values())
         for i in range(len(classes)):
             for j in range(i + 1, len(classes)):
-                Bi, Bj = classes[i].measured_B, classes[j].measured_B
-                if Bi.shape == Bj.shape:
-                    assert np.abs(Bi - Bj).max() > 1e-6
+                if classes[i].d == classes[j].d:
+                    assert band_gap(classes[i].cab, classes[j].cab) > 1e-6
 
 
 def test_trivial_scheme_decomposition():
@@ -156,7 +150,7 @@ def test_trivial_scheme_decomposition():
     assert len(mods) == 1
     m = mods[0]
     assert (m.r, m.t, m.d, m.dstar) == (0, 0, 0, 0)
-    assert m.measured_B.tolist() == [[0.0]]
+    assert [x.tolist() for x in m.cab] == [[0.0], [0.0], [0.0]]
 
 
 def test_modules_sorted_by_class(all_bundles):
@@ -168,7 +162,7 @@ def test_modules_sorted_by_class(all_bundles):
 def test_measure_rejects_non_thin(c7):
     from terwlab.errors import NotThin
 
-    fat = replace(c7.modules[0], thin=False)
+    fat = replace(c7.modules[0], dual_thin=False)
     with pytest.raises(NotThin):
         tw.measure_all(c7.ctx, [fat])
 
@@ -296,8 +290,8 @@ def test_seeds_rotate_blocks_but_keep_measurements(fc9):
     for mods in runs[1:]:
         for a, b in zip(runs[0], mods):
             assert (a.t, a.d, a.r) == (b.t, b.d, b.r)
-            assert np.abs(a.measured_B - b.measured_B).max() < 1e-9
-            assert np.abs(a.measured_Bstar - b.measured_Bstar).max() < 1e-9
+            assert band_gap(a.cab, b.cab) < 1e-9
+            assert band_gap(a.cab_star, b.cab_star) < 1e-9
     block = [[m.basis for m in mods if (m.t, m.d) == (2, 1)] for mods in runs]
     assert len(block[0]) == 48
     stacked = [np.hstack(b) for b in block]
@@ -314,9 +308,8 @@ def _principal_vector(M):
 
 def _reference_measure(ctx, mod):
     """Per-module matrix-vector measurement with the dense idempotents E_t and the
-    dense split operators, one coefficient at a time."""
-    from terwlab.predictor import tridiagonal
-
+    dense split operators, one coefficient at a time: the bands and squared rung
+    norms of both ladders."""
     r, t, d = mod.r, mod.t, mod.d
     E = dense_idempotents(ctx.spectral)
     out = []
@@ -335,20 +328,21 @@ def _reference_measure(ctx, mod):
             a[i] = float((flat @ ladder[i]) @ ladder[i]) / norms2[i]
         for i in range(d):
             b[i] = float((down @ ladder[i + 1]) @ ladder[i]) / norms2[i]
-        out.append((tridiagonal(c, a, b), np.array(norms2)))
+        out.append((np.array([c, a, b]), np.array(norms2)))
     return out
 
 
 def test_batched_measurement_matches_per_module_reference(all_bundles):
     for bundle in all_bundles:
         for m in bundle.modules:
-            (B, nrm2), (Bs, dnrm2) = _reference_measure(bundle.ctx, m)
-            assert np.abs(m.measured_B - B).max() < 1e-12
-            assert np.abs(m.measured_Bstar - Bs).max() < 1e-12
+            (cab, nrm2), (cab_star, dnrm2) = _reference_measure(bundle.ctx, m)
+            # all three bands, the boundary zeros c_0 and b_d included
+            assert np.abs(np.array(m.cab) - cab).max() < 1e-12
+            assert np.abs(np.array(m.cab_star) - cab_star).max() < 1e-12
             assert np.allclose(m.ladder_norms2, nrm2, rtol=1e-12, atol=0)
             assert np.allclose(m.dual_ladder_norms2, dnrm2, rtol=1e-12, atol=0)
-            [one] = tw.measure_all(bundle.ctx, [replace(m, measured_B=None)])
-            assert np.abs(one.measured_B - m.measured_B).max() < 1e-12
+            [one] = tw.measure_all(bundle.ctx, [replace(m, cab=None)])
+            assert np.abs(np.array(one.cab) - np.array(m.cab)).max() < 1e-12
 
 
 def test_certified_ranks_match_dense_idempotents(all_bundles):

@@ -8,6 +8,7 @@ import pytest
 
 import terwlab as tw
 from terwlab.cli import run_verify
+from terwlab.predictor import band_gap
 
 
 @pytest.mark.parametrize("D", [5, 6, 7])
@@ -40,9 +41,7 @@ def test_o5_full_pipeline():
     table = tw.solve_multiplicities(sp)
     assert table.matches_census(tw.census(modules))
     assert table.total_dimension() == 126
-    worst = max(
-        float(np.abs(m.measured_B - tw.module_class(m.t, m.d, sp).B).max()) for m in modules
-    )
+    worst = max(band_gap(m.cab, sp.bands.bands(m.t, m.d)) for m in modules)
     assert worst < 1e-6
 
 

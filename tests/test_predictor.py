@@ -5,18 +5,24 @@ from hypothesis import strategies as st
 
 import terwlab as tw
 from terwlab.errors import InvalidCell
-from terwlab.predictor import band_grid, tridiagonal, tridiagonal_bands
+from terwlab.predictor import band_gap, band_grid, tridiagonal
+
+
+def predict_a0star(r, t, theta, theta_star):
+    """Reference: the flat dual coefficient a*_0 on the lowest shell, for d >= 1, by its own formula."""
+    th = np.asarray(theta, dtype=np.float64)
+    ths = np.asarray(theta_star, dtype=np.float64)
+    return float((ths[r + 1] * th[t] - th[t + 1] * ths[r]) / (th[t] - th[t + 1]))
 
 
 def test_full_diameter_class_is_scheme_array(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        mc = tw.module_class(0, sp.D, sp)
-        c, a, b = tridiagonal_bands(mc.B)
+        c, a, b = sp.bands.bands(0, sp.D)
         assert np.allclose(c, sp.pp.c, atol=1e-9)
         assert np.allclose(a, sp.pp.a, atol=1e-9)
         assert np.allclose(b, sp.pp.b, atol=1e-9)
-        cs, as_, bs = tridiagonal_bands(mc.Bstar)
+        cs, as_, bs = sp.bands.bands_star(0, sp.D)
         assert np.allclose(cs, sp.ppstar.c, atol=1e-8)
         assert np.allclose(as_, sp.ppstar.a, atol=1e-8)
         assert np.allclose(bs, sp.ppstar.b, atol=1e-8)
@@ -32,35 +38,35 @@ def test_b0_equals_theta_t(all_bundles):
 
 
 def test_row_sums(all_bundles):
-    # c_i + a_i + b_i = theta_t and c*_i + a*_i + b*_i = theta*_r
+    # c_i + a_i + b_i = theta_t and c*_i + a*_i + b*_i = theta*_r: the row
+    # sums of B(W) and B*(W), whose bands hold c_0 = b_d = 0
     for bundle in all_bundles:
         sp = bundle.spectral
         for (t, d) in tw.upsilon_cells(sp.D):
-            mc = tw.module_class(t, d, sp)
-            assert np.abs(mc.B.sum(axis=1) - sp.theta[t]).max() < 1e-10
-            assert np.abs(mc.Bstar.sum(axis=1) - sp.theta_star[mc.r]).max() < 1e-10
+            assert np.abs(sum(sp.bands.bands(t, d)) - sp.theta[t]).max() < 1e-10
+            assert np.abs(sum(sp.bands.bands_star(t, d)) - sp.theta_star[sp.D - d]).max() < 1e-10
 
 
 def test_eigenvalues_of_predictions(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for (t, d) in tw.upsilon_cells(sp.D):
-            mc = tw.module_class(t, d, sp)
-            eig = np.sort(np.linalg.eigvals(mc.B).real)
+            r = sp.D - d
+            eig = np.sort(np.linalg.eigvals(tridiagonal(*sp.bands.bands(t, d))).real)
             assert np.abs(eig - np.sort(sp.theta[t : t + d + 1])).max() < 1e-8
-            eig_star = np.sort(np.linalg.eigvals(mc.Bstar).real)
-            assert np.abs(eig_star - np.sort(sp.theta_star[mc.r : mc.r + d + 1])).max() < 1e-8
+            eig_star = np.sort(np.linalg.eigvals(tridiagonal(*sp.bands.bands_star(t, d))).real)
+            assert np.abs(eig_star - np.sort(sp.theta_star[r : r + d + 1])).max() < 1e-8
 
 
 def test_trace_identities(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for (t, d) in tw.upsilon_cells(sp.D):
-            mc = tw.module_class(t, d, sp)
-            assert np.trace(mc.B) == pytest.approx(sp.theta[t : t + d + 1].sum(), abs=1e-8)
-            assert np.trace(mc.Bstar) == pytest.approx(
-                sp.theta_star[mc.r : mc.r + d + 1].sum(), abs=1e-8
-            )
+            r = sp.D - d
+            _, a, _ = sp.bands.bands(t, d)
+            _, as_, _ = sp.bands.bands_star(t, d)
+            assert a.sum() == pytest.approx(sp.theta[t : t + d + 1].sum(), abs=1e-8)
+            assert as_.sum() == pytest.approx(sp.theta_star[r : r + d + 1].sum(), abs=1e-8)
 
 
 def test_c7_cell_12_eigenvalues(c7):
@@ -71,48 +77,56 @@ def test_c7_cell_12_eigenvalues(c7):
 
 
 def test_a0star_matches_matrix_entry(all_bundles):
+    # the reference formula for a*_0 against B*(W)[0, 0] from the grid
     for bundle in all_bundles:
         sp = bundle.spectral
         for (t, d) in tw.upsilon_cells(sp.D):
             if d >= 1:
-                mc = tw.module_class(t, d, sp)
-                value = tw.predict_a0star(mc.r, t, sp.theta, sp.theta_star)
-                assert value == pytest.approx(mc.Bstar[0, 0], abs=1e-10)
-                assert mc.a0star == pytest.approx(value)
+                Bstar = tridiagonal(*sp.bands.bands_star(t, d))
+                value = predict_a0star(sp.D - d, t, sp.theta, sp.theta_star)
+                assert value == pytest.approx(Bstar[0][0], abs=1e-10)
 
 
 def test_a0star_zero_for_trivial_class(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        assert tw.predict_a0star(0, 0, sp.theta, sp.theta_star) == pytest.approx(0.0, abs=1e-9)
+        assert predict_a0star(0, 0, sp.theta, sp.theta_star) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_d0_branch(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         D = sp.D
-        mc = tw.module_class(D, 0, sp)
-        assert mc.B.shape == (1, 1)
-        assert mc.B[0, 0] == pytest.approx(sp.theta[D])
-        assert mc.Bstar[0, 0] == pytest.approx(sp.theta_star[D])
+        B, Bstar = (tridiagonal(*read(D, 0)) for read in (sp.bands.bands, sp.bands.bands_star))
+        assert B.shape == Bstar.shape == (1, 1)
+        assert B[0, 0] == pytest.approx(sp.theta[D])
+        assert Bstar[0, 0] == pytest.approx(sp.theta_star[D])
 
 
 def test_invalid_cells(c7):
     sp = c7.spectral
     for (t, d) in [(0, 1), (0, 2), (3, 1), (4, 0), (-1, 3), (0, 4)]:
         with pytest.raises(InvalidCell):
-            tw.module_class(t, d, sp)
-    with pytest.raises(InvalidCell):
-        tw.predict_a0star(3, 3, sp.theta, sp.theta_star)  # needs t + 1 <= D
+            tw.feasibility(sp, t, d)
 
 
 def test_oracle_agreement(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
         for m in bundle.modules:
-            mc = tw.module_class(m.t, m.d, sp)
-            assert np.abs(m.measured_B - mc.B).max() < 1e-6
-            assert np.abs(m.measured_Bstar - mc.Bstar).max() < 1e-6
+            assert band_gap(m.cab, sp.bands.bands(m.t, m.d)) < 1e-6
+            assert band_gap(m.cab_star, sp.bands.bands_star(m.t, m.d)) < 1e-6
+
+
+def test_band_gap_is_the_dense_oracle_residual(all_bundles):
+    # the residual predictor_vs_oracle reports, read from the bands, is the
+    # largest entry of |measured - predicted| over the dense matrices, bit for bit
+    for bundle in all_bundles:
+        grid = bundle.spectral.bands
+        for m in bundle.modules:
+            for measured, predicted in ((m.cab, grid.bands(m.t, m.d)), (m.cab_star, grid.bands_star(m.t, m.d))):
+                dense = float(np.abs(tridiagonal(*measured) - tridiagonal(*predicted)).max())
+                assert band_gap(measured, predicted) == dense, (bundle.name, m.t, m.d)
 
 
 def test_feasibility_of_realized_cells(all_bundles):
@@ -120,12 +134,29 @@ def test_feasibility_of_realized_cells(all_bundles):
         sp = bundle.spectral
         realized = set(tw.census(bundle.modules))
         for (t, d) in tw.upsilon_cells(sp.D):
-            mc = tw.module_class(t, d, sp)
-            report = tw.feasibility(mc, sp.theta, sp.theta_star)
+            report = tw.feasibility(sp, t, d)
             if (t, d) in realized:
                 assert report.feasible, (bundle.name, t, d)
             if not report.feasible:
                 assert (t, d) not in realized
+
+
+def test_feasibility_equals_its_dense_matrix_form(all_bundles):
+    # traces from the a bands and products from the c, b bands equal the
+    # same numbers read off the assembled matrices, bit for bit
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        for (t, d) in tw.upsilon_cells(sp.D):
+            report = tw.feasibility(sp, t, d)
+            r = sp.D - d
+            for B, theta, products, trace_error in (
+                (tridiagonal(*sp.bands.bands(t, d)), sp.theta[t : t + d + 1], report.products,
+                 report.trace_B_error),
+                (tridiagonal(*sp.bands.bands_star(t, d)), sp.theta_star[r : r + d + 1],
+                 report.dual_products, report.trace_Bstar_error),
+            ):
+                assert products == tuple(B[i - 1, i] * B[i, i - 1] for i in range(1, d + 1))
+                assert trace_error == abs(float(np.trace(B)) - float(theta.sum()))
 
 
 @st.composite
@@ -153,7 +184,7 @@ def test_row_sum_property_on_synthetic_data(data):
     cs, as_, bs = grid.bands_star(t, d)
     assert np.abs(cs + as_ + bs - theta_star[r]).max() < 1e-8
     if d >= 1:
-        a0s = tw.predict_a0star(r, t, theta, theta_star)
+        a0s = predict_a0star(r, t, theta, theta_star)
         assert abs(as_[0] - a0s) < 1e-8
 
 
