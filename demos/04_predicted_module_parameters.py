@@ -19,7 +19,7 @@ np.set_printoptions(precision=6, suppress=True)
 scheme = tw.folded_cube(4)
 sp = tw.spectral_data(scheme)
 ctx = tw.build_context(scheme, sp, x=0)
-modules = tw.measure_all(ctx, tw.decompose(ctx, seed=0))
+modules = tw.decompose(ctx, seed=0)
 
 print("folded 9-cube: measured vs predicted, entrywise")
 seen = set()

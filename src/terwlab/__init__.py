@@ -8,7 +8,7 @@ multiplicities against their closed forms.
 """
 
 from .context import IdentityReport, TerwContext, build_context, verify_operator_identities
-from .decomposer import IrreducibleModule, census, decompose, measure_all, norm_ladder_check
+from .decomposer import IrreducibleModule, census, decompose, norm_ladder_check
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
 from .multiplicity import MultiplicityTable, krein_products, solve_multiplicities, trace_ladders
 from .predictor import feasibility, upsilon_cells
@@ -40,7 +40,6 @@ __all__ = [
     "is_almost_bipartite",
     "krein_products",
     "load_scheme",
-    "measure_all",
     "norm_ladder_check",
     "odd_cycle",
     "odd_graph",

@@ -41,13 +41,18 @@ B must satisfy |B^T B - I| <= ``tol * n``.  A collection whose dimension
 is not n, bases that overlap, a ladder that is not invariant, or a block
 whose ladders stop at different rungs raises :class:`NotThin` with a
 witness.  The eigenspace ranks rank(E_i W) = rank(U_i^T W) give the
-dual endpoint and the dual diameter (U_i the orthonormal eigenspace basis,
-E_i = U_i U_i^T).
+dual endpoint t (U_i the orthonormal eigenspace basis, E_i = U_i U_i^T);
+a module whose ranks exceed 1, or whose eigenspace support is not d + 1
+long, is not dual thin and raises :class:`NotThin` too.
 
-Measurement.  A and A* act on a thin module by tridiagonal matrices B(W)
-and B*(W) in its two ladder bases.  :func:`measure_all` reads them as
-their bands, (c, a, b) and (c*, a*, b*), the format of the predicted
-bands, so measurement and prediction are compared band by band.
+Measurement.  A and A* act on a thin, dual thin module by tridiagonal
+matrices B(W) and B*(W) in its two ladder bases, read as their bands
+(c, a, b) and (c*, a*, b*), the format of the predicted bands.  They are
+read in the module basis w_0..w_d from compressions the certificate
+forms anyway: T = B^T A B, B^T A* B = diag(lambda) and column 0 of
+B^T E_i B.  The dual ladder is E_{t+j} w_0 (w_0 spans E*_r W), measured
+against diag(lambda); the unit v spanning E_t W is E_t w_0 / |E_t w_0|,
+whose shell ladder alpha_i w_i is measured against T.
 
 The oracle reads A, A*, the E*_i and the eigenspaces of A only: never the
 predicted module bands, the recurrence or the q,s formulas.
@@ -55,7 +60,7 @@ predicted module bands, the recurrence or the q,s formulas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,23 +78,20 @@ class IrreducibleModule:
     """One irreducible invariant subspace with its measured shape.
 
     ``r``/``t`` are the lowest distance shell (endpoint) and lowest
-    eigenspace index (dual endpoint) meeting the subspace, ``d``/``dstar``
-    the lengths of those supports.  ``cab`` and ``cab_star``, the bands
-    (c, a, b) of B(W) and (c*, a*, b*) of B*(W), and the squared norms of
-    the two measuring ladders are filled by :func:`measure_all`.
+    eigenspace index (dual endpoint) meeting the subspace, ``d`` the length
+    of both supports.  ``cab`` and ``cab_star`` are the bands (c, a, b) of
+    B(W) and (c*, a*, b*) of B*(W), and ``ladder_norms2`` and
+    ``dual_ladder_norms2`` the squared norms of the two measuring ladders.
     """
 
     basis: np.ndarray
     r: int
     t: int
     d: int
-    dstar: int
-    dual_thin: bool
-    cab: tuple | None = None
-    cab_star: tuple | None = None
-    measurement_residual: float = 0.0
-    ladder_norms2: np.ndarray | None = None
-    dual_ladder_norms2: np.ndarray | None = None
+    cab: tuple
+    cab_star: tuple
+    ladder_norms2: np.ndarray
+    dual_ladder_norms2: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -168,8 +170,26 @@ def _support(dims) -> tuple[int, int]:
     return lo, hi - lo
 
 
+def _bands(M: np.ndarray, S: np.ndarray, what: str) -> tuple:
+    """Bands (c, a, b) of M w_i = b_{i-1} w_{i-1} + a_i w_i + c_{i+1} w_{i+1} and n2_i = |w_i|^2.
+
+    Batched over g modules of one size k: ``M`` (g, k, k) is the operator
+    and the columns of ``S`` (g, k, k) the rungs w_i, in module coordinates.
+    With G = S^T M S, a_i = G[i, i] / n2_i, c_i = G[i, i-1] / n2_i and
+    b_i = G[i, i+1] / n2_i, and c_0 = b_d = 0.
+    """
+    G = S.transpose(0, 2, 1) @ M @ S
+    n2 = np.einsum("gik,gik->gk", S, S)
+    if n2.min(initial=np.inf) <= 0:
+        raise NumericalCheckFailure(f"{what} ladder vector vanishes inside the support")
+    c, b = np.zeros_like(n2), np.zeros_like(n2)
+    c[:, 1:] = np.diagonal(G, -1, 1, 2) / n2[:, 1:]
+    b[:, :-1] = np.diagonal(G, 1, 1, 2) / n2[:, :-1]
+    return c, np.diagonal(G, 0, 1, 2) / n2, b, n2
+
+
 def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
-    """Check the invariance of every ladder and classify it by its eigenspace ranks.
+    """Certify every ladder as a module and measure its B(W) and B*(W).
 
     ``ladders`` holds (r, rungs) with rungs of shape (n, g, d+1).  All bases
     are stacked into one n x n matrix, so A, A* and the eigenspace bases
@@ -203,43 +223,71 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
         )
     del G
 
+    # B^T A B and B^T A* B per module, kept as the primal and dual actions
+    compressed = {}
     for op in ("A", "A*"):
         image = ctx.A @ Bcat if op == "A" else ctx.Astar[:, None] * Bcat
+        compressed[op] = []
         for r, g, cols in spans:
             B, W = Bcat[:, cols], image[:, cols]
-            resid = float(np.abs(W - B @ (B.T @ W)).max())
+            C = B.T @ W
+            resid = float(np.abs(W - B @ C).max())
             if resid > tol * n:
                 raise NotThin(
                     f"ladder from shell {r} (block of {g}) is not {op}-invariant: "
                     f"residual {resid:.3e} exceeds {tol * n:.3e}",
                     witness=(r, g, op, resid),
                 )
+            compressed[op].append(C)
         del image
 
     # rank(E_i B) per module: E_i B = U_i (U_i^T B) and U_i has orthonormal
     # columns, so the singular values are those of U_i^T B.  The bases are
     # orthonormal too, so every singular value is at most 1 and RANK_TOL is
-    # the absolute threshold
+    # the absolute threshold.  Column 0 of B^T E_i B is E_i w_0
     dims = np.array([cols.stop - cols.start for _, _, cols in spans])
     starts = np.array([cols.start for _, _, cols in spans])
+    groups = {k: np.flatnonzero(dims == k) for k in sorted(set(dims.tolist()))}
     e_dims = np.zeros((len(spans), D + 1), dtype=int)
+    e_col0 = {k: np.zeros((idx.size, D + 1, k)) for k, idx in groups.items()}
     P = ctx.spectral.U.T @ Bcat
     lo = 0
     for i, mi in enumerate(ctx.spectral.m.tolist()):
-        for k in sorted(set(dims.tolist())):
-            idx = np.flatnonzero(dims == k)
+        for k, idx in groups.items():
             stack = P[lo:lo + mi][:, starts[idx, None] + np.arange(k)].transpose(1, 0, 2)
             e_dims[idx, i] = np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=1)
+            e_col0[k][:, i] = np.einsum("gmk,gm->gk", stack, stack[:, :, 0])
         lo += mi
     del P
 
-    modules = []
-    for (r, _, cols), ranks in zip(spans, e_dims):
-        t, dstar = _support(ranks)
-        modules.append(IrreducibleModule(
-            basis=Bcat[:, cols], r=r, t=t, d=cols.stop - cols.start - 1, dstar=dstar,
-            dual_thin=bool(ranks.max() <= 1),
-        ))
+    ts = np.empty(len(spans), dtype=int)
+    for j, ((r, g, _), ranks) in enumerate(zip(spans, e_dims)):
+        ts[j], dstar = _support(ranks)
+        if ranks.max() > 1 or dstar != dims[j] - 1:
+            raise NotThin(
+                f"ladder from shell {r} (block of {g}) is not dual thin: "
+                f"eigenspace ranks {ranks.tolist()}",
+                witness=(r, g, "E", ranks.tolist()),
+            )
+
+    modules = [None] * len(spans)
+    for k, idx in groups.items():
+        # dual rung j = E_{t+j} w_0 is column j of X; the unit vector
+        # spanning E_t W is alpha = X[:, 0] / |E_t w_0|, with rungs alpha_i e_i
+        X = e_col0[k][np.arange(idx.size)[:, None], ts[idx, None] + np.arange(k)].transpose(0, 2, 1)
+        alpha = X[:, :, 0] / np.sqrt(X[:, :1, 0])
+        eye = np.eye(k)
+        T = np.stack([compressed["A"][j] for j in idx])
+        lam = np.stack([np.diag(compressed["A*"][j]) for j in idx])
+        c, a, b, n2 = _bands(T, alpha[:, :, None] * eye, "primal")
+        cs, as_, bs, dn2 = _bands(lam[:, :, None] * eye, X, "dual")
+        for row, j in enumerate(idx):
+            r, _, cols = spans[j]
+            modules[j] = IrreducibleModule(
+                basis=Bcat[:, cols], r=r, t=int(ts[j]), d=k - 1,
+                cab=(c[row], a[row], b[row]), cab_star=(cs[row], as_[row], bs[row]),
+                ladder_norms2=n2[row], dual_ladder_norms2=dn2[row],
+            )
     return modules
 
 
@@ -253,10 +301,12 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     docstring).  The modules are certified orthonormal to each other and
     invariant under A and A*, both to ``tol * n``; invariance, the
     one-dimensional shell slices and the nonzero rungs make each one
-    irreducible.  Raises :class:`NotThin`, with a ``witness``, when the
-    modules do not add up to dimension n, overlap, or are not invariant.
-    Returns the modules sorted by (t, d, r); the census does not depend on
-    ``seed``.
+    irreducible.  Each one is measured inside its certificate: its bands
+    ``cab`` and ``cab_star`` and the squared norms of its two ladders are
+    filled in.  Raises :class:`NotThin`, with a ``witness``, when the
+    modules do not add up to dimension n, overlap, are not invariant or
+    are not dual thin.  Returns the modules sorted by (t, d, r); the census
+    and the measured bands do not depend on ``seed``.
     """
     rng = np.random.default_rng(seed)
     shells = [np.flatnonzero(ctx.dist == i) for i in range(ctx.D + 1)]
@@ -277,103 +327,6 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     return [modules[i] for i in order]
 
 
-def _ladder_actions(image: np.ndarray, S: np.ndarray, bounds: np.ndarray, what: str) -> list:
-    """Tridiagonal action of one operator M along every ladder, read off its image.
-
-    Columns ``bounds[j]:bounds[j+1]`` of ``S`` are the rungs w_0..w_d of
-    ladder j, on disjoint supports (one shell or one eigenspace each), and
-    ``image`` (overwritten) is M applied to all of ``S``.  The action is
-    M w_i = b_{i-1} w_{i-1} + a_i w_i + c_{i+1} w_{i+1}: c_i is the
-    coefficient of rung i in the image of rung i-1 (its raising part), a_i
-    of rung i in its own image, b_i of rung i in the image of rung i+1.
-    Returns, per ladder, the bands (c, a, b) with c_0 = b_d = 0, the worst
-    norm of M w_i minus that expansion, and the squared rung norms.
-    """
-    norms2 = np.einsum("ij,ij->j", S, S)
-    if norms2.min(initial=np.inf) <= 0:
-        raise NumericalCheckFailure(f"{what} ladder vector vanishes inside the support")
-    link = np.ones(len(norms2) - 1, dtype=bool)  # columns k and k + 1 are rungs of one ladder
-    link[bounds[1:-1] - 1] = False
-    a = np.einsum("ij,ij->j", image, S) / norms2
-    c = np.append(0.0, np.where(link, np.einsum("ij,ij->j", image[:, :-1], S[:, 1:]) / norms2[1:], 0.0))
-    b = np.append(np.where(link, np.einsum("ij,ij->j", image[:, 1:], S[:, :-1]) / norms2[:-1], 0.0), 0.0)
-    image -= a * S
-    image[:, :-1] -= c[1:] * S[:, 1:]
-    image[:, 1:] -= b[:-1] * S[:, :-1]
-    resid = np.sqrt(np.maximum.reduceat(np.einsum("ij,ij->j", image, image), bounds[:-1]))
-    return [
-        ((c[lo:hi], a[lo:hi], b[lo:hi]), float(r), norms2[lo:hi])
-        for lo, hi, r in zip(bounds[:-1], bounds[1:], resid)
-    ]
-
-
-def measure_all(ctx: TerwContext, modules) -> list:
-    """Read off the action coefficients of R, F, L and R*, F*, L* on every module.
-
-    For each module, the unit vector spanning E_t W is split over the
-    distance shells, and c_i(W), a_i(W), b_i(W) are the coefficients of the
-    raising/flat/lowering actions along that ladder; dually for the starred
-    numbers from the vector spanning E*_r W, split over the eigenspaces.
-    The vector spanning E_t W is U_t u, with u the dominant left singular
-    vector of U_t^T W, from one stacked SVD per class (t, d).  The module
-    bases hold one rung per shell, from shell r up, so E*_r W is spanned by
-    rung 0; its dual ladder is held in the eigenspace basis, where rung i is
-    U_{t+i}^T of it on block t + i.  Each side takes one product for all the
-    ladders: A with the shell ladders, whose rows on shells s + 1, s, s - 1
-    are the R, F, L images, and N = U^T A* U with the eigenspace ladders,
-    whose row blocks give the R*, F*, L* images.  U is orthogonal, so the
-    dual coefficients and residual norms are read in that basis.  Raises
-    :class:`NotThin` when a module is not dual thin (the modules of
-    :func:`decompose` are thin).  Returns copies of the modules with the
-    measured bands, the worst coefficient-equation residual and the squared
-    ladder norms attached.
-    """
-    modules = list(modules)
-    for mod in modules:
-        if not mod.dual_thin:
-            raise NotThin(f"module with (t, d) = ({mod.t}, {mod.d}) is not thin/dual thin")
-    if not modules:
-        return []
-    sp = ctx.spectral
-    dims = np.array([mod.d + 1 for mod in modules])
-    bounds = np.concatenate([[0], np.cumsum(dims)])
-    owner = np.repeat(np.arange(len(modules)), dims)  # the module of each ladder column
-    rung = np.arange(bounds[-1]) - bounds[owner]
-
-    # primal ladders: the vector spanning E_t W, split over the shells
-    V = np.empty((ctx.n, len(modules)))
-    by_class: dict = {}
-    for j, mod in enumerate(modules):
-        by_class.setdefault((mod.t, mod.d), []).append(j)
-    for (t, d), idx in by_class.items():
-        Ut = sp.eigenbasis(t)
-        P = (Ut.T @ np.hstack([modules[j].basis for j in idx])).reshape(-1, len(idx), d + 1)
-        V[:, idx] = Ut @ np.linalg.svd(P.transpose(1, 0, 2), full_matrices=False)[0][:, :, 0].T
-    shell = np.array([mod.r for mod in modules])[owner] + rung
-    S = np.where(ctx.dist[:, None] == shell, V[:, owner], 0.0)
-    primal = _ladder_actions(ctx.A @ S, S, bounds, "primal")
-    del S
-
-    # dual ladders: rung 0 spans E*_r W, split over the eigenspaces
-    lab = sp.eigenspace_labels()
-    level = np.array([mod.t for mod in modules])[owner] + rung
-    C = sp.U.T @ np.stack([mod.basis[:, 0] for mod in modules], axis=1)
-    X = np.where(lab[:, None] == level, C[:, owner], 0.0)
-    dual = _ladder_actions(ctx.N @ X, X, bounds, "dual")
-
-    return [
-        replace(
-            mod,
-            cab=cab,
-            cab_star=cab_star,
-            measurement_residual=max(resid, dresid),
-            ladder_norms2=norms2,
-            dual_ladder_norms2=dnorms2,
-        )
-        for mod, (cab, resid, norms2), (cab_star, dresid, dnorms2) in zip(modules, primal, dual)
-    ]
-
-
 @dataclass(frozen=True)
 class NormLadderReport:
     """Norm-balance identities and positivity of consecutive products."""
@@ -392,8 +345,8 @@ def norm_ladder_check(mod: IrreducibleModule) -> NormLadderReport:
     """Verify c_i(W) ||E*_{r+i} v||^2 = b_{i-1}(W) ||E*_{r+i-1} v||^2 and
     its dual, and collect the products b_{i-1}(W) c_i(W) for i = 1..d.
 
-    ``mod`` is a measured module (:func:`measure_all`); the norms are those
-    of the ladders the measurement used.
+    ``mod`` is a module of :func:`decompose`; the norms are those of the
+    ladders its measurement used.
     """
     c, _, b = mod.cab
     cs, _, bs = mod.cab_star

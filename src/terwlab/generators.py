@@ -80,6 +80,8 @@ def odd_cycle(D: int) -> AssociationScheme:
     if D < 1:
         raise InvalidParameter(f"odd_cycle needs D >= 1, got {D}")
     n = 2 * D + 1
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceLimit(f"odd_cycle(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
     return scheme_from_graph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
 
 

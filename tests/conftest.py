@@ -56,7 +56,7 @@ class Bundle:
 def _build(name, scheme) -> Bundle:
     spectral = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, spectral, 0)
-    modules = tuple(tw.measure_all(ctx, tw.decompose(ctx, seed=0)))
+    modules = tuple(tw.decompose(ctx, seed=0))
     table = tw.solve_multiplicities(spectral)
     return Bundle(name=name, scheme=scheme, spectral=spectral, ctx=ctx,
                   modules=modules, table=table)

@@ -62,8 +62,10 @@ def test_criterion_03_module_structure(all_bundles):
     for bundle in all_bundles:
         D = bundle.scheme.D
         for mod in bundle.modules:
-            assert mod.dual_thin, bundle.name
-            assert mod.d == mod.dstar
+            # thin: one dimension per shell; dual thin: the certificate
+            # raises NotThin unless rank(E_i W) <= 1 on d + 1 eigenspaces
+            assert mod.dim == mod.d + 1, bundle.name
+            assert mod.t + mod.d <= D
             assert mod.r + mod.d == D
             assert 2 * mod.t + mod.d >= D
             count += 1

@@ -49,6 +49,15 @@ def test_gen_invalid_parameter(tmp_path):
     assert main(["gen", "--family", "odd_cycle", "--D", "0", "--out", out]) == 2
 
 
+@pytest.mark.parametrize("family, D", [("folded_cube", 7), ("odd_graph", 1), ("odd_cycle", 2500)])
+def test_gen_out_of_range_D_is_input_error(family, D, tmp_path, capsys):
+    # over the vertex cap or below the family's least D: an input error, not a failed check
+    out = tmp_path / "x.json"
+    assert main(["gen", "--family", family, "--D", str(D), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+    assert not out.exists()
+
+
 def test_analyze_json(c7_file, capsys):
     assert main(["analyze", "--scheme", c7_file, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -50,10 +50,14 @@ def test_invariance(all_bundles):
 
 
 def test_thin_dual_thin_and_diameters(all_bundles):
+    # dual thin with dual diameter d: the dual ladder has d + 1 rungs, one
+    # per eigenspace t..t+d
     for bundle in all_bundles:
         for m in bundle.modules:
-            assert m.dual_thin
-            assert m.d == m.dstar
+            assert m.dim == m.d + 1
+            assert m.t + m.d <= bundle.scheme.D
+            assert len(m.dual_ladder_norms2) == len(m.ladder_norms2) == m.d + 1
+            assert m.dual_ladder_norms2.min() > 0
 
 
 def test_endpoint_identities(all_bundles):
@@ -103,12 +107,6 @@ def test_measured_boundary_zeros(all_bundles):
             assert abs(a[m.d]) > 1e-6  # a_d(W) != 0
 
 
-def test_measurement_residuals_small(all_bundles):
-    for bundle in all_bundles:
-        for m in bundle.modules:
-            assert m.measurement_residual < 1e-8
-
-
 def test_norm_ladder(all_bundles):
     for bundle in all_bundles:
         for m in bundle.modules:
@@ -146,10 +144,10 @@ def test_distinct_classes_have_distinct_B(o4, fc9):
 def test_trivial_scheme_decomposition():
     scheme = tw.validate_scheme([[0]])
     ctx = tw.build_context(scheme, tw.spectral_data(scheme), 0)
-    mods = tw.measure_all(ctx, tw.decompose(ctx))
+    mods = tw.decompose(ctx)
     assert len(mods) == 1
     m = mods[0]
-    assert (m.r, m.t, m.d, m.dstar) == (0, 0, 0, 0)
+    assert (m.r, m.t, m.d) == (0, 0, 0)
     assert [x.tolist() for x in m.cab] == [[0.0], [0.0], [0.0]]
 
 
@@ -159,12 +157,17 @@ def test_modules_sorted_by_class(all_bundles):
         assert keys == sorted(keys)
 
 
-def test_measure_rejects_non_thin(c7):
+def test_certify_rejects_non_dual_thin(c7):
+    # with eigenspaces 1 and 2 of C_7 merged into one of dimension 4, the
+    # trivial module meets it in rank 2
+    from terwlab.decomposer import _certify
     from terwlab.errors import NotThin
 
-    fat = replace(c7.modules[0], dual_thin=False)
-    with pytest.raises(NotThin):
-        tw.measure_all(c7.ctx, [fat])
+    merged = replace(c7.ctx, spectral=replace(c7.spectral, m=np.array([1, 4, 2])))
+    ladders = [(m.r, m.basis[:, None, :]) for m in c7.modules]
+    with pytest.raises(NotThin, match="not dual thin") as info:
+        _certify(merged, ladders, 1e-8)
+    assert info.value.witness == (0, 1, "E", [1, 2, 1, 0])
 
 
 def _without_edge(ctx, x, y):
@@ -268,7 +271,7 @@ def test_odd_cycle_ladder(D):
     scheme = tw.odd_cycle(D)
     sp = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, sp, 0)
-    mods = tw.measure_all(ctx, tw.decompose(ctx, seed=0))
+    mods = tw.decompose(ctx, seed=0)
     observed = tw.census(mods)
     assert observed == {(0, D): 1, (1, D - 1): 1}
     assert sum(m.dim for m in mods) == scheme.n
@@ -278,13 +281,12 @@ def test_odd_cycle_ladder(D):
         for G in (ctx.A, np.diag(ctx.Astar)):
             W = G @ m.basis
             assert np.abs(W - m.basis @ (m.basis.T @ W)).max() < 1e-8 * scheme.n
-        assert m.measurement_residual < 1e-8
     if D <= 13:  # the recurrence's reach on cycles
         assert tw.solve_multiplicities(sp).matches_census(observed)
 
 
 def test_seeds_rotate_blocks_but_keep_measurements(fc9):
-    runs = [tw.measure_all(fc9.ctx, tw.decompose(fc9.ctx, seed=s)) for s in (0, 1, 2)]
+    runs = [tw.decompose(fc9.ctx, seed=s) for s in (0, 1, 2)]
     for mods in runs:
         assert tw.census(mods) == EXPECTED_CENSUS["FC9"]
     for mods in runs[1:]:
@@ -332,22 +334,29 @@ def _reference_measure(ctx, mod):
     return out
 
 
+def _cycle_bundle(D):
+    scheme = tw.odd_cycle(D)
+    ctx = tw.build_context(scheme, tw.spectral_data(scheme), 0)
+    return ctx, tw.decompose(ctx, seed=0)
+
+
 def test_batched_measurement_matches_per_module_reference(all_bundles):
-    for bundle in all_bundles:
-        for m in bundle.modules:
-            (cab, nrm2), (cab_star, dnrm2) = _reference_measure(bundle.ctx, m)
+    # the five standard schemes, and C_37 and C_61 for the long-D ladder
+    cases = [(b.ctx, b.modules) for b in all_bundles] + [_cycle_bundle(D) for D in (18, 30)]
+    for ctx, modules in cases:
+        for m in modules:
+            (cab, nrm2), (cab_star, dnrm2) = _reference_measure(ctx, m)
             # all three bands, the boundary zeros c_0 and b_d included
             assert np.abs(np.array(m.cab) - cab).max() < 1e-12
             assert np.abs(np.array(m.cab_star) - cab_star).max() < 1e-12
             assert np.allclose(m.ladder_norms2, nrm2, rtol=1e-12, atol=0)
             assert np.allclose(m.dual_ladder_norms2, dnrm2, rtol=1e-12, atol=0)
-            [one] = tw.measure_all(bundle.ctx, [replace(m, cab=None)])
-            assert np.abs(np.array(one.cab) - np.array(m.cab)).max() < 1e-12
 
 
 def test_certified_ranks_match_dense_idempotents(all_bundles):
     # rank(E_i W) from the dense n x n idempotents, the form the eigenspace
-    # bases replaced: same dual endpoints, dual diameters and census
+    # bases replaced: same dual endpoints, dual thin with dual diameter d,
+    # and the same census
     from terwlab.decomposer import RANK_TOL, _support
 
     for bundle in all_bundles:
@@ -357,6 +366,6 @@ def test_certified_ranks_match_dense_idempotents(all_bundles):
             ranks = [int(np.sum(np.linalg.svd(E[i] @ m.basis, compute_uv=False) > RANK_TOL))
                      for i in range(len(E))]
             t, dstar = _support(ranks)
-            assert (t, dstar, max(ranks) <= 1) == (m.t, m.dstar, m.dual_thin), bundle.name
+            assert (t, dstar, max(ranks)) == (m.t, m.d, 1), bundle.name
             dense.append(replace(m, t=t))
         assert tw.census(dense) == tw.census(bundle.modules) == EXPECTED_CENSUS[bundle.name]

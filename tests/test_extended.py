@@ -16,7 +16,7 @@ def test_long_odd_cycles(D):
     scheme = tw.odd_cycle(D)
     sp = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, sp, 0)
-    modules = tw.measure_all(ctx, tw.decompose(ctx, seed=0))
+    modules = tw.decompose(ctx, seed=0)
     table = tw.solve_multiplicities(sp)
     observed = tw.census(modules)
     assert table.matches_census(observed)
@@ -37,7 +37,7 @@ def test_o5_full_pipeline():
     assert scheme.n == 126
     sp = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, sp, 0)
-    modules = tw.measure_all(ctx, tw.decompose(ctx, seed=0))
+    modules = tw.decompose(ctx, seed=0)
     table = tw.solve_multiplicities(sp)
     assert table.matches_census(tw.census(modules))
     assert table.total_dimension() == 126

@@ -122,6 +122,11 @@ def test_odd_cycle_invalid():
         tw.odd_cycle(0)
 
 
+def test_odd_cycle_limits():
+    with pytest.raises(ResourceLimit):
+        tw.odd_cycle(2500)  # 5001 vertices
+
+
 def test_odd_graph_o4():
     scheme = tw.odd_graph(3)
     assert scheme.n == 35 and scheme.D == 3
