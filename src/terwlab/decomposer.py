@@ -30,31 +30,33 @@ orthogonal rotation, so the census and the measured bands must not
 depend on it.
 
 Certification.  A ladder spans a subspace with one unit vector per shell.
-If that subspace is invariant under A and A* (residual at most
-``tol * n``), it is irreducible: an invariant subspace of it is invariant
-under A*, whose eigenvalues differ between shells, so it is spanned by
-some of the shell vectors; it is invariant under A, whose off-diagonal
-entries in the ladder basis are the rung norms and hence nonzero, so it
-holds all of them.  Its shell slices are one-dimensional, so it is thin.
-The modules must also be mutually orthogonal: the stacked bases
-B must satisfy |B^T B - I| <= ``tol * n``.  A collection whose dimension
-is not n, bases that overlap, a ladder that is not invariant, or a block
-whose ladders stop at different rungs raises :class:`NotThin` with a
-witness.  The eigenspace ranks rank(E_i W) = rank(U_i^T W) give the
-dual endpoint t (U_i the orthonormal eigenspace basis, E_i = U_i U_i^T);
-a module whose ranks exceed 1, or whose eigenspace support is not d + 1
-long, is not dual thin and raises :class:`NotThin` too.
+Every rung lies on one shell by construction, so A* acts on rung i as the
+scalar theta*_{r+i}.  If the subspace is also A-invariant (residual at
+most ``tol * n``), it is irreducible: an invariant subspace of it is
+invariant under A*, whose eigenvalues differ between shells, so it is
+spanned by some of the shell vectors; it is invariant under A, whose
+off-diagonal entries in the ladder basis are the rung norms and hence
+nonzero, so it holds all of them.  Its shell slices are one-dimensional,
+so it is thin.  The stacked bases B must satisfy |B^T B - I| <=
+``tol * n``.  A collection whose dimension is not n, bases that overlap,
+a ladder that is not A-invariant, or a block whose ladders stop at
+different rungs raises :class:`NotThin` with a witness.  A acts on a
+module by T = B^T A B, tridiagonal with nonzero rungs, so its d + 1
+eigenvalues are simple and each is some theta_i, whose eigenvector spans
+E_i W.  Labelling them by the nearest theta gives rank(E_i W) and the
+dual endpoint t; an eigenvalue more than ``tol * n`` from every theta, a
+rank above 1 or a support not d + 1 long means the module is not dual
+thin and raises :class:`NotThin` too.
 
 Measurement.  A and A* act on a thin, dual thin module by tridiagonal
 matrices B(W) and B*(W) in its two ladder bases, read as their bands
-(c, a, b) and (c*, a*, b*), the format of the predicted bands.  They are
-read in the module basis w_0..w_d from compressions the certificate
-forms anyway: T = B^T A B, B^T A* B = diag(lambda) and column 0 of
-B^T E_i B.  The dual ladder is E_{t+j} w_0 (w_0 spans E*_r W), measured
-against diag(lambda); the unit v spanning E_t W is E_t w_0 / |E_t w_0|,
-whose shell ladder alpha_i w_i is measured against T.
+(c, a, b) and (c*, a*, b*), the format of the predicted bands, in the
+module basis w_0..w_d.  With y_j the unit eigenvector of T for
+theta_{t+j}, the dual ladder E_{t+j} w_0 = y_j (y_j)_0 (w_0 spans E*_r W)
+is measured against diag(theta*_r, ..., theta*_{r+d}), and the shell
+ladder alpha_i w_i of the unit v = +-y_0 spanning E_t W against T.
 
-The oracle reads A, A*, the E*_i and the eigenspaces of A only: never the
+The oracle reads A, ``dist``, theta and theta* only: never U, m, the
 predicted module bands, the recurrence or the q,s formulas.
 """
 
@@ -139,10 +141,11 @@ def _ladders(ctx: TerwContext, r: int, rungs: list, scale: float) -> list:
     while True:
         W = rungs[-1]
         shell = r + len(rungs) - 1
-        AW = ctx.A @ W
+        on = np.flatnonzero(ctx.dist == shell)
+        AW = ctx.A[on].T @ W[on]  # A is symmetric and W vanishes off its shell
         up = (ctx.dist == shell + 1)[:, None] * AW if shell < ctx.D else np.zeros_like(W)
         if W.shape[1] > 1:
-            for X in (W.T @ AW, up.T @ up):
+            for X in (W[on].T @ AW[on], up.T @ up):
                 parts = _eigenblocks(X)
                 if len(parts) > 1:
                     return [L for Z in parts for L in _ladders(ctx, r, [R @ Z for R in rungs], scale)]
@@ -192,8 +195,8 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
     """Certify every ladder as a module and measure its B(W) and B*(W).
 
     ``ladders`` holds (r, rungs) with rungs of shape (n, g, d+1).  All bases
-    are stacked into one n x n matrix, so A, A* and the eigenspace bases
-    are applied once to the whole collection.
+    are stacked into one n x n matrix, so A is applied once to the whole
+    collection; the rest is read off each module's T = B^T A B.
     """
     n, D = ctx.n, ctx.D
     Bcat = np.hstack([L.reshape(n, -1) for _, L in ladders]) if ladders else np.zeros((n, 0))
@@ -223,64 +226,62 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
         )
     del G
 
-    # B^T A B and B^T A* B per module, kept as the primal and dual actions
-    compressed = {}
-    for op in ("A", "A*"):
-        image = ctx.A @ Bcat if op == "A" else ctx.Astar[:, None] * Bcat
-        compressed[op] = []
-        for r, g, cols in spans:
-            B, W = Bcat[:, cols], image[:, cols]
-            C = B.T @ W
-            resid = float(np.abs(W - B @ C).max())
-            if resid > tol * n:
-                raise NotThin(
-                    f"ladder from shell {r} (block of {g}) is not {op}-invariant: "
-                    f"residual {resid:.3e} exceeds {tol * n:.3e}",
-                    witness=(r, g, op, resid),
-                )
-            compressed[op].append(C)
-        del image
+    # T = B^T A B per module; the ladder is A-invariant when A B = B T
+    AB = ctx.A @ Bcat
+    T = []
+    for r, g, cols in spans:
+        B, W = Bcat[:, cols], AB[:, cols]
+        T.append(B.T @ W)
+        resid = float(np.abs(W - B @ T[-1]).max())
+        if resid > tol * n:
+            raise NotThin(
+                f"ladder from shell {r} (block of {g}) is not A-invariant: "
+                f"residual {resid:.3e} exceeds {tol * n:.3e}",
+                witness=(r, g, "A", resid),
+            )
+    del AB
 
-    # rank(E_i B) per module: E_i B = U_i (U_i^T B) and U_i has orthonormal
-    # columns, so the singular values are those of U_i^T B.  The bases are
-    # orthonormal too, so every singular value is at most 1 and RANK_TOL is
-    # the absolute threshold.  Column 0 of B^T E_i B is E_i w_0
+    # rank(E_i W) counts T's eigenvalues labelled i by their nearest theta
     dims = np.array([cols.stop - cols.start for _, _, cols in spans])
-    starts = np.array([cols.start for _, _, cols in spans])
     groups = {k: np.flatnonzero(dims == k) for k in sorted(set(dims.tolist()))}
-    e_dims = np.zeros((len(spans), D + 1), dtype=int)
-    e_col0 = {k: np.zeros((idx.size, D + 1, k)) for k, idx in groups.items()}
-    P = ctx.spectral.U.T @ Bcat
-    lo = 0
-    for i, mi in enumerate(ctx.spectral.m.tolist()):
-        for k, idx in groups.items():
-            stack = P[lo:lo + mi][:, starts[idx, None] + np.arange(k)].transpose(1, 0, 2)
-            e_dims[idx, i] = np.sum(np.linalg.svd(stack, compute_uv=False) > RANK_TOL, axis=1)
-            e_col0[k][:, i] = np.einsum("gmk,gm->gk", stack, stack[:, :, 0])
-        lo += mi
-    del P
+    ranks, gaps = np.zeros((len(spans), D + 1), dtype=int), np.zeros(len(spans))
+    spectra = {}
+    for k, idx in groups.items():
+        Tk = np.stack([T[j] for j in idx])
+        mu, Y = np.linalg.eigh(Tk)
+        off = np.abs(mu[:, :, None] - ctx.spectral.theta)
+        lab = off.argmin(axis=2)
+        gaps[idx] = off.min(axis=2).max(axis=1)
+        np.add.at(ranks, (idx[:, None], lab), 1)
+        spectra[k] = (Tk, np.take_along_axis(Y, np.argsort(lab, axis=1)[:, None, :], 2))
 
     ts = np.empty(len(spans), dtype=int)
-    for j, ((r, g, _), ranks) in enumerate(zip(spans, e_dims)):
-        ts[j], dstar = _support(ranks)
-        if ranks.max() > 1 or dstar != dims[j] - 1:
+    for j, (r, g, _) in enumerate(spans):
+        if gaps[j] > tol * n:
+            raise NotThin(
+                f"ladder from shell {r} (block of {g}) is not dual thin: an eigenvalue of "
+                f"B^T A B lies {gaps[j]:.3e} from every theta, over {tol * n:.3e}",
+                witness=(r, g, "E", float(gaps[j])),
+            )
+        ts[j], dstar = _support(ranks[j])
+        if ranks[j].max() > 1 or dstar != dims[j] - 1:
             raise NotThin(
                 f"ladder from shell {r} (block of {g}) is not dual thin: "
-                f"eigenspace ranks {ranks.tolist()}",
-                witness=(r, g, "E", ranks.tolist()),
+                f"eigenspace ranks {ranks[j].tolist()}",
+                witness=(r, g, "E", ranks[j].tolist()),
             )
 
     modules = [None] * len(spans)
     for k, idx in groups.items():
-        # dual rung j = E_{t+j} w_0 is column j of X; the unit vector
-        # spanning E_t W is alpha = X[:, 0] / |E_t w_0|, with rungs alpha_i e_i
-        X = e_col0[k][np.arange(idx.size)[:, None], ts[idx, None] + np.arange(k)].transpose(0, 2, 1)
+        # dual rung j = E_{t+j} w_0 = y_j (y_j)_0 is column j of X (y_j in label
+        # order); the unit vector spanning E_t W is alpha = X[:, 0] / |E_t w_0|
+        Tk, Y = spectra[k]
+        X = Y * Y[:, :1, :]
         alpha = X[:, :, 0] / np.sqrt(X[:, :1, 0])
-        eye = np.eye(k)
-        T = np.stack([compressed["A"][j] for j in idx])
-        lam = np.stack([np.diag(compressed["A*"][j]) for j in idx])
-        c, a, b, n2 = _bands(T, alpha[:, :, None] * eye, "primal")
-        cs, as_, bs, dn2 = _bands(lam[:, :, None] * eye, X, "dual")
+        # rung i lies on shell r + i, where A* is theta*_{r+i}
+        lam = ctx.spectral.theta_star[np.array([spans[j][0] for j in idx])[:, None] + np.arange(k)]
+        c, a, b, n2 = _bands(Tk, alpha[:, :, None] * np.eye(k), "primal")
+        cs, as_, bs, dn2 = _bands(lam[:, :, None] * np.eye(k), X, "dual")
         for row, j in enumerate(idx):
             r, _, cols = spans[j]
             modules[j] = IrreducibleModule(
@@ -299,14 +300,14 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     modules by the rung Gram and flat matrices, and ``seed`` rotates each
     block's basis by a random orthogonal matrix (see the module
     docstring).  The modules are certified orthonormal to each other and
-    invariant under A and A*, both to ``tol * n``; invariance, the
-    one-dimensional shell slices and the nonzero rungs make each one
-    irreducible.  Each one is measured inside its certificate: its bands
-    ``cab`` and ``cab_star`` and the squared norms of its two ladders are
-    filled in.  Raises :class:`NotThin`, with a ``witness``, when the
-    modules do not add up to dimension n, overlap, are not invariant or
-    are not dual thin.  Returns the modules sorted by (t, d, r); the census
-    and the measured bands do not depend on ``seed``.
+    A-invariant, both to ``tol * n``; A*-invariance holds by construction.
+    Dual thinness and t are read off the spectrum of each T = B^T A B, and
+    each module is measured inside its certificate: its bands ``cab`` and
+    ``cab_star`` and the squared norms of its two ladders are filled in.
+    Raises :class:`NotThin`, with a ``witness``, when the modules do not
+    add up to dimension n, overlap, are not A-invariant or are not dual
+    thin.  Returns the modules sorted by (t, d, r); the census and the
+    measured bands do not depend on ``seed``.
     """
     rng = np.random.default_rng(seed)
     shells = [np.flatnonzero(ctx.dist == i) for i in range(ctx.D + 1)]

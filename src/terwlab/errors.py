@@ -48,12 +48,12 @@ class NotThin(TerwLabError):
 
     ``witness`` says where: ``(r, g, op, residual)`` for a block of ``g``
     ladders grown from shell ``r`` that is not invariant under ``op``
-    (``"A"`` or ``"A*"``), whose rungs under the raising map ``"R"``
-    vanish for some ladders and not for others (``residual`` is then the
-    smallest rung norm), or that overlaps another module (``"Gram"``);
-    ``(r, g, "E", ranks)`` for a ladder of such a block that is not dual
-    thin, with its eigenspace ranks rank(E_i W); ``(collected, n)`` when
-    the modules do not add up to the dimension n.
+    (``"A"``), whose rungs under the raising map ``"R"`` vanish for some
+    ladders and not for others (``residual`` is then the smallest rung
+    norm), or that overlaps another module (``"Gram"``).  For a ladder that
+    is not dual thin, ``(r, g, "E", gap)`` when its B^T A B has an eigenvalue
+    ``gap`` from every theta_i, else ``(r, g, "E", ranks)`` with its ranks
+    rank(E_i W); ``(collected, n)`` when the modules do not add up to n.
     """
 
     def __init__(self, message: str, witness=None):

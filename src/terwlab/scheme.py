@@ -92,9 +92,9 @@ def validate_scheme(relation) -> AssociationScheme:
     if (diag != 0).any():
         x = int(np.argwhere(diag != 0)[0][0])
         raise AxiomViolation("ii", f"relation({x},{x}) = {rel[x, x]} != 0", (x, x))
-    off_zero = (rel == 0) & ~np.eye(n, dtype=bool)
-    if off_zero.any():
-        xy = tuple(int(v) for v in np.argwhere(off_zero)[0])
+    # the diagonal is all class 0, so class 0 holds an off-diagonal pair when it holds more
+    if counts[0] > n:
+        xy = tuple(int(v) for v in np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0])
         raise AxiomViolation("ii", f"class 0 holds the off-diagonal pair {xy}", xy)
 
     asym = rel != rel.T

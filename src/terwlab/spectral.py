@@ -17,10 +17,10 @@ are coefficients of the class matrices, and the Krein parameters (the
 structure constants of the idempotents under the entrywise product) are a
 sum over classes.  One symmetric eigensolve of the class-1 matrix gives
 orthonormal bases U_t of the eigenspaces, with E_t = U_t U_t^T; the stages
-after this one work through U_t and never hold the (D+1) n^2 stack of
-idempotents.  A Q-polynomial ordering is a relabeling of the idempotents
-under which the Krein parameters show the same tridiagonal vanishing
-pattern.
+that need the idempotents work through U_t and never hold the (D+1) n^2
+stack of idempotents.  A Q-polynomial ordering is a relabeling of the
+idempotents under which the Krein parameters show the same tridiagonal
+vanishing pattern.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
@@ -79,7 +79,8 @@ class SpectralData:
     ``None`` when the scheme admits no Q-polynomial ordering.  ``U`` is an
     orthogonal n x n matrix whose columns are eigenvectors of the class-1
     matrix, grouped by eigenspace in idempotent order: the ``m[t]`` columns
-    of :meth:`eigenbasis` span the range of E_t = Q[t, relation] / n.
+    that :meth:`eigenspace_labels` marks ``t`` span the range of
+    E_t = Q[t, relation] / n.
     """
 
     n: int
@@ -110,11 +111,6 @@ class SpectralData:
     def bands(self) -> BandGrid:
         """The predicted bands of every feasible cell (:func:`band_grid`), formed on first use."""
         return band_grid(self.theta, self.theta_star, self.D)
-
-    def eigenbasis(self, t: int) -> np.ndarray:
-        """U_t, the orthonormal columns of ``U`` spanning the range of E_t (a view)."""
-        lo = int(self.m[:t].sum())
-        return self.U[:, lo:lo + int(self.m[t])]
 
     def eigenspace_labels(self) -> np.ndarray:
         """The eigenspace index of each column of ``U``."""

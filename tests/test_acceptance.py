@@ -63,7 +63,8 @@ def test_criterion_03_module_structure(all_bundles):
         D = bundle.scheme.D
         for mod in bundle.modules:
             # thin: one dimension per shell; dual thin: the certificate
-            # raises NotThin unless rank(E_i W) <= 1 on d + 1 eigenspaces
+            # raises NotThin unless the d + 1 eigenvalues of B^T A B are
+            # theta_t..theta_{t+d}, one each, so rank(E_i W) <= 1
             assert mod.dim == mod.d + 1, bundle.name
             assert mod.t + mod.d <= D
             assert mod.r + mod.d == D

@@ -44,6 +44,9 @@ def test_invariance(all_bundles):
         ctx = bundle.ctx
         for m in bundle.modules:
             B = m.basis
+            # column i lies on shell r + i, so A* acts on it as a scalar
+            off_shell = ctx.dist[:, None] != m.r + np.arange(m.dim)
+            assert not B[off_shell].any()
             for G in (ctx.A, np.diag(ctx.Astar)):
                 W = G @ B
                 assert np.abs(W - B @ (B.T @ W)).max() < 1e-8 * bundle.scheme.n
@@ -158,15 +161,25 @@ def test_modules_sorted_by_class(all_bundles):
 
 
 def test_certify_rejects_non_dual_thin(c7):
-    # with eigenspaces 1 and 2 of C_7 merged into one of dimension 4, the
-    # trivial module meets it in rank 2
+    # with theta_2 of C_7 moved by 1e-3, the eigenvalue of the trivial
+    # module's B^T A B on E_2 W lies 1e-3 from every theta
     from terwlab.decomposer import _certify
     from terwlab.errors import NotThin
 
-    merged = replace(c7.ctx, spectral=replace(c7.spectral, m=np.array([1, 4, 2])))
+    theta = c7.spectral.theta.copy()
+    theta[2] += 1e-3
+    moved = replace(c7.ctx, spectral=replace(c7.spectral, theta=theta))
     ladders = [(m.r, m.basis[:, None, :]) for m in c7.modules]
-    with pytest.raises(NotThin, match="not dual thin") as info:
-        _certify(merged, ladders, 1e-8)
+    with pytest.raises(NotThin, match="not dual thin: an eigenvalue of B\\^T A B lies 1.000e-03") as info:
+        _certify(moved, ladders, 1e-8)
+    r, g, op, gap = info.value.witness
+    assert (r, g, op) == (0, 1, "E")
+    assert gap == pytest.approx(1e-3, abs=1e-12)
+    # with theta = (2, 0.9, -1.8, 5) and a bound of 7 that every gap passes,
+    # 1.247 and -0.445 are both nearest to 0.9: E_1 W has rank 2
+    relabelled = replace(c7.ctx, spectral=replace(c7.spectral, theta=np.array([2.0, 0.9, -1.8, 5.0])))
+    with pytest.raises(NotThin, match="not dual thin: eigenspace ranks") as info:
+        _certify(relabelled, ladders, 1.0)
     assert info.value.witness == (0, 1, "E", [1, 2, 1, 0])
 
 
