@@ -12,6 +12,16 @@ W.  So the kernel
 is exactly the sum of E*_r W over the modules W with endpoint r.  It is
 read off the 0/1 block A[S_{r-1}, S_r] alone.
 
+Every product the oracle takes lives in A's shell blocks
+up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s], gathered once per
+call; A is symmetric (axiom iii), so A[S_s, S_{s+1}] = up[s]^T, and a
+flat block without a nonzero entry (all below shell D in an
+almost-bipartite scheme) is not held.  A rung on shell s is held as a
+|S_s| x g array, and no array has n rows.  The endpoints are taken in
+increasing order, and once the ladders from r are grown and read, the
+blocks below shell r + 1 are released: no later ladder reads them.
+Lowering kernels whose blocks share a shape come from one batched SVD.
+
 From an orthonormal basis of K_r, the ladders of all modules with
 endpoint r are grown at once, W_{i+1} = E*_{r+i+1} A W_i with unit
 columns, one column per vector.  The flat matrix W_i^T A W_i and the Gram
@@ -37,16 +47,27 @@ invariant under A*, whose eigenvalues differ between shells, so it is
 spanned by some of the shell vectors; it is invariant under A, whose
 off-diagonal entries in the ladder basis are the rung norms and hence
 nonzero, so it holds all of them.  Its shell slices are one-dimensional,
-so it is thin.  The stacked bases B must satisfy |B^T B - I| <=
-``tol * n``.  A collection whose dimension is not n, bases that overlap,
-a ladder that is not A-invariant, or a block whose ladders stop at
-different rungs raises :class:`NotThin` with a witness.  A acts on a
-module by T = B^T A B, tridiagonal with nonzero rungs, so its d + 1
-eigenvalues are simple and each is some theta_i, whose eigenvector spans
-E_i W.  Labelling them by the nearest theta gives rank(E_i W) and the
-dual endpoint t; an eigenvalue more than ``tol * n`` from every theta, a
-rank above 1 or a support not d + 1 long means the module is not dual
-thin and raises :class:`NotThin` too.
+so it is thin.  The certificate is taken on the shell blocks.  First, A
+must vanish between shells more than one apart: the nonzero entries of A
+are counted against those of the blocks, and on a mismatch a scan names
+one offending entry.  Then A w_i, for the rung w_i on shell s, lies on
+shells s - 1, s and s + 1 as up[s-1]^T w_i, flat[s] w_i and up[s] w_i.
+Against the module's rungs on those three shells these give column i of
+T = B^T A B and of A B - B T, so the shell-local invariance residual is
+the residual of the dense product.  Rungs on different shells have
+disjoint supports, so the stacked bases B satisfy |B^T B - I| <=
+``tol * n`` when the rungs on each shell do: one |S_s|-square Gram
+matrix per shell.  A ladder's rungs of equal shape, and shells of equal
+shape, are batched, which keeps the long, thin shell sequences of the
+odd cycles cheap.  A collection whose dimension is not n, bases that
+overlap, a ladder that is not A-invariant, or a block whose ladders stop
+at different rungs raises :class:`NotThin` with a witness.  A acts on a
+module by T, tridiagonal with nonzero rungs, so its d + 1 eigenvalues
+are simple and each is some theta_i, whose eigenvector spans E_i W.
+Labelling them by the nearest theta gives rank(E_i W) and the dual
+endpoint t; an eigenvalue more than ``tol * n`` from every theta, a rank
+above 1 or a support not d + 1 long means the module is not dual thin
+and raises :class:`NotThin` too.
 
 Measurement.  A and A* act on a thin, dual thin module by tridiagonal
 matrices B(W) and B*(W) in its two ladder bases, read as their bands
@@ -63,6 +84,7 @@ predicted module bands, the recurrence or the q,s formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -84,9 +106,11 @@ class IrreducibleModule:
     of both supports.  ``cab`` and ``cab_star`` are the bands (c, a, b) of
     B(W) and (c*, a*, b*) of B*(W), and ``ladder_norms2`` and
     ``dual_ladder_norms2`` the squared norms of the two measuring ladders.
+    The basis is held shell by shell: ``rungs[i]`` is (the vertices of
+    S_{r+i}, w_i on them), and ``n`` the number of vertices.
     """
 
-    basis: np.ndarray
+    n: int
     r: int
     t: int
     d: int
@@ -94,10 +118,19 @@ class IrreducibleModule:
     cab_star: tuple
     ladder_norms2: np.ndarray
     dual_ladder_norms2: np.ndarray
+    rungs: tuple
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return len(self.rungs)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The n x (d+1) orthonormal basis w_0..w_d, assembled from the rungs."""
+        B = np.zeros((self.n, self.dim))
+        for i, (on, w) in enumerate(self.rungs):
+            B[on, i] = w
+        return B
 
 
 def census(modules) -> dict:
@@ -109,18 +142,49 @@ def census(modules) -> dict:
     return dict(sorted(out.items()))
 
 
-def _lowering_kernel(ctx: TerwContext, shells: list, r: int) -> np.ndarray:
-    """Orthonormal basis (n x g) of K_r: the vectors on shell r killed by E*_{r-1} A."""
-    cols = shells[r]
-    if r == 0:
-        Ks = np.eye(cols.size)
-    else:
-        _, s, vt = np.linalg.svd(ctx.A[np.ix_(shells[r - 1], cols)])
-        rank = int(np.sum(s > RANK_TOL * max(1.0, s[0]))) if s.size else 0
-        Ks = vt[rank:].T
-    K = np.zeros((ctx.n, Ks.shape[1]))
-    K[cols] = Ks
-    return K
+def _stack(arrays: list) -> np.ndarray:
+    """The arrays stacked on a new first axis; a single array becomes a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _shell_blocks(ctx: TerwContext) -> tuple:
+    """The shells S_s and A's blocks up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s].
+
+    ``up[D]`` is empty, and a flat block without a nonzero entry (every
+    one below shell D in an almost-bipartite scheme) is None.  A is
+    symmetric (axiom iii), so A[S_s, S_{s+1}] is up[s]^T.  The blocks must
+    hold every nonzero entry of A, which their counts of nonzero entries
+    show: raises :class:`NotThin` with the witness (y, z, A[y, z]) of an
+    entry between shells more than one apart, found by a scan that runs
+    only on failure.
+    """
+    A, dist = ctx.A, ctx.dist
+    order = np.argsort(dist, kind="stable")  # the shells, one after another
+    ends = list(accumulate(np.bincount(dist, minlength=ctx.D + 1).tolist()))
+    shells = [order[a:b] for a, b in zip([0] + ends, ends)]
+    flat = [A[S[:, None], S] for S in shells]
+    up = [A[T[:, None], S] for S, T in zip(shells, shells[1:])] + [np.zeros((0, shells[-1].size))]
+    inside = [np.count_nonzero(F) for F in flat]
+    if np.count_nonzero(A) != sum(inside) + 2 * sum(map(np.count_nonzero, up)):
+        step = np.abs(dist[:, None].astype(int) - dist[None, :])
+        y, z = (int(v) for v in np.argwhere((step > 1) & (A != 0))[0])
+        raise NotThin(
+            f"A joins vertices {y} and {z} on shells {dist[y]} and {dist[z]}, "
+            f"more than one apart: entry {A[y, z]:.3e}",
+            witness=(y, z, float(A[y, z])),
+        )
+    return shells, up, [F if m else None for F, m in zip(flat, inside)]
+
+
+def _lowering_kernels(up: list, rs: list) -> dict:
+    """Orthonormal bases (|S_r| x g) of K_r for r in ``rs``: the vectors on shell r killed by A[S_{r-1}, S_r].
+
+    A[S_{r-1}, S_r] is up[r-1]^T; the blocks of the r >= 1 in ``rs`` share
+    one shape and one batched SVD.
+    """
+    s, vt = np.linalg.svd(_stack([up[r - 1].T for r in rs]))[1:]
+    ranks = np.sum(s > RANK_TOL * np.maximum(1.0, s[:, :1]), axis=1)
+    return {r: v[rank:].T.copy() for r, rank, v in zip(rs, ranks.tolist(), vt)}
 
 
 def _eigenblocks(M: np.ndarray) -> list:
@@ -130,28 +194,30 @@ def _eigenblocks(M: np.ndarray) -> list:
     return np.split(Y, cuts, axis=1)
 
 
-def _ladders(ctx: TerwContext, r: int, rungs: list, scale: float) -> list:
-    """Ladders grown from the unit rungs ``rungs``, one (n, h, d+1) array per block.
+def _ladders(up: list, flat: list, r: int, rungs: list, scale: float) -> list:
+    """Ladders grown from the unit rungs ``rungs``, one list of rungs per block.
 
-    Before each new rung the block is split into the eigenspaces of
-    W^T A W and of the next rung's Gram matrix (W the current rung); each
-    part is grown on its own, with all its earlier rungs rotated alike.
-    Appends to ``rungs``.
+    Rung i of a block of h ladders is the |S_{r+i}| x h array of its
+    vectors on shell r + i.  Before each new rung the block is split into
+    the eigenspaces of W^T A W and of the next rung's Gram matrix (W the
+    current rung); each part is grown on its own, with all its earlier
+    rungs rotated alike.  Appends to ``rungs``, or empties it when the
+    block splits, so that the parts replace it.
     """
     while True:
         W = rungs[-1]
         shell = r + len(rungs) - 1
-        on = np.flatnonzero(ctx.dist == shell)
-        AW = ctx.A[on].T @ W[on]  # A is symmetric and W vanishes off its shell
-        up = (ctx.dist == shell + 1)[:, None] * AW if shell < ctx.D else np.zeros_like(W)
+        U = up[shell] @ W
         if W.shape[1] > 1:
-            for X in (W[on].T @ AW[on], up.T @ up):
+            for X in ([] if flat[shell] is None else [W.T @ flat[shell] @ W]) + [U.T @ U]:
                 parts = _eigenblocks(X)
                 if len(parts) > 1:
-                    return [L for Z in parts for L in _ladders(ctx, r, [R @ Z for R in rungs], scale)]
-        norms = np.linalg.norm(up, axis=0)
-        if norms.max() <= RANK_TOL * scale:
-            return [np.stack(rungs, axis=2)]
+                    split = [[R @ Z for R in rungs] for Z in parts]
+                    del W, U, rungs[:]
+                    return [L for part in split for L in _ladders(up, flat, r, part, scale)]
+        norms = np.sqrt(np.add.reduce(U * U, axis=0))
+        if norms.max(initial=0.0) <= RANK_TOL * scale:
+            return [rungs]
         if norms.min() <= RANK_TOL * scale:
             low = float(norms.min())
             raise NotThin(
@@ -159,7 +225,54 @@ def _ladders(ctx: TerwContext, r: int, rungs: list, scale: float) -> list:
                 f"rung {shell + 1 - r} norm {low:.3e}",
                 witness=(r, W.shape[1], "R", low),
             )
-        rungs.append(up / norms)
+        U /= norms
+        rungs.append(U)
+
+
+def _actions(shells: list, up: list, flat: list, ladders: list) -> list:
+    """How A acts on every ladder, read off the three shell blocks each rung touches.
+
+    ``ladders`` holds (r, rungs) as :func:`_ladders` returns them.  Rung
+    w_i lies on shell s = r + i, so A w_i lies on shells s - 1, s and
+    s + 1, as up[s-1]^T w_i, flat[s] w_i and up[s] w_i.  Against the
+    module's rungs w_{i-1}, w_i and w_{i+1} on those shells (zero where the
+    ladder has none) they give column i of T = B^T A B, and what is left
+    of them is column i of A B - B T.  Returns, per ladder of g modules
+    with d + 1 rungs, the (g, d+1, d+1) tridiagonal T of each module and
+    its residual max |A B - B T|.  The products of a ladder with blocks of
+    one shape are batched.
+    """
+    sizes = [S.size for S in shells] + [0]  # sizes[-1] = 0 stands for the shells -1 and D + 1
+    out = []
+    for r, rungs in ladders:
+        g, k = rungs[0].shape[1], len(rungs)
+        ext = [np.zeros((sizes[r - 1], g))] + rungs + [np.zeros((sizes[r + k], g))]
+        # T[i-1, i], T[i, i], T[i+1, i], then the residual on shells s - 1, s and s + 1
+        cols = np.zeros((6, g, k))
+        for o, blocks in enumerate(([up[s - 1].T if s else None for s in range(r, r + k)],
+                                    flat[r:r + k], up[r:r + k])):
+            # runs of rungs whose blocks have one shape; a zero block, or none below shell 0
+            # or above D, contributes nothing
+            for shape, run in groupby(range(k), lambda i: blocks[i] is not None and blocks[i].shape):
+                if not shape or not shape[0] * shape[1]:
+                    continue
+                run = list(run)
+                i, j = run[0], run[-1] + 1
+                W = _stack(rungs[i:j])
+                X = W if o == 1 else _stack(ext[i + o:j + o])
+                M = _stack(blocks[i:j]) @ W
+                coef = np.add.reduce(X * M, axis=1)
+                cols[o, :, i:j] = coef.T
+                M -= X * coef[:, None]
+                cols[o + 3, :, i:j] = np.abs(M, out=M).max(axis=1).T
+                del M
+        T = np.zeros((g, k, k))
+        entry = T.reshape(g, k * k)  # T[:, i, j] is entry[:, i * k + j]
+        entry[:, 1::k + 1] = cols[0, :, 1:]
+        entry[:, ::k + 1] = cols[1]
+        entry[:, k::k + 1] = cols[2, :, :-1]
+        out.append((T, cols[3:].max(axis=(0, 2))))
+    return out
 
 
 def _support(dims) -> tuple[int, int]:
@@ -191,72 +304,79 @@ def _bands(M: np.ndarray, S: np.ndarray, what: str) -> tuple:
     return c, np.diagonal(G, 0, 1, 2) / n2, b, n2
 
 
-def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
+def _certify(ctx: TerwContext, shells: list, ladders: list, actions: list, tol: float) -> list:
     """Certify every ladder as a module and measure its B(W) and B*(W).
 
-    ``ladders`` holds (r, rungs) with rungs of shape (n, g, d+1).  All bases
-    are stacked into one n x n matrix, so A is applied once to the whole
-    collection; the rest is read off each module's T = B^T A B.
+    ``ladders`` holds (r, rungs) as :func:`_ladders` returns them and
+    ``actions`` is their :func:`_actions`.  Rungs on different shells have
+    disjoint supports, so the bases are orthonormal when the rungs on each
+    shell are: one Gram matrix per shell, batched over the shells of one
+    size that hold rungs of the same ladders.  The rest is read off each
+    module's T = B^T A B.
     """
     n, D = ctx.n, ctx.D
-    Bcat = np.hstack([L.reshape(n, -1) for _, L in ladders]) if ladders else np.zeros((n, 0))
-    if Bcat.shape[1] != n:
-        raise NotThin(f"collected dimension {Bcat.shape[1]} != {n}", witness=(Bcat.shape[1], n))
-    # (r, block size, column slice) of each module, in the column order of Bcat
-    spans = []
-    lo = 0
-    for r, L in ladders:
-        _, g, k = L.shape
-        spans.extend((r, g, slice(lo + j * k, lo + (j + 1) * k)) for j in range(g))
-        lo += g * k
+    collected = sum(R.shape[1] for _, rungs in ladders for R in rungs)
+    if collected != n:
+        raise NotThin(f"collected dimension {collected} != {n}", witness=(collected, n))
+    # module j of a ladder is column j of its rungs
+    mod_r, mod_g, k = np.array([(r, L[0].shape[1], len(L)) for r, L in ladders for _ in range(L[0].shape[1])],
+                               dtype=int).reshape(-1, 3).T
 
-    # the bases must be orthonormal, within and across modules
-    G = Bcat.T @ Bcat
-    G[np.diag_indices(n)] -= 1.0
-    np.abs(G, out=G)
-    worst = int(np.argmax(G))
-    if G.flat[worst] > tol * n:
-        resid = float(G.flat[worst])
-        col = max(divmod(worst, n))
-        r, g, _ = next(span for span in spans if span[2].start <= col < span[2].stop)
+    present = [tuple(j for j, (r, L) in enumerate(ladders) if r <= s < r + len(L)) for s in range(D + 1)]
+    groups: dict = {}
+    for s, js in enumerate(present):
+        groups.setdefault((shells[s].size, js), []).append(s)
+    gram = np.zeros(D + 1)
+    for (size, js), idx in groups.items():
+        B = np.concatenate([np.zeros((len(idx), size, 0))]
+                           + [_stack([ladders[j][1][s - ladders[j][0]] for s in idx]) for j in js], axis=2)
+        G = B.transpose(0, 2, 1) @ B
+        G.reshape(len(idx), -1)[:, ::G.shape[1] + 1] -= 1.0  # the diagonals
+        gram[idx] = np.abs(G, out=G).max(axis=(1, 2), initial=0.0)
+        del B, G
+    if gram.max() > tol * n:
+        s = int(np.argmax(gram))
+        blocks = [(ladders[j][0], ladders[j][1][s - ladders[j][0]]) for j in present[s]]
+        B = np.hstack([R for _, R in blocks])
+        G = np.abs(B.T @ B - np.eye(B.shape[1]))
+        col = max(np.unravel_index(np.argmax(G), G.shape))
+        for r, R in blocks:
+            if col < R.shape[1]:
+                break
+            col -= R.shape[1]
+        g = R.shape[1]
         raise NotThin(
             f"ladder from shell {r} (block of {g}) overlaps another module: "
-            f"Gram residual {resid:.3e} exceeds {tol * n:.3e}",
-            witness=(r, g, "Gram", resid),
+            f"Gram residual {gram[s]:.3e} exceeds {tol * n:.3e}",
+            witness=(r, g, "Gram", float(gram[s])),
         )
-    del G
 
-    # T = B^T A B per module; the ladder is A-invariant when A B = B T
-    AB = ctx.A @ Bcat
-    T = []
-    for r, g, cols in spans:
-        B, W = Bcat[:, cols], AB[:, cols]
-        T.append(B.T @ W)
-        resid = float(np.abs(W - B @ T[-1]).max())
-        if resid > tol * n:
-            raise NotThin(
-                f"ladder from shell {r} (block of {g}) is not A-invariant: "
-                f"residual {resid:.3e} exceeds {tol * n:.3e}",
-                witness=(r, g, "A", resid),
-            )
-    del AB
+    resid = np.concatenate([res for _, res in actions])
+    bad = np.flatnonzero(resid > tol * n)
+    if bad.size:
+        j = bad[0]
+        raise NotThin(
+            f"ladder from shell {mod_r[j]} (block of {mod_g[j]}) is not A-invariant: "
+            f"residual {resid[j]:.3e} exceeds {tol * n:.3e}",
+            witness=(int(mod_r[j]), int(mod_g[j]), "A", float(resid[j])),
+        )
 
     # rank(E_i W) counts T's eigenvalues labelled i by their nearest theta
-    dims = np.array([cols.stop - cols.start for _, _, cols in spans])
-    groups = {k: np.flatnonzero(dims == k) for k in sorted(set(dims.tolist()))}
-    ranks, gaps = np.zeros((len(spans), D + 1), dtype=int), np.zeros(len(spans))
+    groups = {kk: np.flatnonzero(k == kk) for kk in sorted(set(k.tolist()))}
+    ranks, gaps = np.zeros((k.size, D + 1), dtype=int), np.zeros(k.size)
     spectra = {}
-    for k, idx in groups.items():
-        Tk = np.stack([T[j] for j in idx])
+    for kk, idx in groups.items():
+        Tk = np.concatenate([T for (_, L), (T, _) in zip(ladders, actions) if len(L) == kk])
         mu, Y = np.linalg.eigh(Tk)
         off = np.abs(mu[:, :, None] - ctx.spectral.theta)
         lab = off.argmin(axis=2)
         gaps[idx] = off.min(axis=2).max(axis=1)
         np.add.at(ranks, (idx[:, None], lab), 1)
-        spectra[k] = (Tk, np.take_along_axis(Y, np.argsort(lab, axis=1)[:, None, :], 2))
+        spectra[kk] = (Tk, np.take_along_axis(Y, np.argsort(lab, axis=1)[:, None, :], 2))
 
-    ts = np.empty(len(spans), dtype=int)
-    for j, (r, g, _) in enumerate(spans):
+    ts = np.empty(k.size, dtype=int)
+    for j in range(k.size):
+        r, g = int(mod_r[j]), int(mod_g[j])
         if gaps[j] > tol * n:
             raise NotThin(
                 f"ladder from shell {r} (block of {g}) is not dual thin: an eigenvalue of "
@@ -264,30 +384,32 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
                 witness=(r, g, "E", float(gaps[j])),
             )
         ts[j], dstar = _support(ranks[j])
-        if ranks[j].max() > 1 or dstar != dims[j] - 1:
+        if ranks[j].max() > 1 or dstar != k[j] - 1:
             raise NotThin(
                 f"ladder from shell {r} (block of {g}) is not dual thin: "
                 f"eigenspace ranks {ranks[j].tolist()}",
                 witness=(r, g, "E", ranks[j].tolist()),
             )
 
-    modules = [None] * len(spans)
-    for k, idx in groups.items():
+    columns = [[R[:, j] for R in rungs] for _, rungs in ladders for j in range(rungs[0].shape[1])]
+    modules = [None] * k.size
+    for kk, idx in groups.items():
         # dual rung j = E_{t+j} w_0 = y_j (y_j)_0 is column j of X (y_j in label
         # order); the unit vector spanning E_t W is alpha = X[:, 0] / |E_t w_0|
-        Tk, Y = spectra[k]
+        Tk, Y = spectra[kk]
         X = Y * Y[:, :1, :]
         alpha = X[:, :, 0] / np.sqrt(X[:, :1, 0])
         # rung i lies on shell r + i, where A* is theta*_{r+i}
-        lam = ctx.spectral.theta_star[np.array([spans[j][0] for j in idx])[:, None] + np.arange(k)]
-        c, a, b, n2 = _bands(Tk, alpha[:, :, None] * np.eye(k), "primal")
-        cs, as_, bs, dn2 = _bands(lam[:, :, None] * np.eye(k), X, "dual")
+        lam = ctx.spectral.theta_star[mod_r[idx][:, None] + np.arange(kk)]
+        c, a, b, n2 = _bands(Tk, alpha[:, :, None] * np.eye(kk), "primal")
+        cs, as_, bs, dn2 = _bands(lam[:, :, None] * np.eye(kk), X, "dual")
         for row, j in enumerate(idx):
-            r, _, cols = spans[j]
+            r = int(mod_r[j])
             modules[j] = IrreducibleModule(
-                basis=Bcat[:, cols], r=r, t=int(ts[j]), d=k - 1,
+                n=n, r=r, t=int(ts[j]), d=kk - 1,
                 cab=(c[row], a[row], b[row]), cab_star=(cs[row], as_[row], bs[row]),
                 ladder_norms2=n2[row], dual_ladder_norms2=dn2[row],
+                rungs=tuple(zip(shells[r:r + kk], columns[j])),
             )
     return modules
 
@@ -295,35 +417,49 @@ def _certify(ctx: TerwContext, ladders: list, tol: float) -> list:
 def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     """Split the coordinate space into irreducible invariant subspaces.
 
-    For each endpoint r, the ladders of the lowering kernel K_r are grown
+    Works on A's shell blocks only (see the module docstring), after
+    certifying that A vanishes between shells more than one apart.  For
+    each endpoint r, the ladders of the lowering kernel K_r are grown
     through the shells and split, rung by rung, into blocks of isomorphic
     modules by the rung Gram and flat matrices, and ``seed`` rotates each
-    block's basis by a random orthogonal matrix (see the module
-    docstring).  The modules are certified orthonormal to each other and
-    A-invariant, both to ``tol * n``; A*-invariance holds by construction.
-    Dual thinness and t are read off the spectrum of each T = B^T A B, and
-    each module is measured inside its certificate: its bands ``cab`` and
-    ``cab_star`` and the squared norms of its two ladders are filled in.
-    Raises :class:`NotThin`, with a ``witness``, when the modules do not
-    add up to dimension n, overlap, are not A-invariant or are not dual
-    thin.  Returns the modules sorted by (t, d, r); the census and the
-    measured bands do not depend on ``seed``.
+    block's basis by a random orthogonal matrix.  The modules are certified
+    orthonormal to each other, by one Gram matrix per shell, and
+    A-invariant, on the three shell blocks each rung touches, both to
+    ``tol * n``; A*-invariance holds by construction.  Dual thinness and t
+    are read off the spectrum of each T = B^T A B, and each module is
+    measured inside its certificate: its bands ``cab`` and ``cab_star``
+    and the squared norms of its two ladders are filled in.  Raises
+    :class:`NotThin`, with a ``witness``, when A joins shells more than one
+    apart, or the modules do not add up to dimension n, overlap, are not
+    A-invariant or are not dual thin.  Returns the modules sorted by
+    (t, d, r); the census and the measured bands do not depend on ``seed``.
     """
+    shells, up, flat = _shell_blocks(ctx)
+    A = ctx.A
+    # the largest row sum of |A|, over its positive and its negative entries apart (no n x n float copy)
+    scale = np.add.reduce(A, axis=1, where=A > 0) - np.add.reduce(A, axis=1, where=A < 0)
+    scale = max(1.0, float(scale.max()))
     rng = np.random.default_rng(seed)
-    shells = [np.flatnonzero(ctx.dist == i) for i in range(ctx.D + 1)]
-    scale = max(1.0, float(np.abs(ctx.A).sum(axis=1).max()))
-    ladders = []
+    ladders, actions, kernels = [], [], {0: np.eye(shells[0].size)}
     for r in range(ctx.D + 1):
-        K = _lowering_kernel(ctx, shells, r)
-        if not K.shape[1]:
-            continue
-        for L in _ladders(ctx, r, [K], scale):
-            g = L.shape[1]
+        if r not in kernels:  # with the later kernels whose blocks have its shape
+            same = [q for q in range(r, ctx.D + 1) if up[q - 1].shape == up[r - 1].shape]
+            kernels.update(_lowering_kernels(up, same))
+        kernel = [kernels.pop(r)]  # _ladders grows or splits it in place
+        grown = [(r, rungs) for rungs in _ladders(up, flat, r, kernel, scale)] if kernel[0].shape[1] else []
+        for _, rungs in grown:
+            g = rungs[0].shape[1]
             if g > 1:
                 Q = np.linalg.qr(rng.standard_normal((g, g)))[0]
-                L = np.tensordot(L, Q, axes=(1, 0)).transpose(0, 2, 1)
-            ladders.append((r, L))
-    modules = _certify(ctx, ladders, tol)
+                rungs[:] = [R @ Q for R in rungs]
+        if grown:
+            ladders += grown
+            actions += _actions(shells, up, flat, grown)
+        # later ladders start above shell r and read no block below it
+        flat[r] = None
+        if r:
+            up[r - 1] = None
+    modules = _certify(ctx, shells, ladders, actions, tol)
     order = sorted(range(len(modules)), key=lambda i: (modules[i].t, modules[i].d, modules[i].r, i))
     return [modules[i] for i in order]
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -160,18 +161,25 @@ def test_modules_sorted_by_class(all_bundles):
         assert keys == sorted(keys)
 
 
+def _certify_modules(ctx, modules, tol):
+    """Certify the bases of ``modules``, one ladder each, on the shell blocks of ``ctx``."""
+    from terwlab.decomposer import _actions, _certify, _shell_blocks
+
+    shells, up, flat = _shell_blocks(ctx)
+    ladders = [(m.r, [w[:, None] for _, w in m.rungs]) for m in modules]
+    return _certify(ctx, shells, ladders, _actions(shells, up, flat, ladders), tol)
+
+
 def test_certify_rejects_non_dual_thin(c7):
     # with theta_2 of C_7 moved by 1e-3, the eigenvalue of the trivial
     # module's B^T A B on E_2 W lies 1e-3 from every theta
-    from terwlab.decomposer import _certify
     from terwlab.errors import NotThin
 
     theta = c7.spectral.theta.copy()
     theta[2] += 1e-3
     moved = replace(c7.ctx, spectral=replace(c7.spectral, theta=theta))
-    ladders = [(m.r, m.basis[:, None, :]) for m in c7.modules]
     with pytest.raises(NotThin, match="not dual thin: an eigenvalue of B\\^T A B lies 1.000e-03") as info:
-        _certify(moved, ladders, 1e-8)
+        _certify_modules(moved, c7.modules, 1e-8)
     r, g, op, gap = info.value.witness
     assert (r, g, op) == (0, 1, "E")
     assert gap == pytest.approx(1e-3, abs=1e-12)
@@ -179,7 +187,7 @@ def test_certify_rejects_non_dual_thin(c7):
     # 1.247 and -0.445 are both nearest to 0.9: E_1 W has rank 2
     relabelled = replace(c7.ctx, spectral=replace(c7.spectral, theta=np.array([2.0, 0.9, -1.8, 5.0])))
     with pytest.raises(NotThin, match="not dual thin: eigenspace ranks") as info:
-        _certify(relabelled, ladders, 1.0)
+        _certify_modules(relabelled, c7.modules, 1.0)
     assert info.value.witness == (0, 1, "E", [1, 2, 1, 0])
 
 
@@ -214,69 +222,94 @@ def test_collected_dimension_mismatch_raises_with_counts(c7):
     assert info.value.witness == (9, 7)
 
 
+def test_off_band_entry_raises_with_witness(c7):
+    # an edge between vertex 0 and vertex 2, two shells apart, breaks the
+    # shell-block structure every certificate relies on
+    from terwlab.errors import NotThin
+
+    A = c7.ctx.A.copy()
+    A[0, 2] = A[2, 0] = 1.0
+    with pytest.raises(NotThin, match="A joins vertices 0 and 2 on shells 0 and 2, more than one apart") as info:
+        tw.decompose(replace(c7.ctx, A=A), seed=0)
+    assert info.value.witness == (0, 2, 1.0)
+
+
 def test_ladders_split_blocks_by_where_they_stop(c7):
     # without the edge 2-3, e_2 has no rung on shell 3 while e_5 has one, so
     # the rung Gram matrix diag(0, 1) splits them into two blocks
-    from terwlab.decomposer import _ladders
+    from terwlab.decomposer import _ladders, _shell_blocks
 
-    ctx = _without_edge(c7.ctx, 2, 3)
-    W0 = np.zeros((7, 2))
-    W0[2, 0] = W0[5, 1] = 1.0
-    blocks = _ladders(ctx, 2, [W0], 2.0)
-    assert [L.shape for L in blocks] == [(7, 1, 1), (7, 1, 2)]
-    assert np.abs(blocks[0][:, 0, 0]).argmax() == 2
-    assert np.abs(blocks[1][:, 0, 1]).argmax() == 4
+    shells, up, flat = _shell_blocks(_without_edge(c7.ctx, 2, 3))
+    assert shells[2].tolist() == [2, 5] and shells[3].tolist() == [3, 4]
+    blocks = _ladders(up, flat, 2, [np.eye(2)], 2.0)
+    assert [[R.shape for R in L] for L in blocks] == [[(2, 1)], [(2, 1), (2, 1)]]
+    assert shells[2][np.abs(blocks[0][0][:, 0]).argmax()] == 2
+    assert shells[3][np.abs(blocks[1][1][:, 0]).argmax()] == 4
 
 
 def test_ladders_split_blocks_by_flat_action(c7):
     # a loop at vertex 5 gives e_5 the flat coefficient 1 and e_2 the flat
     # coefficient 0; the rungs have equal norms, so only W^T A W splits them
-    from terwlab.decomposer import _ladders
+    from terwlab.decomposer import _ladders, _shell_blocks
 
     A = c7.ctx.A.copy()
     A[5, 5] = 1.0
-    W0 = np.zeros((7, 2))
-    W0[2, 0] = W0[5, 1] = 1.0
-    blocks = _ladders(replace(c7.ctx, A=A), 2, [W0], 2.0)
-    assert [L.shape for L in blocks] == [(7, 1, 2), (7, 1, 2)]
-    assert np.abs(blocks[0][:, 0, 0]).argmax() == 2
-    assert np.abs(blocks[1][:, 0, 0]).argmax() == 5
+    shells, up, flat = _shell_blocks(replace(c7.ctx, A=A))
+    blocks = _ladders(up, flat, 2, [np.eye(2)], 2.0)
+    assert [[R.shape for R in L] for L in blocks] == [[(2, 1), (2, 1)], [(2, 1), (2, 1)]]
+    assert shells[2][np.abs(blocks[0][0][:, 0]).argmax()] == 2
+    assert shells[2][np.abs(blocks[1][0][:, 0]).argmax()] == 5
 
 
 def test_uneven_ladders_raise_with_witness(c7):
     # with the edge 2-3 removed and the edge 4-5 weighted 1e-4, the rung
     # Gram matrix diag(0, 1e-8) lies inside one block, but only e_5 has a
     # rung above the zero threshold
-    from terwlab.decomposer import _ladders
+    from terwlab.decomposer import _ladders, _shell_blocks
     from terwlab.errors import NotThin
 
     ctx = _without_edge(c7.ctx, 2, 3)
     A = ctx.A.copy()
     A[4, 5] = A[5, 4] = 1e-4
-    W0 = np.zeros((7, 2))
-    W0[2, 0] = W0[5, 1] = 1.0
+    _, up, flat = _shell_blocks(replace(ctx, A=A))
     with pytest.raises(NotThin) as info:
-        _ladders(replace(ctx, A=A), 2, [W0], 2.0)
+        _ladders(up, flat, 2, [np.eye(2)], 2.0)
     assert info.value.witness == (2, 2, "R", 0.0)
 
 
 def test_overlapping_modules_raise_with_witness(o4):
     # each ladder is invariant and the dimensions add up to n, but one
     # module of the (2, 1) class repeats another
-    from terwlab.decomposer import _certify
     from terwlab.errors import NotThin
 
     mods = list(o4.modules)
     twins = [j for j, m in enumerate(mods) if (m.t, m.d) == (2, 1)]
     mods[twins[1]] = mods[twins[0]]
-    ladders = [(m.r, m.basis[:, None, :]) for m in mods]
     with pytest.raises(NotThin, match="overlaps another module") as info:
-        _certify(o4.ctx, ladders, 1e-8)
+        _certify_modules(o4.ctx, mods, 1e-8)
     r, g, op, residual = info.value.witness
     assert (r, g, op) == (mods[twins[0]].r, 1, "Gram")
     assert residual == pytest.approx(1.0, abs=1e-12)
     # the same ladders without the repeat pass the gate
-    _certify(o4.ctx, [(m.r, m.basis[:, None, :]) for m in o4.modules], 1e-8)
+    _certify_modules(o4.ctx, o4.modules, 1e-8)
+
+
+def test_shell_blocks_bound_memory_and_dims_need_no_basis(monkeypatch):
+    # one decompose of O_5 (n = 462) holds less than n^2 float64 beyond its
+    # input: it forms no n x n product and no |A| copy (the dense
+    # certificate peaked at 3.3 n^2)
+    scheme = tw.odd_graph(5)
+    ctx = tw.build_context(scheme, tw.spectral_data(scheme), 0)
+    tw.decompose(ctx)  # the first call also pays for lazy imports
+    tracemalloc.start()
+    try:
+        mods = tw.decompose(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * scheme.n ** 2
+    monkeypatch.setattr(tw.IrreducibleModule, "basis", property(lambda m: pytest.fail("basis assembled")))
+    assert sum(m.dim for m in mods) == scheme.n
 
 
 @pytest.mark.parametrize("D", range(3, 18))
