@@ -10,11 +10,11 @@ multiplicities against their closed forms.
 from .context import IdentityReport, TerwContext, build_context, verify_operator_identities
 from .decomposer import IrreducibleModule, census, decompose, norm_ladder_check
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
-from .multiplicity import MultiplicityTable, krein_products, solve_multiplicities, trace_ladders
+from .multiplicity import MultiplicityTable, solve_multiplicities, trace_ladders
 from .predictor import feasibility, upsilon_cells
 from .qs import ExclusionReport, QSParams, exclusion_check, fit_qs, qs_band_grid, qs_multiplicity
 from .scheme import AssociationScheme, IntersectionTensor, validate_scheme
-from .spectral import PPolyArray, SpectralData, intersection_array, is_almost_bipartite, spectral_data
+from .spectral import PPolyArray, SpectralData, intersection_array, is_almost_bipartite, krein_products, spectral_data
 
 __version__ = "0.1.0"
 

@@ -196,7 +196,7 @@ def _predictor_vs_oracle(args, values):
 def _trace_formula(args, values):
     spectral = values["spectral data"]
     ladders = multiplicity.trace_ladders(values["context"])
-    closed = multiplicity.krein_products(spectral).tolist()
+    closed = spectral.closed_traces.tolist()
     worst = 0.0
     for (t, d) in predictor.upsilon_cells(spectral.D):
         lhs = ladders[t][d]

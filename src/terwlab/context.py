@@ -19,7 +19,9 @@ E_j A* E_i = 0 when |i - j| > 1 (Terwilliger, "The subconstituent algebra
 of an association scheme I", J. Algebraic Combin. 1992), so
 A* = R* + F* + L* holds exactly when N vanishes off its three block bands.
 The Frobenius norm of N's off-band blocks is that identity's residual; it
-bounds the max norm of A* - R* - F* - L* from above.
+bounds the max norm of A* - R* - F* - L* from above.  The residual of
+A E_i = theta_i E_i is ``eig_residual``, which :func:`spectral_data` reads
+off its one product A U; the context does not multiply A by U again.
 
 The context holds ``dist``, A, the diagonal of A* and N; no shell
 projector, dual class matrix or n x n idempotent is stored.  The identity
@@ -161,7 +163,7 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     more than one apart, and F = E*_D A E*_D those inside one near shell.
     A E_i = theta_i E_i and A* - R* - F* - L* are read in the eigenspace
     bases, as Frobenius norms, which bound the max norm from above; the
-    others are max norms.
+    others are max norms; the first is the largest ``spectral.eig_residual``.
     """
     n, D = ctx.n, ctx.D
     if tol is None:
@@ -173,11 +175,8 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
         checks.append(CheckResult(name=name, residual=float(residual), tol=tol))
 
     if D >= 1:
-        lab = sp.eigenspace_labels()
         # ||(A - theta_i) E_i||_F = ||(A - theta_i) U_i||_F, as U_i^T has orthonormal rows
-        AU = ctx.A @ sp.U
-        AU -= sp.U * sp.theta[lab]
-        add("A E_i = theta_i E_i", np.sqrt(np.bincount(lab, np.einsum("ij,ij->j", AU, AU)).max()))
+        add("A E_i = theta_i E_i", sp.eig_residual.max())
     # R, F, L keep the entries (y, z) of A at steps dist(y) - dist(z) = 1, 0, -1,
     # and R*, F*, L* the blocks (j, i) of N at steps j - i = 1, 0, -1
     dist = ctx.dist.astype(np.int16)  # keeps the n x n step mask small

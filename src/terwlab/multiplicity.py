@@ -19,7 +19,8 @@ certifies that no module of that shape exists.
 
 Both sides of the identity are formed for every cell at once: the traces
 by :func:`trace_ladders` (read ``[t][d]``) and their closed forms by
-:func:`krein_products` (read ``[t, d]``).
+:func:`terwlab.spectral.krein_products`, kept as ``spectral.closed_traces``
+(read ``[t, d]``) so that the trace check and the recurrence share one.
 """
 
 from __future__ import annotations
@@ -62,21 +63,6 @@ def trace_ladders(ctx: TerwContext) -> list:
         for t, value in enumerate(np.bincount(lab[: ends[k]], np.einsum("ij,ij->j", H, H)).tolist()):
             ladders[t].append(value)
     return ladders
-
-
-def krein_products(spectral: SpectralData) -> np.ndarray:
-    """Closed form of the same trace for every t + d <= D, as a (D+1, D+1) array.
-
-    Entry [t, d] is m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}, multiplied from
-    m_t onwards in the order of h; entries with t + d > D are NaN.
-    """
-    D = spectral.D
-    bs, cs = np.asarray(spectral.ppstar.b, dtype=np.float64), np.asarray(spectral.ppstar.c, dtype=np.float64)
-    t, d = np.ix_(np.arange(D + 1), np.arange(D + 1))
-    value = np.repeat(np.asarray(spectral.m, dtype=np.float64)[:, None], D + 1, axis=1)
-    for j in range(D):  # h = t + j, for every cell with d > j at once
-        value *= np.where(j < d, bs[np.clip(t + j, 0, D)] * cs[np.clip(d - j, 0, D)], 1.0)
-    return np.where(t + d <= D, value, np.nan)
 
 
 def _rung_windows(rungs: np.ndarray) -> np.ndarray:
@@ -146,7 +132,7 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
         live = cell_d > h
         lead[live] *= rungs[start[live] + h]
         scale[live] *= sizes[start[live] + h]
-    lhs = krein_products(spectral).tolist()
+    lhs = spectral.closed_traces.tolist()
     # acc[k]: the solved predecessors' part of cell k's trace, summed in solve order
     acc = np.zeros(len(grid.cells))
     mult: dict = {}

@@ -18,9 +18,16 @@ structure constants of the idempotents under the entrywise product) are a
 sum over classes.  One symmetric eigensolve of the class-1 matrix gives
 orthonormal bases U_t of the eigenspaces, with E_t = U_t U_t^T; the stages
 that need the idempotents work through U_t and never hold the (D+1) n^2
-stack of idempotents.  A Q-polynomial ordering is a relabeling of the
-idempotents under which the Krein parameters show the same tridiagonal
-vanishing pattern.
+stack of idempotents.  Nor is an E_t formed to check the bases: one
+product A U gives r_t = ||A U_t - theta_t U_t||_F, and as the exact
+idempotents satisfy E_s (A - theta_t) = (theta_s - theta_t) E_s, with the
+gap g_t = min_{s != t} |theta_s - theta_t|, ||(I - E_t) U_t||_F <= r_t / g_t.
+The dense E'_t = Q[t, relation] / n is sum_s lambda_s E_s with
+lambda = (Q P)[t] / n, so |E'_t U_t - U_t|_max <= |lambda_t - 1| sqrt(m_t)
++ max_{s != t} |1 - lambda_s| r_t / g_t.  The Bose-Mesner gates bound the
+first term, and the basis gate reads r_t / g_t.  A Q-polynomial ordering
+is a relabeling of the idempotents under which the Krein parameters show
+the same tridiagonal vanishing pattern.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
@@ -79,8 +86,9 @@ class SpectralData:
     ``None`` when the scheme admits no Q-polynomial ordering.  ``U`` is an
     orthogonal n x n matrix whose columns are eigenvectors of the class-1
     matrix, grouped by eigenspace in idempotent order: the ``m[t]`` columns
-    that :meth:`eigenspace_labels` marks ``t`` span the range of
-    E_t = Q[t, relation] / n.
+    U_t that :meth:`eigenspace_labels` marks ``t`` span the range of
+    E_t = Q[t, relation] / n, within the bound r_t / g_t of the module
+    docstring; ``eig_residual[t]`` is r_t = ||A U_t - theta_t U_t||_F.
     """
 
     n: int
@@ -96,6 +104,7 @@ class SpectralData:
     theta: np.ndarray
     theta_star: np.ndarray | None
     U: np.ndarray
+    eig_residual: np.ndarray
     ppstar: PPolyArray | None
 
     @property
@@ -112,9 +121,30 @@ class SpectralData:
         """The predicted bands of every feasible cell (:func:`band_grid`), formed on first use."""
         return band_grid(self.theta, self.theta_star, self.D)
 
+    @cached_property
+    def closed_traces(self) -> np.ndarray:
+        """The closed-form traces of every cell (:func:`krein_products`), formed on first use."""
+        return krein_products(self)
+
     def eigenspace_labels(self) -> np.ndarray:
         """The eigenspace index of each column of ``U``."""
         return np.repeat(np.arange(self.D + 1), self.m)
+
+
+def krein_products(spectral: SpectralData) -> np.ndarray:
+    """Closed form of the trace of E_t L*^d R*^d E_t for every t + d <= D, as a (D+1, D+1) array.
+
+    Entry [t, d] is m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}, multiplied from
+    m_t onwards in the order of h; entries with t + d > D are NaN.
+    """
+    D = spectral.D
+    bs, cs = np.asarray(spectral.ppstar.b, dtype=np.float64), np.asarray(spectral.ppstar.c, dtype=np.float64)
+    t, d = np.ix_(np.arange(D + 1), np.arange(D + 1))
+    j = np.arange(D)[:, None, None]  # factor j takes h = t + j, in every cell with d > j
+    value = np.repeat(np.asarray(spectral.m, dtype=np.float64)[:, None], D + 1, axis=1)
+    for factor in np.where(j < d, bs[np.minimum(t + j, D)] * cs[np.maximum(d - j, 0)], 1.0):
+        value *= factor
+    return np.where(t + d <= D, value, np.nan)
 
 
 def _pattern_ok(nonzero: np.ndarray, order) -> bool:
@@ -199,12 +229,14 @@ def _tridiagonal_eigenvalues(pp: PPolyArray) -> np.ndarray:
     return np.linalg.eigvalsh(M)[::-1]
 
 
-def _check_distinct(theta: np.ndarray) -> None:
+def _check_distinct(theta: np.ndarray) -> np.ndarray:
+    """The gaps min_{s != t} |theta_s - theta_t|; raises :class:`DegenerateSpectrum` if one is within tolerance."""
     scale = 1.0 + float(np.abs(theta).max())
-    gaps = np.abs(np.subtract.outer(theta, theta)) + np.eye(len(theta)) * scale
+    gaps = np.abs(np.subtract.outer(theta, theta)) + np.diag(np.full(len(theta), np.inf))
     if gaps.min() < EIG_MATCH_TOL * scale:
         i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
         raise DegenerateSpectrum(f"theta[{i}] and theta[{j}] agree within tolerance: {theta[i]}")
+    return gaps.min(axis=1)
 
 
 def _eigenmatrix(pp: PPolyArray, theta: np.ndarray) -> np.ndarray:
@@ -264,7 +296,7 @@ def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
         n=1, D=0, relation=scheme.relation, p_ordering=(0,), q_ordering=(0,),
         pp=pp, P=one, Q=one, m=np.array([1], dtype=np.int64),
         krein=np.ones((1, 1, 1)), theta=np.zeros(1), theta_star=np.zeros(1),
-        U=np.ones((1, 1)), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
+        U=np.ones((1, 1)), eig_residual=np.zeros(1), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
     )
 
 
@@ -293,7 +325,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     # eigenvalues: position 0 is the valency (Perron root), the rest initially
     # sorted descending; the Q-ordering detected below permutes them.
     theta = _tridiagonal_eigenvalues(pp)
-    _check_distinct(theta)
+    gaps = _check_distinct(theta)
 
     P = _eigenmatrix(pp, theta)
     k = tensor_p.k.astype(np.float64)
@@ -302,16 +334,10 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     if np.abs(m - m_int).max() > 1e-6 or m_int.sum() != n:
         raise NumericalCheckFailure(f"multiplicities not integral: {m}")
 
-    V, groups = _cross_validate_adjacency(scheme_p.class_matrix(1), theta, m)
+    A1 = scheme_p.class_matrix(1)
+    V, groups = _cross_validate_adjacency(A1, theta, m)
     Q = m[:, None] * P.T / k[None, :]
     _verify_bose_mesner(Q, P, tensor_p.p, n)
-    # tie the eigenvector groups to the gated idempotents: E_t U_t = U_t,
-    # with one dense E_t = Q[t, relation] / n at a time
-    worst = max(
-        float(np.abs(Q[j][scheme_p.relation] / n @ V[:, g] - V[:, g]).max()) for j, g in enumerate(groups)
-    )
-    if worst > IDEMPOTENT_TOL:
-        raise NumericalCheckFailure(f"eigenspace basis residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
 
     krein = _krein_parameters(Q, k, m, n)
     kscale = max(1.0, float(np.abs(krein).max()))
@@ -323,6 +349,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     q_ordering = next(_orderings(_krein_support(krein)), None)
     order = range(D + 1) if q_ordering is None else q_ordering
     U = V[:, np.concatenate([groups[j] for j in order])]
+    del V  # V and then A1 go before they would be a fourth live n x n array
 
     theta_star = None
     ppstar = None
@@ -331,7 +358,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     else:
         sg = list(q_ordering)
         m_int = m_int[sg]
-        theta = theta[sg]
+        theta, gaps = theta[sg], gaps[sg]
         P = P[:, sg]
         Q = Q[sg]
         krein = krein[np.ix_(sg, sg, sg)]
@@ -344,13 +371,22 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 
-    for arr in (U, P, krein, theta) + (() if Q is None else (Q, theta_star)):
+    # tie the eigenvector groups to the gated idempotents by r_t / g_t (module docstring)
+    R = A1 @ U
+    del A1
+    R -= U * np.repeat(theta, m_int)
+    eig_residual = np.sqrt(np.bincount(np.repeat(np.arange(D + 1), m_int), np.einsum("ij,ij->j", R, R)))
+    worst = float((eig_residual / gaps).max())
+    if worst > IDEMPOTENT_TOL:
+        raise NumericalCheckFailure(f"eigenspace basis residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
+
+    for arr in (U, P, krein, theta, eig_residual) + (() if Q is None else (Q, theta_star)):
         arr.flags.writeable = False
     return SpectralData(
         n=n, D=D, relation=scheme_p.relation,
         p_ordering=p_ordering, q_ordering=q_ordering,
         pp=pp, P=P, Q=Q, m=m_int, krein=krein,
-        theta=theta, theta_star=theta_star, U=U, ppstar=ppstar,
+        theta=theta, theta_star=theta_star, U=U, eig_residual=eig_residual, ppstar=ppstar,
     )
 
 

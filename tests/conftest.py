@@ -93,6 +93,20 @@ def all_bundles(c7, c9, o4, fc7, fc9):
 
 
 @pytest.fixture(scope="session")
+def cycle_contexts():
+    """Contexts at vertex 0 of the odd cycles C_{2D+1}, D = 3..30, keyed by name.
+
+    The eigenvalue gaps of C_{2D+1} shrink like 1/D^2, so the ladder reaches
+    the thinnest margins of the gates that divide by a gap.
+    """
+    contexts = {}
+    for D in range(3, 31):
+        scheme = tw.odd_cycle(D)
+        contexts[f"C{2 * D + 1}"] = tw.build_context(scheme, tw.spectral_data(scheme), 0)
+    return contexts
+
+
+@pytest.fixture(scope="session")
 def petersen_line_graph():
     """The line graph of the Petersen graph: P-polynomial but not Q-polynomial."""
     from itertools import combinations

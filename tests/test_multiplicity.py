@@ -114,6 +114,26 @@ def test_trace_identity_sweep(all_bundles):
             assert abs(lhs - rhs) <= 1e-6 * max(1.0, abs(rhs)), (bundle.name, t, d)
 
 
+def test_closed_traces_match_the_loop_reference(all_bundles, cycle_contexts):
+    # m_t prod_{h=t}^{t+d-1} b*_h c*_{t+d-h}, multiplied from m_t onwards in
+    # the order of h, is bit-identical to this loop; the array is formed once
+    # per spectral data and shared by the trace check and the recurrence
+    spectra = [bundle.spectral for bundle in all_bundles] + [ctx.spectral for ctx in cycle_contexts.values()]
+    for sp in spectra:
+        closed = sp.closed_traces
+        assert sp.closed_traces is closed and np.array_equal(closed, tw.krein_products(sp), equal_nan=True)
+        bs, cs = sp.ppstar.b.tolist(), sp.ppstar.c.tolist()
+        for t in range(sp.D + 1):
+            for d in range(sp.D + 1):
+                if t + d > sp.D:
+                    assert np.isnan(closed[t, d])
+                    continue
+                value = float(sp.m[t])
+                for h in range(t, t + d):
+                    value *= bs[h] * cs[t + d - h]
+                assert closed[t, d] == value, (sp.n, t, d)
+
+
 def restricted_trace(E, Rstar, mod, t, d) -> float:
     """Reference: trace of E_t L*^d R*^d E_t restricted to one module, with dense E_t and R*."""
     M = E[t] @ mod.basis
@@ -183,7 +203,7 @@ def _zero_lead_spectrum():
     # synthetic spectrum with theta_0 = 0 makes b*_0(0, 1) vanish, forcing
     # the zero-coefficient path; the d = 0 cell then absorbs everything
     theta, theta_star = np.array([0.0, -2.0]), np.array([1.0, -1.0])
-    return SimpleNamespace(
+    sp = SimpleNamespace(
         D=1,
         theta=theta,
         theta_star=theta_star,
@@ -191,6 +211,8 @@ def _zero_lead_spectrum():
         ppstar=PPolyArray(c=np.array([0.0, 1.0]), a=np.array([0.0, 0.0]), b=np.array([0.0, 0.0])),
         bands=band_grid(theta, theta_star, 1),
     )
+    sp.closed_traces = tw.krein_products(sp)
+    return sp
 
 
 def test_zero_leading_coefficient_branch():

@@ -421,6 +421,60 @@ def test_eigenspace_bases_are_orthonormal_and_fixed_by_the_idempotents(all_bundl
             assert np.abs(dense_idempotents(sp)[t] @ Ut - Ut).max() < 1e-12, (bundle.name, t)
 
 
+def _gaps(theta):
+    """min_{s != t} |theta_s - theta_t| for each t."""
+    return np.array([np.delete(np.abs(theta - th), t).min() for t, th in enumerate(theta)])
+
+
+def test_eigen_residual_bound_covers_the_dense_basis_residual(all_bundles, cycle_contexts):
+    # the basis gate reads r_t / gap_t in place of the dense |E_t U_t - U_t|_max
+    # with E_t = Q[t, relation] / n: the bound covers the dense residual up to
+    # the rounding of that product, and both pass the gate's tolerance, also
+    # on the cycles, whose gaps are the smallest (0.0106 on C61)
+    from terwlab.spectral import IDEMPOTENT_TOL
+
+    eps = np.finfo(np.float64).eps
+    spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
+    spectra |= {name: ctx.spectral for name, ctx in cycle_contexts.items()}
+    for name, sp in spectra.items():
+        assert not sp.eig_residual.flags.writeable
+        lab = sp.eigenspace_labels()
+        bound = sp.eig_residual / _gaps(sp.theta)
+        for t in range(sp.D + 1):
+            Ut = sp.U[:, lab == t]
+            dense = np.abs(sp.Q[t][sp.relation] / sp.n @ Ut - Ut).max()
+            assert dense <= bound[t] + sp.n * eps, (name, t)
+            assert max(dense, bound[t]) <= IDEMPOTENT_TOL, (name, t)
+
+
+def test_basis_gate_fires_on_a_basis_rotated_across_eigenspaces(fc7, monkeypatch):
+    # turn one eigenvector of the second eigenvalue towards one of the third:
+    # the basis stays orthonormal, and r_t / gap_t reads at least sin(angle),
+    # so a rotation by 1e-6 fails the gate and one by 1e-13 passes it
+    import re
+
+    import terwlab.spectral as spectral
+    from terwlab.errors import NumericalCheckFailure
+
+    cross_validate = spectral._cross_validate_adjacency
+
+    def rotated_by(angle):
+        def rotated(A1, theta, m):
+            V, groups = cross_validate(A1, theta, m)
+            pair = [groups[1][0], groups[2][0]]
+            c, s = np.cos(angle), np.sin(angle)
+            V[:, pair] = V[:, pair] @ np.array([[c, -s], [s, c]])
+            return V, groups
+        return rotated
+
+    monkeypatch.setattr(spectral, "_cross_validate_adjacency", rotated_by(1e-13))
+    tw.spectral_data(fc7.scheme)
+    monkeypatch.setattr(spectral, "_cross_validate_adjacency", rotated_by(1e-6))
+    with pytest.raises(NumericalCheckFailure, match=r"eigenspace basis residual \S+ exceeds 1e-09") as err:
+        tw.spectral_data(fc7.scheme)
+    assert float(re.search(r"residual (\S+)", str(err.value)).group(1)) >= 0.99 * np.sin(1e-6)
+
+
 def test_eigenspace_groups_partition_the_columns(all_bundles):
     from terwlab.spectral import _cross_validate_adjacency
 
