@@ -5,7 +5,8 @@ the dual idempotents E*_i project onto them, and are the masks
 ``ctx.dist == i``.  The adjacency matrix splits as
 A = R + F + L by whether an edge steps away from, along, or toward the
 base vertex, so R, F and L are the entries of A one shell up, on the same
-shell and one shell down.  The dual adjacency splits the same way through
+shell and one shell down.  The context holds A as exactly those shell
+blocks, never as an n x n matrix.  The dual adjacency splits the same way through
 the primitive idempotents: in the eigenspace basis it is the matrix N,
 and R*, F* and L* are its blocks one eigenspace up, on the same
 eigenspace and one eigenspace down.
@@ -22,18 +23,18 @@ ctx = tw.build_context(scheme, sp, x=0)
 print(f"folded 7-cube, base vertex {ctx.x}")
 print("shell sizes:", np.bincount(ctx.dist), "(= valencies)")
 
-# An edge never skips a shell, so A vanishes between shells more than one
-# apart; that is A = R + F + L.  For an almost-bipartite scheme no edge
+# The blocks: up[s] = A[S_{s+1}, S_s] joins shell s to the next (R, and L
+# as its transpose), and flat[s] = A[S_s, S_s] lies inside shell s (F),
+# None when no edge does.  An edge never skips a shell, so the blocks hold
+# all of A; that is A = R + F + L.  For an almost-bipartite scheme no edge
 # stays inside a shell except at the far end, so the flat part F lives
 # entirely on the last shell.
 D = scheme.D
-step = ctx.dist[:, None] - ctx.dist[None, :]
-F = ctx.A * (step == 0)
-far = ctx.dist == D
-far_block = far[:, None] * ctx.A * far[None, :]
-print("\n||A - (R + F + L)|| =", np.abs(ctx.A[np.abs(step) > 1]).max(initial=0.0))
-print("||F - E*_D A E*_D|| =", np.abs(F - far_block).max())
-print("F restricted to inner shells:", np.abs(F[:, ~far]).max())
+shells, up, flat, off_band = ctx.blocks
+print("\nR blocks (rows x columns):", [B.shape for B in up[:D]])
+print("F blocks:", [None if F is None else F.shape for F in flat])
+print("||A - (R + F + L)|| =", off_band)
+print("edges inside the far shell:", int(flat[D].sum()) // 2)
 
 # Dually, A* never skips an eigenspace: N vanishes off its three block bands.
 lab = sp.eigenspace_labels()
@@ -43,7 +44,7 @@ print("||A* - (R* + F* + L*)||_F =", np.sqrt(np.sum(ctx.N[np.abs(dual_step) > 1]
 # The identity report holds the checks that read the data: the eigenvalue
 # relation A E_i = theta_i E_i, both splits, and the collapse of F to the
 # far shell.  The exchange rules like R E*_i = E*_{i+1} R hold by the
-# construction of R, F and L as masks on dist, so the report leaves them out.
+# construction of R, F and L as shell blocks, so the report leaves them out.
 report = tw.verify_operator_identities(ctx)
 print(f"\n{len(report.checks)} operator identities, all pass: {report.all_passed}")
 for check in report.checks:

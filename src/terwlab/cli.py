@@ -490,7 +490,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="terwlab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--tol", type=float, default=None, help="override default tolerances")
+    common.add_argument("--tol", type=float, default=None,
+                        help="absolute tolerance of the operator-identity report (default 1e-9 n) and per-vertex "
+                             "tolerance of the module certificate, gated at tol * n (default 1e-8); the identities "
+                             "are gated at their default before the report is judged, so it cannot loosen them")
     common.add_argument("--seed", type=int, default=0, help="seed of the basis rotation inside blocks of isomorphic modules")
     common.add_argument("--vertex", type=int, default=0, help="base vertex")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,12 +2,15 @@
 
 Fixing a base vertex x splits the coordinate space by distance from x.
 The dual idempotents E*_i are the diagonal 0/1 projectors onto those
-distance shells, the masks ``dist == i``, and the dual adjacency A* is
-diagonal with entries n * (E_1)_{x, y} = Q[1, dist(x, y)].  The class-1
-adjacency A splits as R + F + L by whether an edge increases, keeps, or
-decreases distance from x: R, F and L are the entries of A with
-dist(y) - dist(z) equal to 1, 0 and -1, masks of A on ``dist`` applied
-where they are needed and never stored.
+distance shells S_i, the masks ``dist == i``, and the dual adjacency A*
+is diagonal with entries n * (E_1)_{x, y} = Q[1, dist(x, y)].  The
+class-1 adjacency A splits as R + F + L by whether an edge increases,
+keeps, or decreases distance from x.  The context holds A as its shell
+blocks up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s], built once by
+:func:`shell_blocks`: R and L are the blocks up[s] and their transposes
+(A is symmetric, axiom iii), and F the flat blocks.  A = R + F + L holds
+exactly when A vanishes between shells more than one apart, and the
+largest |entry| there is that identity's residual.
 
 The dual adjacency splits the same way through the primitive idempotents
 E_t = U_t U_t^T, with U_t the orthonormal eigenspace bases of the spectral
@@ -23,18 +26,20 @@ bounds the max norm of A* - R* - F* - L* from above.  The residual of
 A E_i = theta_i E_i is ``eig_residual``, which :func:`spectral_data` reads
 off its one product A U; the context does not multiply A by U again.
 
-The context holds ``dist``, A, the diagonal of A* and N; no shell
-projector, dual class matrix or n x n idempotent is stored.  The identity
-report keeps only the checks that read data and can fail.  The identities
-that hold by the construction above (the shell projectors' sum and
-products, the exchange rules of R, F, L and R*, F*, L*) are not reported,
-nor are the sums of the dual class matrices, which are the Bose-Mesner
-gates of :func:`spectral_data` scaled by n.
+The context holds ``dist``, A's shell blocks, the diagonal of A* and N;
+no n x n A, shell projector, dual class matrix or idempotent is stored.
+The identity report keeps only the checks that read data and can fail.
+The identities that hold by the construction above (the shell
+projectors' sum and products, the exchange rules of R, F, L and R*, F*,
+L*) are not reported, nor are the sums of the dual class matrices, which
+are the Bose-Mesner gates of :func:`spectral_data` scaled by n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,15 +92,47 @@ class IdentityReport:
         return IdentityReport(checks=tuple(replace(c, tol=tol) for c in self.checks))
 
 
+class ShellBlocks(NamedTuple):
+    """A at the base vertex, as its blocks on and between neighbouring distance shells."""
+
+    shells: tuple     # S_s, the vertices at distance s from x, for s = 0..D
+    up: tuple         # up[s] = A[S_{s+1}, S_s], the block of R; up[D] is empty
+    flat: tuple       # flat[s] = A[S_s, S_s], the block of F; None when it has no nonzero entry
+    off_band: float   # max |A| between shells more than one apart: the residual of A = R + F + L
+
+
+def shell_blocks(A: np.ndarray, dist: np.ndarray, D: int) -> ShellBlocks:
+    """The shells of ``dist`` and the float64 shell blocks of the symmetric n x n ``A``.
+
+    A[S_s, S_{s+1}] is up[s]^T, so the blocks hold every nonzero entry of
+    A when their counts of nonzero entries add up to A's; the off-band
+    residual is then 0.0, and otherwise the largest |entry| of A between
+    shells more than one apart, found by a scan that runs only on that
+    mismatch.
+    """
+    order = np.argsort(dist, kind="stable")  # the shells, one after another
+    ends = list(accumulate(np.bincount(dist, minlength=D + 1).tolist()))
+    shells = tuple(order[a:b] for a, b in zip([0] + ends, ends))
+    flat = [np.asarray(A[S[:, None], S], dtype=np.float64) for S in shells]
+    up = [np.asarray(A[T[:, None], S], dtype=np.float64) for S, T in zip(shells, shells[1:])]
+    up.append(np.zeros((0, shells[-1].size)))
+    inside = [np.count_nonzero(F) for F in flat]
+    off_band = 0.0
+    if np.count_nonzero(A) != sum(inside) + 2 * sum(map(np.count_nonzero, up)):
+        far = np.abs(np.subtract.outer(dist, dist)) > 1
+        off_band = float(np.abs(A[far], dtype=np.float64).max(initial=0.0))
+    return ShellBlocks(shells, tuple(up), tuple(F if m else None for F, m in zip(flat, inside)), off_band)
+
+
 @dataclass(frozen=True)
 class TerwContext:
-    """Base-vertex data for one scheme: the distances, A, A* and A* in the eigenspace bases."""
+    """Base-vertex data for one scheme: the distances, A's shell blocks, A* and A* in the eigenspace bases."""
 
     scheme: AssociationScheme
     spectral: SpectralData
     x: int
     dist: np.ndarray      # distance from x, i.e. class of (x, y) in P-order
-    A: np.ndarray         # class-1 adjacency; R, F, L are its entries with dist(y) - dist(z) = 1, 0, -1
+    blocks: ShellBlocks   # the class-1 adjacency A, as its shell blocks
     Astar: np.ndarray     # diagonal of the dual adjacency A*_1
     N: np.ndarray         # U^T A* U; R*, F*, L* are its blocks (j, i) with j - i = 1, 0, -1
     identities: IdentityReport | None = None  # set by build_context, at the default tolerance
@@ -126,25 +163,16 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
         raise InvalidParameter(f"base vertex {x} out of range for {n} vertices")
 
     dist = spectral.relation[x]
-    if D >= 1:
-        A = (spectral.relation == 1).astype(np.float64)
-        Astar = spectral.Q[1, dist]
-    else:
-        A = np.zeros((n, n))
-        Astar = np.zeros(n)
+    Astar = spectral.Q[1, dist] if D >= 1 else np.zeros(n)
     N = spectral.U.T @ (Astar[:, None] * spectral.U)
+    blocks = shell_blocks(spectral.relation == 1, dist, D)
 
-    ctx = TerwContext(scheme=scheme, spectral=spectral, x=x, dist=dist, A=A, Astar=Astar, N=N)
+    ctx = TerwContext(scheme=scheme, spectral=spectral, x=x, dist=dist, blocks=blocks, Astar=Astar, N=N)
     report = verify_operator_identities(ctx)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
         raise NumericalCheckFailure(f"operator identities failed: {failed}")
     return replace(ctx, identities=report)
-
-
-def _max_abs(M: np.ndarray, where: np.ndarray) -> float:
-    """max |M| over the entries ``where`` selects, 0 if none, without copying them out."""
-    return float(max(M.max(where=where, initial=0.0), -M.min(where=where, initial=0.0)))
 
 
 def _block_norms2(X: np.ndarray, sp: SpectralData) -> np.ndarray:
@@ -158,9 +186,10 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
 
     The eigenvalue relation for A, the three-way splits A = R + F + L and
     A* = R* + F* + L*, and (when the scheme is almost-bipartite) the
-    collapse of the flat part to the far shell.  R, F and L are masks of A
-    on ``dist``, so A = R + F + L reads the entries of A between shells
-    more than one apart, and F = E*_D A E*_D those inside one near shell.
+    collapse of the flat part to the far shell.  All three A-side checks
+    read the shell blocks: A = R + F + L is their off-band residual,
+    F = E*_D A E*_D reads the flat blocks of the near shells, and
+    E*_D A E*_D != 0 the flat block of the far shell.
     A E_i = theta_i E_i and A* - R* - F* - L* are read in the eigenspace
     bases, as Frobenius norms, which bound the max norm from above; the
     others are max norms; the first is the largest ``spectral.eig_residual``.
@@ -177,19 +206,16 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     if D >= 1:
         # ||(A - theta_i) E_i||_F = ||(A - theta_i) U_i||_F, as U_i^T has orthonormal rows
         add("A E_i = theta_i E_i", sp.eig_residual.max())
-    # R, F, L keep the entries (y, z) of A at steps dist(y) - dist(z) = 1, 0, -1,
-    # and R*, F*, L* the blocks (j, i) of N at steps j - i = 1, 0, -1
-    dist = ctx.dist.astype(np.int16)  # keeps the n x n step mask small
-    step = dist[:, None] - dist[None, :]
-    blocks = _block_norms2(ctx.N, sp)
+    # R*, F*, L* keep the blocks (j, i) of N at steps j - i = 1, 0, -1
+    norms2 = _block_norms2(ctx.N, sp)
     block_step = np.subtract.outer(np.arange(D + 1), np.arange(D + 1))
-    add("A = R + F + L", _max_abs(ctx.A, np.abs(step) > 1))
-    add("Astar = Rstar + Fstar + Lstar", np.sqrt(blocks[np.abs(block_step) > 1].sum()))
+    add("A = R + F + L", ctx.blocks.off_band)
+    add("Astar = Rstar + Fstar + Lstar", np.sqrt(norms2[np.abs(block_step) > 1].sum()))
 
     if D >= 1 and is_almost_bipartite(sp.pp):
-        # F keeps the entries of A inside one shell, E*_D A E*_D those inside the far shell
-        on_far = (dist == D)[:, None] & (dist == D)[None, :]
-        add("F = Estar_D A Estar_D", _max_abs(ctx.A, (step == 0) != on_far))
-        add("Estar_D A Estar_D != 0", 0.0 if _max_abs(ctx.A, on_far) > 0.5 else 1.0)
+        # F keeps the flat blocks, E*_D A E*_D the one of the far shell
+        flat = ctx.blocks.flat
+        add("F = Estar_D A Estar_D", max((np.abs(F).max() for F in flat[:D] if F is not None), default=0.0))
+        add("Estar_D A Estar_D != 0", 0.0 if flat[D] is not None and np.abs(flat[D]).max() > 0.5 else 1.0)
 
     return IdentityReport(checks=tuple(checks))

@@ -13,14 +13,15 @@ is exactly the sum of E*_r W over the modules W with endpoint r.  It is
 read off the 0/1 block A[S_{r-1}, S_r] alone.
 
 Every product the oracle takes lives in A's shell blocks
-up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s], gathered once per
-call; A is symmetric (axiom iii), so A[S_s, S_{s+1}] = up[s]^T, and a
+up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s], which the context
+holds; A is symmetric (axiom iii), so A[S_s, S_{s+1}] = up[s]^T, and a
 flat block without a nonzero entry (all below shell D in an
-almost-bipartite scheme) is not held.  A rung on shell s is held as a
+almost-bipartite scheme) is not held.  The blocks hold all of A when A
+vanishes between shells more than one apart, which the context's
+identity A = R + F + L checks.  A rung on shell s is held as a
 |S_s| x g array, and no array has n rows.  The endpoints are taken in
-increasing order, and once the ladders from r are grown and read, the
-blocks below shell r + 1 are released: no later ladder reads them.
-Lowering kernels whose blocks share a shape come from one batched SVD.
+increasing order.  Lowering kernels whose blocks share a shape come
+from one batched SVD.
 
 From an orthonormal basis of K_r, the ladders of all modules with
 endpoint r are grown at once, W_{i+1} = E*_{r+i+1} A W_i with unit
@@ -47,17 +48,14 @@ invariant under A*, whose eigenvalues differ between shells, so it is
 spanned by some of the shell vectors; it is invariant under A, whose
 off-diagonal entries in the ladder basis are the rung norms and hence
 nonzero, so it holds all of them.  Its shell slices are one-dimensional,
-so it is thin.  The certificate is taken on the shell blocks.  First, A
-must vanish between shells more than one apart: the nonzero entries of A
-are counted against those of the blocks, and on a mismatch a scan names
-one offending entry.  Then A w_i, for the rung w_i on shell s, lies on
-shells s - 1, s and s + 1 as up[s-1]^T w_i, flat[s] w_i and up[s] w_i.
-Against the module's rungs on those three shells these give column i of
-T = B^T A B and of A B - B T, so the shell-local invariance residual is
-the residual of the dense product.  Rungs on different shells have
-disjoint supports, so the stacked bases B satisfy |B^T B - I| <=
-``tol * n`` when the rungs on each shell do: one |S_s|-square Gram
-matrix per shell.  A ladder's rungs of equal shape, and shells of equal
+so it is thin.  The certificate is taken on the shell blocks: A w_i, for
+the rung w_i on shell s, lies on shells s - 1, s and s + 1 as
+up[s-1]^T w_i, flat[s] w_i and up[s] w_i.  Against the module's rungs
+on those three shells these give column i of T = B^T A B and of
+A B - B T, so the shell-local invariance residual is the residual of
+the dense product.  Rungs on different shells have disjoint supports,
+so the stacked bases B satisfy |B^T B - I| <= ``tol * n`` when the
+rungs on each shell do: one |S_s|-square Gram matrix per shell.  A ladder's rungs of equal shape, and shells of equal
 shape, are batched, which keeps the long, thin shell sequences of the
 odd cycles cheap.  A collection whose dimension is not n, bases that
 overlap, a ladder that is not A-invariant, or a block whose ladders stop
@@ -77,14 +75,14 @@ theta_{t+j}, the dual ladder E_{t+j} w_0 = y_j (y_j)_0 (w_0 spans E*_r W)
 is measured against diag(theta*_r, ..., theta*_{r+d}), and the shell
 ladder alpha_i w_i of the unit v = +-y_0 spanning E_t W against T.
 
-The oracle reads A, ``dist``, theta and theta* only: never U, m, the
-predicted module bands, the recurrence or the q,s formulas.
+The oracle reads A's shell blocks, theta and theta* only: never U, m,
+the predicted module bands, the recurrence or the q,s formulas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -145,35 +143,6 @@ def census(modules) -> dict:
 def _stack(arrays: list) -> np.ndarray:
     """The arrays stacked on a new first axis; a single array becomes a view."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
-
-
-def _shell_blocks(ctx: TerwContext) -> tuple:
-    """The shells S_s and A's blocks up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s].
-
-    ``up[D]`` is empty, and a flat block without a nonzero entry (every
-    one below shell D in an almost-bipartite scheme) is None.  A is
-    symmetric (axiom iii), so A[S_s, S_{s+1}] is up[s]^T.  The blocks must
-    hold every nonzero entry of A, which their counts of nonzero entries
-    show: raises :class:`NotThin` with the witness (y, z, A[y, z]) of an
-    entry between shells more than one apart, found by a scan that runs
-    only on failure.
-    """
-    A, dist = ctx.A, ctx.dist
-    order = np.argsort(dist, kind="stable")  # the shells, one after another
-    ends = list(accumulate(np.bincount(dist, minlength=ctx.D + 1).tolist()))
-    shells = [order[a:b] for a, b in zip([0] + ends, ends)]
-    flat = [A[S[:, None], S] for S in shells]
-    up = [A[T[:, None], S] for S, T in zip(shells, shells[1:])] + [np.zeros((0, shells[-1].size))]
-    inside = [np.count_nonzero(F) for F in flat]
-    if np.count_nonzero(A) != sum(inside) + 2 * sum(map(np.count_nonzero, up)):
-        step = np.abs(dist[:, None].astype(int) - dist[None, :])
-        y, z = (int(v) for v in np.argwhere((step > 1) & (A != 0))[0])
-        raise NotThin(
-            f"A joins vertices {y} and {z} on shells {dist[y]} and {dist[z]}, "
-            f"more than one apart: entry {A[y, z]:.3e}",
-            witness=(y, z, float(A[y, z])),
-        )
-    return shells, up, [F if m else None for F, m in zip(flat, inside)]
 
 
 def _lowering_kernels(up: list, rs: list) -> dict:
@@ -417,28 +386,27 @@ def _certify(ctx: TerwContext, shells: list, ladders: list, actions: list, tol: 
 def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     """Split the coordinate space into irreducible invariant subspaces.
 
-    Works on A's shell blocks only (see the module docstring), after
-    certifying that A vanishes between shells more than one apart.  For
-    each endpoint r, the ladders of the lowering kernel K_r are grown
-    through the shells and split, rung by rung, into blocks of isomorphic
-    modules by the rung Gram and flat matrices, and ``seed`` rotates each
-    block's basis by a random orthogonal matrix.  The modules are certified
-    orthonormal to each other, by one Gram matrix per shell, and
+    Works on the context's shell blocks of A only (see the module
+    docstring).  For each endpoint r, the ladders of the lowering kernel
+    K_r are grown through the shells and split, rung by rung, into blocks
+    of isomorphic modules by the rung Gram and flat matrices, and ``seed``
+    rotates each block's basis by a random orthogonal matrix.  The modules
+    are certified orthonormal to each other, by one Gram matrix per shell, and
     A-invariant, on the three shell blocks each rung touches, both to
     ``tol * n``; A*-invariance holds by construction.  Dual thinness and t
     are read off the spectrum of each T = B^T A B, and each module is
     measured inside its certificate: its bands ``cab`` and ``cab_star``
     and the squared norms of its two ladders are filled in.  Raises
-    :class:`NotThin`, with a ``witness``, when A joins shells more than one
-    apart, or the modules do not add up to dimension n, overlap, are not
-    A-invariant or are not dual thin.  Returns the modules sorted by
-    (t, d, r); the census and the measured bands do not depend on ``seed``.
+    :class:`NotThin`, with a ``witness``, when the modules do not add up to
+    dimension n, overlap, are not A-invariant or are not dual thin.
+    Returns the modules sorted by (t, d, r); the census and the measured
+    bands do not depend on ``seed``.
     """
-    shells, up, flat = _shell_blocks(ctx)
-    A = ctx.A
-    # the largest row sum of |A|, over its positive and its negative entries apart (no n x n float copy)
-    scale = np.add.reduce(A, axis=1, where=A > 0) - np.add.reduce(A, axis=1, where=A < 0)
-    scale = max(1.0, float(scale.max()))
+    shells, up, flat, _ = ctx.blocks
+    # the largest row sum of |A|: the rows on shell s meet up[s-1], flat[s] and up[s]^T
+    rows = [np.abs(up[s]).sum(axis=0) + (np.abs(up[s - 1]).sum(axis=1) if s else 0.0)
+            + (0.0 if flat[s] is None else np.abs(flat[s]).sum(axis=1)) for s in range(ctx.D + 1)]
+    scale = max(1.0, float(np.concatenate(rows).max()))
     rng = np.random.default_rng(seed)
     ladders, actions, kernels = [], [], {0: np.eye(shells[0].size)}
     for r in range(ctx.D + 1):
@@ -455,10 +423,6 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
         if grown:
             ladders += grown
             actions += _actions(shells, up, flat, grown)
-        # later ladders start above shell r and read no block below it
-        flat[r] = None
-        if r:
-            up[r - 1] = None
     modules = _certify(ctx, shells, ladders, actions, tol)
     order = sorted(range(len(modules)), key=lambda i: (modules[i].t, modules[i].d, modules[i].r, i))
     return [modules[i] for i in order]

@@ -53,9 +53,7 @@ class NotThin(TerwLabError):
     norm), or that overlaps another module (``"Gram"``).  For a ladder that
     is not dual thin, ``(r, g, "E", gap)`` when its B^T A B has an eigenvalue
     ``gap`` from every theta_i, else ``(r, g, "E", ranks)`` with its ranks
-    rank(E_i W); ``(collected, n)`` when the modules do not add up to n;
-    ``(y, z, entry)`` when A has the nonzero ``entry`` A[y, z] between
-    vertices y and z on shells more than one apart.
+    rank(E_i W); ``(collected, n)`` when the modules do not add up to n.
     """
 
     def __init__(self, message: str, witness=None):

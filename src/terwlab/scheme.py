@@ -211,11 +211,16 @@ def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
 
 
 def relabel_classes(scheme: AssociationScheme, ordering) -> AssociationScheme:
-    """Rename classes so that position ``i`` of ``ordering`` becomes class ``i``."""
+    """Rename classes so that position ``i`` of ``ordering`` becomes class ``i``.
+
+    The identity ordering returns ``scheme`` itself, with no copy of its relation.
+    """
     ordering = tuple(int(i) for i in ordering)
     D = scheme.D
     if sorted(ordering) != list(range(D + 1)) or ordering[0] != 0:
         raise ValueError(f"not a class ordering fixing 0: {ordering}")
+    if ordering == tuple(range(D + 1)):
+        return scheme
     pos = np.empty(D + 1, dtype=np.int64)
     for newi, old in enumerate(ordering):
         pos[old] = newi

@@ -5,17 +5,20 @@ at base vertex 0, the measured module decomposition, and the solved
 multiplicity table.  Building them once per session keeps the suite fast.
 Tests that compare with the dense idempotents build them with
 :func:`dense_idempotents`; the program never holds that stack.  Nor does
-it hold the split operators: tests that read R, F, L or R*, F*, L* as
-n x n matrices build them with :func:`split_operators` and
-:func:`dense_dual_operators`.
+it hold A as an n x n matrix or the split operators: tests that read A,
+R, F, L or R*, F*, L* as n x n matrices build them with
+:func:`dense_adjacency`, :func:`split_operators` and
+:func:`dense_dual_operators`, and tests that change A rebuild the
+context's shell blocks from the changed matrix with :func:`with_adjacency`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 import terwlab as tw
+from terwlab.context import shell_blocks
 
 
 def dense_idempotents(spectral):
@@ -23,10 +26,24 @@ def dense_idempotents(spectral):
     return spectral.Q[:, spectral.relation] / spectral.n
 
 
-def split_operators(ctx):
-    """Dense R, F, L: the entries of A with dist(y) - dist(z) = 1, 0, -1."""
+def dense_adjacency(ctx):
+    """The n x n class-1 adjacency A, from the relation in P-order."""
+    return (ctx.spectral.relation == 1).astype(np.float64)
+
+
+def with_adjacency(ctx, A):
+    """``ctx`` with its shell blocks rebuilt from the n x n matrix ``A``."""
+    return replace(ctx, blocks=shell_blocks(A, ctx.dist, ctx.D))
+
+
+def split_operators(ctx, A=None):
+    """Dense R, F, L: the entries of A with dist(y) - dist(z) = 1, 0, -1.
+
+    ``A`` is the n x n adjacency, :func:`dense_adjacency` when None.
+    """
+    A = dense_adjacency(ctx) if A is None else A
     step = ctx.dist[:, None] - ctx.dist[None, :]
-    return tuple(ctx.A * (step == s) for s in (1, 0, -1))
+    return tuple(A * (step == s) for s in (1, 0, -1))
 
 
 def dense_dual_operators(ctx, Astar=None):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import terwlab as tw
-from conftest import dense_dual_operators, dense_idempotents, split_operators
+from conftest import dense_adjacency, dense_dual_operators, dense_idempotents, split_operators, with_adjacency
 from terwlab.context import _block_norms2
 from terwlab.errors import InvalidParameter, OrderingMissing
 from terwlab.scheme import relabel_classes
@@ -30,8 +31,42 @@ def test_estar_traces_are_valencies(c7):
 def test_rfl_partition_exact(all_bundles):
     for bundle in all_bundles:
         R, F, L = split_operators(bundle.ctx)
-        assert np.array_equal(bundle.ctx.A, R + F + L)
+        assert np.array_equal(dense_adjacency(bundle.ctx), R + F + L)
         assert np.array_equal(R, L.T)
+
+
+def test_shell_blocks_reassemble_A(all_bundles, cycle_contexts):
+    # the blocks and their transposes put back every entry of A; up[D] is
+    # empty, and in these almost-bipartite schemes only the far shell has
+    # a flat block
+    contexts = {bundle.name: bundle.ctx for bundle in all_bundles} | cycle_contexts
+    for name, ctx in contexts.items():
+        shells, up, flat, off_band = ctx.blocks
+        assert [S.tolist() for S in shells] == [np.flatnonzero(ctx.dist == s).tolist() for s in range(ctx.D + 1)]
+        assert up[ctx.D].shape == (0, shells[ctx.D].size)
+        assert [F is None for F in flat] == [True] * ctx.D + [False], name
+        A = np.zeros((ctx.n, ctx.n))
+        for s in range(ctx.D):
+            A[np.ix_(shells[s + 1], shells[s])] = up[s]
+            A[np.ix_(shells[s], shells[s + 1])] = up[s].T
+        A[np.ix_(shells[ctx.D], shells[ctx.D])] = flat[ctx.D]
+        assert np.array_equal(A, dense_adjacency(ctx)) and off_band == 0.0, name
+
+
+@pytest.mark.parametrize("make", [tw.odd_graph, tw.folded_cube])
+def test_context_holds_under_one_and_a_half_n2_floats(make):
+    # N is n^2 float64 and the shell blocks 0.39 n^2 on O_5 and 0.46 n^2 on
+    # FC_9: the context holds no n x n A
+    scheme = make(5 if make is tw.odd_graph else 4)
+    sp = tw.spectral_data(scheme)
+    tracemalloc.start()
+    try:
+        ctx = tw.build_context(scheme, sp, 0)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ctx.identities.all_passed
+    assert held <= 1.5 * 8 * scheme.n ** 2
 
 
 def test_identities_all_pass_two_vertices(all_bundles):
@@ -72,7 +107,7 @@ def test_flat_part_lives_on_far_shell(fc7):
     D = fc7.scheme.D
     _, F, _ = split_operators(ctx)
     shell = ctx.dist == D
-    far = shell[:, None] * ctx.A * shell[None, :]
+    far = shell[:, None] * dense_adjacency(ctx) * shell[None, :]
     assert np.abs(F - far).max() < 1e-10
     for i in range(D):
         assert np.abs(F * (ctx.dist == i)[None, :]).max() < 1e-10
@@ -236,25 +271,25 @@ def test_eigenvalue_identity_matches_dense_idempotents(all_bundles, cycle_contex
     contexts = {bundle.name: bundle.ctx for bundle in all_bundles} | cycle_contexts
     for name, ctx in contexts.items():
         sp = ctx.spectral
-        E = dense_idempotents(sp)
-        dense = max(np.abs(ctx.A @ E[i] - sp.theta[i] * E[i]).max() for i in range(sp.D + 1))
+        E, A = dense_idempotents(sp), dense_adjacency(ctx)
+        dense = max(np.abs(A @ E[i] - sp.theta[i] * E[i]).max() for i in range(sp.D + 1))
         rounding = ctx.n * (1.0 + float(np.abs(sp.theta).max())) * eps
         reported = _identity(ctx, "A E_i = theta_i E_i")
         assert dense <= reported + rounding, name
         assert reported <= 1e-9 * ctx.n, name
         lab = sp.eigenspace_labels()
-        frobenius = [np.linalg.norm(ctx.A @ sp.U[:, lab == i] - sp.theta[i] * sp.U[:, lab == i])
+        frobenius = [np.linalg.norm(A @ sp.U[:, lab == i] - sp.theta[i] * sp.U[:, lab == i])
                      for i in range(sp.D + 1)]
         assert np.abs(sp.eig_residual - frobenius).max() <= rounding, name
         assert reported == sp.eig_residual.max(), name
 
 
-def _near_shell_loops(ctx):
+def _near_shell_loops(ctx, A):
     """Reference: F E*_i and E*_i A E*_i on the near shells i < D, as D masked n x n passes each."""
     shells = [ctx.dist == i for i in range(ctx.D)]
-    _, F, _ = split_operators(ctx)
+    _, F, _ = split_operators(ctx, A)
     flat = max((np.abs(F * s[None, :]).max() for s in shells), default=0.0)
-    inner = max((np.abs(s[:, None] * ctx.A * s[None, :]).max() for s in shells), default=0.0)
+    inner = max((np.abs(s[:, None] * A * s[None, :]).max() for s in shells), default=0.0)
     return flat, inner
 
 
@@ -263,7 +298,7 @@ def test_near_shell_checks_match_shell_loops(all_bundles):
     # entries that F E*_i = 0 and E*_i A E*_i = 0 for i < D read as well
     for bundle in all_bundles:
         residual = _identity(bundle.ctx, "F = Estar_D A Estar_D")
-        assert (residual, residual) == _near_shell_loops(bundle.ctx) == (0.0, 0.0)
+        assert (residual, residual) == _near_shell_loops(bundle.ctx, dense_adjacency(bundle.ctx)) == (0.0, 0.0)
 
 
 def test_near_shell_checks_match_shell_loops_on_perturbed_operators(o4, fc9):
@@ -272,6 +307,58 @@ def test_near_shell_checks_match_shell_loops_on_perturbed_operators(o4, fc9):
     rng = np.random.default_rng(3)
     for bundle in (o4, fc9):
         ctx = bundle.ctx
-        perturbed = replace(ctx, A=ctx.A + rng.uniform(-1e-3, 1e-3, (ctx.n, ctx.n)))
-        residual = _identity(perturbed, "F = Estar_D A Estar_D")
-        assert (residual, residual) == _near_shell_loops(perturbed) and residual > 0.0, bundle.name
+        A = dense_adjacency(ctx) + rng.uniform(-1e-3, 1e-3, (ctx.n, ctx.n))
+        residual = _identity(with_adjacency(ctx, A), "F = Estar_D A Estar_D")
+        assert (residual, residual) == _near_shell_loops(ctx, A) and residual > 0.0, bundle.name
+
+
+def _masked_identities(ctx, A):
+    """Reference: the A-side identity residuals as max norms of masks of the dense ``A`` on ``dist``.
+
+    R, F and L keep the entries (y, z) of A at steps dist(y) - dist(z) = 1,
+    0, -1, so A = R + F + L reads the entries between shells more than one
+    apart, F = E*_D A E*_D those inside one near shell, and
+    E*_D A E*_D != 0 those inside the far shell.
+    """
+    def max_abs(where):
+        return float(max(A.max(where=where, initial=0.0), -A.min(where=where, initial=0.0)))
+
+    dist, D = ctx.dist.astype(np.int16), ctx.D
+    step = dist[:, None] - dist[None, :]
+    out = {"A = R + F + L": max_abs(np.abs(step) > 1)}
+    if D >= 1 and tw.is_almost_bipartite(ctx.spectral.pp):
+        on_far = (dist == D)[:, None] & (dist == D)[None, :]
+        out["F = Estar_D A Estar_D"] = max_abs((step == 0) != on_far)
+        out["Estar_D A Estar_D != 0"] = 0.0 if max_abs(on_far) > 0.5 else 1.0
+    return out
+
+
+def _block_identities(ctx):
+    """The A-side residuals of the identity report, read off the shell blocks."""
+    names = ("A = R + F + L", "F = Estar_D A Estar_D", "Estar_D A Estar_D != 0")
+    return {c.name: c.residual for c in tw.verify_operator_identities(ctx).checks if c.name in names}
+
+
+def test_block_identities_match_masked_reference(all_bundles, cycle_contexts):
+    contexts = {bundle.name: bundle.ctx for bundle in all_bundles} | cycle_contexts
+    for name, ctx in contexts.items():
+        assert _block_identities(ctx) == _masked_identities(ctx, dense_adjacency(ctx)), name
+
+
+def test_block_identities_match_masked_reference_on_perturbed_operators(c7, o4, fc9):
+    # noise on every entry; the C_7 edge 0-2 between shells 0 and 2; a loop
+    # at vertex 5 inside the near shell 2; the far-shell edge 3-4 removed
+    rng = np.random.default_rng(5)
+    cases = [(b.ctx, dense_adjacency(b.ctx) + rng.uniform(-1e-3, 1e-3, (b.ctx.n, b.ctx.n))) for b in (o4, fc9)]
+    edge, loop, far = (dense_adjacency(c7.ctx) for _ in range(3))
+    edge[0, 2] = edge[2, 0] = 1.0
+    loop[5, 5] = 1.0
+    far[3, 4] = far[4, 3] = 0.0
+    cases += [(c7.ctx, A) for A in (edge, loop, far)]
+    read = []
+    for ctx, A in cases:
+        blocks = _block_identities(with_adjacency(ctx, A))
+        assert blocks == _masked_identities(ctx, A)
+        read.append(tuple(blocks.values()))
+    assert all(min(r[:2]) > 0.0 for r in read[:2])
+    assert read[2:] == [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]

@@ -6,7 +6,8 @@ import pytest
 
 import terwlab as tw
 from terwlab.predictor import band_gap
-from conftest import dense_dual_operators, dense_idempotents, split_operators
+from conftest import dense_adjacency, dense_dual_operators, dense_idempotents, split_operators, with_adjacency
+from terwlab.context import shell_blocks
 
 # censuses confirmed two independent ways: the oracle decomposition and the
 # trace recurrence agree on every instance
@@ -48,7 +49,7 @@ def test_invariance(all_bundles):
             # column i lies on shell r + i, so A* acts on it as a scalar
             off_shell = ctx.dist[:, None] != m.r + np.arange(m.dim)
             assert not B[off_shell].any()
-            for G in (ctx.A, np.diag(ctx.Astar)):
+            for G in (dense_adjacency(ctx), np.diag(ctx.Astar)):
                 W = G @ B
                 assert np.abs(W - B @ (B.T @ W)).max() < 1e-8 * bundle.scheme.n
 
@@ -163,9 +164,9 @@ def test_modules_sorted_by_class(all_bundles):
 
 def _certify_modules(ctx, modules, tol):
     """Certify the bases of ``modules``, one ladder each, on the shell blocks of ``ctx``."""
-    from terwlab.decomposer import _actions, _certify, _shell_blocks
+    from terwlab.decomposer import _actions, _certify
 
-    shells, up, flat = _shell_blocks(ctx)
+    shells, up, flat, _ = ctx.blocks
     ladders = [(m.r, [w[:, None] for _, w in m.rungs]) for m in modules]
     return _certify(ctx, shells, ladders, _actions(shells, up, flat, ladders), tol)
 
@@ -192,9 +193,9 @@ def test_certify_rejects_non_dual_thin(c7):
 
 
 def _without_edge(ctx, x, y):
-    A = ctx.A.copy()
+    A = dense_adjacency(ctx)
     A[x, y] = A[y, x] = 0.0
-    return replace(ctx, A=A)
+    return with_adjacency(ctx, A)
 
 
 def test_non_invariant_ladder_raises_with_witness(c7):
@@ -222,24 +223,12 @@ def test_collected_dimension_mismatch_raises_with_counts(c7):
     assert info.value.witness == (9, 7)
 
 
-def test_off_band_entry_raises_with_witness(c7):
-    # an edge between vertex 0 and vertex 2, two shells apart, breaks the
-    # shell-block structure every certificate relies on
-    from terwlab.errors import NotThin
-
-    A = c7.ctx.A.copy()
-    A[0, 2] = A[2, 0] = 1.0
-    with pytest.raises(NotThin, match="A joins vertices 0 and 2 on shells 0 and 2, more than one apart") as info:
-        tw.decompose(replace(c7.ctx, A=A), seed=0)
-    assert info.value.witness == (0, 2, 1.0)
-
-
 def test_ladders_split_blocks_by_where_they_stop(c7):
     # without the edge 2-3, e_2 has no rung on shell 3 while e_5 has one, so
     # the rung Gram matrix diag(0, 1) splits them into two blocks
-    from terwlab.decomposer import _ladders, _shell_blocks
+    from terwlab.decomposer import _ladders
 
-    shells, up, flat = _shell_blocks(_without_edge(c7.ctx, 2, 3))
+    shells, up, flat, _ = _without_edge(c7.ctx, 2, 3).blocks
     assert shells[2].tolist() == [2, 5] and shells[3].tolist() == [3, 4]
     blocks = _ladders(up, flat, 2, [np.eye(2)], 2.0)
     assert [[R.shape for R in L] for L in blocks] == [[(2, 1)], [(2, 1), (2, 1)]]
@@ -250,11 +239,11 @@ def test_ladders_split_blocks_by_where_they_stop(c7):
 def test_ladders_split_blocks_by_flat_action(c7):
     # a loop at vertex 5 gives e_5 the flat coefficient 1 and e_2 the flat
     # coefficient 0; the rungs have equal norms, so only W^T A W splits them
-    from terwlab.decomposer import _ladders, _shell_blocks
+    from terwlab.decomposer import _ladders
 
-    A = c7.ctx.A.copy()
+    A = dense_adjacency(c7.ctx)
     A[5, 5] = 1.0
-    shells, up, flat = _shell_blocks(replace(c7.ctx, A=A))
+    shells, up, flat, _ = shell_blocks(A, c7.ctx.dist, c7.ctx.D)
     blocks = _ladders(up, flat, 2, [np.eye(2)], 2.0)
     assert [[R.shape for R in L] for L in blocks] == [[(2, 1), (2, 1)], [(2, 1), (2, 1)]]
     assert shells[2][np.abs(blocks[0][0][:, 0]).argmax()] == 2
@@ -265,13 +254,13 @@ def test_uneven_ladders_raise_with_witness(c7):
     # with the edge 2-3 removed and the edge 4-5 weighted 1e-4, the rung
     # Gram matrix diag(0, 1e-8) lies inside one block, but only e_5 has a
     # rung above the zero threshold
-    from terwlab.decomposer import _ladders, _shell_blocks
+    from terwlab.decomposer import _ladders
     from terwlab.errors import NotThin
 
-    ctx = _without_edge(c7.ctx, 2, 3)
-    A = ctx.A.copy()
+    A = dense_adjacency(c7.ctx)
+    A[2, 3] = A[3, 2] = 0.0
     A[4, 5] = A[5, 4] = 1e-4
-    _, up, flat = _shell_blocks(replace(ctx, A=A))
+    _, up, flat, _ = shell_blocks(A, c7.ctx.dist, c7.ctx.D)
     with pytest.raises(NotThin) as info:
         _ladders(up, flat, 2, [np.eye(2)], 2.0)
     assert info.value.witness == (2, 2, "R", 0.0)
@@ -324,7 +313,7 @@ def test_odd_cycle_ladder(D):
     Bcat = np.hstack([m.basis for m in mods])
     assert np.abs(Bcat.T @ Bcat - np.eye(scheme.n)).max() < 1e-8
     for m in mods:
-        for G in (ctx.A, np.diag(ctx.Astar)):
+        for G in (dense_adjacency(ctx), np.diag(ctx.Astar)):
             W = G @ m.basis
             assert np.abs(W - m.basis @ (m.basis.T @ W)).max() < 1e-8 * scheme.n
     if D <= 13:  # the recurrence's reach on cycles

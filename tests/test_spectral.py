@@ -496,3 +496,15 @@ def test_overlapping_eigenspace_groups_raise():
 
     with pytest.raises(NumericalCheckFailure, match="partition"):
         _cross_validate_adjacency(np.diag([1.0, 1.0, 3.0, 3.0]), np.array([1.0, 1.0 + 1e-10]), np.array([2.0, 2.0]))
+
+
+def test_generated_schemes_keep_their_relation(all_bundles, cycle_contexts):
+    # every generator numbers its classes in P-order, so spectral_data
+    # relabels nothing and holds no second n x n copy of the relation
+    for bundle in all_bundles:
+        sp = bundle.spectral
+        assert sp.p_ordering == tuple(range(sp.D + 1)), bundle.name
+        assert sp.relation is bundle.scheme.relation, bundle.name
+        assert relabel_classes(bundle.scheme, sp.p_ordering) is bundle.scheme, bundle.name
+    for name, ctx in cycle_contexts.items():
+        assert ctx.spectral.relation is ctx.scheme.relation, name
