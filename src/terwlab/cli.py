@@ -29,7 +29,6 @@ from .errors import (
     InvalidCell,
     InvalidParameter,
     OrderingMissing,
-    OutOfRange,
     ParseError,
     ResourceLimit,
     TerwLabError,
@@ -460,14 +459,9 @@ def _cmd_qs(args) -> int:
         return EXIT_OK
     params = qs.fit_qs(sp.theta, sp.theta_star, sp.D)
     doc["params"] = params.as_dict()
-    table = []
-    for (t, d) in predictor.upsilon_cells(sp.D):
-        try:
-            value = qs.qs_multiplicity(params, t, d)
-        except OutOfRange:
-            continue
-        table.append({"t": t, "d": d, "mult": value})
-    doc["closed_form_mult"] = sorted(table, key=lambda r: (r["t"], r["d"]))
+    # the six cells with d >= D - 3, the ones the closed forms cover
+    cells = sorted((t, d) for (t, d) in predictor.upsilon_cells(sp.D) if d >= sp.D - 3)
+    doc["closed_form_mult"] = [{"t": t, "d": d, "mult": qs.qs_multiplicity(params, t, d)} for (t, d) in cells]
 
     def text(doc):
         p = doc["params"]

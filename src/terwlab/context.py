@@ -181,7 +181,7 @@ def _block_norms2(X: np.ndarray, sp: SpectralData) -> np.ndarray:
     return np.add.reduceat(np.add.reduceat(X * X, starts, axis=0), starts, axis=1)
 
 
-def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> IdentityReport:
+def verify_operator_identities(ctx: TerwContext) -> IdentityReport:
     """Residuals of the operator identities that read data and can fail, at this base vertex.
 
     The eigenvalue relation for A, the three-way splits A = R + F + L and
@@ -193,10 +193,10 @@ def verify_operator_identities(ctx: TerwContext, tol: float | None = None) -> Id
     A E_i = theta_i E_i and A* - R* - F* - L* are read in the eigenspace
     bases, as Frobenius norms, which bound the max norm from above; the
     others are max norms; the first is the largest ``spectral.eig_residual``.
+    Each is judged against ``IDENTITY_TOL_PER_VERTEX * n``; judge the
+    report at another tolerance with :meth:`IdentityReport.at_tol`.
     """
-    n, D = ctx.n, ctx.D
-    if tol is None:
-        tol = IDENTITY_TOL_PER_VERTEX * n
+    D, tol = ctx.D, IDENTITY_TOL_PER_VERTEX * ctx.n
     sp = ctx.spectral
     checks = []
 

@@ -403,10 +403,9 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     bands do not depend on ``seed``.
     """
     shells, up, flat, _ = ctx.blocks
-    # the largest row sum of |A|: the rows on shell s meet up[s-1], flat[s] and up[s]^T
-    rows = [np.abs(up[s]).sum(axis=0) + (np.abs(up[s - 1]).sum(axis=1) if s else 0.0)
-            + (0.0 if flat[s] is None else np.abs(flat[s]).sum(axis=1)) for s in range(ctx.D + 1)]
-    scale = max(1.0, float(np.concatenate(rows).max()))
+    # the largest row sum of |A|: build_context certifies that the blocks hold
+    # all of A, the 0/1 adjacency of a graph regular of valency k
+    scale = max(1.0, ctx.spectral.pp.valency)
     rng = np.random.default_rng(seed)
     ladders, actions, kernels = [], [], {0: np.eye(shells[0].size)}
     for r in range(ctx.D + 1):

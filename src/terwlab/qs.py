@@ -13,7 +13,11 @@ number, and the multiplicity of every class of diameter >= D - 3, is a
 rational expression in q and s.  All fitting is done in complex
 arithmetic (q sits on the unit circle for the odd cycles); results that
 are mathematically real are returned as floats after an imaginary-residual
-gate.
+gate.  The bands of the whole grid pass one such gate
+(:func:`qs_band_grid`): the primal bands are held to IMAG_TOL |h| max(1, |s|),
+theta*_r to IMAG_TOL |h*| and the dual bands to IMAG_TOL |h*| max(1, |s|)^2,
+each scale floored at 1, and a failure names the first value failing in
+the order (cell, primal / theta*_r / dual, entry, band).
 
 The excluded families are recognized by their intersection arrays, which
 determine them among distance-regular graphs.
@@ -234,7 +238,7 @@ def fit_qs(theta, theta_star, D: int) -> QSParams:
     params = replace(params, fit_residual=float(resid))
 
     _verify_guards(params)
-    _verify_closed_forms(params, scale)
+    _verify_closed_forms(params)
     return params
 
 
@@ -254,7 +258,7 @@ def _verify_guards(params: QSParams) -> None:
             raise FitFailure(f"s q^{i} = -1 violates the module nonvanishing guard")
 
 
-def _verify_closed_forms(params: QSParams, scale: float) -> None:
+def _verify_closed_forms(params: QSParams) -> None:
     q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
     h_closed = (q - q ** (2 * D)) / ((q - 1) * (1 + s * q ** (2 * D + 1)))
     hstar_closed = (
@@ -265,17 +269,14 @@ def _verify_closed_forms(params: QSParams, scale: float) -> None:
         raise FitFailure(f"h = {h} does not match its closed form {h_closed}")
     if abs(hstar - hstar_closed) > FIT_TOL * max(1.0, abs(hstar)):
         raise FitFailure(f"h* = {hstar} does not match its closed form {hstar_closed}")
-    theta0_model = h * (1 + s * q)
-    if abs(theta0_model - params.theta0) > FIT_TOL * scale:
-        raise FitFailure("theta_0 does not match h (1 + s q)")
 
 
 def _qs_grid(params: QSParams) -> tuple:
     """Bands of every feasible cell in the q, s coordinates, before the realness gate.
 
     Returns the grid, whose bands other than a* are still complex, and
-    theta*_0, ..., theta*_D.  Every power of q comes from one table of
-    q^k, each entry formed as ``q ** k``.
+    theta*_r of the cell of each entry, r = D - d.  Every power of q comes
+    from one table of q^k, each entry formed as ``q ** k``.
     """
     q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
     K = 4 * D + 2  # no exponent below exceeds 4D + 2 in size
@@ -308,55 +309,35 @@ def _qs_grid(params: QSParams) -> tuple:
     t, _, _, at = single
     a[at] = h * Q(-t) * (1 + s * Q(2 * t + 1))
 
-    theta_star = np.array([qs_theta_star(params, k) for k in range(D + 1)])
-    as_ = theta_star[D - d_all].real - bs.real - cs.real
-    theta_star.flags.writeable = False
-    return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs)), theta_star
-
-
-def _scales(params: QSParams) -> tuple:
-    """Realness scales of the primal bands, of theta*_r and of the dual bands."""
-    return (abs(params.h) * max(1.0, abs(params.s)), abs(params.hstar),
-            abs(params.hstar) * max(1.0, abs(params.s)) ** 2)
-
-
-def _gated_bands(grid: BandGrid, params: QSParams, t: int, d: int) -> tuple:
-    """The real (c, a, b) of one cell, each entry through the realness gate in the order b_0, c_1, b_1, ..., c_d, a_d."""
-    c, a, b = grid.bands(t, d)
-    scale = _scales(params)[0]
-    for value in [a[0]] if d == 0 else [b[0], *np.column_stack([c[1:d], b[1:d]]).ravel(), c[d], a[d]]:
-        _real(complex(value), scale)
-    return c.real, a.real, b.real
-
-
-def _gated_bands_star(grid: BandGrid, theta_star, params: QSParams, t: int, d: int) -> tuple:
-    """The real (c*, a*, b*) of one cell, after theta*_r and then b*_0, c*_1, b*_1, ..., c*_d pass the realness gate."""
-    _, star_scale, scale = _scales(params)
-    _real(complex(theta_star[params.D - d]), star_scale)
-    cs, as_, bs = grid.bands_star(t, d)
-    for value in [] if d == 0 else [bs[0], *np.column_stack([cs[1:d], bs[1:d]]).ravel(), cs[d]]:
-        _real(complex(value), scale)
-    return cs.real, as_, bs.real
+    theta_star_r = np.array([qs_theta_star(params, k) for k in range(D + 1)])[D - d_all]
+    as_ = theta_star_r.real - bs.real - cs.real
+    return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs)), theta_star_r
 
 
 def qs_band_grid(params: QSParams) -> BandGrid:
     """The real bands of every feasible cell in the q, s coordinates.
 
-    Raises :class:`FitFailure` where reading the cells one by one in grid
-    order, primal before dual, would raise it first.
+    One realness gate reads every complex value of the grid: c, a and b
+    against the scale |h| max(1, |s|), theta*_r of each entry against
+    |h*|, and c* and b* against |h*| max(1, |s|)^2, each imaginary part
+    within ``IMAG_TOL`` times that scale floored at 1 (a NaN passes); a*
+    is formed from real parts.  When values fail, :class:`FitFailure`
+    names the first in the order (cell, primal / theta*_r / dual, entry,
+    band), which is the order the cells are read one by one in: c_0, b_d
+    and a_i for i < d are exact zeros and never fail.
     """
-    grid, theta_star = _qs_grid(params)
-    primal, star, dual = (IMAG_TOL * max(1.0, scale) for scale in _scales(params))
-    c, a, b = grid.cab
-    cs, as_, bs = grid.cab_star
-    # a NaN fails these comparisons and goes to the cell-by-cell gate, which
-    # lets it through: it is not above the gate there either
-    if not (max(np.abs(x.imag).max() for x in (c, a, b)) <= primal
-            and np.abs(theta_star.imag).max() <= star
-            and max(np.abs(x.imag).max() for x in (cs, bs)) <= dual):
-        for cell in grid.cells:
-            _gated_bands(grid, params, *cell)
-            _gated_bands_star(grid, theta_star, params, *cell)
+    grid, theta_star_r = _qs_grid(params)
+    (c, a, b), (cs, as_, bs) = grid.cab, grid.cab_star
+    values = np.stack([c, a, b, theta_star_r, cs, bs])
+    s = max(1.0, abs(params.s))
+    scales = np.repeat([abs(params.h) * s, abs(params.hstar), abs(params.hstar) * s**2], [3, 1, 2])
+    over = np.abs(values.imag) > IMAG_TOL * np.maximum(1.0, scales)[:, None]
+    if over.any():
+        row, entry = np.nonzero(over)
+        cell = np.searchsorted(np.sort(grid.first[grid.first >= 0]), entry, side="right")
+        group, band = np.array([0, 0, 0, 1, 2, 2])[row], np.array([0, 1, 2, 0, 0, 1])[row]
+        k = np.lexsort((band, entry, group, cell))[0]
+        _real(complex(values[row[k], entry[k]]), scales[row[k]])  # raises, naming the first value
     return replace(grid, cab=(c.real, a.real, b.real), cab_star=(cs.real, as_, bs.real))
 
 
@@ -393,7 +374,7 @@ def qs_multiplicity(params: QSParams, t: int, d: int) -> float:
                 * (q + s * q ** (2 * D)) * (1 + s * q ** (D + 3))
             )
         )
-    elif (t, d) == (3, D - 3):
+    else:  # (3, D - 3), the last cell with d >= D - 3
         value = (
             (q ** (2 * D) - 1) * (q ** (2 * D) - q**2) * (q ** (2 * D) - q**4)
             * (1 + s * q) * (1 + s * q**2) * (1 + s * q**6) * (1 - s**2 * q ** (2 * D + 3))
@@ -403,6 +384,4 @@ def qs_multiplicity(params: QSParams, t: int, d: int) -> float:
                 * (1 + s * q ** (2 * D + 1))
             )
         )
-    else:
-        raise OutOfRange(f"no closed form matches cell ({t}, {d}) for D = {D}")
     return _real(value, max(1.0, abs(value)))

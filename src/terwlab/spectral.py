@@ -199,14 +199,19 @@ def _krein_support(krein: np.ndarray, tol: float = KREIN_ZERO_TOL) -> np.ndarray
     return np.abs(krein) > tol * max(1.0, float(np.abs(krein).max()))
 
 
+def _three_term(x: np.ndarray) -> PPolyArray:
+    """(x[i, 1, i - 1], x[i, 1, i], x[i, 1, i + 1]) for i = 0..D, 0 past either end, in the dtype of ``x``."""
+    D = len(x) - 1
+    i = np.arange(D + 1)
+    c, b = np.zeros(D + 1, dtype=x.dtype), np.zeros(D + 1, dtype=x.dtype)
+    c[1:] = x[i[1:], 1, i[:-1]]
+    b[:-1] = x[i[:-1], 1, i[1:]]
+    return PPolyArray(c=c, a=x[i, 1, i], b=b)
+
+
 def intersection_array(tensor: IntersectionTensor) -> PPolyArray:
     """The (c, a, b) array of a tensor already in P-polynomial order."""
-    p = tensor.p
-    D = tensor.D
-    c = np.array([0] + [p[i, 1, i - 1] for i in range(1, D + 1)], dtype=np.int64)
-    a = np.array([p[i, 1, i] for i in range(D + 1)], dtype=np.int64)
-    b = np.array([p[i, 1, i + 1] for i in range(D)] + [0], dtype=np.int64)
-    return PPolyArray(c=c, a=a, b=b)
+    return _three_term(tensor.p)
 
 
 def is_almost_bipartite(pp: PPolyArray) -> bool:
@@ -364,10 +369,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
         krein = krein[np.ix_(sg, sg, sg)]
         theta_star = Q[1].copy()
         _check_distinct(theta_star)
-        cs = np.array([0.0] + [krein[i, 1, i - 1] for i in range(1, D + 1)])
-        as_ = np.array([krein[i, 1, i] for i in range(D + 1)])
-        bs = np.array([krein[i, 1, i + 1] for i in range(D)] + [0.0])
-        ppstar = PPolyArray(c=cs, a=as_, b=bs)
+        ppstar = _three_term(krein)
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 

@@ -1,5 +1,4 @@
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -7,16 +6,7 @@ import pytest
 import terwlab as tw
 from terwlab.errors import BetaDegenerate, FitFailure, InvalidCell, OutOfRange
 from terwlab.predictor import band_gap, tridiagonal
-from terwlab.qs import (
-    _folded_cube_array,
-    _gated_bands,
-    _gated_bands_star,
-    _odd_graph_array,
-    _qs_grid,
-    qs_band_grid,
-    qs_theta,
-    qs_theta_star,
-)
+from terwlab.qs import _folded_cube_array, _odd_graph_array, qs_band_grid, qs_theta, qs_theta_star
 
 
 @pytest.fixture(scope="module")
@@ -280,19 +270,12 @@ def test_qs_band_grid_is_per_cell_reference_on_cycles(D):
                 assert x.shape == z.shape, (D, t, d)
                 assert np.abs(x - z).max() <= 1e-13 * max(1.0, float(np.abs(z).max())), (D, t, d)
     assert grid.gap(sp.bands) <= 1e-8
-    if D <= 9:  # the gated per-cell reads of the fallback give the same bands
-        raw, theta_star = _qs_grid(params)
-        for (t, d) in grid.cells:
-            for x, y in zip(grid.bands(t, d) + grid.bands_star(t, d),
-                            _gated_bands(raw, params, t, d) + _gated_bands_star(raw, theta_star, params, t, d)):
-                assert np.array_equal(x, y), (D, t, d)
 
 
 @pytest.mark.parametrize("D", [5, 9])
 def test_qs_band_grid_fails_where_the_per_cell_loop_fails(D):
     # s off the unit circle makes the bands complex: the grid raises the
-    # FitFailure of the first cell and band the loop raises at, and each
-    # gated per-cell read of the fallback raises exactly where the loop does
+    # FitFailure of the first cell and band the loop raises at
     sp = tw.spectral_data(tw.odd_cycle(D))
     params = tw.fit_qs(sp.theta, sp.theta_star, D)
     bad = replace(params, s=params.s * (1 + 1e-3))
@@ -300,22 +283,32 @@ def test_qs_band_grid_fails_where_the_per_cell_loop_fails(D):
     with pytest.raises(FitFailure) as got:
         qs_band_grid(bad)
     assert _failing_value(got.value) == pytest.approx(_failing_value(expected), rel=1e-12)
-    raw, theta_star = _qs_grid(bad)
-    for (t, d) in tw.upsilon_cells(D):
-        for ours, ref in ((partial(_gated_bands, raw), reference_qs_cab),
-                          (partial(_gated_bands_star, raw, theta_star), reference_qs_cab_star)):
-            try:
-                ref(bad, t, d)
-                failed = False
-            except FitFailure:
-                failed = True
-            if failed:
-                with pytest.raises(FitFailure):
-                    ours(bad, t, d)
-            else:
-                ours(bad, t, d)
     assert _reference_failure(params) is None
     qs_band_grid(params)
+
+
+@pytest.mark.parametrize("D", [3, 4, 7, 10, 15])
+def test_qs_band_grid_gate_matches_the_per_cell_loop_on_perturbations(D):
+    # complex perturbations of s, h, h* and q, from well inside the gate to
+    # far outside it: the grid raises exactly when the loop does, naming
+    # the same value
+    sp = tw.spectral_data(tw.odd_cycle(D))
+    params = tw.fit_qs(sp.theta, sp.theta_star, D)
+    rng = np.random.default_rng(D)
+    raised = 0
+    for _ in range(8):
+        nudged = {name: getattr(params, name) * (1 + 10 ** rng.uniform(-12, -4) * complex(*rng.standard_normal(2)))
+                  for name in ("s", "h", "hstar", "q") if rng.random() < 0.5}
+        bad = replace(params, **nudged)
+        expected = _reference_failure(bad)
+        if expected is None:
+            qs_band_grid(bad)
+            continue
+        raised += 1
+        with pytest.raises(FitFailure) as got:
+            qs_band_grid(bad)
+        assert _failing_value(got.value) == pytest.approx(_failing_value(expected[2]), rel=1e-12), nudged
+    assert 0 < raised < 8
 
 
 def test_qs_per_cell_forms_reject_cells_off_the_grid(params_c9):
@@ -324,3 +317,11 @@ def test_qs_per_cell_forms_reject_cells_off_the_grid(params_c9):
         for read in (grid.bands, grid.bands_star):
             with pytest.raises(InvalidCell):
                 read(t, d)
+
+
+def test_qs_band_grid_lets_nan_through(params_c9):
+    # a NaN is not above the gate, for the grid as for the per-cell loop
+    bad = replace(params_c9, h=complex("nan"))
+    assert _reference_failure(bad) is None
+    c, a, b = qs_band_grid(bad).cab
+    assert np.isnan(b[0])
