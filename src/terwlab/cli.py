@@ -23,7 +23,7 @@ from . import generators, multiplicity, predictor, qs
 from .context import build_context
 from .decomposer import census as module_census
 from .decomposer import decompose as decompose_standard_module
-from .decomposer import RANK_TOL, norm_ladder_check
+from .decomposer import RANK_TOL
 from .errors import (
     AxiomViolation,
     InvalidCell,
@@ -156,13 +156,13 @@ def _decomposition(args, values):
 def _module_structure(args, values):
     D = values["spectral data"].D
     worst = 0.0
+    # the oracle fills in each module's norm_ladder_check as two fields
     for mod in values["decomposition"]:
         if mod.r + mod.d != D or 2 * mod.t + mod.d < D:
             return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
-        ladder = norm_ladder_check(mod)
-        if not ladder.all_positive:
+        if not mod.products_positive:
             return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
-        worst = max(worst, ladder.primal_residual, ladder.dual_residual)
+        worst = max(worst, mod.norm_residual)
     return "pass", worst, None, True
 
 

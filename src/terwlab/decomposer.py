@@ -33,8 +33,14 @@ together with the rung where the ladder stops these numbers fix the
 tridiagonal action of A, hence the class.  So the basis is split, rung by
 rung, into the eigenspaces of the two matrices, and each resulting block
 holds the modules of one class (numerically: their invariants agree to
-the relative gap ``SPLIT_GAP``).  On the first rung the two matrices are
-the compressions of E*_r A E*_r and E*_r A^2 E*_r - (E*_r A E*_r)^2 to
+the relative gap ``SPLIT_GAP``).  Most of these g x g matrices are scalar
+on their block, and those are kept whole without an eigensolve: with
+mu = tr(M) / g, Weyl's inequality puts every eigenvalue of M within
+|M - mu I|_2 <= |M - mu I|_F of mu, so when
+|M - mu I|_F <= SPLIT_GAP max(1, |mu|) / 4 no two eigenvalues part by the
+gap (the factor 4 covers |mu| against the largest |eigenvalue| and
+``eigh``'s rounding).  On the first rung the two matrices are the
+compressions of E*_r A E*_r and E*_r A^2 E*_r - (E*_r A E*_r)^2 to
 K_r.  Inside a block the modules are not unique: every orthonormal basis
 of the block gives a valid splitting.  ``seed`` picks one by a random
 orthogonal rotation, so the census and the measured bands must not
@@ -65,7 +71,9 @@ are simple and each is some theta_i, whose eigenvector spans E_i W.
 Labelling them by the nearest theta gives rank(E_i W) and the dual
 endpoint t; an eigenvalue more than ``tol * n`` from every theta, a rank
 above 1 or a support not d + 1 long means the module is not dual thin
-and raises :class:`NotThin` too.
+and raises :class:`NotThin` too.  These gates are taken for all modules
+at once, and the witness names the first failing module in ladder order,
+its gap tested before its ranks.
 
 Measurement.  A and A* act on a thin, dual thin module by tridiagonal
 matrices B(W) and B*(W) in its two ladder bases, read as their bands
@@ -116,6 +124,8 @@ class IrreducibleModule:
     cab_star: tuple
     ladder_norms2: np.ndarray
     dual_ladder_norms2: np.ndarray
+    norm_residual: float
+    products_positive: bool
     rungs: tuple
 
     @property
@@ -157,10 +167,22 @@ def _lowering_kernels(up: list, rs: list) -> dict:
 
 
 def _eigenblocks(M: np.ndarray) -> list:
-    """Eigenvectors of the symmetric M, split where consecutive eigenvalues part by SPLIT_GAP."""
+    """Eigenvectors of the symmetric M, split where consecutive eigenvalues part by SPLIT_GAP.
+
+    Returns [] when there is no cut.  With mu = tr(M) / g, Weyl's
+    inequality puts every eigenvalue within |M - mu I|_2 <= |M - mu I|_F
+    of mu, so when |M - mu I|_F <= SPLIT_GAP max(1, |mu|) / 4 no two part
+    by more than SPLIT_GAP max(1, |mu|) / 2, and the split cuts nowhere
+    without an ``eigh``: the factor 4 covers |mu| against max |w| and
+    ``eigh``'s rounding.
+    """
+    g = M.shape[0]
+    mu = float(np.trace(M)) / g
+    if np.linalg.norm(M - mu * np.eye(g)) <= SPLIT_GAP * max(1.0, abs(mu)) / 4:
+        return []
     w, Y = np.linalg.eigh(M)
     cuts = np.flatnonzero(np.diff(w) > SPLIT_GAP * max(1.0, float(np.abs(w).max()))) + 1
-    return np.split(Y, cuts, axis=1)
+    return np.split(Y, cuts, axis=1) if cuts.size else []
 
 
 def _ladders(up: list, flat: list, r: int, rungs: list, scale: float) -> list:
@@ -180,7 +202,7 @@ def _ladders(up: list, flat: list, r: int, rungs: list, scale: float) -> list:
         if W.shape[1] > 1:
             for X in ([] if flat[shell] is None else [W.T @ flat[shell] @ W]) + [U.T @ U]:
                 parts = _eigenblocks(X)
-                if len(parts) > 1:
+                if parts:
                     split = [[R @ Z for R in rungs] for Z in parts]
                     del W, U, rungs[:]
                     return [L for part in split for L in _ladders(up, flat, r, part, scale)]
@@ -343,22 +365,29 @@ def _certify(ctx: TerwContext, shells: list, ladders: list, actions: list, tol: 
         np.add.at(ranks, (idx[:, None], lab), 1)
         spectra[kk] = (Tk, np.take_along_axis(Y, np.argsort(lab, axis=1)[:, None, :], 2))
 
-    ts = np.empty(k.size, dtype=int)
-    for j in range(k.size):
+    # the dual-thin gate, for all modules at once; the first that fails is
+    # named as a pass over the modules in order would name it, gap first
+    nz = ranks > 0
+    ts = nz.argmax(axis=1)  # the first index of the support
+    span = D - nz[:, ::-1].argmax(axis=1) - ts  # its last index less its first
+    far = gaps > tol * n
+    thin = (nz.sum(axis=1) == span + 1) & (ranks.max(axis=1) <= 1) & (span == k - 1)
+    bad = np.flatnonzero(far | ~thin)
+    if bad.size:
+        j = bad[0]
         r, g = int(mod_r[j]), int(mod_g[j])
-        if gaps[j] > tol * n:
+        if far[j]:
             raise NotThin(
                 f"ladder from shell {r} (block of {g}) is not dual thin: an eigenvalue of "
                 f"B^T A B lies {gaps[j]:.3e} from every theta, over {tol * n:.3e}",
                 witness=(r, g, "E", float(gaps[j])),
             )
-        ts[j], dstar = _support(ranks[j])
-        if ranks[j].max() > 1 or dstar != k[j] - 1:
-            raise NotThin(
-                f"ladder from shell {r} (block of {g}) is not dual thin: "
-                f"eigenspace ranks {ranks[j].tolist()}",
-                witness=(r, g, "E", ranks[j].tolist()),
-            )
+        _support(ranks[j])  # raises when the support is not an interval
+        raise NotThin(
+            f"ladder from shell {r} (block of {g}) is not dual thin: "
+            f"eigenspace ranks {ranks[j].tolist()}",
+            witness=(r, g, "E", ranks[j].tolist()),
+        )
 
     columns = [[R[:, j] for R in rungs] for _, rungs in ladders for j in range(rungs[0].shape[1])]
     modules = [None] * k.size
@@ -372,12 +401,17 @@ def _certify(ctx: TerwContext, shells: list, ladders: list, actions: list, tol: 
         lam = ctx.spectral.theta_star[mod_r[idx][:, None] + np.arange(kk)]
         c, a, b, n2 = _bands(Tk, alpha[:, :, None] * np.eye(kk), "primal")
         cs, as_, bs, dn2 = _bands(lam[:, :, None] * np.eye(kk), X, "dual")
-        for row, j in enumerate(idx):
+        # norm_ladder_check of every module of the group at once
+        balance = np.maximum(np.abs(c[:, 1:] * n2[:, 1:] - b[:, :-1] * n2[:, :-1]).max(axis=1, initial=0.0),
+                             np.abs(cs[:, 1:] * dn2[:, 1:] - bs[:, :-1] * dn2[:, :-1]).max(axis=1, initial=0.0))
+        positive = (b[:, :-1] * c[:, 1:] > 0).all(axis=1) & (bs[:, :-1] * cs[:, 1:] > 0).all(axis=1)
+        for row, (j, res, pos) in enumerate(zip(idx, balance.tolist(), positive.tolist())):
             r = int(mod_r[j])
             modules[j] = IrreducibleModule(
                 n=n, r=r, t=int(ts[j]), d=kk - 1,
                 cab=(c[row], a[row], b[row]), cab_star=(cs[row], as_[row], bs[row]),
                 ladder_norms2=n2[row], dual_ladder_norms2=dn2[row],
+                norm_residual=res, products_positive=pos,
                 rungs=tuple(zip(shells[r:r + kk], columns[j])),
             )
     return modules
@@ -395,8 +429,9 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     A-invariant, on the three shell blocks each rung touches, both to
     ``tol * n``; A*-invariance holds by construction.  Dual thinness and t
     are read off the spectrum of each T = B^T A B, and each module is
-    measured inside its certificate: its bands ``cab`` and ``cab_star``
-    and the squared norms of its two ladders are filled in.  Raises
+    measured inside its certificate: its bands ``cab`` and ``cab_star``,
+    the squared norms of its two ladders, and what :func:`norm_ladder_check`
+    reports of them are filled in, for all modules of one size at once.  Raises
     :class:`NotThin`, with a ``witness``, when the modules do not add up to
     dimension n, overlap, are not A-invariant or are not dual thin.
     Returns the modules sorted by (t, d, r); the census and the measured

@@ -424,3 +424,76 @@ def test_verify_stdout_is_byte_identical_in_and_across_processes(tmp_path, capfd
                                   env={**os.environ, "PYTHONPATH": src}, timeout=120)
             outs.append(done.stdout.decode())
         assert outs[0] and outs.count(outs[0]) == 4, label
+
+
+# ---------------------------------------------------------------- module checks
+
+def _stage(fn, bundle, modules, spectral=None):
+    """(status, residual, detail) of a module stage on ``modules``."""
+    values = {"spectral data": bundle.spectral if spectral is None else spectral, "decomposition": modules}
+    return fn(None, values)[:3]
+
+
+def _changed(bundle, j, **fields):
+    """The bundle's modules with module ``j`` changed by ``dataclasses.replace``."""
+    from dataclasses import replace
+
+    mods = list(bundle.modules)
+    mods[j] = replace(mods[j], **fields)
+    return mods
+
+
+def test_module_structure_residual_is_the_largest_norm_ladder_residual(all_bundles):
+    from terwlab.cli import _module_structure
+
+    for bundle in all_bundles:
+        reports = [tw.norm_ladder_check(m) for m in bundle.modules]
+        worst = max(max(rep.primal_residual, rep.dual_residual) for rep in reports)
+        assert _stage(_module_structure, bundle, bundle.modules) == ("pass", worst, None), bundle.name
+        for m, rep in zip(bundle.modules, reports):
+            assert m.norm_residual == max(rep.primal_residual, rep.dual_residual)
+            assert m.products_positive == rep.all_positive
+
+
+def test_module_structure_names_the_first_failing_module(o4):
+    from dataclasses import replace
+
+    from terwlab.cli import _module_structure
+
+    # the modules come sorted by class: (0,3), (1,1) x2, (1,2) x3, (2,0) x2, (2,1) x6, (3,0) x4
+    assert [(m.t, m.d) for m in o4.modules][3] == (1, 2)
+    broken = _changed(o4, 3, r=o4.modules[3].r + 1)  # r + d = D fails
+    assert _stage(_module_structure, o4, broken) == ("fail", None, "endpoint identities fail at (1,2)")
+    low = _changed(o4, 3, t=0)  # 2t + d >= D fails
+    assert _stage(_module_structure, o4, low) == ("fail", None, "endpoint identities fail at (0,2)")
+    negative = _changed(o4, 9, products_positive=False)
+    assert _stage(_module_structure, o4, negative) == ("fail", None, "nonpositive ladder product at (2,1)")
+    # the earlier module is named, whichever check it fails
+    negative[3] = replace(negative[3], r=negative[3].r + 1)
+    assert _stage(_module_structure, o4, negative) == ("fail", None, "endpoint identities fail at (1,2)")
+
+
+def test_predictor_vs_oracle_failures(o4, fc7):
+    from dataclasses import replace
+
+    from terwlab.cli import _predictor_vs_oracle
+
+    assert _stage(_predictor_vs_oracle, o4, o4.modules)[0] == "pass"
+    # a band moved by 1e-3
+    c, a, b = o4.modules[3].cab
+    moved = _changed(o4, 3, cab=(c, a + np.array([0.0, 0.0, 1e-3]), b))
+    status, residual, detail = _stage(_predictor_vs_oracle, o4, moved)
+    assert (status, detail) == ("fail", "measured vs predicted exceeds 1e-6")
+    assert residual == pytest.approx(1e-3, abs=1e-9)
+    # (2, 1) is not a feasible class of the folded 7-cube
+    assert [(m.t, m.d) for m in fc7.modules][1] == (1, 1)
+    infeasible = _changed(fc7, 1, t=2)
+    assert _stage(_predictor_vs_oracle, fc7, infeasible)[::2] == ("fail", "predicted class (2,1) infeasible")
+    # with theta_1 moved by 1e-8 the predicted bands move by less than 1e-6,
+    # but their eigenvalues leave theta by more than 1e-8
+    theta = o4.spectral.theta.copy()
+    theta[1] += 1e-8
+    status, residual, detail = _stage(_predictor_vs_oracle, o4, o4.modules,
+                                      spectral=replace(o4.spectral, theta=theta))
+    assert (status, detail) == ("fail", "spectral identities of predictions exceed 1e-8")
+    assert 1e-8 < residual < 1e-6

@@ -171,7 +171,25 @@ def _certify_modules(ctx, modules, tol):
     return _certify(ctx, shells, ladders, _actions(shells, up, flat, ladders), tol)
 
 
-def test_certify_rejects_non_dual_thin(c7):
+def _first_non_dual_thin(ctx, modules, tol):
+    """The witness of the first module, in order, that a per-module pass finds not dual thin, gap first."""
+    from terwlab.decomposer import _actions, _support
+
+    shells, up, flat, _ = ctx.blocks
+    theta = ctx.spectral.theta
+    for m in modules:
+        (T,), _ = _actions(shells, up, flat, [(m.r, [w[:, None] for _, w in m.rungs])])[0]
+        off = np.abs(np.linalg.eigvalsh(T)[:, None] - theta)
+        if off.min(axis=1).max() > tol * ctx.n:
+            return (m.r, 1, "E", float(off.min(axis=1).max()))
+        ranks = np.bincount(off.argmin(axis=1), minlength=len(theta))
+        dstar = _support(ranks)[1]
+        if ranks.max() > 1 or dstar != m.d:
+            return (m.r, 1, "E", ranks.tolist())
+    return None
+
+
+def test_certify_rejects_non_dual_thin(c7, o4):
     # with theta_2 of C_7 moved by 1e-3, the eigenvalue of the trivial
     # module's B^T A B on E_2 W lies 1e-3 from every theta
     from terwlab.errors import NotThin
@@ -190,6 +208,26 @@ def test_certify_rejects_non_dual_thin(c7):
     with pytest.raises(NotThin, match="not dual thin: eigenspace ranks") as info:
         _certify_modules(relabelled, c7.modules, 1.0)
     assert info.value.witness == (0, 1, "E", [1, 2, 1, 0])
+    # on O_4 with the trivial module last (it meets every E_i, so it would
+    # fail first), the gate names the module a per-module pass names
+    mods = list(o4.modules[1:]) + [o4.modules[0]]
+    theta = o4.spectral.theta.copy()
+    theta[3] += 1e-3  # every module meeting E_3: (1, 2), (2, 1), (3, 0) and the trivial one
+    moved = replace(o4.ctx, spectral=replace(o4.spectral, theta=theta))
+    expected = _first_non_dual_thin(moved, mods, 1e-8)
+    assert [(m.t, m.d) for m in mods].index((1, 2)) == 2 and expected[:3] == (mods[2].r, 1, "E")
+    with pytest.raises(NotThin, match="not dual thin: an eigenvalue") as info:
+        _certify_modules(moved, mods, 1e-8)
+    assert info.value.witness[:3] == expected[:3]
+    assert info.value.witness[3] == pytest.approx(expected[3], rel=1e-9)
+    # with theta = (4, -3, 2, 9), -1 = theta_3 of O_4 is nearest to -3: the
+    # (1, 1) modules pass, and the first (1, 2) module has E_1 W of rank 2
+    relabelled = replace(o4.ctx, spectral=replace(o4.spectral, theta=np.array([4.0, -3.0, 2.0, 9.0])))
+    expected = _first_non_dual_thin(relabelled, mods, 1.0)
+    assert expected == (mods[2].r, 1, "E", [0, 2, 1, 0])
+    with pytest.raises(NotThin, match="not dual thin: eigenspace ranks") as info:
+        _certify_modules(relabelled, mods, 1.0)
+    assert info.value.witness == expected
 
 
 def _without_edge(ctx, x, y):
@@ -404,3 +442,71 @@ def test_certified_ranks_match_dense_idempotents(all_bundles):
             assert (t, dstar, max(ranks)) == (m.t, m.d, 1), bundle.name
             dense.append(replace(m, t=t))
         assert tw.census(dense) == tw.census(bundle.modules) == EXPECTED_CENSUS[bundle.name]
+
+
+def _eigh_blocks(M):
+    """The split of :func:`_eigenblocks` taken from ``eigh`` alone, with no certificate: [] when there is no cut."""
+    from terwlab.decomposer import SPLIT_GAP
+
+    w, Y = np.linalg.eigh(M)
+    cuts = np.flatnonzero(np.diff(w) > SPLIT_GAP * max(1.0, float(np.abs(w).max()))) + 1
+    return np.split(Y, cuts, axis=1) if cuts.size else []
+
+
+def test_no_split_certificate_changes_no_decision(all_bundles, cycle_contexts, monkeypatch):
+    # with every split taken from eigh, the modules are the same to the bit
+    from terwlab import decomposer
+
+    contexts = [b.ctx for b in all_bundles] + list(cycle_contexts.values())
+    certified = [tw.decompose(ctx, seed=0) for ctx in contexts]
+    monkeypatch.setattr(decomposer, "_eigenblocks", _eigh_blocks)
+    for ctx, mods in zip(contexts, certified):
+        ref = tw.decompose(ctx, seed=0)
+        assert tw.census(ref) == tw.census(mods)
+        assert [(m.r, m.t, m.d) for m in ref] == [(m.r, m.t, m.d) for m in mods]
+        for a, b in zip(ref, mods):
+            for x, y in zip(a.cab + a.cab_star + (a.ladder_norms2, a.dual_ladder_norms2),
+                            b.cab + b.cab_star + (b.ladder_norms2, b.dual_ladder_norms2)):
+                assert np.array_equal(x, y)
+
+
+def test_no_split_certificate_fires_only_where_eigh_cuts_nowhere(monkeypatch):
+    # mu I + E with |E|_F / max(1, |mu|) from 1e-9 to 1e-5, around the
+    # certificate's bound SPLIT_GAP / 4
+    from terwlab import decomposer
+
+    rng = np.random.default_rng(7)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+    fired = split = 0
+    for _ in range(3000):
+        g = int(rng.integers(2, 13))
+        mu = float(rng.choice([-1.0, 1.0]) * rng.choice([0.0, 10 ** rng.uniform(-2, 3)]))
+        E = rng.standard_normal((g, g))
+        E += E.T
+        E *= 10 ** rng.uniform(-9, -5) * max(1.0, abs(mu)) / np.linalg.norm(E)
+        M = mu * np.eye(g) + E
+        calls.clear()
+        parts = decomposer._eigenblocks(M)
+        skipped = not calls
+        ref = _eigh_blocks(M)
+        fired += skipped
+        split += len(ref) > 0
+        if skipped:
+            assert parts == ref == []
+        else:
+            assert len(parts) == len(ref) and all(np.array_equal(x, y) for x, y in zip(parts, ref))
+    assert 0 < fired and 0 < split and fired + split < 3000, (fired, split)
+
+
+def test_no_split_certificate_skips_eigh_on_scalar_rung_matrices(o4, fc9, monkeypatch):
+    # every rung matrix of the folded 9-cube is scalar on its block, and 14 of
+    # O_4's 16 are
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.ndim) or eigh(M))
+    for bundle, expected in ((fc9, 0), (o4, 2)):
+        calls.clear()
+        tw.decompose(bundle.ctx, seed=0)
+        assert calls.count(2) == expected, bundle.name  # _certify's batched eigh takes (g, k, k) stacks
