@@ -3,8 +3,8 @@
 For a P-polynomial ordering the class-1 intersection numbers collapse to a
 three-term array ``(c_i, a_i, b_i)``.  The eigenvalues ``theta_j`` of the
 class-1 matrix are read off the (D+1) x (D+1) tridiagonal matrix with these
-bands (symmetrized by a diagonal similarity, since ``b_i c_{i+1} > 0``),
-then cross-validated against the spectrum of the full adjacency matrix.
+bands (symmetrized by a diagonal similarity, since ``b_i c_{i+1} > 0``);
+the basis gates below certify them as the spectrum of the class-1 matrix A.
 The eigenvalue matrix P follows from the three-term recurrence
 
     c_{i+1} v_{i+1}(x) = (x - a_i) v_i(x) - b_{i-1} v_{i-1}(x),
@@ -15,19 +15,26 @@ so everything that lives in the Bose-Mesner algebra is read off Q and the
 intersection numbers in (D+1)-dimensional work: the Bose-Mesner residuals
 are coefficients of the class matrices, and the Krein parameters (the
 structure constants of the idempotents under the entrywise product) are a
-sum over classes.  One symmetric eigensolve of the class-1 matrix gives
-orthonormal bases U_t of the eigenspaces, with E_t = U_t U_t^T; the stages
-that need the idempotents work through U_t and never hold the (D+1) n^2
-stack of idempotents.  Nor is an E_t formed to check the bases: one
-product A U gives r_t = ||A U_t - theta_t U_t||_F, and as the exact
-idempotents satisfy E_s (A - theta_t) = (theta_s - theta_t) E_s, with the
-gap g_t = min_{s != t} |theta_s - theta_t|, ||(I - E_t) U_t||_F <= r_t / g_t.
+sum over classes.  A greedy pivoted Cholesky of each E_t gives bases U_t
+of the eigenspaces, E_t = U_t U_t^T, with no n x n eigensolve: a factor G
+of m_t columns with G G^T = E_t = E_t^2 has G^T G = I in exact arithmetic.
+The stages that need the idempotents work through U_t and never hold the
+(D+1) n^2 stack of idempotents.  Nor is an E_t formed to check the bases:
+one product A U gives r_t = ||R_t||_F, R_t = A U_t - theta_t U_t, and as
+the exact idempotents satisfy E_s (A - theta_t) = (theta_s - theta_t) E_s,
+with g_t = min_{s != t} |theta_s - theta_t|, ||(I - E_t) U_t||_F <= r_t / g_t.
 The dense E'_t = Q[t, relation] / n is sum_s lambda_s E_s with
 lambda = (Q P)[t] / n, so |E'_t U_t - U_t|_max <= |lambda_t - 1| sqrt(m_t)
 + max_{s != t} |1 - lambda_s| r_t / g_t.  The Bose-Mesner gates bound the
-first term, and the basis gate reads r_t / g_t.  A Q-polynomial ordering
-is a relabeling of the idempotents under which the Krein parameters show
-the same tridiagonal vanishing pattern.
+first term, and the basis gate reads r_t / g_t.  The orthogonality gate
+reads delta_t = |U_t^T U_t - I|_max and, as ||U_t||_2^2 <= 1 + m_t delta_t
+and (theta_s - theta_t) U_s^T U_t = U_s^T R_t - R_s^T U_t,
+|U_s^T U_t|_max <= (sqrt(1 + m_s delta_s) r_t + r_s sqrt(1 + m_t delta_t)) / |theta_s - theta_t|.
+With eps the largest of these, sigma_min(U)^2 >= 1 - n eps, and Kahan's
+theorem puts the eigenvalues of A, m_t of them at each theta_t, within
+||A U - U Theta||_2 / sigma_min(U) <= sqrt(sum_t r_t^2 / (1 - n eps)) of
+the theta_t.  A Q-polynomial ordering is a relabeling of the idempotents
+under which the Krein parameters show the same tridiagonal vanishing pattern.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
@@ -37,6 +44,7 @@ search for each stops at that first ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -84,10 +92,10 @@ class SpectralData:
     class i (P-order).  ``ppstar`` holds the Krein analogue of the
     intersection array.  ``q_ordering``, ``theta_star`` and ``ppstar`` are
     ``None`` when the scheme admits no Q-polynomial ordering.  ``U`` is an
-    orthogonal n x n matrix whose columns are eigenvectors of the class-1
-    matrix, grouped by eigenspace in idempotent order: the ``m[t]`` columns
-    U_t that :meth:`eigenspace_labels` marks ``t`` span the range of
-    E_t = Q[t, relation] / n, within the bound r_t / g_t of the module
+    orthogonal n x n matrix of eigenvectors of the class-1 matrix, grouped
+    by eigenspace in idempotent order: the ``m[t]`` columns U_t that
+    :meth:`eigenspace_labels` marks ``t`` are the pivoted Cholesky factor of
+    E_t = Q[t, relation] / n, within the gated bounds of the module
     docstring; ``eig_residual[t]`` is r_t = ||A U_t - theta_t U_t||_F.
     """
 
@@ -228,20 +236,18 @@ def _tridiagonal_eigenvalues(pp: PPolyArray) -> np.ndarray:
     """
     a = pp.a.astype(np.float64)
     off = np.sqrt(pp.b[:-1].astype(np.float64) * pp.c[1:].astype(np.float64))
-    M = np.diag(a)
-    if len(off):
-        M += np.diag(off, 1) + np.diag(off, -1)
+    M = np.diag(a) + np.diag(off, 1) + np.diag(off, -1)
     return np.linalg.eigvalsh(M)[::-1]
 
 
 def _check_distinct(theta: np.ndarray) -> np.ndarray:
-    """The gaps min_{s != t} |theta_s - theta_t|; raises :class:`DegenerateSpectrum` if one is within tolerance."""
+    """|theta_s - theta_t|, inf for s = t; raises :class:`DegenerateSpectrum` if two agree within tolerance."""
     scale = 1.0 + float(np.abs(theta).max())
-    gaps = np.abs(np.subtract.outer(theta, theta)) + np.diag(np.full(len(theta), np.inf))
-    if gaps.min() < EIG_MATCH_TOL * scale:
-        i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    spread = np.abs(np.subtract.outer(theta, theta)) + np.diag(np.full(len(theta), np.inf))
+    if spread.min() < EIG_MATCH_TOL * scale:
+        i, j = np.unravel_index(int(np.argmin(spread)), spread.shape)
         raise DegenerateSpectrum(f"theta[{i}] and theta[{j}] agree within tolerance: {theta[i]}")
-    return gaps.min(axis=1)
+    return spread
 
 
 def _eigenmatrix(pp: PPolyArray, theta: np.ndarray) -> np.ndarray:
@@ -272,26 +278,29 @@ def _krein_parameters(Q: np.ndarray, k: np.ndarray, m: np.ndarray, n: int) -> np
     return np.moveaxis((Q[:, None, :] * Qk[None, :, :]) @ Q.T, 2, 0) / (n * m[:, None, None])
 
 
-def _cross_validate_adjacency(A1: np.ndarray, theta: np.ndarray, m: np.ndarray):
-    """Match the adjacency spectrum against the tridiagonal eigenvalues.
+def _eigenspace_bases(Q: np.ndarray, relation: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The bases U_t side by side, by a greedy pivoted Cholesky of each E_t = Q[t, relation] / n.
 
-    Returns the eigenvectors of A1 and, for each theta[j], the indices of
-    the m[j] eigenvector columns within the matching window of it.  The
-    groups must partition the n columns.
+    The pivot p is the largest residual diagonal entry, the lowest index on
+    ties; column p of E_t is Q[t, relation[p]] / n, as the relation is
+    symmetric.  The columns are built as the rows of one n x n buffer.
     """
-    ev, V = np.linalg.eigh(A1)
-    scale = 1.0 + float(np.abs(theta).max())
-    hits = np.abs(ev[None, :] - theta[:, None]) < EIG_MATCH_TOL * scale * 10
-    for j, th in enumerate(theta):
-        count = int(hits[j].sum())
-        if count != int(round(m[j])):
-            raise NumericalCheckFailure(
-                f"adjacency spectrum disagrees with tridiagonal eigenvalue {th}: "
-                f"multiplicity {count} vs expected {m[j]}"
-            )
-    if not (hits.sum(axis=0) == 1).all():
-        raise NumericalCheckFailure("eigenspace groups do not partition the adjacency eigenvectors")
-    return V, [np.flatnonzero(h) for h in hits]
+    n, ends = len(relation), np.cumsum(m)
+    rows = np.empty((n, n))
+    for q, start, stop in zip(Q / n, ends - m, ends):
+        diag = np.full(n, q[0])
+        for j in range(start, stop):
+            p = diag.argmax()
+            rows[j] = (q[relation[p]] - rows[start:j, p] @ rows[start:j]) / math.sqrt(diag[p])
+            diag -= rows[j] ** 2
+    return rows.T
+
+
+def _orthogonality_bounds(U: np.ndarray, spread: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Bounds on |U_s^T U_t - [s = t] I|_max: delta_t for s = t, else the module docstring's bound over ``spread``."""
+    delta = np.array([np.abs(Ut.T @ Ut - np.eye(len(Ut.T))).max() for Ut in np.split(U, np.cumsum(m)[:-1], axis=1)])
+    norm = np.sqrt(1.0 + m * delta)
+    return (np.outer(norm, r) + np.outer(r, norm)) / spread + np.diag(delta)
 
 
 def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
@@ -330,7 +339,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     # eigenvalues: position 0 is the valency (Perron root), the rest initially
     # sorted descending; the Q-ordering detected below permutes them.
     theta = _tridiagonal_eigenvalues(pp)
-    gaps = _check_distinct(theta)
+    spread = _check_distinct(theta)
 
     P = _eigenmatrix(pp, theta)
     k = tensor_p.k.astype(np.float64)
@@ -339,8 +348,6 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     if np.abs(m - m_int).max() > 1e-6 or m_int.sum() != n:
         raise NumericalCheckFailure(f"multiplicities not integral: {m}")
 
-    A1 = scheme_p.class_matrix(1)
-    V, groups = _cross_validate_adjacency(A1, theta, m)
     Q = m[:, None] * P.T / k[None, :]
     _verify_bose_mesner(Q, P, tensor_p.p, n)
 
@@ -352,42 +359,34 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
         raise NumericalCheckFailure("krein[0] != diag(m)")
 
     q_ordering = next(_orderings(_krein_support(krein)), None)
-    order = range(D + 1) if q_ordering is None else q_ordering
-    U = V[:, np.concatenate([groups[j] for j in order])]
-    del V  # V and then A1 go before they would be a fourth live n x n array
+    sg = list(range(D + 1) if q_ordering is None else q_ordering)
+    m_int, theta, P, Q = m_int[sg], theta[sg], P[:, sg], Q[sg]
+    spread, krein = spread[np.ix_(sg, sg)], krein[np.ix_(sg, sg, sg)]
+    U = _eigenspace_bases(Q, scheme_p.relation, m_int)
 
-    theta_star = None
-    ppstar = None
-    if q_ordering is None:
-        Q = None
-    else:
-        sg = list(q_ordering)
-        m_int = m_int[sg]
-        theta, gaps = theta[sg], gaps[sg]
-        P = P[:, sg]
-        Q = Q[sg]
-        krein = krein[np.ix_(sg, sg, sg)]
+    theta_star = ppstar = None
+    if q_ordering is not None:
         theta_star = Q[1].copy()
         _check_distinct(theta_star)
         ppstar = _three_term(krein)
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 
-    # tie the eigenvector groups to the gated idempotents by r_t / g_t (module docstring)
-    R = A1 @ U
-    del A1
+    # tie the bases to the gated idempotents and to each other (module docstring); a NaN fails both gates
+    R = scheme_p.class_matrix(1) @ U
     R -= U * np.repeat(theta, m_int)
     eig_residual = np.sqrt(np.bincount(np.repeat(np.arange(D + 1), m_int), np.einsum("ij,ij->j", R, R)))
-    worst = float((eig_residual / gaps).max())
-    if worst > IDEMPOTENT_TOL:
-        raise NumericalCheckFailure(f"eigenspace basis residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
+    for what, bound in (("residual", eig_residual / spread.min(axis=1)),
+                        ("orthogonality", _orthogonality_bounds(U, spread, m_int, eig_residual))):
+        if not bound.max() <= IDEMPOTENT_TOL:
+            raise NumericalCheckFailure(f"eigenspace basis {what} {bound.max():.3e} exceeds {IDEMPOTENT_TOL}")
 
-    for arr in (U, P, krein, theta, eig_residual) + (() if Q is None else (Q, theta_star)):
+    for arr in (U, P, Q, krein, theta, eig_residual) + (() if theta_star is None else (theta_star,)):
         arr.flags.writeable = False
     return SpectralData(
         n=n, D=D, relation=scheme_p.relation,
         p_ordering=p_ordering, q_ordering=q_ordering,
-        pp=pp, P=P, Q=Q, m=m_int, krein=krein,
+        pp=pp, P=P, Q=None if q_ordering is None else Q, m=m_int, krein=krein,
         theta=theta, theta_star=theta_star, U=U, eig_residual=eig_residual, ppstar=ppstar,
     )
 

@@ -448,54 +448,123 @@ def test_eigen_residual_bound_covers_the_dense_basis_residual(all_bundles, cycle
 
 
 def test_basis_gate_fires_on_a_basis_rotated_across_eigenspaces(fc7, monkeypatch):
-    # turn one eigenvector of the second eigenvalue towards one of the third:
-    # the basis stays orthonormal, and r_t / gap_t reads at least sin(angle),
-    # so a rotation by 1e-6 fails the gate and one by 1e-13 passes it
+    # turn the first basis vector of the second eigenspace towards the first
+    # of the third: the basis stays orthonormal, and r_t / gap_t reads at
+    # least sin(angle), so a rotation by 1e-6 fails the gate and one by 1e-13
+    # passes it
     import re
 
     import terwlab.spectral as spectral
     from terwlab.errors import NumericalCheckFailure
 
-    cross_validate = spectral._cross_validate_adjacency
+    bases = spectral._eigenspace_bases
 
     def rotated_by(angle):
-        def rotated(A1, theta, m):
-            V, groups = cross_validate(A1, theta, m)
-            pair = [groups[1][0], groups[2][0]]
+        def rotated(Q, relation, m):
+            U = bases(Q, relation, m)
+            pair = [m[0], m[0] + m[1]]
             c, s = np.cos(angle), np.sin(angle)
-            V[:, pair] = V[:, pair] @ np.array([[c, -s], [s, c]])
-            return V, groups
+            U[:, pair] = U[:, pair] @ np.array([[c, -s], [s, c]])
+            return U
         return rotated
 
-    monkeypatch.setattr(spectral, "_cross_validate_adjacency", rotated_by(1e-13))
+    monkeypatch.setattr(spectral, "_eigenspace_bases", rotated_by(1e-13))
     tw.spectral_data(fc7.scheme)
-    monkeypatch.setattr(spectral, "_cross_validate_adjacency", rotated_by(1e-6))
+    monkeypatch.setattr(spectral, "_eigenspace_bases", rotated_by(1e-6))
     with pytest.raises(NumericalCheckFailure, match=r"eigenspace basis residual \S+ exceeds 1e-09") as err:
         tw.spectral_data(fc7.scheme)
     assert float(re.search(r"residual (\S+)", str(err.value)).group(1)) >= 0.99 * np.sin(1e-6)
 
 
-def test_eigenspace_groups_partition_the_columns(all_bundles):
-    from terwlab.spectral import _cross_validate_adjacency
+def test_orthogonality_gate_fires_on_a_basis_skewed_inside_one_eigenspace(fc7, monkeypatch):
+    # add eps of one basis vector of the second eigenspace to another: both
+    # stay in the eigenspace, so r_t / gap_t stays under its gate (it runs
+    # first, and its message would not match), while delta_t reads about eps
+    import terwlab.spectral as spectral
+    from terwlab.errors import NumericalCheckFailure
 
+    bases = spectral._eigenspace_bases
+
+    def skewed_by(eps):
+        def skewed(Q, relation, m):
+            U = bases(Q, relation, m)
+            U[:, m[0]] += eps * U[:, m[0] + 1]
+            return U
+        return skewed
+
+    assert fc7.spectral.m[1] >= 2
+    monkeypatch.setattr(spectral, "_eigenspace_bases", skewed_by(1e-13))
+    tw.spectral_data(fc7.scheme)
+    monkeypatch.setattr(spectral, "_eigenspace_bases", skewed_by(1e-6))
+    with pytest.raises(NumericalCheckFailure, match=r"eigenspace basis orthogonality \S+ exceeds 1e-09"):
+        tw.spectral_data(fc7.scheme)
+
+
+def test_orthogonality_bounds_cover_the_dense_gram_blocks(all_bundles, cycle_contexts):
+    # the gate reads delta_t off each U_t's own Gram matrix and bounds the
+    # blocks across eigenspaces by the residuals; the dense U^T U is the
+    # reference, up to the rounding of its sums (a computed r_t of 0 on a
+    # cycle gives a bound of 0 against a dense block of 1.6e-18)
+    from terwlab.spectral import _check_distinct, _orthogonality_bounds
+
+    eps = np.finfo(np.float64).eps
+    spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
+    spectra |= {name: ctx.spectral for name, ctx in cycle_contexts.items()}
+    for name, sp in spectra.items():
+        lab = sp.eigenspace_labels()
+        gram = np.abs(sp.U.T @ sp.U - np.eye(sp.n))
+        dense = np.array([[gram[np.ix_(lab == s, lab == t)].max() for t in range(sp.D + 1)] for s in range(sp.D + 1)])
+        bounds = _orthogonality_bounds(sp.U, _check_distinct(sp.theta), sp.m, sp.eig_residual)
+        off = ~np.eye(sp.D + 1, dtype=bool)
+        assert (bounds[off] + sp.n * eps >= dense[off]).all(), name
+        assert np.abs(np.diag(bounds) - np.diag(dense)).max() <= sp.n * eps, name
+        assert bounds.max() <= 1e-9, name
+
+
+def _projector_gap(sp, A):
+    """max_t |U_t U_t^T - V_t V_t^T|_max, with V_t the eigenvectors ``eigh`` gives A for theta_t."""
+    w, V = np.linalg.eigh(A)
+    nearest = np.argmin(np.abs(w[:, None] - sp.theta[None, :]), axis=1)
+    assert np.bincount(nearest, minlength=sp.D + 1).tolist() == sp.m.tolist()
+    lab = sp.eigenspace_labels()
+    return max(np.abs(sp.U[:, lab == t] @ sp.U[:, lab == t].T - V[:, nearest == t] @ V[:, nearest == t].T).max()
+               for t in range(sp.D + 1))
+
+
+def test_eigenspace_projectors_match_the_eigh_reference(all_bundles, cycle_contexts):
+    # eigh of the dense A stays here as the reference: its spectrum carries
+    # the multiplicities m_t, and each U_t U_t^T is its spectral projector;
+    # past C61 the cycles are sampled, as the quotient stages grow like D^4
+    spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
+    spectra |= {name: ctx.spectral for name, ctx in cycle_contexts.items()}
+    spectra["FC11"] = tw.spectral_data(tw.folded_cube(5))
+    for D in range(40, 101, 20):
+        spectra[f"C{2 * D + 1}"] = tw.spectral_data(tw.odd_cycle(D))
+    for name, sp in spectra.items():
+        assert _projector_gap(sp, (sp.relation == 1).astype(np.float64)) <= 1e-10, name
+
+
+def test_spectral_data_takes_no_n_by_n_eigensolve_and_repeats_to_the_bit(fc9, monkeypatch):
+    # only the (D+1) x (D+1) tridiagonal matrix is handed to an eigensolver,
+    # and the greedy pivots need no seed: two runs give the same bases
+    shapes = []
+    for fn in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, fn)
+        monkeypatch.setattr(np.linalg, fn, lambda M, solver=solver: shapes.append(np.shape(M)) or solver(M))
+    for scheme in (tw.odd_graph(5), fc9.scheme):
+        shapes.clear()
+        first = tw.spectral_data(scheme)
+        assert shapes and all(shape == (scheme.D + 1, scheme.D + 1) for shape in shapes), shapes
+        assert first.U.tobytes() == tw.spectral_data(scheme).U.tobytes()
+
+
+def test_eigenspace_groups_partition_the_columns(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        A1 = (sp.relation == 1).astype(float)
-        V, groups = _cross_validate_adjacency(A1, sp.theta, sp.m)
-        assert [len(g) for g in groups] == sp.m.tolist()
-        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(sp.n))
-        assert np.array_equal(sp.eigenspace_labels(), np.repeat(np.arange(sp.D + 1), sp.m))
-
-
-def test_overlapping_eigenspace_groups_raise():
-    # two eigenvalues inside one matching window both claim the same two
-    # eigenvectors: the counts agree with m, but the groups overlap and
-    # leave the eigenvalue 3 unclaimed
-    from terwlab.errors import NumericalCheckFailure
-    from terwlab.spectral import _cross_validate_adjacency
-
-    with pytest.raises(NumericalCheckFailure, match="partition"):
-        _cross_validate_adjacency(np.diag([1.0, 1.0, 3.0, 3.0]), np.array([1.0, 1.0 + 1e-10]), np.array([2.0, 2.0]))
+        lab = sp.eigenspace_labels()
+        assert sp.U.shape == (sp.n, sp.n), bundle.name
+        assert np.array_equal(lab, np.repeat(np.arange(sp.D + 1), sp.m)), bundle.name
+        assert np.bincount(lab, minlength=sp.D + 1).tolist() == sp.m.tolist() and sp.m.min() >= 1, bundle.name
 
 
 def test_generated_schemes_keep_their_relation(all_bundles, cycle_contexts):
