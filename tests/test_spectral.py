@@ -504,21 +504,30 @@ def test_orthogonality_bounds_cover_the_dense_gram_blocks(all_bundles, cycle_con
     # the gate reads delta_t off each U_t's own Gram matrix and bounds the
     # blocks across eigenspaces by the residuals; the dense U^T U is the
     # reference, up to the rounding of its sums (a computed r_t of 0 on a
-    # cycle gives a bound of 0 against a dense block of 1.6e-18)
+    # cycle gives a bound of 0 against a dense block of 1.6e-18).  The built
+    # bases leave every block at rounding level, so each is also skewed by
+    # 1e-8 of the first vector of U_2 added to the first of U_1: that block
+    # then reads 1e-8, and the bound must follow it through r_1
     from terwlab.spectral import _check_distinct, _orthogonality_bounds
 
     eps = np.finfo(np.float64).eps
     spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
     spectra |= {name: ctx.spectral for name, ctx in cycle_contexts.items()}
     for name, sp in spectra.items():
-        lab = sp.eigenspace_labels()
-        gram = np.abs(sp.U.T @ sp.U - np.eye(sp.n))
-        dense = np.array([[gram[np.ix_(lab == s, lab == t)].max() for t in range(sp.D + 1)] for s in range(sp.D + 1)])
-        bounds = _orthogonality_bounds(sp.U, _check_distinct(sp.theta), sp.m, sp.eig_residual)
-        off = ~np.eye(sp.D + 1, dtype=bool)
-        assert (bounds[off] + sp.n * eps >= dense[off]).all(), name
-        assert np.abs(np.diag(bounds) - np.diag(dense)).max() <= sp.n * eps, name
-        assert bounds.max() <= 1e-9, name
+        lab, off = sp.eigenspace_labels(), ~np.eye(sp.D + 1, dtype=bool)
+        skewed = sp.U.copy()
+        skewed[:, sp.m[0]] += 1e-8 * sp.U[:, sp.m[0] + sp.m[1]]
+        R = (sp.relation == 1).astype(np.float64) @ skewed - skewed * np.repeat(sp.theta, sp.m)
+        residual = np.sqrt(np.bincount(lab, np.einsum("ij,ij->j", R, R)))
+        for U, r in ((sp.U, sp.eig_residual), (skewed, residual)):
+            gram = np.abs(U.T @ U - np.eye(sp.n))
+            dense = np.array([[gram[np.ix_(lab == s, lab == t)].max() for t in range(sp.D + 1)]
+                              for s in range(sp.D + 1)])
+            bounds = _orthogonality_bounds(U, _check_distinct(sp.theta), sp.m, r)
+            assert (bounds[off] + sp.n * eps >= dense[off]).all(), name
+            assert np.abs(np.diag(bounds) - np.diag(dense)).max() <= sp.n * eps, name
+        assert dense[1, 2] >= 0.99e-8, name
+        assert _orthogonality_bounds(sp.U, _check_distinct(sp.theta), sp.m, sp.eig_residual).max() <= 1e-9, name
 
 
 def _projector_gap(sp, A):
