@@ -9,8 +9,9 @@ W.  So the kernel
 
     K_r = ker(E*_{r-1} A E*_r) inside E*_r V        (K_0 = E*_0 V)
 
-is exactly the sum of E*_r W over the modules W with endpoint r.  It is
-read off the 0/1 block A[S_{r-1}, S_r] alone.
+is exactly the sum of E*_r W over the modules W with endpoint r.  As E*_r V
+is the orthogonal sum of the E*_r W, K_r is the complement of the lower
+ladders' rungs on shell r (a pivoted Cholesky; a full shell takes no work).
 
 Every product the oracle takes lives in A's shell blocks
 up[s] = A[S_{s+1}, S_s] and flat[s] = A[S_s, S_s], which the context
@@ -20,8 +21,7 @@ almost-bipartite scheme) is not held.  The blocks hold all of A when A
 vanishes between shells more than one apart, which the context's
 identity A = R + F + L checks.  A rung on shell s is held as a
 |S_s| x g array, and no array has n rows.  The endpoints are taken in
-increasing order.  Lowering kernels whose blocks share a shape come
-from one batched SVD.
+increasing order.
 
 From an orthonormal basis of K_r, the ladders of all modules with
 endpoint r are grown at once, W_{i+1} = E*_{r+i+1} A W_i with unit
@@ -97,7 +97,7 @@ import numpy as np
 from .context import TerwContext
 from .errors import NotThin, NumericalCheckFailure
 
-#: singular values and rung norms below this fraction of the largest count as zero
+#: rung norms below this fraction of the valency, and complement pivots below it, count as zero
 RANK_TOL = 1e-8
 #: relative gap above which consecutive eigenvalues of a compressed operator start a new block
 SPLIT_GAP = 1e-6
@@ -155,15 +155,25 @@ def _stack(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
-def _lowering_kernels(up: list, rs: list) -> dict:
-    """Orthonormal bases (|S_r| x g) of K_r for r in ``rs``: the vectors on shell r killed by A[S_{r-1}, S_r].
+def _complement(W: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of the orthonormal q x p ``W``: a pivoted Cholesky of I - W W^T.
 
-    A[S_{r-1}, S_r] is up[r-1]^T; the blocks of the r >= 1 in ``rs`` share
-    one shape and one batched SVD.
+    The pivot is the largest residual diagonal entry, lowest index first; at or below ``RANK_TOL``
+    it stops, so a W whose columns are not orthonormal gives fewer than q - p columns, never a NaN.
+    The pivots amplify the rounding of I - W W^T in the rows' Gram matrix; one Newton-Schulz step cures it.
     """
-    s, vt = np.linalg.svd(_stack([up[r - 1].T for r in rs]))[1:]
-    ranks = np.sum(s > RANK_TOL * np.maximum(1.0, s[:, :1]), axis=1)
-    return {r: v[rank:].T.copy() for r, rank, v in zip(rs, ranks.tolist(), vt)}
+    q, p = W.shape
+    P = W @ -W.T
+    P.flat[::q + 1] += 1.0
+    diag = P.diagonal().copy()
+    rows = np.empty((q - p, q))
+    for j in range(q - p):
+        k = diag.argmax()
+        if diag[k] <= RANK_TOL:
+            return rows[:j].T
+        rows[j] = (P[k] - rows[:j, k] @ rows[:j]) / np.sqrt(diag[k])
+        diag -= rows[j] ** 2
+    return rows.T @ (1.5 * np.eye(q - p) - 0.5 * rows @ rows.T)
 
 
 def _eigenblocks(M: np.ndarray) -> list:
@@ -421,10 +431,10 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     """Split the coordinate space into irreducible invariant subspaces.
 
     Works on the context's shell blocks of A only (see the module
-    docstring).  For each endpoint r, the ladders of the lowering kernel
-    K_r are grown through the shells and split, rung by rung, into blocks
-    of isomorphic modules by the rung Gram and flat matrices, and ``seed``
-    rotates each block's basis by a random orthogonal matrix.  The modules
+    docstring).  For each endpoint r, the ladders of K_r (the complement of
+    the lower ladders' rungs on shell r) are grown and split, rung by rung,
+    into blocks of isomorphic modules by the rung Gram and flat matrices,
+    and ``seed`` rotates each block's basis by a random orthogonal matrix.  The modules
     are certified orthonormal to each other, by one Gram matrix per shell, and
     A-invariant, on the three shell blocks each rung touches, both to
     ``tol * n``; A*-invariance holds by construction.  Dual thinness and t
@@ -442,12 +452,12 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
     # all of A, the 0/1 adjacency of a graph regular of valency k
     scale = max(1.0, ctx.spectral.pp.valency)
     rng = np.random.default_rng(seed)
-    ladders, actions, kernels = [], [], {0: np.eye(shells[0].size)}
+    ladders, actions = [], []
     for r in range(ctx.D + 1):
-        if r not in kernels:  # with the later kernels whose blocks have its shape
-            same = [q for q in range(r, ctx.D + 1) if up[q - 1].shape == up[r - 1].shape]
-            kernels.update(_lowering_kernels(up, same))
-        kernel = [kernels.pop(r)]  # _ladders grows or splits it in place
+        held = [rungs[r - s] for s, rungs in ladders if s + len(rungs) > r]  # on shell r, from lower endpoints
+        if sum(R.shape[1] for R in held) >= shells[r].size:
+            continue  # K_r = 0
+        kernel = [_complement(np.hstack([np.zeros((shells[r].size, 0))] + held))]  # _ladders grows or splits it
         grown = [(r, rungs) for rungs in _ladders(up, flat, r, kernel, scale)] if kernel[0].shape[1] else []
         for _, rungs in grown:
             g = rungs[0].shape[1]

@@ -250,15 +250,82 @@ def test_non_invariant_ladder_raises_with_witness(c7):
     assert residual > 1e-8 * c7.scheme.n
 
 
-def test_collected_dimension_mismatch_raises_with_counts(c7):
-    # without the edge 1-2, vertex 2 has no neighbour one shell down, so it
-    # starts a third ladder: 4 + 3 + 2 dimensions out of 7
+def test_collected_dimension_mismatch_raises_with_counts(c7, o4):
+    # without the edge 1-2, vertex 2 has no neighbour one shell down; the
+    # ladder from shell 1 runs down the 6 side alone, onto the trivial
+    # module's rungs e_5 and e_4, and the Gram gate names it
     from terwlab.errors import NotThin
 
     ctx = _without_edge(c7.ctx, 1, 2)
-    with pytest.raises(NotThin, match="collected dimension 9 != 7") as info:
+    with pytest.raises(NotThin, match="overlaps another module") as info:
         tw.decompose(ctx, seed=0)
-    assert info.value.witness == (9, 7)
+    assert info.value.witness == (1, 1, "Gram", 1.0)
+    # modules that leave part of the space out fail the collected-dimension
+    # gate; the last module of O_4 has dimension 1, so n - 1 of n are left
+    for bundle in (c7, o4):
+        n, mods = bundle.scheme.n, list(bundle.modules)
+        for j in (0, len(mods) - 1):
+            with pytest.raises(NotThin, match=f"collected dimension {n - mods[j].dim} != {n}") as info:
+                _certify_modules(bundle.ctx, mods[:j] + mods[j + 1:], 1e-8)
+            assert info.value.witness == (n - mods[j].dim, n)
+    assert o4.modules[-1].dim == 1
+
+
+def _grown_kernels(ctx, monkeypatch):
+    """The kernels K_r that ``decompose`` grows ladders from, keyed by r, and its number of complements."""
+    from terwlab import decomposer
+
+    kernels, calls = {}, []
+    complement, ladders = decomposer._complement, decomposer._ladders
+
+    def spy_ladders(up, flat, r, rungs, scale):
+        kernels.setdefault(r, rungs[0].copy())  # _ladders calls itself on the parts of a split block
+        return ladders(up, flat, r, rungs, scale)
+
+    def spy_complement(W):
+        calls.append(W.shape)
+        return complement(W)
+
+    with monkeypatch.context() as m:
+        m.setattr(decomposer, "_ladders", spy_ladders)
+        m.setattr(decomposer, "_complement", spy_complement)
+        decomposer.decompose(ctx)
+    return kernels, len(calls)
+
+
+def test_complement_kernels_are_the_lowering_kernels(all_bundles, cycle_contexts, monkeypatch):
+    # K_r, the complement of the lower ladders' rungs on shell r, spans the
+    # null space of A[S_{r-1}, S_r] that an SVD finds; it is orthonormal to
+    # 1e-14 (without the Newton-Schulz step, about 1e-12 on shell 4 of FC_9)
+    from terwlab.decomposer import RANK_TOL
+
+    contexts = {b.name: b.ctx for b in all_bundles} | cycle_contexts
+    for name, ctx in contexts.items():
+        kernels, calls = _grown_kernels(ctx, monkeypatch)
+        up = ctx.blocks[1]
+        assert kernels.pop(0).tolist() == [[1.0]], name
+        for r, K in kernels.items():
+            s, vt = np.linalg.svd(up[r - 1].T)[1:]
+            N = vt[np.sum(s > RANK_TOL * max(1.0, s[0])):].T
+            assert K.shape == N.shape, (name, r)
+            assert np.abs(up[r - 1].T @ K).max() <= 1e-12, (name, r)
+            assert np.abs(K.T @ K - np.eye(K.shape[1])).max() <= 1e-14, (name, r)
+            assert np.abs(K @ K.T - N @ N.T).max() <= 1e-10, (name, r)
+        if name.startswith("C"):
+            # from shell 2 up every shell of an odd cycle is full
+            assert sorted(kernels) == [1] and calls == 2, name
+
+
+def test_complement_stops_early_on_non_unit_columns():
+    # P = I - w w^T with w = (1, 1) has a zero diagonal: no pivot passes
+    from terwlab.decomposer import _complement
+
+    K = _complement(np.array([[1.0], [1.0]]))
+    assert K.shape == (2, 0)
+    # with w = (1, 1, 0) only e_2 is left before the diagonal runs out
+    K = _complement(np.array([[1.0], [1.0], [0.0]]))
+    assert K.shape == (3, 1) and np.isfinite(K).all()
+    assert K[:, 0].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_ladders_split_blocks_by_where_they_stop(c7):
