@@ -45,21 +45,21 @@ def trace_ladders(ctx: TerwContext) -> list:
     Since L* is the transpose of R*, each trace is the squared Frobenius
     norm of R*^d E_t, and with E_t = U_t U_t^T that is the squared
     Frobenius norm of R*^d U_t.  In the eigenspace basis R* is the band of
-    blocks N_{j+1, j} of N = U^T A* U, and U is orthogonal, so R*^d U_t is
-    U times the m_{t+d} x m_t chain N_{t+d, t+d-1} ... N_{t+1, t}.  One walk
+    blocks N_{j+1, j} of N = U^T A* U, the first m_{j+1} rows of the
+    context's ``below[j]``, and U is orthogonal, so R*^d U_t is U times
+    the m_{t+d} x m_t chain N_{t+d, t+d-1} ... N_{t+1, t}.  One walk
     covers every t: at step k the walk holds the chains that end in block k
     side by side, one per t <= k, so the next step is one product with
     N_{k+1, k}, with the identity of block k + 1 appended for t = k + 1.
     """
     sp = ctx.spectral
-    lab = sp.eigenspace_labels()
+    lab, m = sp.eigenspace_labels(), sp.m.tolist()
     ends = np.cumsum(sp.m)
-    blocks = [slice(hi - mi, hi) for mi, hi in zip(sp.m.tolist(), ends.tolist())]
     ladders = [[] for _ in range(sp.D + 1)]
-    H = np.eye(int(sp.m[0]))
+    H = np.eye(m[0])
     for k in range(sp.D + 1):
         if k:
-            H = np.hstack([ctx.N[blocks[k], blocks[k - 1]] @ H, np.eye(int(sp.m[k]))])
+            H = np.hstack([ctx.below[k - 1][: m[k]] @ H, np.eye(m[k])])
         for t, value in enumerate(np.bincount(lab[: ends[k]], np.einsum("ij,ij->j", H, H)).tolist()):
             ladders[t].append(value)
     return ladders

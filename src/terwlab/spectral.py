@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -155,22 +155,38 @@ def krein_products(spectral: SpectralData) -> np.ndarray:
     return np.where(t + d <= D, value, np.nan)
 
 
+@lru_cache(maxsize=8)
+def _tridiagonal_masks(size: int) -> tuple:
+    """The masks ``hi > rest`` and ``hi == rest`` over the (size, size, size) position grid, read-only.
+
+    ``hi`` is the largest of the three positions and ``rest`` the sum of
+    the other two.  They depend on the size alone, so each size builds
+    them once.
+    """
+    r = np.arange(size)
+    a, b, c = np.ix_(r, r, r)
+    hi = np.maximum(np.maximum(a, b), c)
+    rest = a + b + c - hi
+    masks = (hi > rest, hi == rest)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
+
+
 def _pattern_ok(nonzero: np.ndarray, order) -> bool:
     """Tridiagonal-support test for a 3-index array under a relabeling.
 
     The entry at (h, i, j) must vanish when one position index exceeds the
     sum of the other two and must not vanish when it equals that sum.
-    Reindexing by ``order`` puts the support in position coordinates, where
-    both conditions are fixed masks over the position grid: with ``hi`` the
-    largest of the three positions and ``rest`` the sum of the other two,
-    the support must miss ``hi > rest`` and cover ``hi == rest``.
+    Reindexing by ``order``, one axis at a time, puts the support in
+    position coordinates, where both conditions are fixed masks over the
+    position grid (:func:`_tridiagonal_masks`): the support must miss
+    ``hi > rest`` and cover ``hi == rest``.
     """
-    support = nonzero[np.ix_(order, order, order)]
-    r = np.arange(len(order))
-    a, b, c = np.ix_(r, r, r)
-    hi = np.maximum(np.maximum(a, b), c)
-    rest = a + b + c - hi
-    return not (support & (hi > rest)).any() and bool(support[hi == rest].all())
+    idx = np.asarray(order)
+    support = nonzero[idx][:, idx][:, :, idx]
+    beyond, on = _tridiagonal_masks(len(order))
+    return not (support & beyond).any() and bool(support[on].all())
 
 
 def _orderings(nonzero: np.ndarray):

@@ -7,7 +7,6 @@ import pytest
 
 import terwlab as tw
 from conftest import dense_adjacency, dense_dual_operators, dense_idempotents, split_operators, with_adjacency
-from terwlab.context import _block_norms2
 from terwlab.errors import InvalidParameter, OrderingMissing
 from terwlab.scheme import relabel_classes
 from terwlab.spectral import _krein_support
@@ -54,19 +53,21 @@ def test_shell_blocks_reassemble_A(all_bundles, cycle_contexts):
 
 
 @pytest.mark.parametrize("make", [tw.odd_graph, tw.folded_cube])
-def test_context_holds_under_one_and_a_half_n2_floats(make):
-    # N is n^2 float64 and the shell blocks 0.39 n^2 on O_5 and 0.46 n^2 on
-    # FC_9: the context holds no n x n A
+def test_context_holds_under_nine_tenths_n2_floats(make):
+    # N's blocks below its block diagonal are 0.36 n^2 float64 on O_5 and
+    # 0.33 n^2 on FC_9, the shell blocks 0.39 n^2 and 0.46 n^2: the context
+    # holds no n x n A or N, and building it makes no n x n scaled copy of U
     scheme = make(5 if make is tw.odd_graph else 4)
     sp = tw.spectral_data(scheme)
     tracemalloc.start()
     try:
         ctx = tw.build_context(scheme, sp, 0)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert ctx.identities.all_passed
-    assert held <= 1.5 * 8 * scheme.n ** 2
+    assert held <= 0.9 * 8 * scheme.n ** 2
+    assert peak <= 1.3 * 8 * scheme.n ** 2
 
 
 def test_identities_all_pass_two_vertices(all_bundles):
@@ -160,6 +161,12 @@ def test_identity_report_names(all_bundles):
         assert tuple(c.name for c in ctx.identities.checks) == names
 
 
+def _block_norms2(X: np.ndarray, sp) -> np.ndarray:
+    """(D+1, D+1) squared Frobenius norms of the eigenspace blocks (j, i) of X."""
+    starts = np.cumsum(sp.m) - sp.m
+    return np.add.reduceat(np.add.reduceat(X * X, starts, axis=0), starts, axis=1)
+
+
 def _triangle_counterexamples(ctx, zero_tol=1e-7):
     """Reference: the vanishing biconditionals for triple products at the base vertex.
 
@@ -226,14 +233,45 @@ def _rounding(ctx):
     return ctx.n * (1.0 + float(np.abs(ctx.Astar).max())) * np.finfo(np.float64).eps
 
 
-def test_dual_operators_match_dense_idempotent_construction(all_bundles):
-    # the bands of N, taken back to the standard basis, are the sums of
-    # products with the dense idempotents
-    for bundle in all_bundles:
-        ctx = bundle.ctx
-        U, step = ctx.spectral.U, _dual_step(ctx)
-        for dense, s in zip(dense_dual_operators(ctx), (1, 0, -1)):
-            assert np.abs(dense - U @ (ctx.N * (step == s)) @ U.T).max() <= 1e-12 * ctx.n, bundle.name
+def _eigenspaces(sp):
+    """The column slice of each U_i in U."""
+    ends = np.cumsum(sp.m).tolist()
+    return [slice(e - m, e) for m, e in zip(sp.m.tolist(), ends)]
+
+
+def _dense_N(ctx):
+    """Reference: the whole n x n N = U^T A* U, by one dense product."""
+    U = ctx.spectral.U
+    return U.T @ (ctx.Astar[:, None] * U)
+
+
+def _assembled_N(ctx, below):
+    """N from the blocks ``below`` of a context, mirrored above the block diagonal.
+
+    The diagonal blocks, F*'s, are formed here as U_i^T A* U_i, as the
+    context does not hold them.
+    """
+    sp, N = ctx.spectral, np.zeros((ctx.n, ctx.n))
+    for i, s in enumerate(_eigenspaces(sp)):
+        N[s, s] = sp.U[:, s].T @ (ctx.Astar[:, None] * sp.U[:, s])
+        if i < ctx.D:
+            N[s.stop:, s] = below[i]
+            N[s, s.stop:] = below[i].T
+    return N
+
+
+def _dense_trace_ladders(ctx, N):
+    """Reference: the traces of E_t L*^d R*^d E_t by the walk of ``trace_ladders`` over the n x n ``N``."""
+    sp = ctx.spectral
+    lab, blocks = sp.eigenspace_labels(), _eigenspaces(sp)
+    ladders = [[] for _ in range(sp.D + 1)]
+    H = np.eye(int(sp.m[0]))
+    for k in range(sp.D + 1):
+        if k:
+            H = np.hstack([N[blocks[k], blocks[k - 1]] @ H, np.eye(int(sp.m[k]))])
+        for t, value in enumerate(np.bincount(lab[: blocks[k].stop], np.einsum("ij,ij->j", H, H)).tolist()):
+            ladders[t].append(value)
+    return ladders
 
 
 def _identity(ctx, name):
@@ -241,10 +279,44 @@ def _identity(ctx, name):
     return check.residual
 
 
+def test_held_blocks_are_dense_N_below_its_block_diagonal(all_bundles, cycle_contexts):
+    # block i holds rows e_i.. of N's column block i: R*'s block (i+1, i),
+    # then the far blocks; their mirrored norm is the dense off-band norm,
+    # also with noise on every held block, where it is far above rounding,
+    # and the walk over R*'s blocks gives the dense walk's traces
+    name = "Astar = Rstar + Fstar + Lstar"
+    rng = np.random.default_rng(6)
+    contexts = {bundle.name: bundle.ctx for bundle in all_bundles} | cycle_contexts
+    for key, ctx in contexts.items():
+        sp, N, far = ctx.spectral, _dense_N(ctx), np.abs(_dual_step(ctx)) > 1
+        assert len(ctx.below) == ctx.D, key
+        for B, s in zip(ctx.below, _eigenspaces(sp)):
+            assert B.shape == (ctx.n - s.stop, s.stop - s.start), key
+            assert np.abs(B - N[s.stop:, s]).max() <= 1e-12 * ctx.n, key
+        assert abs(_identity(ctx, name) - np.sqrt(np.sum(N[far] ** 2))) <= _rounding(ctx), key
+        noisy = tuple(B + rng.standard_normal(B.shape) * 1e-4 for B in ctx.below)
+        off_band = np.sqrt(np.sum(_assembled_N(ctx, noisy)[far] ** 2))
+        assert _identity(replace(ctx, below=noisy), name) == pytest.approx(off_band, rel=1e-12), key
+        for held, dense in zip(tw.trace_ladders(ctx), _dense_trace_ladders(ctx, N)):
+            np.testing.assert_allclose(held, dense, rtol=1e-12, atol=0, err_msg=key)
+
+
+def test_dual_operators_match_dense_idempotent_construction(all_bundles):
+    # the bands of N, taken back to the standard basis, are the sums of
+    # products with the dense idempotents: R* and L* from the held blocks,
+    # F* from U_i^T A* U_i
+    for bundle in all_bundles:
+        ctx = bundle.ctx
+        U, step, N = ctx.spectral.U, _dual_step(ctx), _assembled_N(ctx, ctx.below)
+        for dense, s in zip(dense_dual_operators(ctx), (1, 0, -1)):
+            assert np.abs(dense - U @ (N * (step == s)) @ U.T).max() <= 1e-12 * ctx.n, bundle.name
+
+
 def test_off_band_gate_bounds_dense_split_residual(all_bundles, fc7):
     # A* - R* - F* - L* with the dense idempotents: on the schemes it is
-    # rounding, and noise on N's off-band blocks lifts the gate far above
-    # rounding while it still bounds the dense max norm
+    # rounding, and noise on the held far blocks, mirrored above the block
+    # diagonal, lifts the gate far above rounding while it still bounds the
+    # dense max norm
     name = "Astar = Rstar + Fstar + Lstar"
     for bundle in all_bundles:
         ctx = bundle.ctx
@@ -252,9 +324,11 @@ def test_off_band_gate_bounds_dense_split_residual(all_bundles, fc7):
         assert dense <= _identity(ctx, name) + _rounding(ctx), bundle.name
         assert _identity(ctx, name) <= 1e-9 * ctx.n, bundle.name
     ctx, U = fc7.ctx, fc7.spectral.U
-    noise = np.random.default_rng(4).standard_normal((ctx.n, ctx.n)) * 1e-4
-    perturbed = replace(ctx, N=ctx.N + noise * (np.abs(_dual_step(ctx)) > 1))
-    Astar = U @ perturbed.N @ U.T
+    rng = np.random.default_rng(4)
+    below = tuple(np.vstack([B[:m], B[m:] + rng.standard_normal(B[m:].shape) * 1e-4])
+                  for B, m in zip(ctx.below, fc7.spectral.m[1:].tolist()))
+    perturbed = replace(ctx, below=below)
+    Astar = U @ _assembled_N(ctx, below) @ U.T
     dense = np.abs(Astar - sum(dense_dual_operators(ctx, Astar))).max()
     assert 1e-5 < dense <= _identity(perturbed, name)
     assert _identity(perturbed, name) > 1e-9 * ctx.n
