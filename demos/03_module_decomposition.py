@@ -14,7 +14,7 @@ scheme = tw.odd_graph(3)
 sp = tw.spectral_data(scheme)
 ctx = tw.build_context(scheme, sp, x=0)
 
-modules = tw.decompose(ctx, seed=0)
+modules = tw.decompose(ctx)
 print(f"O_4 standard module: {scheme.n} dimensions ->"
       f" {len(modules)} irreducible pieces\n")
 

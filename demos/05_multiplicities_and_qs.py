@@ -17,7 +17,7 @@ for build, name in [(lambda: tw.odd_cycle(4), "C_9"), (lambda: tw.folded_cube(3)
     sp = tw.spectral_data(scheme)
     table = tw.solve_multiplicities(sp)
     ctx = tw.build_context(scheme, sp, 0)
-    observed = tw.census(tw.decompose(ctx, seed=0))
+    observed = tw.census(tw.decompose(ctx))
     print(f"{name}: recurrence {table.nonzero()}")
     print(f"{'':{len(name)}}  oracle     {observed}   match: {table.matches_census(observed)}\n")
 

@@ -4,7 +4,7 @@ Subcommands: gen, validate, analyze, predict, decompose, multiplicities,
 qs, verify.  Reports go to stdout (human-readable tables by default, JSON
 with --json); diagnostics go to stderr.  Exit codes: 0 all checks passed,
 1 a check failed, 2 input error.  JSON reports carry a schema tag and,
-given the same scheme, vertex and seed, are byte-identical across runs.
+given the same scheme and vertex, are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def _q_polynomial(scheme):
 
 
 def _oracle(ctx, args) -> list:
-    """The oracle's modules at the run's seed and, if given, its tolerance."""
-    return decompose_standard_module(ctx, tol=RANK_TOL if args.tol is None else args.tol, seed=args.seed)
+    """The oracle's modules at the run's tolerance, if given."""
+    return decompose_standard_module(ctx, tol=RANK_TOL if args.tol is None else args.tol)
 
 
 # ---------------------------------------------------------------- verify
@@ -93,7 +93,6 @@ class VerifyCheck:
 class VerifyReport:
     scheme_path: str
     vertex: int
-    seed: int
     checks: list
 
     @property
@@ -102,17 +101,16 @@ class VerifyReport:
 
     def as_dict(self) -> dict:
         # elapsed times are intentionally left out: reports must be
-        # byte-identical for identical (scheme, vertex, seed)
+        # byte-identical for identical (scheme, vertex)
         return {
             "scheme": self.scheme_path,
             "vertex": self.vertex,
-            "seed": self.seed,
             "checks": [c.as_dict() for c in self.checks],
             "verdict": "pass" if self.passed else "fail",
         }
 
     def render_text(self) -> str:
-        lines = [f"verify {self.scheme_path} (vertex={self.vertex}, seed={self.seed})"]
+        lines = [f"verify {self.scheme_path} (vertex={self.vertex})"]
         for c in self.checks:
             residual = "" if c.residual is None else f"  residual={c.residual:.3e}"
             detail = "" if c.detail is None else f"  [{c.detail}]"
@@ -256,7 +254,7 @@ STAGES = (
 )
 
 
-def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | None = None) -> VerifyReport:
+def run_verify(scheme_path: str, vertex: int = 0, tol: float | None = None) -> VerifyReport:
     """Run the :data:`STAGES` table on one scheme file.
 
     The stages run in table order: axioms, P/Q orderings, almost-bipartite
@@ -266,8 +264,8 @@ def run_verify(scheme_path: str, vertex: int = 0, seed: int = 0, tol: float | No
     reason that value went missing for, "<value> unavailable" from the
     stage that failed to provide it, and its own value goes missing too.
     """
-    args = argparse.Namespace(scheme=scheme_path, vertex=vertex, seed=seed, tol=tol)
-    report = VerifyReport(scheme_path=str(scheme_path), vertex=vertex, seed=seed, checks=[])
+    args = argparse.Namespace(scheme=scheme_path, vertex=vertex, tol=tol)
+    report = VerifyReport(scheme_path=str(scheme_path), vertex=vertex, checks=[])
     values, missing = {}, {}  # value -> payload; value -> why it is missing
     for name, provides, reads, fn in STAGES:
         lost = [missing[r] for r in reads if r not in values]
@@ -379,7 +377,6 @@ def _cmd_decompose(args) -> int:
     mods = _oracle(ctx, args)
     doc = {
         "vertex": args.vertex,
-        "seed": args.seed,
         "census": [
             {"t": t, "d": d, "count": v} for (t, d), v in sorted(module_census(mods).items())
         ],
@@ -395,7 +392,7 @@ def _cmd_decompose(args) -> int:
     }
 
     def text(doc):
-        print(f"{len(doc['modules'])} irreducible modules (vertex={doc['vertex']}, seed={doc['seed']})")
+        print(f"{len(doc['modules'])} irreducible modules (vertex={doc['vertex']})")
         for row in doc["census"]:
             print(f"  (t={row['t']}, d={row['d']}): {row['count']}")
 
@@ -475,7 +472,7 @@ def _cmd_qs(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_verify(args.scheme, vertex=args.vertex, seed=args.seed, tol=args.tol)
+    report = run_verify(args.scheme, vertex=args.vertex, tol=args.tol)
     _emit(report.as_dict(), args.json, lambda doc: print(report.render_text()))
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -485,10 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument("--tol", type=float, default=None,
-                        help="absolute tolerance of the operator-identity report (default 1e-9 n) and per-vertex "
-                             "tolerance of the module certificate, gated at tol * n (default 1e-8); the identities "
-                             "are gated at their default before the report is judged, so it cannot loosen them")
-    common.add_argument("--seed", type=int, default=0, help="seed of the basis rotation inside blocks of isomorphic modules")
+                        help="positive, finite absolute tolerance of the operator-identity report (default 1e-9 n) "
+                             "and per-vertex tolerance of the module certificate, gated at tol * n (default 1e-8); "
+                             "the identities are gated at their default first, so it cannot loosen them")
+    # parsed and never read: the oracle has no seed, but perfbench's op lists still pass --seed 0
+    common.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     common.add_argument("--vertex", type=int, default=0, help="base vertex")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -59,6 +59,12 @@ from .spectral import SpectralData, is_almost_bipartite
 IDENTITY_TOL_PER_VERTEX = 1e-9
 
 
+def check_tol(tol: float) -> None:
+    """Raise :class:`InvalidParameter` unless ``tol`` is positive and finite: a NaN or inf passes every gate."""
+    if not 0.0 < tol < np.inf:
+        raise InvalidParameter(f"tolerance {tol} is not positive and finite")
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -94,9 +100,10 @@ class IdentityReport:
         return {"checks": [c.as_dict() for c in self.checks], "all_passed": self.all_passed}
 
     def at_tol(self, tol: float | None) -> IdentityReport:
-        """The same residuals judged against ``tol``; unchanged when it is None."""
+        """The same residuals judged against ``tol``, which must be positive and finite; unchanged when it is None."""
         if tol is None:
             return self
+        check_tol(tol)
         return IdentityReport(checks=tuple(replace(c, tol=tol) for c in self.checks))
 
 

@@ -42,9 +42,8 @@ gap (the factor 4 covers |mu| against the largest |eigenvalue| and
 ``eigh``'s rounding).  On the first rung the two matrices are the
 compressions of E*_r A E*_r and E*_r A^2 E*_r - (E*_r A E*_r)^2 to
 K_r.  Inside a block the modules are not unique: every orthonormal basis
-of the block gives a valid splitting.  ``seed`` picks one by a random
-orthogonal rotation, so the census and the measured bands must not
-depend on it.
+of the block gives a valid splitting, and the oracle keeps the one that
+the complement and the splits give it.
 
 Certification.  A ladder spans a subspace with one unit vector per shell.
 Every rung lies on one shell by construction, so A* acts on rung i as the
@@ -61,19 +60,20 @@ on those three shells these give column i of T = B^T A B and of
 A B - B T, so the shell-local invariance residual is the residual of
 the dense product.  Rungs on different shells have disjoint supports,
 so the stacked bases B satisfy |B^T B - I| <= ``tol * n`` when the
-rungs on each shell do: one |S_s|-square Gram matrix per shell.  A ladder's rungs of equal shape, and shells of equal
-shape, are batched, which keeps the long, thin shell sequences of the
-odd cycles cheap.  A collection whose dimension is not n, bases that
-overlap, a ladder that is not A-invariant, or a block whose ladders stop
-at different rungs raises :class:`NotThin` with a witness.  A acts on a
-module by T, tridiagonal with nonzero rungs, so its d + 1 eigenvalues
-are simple and each is some theta_i, whose eigenvector spans E_i W.
-Labelling them by the nearest theta gives rank(E_i W) and the dual
-endpoint t; an eigenvalue more than ``tol * n`` from every theta, a rank
-above 1 or a support not d + 1 long means the module is not dual thin
-and raises :class:`NotThin` too.  These gates are taken for all modules
-at once, and the witness names the first failing module in ladder order,
-its gap tested before its ranks.
+rungs on each shell do: one |S_s|-square Gram matrix per shell.  A
+ladder's rungs of equal shape, and shells of equal shape, are batched,
+which keeps the long, thin shell sequences of the odd cycles cheap.  A
+collection whose dimension is not n, bases that overlap, a ladder that
+is not A-invariant, or a block whose ladders stop at different rungs
+raises :class:`NotThin` with a witness.  A acts on a module by T,
+tridiagonal with nonzero rungs, so its d + 1 eigenvalues are simple and
+each is some theta_i, whose eigenvector spans E_i W.  Labelling them by
+the nearest theta gives rank(E_i W) and the dual endpoint t; an
+eigenvalue more than ``tol * n`` from every theta, a rank above 1 or a
+support not d + 1 long means the module is not dual thin and raises
+:class:`NotThin` too.  These gates are taken for all modules at once,
+and the witness names the first failing module in ladder order, its gap
+tested before its ranks.
 
 Measurement.  A and A* act on a thin, dual thin module by tridiagonal
 matrices B(W) and B*(W) in its two ladder bases, read as their bands
@@ -94,7 +94,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .context import TerwContext
+from .context import TerwContext, check_tol
 from .errors import NotThin, NumericalCheckFailure
 
 #: rung norms below this fraction of the valency, and complement pivots below it, count as zero
@@ -427,31 +427,30 @@ def _certify(ctx: TerwContext, shells: list, ladders: list, actions: list, tol: 
     return modules
 
 
-def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
+def decompose(ctx: TerwContext, tol: float = RANK_TOL) -> list:
     """Split the coordinate space into irreducible invariant subspaces.
 
     Works on the context's shell blocks of A only (see the module
     docstring).  For each endpoint r, the ladders of K_r (the complement of
     the lower ladders' rungs on shell r) are grown and split, rung by rung,
-    into blocks of isomorphic modules by the rung Gram and flat matrices,
-    and ``seed`` rotates each block's basis by a random orthogonal matrix.  The modules
-    are certified orthonormal to each other, by one Gram matrix per shell, and
-    A-invariant, on the three shell blocks each rung touches, both to
-    ``tol * n``; A*-invariance holds by construction.  Dual thinness and t
-    are read off the spectrum of each T = B^T A B, and each module is
-    measured inside its certificate: its bands ``cab`` and ``cab_star``,
-    the squared norms of its two ladders, and what :func:`norm_ladder_check`
-    reports of them are filled in, for all modules of one size at once.  Raises
-    :class:`NotThin`, with a ``witness``, when the modules do not add up to
-    dimension n, overlap, are not A-invariant or are not dual thin.
-    Returns the modules sorted by (t, d, r); the census and the measured
-    bands do not depend on ``seed``.
+    into blocks of isomorphic modules by the rung Gram and flat matrices.
+    The modules are certified orthonormal to each other, by one Gram matrix
+    per shell, and A-invariant, on the three shell blocks each rung touches,
+    both to ``tol * n``; A*-invariance holds by construction.  Dual thinness
+    and t are read off the spectrum of each T = B^T A B, and each module is
+    measured inside its certificate: its bands ``cab`` and ``cab_star``, the
+    squared norms of its two ladders, and what :func:`norm_ladder_check`
+    reports of them are filled in, for all modules of one size at once.
+    Raises :class:`NotThin`, with a ``witness``, when the modules do not add
+    up to dimension n, overlap, are not A-invariant or are not dual thin,
+    and :class:`InvalidParameter` when ``tol`` is not positive and finite.
+    Returns the modules sorted by (t, d, r).
     """
+    check_tol(tol)
     shells, up, flat, _ = ctx.blocks
     # the largest row sum of |A|: build_context certifies that the blocks hold
     # all of A, the 0/1 adjacency of a graph regular of valency k
     scale = max(1.0, ctx.spectral.pp.valency)
-    rng = np.random.default_rng(seed)
     ladders, actions = [], []
     for r in range(ctx.D + 1):
         held = [rungs[r - s] for s, rungs in ladders if s + len(rungs) > r]  # on shell r, from lower endpoints
@@ -459,14 +458,8 @@ def decompose(ctx: TerwContext, tol: float = RANK_TOL, seed: int = 0) -> list:
             continue  # K_r = 0
         kernel = [_complement(np.hstack([np.zeros((shells[r].size, 0))] + held))]  # _ladders grows or splits it
         grown = [(r, rungs) for rungs in _ladders(up, flat, r, kernel, scale)] if kernel[0].shape[1] else []
-        for _, rungs in grown:
-            g = rungs[0].shape[1]
-            if g > 1:
-                Q = np.linalg.qr(rng.standard_normal((g, g)))[0]
-                rungs[:] = [R @ Q for R in rungs]
-        if grown:
-            ladders += grown
-            actions += _actions(shells, up, flat, grown)
+        ladders += grown
+        actions += _actions(shells, up, flat, grown)
     modules = _certify(ctx, shells, ladders, actions, tol)
     order = sorted(range(len(modules)), key=lambda i: (modules[i].t, modules[i].d, modules[i].r, i))
     return [modules[i] for i in order]

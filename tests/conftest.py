@@ -60,6 +60,31 @@ def dense_dual_operators(ctx, Astar=None):
     return tuple(ops)
 
 
+def rotate_blocks(monkeypatch, seed):
+    """Make :func:`decompose` rotate every block of isomorphic modules by a seeded random orthogonal matrix.
+
+    Every orthonormal basis of such a block splits it validly, so the
+    census and the bands must not move.  The wrapper replaces
+    ``decomposer._ladders``, whose recursive calls on a split block go
+    through it too and only compose rotations.
+    """
+    from terwlab import decomposer
+
+    rng = np.random.default_rng(seed)
+    ladders = decomposer._ladders
+
+    def rotated(*args):
+        blocks = ladders(*args)
+        for rungs in blocks:
+            g = rungs[0].shape[1]
+            if g > 1:
+                Q = np.linalg.qr(rng.standard_normal((g, g)))[0]
+                rungs[:] = [R @ Q for R in rungs]
+        return blocks
+
+    monkeypatch.setattr(decomposer, "_ladders", rotated)
+
+
 @dataclass(frozen=True)
 class Bundle:
     name: str
@@ -73,7 +98,7 @@ class Bundle:
 def _build(name, scheme) -> Bundle:
     spectral = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, spectral, 0)
-    modules = tuple(tw.decompose(ctx, seed=0))
+    modules = tuple(tw.decompose(ctx))
     table = tw.solve_multiplicities(spectral)
     return Bundle(name=name, scheme=scheme, spectral=spectral, ctx=ctx,
                   modules=modules, table=table)

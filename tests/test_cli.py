@@ -136,8 +136,8 @@ def test_verify_passes(c7_file, capsys):
 
 
 def test_verify_report_deterministic(c7_file):
-    a = json.dumps(run_verify(c7_file, 0, 0).as_dict(), sort_keys=True)
-    b = json.dumps(run_verify(c7_file, 0, 0).as_dict(), sort_keys=True)
+    a = json.dumps(run_verify(c7_file, 0).as_dict(), sort_keys=True)
+    b = json.dumps(run_verify(c7_file, 0).as_dict(), sort_keys=True)
     assert a == b
 
 
@@ -213,13 +213,13 @@ def test_verify_checks_identities_once(c7_file, monkeypatch):
     real = context.verify_operator_identities
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("tol"))
+        calls.append(1)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(context, "verify_operator_identities", counted)
     assert main(["verify", "--scheme", c7_file, "--json"]) == 0
     assert main(["analyze", "--scheme", c7_file, "--tol", "1e-30", "--json"]) == 1
-    assert calls == [None, None]
+    assert len(calls) == 2
 
 
 def test_tol_rejudges_the_same_identity_residuals(c7_file):
@@ -367,6 +367,16 @@ def test_multiplicities_oracle_honours_tol(c7_file, capsys):
     for sub in (["decompose"], ["multiplicities", "--oracle"]):
         assert main([*sub, "--scheme", c7_file, "--tol", "1e-30"]) == 1
         assert capsys.readouterr().err.startswith("check failed: NotThin: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("sub", [["analyze"], ["decompose"], ["multiplicities", "--oracle"], ["verify"]], ids=" ".join)
+def test_tol_that_is_not_positive_and_finite_is_input_error(sub, tol, c7_file, capsys):
+    # a NaN or infinite tol would pass every gate, and a negative one fail every gate
+    assert main([*sub, "--scheme", c7_file, f"--tol={tol}", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: tolerance {float(tol)} is not positive and finite\n"
 
 
 @pytest.fixture(scope="module")

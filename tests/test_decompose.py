@@ -6,7 +6,8 @@ import pytest
 
 import terwlab as tw
 from terwlab.predictor import band_gap
-from conftest import dense_adjacency, dense_dual_operators, dense_idempotents, split_operators, with_adjacency
+from conftest import (dense_adjacency, dense_dual_operators, dense_idempotents, rotate_blocks, split_operators,
+                      with_adjacency)
 from terwlab.context import shell_blocks
 
 # censuses confirmed two independent ways: the oracle decomposition and the
@@ -81,10 +82,17 @@ def test_unique_full_diameter_module(all_bundles):
         assert full[0].r == 0 and full[0].t == 0
 
 
-def test_census_reproducible_across_seeds(o4, fc7):
-    for bundle in (o4, fc7):
-        censuses = [tw.census(tw.decompose(bundle.ctx, seed=s)) for s in (0, 1, 2)]
-        assert censuses[0] == censuses[1] == censuses[2] == EXPECTED_CENSUS[bundle.name]
+def test_decompose_is_a_function_of_the_context(o4, fc9):
+    # no randomness: a second call repeats the first to the bit
+    for bundle in (o4, fc9):
+        again = tw.decompose(bundle.ctx)
+        assert len(again) == len(bundle.modules)
+        for a, b in zip(bundle.modules, again):
+            assert (a.r, a.t, a.d) == (b.r, b.t, b.d)
+            for (on_a, w_a), (on_b, w_b) in zip(a.rungs, b.rungs):
+                assert np.array_equal(on_a, on_b) and np.array_equal(w_a, w_b)
+            for x, y in zip(a.cab + a.cab_star, b.cab + b.cab_star):
+                assert np.array_equal(x, y)
 
 
 def test_trivial_module_measures_scheme_arrays(all_bundles):
@@ -243,11 +251,23 @@ def test_non_invariant_ladder_raises_with_witness(c7):
 
     ctx = _without_edge(c7.ctx, 0, 1)
     with pytest.raises(NotThin) as info:
-        tw.decompose(ctx, seed=0)
+        tw.decompose(ctx)
     r, g, op, residual = info.value.witness
     assert (r, g, op) == (0, 1, "A")
     assert residual == pytest.approx(1.0, abs=1e-12)
     assert residual > 1e-8 * c7.scheme.n
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_tol_that_is_not_positive_and_finite_raises(c7, tol):
+    # no comparison with a NaN holds, so at tol=nan C_7 without the edge 1-2
+    # would pass every gate as two modules, where the default raises NotThin
+    from terwlab.errors import InvalidParameter
+
+    with pytest.raises(InvalidParameter, match="not positive and finite"):
+        tw.decompose(_without_edge(c7.ctx, 1, 2), tol=tol)
+    with pytest.raises(InvalidParameter, match="not positive and finite"):
+        c7.ctx.identities.at_tol(tol)
 
 
 def test_collected_dimension_mismatch_raises_with_counts(c7, o4):
@@ -258,7 +278,7 @@ def test_collected_dimension_mismatch_raises_with_counts(c7, o4):
 
     ctx = _without_edge(c7.ctx, 1, 2)
     with pytest.raises(NotThin, match="overlaps another module") as info:
-        tw.decompose(ctx, seed=0)
+        tw.decompose(ctx)
     assert info.value.witness == (1, 1, "Gram", 1.0)
     # modules that leave part of the space out fail the collected-dimension
     # gate; the last module of O_4 has dimension 1, so n - 1 of n are left
@@ -411,7 +431,7 @@ def test_odd_cycle_ladder(D):
     scheme = tw.odd_cycle(D)
     sp = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, sp, 0)
-    mods = tw.decompose(ctx, seed=0)
+    mods = tw.decompose(ctx)
     observed = tw.census(mods)
     assert observed == {(0, D): 1, (1, D - 1): 1}
     assert sum(m.dim for m in mods) == scheme.n
@@ -425,22 +445,23 @@ def test_odd_cycle_ladder(D):
         assert tw.solve_multiplicities(sp).matches_census(observed)
 
 
-def test_seeds_rotate_blocks_but_keep_measurements(fc9):
-    runs = [tw.decompose(fc9.ctx, seed=s) for s in (0, 1, 2)]
-    for mods in runs:
-        assert tw.census(mods) == EXPECTED_CENSUS["FC9"]
-    for mods in runs[1:]:
-        for a, b in zip(runs[0], mods):
-            assert (a.t, a.d, a.r) == (b.t, b.d, b.r)
-            assert band_gap(a.cab, b.cab) < 1e-9
-            assert band_gap(a.cab_star, b.cab_star) < 1e-9
-    block = [[m.basis for m in mods if (m.t, m.d) == (2, 1)] for mods in runs]
-    assert len(block[0]) == 48
-    stacked = [np.hstack(b) for b in block]
-    for other in stacked[1:]:
-        assert np.abs(stacked[0] - other).max() > 1e-3
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["c7", "c9", "o4", "fc7", "fc9"])
+def test_block_rotations_keep_census_and_bands(name, seed, request, monkeypatch):
+    bundle = request.getfixturevalue(name)
+    rotate_blocks(monkeypatch, seed)
+    mods = tw.decompose(bundle.ctx)
+    assert tw.census(mods) == EXPECTED_CENSUS[bundle.name]
+    for a, b in zip(bundle.modules, mods):
+        assert (a.t, a.d, a.r) == (b.t, b.d, b.r)
+        assert band_gap(a.cab, b.cab) < 1e-9
+        assert band_gap(a.cab_star, b.cab_star) < 1e-9
+    if bundle.name == "FC9":
+        kept, moved = (np.hstack([m.basis for m in ms if (m.t, m.d) == (2, 1)]) for ms in (bundle.modules, mods))
+        assert kept.shape[1] == 2 * 48  # the 48 modules of dimension 2
+        assert np.abs(kept - moved).max() > 1e-3
         # same block: the span is the same, only the basis inside it moves
-        assert np.abs(other - stacked[0] @ (stacked[0].T @ other)).max() < 1e-9
+        assert np.abs(moved - kept @ (kept.T @ moved)).max() < 1e-9
 
 
 def _principal_vector(M):
@@ -477,7 +498,7 @@ def _reference_measure(ctx, mod):
 def _cycle_bundle(D):
     scheme = tw.odd_cycle(D)
     ctx = tw.build_context(scheme, tw.spectral_data(scheme), 0)
-    return ctx, tw.decompose(ctx, seed=0)
+    return ctx, tw.decompose(ctx)
 
 
 def test_batched_measurement_matches_per_module_reference(all_bundles):
@@ -525,10 +546,10 @@ def test_no_split_certificate_changes_no_decision(all_bundles, cycle_contexts, m
     from terwlab import decomposer
 
     contexts = [b.ctx for b in all_bundles] + list(cycle_contexts.values())
-    certified = [tw.decompose(ctx, seed=0) for ctx in contexts]
+    certified = [tw.decompose(ctx) for ctx in contexts]
     monkeypatch.setattr(decomposer, "_eigenblocks", _eigh_blocks)
     for ctx, mods in zip(contexts, certified):
-        ref = tw.decompose(ctx, seed=0)
+        ref = tw.decompose(ctx)
         assert tw.census(ref) == tw.census(mods)
         assert [(m.r, m.t, m.d) for m in ref] == [(m.r, m.t, m.d) for m in mods]
         for a, b in zip(ref, mods):
@@ -575,5 +596,5 @@ def test_no_split_certificate_skips_eigh_on_scalar_rung_matrices(o4, fc9, monkey
     monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(M.ndim) or eigh(M))
     for bundle, expected in ((fc9, 0), (o4, 2)):
         calls.clear()
-        tw.decompose(bundle.ctx, seed=0)
+        tw.decompose(bundle.ctx)
         assert calls.count(2) == expected, bundle.name  # _certify's batched eigh takes (g, k, k) stacks

@@ -16,7 +16,7 @@ def test_long_odd_cycles(D):
     scheme = tw.odd_cycle(D)
     sp = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, sp, 0)
-    modules = tw.decompose(ctx, seed=0)
+    modules = tw.decompose(ctx)
     table = tw.solve_multiplicities(sp)
     observed = tw.census(modules)
     assert table.matches_census(observed)
@@ -37,7 +37,7 @@ def test_o5_full_pipeline():
     assert scheme.n == 126
     sp = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, sp, 0)
-    modules = tw.decompose(ctx, seed=0)
+    modules = tw.decompose(ctx)
     table = tw.solve_multiplicities(sp)
     assert table.matches_census(tw.census(modules))
     assert table.total_dimension() == 126
@@ -51,7 +51,7 @@ def test_census_vertex_independent(c9, fc7):
         base = tw.census(bundle.modules)
         for x in (1, bundle.scheme.n - 1):
             ctx = tw.build_context(bundle.scheme, bundle.spectral, x)
-            assert tw.census(tw.decompose(ctx, seed=0)) == base
+            assert tw.census(tw.decompose(ctx)) == base
 
 
 def test_verify_small_diameter_cycles(tmp_path):
@@ -135,4 +135,4 @@ def test_dense_instances_keep_census_and_multiplicity_table(name):
     sp = tw.spectral_data(scheme)
     table = tw.solve_multiplicities(sp)
     assert table.nonzero() == expected and table.zero_coefficient_cells == ()
-    assert tw.census(tw.decompose(tw.build_context(scheme, sp, 0), seed=0)) == expected
+    assert tw.census(tw.decompose(tw.build_context(scheme, sp, 0))) == expected

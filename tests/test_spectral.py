@@ -324,7 +324,7 @@ def test_alternate_p_ordering_gives_same_census(c7):
     assert sp2.p_ordering == (0, 1, 2, 3)
     assert np.allclose(np.sort(sp2.theta), np.sort(c7.spectral.theta))
     ctx2 = tw.build_context(scheme, sp2, 0)
-    census2 = tw.census(tw.decompose(ctx2, seed=0))
+    census2 = tw.census(tw.decompose(ctx2))
     assert census2 == tw.census(c7.modules) == {(0, 3): 1, (1, 2): 1}
     assert tw.solve_multiplicities(sp2).matches_census(census2)
 
