@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: gen, validate, analyze, predict, decompose, multiplicities,
-qs, verify.  Reports go to stdout (human-readable tables by default, JSON
-with --json); diagnostics go to stderr.  Exit codes: 0 all checks passed,
-1 a check failed, 2 input error.  JSON reports carry a schema tag and,
-given the same scheme and vertex, are byte-identical across runs.
+qs, verify.  ``--tol`` is checked before any of them runs.  Each one that
+reads a scheme runs the :data:`STAGES` table up to the value it reports
+(``verify`` runs all of it), then formats that value.  Reports go to
+stdout (human-readable tables by default, JSON with --json); diagnostics
+go to stderr.  Exit codes: 0 all checks passed, 1 a check failed, 2 input
+error.  JSON reports carry a schema tag and, given the same scheme and
+vertex, are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import generators, multiplicity, predictor, qs
-from .context import build_context
+from .context import build_context, check_tol
 from .decomposer import census as module_census
 from .decomposer import decompose as decompose_standard_module
 from .decomposer import RANK_TOL
@@ -47,27 +50,6 @@ def _emit(doc: dict, as_json: bool, render_text) -> None:
         print(json.dumps({"schema": SCHEMA, **doc}, sort_keys=True))
     else:
         render_text(doc)
-
-
-def _load(args):
-    """The scheme of ``--scheme``; raises :class:`InvalidParameter` when ``--vertex`` is not one of its vertices."""
-    scheme = generators.load_scheme(args.scheme)
-    if not 0 <= args.vertex < scheme.n:
-        raise InvalidParameter(f"base vertex {args.vertex} out of range for {scheme.n} vertices")
-    return scheme
-
-
-def _q_polynomial(scheme):
-    """Spectral data of a scheme that has a Q-polynomial ordering."""
-    sp = spectral_data(scheme)
-    if not sp.is_q_polynomial:
-        raise OrderingMissing("no Q-polynomial ordering")
-    return sp
-
-
-def _oracle(ctx, args) -> list:
-    """The oracle's modules at the run's tolerance, if given."""
-    return decompose_standard_module(ctx, tol=RANK_TOL if args.tol is None else args.tol)
 
 
 # ---------------------------------------------------------------- verify
@@ -123,12 +105,16 @@ class VerifyReport:
 # and returns (status, residual, detail, value); a value of None is missing.
 
 def _axioms(args, values):
-    s = _load(args)
+    s = generators.load_scheme(args.scheme)
+    if not 0 <= args.vertex < s.n:
+        raise InvalidParameter(f"base vertex {args.vertex} out of range for {s.n} vertices")
     return "pass", None, f"n={s.n} D={s.D}", s
 
 
 def _pq_orderings(args, values):
-    sp = _q_polynomial(values["scheme"])
+    sp = spectral_data(values["scheme"])
+    if not sp.is_q_polynomial:
+        raise OrderingMissing("no Q-polynomial ordering")
     return "pass", None, f"p_ordering={list(sp.p_ordering)} q_ordering={list(sp.q_ordering)}", sp
 
 
@@ -147,16 +133,17 @@ def _operator_identities(args, values):
 
 
 def _decomposition(args, values):
-    mods = _oracle(values["context"], args)
+    mods = decompose_standard_module(values["context"], tol=RANK_TOL if args.tol is None else args.tol)
     return "pass", None, f"{len(mods)} modules, census={_census_str(module_census(mods))}", mods
 
 
 def _module_structure(args, values):
     D = values["spectral data"].D
+    endpoints = values["almost-bipartite flag"]  # the endpoint identities are theorems only there
     worst = 0.0
     # the oracle fills in each module's norm_ladder_check as two fields
     for mod in values["decomposition"]:
-        if mod.r + mod.d != D or 2 * mod.t + mod.d < D:
+        if endpoints and (mod.r + mod.d != D or 2 * mod.t + mod.d < D):
             return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
         if not mod.products_positive:
             return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
@@ -165,6 +152,8 @@ def _module_structure(args, values):
 
 
 def _predictor_vs_oracle(args, values):
+    if not values["almost-bipartite flag"]:
+        return "skip", None, qs.NOT_ALMOST_BIPARTITE, None
     spectral = values["spectral data"]
     grid = spectral.bands
     worst = 0.0
@@ -205,6 +194,8 @@ def _trace_formula(args, values):
 
 
 def _multiplicity_recurrence(args, values):
+    if not values["almost-bipartite flag"]:
+        return "skip", None, qs.NOT_ALMOST_BIPARTITE, None
     spectral = values["spectral data"]
     tab = multiplicity.solve_multiplicities(spectral)
     observed = module_census(values["decomposition"])
@@ -229,11 +220,9 @@ def _qs_engine(args, values):
     if worst > 1e-8:
         return "fail", worst, "q,s forms disagree with eigenvalue forms", None
     if table is not None:
-        for (t, d) in spectral.bands.cells:
-            if d >= spectral.D - 3:
-                closed = qs.qs_multiplicity(params, t, d)
-                if abs(closed - table.mult[t, d]) > 1e-6:
-                    return "fail", worst, f"closed-form mult({t},{d}) = {closed} != recurrence", None
+        for (t, d), closed in qs.closed_form_multiplicities(params).items():
+            if abs(closed - table.mult[t, d]) > 1e-6:
+                return "fail", worst, f"closed-form mult({t},{d}) = {closed} != recurrence", None
     return "pass", worst, None, True
 
 
@@ -245,10 +234,11 @@ STAGES = (
     ("almost_bipartite", "almost-bipartite flag", ("spectral data",), _almost_bipartite),
     ("operator_identities", "context", ("scheme", "spectral data"), _operator_identities),
     ("decomposition", "decomposition", ("context",), _decomposition),
-    ("module_structure", None, ("spectral data", "decomposition"), _module_structure),
-    ("predictor_vs_oracle", None, ("spectral data", "decomposition"), _predictor_vs_oracle),
+    ("module_structure", None, ("spectral data", "almost-bipartite flag", "decomposition"), _module_structure),
+    ("predictor_vs_oracle", None, ("spectral data", "almost-bipartite flag", "decomposition"),
+     _predictor_vs_oracle),
     ("trace_formula", None, ("spectral data", "context"), _trace_formula),
-    ("multiplicity_recurrence", "multiplicity table", ("spectral data", "decomposition"),
+    ("multiplicity_recurrence", "multiplicity table", ("spectral data", "almost-bipartite flag", "decomposition"),
      _multiplicity_recurrence),
     ("qs_engine", None, ("spectral data",), _qs_engine),
 )
@@ -263,6 +253,9 @@ def run_verify(scheme_path: str, vertex: int = 0, tol: float | None = None) -> V
     the q,s model.  A stage that reads a missing value is skipped with the
     reason that value went missing for, "<value> unavailable" from the
     stage that failed to provide it, and its own value goes missing too.
+    On a scheme that is not almost-bipartite, which the paper's theorems
+    exclude, the predictor, recurrence and q,s stages skip, and the module
+    structure stage drops the endpoint identities.
     """
     args = argparse.Namespace(scheme=scheme_path, vertex=vertex, tol=tol)
     report = VerifyReport(scheme_path=str(scheme_path), vertex=vertex, checks=[])
@@ -292,6 +285,26 @@ def _census_str(cen: dict) -> str:
     return "{" + ", ".join(f"({t},{d}):{v}" for (t, d), v in sorted(cen.items())) + "}"
 
 
+def _values(args, last: str) -> dict:
+    """Run :data:`STAGES` in order up to the stage that provides ``last``, and return the values.
+
+    A stage that raises ends the run.  One that fails with a value passes the value on, as the
+    identity stage does when ``--tol`` fails it, so the oracle still runs at that tolerance.
+    """
+    values = {}
+    for _, provides, _, fn in STAGES:
+        values[provides] = fn(args, values)[3]
+        if provides == last:
+            return values
+
+
+def _refused(values, what: str) -> bool:
+    """Whether the scheme is not almost-bipartite, so that the paper's ``what`` does not apply; says so on stderr."""
+    if not values["almost-bipartite flag"]:
+        print(f"{qs.NOT_ALMOST_BIPARTITE}; {what} does not apply", file=sys.stderr)
+    return not values["almost-bipartite flag"]
+
+
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_gen(args) -> int:
@@ -302,7 +315,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    scheme = _load(args)
+    scheme = _values(args, "scheme")["scheme"]
     tensor = scheme.tensor
     doc = {
         "n": scheme.n,
@@ -319,17 +332,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    scheme = _load(args)
-    sp = _q_polynomial(scheme)
-    ctx = build_context(scheme, sp, args.vertex)
-    rep = ctx.identities.at_tol(args.tol)
+    values = _values(args, "context")
+    sp = values["spectral data"]
+    rep = values["context"].identities.at_tol(args.tol)
     doc = {
         "vertex": args.vertex,
         "p_ordering": list(sp.p_ordering),
         "q_ordering": list(sp.q_ordering),
         "theta": sp.theta.tolist(),
         "theta_star": sp.theta_star.tolist(),
-        "almost_bipartite": is_almost_bipartite(sp.pp),
+        "almost_bipartite": values["almost-bipartite flag"],
         "identities": rep.as_dict(),
     }
 
@@ -345,7 +357,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    sp = _q_polynomial(_load(args))
+    values = _values(args, "almost-bipartite flag")
+    if _refused(values, "module prediction"):
+        return EXIT_CHECK_FAILED
+    sp = values["spectral data"]
     try:
         fr = predictor.feasibility(sp, args.t, args.d)
     except InvalidCell as exc:
@@ -372,9 +387,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    scheme = _load(args)
-    ctx = build_context(scheme, _q_polynomial(scheme), args.vertex)
-    mods = _oracle(ctx, args)
+    mods = _values(args, "decomposition")["decomposition"]
     doc = {
         "vertex": args.vertex,
         "census": [
@@ -401,26 +414,19 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiplicities(args) -> int:
-    scheme = _load(args)
-    sp = _q_polynomial(scheme)
-    tab = multiplicity.solve_multiplicities(sp)
+    values = _values(args, "decomposition" if args.oracle else "almost-bipartite flag")
+    if _refused(values, "multiplicity recurrence"):
+        return EXIT_CHECK_FAILED
+    tab = multiplicity.solve_multiplicities(values["spectral data"])
     doc = tab.as_dict()
-    exit_code = EXIT_OK
     if args.oracle:
-        ctx = build_context(scheme, sp, args.vertex)
-        observed = module_census(_oracle(ctx, args))
+        observed = module_census(values["decomposition"])
         doc["oracle_census"] = [
             {"t": t, "d": d, "count": v} for (t, d), v in sorted(observed.items())
         ]
-        cells = sorted(set(tab.mult) | set(observed))
-        doc["oracle_diff"] = [
-            {"t": t, "d": d, "recurrence": tab.mult.get((t, d), 0), "oracle": observed.get((t, d), 0)}
-            for (t, d) in cells
-            if tab.mult.get((t, d), 0) != observed.get((t, d), 0)
-        ]
+        doc["oracle_diff"] = [{"t": t, "d": d, "recurrence": rec, "oracle": orc}
+                              for (t, d), (rec, orc) in tab.census_diff(observed).items()]
         doc["matches_oracle"] = not doc["oracle_diff"]
-        if not doc["matches_oracle"]:
-            exit_code = EXIT_CHECK_FAILED
 
     def text(doc):
         print("mult(t, d) from the trace recurrence:")
@@ -435,15 +441,15 @@ def _cmd_multiplicities(args) -> int:
                       f"recurrence {row['recurrence']} vs oracle {row['oracle']}")
 
     _emit(doc, args.json, text)
-    return exit_code
+    return EXIT_OK if doc.get("matches_oracle", True) else EXIT_CHECK_FAILED
 
 
 def _cmd_qs(args) -> int:
-    sp = _q_polynomial(_load(args))
-    excl, skipped = qs.skip_reason(sp.pp, sp.n)
-    if skipped == qs.NOT_ALMOST_BIPARTITE:
-        print(f"{skipped}; q,s model does not apply", file=sys.stderr)
+    values = _values(args, "almost-bipartite flag")
+    if _refused(values, "q,s model"):
         return EXIT_CHECK_FAILED
+    sp = values["spectral data"]
+    excl, skipped = qs.skip_reason(sp.pp, sp.n)
     doc = {"exclusion": {"is_odd_graph": excl.is_odd_graph,
                          "is_folded_cube": excl.is_folded_cube}}
     if skipped is not None:
@@ -456,9 +462,8 @@ def _cmd_qs(args) -> int:
         return EXIT_OK
     params = qs.fit_qs(sp.theta, sp.theta_star, sp.D)
     doc["params"] = params.as_dict()
-    # the six cells with d >= D - 3, the ones the closed forms cover
-    cells = sorted((t, d) for (t, d) in predictor.upsilon_cells(sp.D) if d >= sp.D - 3)
-    doc["closed_form_mult"] = [{"t": t, "d": d, "mult": qs.qs_multiplicity(params, t, d)} for (t, d) in cells]
+    doc["closed_form_mult"] = [{"t": t, "d": d, "mult": mult}
+                               for (t, d), mult in qs.closed_form_multiplicities(params).items()]
 
     def text(doc):
         p = doc["params"]
@@ -526,6 +531,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if args.tol is not None:
+            check_tol(args.tol)  # before any stage, so no subcommand reads a file for a bad --tol
         return args.fn(args)
     except (ParseError, AxiomViolation, InvalidParameter, ResourceLimit, FileNotFoundError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

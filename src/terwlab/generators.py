@@ -94,7 +94,7 @@ def _odd_graph_adjacency(D: int) -> list[list[int]]:
     return [np.flatnonzero(row).tolist() for row in disjoint]
 
 
-def odd_graph(D: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationScheme:
+def odd_graph(D: int) -> AssociationScheme:
     """Distance scheme of the Kneser graph K(2D+1, D).
 
     Vertices are the D-subsets of a (2D+1)-set in colexicographic order,
@@ -105,15 +105,15 @@ def odd_graph(D: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationScheme
     import math
 
     n = math.comb(2 * D + 1, D)
-    if n > vertex_cap:
-        raise ResourceLimit(f"odd_graph(D={D}) has {n} vertices, cap is {vertex_cap}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceLimit(f"odd_graph(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
     scheme = scheme_from_graph(_odd_graph_adjacency(D))
     if scheme.D != D:
         raise InvalidParameter(f"odd_graph(D={D}) has diameter {scheme.D}")
     return scheme
 
 
-def folded_cube(D: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationScheme:
+def folded_cube(D: int) -> AssociationScheme:
     """Distance scheme of the folded (2D+1)-dimensional hypercube.
 
     Vertices are antipodal pairs of (2D+1)-bit strings, represented by the
@@ -124,8 +124,8 @@ def folded_cube(D: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> AssociationSche
         raise InvalidParameter(f"folded_cube needs D >= 2, got {D}")
     nbits = 2 * D + 1
     n = 1 << (nbits - 1)
-    if n > vertex_cap:
-        raise ResourceLimit(f"folded_cube(D={D}) has {n} vertices, cap is {vertex_cap}")
+    if n > DEFAULT_VERTEX_CAP:
+        raise ResourceLimit(f"folded_cube(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
     full = (1 << nbits) - 1
     reps = [v for v in range(1 << nbits) if not (v & 1)]
     index = {v: i for i, v in enumerate(reps)}

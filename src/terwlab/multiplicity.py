@@ -86,9 +86,13 @@ class MultiplicityTable:
     def nonzero(self) -> dict:
         return {cell: v for cell, v in sorted(self.mult.items()) if v}
 
+    def census_diff(self, observed: dict) -> dict:
+        """(recurrence, oracle) counts of each cell where they differ, in sorted cell order."""
+        pairs = {c: (self.mult.get(c, 0), observed.get(c, 0)) for c in sorted(set(self.mult) | set(observed))}
+        return {c: pair for c, pair in pairs.items() if pair[0] != pair[1]}
+
     def matches_census(self, observed: dict) -> bool:
-        cells = set(self.mult) | set(observed)
-        return all(self.mult.get(c, 0) == observed.get(c, 0) for c in cells)
+        return not self.census_diff(observed)
 
     def as_dict(self) -> dict:
         return {

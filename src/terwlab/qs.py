@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BetaDegenerate, FitFailure, OutOfRange
-from .predictor import BandGrid, _grid, _require_cell, band_entries
+from .predictor import BandGrid, _grid, _require_cell, band_entries, in_upsilon
 from .spectral import PPolyArray, is_almost_bipartite
 
 #: residual gate for the recurrence and model fits (relative to |theta|)
@@ -385,3 +385,9 @@ def qs_multiplicity(params: QSParams, t: int, d: int) -> float:
             )
         )
     return _real(value, max(1.0, abs(value)))
+
+
+def closed_form_multiplicities(params: QSParams) -> dict:
+    """:func:`qs_multiplicity` on the six cells with d >= D - 3, in sorted (t, d) order; each has t <= D - d <= 3."""
+    D = params.D
+    return {(t, d): qs_multiplicity(params, t, d) for t in range(4) for d in range(D - 3, D + 1) if in_upsilon(t, d, D)}

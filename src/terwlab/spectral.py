@@ -218,9 +218,9 @@ def _orderings(nonzero: np.ndarray):
             yield tuple(order)
 
 
-def _krein_support(krein: np.ndarray, tol: float = KREIN_ZERO_TOL) -> np.ndarray:
-    """Nonzero Krein parameters, with ``tol`` relative to the largest one."""
-    return np.abs(krein) > tol * max(1.0, float(np.abs(krein).max()))
+def _krein_support(krein: np.ndarray) -> np.ndarray:
+    """Nonzero Krein parameters, with :data:`KREIN_ZERO_TOL` relative to the largest one."""
+    return np.abs(krein) > KREIN_ZERO_TOL * max(1.0, float(np.abs(krein).max()))
 
 
 def _three_term(x: np.ndarray) -> PPolyArray:

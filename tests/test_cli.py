@@ -7,6 +7,7 @@ import pytest
 import terwlab as tw
 from terwlab.cli import main, run_verify
 from terwlab.predictor import tridiagonal
+from terwlab.spectral import is_almost_bipartite
 
 STAGE_NAMES = [
     "axioms", "pq_orderings", "almost_bipartite", "operator_identities", "decomposition",
@@ -362,6 +363,31 @@ def test_subcommands_share_the_q_polynomial_guard(argv, lpg_file, capsys):
     assert captured.err == "check failed: OrderingMissing: no Q-polynomial ordering\n"
 
 
+def test_validate_reads_no_spectral_data(c7_file, capsys, monkeypatch):
+    import terwlab.cli as cli
+    from terwlab.errors import NumericalCheckFailure
+
+    monkeypatch.setattr(cli, "spectral_data", _raise(NumericalCheckFailure("no spectrum")))
+    assert main(["validate", "--scheme", c7_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["predict", "--t", "1", "--d", "2"], ["decompose"], ["multiplicities"], ["multiplicities", "--oracle"],
+    ["qs"],
+], ids=" ".join)
+def test_spectral_failure_reaches_every_subcommand(argv, c7_file, capsys, monkeypatch):
+    # every subcommand builds its values through the stage table, so it sees the stage's failure
+    import terwlab.cli as cli
+    from terwlab.errors import NumericalCheckFailure
+
+    monkeypatch.setattr(cli, "spectral_data", _raise(NumericalCheckFailure("no spectrum")))
+    assert main([*argv, "--scheme", c7_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "check failed: NumericalCheckFailure: no spectrum\n"
+
+
 def test_multiplicities_oracle_honours_tol(c7_file, capsys):
     # the oracle of multiplicities --oracle gets --tol, as that of decompose does
     for sub in (["decompose"], ["multiplicities", "--oracle"]):
@@ -370,13 +396,25 @@ def test_multiplicities_oracle_honours_tol(c7_file, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
-@pytest.mark.parametrize("sub", [["analyze"], ["decompose"], ["multiplicities", "--oracle"], ["verify"]], ids=" ".join)
-def test_tol_that_is_not_positive_and_finite_is_input_error(sub, tol, c7_file, capsys):
-    # a NaN or infinite tol would pass every gate, and a negative one fail every gate
-    assert main([*sub, "--scheme", c7_file, f"--tol={tol}", "--json"]) == 2
+@pytest.mark.parametrize("sub", [
+    ["gen"], ["validate"], ["analyze"], ["predict", "--t", "1", "--d", "2"], ["decompose"], ["multiplicities"],
+    ["multiplicities", "--oracle"], ["qs"], ["verify"],
+], ids=" ".join)
+def test_tol_that_is_not_positive_and_finite_is_input_error(sub, tol, c7_file, tmp_path, capsys, monkeypatch):
+    # a NaN or infinite tol would pass every gate, and a negative one fail every gate;
+    # it is refused before any subcommand reads a scheme file or writes one
+    from terwlab import generators
+
+    loads = []
+    real_load = generators.load_scheme
+    monkeypatch.setattr(generators, "load_scheme", lambda *a, **k: loads.append(1) or real_load(*a, **k))
+    out = tmp_path / "gen.json"
+    where = ["--family", "odd_cycle", "--D", "3", "--out", str(out)] if sub == ["gen"] else ["--scheme", c7_file]
+    assert main([*sub, *where, f"--tol={tol}", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: tolerance {float(tol)} is not positive and finite\n"
+    assert loads == [] and not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +478,9 @@ def test_verify_stdout_is_byte_identical_in_and_across_processes(tmp_path, capfd
 
 def _stage(fn, bundle, modules, spectral=None):
     """(status, residual, detail) of a module stage on ``modules``."""
-    values = {"spectral data": bundle.spectral if spectral is None else spectral, "decomposition": modules}
+    spectral = bundle.spectral if spectral is None else spectral
+    values = {"spectral data": spectral, "almost-bipartite flag": is_almost_bipartite(spectral.pp),
+              "decomposition": modules}
     return fn(None, values)[:3]
 
 
@@ -507,3 +547,103 @@ def test_predictor_vs_oracle_failures(o4, fc7):
                                       spectral=replace(o4.spectral, theta=theta))
     assert (status, detail) == ("fail", "spectral identities of predictions exceed 1e-8")
     assert 1e-8 < residual < 1e-6
+
+
+# ---------------------------------------------------------------- almost-bipartite hypothesis
+
+def _cycle(n):
+    return [[(i - 1) % n, (i + 1) % n] for i in range(n)]
+
+
+def _cube(k):
+    return [[v ^ (1 << b) for b in range(k)] for v in range(1 << k)]
+
+
+def _folded_cube(k):
+    # the (k-1)-cube with each vertex also joined to its antipode
+    full = (1 << (k - 1)) - 1
+    return [[v ^ (1 << b) for b in range(k - 1)] + [v ^ full] for v in range(1 << (k - 1))]
+
+
+def _johnson(n, e):
+    from itertools import combinations
+
+    verts = list(combinations(range(n), e))
+    return [[j for j, w in enumerate(verts) if len(set(v) & set(w)) == e - 1] for v in verts]
+
+
+def _hamming(d, q):
+    from itertools import product
+
+    words = list(product(range(q), repeat=d))
+    return [[j for j, w in enumerate(words) if sum(a != b for a, b in zip(v, w)) == 1] for v in words]
+
+
+#: P- and Q-polynomial schemes that are not almost-bipartite: four bipartite ones (a_D = 0),
+#: and J(6,2) and H(3,3) (a_1 > 0)
+NOT_ALMOST_BIPARTITE = {
+    "C4": lambda: _cycle(4),
+    "C8": lambda: _cycle(8),
+    "3-cube": lambda: _cube(3),
+    "folded 8-cube": lambda: _folded_cube(8),
+    "J(6,2)": lambda: _johnson(6, 2),
+    "H(3,3)": lambda: _hamming(3, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def not_almost_bipartite(tmp_path_factory):
+    """(scheme file, D) of each scheme of :data:`NOT_ALMOST_BIPARTITE`."""
+    files = {}
+    for name, adjacency in NOT_ALMOST_BIPARTITE.items():
+        scheme = tw.scheme_from_graph(adjacency())
+        path = tmp_path_factory.mktemp("schemes") / "scheme.json"
+        tw.save_scheme(scheme, path)
+        files[name] = (str(path), scheme.D)
+    return files
+
+
+@pytest.mark.parametrize("name", NOT_ALMOST_BIPARTITE)
+def test_verify_skips_the_theorems_off_the_almost_bipartite_hypothesis(name, not_almost_bipartite, capsys):
+    from terwlab import qs
+
+    path, _ = not_almost_bipartite[name]
+    assert main(["verify", "--scheme", path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "pass"
+    checks = {c["name"]: (c["status"], c.get("detail")) for c in doc["checks"]}
+    assert checks["almost_bipartite"] == ("pass", "almost_bipartite=False")
+    assert {n: v for n, v in checks.items() if v[0] != "pass"} == {
+        n: ("skip", qs.NOT_ALMOST_BIPARTITE) for n in ("predictor_vs_oracle", "multiplicity_recurrence", "qs_engine")
+    }
+    assert checks["trace_formula"] == ("pass", None)
+
+
+@pytest.mark.parametrize("name", NOT_ALMOST_BIPARTITE)
+@pytest.mark.parametrize("argv, what", [
+    (["predict"], "module prediction"),
+    (["multiplicities"], "multiplicity recurrence"),
+    (["multiplicities", "--oracle"], "multiplicity recurrence"),
+    (["qs"], "q,s model"),
+], ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_subcommands_refuse_a_scheme_that_is_not_almost_bipartite(argv, what, name, not_almost_bipartite, capsys):
+    path, D = not_almost_bipartite[name]
+    cell = ["--t", "0", "--d", str(D)] if argv == ["predict"] else []  # (0, D) is on every grid
+    assert main([*argv, *cell, "--scheme", path, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scheme is not almost-bipartite; {what} does not apply\n"
+
+
+def test_module_structure_off_the_hypothesis_checks_positivity_and_norms_only(o4):
+    from terwlab.cli import _module_structure
+
+    def stage(modules):
+        values = {"spectral data": o4.spectral, "almost-bipartite flag": False, "decomposition": modules}
+        return _module_structure(None, values)[:3]
+
+    residual = _stage(_module_structure, o4, o4.modules)[1]
+    assert stage(_changed(o4, 3, r=o4.modules[3].r + 1)) == ("pass", residual, None)  # r + d = D fails
+    assert stage(_changed(o4, 3, t=0)) == ("pass", residual, None)  # 2t + d >= D fails
+    negative = _changed(o4, 9, products_positive=False)
+    assert stage(negative) == ("fail", None, "nonpositive ladder product at (2,1)")

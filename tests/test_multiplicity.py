@@ -310,3 +310,16 @@ def test_solver_equals_reference_on_cycles(D):
 def test_solver_equals_reference_on_zero_coefficient_branch():
     fake = _zero_lead_spectrum()
     _assert_same_table(tw.solve_multiplicities(fake), reference_solve(fake))
+
+
+def test_census_diff_lists_the_differing_cells_in_sorted_order(all_bundles):
+    for bundle in all_bundles:
+        table, census = bundle.table, tw.census(bundle.modules)
+        assert table.census_diff(census) == {} and table.matches_census(census), bundle.name
+        last = max(census)
+        # one count changed, and one cell added that the grid does not hold, listed last but sorting first
+        changed = {**census, last: census[last] + 1, (0, 0): 2}
+        diff = table.census_diff(changed)
+        assert diff == {(0, 0): (0, 2), last: (census[last], census[last] + 1)}, bundle.name
+        assert list(diff) == sorted(diff)
+        assert not table.matches_census(changed)

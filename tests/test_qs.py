@@ -325,3 +325,24 @@ def test_qs_band_grid_lets_nan_through(params_c9):
     assert _reference_failure(bad) is None
     c, a, b = qs_band_grid(bad).cab
     assert np.isnan(b[0])
+
+
+def test_closed_form_multiplicities_are_the_cells_of_diameter_at_least_D_minus_3(cycle_contexts, tmp_path, capsys):
+    import json
+
+    from terwlab.cli import main
+    from terwlab.qs import closed_form_multiplicities
+
+    for name, ctx in cycle_contexts.items():
+        sp = ctx.spectral
+        params = tw.fit_qs(sp.theta, sp.theta_star, sp.D)
+        closed = closed_form_multiplicities(params)
+        cells = sorted((t, d) for (t, d) in tw.upsilon_cells(sp.D) if d >= sp.D - 3)
+        assert list(closed) == cells and len(cells) == 6, name
+        assert closed == {(t, d): tw.qs_multiplicity(params, t, d) for (t, d) in cells}, name
+        # qs --json lists the same cells in the same order
+        path = tmp_path / f"{name}.json"
+        tw.save_scheme(tw.odd_cycle(sp.D), path)
+        assert main(["qs", "--scheme", str(path), "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["closed_form_mult"]
+        assert [((r["t"], r["d"]), r["mult"]) for r in rows] == list(closed.items()), name
