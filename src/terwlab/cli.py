@@ -285,15 +285,18 @@ def _census_str(cen: dict) -> str:
     return "{" + ", ".join(f"({t},{d}):{v}" for (t, d), v in sorted(cen.items())) + "}"
 
 
-def _values(args, last: str) -> dict:
+def _values(args, last: str, values: dict | None = None) -> dict:
     """Run :data:`STAGES` in order up to the stage that provides ``last``, and return the values.
 
-    A stage that raises ends the run.  One that fails with a value passes the value on, as the
-    identity stage does when ``--tol`` fails it, so the oracle still runs at that tolerance.
+    Given ``values`` from an earlier call, the run resumes: the stages whose values are there
+    are not run again.  A stage that raises ends the run.  One that fails with a value passes
+    the value on, as the identity stage does when ``--tol`` fails it, so the oracle still runs
+    at that tolerance.
     """
-    values = {}
+    values = {} if values is None else values
     for _, provides, _, fn in STAGES:
-        values[provides] = fn(args, values)[3]
+        if provides not in values:
+            values[provides] = fn(args, values)[3]
         if provides == last:
             return values
 
@@ -414,9 +417,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_multiplicities(args) -> int:
-    values = _values(args, "decomposition" if args.oracle else "almost-bipartite flag")
+    values = _values(args, "almost-bipartite flag")
     if _refused(values, "multiplicity recurrence"):
         return EXIT_CHECK_FAILED
+    if args.oracle:
+        values = _values(args, "decomposition", values)
     tab = multiplicity.solve_multiplicities(values["spectral data"])
     doc = tab.as_dict()
     if args.oracle:

@@ -194,11 +194,18 @@ def scheme_from_json(doc) -> AssociationScheme:
 
 
 def scheme_to_json(scheme: AssociationScheme) -> dict:
-    """JSON document for a scheme; distance schemes serialize as graphs."""
+    """JSON document for a scheme; distance schemes serialize as graphs.
+
+    A table is a distance table when a BFS of its class-1 graph gives it
+    back.  A scheme whose array is certified (``tensor.pp``) needs no BFS:
+    c_h > 0 gives every pair of class h a neighbour one class closer, so
+    the distance is at most the class, and a step along an edge changes the
+    class by at most one, so the class is at most the distance.
+    """
     rel = scheme.relation
     if scheme.D >= 1:
         adjacency = [sorted(int(w) for w in np.flatnonzero(rel[v] == 1)) for v in range(scheme.n)]
-        if np.array_equal(distance_relation(adjacency), rel):
+        if scheme.tensor.pp is not None or np.array_equal(distance_relation(adjacency), rel):
             return {
                 "n": scheme.n,
                 "D": scheme.D,

@@ -11,9 +11,12 @@ the triple count
 depends only on ``h = relation[x, y]``.  The triple counts are exact
 integers.  When the classes are the distance classes of a distance-regular
 graph, in distance order, axiom (iv) is certified from the class-1
-neighbour lists alone, and p follows from the three-term recurrence of the
-intersection numbers.  Any other table gets the full scan, which forms the
-products of the 0/1 class matrices and names the first violation.
+neighbour lists alone, and the scheme keeps the certified intersection
+array (c_i, a_i, b_i) and the valencies: every triple count follows from
+them by the three-term recurrence, and the (D+1)^3 tensor p is formed
+from them only when it is read.  Any other table gets the full scan,
+which forms the products of the 0/1 class matrices, names the first
+violation, and holds p from the start.
 """
 
 from __future__ import annotations
@@ -26,15 +29,49 @@ from .errors import AxiomViolation
 
 
 @dataclass(frozen=True)
-class IntersectionTensor:
-    """Triple counts ``p[h, i, j]`` and valencies ``k[i] = p[0, i, i]``."""
+class PPolyArray:
+    """Intersection array of a P-polynomial ordering.
 
-    p: np.ndarray
-    k: np.ndarray
+    Stored with the boundary conventions materialized: ``c[0] = 0`` and
+    ``b[D] = 0``, so all three vectors have length D+1.
+    """
+
+    c: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
     @property
     def D(self) -> int:
-        return self.p.shape[0] - 1
+        return len(self.a) - 1
+
+    @property
+    def valency(self) -> int:
+        return int(self.b[0]) if self.D >= 1 else 0
+
+
+@dataclass(frozen=True)
+class IntersectionTensor:
+    """Triple counts ``p[h, i, j]`` and valencies ``k[i] = p[0, i, i]``.
+
+    A tensor certified from the class-1 graph (:func:`_p_polynomial_counts`)
+    carries its intersection array ``pp`` and forms ``p`` from it on the
+    first read; a tensor from the full scan has ``pp = None`` and holds
+    ``p`` from the start.
+    """
+
+    k: np.ndarray
+    pp: PPolyArray | None = None
+    _p: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def p(self) -> np.ndarray:
+        if self._p is None:
+            object.__setattr__(self, "_p", _freeze(_tensor_from_array(self.pp)))
+        return self._p
+
+    @property
+    def D(self) -> int:
+        return len(self.k) - 1
 
 
 @dataclass(frozen=True)
@@ -65,7 +102,8 @@ def validate_scheme(relation) -> AssociationScheme:
     distance-regular graph with its classes in distance order.  When the
     certificate does not apply, the full scan (:func:`_triple_counts`)
     checks every product of two classes and reports the first violation.
-    The intersection tensor is attached to the returned scheme.  Raises
+    The intersection tensor is attached to the returned scheme; a certified
+    one carries the array and no (D+1)^3 tensor.  Raises
     :class:`AxiomViolation` with a witness on failure.
     """
     rel = np.asarray(relation)
@@ -112,7 +150,7 @@ def validate_scheme(relation) -> AssociationScheme:
 
 
 def _p_polynomial_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor | None:
-    """Certify axiom (iv) from the class-1 graph and derive p, or return None.
+    """Certify axiom (iv) from the class-1 graph and keep its array, or return None.
 
     Let y run over the k class-1 neighbours of x.  When every step
     ``rel[y, z] - rel[x, z]`` lies in {-1, 0, +1}, and the numbers c_h, a_h,
@@ -120,15 +158,15 @@ def _p_polynomial_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor 
     A_1 A_h = b_{h-1} A_{h-1} + a_h A_h + c_{h+1} A_{h+1}.  With c_h > 0 for
     h >= 1, each A_i is a polynomial of degree i in A_1, so the classes span
     an algebra and axiom (iv) holds (Brouwer-Cohen-Neumaier,
-    *Distance-Regular Graphs*, ch. 4).  The matrices P_i[h, j] = p[h, i, j]
-    then follow in exact integers, one (D+1)^2 product per step:
-
-        P_{i+1} = (P_1 P_i - b_{i-1} P_{i-1} - a_i P_i) / c_{i+1}.
+    *Distance-Regular Graphs*, ch. 4).  The valencies follow in exact
+    integers from k_0 = 1 and k_{i+1} = k_i b_i / c_{i+1}, and the tensor
+    carries (c, a, b) and k alone (:func:`_tensor_from_array` forms p on
+    demand).
 
     Returns None, so that the caller runs the full scan, when D = 0, when
-    class 1 is not regular, or when a step, a count or a division fails the
-    test: the classes are then not the distance classes of a
-    distance-regular graph in this order, or the scheme is not P-polynomial.
+    class 1 is not regular, or when a step or a count fails the test: the
+    classes are then not the distance classes of a distance-regular graph
+    in this order, or the scheme is not P-polynomial.
     """
     if D == 0:
         return None
@@ -158,15 +196,29 @@ def _p_polynomial_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor 
     if not c[1:].all() or (c[rel] != down).any() or (b[rel] != up).any():
         return None
     c, b = c.astype(np.int64), b.astype(np.int64)
-    a = k - c - b
+    valencies = [1]
+    for i in range(D):
+        valencies.append(valencies[-1] * int(b[i]) // int(c[i + 1]))
+    pp = PPolyArray(c=_freeze(c), a=_freeze(k - c - b), b=_freeze(b))
+    return IntersectionTensor(k=_freeze(np.array(valencies, dtype=np.int64)), pp=pp)
+
+
+def _tensor_from_array(pp: PPolyArray) -> np.ndarray:
+    """The triple counts p[h, i, j] of a certified array, in exact integers.
+
+    The matrices P_i[h, j] = p[h, i, j] follow from the recurrence of the
+    classes, one (D+1)^2 product per step:
+
+        P_{i+1} = (P_1 P_i - b_{i-1} P_{i-1} - a_i P_i) / c_{i+1}.
+
+    The division is exact: once the certificate holds, each A_i is a
+    polynomial in A_1, so each P_{i+1} is an integer matrix of triple counts.
+    """
+    c, a, b, D = pp.c, pp.a, pp.b, pp.D
     P = [np.eye(D + 1, dtype=np.int64), np.diag(a) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)]
     for i in range(1, D):
-        quot, rem = np.divmod(P[1] @ P[i] - b[i - 1] * P[i - 1] - a[i] * P[i], c[i + 1])
-        if rem.any():
-            return None
-        P.append(quot)
-    p = np.stack(P, axis=1)
-    return IntersectionTensor(p=_freeze(p), k=_freeze(np.diagonal(p[0]).copy()))
+        P.append((P[1] @ P[i] - b[i - 1] * P[i - 1] - a[i] * P[i]) // c[i + 1])
+    return np.stack(P, axis=1)
 
 
 def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
@@ -206,8 +258,7 @@ def _triple_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor:
                     (h, i, j, xy),
                 )
             p[:, i, j] = p[:, j, i] = vals
-    k = np.diagonal(p[0]).copy()
-    return IntersectionTensor(p=_freeze(p), k=_freeze(k))
+    return IntersectionTensor(k=_freeze(np.diagonal(p[0]).copy()), _p=_freeze(p))
 
 
 def relabel_classes(scheme: AssociationScheme, ordering) -> AssociationScheme:
@@ -226,5 +277,5 @@ def relabel_classes(scheme: AssociationScheme, ordering) -> AssociationScheme:
         pos[old] = newi
     rel = pos[scheme.relation]
     p = scheme.tensor.p[np.ix_(ordering, ordering, ordering)]
-    tensor = IntersectionTensor(p=_freeze(p), k=_freeze(np.diagonal(p[0]).copy()))
+    tensor = IntersectionTensor(k=_freeze(np.diagonal(p[0]).copy()), _p=_freeze(p))
     return AssociationScheme(n=scheme.n, D=D, relation=_freeze(rel), tensor=tensor)

@@ -39,7 +39,15 @@ under which the Krein parameters show the same tridiagonal vanishing pattern.
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
 idempotents by the first Q-polynomial ordering (when one exists), and the
-search for each stops at that first ordering.
+search for each stops at that first ordering.  A scheme whose array was
+certified from its class-1 graph is already in distance order, and the
+identity is the ordering the search would return first: the search tries
+class 1 first in position 1; from class j its greedy step can only go to
+j + 1, the one class linked to j by class 1 (p^{j+1}_{1j} = c_{j+1} > 0)
+that is not yet used; and distances satisfy the tridiagonal pattern.
+Such a scheme takes the identity and its array with no search, and its
+(D+1)^3 intersection tensor is never formed; a table from the full scan
+is searched on its tensor.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, NotPPolynomial, NumericalCheckFailure
 from .predictor import BandGrid, band_grid
-from .scheme import AssociationScheme, IntersectionTensor, relabel_classes
+from .scheme import AssociationScheme, IntersectionTensor, PPolyArray, relabel_classes
 
 #: spacing under which two eigenvalues count as equal (scaled by 1 + |theta|)
 EIG_MATCH_TOL = 1e-8
@@ -60,27 +68,6 @@ EIG_MATCH_TOL = 1e-8
 KREIN_ZERO_TOL = 1e-7
 #: max-norm tolerance for idempotency and basis-change residuals
 IDEMPOTENT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class PPolyArray:
-    """Intersection array of a P-polynomial ordering.
-
-    Stored with the boundary conventions materialized: ``c[0] = 0`` and
-    ``b[D] = 0``, so all three vectors have length D+1.
-    """
-
-    c: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def D(self) -> int:
-        return len(self.a) - 1
-
-    @property
-    def valency(self) -> int:
-        return int(self.b[0]) if self.D >= 1 else 0
 
 
 @dataclass(frozen=True)
@@ -234,8 +221,8 @@ def _three_term(x: np.ndarray) -> PPolyArray:
 
 
 def intersection_array(tensor: IntersectionTensor) -> PPolyArray:
-    """The (c, a, b) array of a tensor already in P-polynomial order."""
-    return _three_term(tensor.p)
+    """The (c, a, b) array of a tensor already in P-polynomial order: the certified one when it carries it."""
+    return _three_term(tensor.p) if tensor.pp is None else tensor.pp
 
 
 def is_almost_bipartite(pp: PPolyArray) -> bool:
@@ -335,7 +322,8 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
 
     Takes the first P-polynomial ordering found (raising
     :class:`NotPPolynomial` if none exists), relabels the classes by it,
-    and computes all spectral quantities.  If a Q-polynomial ordering is
+    and computes all spectral quantities; a certified scheme takes the
+    identity and its array (module docstring).  If a Q-polynomial ordering is
     found the idempotents are relabeled by the first one as well;
     otherwise the dual data are left ``None`` and the idempotents stay
     sorted by descending eigenvalue.
@@ -345,12 +333,15 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     if D == 0:
         return _trivial_spectral(scheme)
 
-    p_ordering = next(_orderings(scheme.tensor.p != 0), None)
-    if p_ordering is None:
-        raise NotPPolynomial(f"no metric ordering among {D + 1} classes")
-    scheme_p = relabel_classes(scheme, p_ordering)
-    tensor_p = scheme_p.tensor
-    pp = intersection_array(tensor_p)
+    if scheme.tensor.pp is not None:
+        # certified in distance order: the identity is the first P-ordering (module docstring)
+        p_ordering, scheme_p = tuple(range(D + 1)), scheme
+    else:
+        p_ordering = next(_orderings(scheme.tensor.p != 0), None)
+        if p_ordering is None:
+            raise NotPPolynomial(f"no metric ordering among {D + 1} classes")
+        scheme_p = relabel_classes(scheme, p_ordering)
+    pp = intersection_array(scheme_p.tensor)
 
     # eigenvalues: position 0 is the valency (Perron root), the rest initially
     # sorted descending; the Q-ordering detected below permutes them.
@@ -358,14 +349,14 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     spread = _check_distinct(theta)
 
     P = _eigenmatrix(pp, theta)
-    k = tensor_p.k.astype(np.float64)
+    k = scheme_p.tensor.k.astype(np.float64)
     m = n / np.sum(P * P / k[:, None], axis=0)
     m_int = np.rint(m).astype(np.int64)
     if np.abs(m - m_int).max() > 1e-6 or m_int.sum() != n:
         raise NumericalCheckFailure(f"multiplicities not integral: {m}")
 
     Q = m[:, None] * P.T / k[None, :]
-    _verify_bose_mesner(Q, P, tensor_p.p, n)
+    _verify_bose_mesner(Q, P, pp, n)
 
     krein = _krein_parameters(Q, k, m, n)
     kscale = max(1.0, float(np.abs(krein).max()))
@@ -407,7 +398,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     )
 
 
-def _verify_bose_mesner(Q, P, p, n) -> tuple:
+def _verify_bose_mesner(Q, P, pp, n) -> tuple:
     """Completeness, idempotency, and the change of basis to the classes.
 
     Returns the idempotent residual and the class-1 expansion residual, or
@@ -416,20 +407,36 @@ def _verify_bose_mesner(Q, P, p, n) -> tuple:
     Each residual is that of the dense idempotents E_j = sum_l Q[j, l] A_l / n,
     read off its coefficients in the class matrices A_h.  These have
     disjoint 0/1 supports, so the max norm of sum_h r_h A_h is max_h |r_h|.
-    Axiom iv certified the intersection numbers as exact integers, so
-    A_l A_m = sum_h p[h, l, m] A_h and
+    The column Y_l[:, j] holds the coefficients of A_l (n E_j), so that
 
-        E_i E_j = n^-2 sum_h (sum_{l,m} Q[i, l] Q[j, m] p[h, l, m]) A_h,
+        E_i E_j = n^-2 sum_h (sum_l Q[i, l] Y_l[h, j]) A_h.
 
-    two contractions of O(D^4) work.
+    Y_0 = Q^T, and the Y_l follow from the intersection array ``pp`` by the
+    recurrence of the classes, A_{l+1} = (A_1 A_l - a_l A_l - b_{l-1} A_{l-1}) / c_{l+1},
+    where A_1 acts on a coefficient vector as the tridiagonal
+    (L_1 y)_h = c_h y_{h-1} + a_h y_h + b_h y_{h+1}: D products of
+    (D+1)^2 matrices and one (D+1) x (D+1)^2 product, with no (D+1)^3
+    intersection tensor.
     """
-    delta = np.eye(len(Q))
+    D = len(Q) - 1
+    delta = np.eye(D + 1)
     worst = float(np.abs(Q.sum(axis=0) / n - delta[0]).max())  # sum_j E_j = I
     worst = max(worst, float(np.abs(Q[0] / n - 1.0 / n).max()))  # E_0 = J / n
+    a, b, c = (x.astype(np.float64) for x in (pp.a, pp.b, pp.c))
+    L1 = np.diag(a) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)
+    Y = np.empty((D + 1, D + 1, D + 1))
+    Y[0] = Q.T
+    np.matmul(L1, Y[0], out=Y[1])  # a_0 = 0 and c_1 = 1
+    for l in range(1, D):
+        np.matmul(L1, Y[l], out=Y[l + 1])
+        Y[l + 1] -= a[l] * Y[l] + b[l - 1] * Y[l - 1]
+        Y[l + 1] /= c[l + 1]
     # [i, h, j]: coefficient of A_h in E_i E_j - delta_ij E_i
-    prod = np.tensordot(np.tensordot(Q, p, axes=(1, 1)), Q, axes=(2, 1)) / n**2
-    prod -= delta[:, None, :] * Q[:, :, None] / n
-    worst = max(worst, float(np.abs(prod).max()))
+    prod = (Q @ Y.reshape(D + 1, -1)).reshape(D + 1, D + 1, D + 1)
+    prod /= n**2
+    i = np.arange(D + 1)
+    prod[i, :, i] -= Q / n
+    worst = max(worst, float(prod.max()), -float(prod.min()))
     if worst > IDEMPOTENT_TOL:
         raise NumericalCheckFailure(f"idempotent residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
     # A_i = sum_j P[i, j] E_j for a spot-check class (the full identity for

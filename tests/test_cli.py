@@ -444,6 +444,34 @@ def test_qs_subcommand_rejects_a_scheme_that_is_not_almost_bipartite(c8_file, ca
     assert captured.err == "scheme is not almost-bipartite; q,s model does not apply\n"
 
 
+def test_multiplicities_oracle_refuses_before_the_oracle_runs(c8_file, monkeypatch, capsys):
+    from terwlab import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "build_context", lambda *args: calls.append("context"))
+    monkeypatch.setattr(cli, "decompose_standard_module", lambda *args, **kwargs: calls.append("oracle"))
+    assert main(["multiplicities", "--oracle", "--scheme", c8_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "scheme is not almost-bipartite; multiplicity recurrence does not apply\n"
+    assert calls == []
+
+
+def test_no_subcommand_forms_the_tensor_of_a_certified_scheme(tmp_path, monkeypatch, capsys):
+    from terwlab import scheme as scheme_module
+
+    def formed(pp):
+        raise AssertionError(f"p formed at D = {pp.D}")
+
+    monkeypatch.setattr(scheme_module, "_tensor_from_array", formed)
+    path = str(tmp_path / "c9.json")
+    assert main(["gen", "--family", "odd_cycle", "--D", "4", "--out", path]) == 0
+    for argv in (["validate"], ["analyze"], ["predict", "--t", "0", "--d", "4"], ["decompose"],
+                 ["multiplicities", "--oracle"], ["qs"], ["verify"]):
+        assert main([*argv, "--scheme", path, "--json"]) == 0, argv
+    capsys.readouterr()
+
+
 def test_verify_skips_qs_on_a_scheme_that_is_not_almost_bipartite(c8_file, capsys):
     main(["verify", "--scheme", c8_file, "--json"])
     doc = json.loads(capsys.readouterr().out)

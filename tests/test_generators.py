@@ -179,6 +179,31 @@ def test_round_trip_distance_graph(tmp_path, c7):
     assert np.array_equal(loaded.relation, c7.scheme.relation)
 
 
+def test_scheme_to_json_runs_the_bfs_only_on_uncertified_tables(monkeypatch):
+    # a certified array proves the table is the class-1 distance table; a
+    # relabeled table carries none, and the BFS decides its kind
+    from terwlab import generators
+    from terwlab.scheme import relabel_classes
+
+    certified = (tw.odd_cycle(5), tw.odd_graph(3), tw.folded_cube(3))
+    c7 = tw.odd_cycle(3)
+    relabeled = [relabel_classes(c7, order) for order in ((0, 2, 3, 1), (0, 1, 3, 2))]
+    calls = []
+
+    def spy(adjacency):
+        calls.append(len(adjacency))
+        return distance_relation(adjacency)
+
+    monkeypatch.setattr(generators, "distance_relation", spy)
+    for scheme in certified:
+        doc = scheme_to_json(scheme)
+        assert doc["relation"]["kind"] == "distance_graph"
+        assert np.array_equal(distance_relation(doc["relation"]["adjacency"]), scheme.relation)
+    assert calls == []
+    assert [scheme_to_json(s)["relation"]["kind"] for s in relabeled] == ["distance_graph", "explicit"]
+    assert calls == [7, 7]
+
+
 def test_round_trip_explicit():
     scheme = tw.validate_scheme([[0]])
     doc = scheme_to_json(scheme)

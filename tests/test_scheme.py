@@ -123,6 +123,25 @@ def test_full_scan_decides_when_certificate_fails(rel, full_scan_calls):
     assert np.array_equal(tensor.p, brute_triple_counts(rel))
 
 
+ON_DEMAND = (
+    [(f"C{2 * D + 1}", tw.odd_cycle, D) for D in range(3, 13)]
+    + [("O4", tw.odd_graph, 4), ("FC7", tw.folded_cube, 3)]
+)
+
+
+@pytest.mark.parametrize("family, D", [c[1:] for c in ON_DEMAND], ids=[c[0] for c in ON_DEMAND])
+def test_certified_tensor_forms_p_on_demand(family, D):
+    # the certificate keeps the array and k; p is formed on the first read and kept
+    rel = family(D).relation
+    tensor = tw.validate_scheme(rel).tensor
+    assert tensor.pp is not None and tensor._p is None
+    p = tensor.p
+    assert tensor.p is p and not p.flags.writeable
+    assert np.array_equal(p, brute_triple_counts(rel))
+    assert np.array_equal(tensor.k, np.diagonal(p[0]))
+    assert tensor.D == D and tw.intersection_array(tensor) is tensor.pp
+
+
 def test_seven_cycle_intersection_array():
     scheme = tw.validate_scheme(cycle_relation(7))
     pp = tw.intersection_array(scheme.tensor)

@@ -390,22 +390,92 @@ def test_bose_mesner_residuals_match_dense_reference(all_bundles):
 
     for bundle in all_bundles:
         sp = bundle.spectral
-        p = relabel_classes(bundle.scheme, sp.p_ordering).tensor.p
         dense = reference_bose_mesner(dense_idempotents(sp), sp.P, sp.relation)
-        assert np.abs(np.subtract(_verify_bose_mesner(sp.Q, sp.P, p, sp.n), dense)).max() < 1e-13, bundle.name
+        assert np.abs(np.subtract(_verify_bose_mesner(sp.Q, sp.P, sp.pp, sp.n), dense)).max() < 1e-13, bundle.name
 
         noisy = _perturbed(sp.Q, 1e-6)
         worst, _ = reference_bose_mesner(noisy[:, sp.relation] / sp.n, sp.P, sp.relation)
         assert worst > IDEMPOTENT_TOL
         with pytest.raises(NumericalCheckFailure, match=re.escape(f"idempotent residual {worst:.3e} exceeds")):
-            _verify_bose_mesner(noisy, sp.P, p, sp.n)
+            _verify_bose_mesner(noisy, sp.P, sp.pp, sp.n)
 
         P = sp.P.copy()
         P[1] *= 1.0 + 1e-6
         _, recon = reference_bose_mesner(dense_idempotents(sp), P, sp.relation)
         assert recon > 1e-8 * max(1.0, float(np.abs(P[1]).max()))
         with pytest.raises(NumericalCheckFailure, match="class-1 matrix does not match"):
-            _verify_bose_mesner(sp.Q, P, p, sp.n)
+            _verify_bose_mesner(sp.Q, P, sp.pp, sp.n)
+
+
+def reference_bose_mesner_tensordot(Q, P, p, n):
+    """Reference: the gate in its former form, E_i E_j read off the (D+1)^3 tensor p by two contractions."""
+    from terwlab.errors import NumericalCheckFailure
+    from terwlab.spectral import IDEMPOTENT_TOL
+
+    delta = np.eye(len(Q))
+    worst = float(np.abs(Q.sum(axis=0) / n - delta[0]).max())
+    worst = max(worst, float(np.abs(Q[0] / n - 1.0 / n).max()))
+    prod = np.tensordot(np.tensordot(Q, p, axes=(1, 1)), Q, axes=(2, 1)) / n**2
+    prod -= delta[:, None, :] * Q[:, :, None] / n
+    worst = max(worst, float(np.abs(prod).max()))
+    if worst > IDEMPOTENT_TOL:
+        raise NumericalCheckFailure(f"idempotent residual {worst:.3e} exceeds {IDEMPOTENT_TOL}")
+    recon = float(np.abs(P[1] @ Q / n - delta[1]).max())
+    if recon > 1e-8 * max(1.0, float(np.abs(P[1]).max())):
+        raise NumericalCheckFailure("class-1 matrix does not match its spectral expansion")
+    return worst, recon
+
+
+def test_bose_mesner_recurrence_matches_the_tensor_contractions(all_bundles, cycle_contexts):
+    # the gate runs the class recurrence on the coefficient columns of A_l E_j;
+    # the former form contracts Q twice with p: the residuals agree, and a
+    # perturbed Q or P fails both with the same message
+    from terwlab.errors import NumericalCheckFailure
+    from terwlab.spectral import _verify_bose_mesner
+
+    cases = [(bundle.name, bundle.spectral, bundle.scheme) for bundle in all_bundles]
+    cases += [(name, ctx.spectral, ctx.scheme) for name, ctx in cycle_contexts.items()]
+    for name, sp, scheme in cases:
+        p = relabel_classes(scheme, sp.p_ordering).tensor.p
+        got, want = _verify_bose_mesner(sp.Q, sp.P, sp.pp, sp.n), reference_bose_mesner_tensordot(sp.Q, sp.P, p, sp.n)
+        assert np.abs(np.subtract(got, want)).max() < 1e-13, name
+        P = sp.P.copy()
+        P[1] *= 1.0 + 1e-6
+        for Q, P in ((_perturbed(sp.Q, 1e-6), sp.P), (sp.Q, P)):
+            with pytest.raises(NumericalCheckFailure) as want:
+                reference_bose_mesner_tensordot(Q, P, p, sp.n)
+            with pytest.raises(NumericalCheckFailure) as got:
+                _verify_bose_mesner(Q, P, sp.pp, sp.n)
+            assert str(got.value) == str(want.value), name
+
+
+CERTIFIED = [(f"O{D}", tw.odd_graph, D) for D in (4, 5, 6)] + [(f"FC{2 * D + 1}", tw.folded_cube, D) for D in (3, 4, 5)]
+
+
+@pytest.mark.parametrize("family, D", [c[1:] for c in CERTIFIED], ids=[c[0] for c in CERTIFIED])
+def test_certified_identity_is_the_first_p_ordering(family, D):
+    # spectral_data takes the identity on a certified tensor without the search;
+    # test_scheme.py's cycle ladder test checks the same on C_7..C_61
+    tensor = family(D).tensor
+    assert tensor.pp is not None
+    assert next(_orderings(tensor.p != 0)) == tuple(range(D + 1))
+
+
+def test_spectral_data_never_forms_the_tensor_of_a_certified_scheme(monkeypatch):
+    # C_601 (D=300): validate_scheme and spectral_data read the array alone
+    from terwlab import scheme as scheme_module
+    from terwlab.errors import NumericalCheckFailure
+
+    def formed(pp):
+        raise AssertionError(f"p formed at D = {pp.D}")
+
+    monkeypatch.setattr(scheme_module, "_tensor_from_array", formed)
+    scheme = tw.odd_cycle(300)
+    try:
+        tw.spectral_data(scheme)
+    except NumericalCheckFailure as exc:  # the basis gate fails here, after the P side
+        assert str(exc).startswith("eigenspace basis"), exc
+    assert scheme.tensor._p is None
 
 
 def test_eigenspace_bases_are_orthonormal_and_fixed_by_the_idempotents(all_bundles):
