@@ -2,8 +2,10 @@
 
 Three distance-regular families serve as test instances: odd cycles
 C_{2D+1}, Odd graphs (Kneser graphs K(2D+1, D)), and folded (2D+1)-cubes.
-Each generator builds the graph, takes its distance partition, and runs
-the axiom validation.
+Each generator builds the graph as an n x k array of neighbour lists by
+whole-array operations, takes its distance partition, and runs the axiom
+validation.  The distance table is held in the narrowest signed integer
+type that holds D (``scheme.class_dtype``: int8 while D < 128).
 
 Scheme files are JSON::
 
@@ -12,42 +14,54 @@ Scheme files are JSON::
     {"n": 1, "D": 0, "relation": {"kind": "explicit", "matrix": [[0]]}}
 
 Class indices are 0-based integers; for ``distance_graph`` the classes are
-BFS distances in the listed graph.
+BFS distances in the listed graph.  Every neighbour and every class entry
+must be a JSON integer: a float, a string or a boolean is a
+:class:`ParseError`.  Neighbour lists of equal length are read into one
+array; ragged lists, which no scheme file of this module writes, are read
+as lists.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import combinations
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidParameter, ParseError, ResourceLimit
-from .scheme import AssociationScheme, validate_scheme
+from .scheme import AssociationScheme, class_dtype, validate_scheme
 
 #: refuse to build instances larger than this many vertices
 DEFAULT_VERTEX_CAP = 5000
 
 
-def distance_relation(adjacency: list[list[int]]) -> np.ndarray:
-    """BFS distance table of a connected graph given as adjacency lists.
+def distance_relation(adjacency) -> np.ndarray:
+    """BFS distance table of a connected graph, read-only, in :func:`class_dtype` of its diameter.
 
-    The searches from all n sources run at once, one level per step, on
-    the transposed table: entry (w, s) is the distance from s to w, and row
-    w of the bool array ``front`` marks the sources whose search reaches w
-    at the current level.  The next frontier is the OR, over the
-    in-neighbours v of w (the vertices that list w), of the gathered rows
-    ``front[v]``, less what is already reached.  The in-neighbour lists are
-    padded with w itself; a padded slot gathers w's own frontier row, which
-    is already reached.  On symmetric lists the in-neighbours are the
-    neighbours.  Each level adds 1 to every pair still unreached, so a pair
-    ends at its distance.  A connected graph of diameter D takes D levels
-    of one gather per slot.
+    ``adjacency`` is an n x k integer array of neighbour lists of equal
+    length, or a list of n lists of any lengths.  The searches from all n
+    sources run at once, one level per step, on the transposed table: entry
+    (w, s) is the distance from s to w, and row w of the bool array
+    ``front`` marks the sources whose search reaches w at the current
+    level.  The next frontier is the OR, over the in-neighbours v of w (the
+    vertices that list w), of the gathered rows ``front[v]``, less what is
+    already reached.  The in-neighbour lists are padded with w itself; a
+    padded slot gathers w's own frontier row, which is already reached.  On
+    symmetric lists the in-neighbours are the neighbours.  Each level adds
+    1 to every pair still unreached, so a pair ends at its distance.  A
+    connected graph of diameter D takes D levels of one gather per slot.
+    The levels are counted in the unsigned type that holds n; the result
+    is one transposed copy in :func:`class_dtype` of the diameter.
     """
-    n = len(adjacency)
-    src = np.repeat(np.arange(n), [len(row) for row in adjacency])
-    dst = np.array([w for row in adjacency for w in row], dtype=np.int64)
+    if isinstance(adjacency, np.ndarray):
+        n, k = adjacency.shape
+        src = np.repeat(np.arange(n), k)
+        dst = adjacency.ravel().astype(np.int64)
+    else:
+        n = len(adjacency)
+        src = np.repeat(np.arange(n), [len(row) for row in adjacency])
+        dst = np.array([w for row in adjacency for w in row], dtype=np.int64)
     order = np.argsort(dst, kind="stable")
     indeg = np.bincount(dst, minlength=n)
     slots = np.arange(len(dst)) - np.repeat(np.cumsum(indeg) - indeg, indeg)
@@ -56,6 +70,7 @@ def distance_relation(adjacency: list[list[int]]) -> np.ndarray:
     rel = np.zeros((n, n), dtype=np.min_scalar_type(n))
     front = np.eye(n, dtype=bool)
     unreached = ~front
+    level = 0
     while unreached.any():
         nxt = front[into[0]]
         for vs in into[1:]:
@@ -65,13 +80,16 @@ def distance_relation(adjacency: list[list[int]]) -> np.ndarray:
             x, y = map(int, np.argwhere(unreached.T)[0])
             raise ParseError(f"graph is disconnected: no path from {x} to {y}")
         rel += unreached
+        level += 1
         unreached ^= nxt
         front = nxt
-    return rel.T.astype(np.int64, order="C")
+    dist = rel.T.astype(class_dtype(level), order="C")
+    dist.flags.writeable = False
+    return dist
 
 
-def scheme_from_graph(adjacency: list[list[int]]) -> AssociationScheme:
-    """Distance scheme of a connected graph, validated."""
+def scheme_from_graph(adjacency) -> AssociationScheme:
+    """Distance scheme of a connected graph, validated; ``adjacency`` as :func:`distance_relation` takes it."""
     return validate_scheme(distance_relation(adjacency))
 
 
@@ -82,16 +100,23 @@ def odd_cycle(D: int) -> AssociationScheme:
     n = 2 * D + 1
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceLimit(f"odd_cycle(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
-    return scheme_from_graph([[(i - 1) % n, (i + 1) % n] for i in range(n)])
+    v = np.arange(n)
+    return scheme_from_graph(np.stack([(v - 1) % n, (v + 1) % n], axis=1))
 
 
-def _odd_graph_adjacency(D: int) -> list[list[int]]:
-    """Adjacency lists of K(2D+1, D): D-subsets in colexicographic order,
-    adjacent when disjoint, tested on their bitmasks all at once."""
-    verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
-    masks = np.array([sum(1 << e for e in v) for v in verts], dtype=np.int64)
-    disjoint = (masks[:, None] & masks[None, :]) == 0
-    return [np.flatnonzero(row).tolist() for row in disjoint]
+def _odd_graph_adjacency(D: int) -> np.ndarray:
+    """Neighbour array of K(2D+1, D): D-subsets in colexicographic order,
+    adjacent when disjoint, tested on their bitmasks all at once.
+
+    Colexicographic order of equal-size subsets is the numeric order of
+    their bitmasks, and each row lists its D+1 neighbours in ascending order.
+    """
+    strings = 1 << (2 * D + 1)
+    bits = np.arange(strings, dtype=np.min_scalar_type(strings))  # uint16 for 4 <= D <= 7
+    masks = bits[np.bitwise_count(bits) == D]
+    n = len(masks)
+    disjoint = (masks[:, None] & masks) == 0
+    return (np.flatnonzero(disjoint) % n).reshape(n, D + 1)
 
 
 def odd_graph(D: int) -> AssociationScheme:
@@ -117,8 +142,9 @@ def folded_cube(D: int) -> AssociationScheme:
     """Distance scheme of the folded (2D+1)-dimensional hypercube.
 
     Vertices are antipodal pairs of (2D+1)-bit strings, represented by the
-    member with bit 0 clear; two vertices are adjacent when their
-    representatives differ in one coordinate, possibly after complementing.
+    member with bit 0 clear, whose index is the string shifted right by
+    one; two vertices are adjacent when their representatives differ in
+    one coordinate, possibly after complementing.
     """
     if D < 2:
         raise InvalidParameter(f"folded_cube needs D >= 2, got {D}")
@@ -126,19 +152,9 @@ def folded_cube(D: int) -> AssociationScheme:
     n = 1 << (nbits - 1)
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceLimit(f"folded_cube(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
-    full = (1 << nbits) - 1
-    reps = [v for v in range(1 << nbits) if not (v & 1)]
-    index = {v: i for i, v in enumerate(reps)}
-    adjacency = []
-    for v in reps:
-        nbrs = []
-        for bit in range(nbits):
-            w = v ^ (1 << bit)
-            if w & 1:
-                w ^= full
-            nbrs.append(index[w])
-        adjacency.append(nbrs)
-    scheme = scheme_from_graph(adjacency)
+    flips = (np.arange(n)[:, None] << 1) ^ (1 << np.arange(nbits))
+    flips ^= (flips & 1) * ((1 << nbits) - 1)  # complement the strings that left bit 0 set
+    scheme = scheme_from_graph(flips >> 1)
     if scheme.D != D:
         raise InvalidParameter(f"folded_cube(D={D}) has diameter {scheme.D}")
     return scheme
@@ -156,6 +172,18 @@ def load_scheme(path) -> AssociationScheme:
     return scheme_from_json(doc)
 
 
+def _integer_entries(rows, what: str) -> list[int]:
+    """The entries of ``rows`` in row order; ParseError unless it is a list of
+    lists of JSON integers (booleans are not)."""
+    if not isinstance(rows, list) or not set(map(type, rows)) <= {list}:
+        raise ParseError(f"bad {what}: expected a list of lists of integers")
+    entries = list(chain.from_iterable(rows))
+    if not set(map(type, entries)) <= {int}:
+        bad = next(w for w in entries if type(w) is not int)
+        raise ParseError(f"bad {what} entry {bad!r}: not a JSON integer")
+    return entries
+
+
 def scheme_from_json(doc) -> AssociationScheme:
     """Build a scheme from the parsed JSON document."""
     try:
@@ -170,18 +198,18 @@ def scheme_from_json(doc) -> AssociationScheme:
         adjacency = relation.get("adjacency")
         if not isinstance(adjacency, list) or len(adjacency) != n:
             raise ParseError(f"adjacency must list {n} neighbor lists")
-        try:
-            adjacency = [[int(w) for w in row] for row in adjacency]
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad adjacency entry: {exc}") from exc
-        if any(w < 0 or w >= n for row in adjacency for w in row):
+        arcs = _integer_entries(adjacency, "adjacency")
+        if arcs and (min(arcs) < 0 or max(arcs) >= n):
             raise ParseError("adjacency references a vertex out of range")
+        if len(set(map(len, adjacency))) == 1:
+            adjacency = np.array(arcs, dtype=np.int64).reshape(n, -1)
         rel = distance_relation(adjacency)
     elif kind == "explicit":
         matrix = relation.get("matrix")
+        _integer_entries(matrix, "class matrix")
         try:
             rel = np.array(matrix, dtype=np.int64)
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise ParseError(f"bad class matrix: {exc}") from exc
         if rel.shape != (n, n):
             raise ParseError(f"class matrix has shape {rel.shape}, expected ({n}, {n})")
@@ -196,26 +224,37 @@ def scheme_from_json(doc) -> AssociationScheme:
 def scheme_to_json(scheme: AssociationScheme) -> dict:
     """JSON document for a scheme; distance schemes serialize as graphs.
 
+    The adjacency lists are read off ``relation == 1`` in one pass, as an
+    n x k array: every class of a scheme is regular, class 1 of valency k.
     A table is a distance table when a BFS of its class-1 graph gives it
-    back.  A scheme whose array is certified (``tensor.pp``) needs no BFS:
-    c_h > 0 gives every pair of class h a neighbour one class closer, so
-    the distance is at most the class, and a step along an edge changes the
-    class by at most one, so the class is at most the distance.
+    back; a disconnected class-1 graph gives none, and the scheme is
+    written as its explicit matrix.  A scheme whose array is certified
+    (``tensor.pp``) needs no BFS: c_h > 0 gives every pair of class h a
+    neighbour one class closer, so the distance is at most the class, and a
+    step along an edge changes the class by at most one, so the class is at
+    most the distance.
     """
     rel = scheme.relation
     if scheme.D >= 1:
-        adjacency = [sorted(int(w) for w in np.flatnonzero(rel[v] == 1)) for v in range(scheme.n)]
-        if scheme.tensor.pp is not None or np.array_equal(distance_relation(adjacency), rel):
+        adjacency = (np.flatnonzero(rel == 1) % scheme.n).reshape(scheme.n, -1)
+        if scheme.tensor.pp is not None or _is_distance_table(adjacency, rel):
             return {
                 "n": scheme.n,
                 "D": scheme.D,
-                "relation": {"kind": "distance_graph", "adjacency": adjacency},
+                "relation": {"kind": "distance_graph", "adjacency": adjacency.tolist()},
             }
     return {
         "n": scheme.n,
         "D": scheme.D,
         "relation": {"kind": "explicit", "matrix": rel.tolist()},
     }
+
+
+def _is_distance_table(adjacency, rel: np.ndarray) -> bool:
+    try:
+        return np.array_equal(distance_relation(adjacency), rel)
+    except ParseError:  # the class-1 graph is disconnected
+        return False
 
 
 def save_scheme(scheme: AssociationScheme, path) -> None:

@@ -2,9 +2,10 @@
 
 A scheme on a vertex set of size ``n`` with ``D`` classes is stored as an
 ``n x n`` integer matrix ``relation`` whose ``(x, y)`` entry is the class of
-the ordered pair.  Validation checks the four defining axioms: the classes
-partition the pairs, class 0 is the diagonal, every class is symmetric, and
-the triple count
+the ordered pair, in the narrowest signed integer type that holds D
+(:func:`class_dtype`: one byte an entry while D < 128).  Validation checks
+the four defining axioms: the classes partition the pairs, class 0 is the
+diagonal, every class is symmetric, and the triple count
 
     p[h, i, j] = #{ z : relation[x, z] = i and relation[z, y] = j }
 
@@ -93,6 +94,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def class_dtype(D: int) -> np.dtype:
+    """The narrowest signed integer type that holds the classes 0..D: int8 while D < 128."""
+    return np.min_scalar_type(-D - 1)  # a signed type that holds -(D + 1) holds D
+
+
+#: entries of the relation table a row block of :func:`_row_blocks` spans
+BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of the rows of an n x n table, about ``BLOCK_ENTRIES`` entries each.
+
+    numpy widens a narrow index array to intp before a gather or a
+    ``bincount``; a pass that needs one runs block by block, so that its
+    intp temporary is one block and not n^2.
+    """
+    step = max(1, BLOCK_ENTRIES // n)
+    return [slice(a, a + step) for a in range(0, n, step)]
+
+
 def validate_scheme(relation) -> AssociationScheme:
     """Check the scheme axioms for a relation table and return the scheme.
 
@@ -105,6 +126,12 @@ def validate_scheme(relation) -> AssociationScheme:
     The intersection tensor is attached to the returned scheme; a certified
     one carries the array and no (D+1)^3 tensor.  Raises
     :class:`AxiomViolation` with a witness on failure.
+
+    The scheme holds the table in :func:`class_dtype` of D.  A read-only
+    table already of that type, such as the one
+    :func:`~terwlab.generators.distance_relation` returns, is held as it
+    is; any other is copied.  On an integer table, no pass before the full
+    scan makes an n x n int64 or intp array.
     """
     rel = np.asarray(relation)
     if rel.ndim != 2 or rel.shape[0] != rel.shape[1]:
@@ -112,7 +139,7 @@ def validate_scheme(relation) -> AssociationScheme:
     if not np.issubdtype(rel.dtype, np.integer):
         if not np.all(rel == np.rint(rel)):
             raise AxiomViolation("i", "relation table has non-integer entries")
-    rel = rel.astype(np.int64)
+        rel = rel.astype(np.int64)
     n = rel.shape[0]
     if n == 0:
         raise AxiomViolation("i", "vertex set is empty")
@@ -121,26 +148,33 @@ def validate_scheme(relation) -> AssociationScheme:
     if rel.min() < 0:
         xy = np.argwhere(rel < 0)[0]
         raise AxiomViolation("i", f"negative class at pair {tuple(xy)}", tuple(xy))
-    counts = np.bincount(rel.ravel(), minlength=D + 1)
-    if (counts == 0).any():
-        empty = int(np.argwhere(counts == 0)[0][0])
-        raise AxiomViolation("i", f"class {empty} is empty", empty)
+    rel = rel.astype(class_dtype(D), order="C", copy=rel.flags.writeable)
+    blocks = _row_blocks(n)
+    # a class that row 0 meets is not empty: the full count runs only when row 0 misses one
+    if not np.bincount(rel[0], minlength=D + 1).all():
+        counts = sum(np.bincount(rel[rows].ravel(), minlength=D + 1) for rows in blocks)
+        if (counts == 0).any():
+            empty = int(np.argwhere(counts == 0)[0][0])
+            raise AxiomViolation("i", f"class {empty} is empty", empty)
 
     diag = np.diagonal(rel)
     if (diag != 0).any():
         x = int(np.argwhere(diag != 0)[0][0])
         raise AxiomViolation("ii", f"relation({x},{x}) = {rel[x, x]} != 0", (x, x))
     # the diagonal is all class 0, so class 0 holds an off-diagonal pair when it holds more
-    if counts[0] > n:
+    if rel.size - np.count_nonzero(rel) > n:
         xy = tuple(int(v) for v in np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0])
         raise AxiomViolation("ii", f"class 0 holds the off-diagonal pair {xy}", xy)
 
-    asym = rel != rel.T
-    if asym.any():
-        xy = tuple(int(v) for v in np.argwhere(asym)[0])
-        raise AxiomViolation(
-            "iii", f"relation{xy} = {rel[xy]} but the reverse pair has class {rel[xy[::-1]]}", xy
-        )
+    # rows a.. against columns a..: the first asymmetric pair in row-major
+    # order has x < y, so it lies in the block of row x right of column a
+    for rows in blocks:
+        asym = rel[rows, rows.start:] != rel[rows.start:, rows].T
+        if asym.any():
+            x, y = (int(v) + rows.start for v in np.argwhere(asym)[0])
+            raise AxiomViolation(
+                "iii", f"relation{(x, y)} = {rel[x, y]} but the reverse pair has class {rel[y, x]}", (x, y)
+            )
 
     tensor = _p_polynomial_counts(rel, n, D)
     if tensor is None:
@@ -176,15 +210,16 @@ def _p_polynomial_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor 
         return None
     nbr = (np.flatnonzero(adj).reshape(n, k) % n).T.copy()
     del adj
-    small, unsigned = (np.int8, np.uint8) if D < 127 else (np.int32, np.uint32)
-    r = rel.astype(small)
-    below = r - 1
-    step = np.empty_like(r)  # 1 + rel[y, z] - rel[x, z], in {0, 1, 2} when the test holds
+    # in the table's own type, 1 + rel[y, z] - rel[x, z] lies in [1 - D, D + 1];
+    # viewed unsigned, a negative step, and D + 1 where it wraps, read above 2
+    unsigned = np.dtype(f"u{rel.itemsize}")
+    below = rel - 1
+    step = np.empty_like(rel)  # 1 + rel[y, z] - rel[x, z], in {0, 1, 2} when the test holds
     down = np.zeros((n, n), dtype=np.min_scalar_type(k))
     up = np.zeros_like(down)
     for ys in nbr:
-        np.subtract(r[ys], below, out=step)
-        if step.view(unsigned).max() > 2:  # a negative step wraps past 2
+        np.subtract(rel[ys], below, out=step)
+        if step.view(unsigned).max() > 2:
             return None
         down += step == 0
         up += step == 2
@@ -193,8 +228,14 @@ def _p_polynomial_counts(rel: np.ndarray, n: int, D: int) -> IntersectionTensor 
     b = np.zeros_like(c)
     c[rel[0]] = down[0]
     b[rel[0]] = up[0]
-    if not c[1:].all() or (c[rel] != down).any() or (b[rel] != up).any():
+    if not c[1:].all():
         return None
+    # one gather checks both counts: the key c (k + 1) + b names the pair (c, b)
+    key_type = np.min_scalar_type(k * (k + 2))
+    key = c.astype(key_type) * (k + 1) + b
+    for rows in _row_blocks(n):
+        if (key.take(rel[rows]) != down[rows].astype(key_type) * (k + 1) + up[rows]).any():
+            return None
     c, b = c.astype(np.int64), b.astype(np.int64)
     valencies = [1]
     for i in range(D):
@@ -272,7 +313,7 @@ def relabel_classes(scheme: AssociationScheme, ordering) -> AssociationScheme:
         raise ValueError(f"not a class ordering fixing 0: {ordering}")
     if ordering == tuple(range(D + 1)):
         return scheme
-    pos = np.empty(D + 1, dtype=np.int64)
+    pos = np.empty(D + 1, dtype=scheme.relation.dtype)
     for newi, old in enumerate(ordering):
         pos[old] = newi
     rel = pos[scheme.relation]

@@ -286,7 +286,9 @@ def _eigenspace_bases(Q: np.ndarray, relation: np.ndarray, m: np.ndarray) -> np.
 
     The pivot p is the largest residual diagonal entry, the lowest index on
     ties; column p of E_t is Q[t, relation[p]] / n, as the relation is
-    symmetric.  The columns are built as the rows of one n x n buffer.
+    symmetric, gathered by ``take``, which widens a one-byte index row
+    faster than ``[]`` does.  The columns are built as the rows of one
+    n x n buffer.
     """
     n, ends = len(relation), np.cumsum(m)
     rows = np.empty((n, n))
@@ -294,7 +296,7 @@ def _eigenspace_bases(Q: np.ndarray, relation: np.ndarray, m: np.ndarray) -> np.
         diag = np.full(n, q[0])
         for j in range(start, stop):
             p = diag.argmax()
-            rows[j] = (q[relation[p]] - rows[start:j, p] @ rows[start:j]) / math.sqrt(diag[p])
+            rows[j] = (q.take(relation[p]) - rows[start:j, p] @ rows[start:j]) / math.sqrt(diag[p])
             diag -= rows[j] ** 2
     return rows.T
 

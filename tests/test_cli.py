@@ -171,6 +171,17 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert main(["validate", "--scheme", str(path)]) == 2
 
 
+@pytest.mark.parametrize("relation", [
+    {"kind": "distance_graph", "adjacency": [[1, 6.7], [0, 2], [1, 3], [2, 4], [3, 5], [4, 6], [5, 0]]},
+    {"kind": "explicit", "matrix": [[0, 1.5, 2, 3, 3, 2, 1]] + tw.odd_cycle(3).relation.tolist()[1:]},
+], ids=["adjacency", "matrix"])
+def test_non_integer_entry_is_input_error(tmp_path, capsys, relation):
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"n": 7, "D": 3, "relation": relation}))
+    assert main(["validate", "--scheme", str(path)]) == 2
+    assert "not a JSON integer" in capsys.readouterr().err
+
+
 def test_missing_file_is_input_error():
     assert main(["validate", "--scheme", "/nonexistent.json"]) == 2
 

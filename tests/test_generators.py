@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import terwlab as tw
 from terwlab.errors import AxiomViolation, InvalidParameter, ParseError, ResourceLimit
 from terwlab.generators import _odd_graph_adjacency, distance_relation, scheme_from_json, scheme_to_json
+from terwlab.scheme import class_dtype
 
 
 def reference_distance_relation(adjacency):
@@ -33,6 +34,24 @@ def reference_distance_relation(adjacency):
         x, y = map(int, np.argwhere(rel < 0)[0])
         raise ParseError(f"graph is disconnected: no path from {x} to {y}")
     return rel
+
+
+def reference_odd_graph_adjacency(D):
+    """The per-row builder ``_odd_graph_adjacency`` replaced: one ``flatnonzero`` a vertex."""
+    verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
+    masks = np.array([sum(1 << e for e in v) for v in verts], dtype=np.int64)
+    disjoint = (masks[:, None] & masks[None, :]) == 0
+    return [np.flatnonzero(row).tolist() for row in disjoint]
+
+
+def reference_scheme_to_json(scheme):
+    """The per-vertex writer ``scheme_to_json`` replaced: one ``flatnonzero`` and ``sorted`` a vertex."""
+    rel = scheme.relation
+    if scheme.D >= 1:
+        adjacency = [sorted(int(w) for w in np.flatnonzero(rel[v] == 1)) for v in range(scheme.n)]
+        if scheme.tensor.pp is not None or np.array_equal(reference_distance_relation(adjacency), rel):
+            return {"n": scheme.n, "D": scheme.D, "relation": {"kind": "distance_graph", "adjacency": adjacency}}
+    return {"n": scheme.n, "D": scheme.D, "relation": {"kind": "explicit", "matrix": rel.tolist()}}
 
 
 def _outcome(fn, adjacency):
@@ -96,18 +115,85 @@ def test_empty_distance_graph_is_an_axiom_violation():
 def test_distance_relation_matches_reference_on_families(all_bundles):
     for bundle in all_bundles:
         adjacency = scheme_to_json(bundle.scheme)["relation"]["adjacency"]
-        assert np.array_equal(distance_relation(adjacency), reference_distance_relation(adjacency))
+        reference = reference_distance_relation(adjacency)
+        # as lists, and as the n x k array the loader and the family builders pass
+        assert np.array_equal(distance_relation(adjacency), reference)
+        assert np.array_equal(distance_relation(np.array(adjacency)), reference)
 
 
 @pytest.mark.parametrize("D", [2, 3, 4, 5])
 def test_odd_graph_adjacency_matches_pairwise_disjointness(D):
-    # the double loop the vectorized disjointness test replaced
+    # the double loop the vectorized disjointness test replaced, and the per-row builder
     verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
     masks = [sum(1 << e for e in v) for v in verts]
     expected = [[j for j, mw in enumerate(masks) if not (mv & mw)] for mv in masks]
-    adjacency = _odd_graph_adjacency(D)
-    assert adjacency == expected
-    assert all(type(w) is int for row in adjacency for w in row)
+    assert _odd_graph_adjacency(D).tolist() == expected == reference_odd_graph_adjacency(D)
+
+
+@pytest.fixture(scope="module")
+def c601():
+    return tw.odd_cycle(300)
+
+
+def test_scheme_files_match_the_per_vertex_writer(all_bundles, c601):
+    # save_scheme writes json.dumps of this document, so equal dumps are byte-identical files
+    for scheme in [bundle.scheme for bundle in all_bundles] + [c601]:
+        assert json.dumps(scheme_to_json(scheme)) == json.dumps(reference_scheme_to_json(scheme))
+
+
+def test_save_load_round_trip_keeps_the_narrow_table_and_array(tmp_path, all_bundles, c601):
+    for scheme in [bundle.scheme for bundle in all_bundles] + [c601]:
+        path = tmp_path / "scheme.json"
+        tw.save_scheme(scheme, path)
+        loaded = tw.load_scheme(path)
+        assert loaded.relation.dtype == scheme.relation.dtype == class_dtype(scheme.D)
+        assert np.array_equal(loaded.relation, scheme.relation)
+        assert not loaded.relation.flags.writeable
+        pp, again = scheme.tensor.pp, loaded.tensor.pp
+        assert all(np.array_equal(getattr(again, f), getattr(pp, f)) for f in "cab")
+        assert np.array_equal(loaded.tensor.k, scheme.tensor.k)
+    assert c601.relation.dtype == np.int16
+    assert all(bundle.scheme.relation.dtype == np.int8 for bundle in all_bundles)
+
+
+def test_class_dtype_is_the_narrowest_signed_type():
+    assert [class_dtype(D) for D in (0, 127, 128, 32767, 32768)] == [np.int8, np.int8, np.int16, np.int16, np.int32]
+    # a BFS past 127 levels widens its table: the path on 130 vertices has diameter 129
+    path = [[w for w in (v - 1, v + 1) if 0 <= w < 130] for v in range(130)]
+    assert distance_relation(path).dtype == np.int16
+    assert np.array_equal(distance_relation(path), reference_distance_relation(path))
+
+
+C7_ADJACENCY = [[1, 6], [0, 2], [1, 3], [2, 4], [3, 5], [4, 6], [5, 0]]
+
+
+@pytest.mark.parametrize(
+    "kind, at, entry",
+    [("distance_graph", (0, 1), 6.7), ("distance_graph", (0, 1), 6.0), ("distance_graph", (0, 1), "6"),
+     ("distance_graph", (0, 0), True), ("explicit", (0, 1), 1.5), ("explicit", (0, 1), 1.0),
+     ("explicit", (0, 1), "1"), ("explicit", (0, 1), True)],
+)
+def test_non_integer_entries_are_parse_errors(kind, at, entry):
+    # each entry would read as the valid C_7 entry it replaces if it were truncated or cast
+    rows = C7_ADJACENCY if kind == "distance_graph" else tw.odd_cycle(3).relation.tolist()
+    rows = [list(row) for row in rows]
+    rows[at[0]][at[1]] = entry
+    field = "adjacency" if kind == "distance_graph" else "matrix"
+    doc = {"n": 7, "D": 3, "relation": {"kind": kind, field: rows}}
+    with pytest.raises(ParseError, match="not a JSON integer"):
+        scheme_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "relation, message",
+    [({"kind": "distance_graph", "adjacency": [[1, 10**30], [0]]}, "out of range"),
+     ({"kind": "explicit", "matrix": [[0, 10**30], [1, 0]]}, "bad class matrix"),
+     ({"kind": "distance_graph", "adjacency": [[1], 0]}, "list of lists"),
+     ({"kind": "explicit", "matrix": None}, "list of lists")],
+)
+def test_malformed_entries_are_parse_errors(relation, message):
+    with pytest.raises(ParseError, match=message):
+        scheme_from_json({"n": 2, "D": 1, "relation": relation})
 
 
 def test_odd_cycle_basic():

@@ -251,6 +251,58 @@ def test_cycle_ladder_tensor_and_orderings(D):
     assert orderings == expected
 
 
+def reference_axioms_i_to_iii(rel):
+    """The whole-table passes of axioms i-iii that ``validate_scheme``'s row-0
+    test and row blocks replaced: (axiom, message, witness) of the first
+    violation, or None."""
+    n, D = len(rel), int(rel.max())
+    counts = np.bincount(rel.ravel(), minlength=D + 1)
+    if (counts == 0).any():
+        empty = int(np.argwhere(counts == 0)[0][0])
+        return "i", f"class {empty} is empty", empty
+    diag = np.diagonal(rel)
+    if (diag != 0).any():
+        x = int(np.argwhere(diag != 0)[0][0])
+        return "ii", f"relation({x},{x}) = {rel[x, x]} != 0", (x, x)
+    if counts[0] > n:
+        xy = tuple(int(v) for v in np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0])
+        return "ii", f"class 0 holds the off-diagonal pair {xy}", xy
+    asym = rel != rel.T
+    if asym.any():
+        xy = tuple(int(v) for v in np.argwhere(asym)[0])
+        return "iii", f"relation{xy} = {rel[xy]} but the reverse pair has class {rel[xy[::-1]]}", xy
+    return None
+
+
+@st.composite
+def corrupted_tables(draw):
+    """C_n tables with a few entries overwritten by classes 0..D+2; a D+2 leaves class D+1 empty."""
+    n = draw(st.sampled_from([3, 5, 7, 9, 15, 21]))
+    rel = cycle_relation(n)
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rel[x, y] = draw(st.integers(0, n // 2 + 2))
+    return rel
+
+
+@given(corrupted_tables())
+@settings(max_examples=300, deadline=None)
+def test_axioms_i_to_iii_name_the_whole_table_witness(rel):
+    # blocks of a few rows, so that the symmetry pass really runs block by block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme_module, "BLOCK_ENTRIES", 2 * len(rel))
+        assert len(scheme_module._row_blocks(len(rel))) > 1
+        expected = reference_axioms_i_to_iii(rel)
+        try:
+            tw.validate_scheme(rel)
+            got = None
+        except AxiomViolation as err:
+            got = None if err.axiom == "iv" else (err.axiom, str(err), err.witness)
+    if expected is not None:
+        expected = (expected[0], f"axiom ({expected[0]}) violated: {expected[1]}", expected[2])
+    assert got == expected
+
+
 def test_asymmetric_relation_rejected():
     rel = cycle_relation(7).copy()
     rel[0, 2] = 3
@@ -304,6 +356,20 @@ def test_product_identity_exact(all_bundles):
                 lhs = A[i] @ A[j]
                 rhs = np.tensordot(p[:, i, j].astype(np.float64), A, axes=(0, 0))
                 assert np.array_equal(lhs, rhs), (bundle.name, i, j)
+
+
+def test_disconnected_class_one_graph_saves_as_explicit_matrix(tmp_path):
+    # Z_3 x Z_3 is a valid scheme whose class-1 graph is three disjoint triangles
+    from terwlab.generators import scheme_to_json
+
+    scheme = tw.validate_scheme(product_relation(3, 3))
+    assert scheme_to_json(scheme)["relation"]["kind"] == "explicit"
+    path = tmp_path / "z3xz3.json"
+    tw.save_scheme(scheme, path)
+    loaded = tw.load_scheme(path)
+    assert loaded.relation.dtype == scheme.relation.dtype == np.int8
+    assert np.array_equal(loaded.relation, scheme.relation)
+    assert np.array_equal(loaded.tensor.p, scheme.tensor.p)
 
 
 def test_relabel_classes_round_trip():
