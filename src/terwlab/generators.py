@@ -187,12 +187,14 @@ def _integer_entries(rows, what: str) -> list[int]:
 def scheme_from_json(doc) -> AssociationScheme:
     """Build a scheme from the parsed JSON document."""
     try:
-        n = int(doc["n"])
-        D = int(doc["D"])
+        n, D = doc["n"], doc["D"]
         relation = doc["relation"]
         kind = relation["kind"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"scheme document missing required fields: {exc}") from exc
+    for field, value in (("n", n), ("D", D)):
+        if type(value) is not int:  # the rule of _integer_entries: booleans are not integers
+            raise ParseError(f"bad {field} {value!r}: not a JSON integer")
 
     if kind == "distance_graph":
         adjacency = relation.get("adjacency")

@@ -33,8 +33,14 @@ and (theta_s - theta_t) U_s^T U_t = U_s^T R_t - R_s^T U_t,
 With eps the largest of these, sigma_min(U)^2 >= 1 - n eps, and Kahan's
 theorem puts the eigenvalues of A, m_t of them at each theta_t, within
 ||A U - U Theta||_2 / sigma_min(U) <= sqrt(sum_t r_t^2 / (1 - n eps)) of
-the theta_t.  A Q-polynomial ordering is a relabeling of the idempotents
-under which the Krein parameters show the same tridiagonal vanishing pattern.
+the theta_t.
+
+An ordering of the classes is P-polynomial exactly when the slice
+p^h_{1j} of its position-1 class, read in that order, is tridiagonal with
+nonzero sub- and superdiagonals (Brouwer-Cohen-Neumaier, Distance-Regular
+Graphs, Prop. 2.7.1); dually, an ordering of the idempotents is
+Q-polynomial exactly when the Krein slice q^h_{1j} is (Bannai-Ito 1984,
+III.1).  Both searches test that slice alone.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
@@ -44,22 +50,23 @@ certified from its class-1 graph is already in distance order, and the
 identity is the ordering the search would return first: the search tries
 class 1 first in position 1; from class j its greedy step can only go to
 j + 1, the one class linked to j by class 1 (p^{j+1}_{1j} = c_{j+1} > 0)
-that is not yet used; and distances satisfy the tridiagonal pattern.
-Such a scheme takes the identity and its array with no search, and its
-(D+1)^3 intersection tensor is never formed; a table from the full scan
-is searched on its tensor.
+that is not yet used; and in distance order the class-1 slice is the
+tridiagonal matrix of the array, with the positive c_{j+1} below its
+diagonal and b_j above it.  Such a scheme takes the identity and its array
+with no search, and its (D+1)^3 intersection tensor is never formed; a
+table from the full scan is searched on its tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotPPolynomial, NumericalCheckFailure
-from .predictor import BandGrid, band_grid
+from .predictor import BandGrid, band_grid, tridiagonal
 from .scheme import AssociationScheme, IntersectionTensor, PPolyArray, relabel_classes
 
 #: spacing under which two eigenvalues count as equal (scaled by 1 + |theta|)
@@ -142,52 +149,20 @@ def krein_products(spectral: SpectralData) -> np.ndarray:
     return np.where(t + d <= D, value, np.nan)
 
 
-@lru_cache(maxsize=8)
-def _tridiagonal_masks(size: int) -> tuple:
-    """The masks ``hi > rest`` and ``hi == rest`` over the (size, size, size) position grid, read-only.
-
-    ``hi`` is the largest of the three positions and ``rest`` the sum of
-    the other two.  They depend on the size alone, so each size builds
-    them once.
-    """
-    r = np.arange(size)
-    a, b, c = np.ix_(r, r, r)
-    hi = np.maximum(np.maximum(a, b), c)
-    rest = a + b + c - hi
-    masks = (hi > rest, hi == rest)
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
-
-
-def _pattern_ok(nonzero: np.ndarray, order) -> bool:
-    """Tridiagonal-support test for a 3-index array under a relabeling.
-
-    The entry at (h, i, j) must vanish when one position index exceeds the
-    sum of the other two and must not vanish when it equals that sum.
-    Reindexing by ``order``, one axis at a time, puts the support in
-    position coordinates, where both conditions are fixed masks over the
-    position grid (:func:`_tridiagonal_masks`): the support must miss
-    ``hi > rest`` and cover ``hi == rest``.
-    """
-    idx = np.asarray(order)
-    support = nonzero[idx][:, idx][:, :, idx]
-    beyond, on = _tridiagonal_masks(len(order))
-    return not (support & beyond).any() and bool(support[on].all())
-
-
 def _orderings(nonzero: np.ndarray):
     """Relabelings fixing 0 under which the support is tridiagonal, lazily.
 
     Candidates for position 1 are tried in increasing order and extended
     greedily: the next label must be the unique unused one linked to the
-    previous by the position-1 label.  Every completed candidate is
-    verified in full and yielded as soon as it passes, so a caller that
-    needs only the first ordering stops the search there.
+    previous by the position-1 label c1.  A completed candidate passes when
+    the slice ``nonzero[:, c1, :]``, rows and columns in its order, vanishes
+    off its three bands and nowhere on its sub- and superdiagonals (module
+    docstring).  It is yielded as soon as it passes, so a caller that needs
+    only the first ordering stops the search there.
     """
     D = nonzero.shape[0] - 1
     if D == 0:
-        if _pattern_ok(nonzero, (0,)):
+        if nonzero[0, 0, 0]:
             yield (0,)
         return
     for c1 in range(1, D + 1):
@@ -201,7 +176,11 @@ def _orderings(nonzero: np.ndarray):
                 break
             order.append(int(nxt[0]))
             used[nxt[0]] = True
-        if order is not None and _pattern_ok(nonzero, order):
+        if order is None:
+            continue
+        S = nonzero[:, c1, :][np.ix_(order, order)]
+        off_bands = np.triu(S, 2).any() or np.tril(S, -2).any()
+        if not off_bands and np.diagonal(S, 1).all() and np.diagonal(S, -1).all():
             yield tuple(order)
 
 
@@ -211,18 +190,15 @@ def _krein_support(krein: np.ndarray) -> np.ndarray:
 
 
 def _three_term(x: np.ndarray) -> PPolyArray:
-    """(x[i, 1, i - 1], x[i, 1, i], x[i, 1, i + 1]) for i = 0..D, 0 past either end, in the dtype of ``x``."""
-    D = len(x) - 1
-    i = np.arange(D + 1)
-    c, b = np.zeros(D + 1, dtype=x.dtype), np.zeros(D + 1, dtype=x.dtype)
-    c[1:] = x[i[1:], 1, i[:-1]]
-    b[:-1] = x[i[:-1], 1, i[1:]]
-    return PPolyArray(c=c, a=x[i, 1, i], b=b)
+    """(x[i, i - 1], x[i, i], x[i, i + 1]) for i = 0..D, 0 past either end, in the dtype of the 2-D slice ``x``."""
+    zero = np.zeros(1, dtype=x.dtype)
+    return PPolyArray(c=np.concatenate((zero, np.diagonal(x, -1))), a=np.diagonal(x).copy(),
+                      b=np.concatenate((np.diagonal(x, 1), zero)))
 
 
 def intersection_array(tensor: IntersectionTensor) -> PPolyArray:
     """The (c, a, b) array of a tensor already in P-polynomial order: the certified one when it carries it."""
-    return _three_term(tensor.p) if tensor.pp is None else tensor.pp
+    return _three_term(tensor.p[:, 1, :]) if tensor.pp is None else tensor.pp
 
 
 def is_almost_bipartite(pp: PPolyArray) -> bool:
@@ -377,7 +353,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     if q_ordering is not None:
         theta_star = Q[1].copy()
         _check_distinct(theta_star)
-        ppstar = _three_term(krein)
+        ppstar = _three_term(krein[:, 1, :])
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 
@@ -425,7 +401,7 @@ def _verify_bose_mesner(Q, P, pp, n) -> tuple:
     worst = float(np.abs(Q.sum(axis=0) / n - delta[0]).max())  # sum_j E_j = I
     worst = max(worst, float(np.abs(Q[0] / n - 1.0 / n).max()))  # E_0 = J / n
     a, b, c = (x.astype(np.float64) for x in (pp.a, pp.b, pp.c))
-    L1 = np.diag(a) + np.diag(b[:-1], 1) + np.diag(c[1:], -1)
+    L1 = tridiagonal(c, a, b)
     Y = np.empty((D + 1, D + 1, D + 1))
     Y[0] = Q.T
     np.matmul(L1, Y[0], out=Y[1])  # a_0 = 0 and c_1 = 1

@@ -182,6 +182,17 @@ def test_non_integer_entry_is_input_error(tmp_path, capsys, relation):
     assert "not a JSON integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, status", [
+    ({}, 0), ({"n": 7.9}, 2), ({"D": "3"}, 2), ({"n": True}, 2),
+], ids=["valid", "float n", "string D", "boolean n"])
+def test_header_fields_must_be_json_integers(tmp_path, capsys, header, status):
+    # each bad field would read as C_7's own n or D if it were cast with int()
+    path = tmp_path / "c7.json"
+    path.write_text(json.dumps({**tw.generators.scheme_to_json(tw.odd_cycle(3)), **header}))
+    assert main(["validate", "--scheme", str(path)]) == status
+    assert ("not a JSON integer" in capsys.readouterr().err) == (status == 2)
+
+
 def test_missing_file_is_input_error():
     assert main(["validate", "--scheme", "/nonexistent.json"]) == 2
 

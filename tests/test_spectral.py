@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -10,11 +11,9 @@ from conftest import dense_idempotents
 from terwlab.errors import NotPPolynomial
 from terwlab.scheme import relabel_classes
 from terwlab.spectral import (
-    KREIN_ZERO_TOL,
     _eigenmatrix,
     _krein_support,
     _orderings,
-    _pattern_ok,
     _tridiagonal_eigenvalues,
 )
 
@@ -42,6 +41,47 @@ def reference_orderings(nonzero):
     """Reference: every ordering fixing 0 tried in turn, in lexicographic order."""
     orders = ((0,) + perm for perm in permutations(range(1, nonzero.shape[0])))
     return [order for order in orders if reference_pattern_ok(nonzero, order)]
+
+
+def reference_pattern_orderings(nonzero):
+    """Reference at any size: each position-1 label extended by its unique unused neighbour, then
+    the 3-D test vectorised, with the masks ``hi > rest`` and ``hi == rest`` over the position grid."""
+    D = nonzero.shape[0] - 1
+    r = np.arange(D + 1, dtype=np.int16)
+    a, b, c = np.ix_(r, r, r)
+    hi = np.maximum(np.maximum(a, b), c)
+    beyond, on = hi > a + b + c - hi, hi == a + b + c - hi
+    found = [(0,)] if D == 0 and nonzero[0, 0, 0] else []
+    for c1 in range(1, D + 1):
+        order = [0, c1]
+        while len(order) < D + 1:
+            nxt = [h for h in np.flatnonzero(nonzero[:, c1, order[-1]]) if h not in order]
+            if len(nxt) != 1:
+                break
+            order.append(int(nxt[0]))
+        else:
+            support = nonzero[np.ix_(order, order, order)]
+            if not (support & beyond).any() and support[on].all():
+                found.append(tuple(order))
+    return found
+
+
+def reference_slice_ok(nonzero, order):
+    """Reference: the slice test as a loop over the position-1 slice, reordered."""
+    if len(order) == 1:
+        return bool(nonzero[0, 0, 0])
+    for i, h in enumerate(order):
+        for j, l in enumerate(order):
+            entry = bool(nonzero[h, order[1], l])
+            if (abs(i - j) > 1 and entry) or (abs(i - j) == 1 and not entry):
+                return False
+    return True
+
+
+def reference_slice_orderings(nonzero):
+    """Reference: every ordering fixing 0 tried in turn under the slice test, in lexicographic order."""
+    orders = ((0,) + perm for perm in permutations(range(1, nonzero.shape[0])))
+    return [order for order in orders if reference_slice_ok(nonzero, order)]
 
 
 @st.composite
@@ -72,35 +112,13 @@ def supports_and_orders(draw):
 
 @given(supports_and_orders())
 @settings(max_examples=200, deadline=None)
-def test_pattern_ok_matches_reference_loop(case):
-    nonzero, order = case
-    assert _pattern_ok(nonzero, order) == reference_pattern_ok(nonzero, order)
-
-
-def test_pattern_ok_matches_reference_on_bundle_supports(all_bundles):
-    for bundle in all_bundles:
-        krein = bundle.spectral.krein
-        supports = (
-            bundle.scheme.tensor.p != 0,
-            np.abs(krein) > KREIN_ZERO_TOL * max(1.0, float(np.abs(krein).max())),
-        )
-        D = bundle.scheme.D
-        for nonzero in supports:
-            for perm in permutations(range(1, D + 1)):
-                order = (0,) + perm
-                assert _pattern_ok(nonzero, order) == reference_pattern_ok(nonzero, order), (
-                    bundle.name, order,
-                )
-
-
-@given(supports_and_orders())
-@settings(max_examples=200, deadline=None)
 def test_first_found_ordering_is_first_detected(case):
     # the support as a 0/1 Krein tensor: 1 > tol * 1, so the mask is the support
     nonzero, _ = case
     assert _krein_support(nonzero.astype(np.float64)).tolist() == nonzero.tolist()
-    if nonzero.shape[0] <= 6:  # the reference tries all D! orderings
-        assert list(_orderings(nonzero)) == reference_orderings(nonzero)
+    if nonzero.shape[0] <= 6:  # the references try all D! orderings
+        assert list(_orderings(nonzero)) == reference_slice_orderings(nonzero)
+        assert reference_pattern_orderings(nonzero) == reference_orderings(nonzero)
 
 
 def test_first_found_orderings_on_bundles(all_bundles):
@@ -123,7 +141,7 @@ def _eigenmatrix_krein(tensor):
     k = tensor.k.astype(np.float64)
     n = k.sum()
     m = n / np.sum(P * P / k[:, None], axis=0)
-    return np.einsum("i,j,li,lj,lh,l->hij", m, m, P, P, P, 1 / k**2) / n
+    return np.einsum("i,j,li,lj,lh,l->hij", m, m, P, P, P, 1 / k**2, optimize=True) / n
 
 
 @pytest.mark.parametrize("D", range(3, 31))
@@ -135,9 +153,52 @@ def test_first_found_orderings_on_cycles(D):
     krein = _eigenmatrix_krein(tensor)
     q_orders = list(_orderings(_krein_support(krein)))
     assert len(q_orders) == len(p_orders)
-    if D <= 17:  # spectral_data takes the first ordering of each search
-        sp = tw.spectral_data(tw.odd_cycle(D))
-        assert (sp.p_ordering, sp.q_ordering) == (p_orders[0], q_orders[0])
+    sp = tw.spectral_data(tw.odd_cycle(D))  # it takes the first ordering of each search
+    assert (sp.p_ordering, sp.q_ordering) == (p_orders[0], q_orders[0])
+
+
+def _petersen():
+    verts = list(combinations(range(5), 2))
+    return tw.scheme_from_graph([[j for j, w in enumerate(verts) if not (set(v) & set(w))] for v in verts])
+
+
+def _relabelled(scheme, order):
+    return tw.validate_scheme(relabel_classes(scheme, order).relation)
+
+
+REAL_SCHEMES = {
+    **{f"C{2 * D + 1}": (lambda D=D: tw.odd_cycle(D)) for D in (*range(1, 61), 100)},
+    **{f"O{D}": (lambda D=D: tw.odd_graph(D)) for D in range(2, 6)},
+    **{f"FC{2 * D + 1}": (lambda D=D: tw.folded_cube(D)) for D in range(2, 6)},
+    "Petersen": _petersen,
+    "Z2xZ2": lambda: tw.validate_scheme(np.array([[x ^ y for y in range(4)] for x in range(4)])),
+    "C9-relabelled": lambda: _relabelled(tw.odd_cycle(4), (0, 2, 4, 1, 3)),
+    "C7-relabelled": lambda: _relabelled(tw.odd_cycle(3), (0, 1, 3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", [*REAL_SCHEMES, "Petersen-line-graph"])
+def test_slice_search_matches_the_3d_reference_on_real_supports(name, request):
+    # the P support of each scheme and the Krein support of each certified one
+    scheme = request.getfixturevalue("petersen_line_graph") if name == "Petersen-line-graph" else REAL_SCHEMES[name]()
+    supports = [scheme.tensor.p != 0]
+    if scheme.tensor.pp is not None:
+        supports.append(_krein_support(_eigenmatrix_krein(scheme.tensor)))
+    for nonzero in supports:
+        assert list(_orderings(nonzero)) == reference_pattern_orderings(nonzero)
+
+
+def test_first_q_ordering_holds_no_pattern_mask():
+    # C_201 (D=100): each candidate reads one (D+1)^2 slice, so the first
+    # Q-ordering allocates well under one (D+1)^3 boolean mask (1 MB)
+    support = _krein_support(_eigenmatrix_krein(tw.odd_cycle(100).tensor))
+    tracemalloc.start()
+    try:
+        first = next(_orderings(support), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first is not None and peak < 2 * 2**20, peak
 
 
 def test_c7_theta_matches_cosines(c7):
