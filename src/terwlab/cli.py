@@ -103,6 +103,13 @@ class VerifyReport:
 
 # Each stage takes the run's options and the values of the stages before it,
 # and returns (status, residual, detail, value); a value of None is missing.
+# Residuals are gated as ``not worst <= tol``, so that a NaN fails.
+
+
+def _worst(residuals) -> float:
+    """The largest residual, 0.0 for none, NaN when any is NaN (the builtin ``max`` drops a NaN that is not first)."""
+    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+
 
 def _axioms(args, values):
     s = generators.load_scheme(args.scheme)
@@ -140,14 +147,15 @@ def _decomposition(args, values):
 def _module_structure(args, values):
     D = values["spectral data"].D
     endpoints = values["almost-bipartite flag"]  # the endpoint identities are theorems only there
-    worst = 0.0
     # the oracle fills in each module's norm_ladder_check as two fields
     for mod in values["decomposition"]:
         if endpoints and (mod.r + mod.d != D or 2 * mod.t + mod.d < D):
             return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
         if not mod.products_positive:
             return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
-        worst = max(worst, mod.norm_residual)
+    worst = _worst(mod.norm_residual for mod in values["decomposition"])
+    if not worst < np.inf:
+        return "fail", worst, "norm ladder residual is not finite", None
     return "pass", worst, None, True
 
 
@@ -156,8 +164,7 @@ def _predictor_vs_oracle(args, values):
         return "skip", None, qs.NOT_ALMOST_BIPARTITE, None
     spectral = values["spectral data"]
     grid = spectral.bands
-    worst = 0.0
-    eig_worst = 0.0
+    gaps, eig_errors = [], []
     # the modules come sorted by class; each class's measured bands are
     # stacked against its predicted bands tiled alike, exact because every
     # module's bands end in the boundary zeros c_0 = b_d = 0 on both sides
@@ -166,15 +173,15 @@ def _predictor_vs_oracle(args, values):
         for measured, predicted in (([mod.cab for mod in group], grid.bands(t, d)),
                                     ([mod.cab_star for mod in group], grid.bands_star(t, d))):
             stacked = tuple(np.concatenate(x) for x in zip(*measured))
-            worst = max(worst, predictor.band_gap(stacked, tuple(np.tile(x, len(group)) for x in predicted)))
+            gaps.append(predictor.band_gap(stacked, tuple(np.tile(x, len(group)) for x in predicted)))
         fr = predictor.feasibility(spectral, t, d)
-        eig_worst = max(eig_worst, fr.eig_B_error, fr.eig_Bstar_error,
-                        fr.trace_B_error, fr.trace_Bstar_error)
+        eig_errors += [fr.eig_B_error, fr.eig_Bstar_error, fr.trace_B_error, fr.trace_Bstar_error]
         if not fr.feasible:
-            return "fail", worst, f"predicted class ({t},{d}) infeasible", None
-    if worst > 1e-6:
+            return "fail", _worst(gaps), f"predicted class ({t},{d}) infeasible", None
+    worst, eig_worst = _worst(gaps), _worst(eig_errors)
+    if not worst <= 1e-6:
         return "fail", worst, "measured vs predicted exceeds 1e-6", None
-    if eig_worst > 1e-8:
+    if not eig_worst <= 1e-8:
         return "fail", eig_worst, "spectral identities of predictions exceed 1e-8", None
     return "pass", worst, None, True
 
@@ -183,12 +190,9 @@ def _trace_formula(args, values):
     spectral = values["spectral data"]
     ladders = multiplicity.trace_ladders(values["context"])
     closed = spectral.closed_traces.tolist()
-    worst = 0.0
-    for (t, d) in predictor.upsilon_cells(spectral.D):
-        lhs = ladders[t][d]
-        rhs = closed[t][d]
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    if worst > 1e-6:
+    worst = _worst(abs(ladders[t][d] - closed[t][d]) / max(1.0, abs(closed[t][d]))
+                   for (t, d) in predictor.upsilon_cells(spectral.D))
+    if not worst <= 1e-6:
         return "fail", worst, "trace identity exceeds 1e-6 relative", None
     return "pass", worst, None, True
 
@@ -216,12 +220,12 @@ def _qs_engine(args, values):
         return "skip", None, skipped, None
     params = qs.fit_qs(spectral.theta, spectral.theta_star, spectral.D)
     # bands, not matrices: both sides vanish off the three bands
-    worst = max(params.fit_residual, spectral.bands.gap(qs.qs_band_grid(params)))
-    if worst > 1e-8:
+    worst = _worst((params.fit_residual, spectral.bands.gap(qs.qs_band_grid(params))))
+    if not worst <= 1e-8:
         return "fail", worst, "q,s forms disagree with eigenvalue forms", None
     if table is not None:
         for (t, d), closed in qs.closed_form_multiplicities(params).items():
-            if abs(closed - table.mult[t, d]) > 1e-6:
+            if not abs(closed - table.mult[t, d]) <= 1e-6:
                 return "fail", worst, f"closed-form mult({t},{d}) = {closed} != recurrence", None
     return "pass", worst, None, True
 

@@ -2,10 +2,15 @@
 
 Three distance-regular families serve as test instances: odd cycles
 C_{2D+1}, Odd graphs (Kneser graphs K(2D+1, D)), and folded (2D+1)-cubes.
-Each generator builds the graph as an n x k array of neighbour lists by
-whole-array operations, takes its distance partition, and runs the axiom
-validation.  The distance table is held in the narrowest signed integer
-type that holds D (``scheme.class_dtype``: int8 while D < 128).
+Each generator writes its distance table from the family's closed form
+(Brouwer-Cohen-Neumaier, *Distance-Regular Graphs*, ch. 9), one row block
+of whole-array operations at a time, with no neighbour array and no BFS,
+and runs the axiom validation, which must certify the table as the
+distance table of its class-1 graph.  The table is held in the narrowest
+signed integer type that holds D (``scheme.class_dtype``: int8 while
+D < 128).  Loading a ``distance_graph`` file, or building a scheme from a
+user's graph (:func:`scheme_from_graph`), runs the BFS of
+:func:`distance_relation`.
 
 Scheme files are JSON::
 
@@ -24,13 +29,14 @@ as lists.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameter, ParseError, ResourceLimit
-from .scheme import AssociationScheme, class_dtype, validate_scheme
+from .errors import InvalidParameter, NumericalCheckFailure, ParseError, ResourceLimit
+from .scheme import AssociationScheme, _row_blocks, class_dtype, validate_scheme
 
 #: refuse to build instances larger than this many vertices
 DEFAULT_VERTEX_CAP = 5000
@@ -93,49 +99,66 @@ def scheme_from_graph(adjacency) -> AssociationScheme:
     return validate_scheme(distance_relation(adjacency))
 
 
+def _closed_form_scheme(name: str, D: int, labels: np.ndarray, distance) -> AssociationScheme:
+    """The certified distance scheme whose table is ``distance(labels[x], labels[y])``.
+
+    The table is filled one row block (:func:`~terwlab.scheme._row_blocks`)
+    at a time, each by one whole-array call on a column of the block's
+    labels against all of them, in :func:`class_dtype` of ``D``, and is
+    held read-only.  Its class-1 graph is the family's graph, so the
+    certificate of :func:`validate_scheme` proves it is that graph's
+    distance table (see :func:`scheme_to_json`).  A table that misses the
+    certificate or has another diameter is a wrong closed form, and raises
+    :class:`NumericalCheckFailure` instead of passing as some other scheme.
+    """
+    n = len(labels)
+    rel = np.empty((n, n), dtype=class_dtype(D))
+    for rows in _row_blocks(n):
+        rel[rows] = distance(labels[rows, None], labels)
+    rel.flags.writeable = False
+    scheme = validate_scheme(rel)
+    if scheme.tensor.pp is None or scheme.D != D:
+        raise NumericalCheckFailure(f"{name}(D={D}): closed form is not a certified distance table of diameter D")
+    return scheme
+
+
 def odd_cycle(D: int) -> AssociationScheme:
-    """Distance scheme of the cycle on 2D+1 vertices."""
+    """Distance scheme of the cycle on n = 2D+1 vertices: d(i, j) = min(|i - j|, n - |i - j|)."""
     if D < 1:
         raise InvalidParameter(f"odd_cycle needs D >= 1, got {D}")
     n = 2 * D + 1
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceLimit(f"odd_cycle(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
-    v = np.arange(n)
-    return scheme_from_graph(np.stack([(v - 1) % n, (v + 1) % n], axis=1))
 
+    def distance(x, y):
+        gap = np.abs(x - y)
+        return np.minimum(gap, n - gap)
 
-def _odd_graph_adjacency(D: int) -> np.ndarray:
-    """Neighbour array of K(2D+1, D): D-subsets in colexicographic order,
-    adjacent when disjoint, tested on their bitmasks all at once.
-
-    Colexicographic order of equal-size subsets is the numeric order of
-    their bitmasks, and each row lists its D+1 neighbours in ascending order.
-    """
-    strings = 1 << (2 * D + 1)
-    bits = np.arange(strings, dtype=np.min_scalar_type(strings))  # uint16 for 4 <= D <= 7
-    masks = bits[np.bitwise_count(bits) == D]
-    n = len(masks)
-    disjoint = (masks[:, None] & masks) == 0
-    return (np.flatnonzero(disjoint) % n).reshape(n, D + 1)
+    return _closed_form_scheme("odd_cycle", D, np.arange(n, dtype=class_dtype(n)), distance)
 
 
 def odd_graph(D: int) -> AssociationScheme:
     """Distance scheme of the Kneser graph K(2D+1, D).
 
     Vertices are the D-subsets of a (2D+1)-set in colexicographic order,
-    adjacent when disjoint.  The graph has diameter D.
+    which is the numeric order of their bitmasks, adjacent when disjoint.
+    Two subsets that meet in s points are at distance min(2(D - s), 2s + 1)
+    (Brouwer-Cohen-Neumaier, *Distance-Regular Graphs*, ch. 9).
     """
     if D < 2:
         raise InvalidParameter(f"odd_graph needs D >= 2, got {D}")
-    import math
-
     n = math.comb(2 * D + 1, D)
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceLimit(f"odd_graph(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
-    scheme = scheme_from_graph(_odd_graph_adjacency(D))
-    if scheme.D != D:
-        raise InvalidParameter(f"odd_graph(D={D}) has diameter {scheme.D}")
-    return scheme
+    strings = 1 << (2 * D + 1)
+    bits = np.arange(strings, dtype=np.min_scalar_type(strings))  # uint16 for 4 <= D <= 7
+    masks = bits[np.bitwise_count(bits) == D]
+
+    def distance(x, y):
+        shared = np.bitwise_count(x & y)  # uint8: every count and distance is at most 2D + 1
+        return np.minimum(2 * (D - shared), 2 * shared + 1)
+
+    return _closed_form_scheme("odd_graph", D, masks, distance)
 
 
 def folded_cube(D: int) -> AssociationScheme:
@@ -144,7 +167,9 @@ def folded_cube(D: int) -> AssociationScheme:
     Vertices are antipodal pairs of (2D+1)-bit strings, represented by the
     member with bit 0 clear, whose index is the string shifted right by
     one; two vertices are adjacent when their representatives differ in
-    one coordinate, possibly after complementing.
+    one coordinate, possibly after complementing.  Representatives at
+    Hamming distance w are at distance min(w, 2D + 1 - w), and w is the
+    popcount of the XOR of the indices.
     """
     if D < 2:
         raise InvalidParameter(f"folded_cube needs D >= 2, got {D}")
@@ -152,12 +177,12 @@ def folded_cube(D: int) -> AssociationScheme:
     n = 1 << (nbits - 1)
     if n > DEFAULT_VERTEX_CAP:
         raise ResourceLimit(f"folded_cube(D={D}) has {n} vertices, cap is {DEFAULT_VERTEX_CAP}")
-    flips = (np.arange(n)[:, None] << 1) ^ (1 << np.arange(nbits))
-    flips ^= (flips & 1) * ((1 << nbits) - 1)  # complement the strings that left bit 0 set
-    scheme = scheme_from_graph(flips >> 1)
-    if scheme.D != D:
-        raise InvalidParameter(f"folded_cube(D={D}) has diameter {scheme.D}")
-    return scheme
+
+    def distance(x, y):
+        w = np.bitwise_count(x ^ y)
+        return np.minimum(w, nbits - w)
+
+    return _closed_form_scheme("folded_cube", D, np.arange(n, dtype=np.min_scalar_type(n)), distance)
 
 
 def load_scheme(path) -> AssociationScheme:

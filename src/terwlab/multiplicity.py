@@ -149,10 +149,11 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
             pre[t, d] = 0.0
             continue
         value = (lhs[t][d] - float(acc[k])) / float(lead[k])
-        rounded = int(round(value))
-        residual = abs(value - rounded)
-        if residual > ROUNDING_TOL:
+        nearest = float(np.rint(value))  # a NaN or inf stays one and fails the gate, where round() raises
+        residual = abs(value - nearest)
+        if not residual <= ROUNDING_TOL:
             raise NonIntegerMultiplicity(f"mult({t}, {d}) = {value} is not near an integer")
+        rounded = int(nearest)
         if rounded < 0:
             raise NegativeMultiplicity(f"mult({t}, {d}) = {value}")
         mult[t, d] = rounded

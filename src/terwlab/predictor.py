@@ -92,9 +92,10 @@ class BandGrid:
         """Largest band difference from another grid over every cell.
 
         :func:`band_gap` of the flat arrays: the two entries it skips, c_0
-        of the first cell and b_d of the last, are 0 in both grids.
+        of the first cell and b_d of the last, are 0 in both grids.  A NaN
+        in either side's gap is the result, not dropped as ``max`` would.
         """
-        return max(band_gap(self.cab, other.cab), band_gap(self.cab_star, other.cab_star))
+        return float(np.max([band_gap(self.cab, other.cab), band_gap(self.cab_star, other.cab_star)]))
 
 
 def upsilon_cells(D: int) -> tuple:

@@ -697,3 +697,50 @@ def test_module_structure_off_the_hypothesis_checks_positivity_and_norms_only(o4
     assert stage(_changed(o4, 3, t=0)) == ("pass", residual, None)  # 2t + d >= D fails
     negative = _changed(o4, 9, products_positive=False)
     assert stage(negative) == ("fail", None, "nonpositive ladder product at (2,1)")
+
+
+# ---------------------------------------------------------------- NaN residuals
+
+def _nan_cell(ladders):
+    ladders[1][-1] = float("nan")  # (1, D - 1): the second cell, where a running max would drop it
+    return ladders
+
+
+def _nan_module(modules):
+    from dataclasses import replace
+
+    return [modules[0], replace(modules[1], norm_residual=float("nan")), *modules[2:]]
+
+
+def _nan_fit(params):
+    from dataclasses import replace
+
+    return replace(params, fit_residual=float("nan"))
+
+
+def _nan_star_band(grid):
+    from dataclasses import replace
+
+    c, a, b = grid.cab_star
+    return replace(grid, cab_star=(c, np.where(np.arange(len(a)) == 1, np.nan, a), b))
+
+
+@pytest.mark.parametrize(
+    "scheme, module, name, inject, stage",
+    [("c7_file", "terwlab.multiplicity", "trace_ladders", _nan_cell, "trace_formula"),
+     ("o4_file", "terwlab.predictor", "band_gap", lambda gap: float("nan"), "predictor_vs_oracle"),
+     ("o4_file", "terwlab.cli", "decompose_standard_module", _nan_module, "module_structure"),
+     ("c7_file", "terwlab.qs", "fit_qs", _nan_fit, "qs_engine"),
+     ("c7_file", "terwlab.qs", "qs_band_grid", _nan_star_band, "qs_engine")],
+)
+def test_a_nan_residual_fails_its_stage(scheme, module, name, inject, stage, request, capsys, monkeypatch):
+    import importlib
+
+    target = importlib.import_module(module)
+    real = getattr(target, name)
+    monkeypatch.setattr(target, name, lambda *args, **kwargs: inject(real(*args, **kwargs)))
+    assert main(["verify", "--scheme", request.getfixturevalue(scheme), "--json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks[stage]["status"] == "fail"
+    assert np.isnan(checks[stage]["residual"])
+    assert [c["name"] for c in checks.values() if c["status"] == "fail"] == [stage]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -7,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
-from terwlab.errors import AxiomViolation, InvalidParameter, ParseError, ResourceLimit
-from terwlab.generators import _odd_graph_adjacency, distance_relation, scheme_from_json, scheme_to_json
-from terwlab.scheme import class_dtype
+from terwlab import generators
+from terwlab.errors import AxiomViolation, InvalidParameter, NumericalCheckFailure, ParseError, ResourceLimit
+from terwlab.generators import distance_relation, scheme_from_json, scheme_to_json
+from terwlab.scheme import BLOCK_ENTRIES, class_dtype
 
 
 def reference_distance_relation(adjacency):
@@ -36,8 +39,38 @@ def reference_distance_relation(adjacency):
     return rel
 
 
+def cycle_adjacency(D):
+    """Neighbour array of C_{2D+1}: vertex v is adjacent to v - 1 and v + 1 mod n."""
+    v = np.arange(2 * D + 1)
+    return np.stack([(v - 1) % len(v), (v + 1) % len(v)], axis=1)
+
+
+def odd_graph_adjacency(D):
+    """Neighbour array of K(2D+1, D): D-subsets in colexicographic order,
+    adjacent when disjoint, tested on their bitmasks all at once.
+
+    Colexicographic order of equal-size subsets is the numeric order of
+    their bitmasks, and each row lists its D+1 neighbours in ascending order.
+    """
+    strings = 1 << (2 * D + 1)
+    bits = np.arange(strings, dtype=np.min_scalar_type(strings))
+    masks = bits[np.bitwise_count(bits) == D]
+    n = len(masks)
+    disjoint = (masks[:, None] & masks) == 0
+    return (np.flatnonzero(disjoint) % n).reshape(n, D + 1)
+
+
+def folded_cube_adjacency(D):
+    """Neighbour array of the folded (2D+1)-cube: flip each of the 2D+1 bits of
+    the representative, and complement the strings that left bit 0 set."""
+    nbits = 2 * D + 1
+    flips = (np.arange(1 << (nbits - 1))[:, None] << 1) ^ (1 << np.arange(nbits))
+    flips ^= (flips & 1) * ((1 << nbits) - 1)
+    return flips >> 1
+
+
 def reference_odd_graph_adjacency(D):
-    """The per-row builder ``_odd_graph_adjacency`` replaced: one ``flatnonzero`` a vertex."""
+    """The per-row builder ``odd_graph_adjacency`` replaced: one ``flatnonzero`` a vertex."""
     verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
     masks = np.array([sum(1 << e for e in v) for v in verts], dtype=np.int64)
     disjoint = (masks[:, None] & masks[None, :]) == 0
@@ -127,7 +160,83 @@ def test_odd_graph_adjacency_matches_pairwise_disjointness(D):
     verts = sorted(combinations(range(2 * D + 1), D), key=lambda s: tuple(reversed(s)))
     masks = [sum(1 << e for e in v) for v in verts]
     expected = [[j for j, mw in enumerate(masks) if not (mv & mw)] for mv in masks]
-    assert _odd_graph_adjacency(D).tolist() == expected == reference_odd_graph_adjacency(D)
+    assert odd_graph_adjacency(D).tolist() == expected == reference_odd_graph_adjacency(D)
+
+
+FAMILY_ADJACENCY = {"odd_cycle": cycle_adjacency, "odd_graph": odd_graph_adjacency,
+                    "folded_cube": folded_cube_adjacency}
+CLOSED_FORM_CASES = ([("odd_cycle", D) for D in (*range(1, 101), 300)]
+                     + [("odd_graph", D) for D in (2, 3, 4, 5)] + [("folded_cube", D) for D in (2, 3, 4, 5)])
+
+
+def test_closed_forms_are_the_bfs_distance_tables():
+    # C_3..C_201 and C_601, O_2..O_5, FC_5..FC_11
+    for family, D in CLOSED_FORM_CASES:
+        scheme = generators.generate(family, D)
+        rel = scheme.relation
+        assert np.array_equal(rel, distance_relation(FAMILY_ADJACENCY[family](D))), (family, D)
+        assert rel.dtype == class_dtype(D) and not rel.flags.writeable, (family, D)
+        assert scheme.D == D and scheme.tensor.pp is not None, (family, D)
+
+
+def test_family_builders_run_no_bfs(monkeypatch):
+    monkeypatch.setattr(generators, "distance_relation", lambda adjacency: pytest.fail("BFS called"))
+    for family, D in (("odd_cycle", 3), ("odd_cycle", 150), ("odd_graph", 4), ("folded_cube", 4)):
+        assert generators.generate(family, D).tensor.pp is not None
+
+
+def _swap_classes(a, b):
+    """A wrong closed form: the right one with classes a and b exchanged."""
+    def wrong(distance):
+        def swapped(x, y):
+            d = distance(x, y)
+            return np.where(d == a, b, np.where(d == b, a, d))
+        return swapped
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "family, D, wrong",
+    [("odd_cycle", 3, _swap_classes(2, 3)),
+     ("odd_graph", 3, _swap_classes(1, 2)),
+     # the Hamming distance of the representatives: the certified table of the 2D-cube
+     ("folded_cube", 3, lambda distance: lambda x, y: np.bitwise_count(x ^ y))],
+)
+def test_a_wrong_closed_form_raises(family, D, wrong, monkeypatch):
+    # each wrong table is a valid scheme (an AxiomViolation would escape pytest.raises):
+    # only the missing certificate, or the diameter, tells it from the family's
+    real = generators._closed_form_scheme
+    monkeypatch.setattr(generators, "_closed_form_scheme",
+                        lambda name, D, labels, distance: real(name, D, labels, wrong(distance)))
+    with pytest.raises(NumericalCheckFailure, match=rf"{family}\(D={D}\)"):
+        generators.generate(family, D)
+
+
+class TableBuilt(Exception):
+    """Raised in place of validation, to stop a builder once its table is built."""
+
+
+@pytest.mark.parametrize("family, D", [("odd_cycle", 1000), ("odd_graph", 6), ("folded_cube", 6)])
+def test_building_a_table_holds_one_row_block_of_temporaries(family, D, monkeypatch):
+    # the table is taken, and tracing stopped, where the builder hands it to validation
+    seen = []
+
+    def stop(table):
+        seen.append((table, tracemalloc.get_traced_memory()[1]))
+        raise TableBuilt
+
+    monkeypatch.setattr(generators, "validate_scheme", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableBuilt):
+            generators.generate(family, D)
+    finally:
+        tracemalloc.stop()
+    (table, peak), = seen
+    n = len(table)
+    assert n * n > 8 * BLOCK_ENTRIES  # even a one-byte n x n temporary would break the bound
+    # beyond the table: at most one row block of intp (8 bytes an entry), and the labels
+    assert peak <= table.nbytes + 8 * BLOCK_ENTRIES + (1 << 16), (family, peak - table.nbytes)
 
 
 @pytest.fixture(scope="module")
@@ -349,3 +458,20 @@ def test_bfs_diameter_matches_D(all_bundles):
     for bundle in all_bundles:
         rel = bundle.scheme.relation
         assert int(rel.max()) == bundle.scheme.D
+
+
+# sha256 of the files `terwlab gen` wrote when the builders ran the BFS; the closed forms write the same bytes
+PINNED_FILES = {
+    ("odd_graph", 4): "97b70bb663d2fff494edc916f565f33f2373087761f4c44a8910dc178d786110",
+    ("odd_graph", 5): "67b396f8b8ef3d33bbc3057549eabec2c956dc55a1c4bcfcc48c8dc2c4c80d19",
+    ("folded_cube", 4): "8c2cdd2f048df960748a0fc49bdf904a2f595dc83f1eccea5bb69166c118f90f",
+    ("odd_cycle", 18): "8717b4449e5fd99083fcd311a5ac8ca3c6d96acfc8370f37a210b910ce6e5507",
+    ("odd_cycle", 300): "cf4da7a2ed06987375d21d137cb67fef39902a7496d96c90707aa66c6a10a193",
+}
+
+
+@pytest.mark.parametrize("family, D", sorted(PINNED_FILES))
+def test_gen_files_are_pinned(family, D, tmp_path):
+    path = tmp_path / "scheme.json"
+    tw.save_scheme(generators.generate(family, D), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_FILES[family, D]

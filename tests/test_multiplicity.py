@@ -312,6 +312,17 @@ def test_solver_equals_reference_on_zero_coefficient_branch():
     _assert_same_table(tw.solve_multiplicities(fake), reference_solve(fake))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nan_or_infinite_trace_fails_the_rounding_gate(bad):
+    # int(round(nan)) raised ValueError, which no stage reports as a failed check
+    sp = tw.spectral_data(tw.odd_cycle(3))
+    closed = sp.closed_traces.copy()
+    closed[1, 2] = bad
+    sp.__dict__["closed_traces"] = closed  # the cached property, replaced on this instance only
+    with pytest.raises(NonIntegerMultiplicity, match=r"mult\(1, 2\)"):
+        tw.solve_multiplicities(sp)
+
+
 def test_census_diff_lists_the_differing_cells_in_sorted_order(all_bundles):
     for bundle in all_bundles:
         table, census = bundle.table, tw.census(bundle.modules)
