@@ -12,7 +12,7 @@ difference of two such matrices.
 import numpy as np
 
 import terwlab as tw
-from terwlab.predictor import band_gap, tridiagonal
+from terwlab.predictor import band_gap, feasibility_reports, tridiagonal
 
 np.set_printoptions(precision=6, suppress=True)
 
@@ -43,7 +43,7 @@ for (t, d) in [(1, 3), (2, 1)]:
     print(f"\neig B(t={t}, d={d}) = {eig}")
     print(f"theta[{t}..{t + d}]   = {np.sort(sp.theta[t:t + d + 1])}")
 
-# feasibility screens cells that cannot carry a module
-for (t, d) in sp.bands.cells:
-    if not tw.feasibility(sp, t, d).feasible:
-        print(f"\ncell (t={t}, d={d}) infeasible -> multiplicity forced to 0")
+# feasibility screens cells that cannot carry a module, every cell at once
+for report in feasibility_reports(sp, sp.bands.cells):
+    if not report.feasible:
+        print(f"\ncell (t={report.t}, d={report.d}) infeasible -> multiplicity forced to 0")

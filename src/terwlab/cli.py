@@ -6,8 +6,11 @@ reads a scheme runs the :data:`STAGES` table up to the value it reports
 (``verify`` runs all of it), then formats that value.  Reports go to
 stdout (human-readable tables by default, JSON with --json); diagnostics
 go to stderr.  Exit codes: 0 all checks passed, 1 a check failed, 2 input
-error.  JSON reports carry a schema tag and, given the same scheme and
-vertex, are byte-identical across runs.
+error.  A stage that runs out of memory raises :class:`ResourceLimit`
+naming it: ``verify`` reports that stage as failed, the other subcommands
+exit 2.  JSON reports carry a schema tag and, given the same scheme and
+vertex, are byte-identical across runs; they are strict JSON, with a
+residual that is not finite written as null.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     ParseError,
     ResourceLimit,
     TerwLabError,
+    finite_or_none,
 )
 from .spectral import is_almost_bipartite, spectral_data
 
@@ -47,7 +51,8 @@ EXIT_INPUT_ERROR = 2
 
 def _emit(doc: dict, as_json: bool, render_text) -> None:
     if as_json:
-        print(json.dumps({"schema": SCHEMA, **doc}, sort_keys=True))
+        # a NaN or infinity left in a report raises here rather than print as a bare token
+        print(json.dumps({"schema": SCHEMA, **doc}, sort_keys=True, allow_nan=False))
     else:
         render_text(doc)
 
@@ -65,7 +70,7 @@ class VerifyCheck:
     def as_dict(self) -> dict:
         doc = {"name": self.name, "status": self.status}
         if self.residual is not None:
-            doc["residual"] = self.residual
+            doc["residual"] = finite_or_none(self.residual)
         if self.detail is not None:
             doc["detail"] = self.detail
         return doc
@@ -107,8 +112,8 @@ class VerifyReport:
 
 
 def _worst(residuals) -> float:
-    """The largest residual, 0.0 for none, NaN when any is NaN (the builtin ``max`` drops a NaN that is not first)."""
-    return float(np.max(np.fromiter(residuals, dtype=float), initial=0.0))
+    """The largest residual of a sequence or array, 0.0 for none, NaN when any is NaN (the builtin ``max`` drops a NaN that is not first)."""
+    return float(np.max(np.asarray(residuals, dtype=float), initial=0.0))
 
 
 def _axioms(args, values):
@@ -153,7 +158,7 @@ def _module_structure(args, values):
             return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
         if not mod.products_positive:
             return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
-    worst = _worst(mod.norm_residual for mod in values["decomposition"])
+    worst = _worst([mod.norm_residual for mod in values["decomposition"]])
     if not worst < np.inf:
         return "fail", worst, "norm ladder residual is not finite", None
     return "pass", worst, None, True
@@ -162,23 +167,25 @@ def _module_structure(args, values):
 def _predictor_vs_oracle(args, values):
     if not values["almost-bipartite flag"]:
         return "skip", None, qs.NOT_ALMOST_BIPARTITE, None
-    spectral = values["spectral data"]
+    spectral, mods = values["spectral data"], values["decomposition"]
     grid = spectral.bands
-    gaps, eig_errors = [], []
-    # the modules come sorted by class; each class's measured bands are
-    # stacked against its predicted bands tiled alike, exact because every
-    # module's bands end in the boundary zeros c_0 = b_d = 0 on both sides
-    for (t, d), group in itertools.groupby(values["decomposition"], key=lambda mod: (mod.t, mod.d)):
-        group = list(group)
-        for measured, predicted in (([mod.cab for mod in group], grid.bands(t, d)),
-                                    ([mod.cab_star for mod in group], grid.bands_star(t, d))):
-            stacked = tuple(np.concatenate(x) for x in zip(*measured))
-            gaps.append(predictor.band_gap(stacked, tuple(np.tile(x, len(group)) for x in predicted)))
-        fr = predictor.feasibility(spectral, t, d)
-        eig_errors += [fr.eig_B_error, fr.eig_Bstar_error, fr.trace_B_error, fr.trace_Bstar_error]
-        if not fr.feasible:
-            return "fail", _worst(gaps), f"predicted class ({t},{d}) infeasible", None
-    worst, eig_worst = _worst(gaps), _worst(eig_errors)
+    # the modules come sorted by class; the first infeasible class fails the stage with the
+    # gap of the modules up to and including that class
+    reports = predictor.feasibility_reports(spectral, list(dict.fromkeys((mod.t, mod.d) for mod in mods)))
+    infeasible = next((fr for fr in reports if not fr.feasible), None)
+    if infeasible is not None:
+        mods = [mod for mod in mods if (mod.t, mod.d) <= (infeasible.t, infeasible.d)]
+    # the measured bands of all modules stacked against their predicted bands gathered alike, exact
+    # because every module's bands end in the boundary zeros c_0 = b_d = 0 on both sides
+    d = np.array([mod.d for mod in mods], dtype=np.int64)
+    ends = np.cumsum(d + 1)
+    at = np.arange(ends[-1]) + np.repeat(grid.first[[mod.t for mod in mods], d] - (ends - d - 1), d + 1)
+    worst = _worst([predictor.band_gap(tuple(np.concatenate(x) for x in zip(*(getattr(mod, side) for mod in mods))),
+                                       tuple(x[at] for x in getattr(grid, side)))
+                    for side in ("cab", "cab_star")])
+    if infeasible is not None:
+        return "fail", worst, f"predicted class ({infeasible.t},{infeasible.d}) infeasible", None
+    eig_worst = _worst([[fr.eig_B_error, fr.eig_Bstar_error, fr.trace_B_error, fr.trace_Bstar_error] for fr in reports])
     if not worst <= 1e-6:
         return "fail", worst, "measured vs predicted exceeds 1e-6", None
     if not eig_worst <= 1e-8:
@@ -188,10 +195,12 @@ def _predictor_vs_oracle(args, values):
 
 def _trace_formula(args, values):
     spectral = values["spectral data"]
-    ladders = multiplicity.trace_ladders(values["context"])
-    closed = spectral.closed_traces.tolist()
-    worst = _worst(abs(ladders[t][d] - closed[t][d]) / max(1.0, abs(closed[t][d]))
-                   for (t, d) in predictor.upsilon_cells(spectral.D))
+    t, d = spectral.layout.t, spectral.layout.d
+    # ladders[t] lists d = 0..D - t, so in their concatenation (t, d) sits at t (D + 1) - t (t - 1) / 2 + d
+    traced = np.fromiter(itertools.chain.from_iterable(multiplicity.trace_ladders(values["context"])), dtype=float)
+    traced = traced[t * (spectral.D + 1) - t * (t - 1) // 2 + d]
+    closed = spectral.closed_traces[t, d]
+    worst = _worst(np.abs(traced - closed) / np.maximum(1.0, np.abs(closed)))
     if not worst <= 1e-6:
         return "fail", worst, "trace identity exceeds 1e-6 relative", None
     return "pass", worst, None, True
@@ -220,7 +229,7 @@ def _qs_engine(args, values):
         return "skip", None, skipped, None
     params = qs.fit_qs(spectral.theta, spectral.theta_star, spectral.D)
     # bands, not matrices: both sides vanish off the three bands
-    worst = _worst((params.fit_residual, spectral.bands.gap(qs.qs_band_grid(params))))
+    worst = _worst((params.fit_residual, spectral.bands.gap(qs.qs_band_grid(params, spectral.layout))))
     if not worst <= 1e-8:
         return "fail", worst, "q,s forms disagree with eigenvalue forms", None
     if table is not None:
@@ -248,6 +257,14 @@ STAGES = (
 )
 
 
+def _run_stage(name: str, fn, args, values) -> tuple:
+    """One stage's (status, residual, detail, value); a MemoryError is a :class:`ResourceLimit` naming the stage."""
+    try:
+        return fn(args, values)
+    except MemoryError as exc:
+        raise ResourceLimit(f"stage {name} ran out of memory: {str(exc) or 'MemoryError'}") from None
+
+
 def run_verify(scheme_path: str, vertex: int = 0, tol: float | None = None) -> VerifyReport:
     """Run the :data:`STAGES` table on one scheme file.
 
@@ -272,7 +289,7 @@ def run_verify(scheme_path: str, vertex: int = 0, tol: float | None = None) -> V
             continue
         t0 = time.perf_counter()
         try:
-            status, residual, detail, value = fn(args, values)
+            status, residual, detail, value = _run_stage(name, fn, args, values)
         except (ParseError, InvalidParameter):
             raise  # unreadable input or an out-of-range option is not a check failure
         except TerwLabError as exc:
@@ -298,9 +315,9 @@ def _values(args, last: str, values: dict | None = None) -> dict:
     at that tolerance.
     """
     values = {} if values is None else values
-    for _, provides, _, fn in STAGES:
+    for name, provides, _, fn in STAGES:
         if provides not in values:
-            values[provides] = fn(args, values)[3]
+            values[provides] = _run_stage(name, fn, args, values)[3]
         if provides == last:
             return values
 

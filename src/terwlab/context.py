@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalCheckFailure, OrderingMissing
+from .errors import InvalidParameter, NumericalCheckFailure, OrderingMissing, finite_or_none
 from .scheme import AssociationScheme
 from .spectral import SpectralData, is_almost_bipartite
 
@@ -78,7 +78,7 @@ class CheckResult:
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "residual": self.residual,
+            "residual": finite_or_none(self.residual),
             "tol": self.tol,
             "passed": self.passed,
         }

@@ -1,4 +1,11 @@
-"""Exception hierarchy for terwlab."""
+"""Exception hierarchy for terwlab, and how a report writes a residual that is not finite."""
+
+import math
+
+
+def finite_or_none(x: float) -> float | None:
+    """``x``, or None when it is NaN or infinite: JSON reports write such a residual as null, which strict parsers read."""
+    return x if math.isfinite(x) else None
 
 
 class TerwLabError(Exception):

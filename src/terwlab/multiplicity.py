@@ -21,16 +21,22 @@ Both sides of the identity are formed for every cell at once: the traces
 by :func:`trace_ladders` (read ``[t][d]``) and their closed forms by
 :func:`terwlab.spectral.krein_products`, kept as ``spectral.closed_traces``
 (read ``[t, d]``) so that the trace check and the recurrence share one.
+Both walk the cells of the layout that ``spectral.layout`` forms once per
+scheme (:class:`terwlab.predictor.GridLayout`), the one the predicted dual
+bands are laid out by: the trace check compares the two sides over the
+layout's (t, d) arrays in one expression, and the recurrence takes every
+leading coefficient in one segmented product over the flat dual bands.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .context import TerwContext
-from .errors import NegativeMultiplicity, NonIntegerMultiplicity, OrderingMissing
+from .errors import NegativeMultiplicity, NonIntegerMultiplicity, OrderingMissing, finite_or_none
 from .spectral import SpectralData
 
 #: pre-rounding distance from an integer above which the solve is rejected
@@ -51,18 +57,27 @@ def trace_ladders(ctx: TerwContext) -> list:
     covers every t: at step k the walk holds the chains that end in block k
     side by side, one per t <= k, so the next step is one product with
     N_{k+1, k}, with the identity of block k + 1 appended for t = k + 1.
+    The squared norms of the columns of every step are summed into their
+    cells by one ``bincount`` after the walk: the columns of block t at
+    step k make up the trace of the cell (t, k - t).
     """
     sp = ctx.spectral
-    lab, m = sp.eigenspace_labels(), sp.m.tolist()
+    D, m = sp.D, sp.m.tolist()
     ends = np.cumsum(sp.m)
-    ladders = [[] for _ in range(sp.D + 1)]
+    norms = []
     H = np.eye(m[0])
-    for k in range(sp.D + 1):
+    for k in range(D + 1):
         if k:
-            H = np.hstack([ctx.below[k - 1][: m[k]] @ H, np.eye(m[k])])
-        for t, value in enumerate(np.bincount(lab[: ends[k]], np.einsum("ij,ij->j", H, H)).tolist()):
-            ladders[t].append(value)
-    return ladders
+            # [N_{k, k-1} H, I]: the identity of block k runs down the diagonal from column ends[k - 1]
+            H, last = np.zeros((m[k], ends[k])), H
+            np.matmul(ctx.below[k - 1][: m[k]], last, out=H[:, : ends[k - 1]])
+            H.reshape(-1)[ends[k - 1]::ends[k] + 1] = 1.0
+        norms.append(np.einsum("ij,ij->j", H, H))
+    # step k holds the columns 0..ends[k] - 1, column c in the block lab[c]: cell (lab[c], k - lab[c])
+    step = np.repeat(np.arange(D + 1), ends)
+    block = sp.eigenspace_labels()[np.arange(len(step)) - np.repeat(ends.cumsum() - ends, ends)]
+    traces = np.bincount(block * D + step, np.concatenate(norms), minlength=(D + 1) ** 2).tolist()
+    return [traces[t * (D + 1):t * (D + 1) + D + 1 - t] for t in range(D + 1)]
 
 
 def _rung_windows(rungs: np.ndarray) -> np.ndarray:
@@ -97,7 +112,7 @@ class MultiplicityTable:
     def as_dict(self) -> dict:
         return {
             "mult": [
-                {"t": t, "d": d, "count": v, "pre_rounding": self.pre_rounding.get((t, d))}
+                {"t": t, "d": d, "count": v, "pre_rounding": finite_or_none(self.pre_rounding[t, d])}
                 for (t, d), v in sorted(self.mult.items())
             ],
             "total_dimension": self.total_dimension(),
@@ -115,45 +130,45 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
     Values are rounded to integers and the residual is kept for audit;
     residuals above the gate raise.
 
-    The dual bands of every cell are read from ``spectral.bands``.  The
-    leading coefficients of all cells are running products over it, one
-    rung at a time, and when a cell is solved with a nonzero multiplicity
-    the cumulative products of its rungs give its coefficient as a
-    predecessor of every later cell at once.
+    The dual bands of every cell are read from ``spectral.bands``, laid
+    out by its layout.  The leading coefficient of each cell is the product
+    of its rungs in the order of h, all cells in one segmented product, and
+    when a cell is solved with a nonzero multiplicity the cumulative
+    products of its rungs give its coefficient as a predecessor of every
+    later cell at once.  The tests of each cell run on Python floats.
     """
     if spectral.theta_star is None:
         raise OrderingMissing("the multiplicity recurrence needs a Q-polynomial ordering")
-    D = spectral.D
     grid = spectral.bands
+    layout = grid.layout
     cs, _, bs = grid.cab_star
-    # entry start + h of a cell with h < d: its rung b*_h c*_{h+1} and that rung's size
-    rungs = bs[:-1] * cs[1:]
-    sizes = np.maximum(1.0, np.abs(bs[:-1])) * np.maximum(1.0, np.abs(cs[1:]))
-    cell_t, cell_d = np.array(grid.cells, dtype=np.int64).reshape(-1, 2).T
-    start = grid.first[cell_t, cell_d]
-    lead, scale = np.ones(len(grid.cells)), np.ones(len(grid.cells))
-    for h in range(D):
-        live = cell_d > h
-        lead[live] *= rungs[start[live] + h]
-        scale[live] *= sizes[start[live] + h]
+    cell_t, cell_d, start = layout.t, layout.d, layout.start
+    # entry start + h of a cell with h < d: its rung b*_h c*_{h+1} and that rung's size; the
+    # last entry of each cell holds 1.0, so that the products over its entries are over its rungs
+    rungs = np.append(bs[:-1] * cs[1:], 1.0)
+    sizes = np.append(np.maximum(1.0, np.abs(bs[:-1])) * np.maximum(1.0, np.abs(cs[1:])), 1.0)
+    rungs[start + cell_d] = sizes[start + cell_d] = 1.0
+    lead = np.multiply.reduceat(rungs, start).tolist()
+    scale = np.multiply.reduceat(sizes, start).tolist()
     lhs = spectral.closed_traces.tolist()
     # acc[k]: the solved predecessors' part of cell k's trace, summed in solve order
-    acc = np.zeros(len(grid.cells))
+    acc = np.zeros(len(layout.cells))
+    solved = acc.tolist()
     mult: dict = {}
     pre: dict = {}
     zero_cells = []
-    for k, (t, d) in enumerate(grid.cells):  # the grid lists the cells in a linear extension
+    for k, (t, d) in enumerate(layout.cells):  # the layout lists the cells in a linear extension
         if abs(lead[k]) < LEADING_ZERO_TOL * scale[k]:
             zero_cells.append((t, d))
             mult[t, d] = 0
             pre[t, d] = 0.0
             continue
-        value = (lhs[t][d] - float(acc[k])) / float(lead[k])
-        nearest = float(np.rint(value))  # a NaN or inf stays one and fails the gate, where round() raises
-        residual = abs(value - nearest)
+        value = (lhs[t][d] - solved[k]) / lead[k]
+        # round() raises on a NaN or an infinity, which fails the gate instead
+        residual = abs(value - round(value)) if math.isfinite(value) else math.nan
         if not residual <= ROUNDING_TOL:
             raise NonIntegerMultiplicity(f"mult({t}, {d}) = {value} is not near an integer")
-        rounded = int(nearest)
+        rounded = round(value)
         if rounded < 0:
             raise NegativeMultiplicity(f"mult({t}, {d}) = {value}")
         mult[t, d] = rounded
@@ -164,6 +179,7 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
             offset = np.clip(cell_t - t, 0, d - 1)
             windows = _rung_windows(rungs[start[k]:start[k] + d])[offset, np.clip(offset + cell_d - 1, 0, d - 1)]
             acc[later] += rounded * np.where(cell_d == 0, 1.0, windows)[later]
+            solved = acc.tolist()
     return MultiplicityTable(
-        D=D, mult=mult, pre_rounding=pre, zero_coefficient_cells=tuple(zero_cells)
+        D=spectral.D, mult=mult, pre_rounding=pre, zero_coefficient_cells=tuple(zero_cells)
     )

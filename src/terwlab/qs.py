@@ -13,11 +13,17 @@ number, and the multiplicity of every class of diameter >= D - 3, is a
 rational expression in q and s.  All fitting is done in complex
 arithmetic (q sits on the unit circle for the odd cycles); results that
 are mathematically real are returned as floats after an imaginary-residual
-gate.  The bands of the whole grid pass one such gate
+gate.  The bands of the whole grid are formed as one array computation on
+the cell layout that ``SpectralData.layout`` shares with the predicted
+grid (:class:`terwlab.predictor.GridLayout`), and pass one such gate
 (:func:`qs_band_grid`): the primal bands are held to IMAG_TOL |h| max(1, |s|),
 theta*_r to IMAG_TOL |h*| and the dual bands to IMAG_TOL |h*| max(1, |s|)^2,
 each scale floored at 1, and a failure names the first value failing in
 the order (cell, primal / theta*_r / dual, entry, band).
+
+The fit itself is array work too: the least-squares rows, the model
+columns, the residuals and the nonvanishing guards are each one
+expression over the exponents.
 
 The excluded families are recognized by their intersection arrays, which
 determine them among distance-regular graphs.
@@ -30,8 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BetaDegenerate, FitFailure, OutOfRange
-from .predictor import BandGrid, _grid, _require_cell, band_entries, in_upsilon
+from .errors import BetaDegenerate, FitFailure, OutOfRange, finite_or_none
+from .predictor import BandGrid, GridLayout, _grid, _require_cell, band_entries
 from .spectral import PPolyArray, is_almost_bipartite
 
 #: residual gate for the recurrence and model fits (relative to |theta|)
@@ -145,7 +151,7 @@ class QSParams:
             "beta": self.beta,
             "gamma": self.gamma,
             "gamma_star": self.gamma_star,
-            "fit_residual": self.fit_residual,
+            "fit_residual": finite_or_none(self.fit_residual),
         }
 
 
@@ -182,14 +188,12 @@ def fit_qs(theta, theta_star, D: int) -> QSParams:
         raise FitFailure(f"the model needs D >= 3, got D = {D}")
     scale = max(1.0, float(np.abs(th).max()), float(np.abs(ths).max()))
 
-    rows, rhs = [], []
-    for i in range(1, D):
-        rows.append([th[i], 1.0, 0.0])
-        rhs.append(th[i - 1] + th[i + 1])
-        rows.append([ths[i], 0.0, 1.0])
-        rhs.append(ths[i - 1] + ths[i + 1])
-    rows = np.array(rows)
-    rhs = np.array(rhs)
+    i = np.arange(1, D)
+    rows = np.zeros((2 * (D - 1), 3))  # row 2(i-1) for theta, row 2(i-1) + 1 for theta*
+    rows[0::2, 0], rows[0::2, 1] = th[i], 1.0
+    rows[1::2, 0], rows[1::2, 2] = ths[i], 1.0
+    rhs = np.empty(2 * (D - 1))
+    rhs[0::2], rhs[1::2] = th[i - 1] + th[i + 1], ths[i - 1] + ths[i + 1]
     (beta, gamma, gamma_star), *_ = np.linalg.lstsq(rows, rhs, rcond=None)
     recur_residual = float(np.abs(rows @ [beta, gamma, gamma_star] - rhs).max())
     if recur_residual > FIT_TOL * scale:
@@ -203,10 +207,11 @@ def fit_qs(theta, theta_star, D: int) -> QSParams:
     if abs(abs(q) - 1.0) < 1e-9:
         q = q1 if q1.imag >= 0 else q2
 
+    i = np.arange(1, D + 1)
+
     def fit_primal(q):
-        M = np.empty((D, 2), dtype=complex)
-        for i in range(1, D + 1):
-            M[i - 1] = [(1 - q**i) * q ** (-i), -q * (1 - q**i)]
+        rise = 1 - q**i
+        M = np.stack([rise * q ** (-i), -q * rise], axis=1)
         sol, *_ = np.linalg.lstsq(M, (th[1:] - th[0]).astype(complex), rcond=None)
         return sol[0], sol[1]
 
@@ -218,7 +223,7 @@ def fit_qs(theta, theta_star, D: int) -> QSParams:
         raise FitFailure("h vanishes for both roots of the recurrence")
     s = hs_prod / h
 
-    col = np.array([(1 - q**i) * (1 - q ** (i - 2 * D - 1)) * q ** (-i) for i in range(1, D + 1)])
+    col = (1 - q**i) * (1 - q ** (i - 2 * D - 1)) * q ** (-i)
     sol, *_ = np.linalg.lstsq(col[:, None], (ths[1:] - ths[0]).astype(complex), rcond=None)
     hstar = sol[0]
 
@@ -228,11 +233,12 @@ def fit_qs(theta, theta_star, D: int) -> QSParams:
         theta0=float(th[0]), theta_star0=float(ths[0]), D=D, fit_residual=0.0,
     )
 
-    resid = max(
-        max(abs(th[i] - th[0] - h * (1 - q**i) * (1 - s * q ** (i + 1)) * q ** (-i)) for i in range(D + 1)),
-        max(abs(ths[i] - qs_theta_star(params, i)) for i in range(D + 1)),
-        max(abs(th[i] - qs_theta(params, i)) for i in range(D + 1)),
-    )
+    i = np.arange(D + 1)
+    resid = float(np.abs(np.stack([
+        th - th[0] - h * (1 - q**i) * (1 - s * q ** (i + 1)) * q ** (-i),
+        ths - qs_theta_star(params, i),
+        th - qs_theta(params, i),
+    ])).max())  # a NaN is the result, and fails the stage gate
     if resid > FIT_TOL * scale:
         raise FitFailure(f"model residual {resid:.3e} exceeds tolerance")
     params = replace(params, fit_residual=float(resid))
@@ -247,15 +253,15 @@ def _verify_guards(params: QSParams) -> None:
     q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
     if min(abs(q), abs(h), abs(hstar)) < GUARD_TOL:
         raise FitFailure("q, h, h* must be nonzero")
-    for i in range(1, 2 * D + 1):
-        if abs(q**i - 1) < GUARD_TOL:
-            raise FitFailure(f"q^{i} = 1 violates the eigenvalue distinctness guard")
-    for i in range(2, 2 * D + 1):
-        if abs(s * q**i - 1) < GUARD_TOL:
-            raise FitFailure(f"s q^{i} = 1 violates the eigenvalue distinctness guard")
-    for i in range(1, 2 * D + 2):
-        if abs(s * q**i + 1) < GUARD_TOL:
-            raise FitFailure(f"s q^{i} = -1 violates the module nonvanishing guard")
+    qi = q ** np.arange(2 * D + 2)
+    for miss, lo, hi, message in (
+        (np.abs(qi - 1), 1, 2 * D, "q^{} = 1 violates the eigenvalue distinctness guard"),
+        (np.abs(s * qi - 1), 2, 2 * D, "s q^{} = 1 violates the eigenvalue distinctness guard"),
+        (np.abs(s * qi + 1), 1, 2 * D + 1, "s q^{} = -1 violates the module nonvanishing guard"),
+    ):
+        hit = np.flatnonzero(miss[lo:hi + 1] < GUARD_TOL)
+        if len(hit):  # name the first failing exponent of the first failing guard
+            raise FitFailure(message.format(lo + int(hit[0])))
 
 
 def _verify_closed_forms(params: QSParams) -> None:
@@ -271,31 +277,33 @@ def _verify_closed_forms(params: QSParams) -> None:
         raise FitFailure(f"h* = {hstar} does not match its closed form {hstar_closed}")
 
 
-def _qs_grid(params: QSParams) -> tuple:
+def _qs_grid(params: QSParams, layout: GridLayout) -> tuple:
     """Bands of every feasible cell in the q, s coordinates, before the realness gate.
 
     Returns the grid, whose bands other than a* are still complex, and
     theta*_r of the cell of each entry, r = D - d.  Every power of q comes
-    from one table of q^k, each entry formed as ``q ** k``.
+    from one table of q^k, k = -(4D + 2)..4D + 2, which holds q^-k at
+    position -k, so that an exponent indexes it as it is.
     """
     q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
     K = 4 * D + 2  # no exponent below exceeds 4D + 2 in size
-    table = np.array([q**k for k in range(-K, K + 1)])
+    Q = (q ** np.r_[0:K + 1, -K:0]).take  # Q(k) = q^k
 
-    def Q(k):  # q^k
-        return table[k + K]
-
-    cells, first_entry, d_all, (inner, first, last, single) = band_entries(D)
+    d_all, (inner, first, last, single) = layout.entry_d, layout.kinds
     c, a, b, cs, bs = (np.zeros(len(d_all), dtype=complex) for _ in range(5))
     s2 = s**2
 
     t, d, i, at = inner
-    c[at] = h * (1 - Q(i)) * (1 + s * Q(2 + 2 * d + 2 * t - i)) / (Q(t + i) * (Q(2 * d - 2 * i + 1) - 1))
-    b[at] = h * (Q(2 * d + 1 - i) - 1) * (1 + s * Q(2 * t + i + 1)) / (Q(t + i) * (Q(2 * d - 2 * i + 1) - 1))
-    cs[at] = hstar * (1 - Q(2 * i)) * (1 - s2 * Q(2 + 2 * d + 4 * t + 2 * i)) / (
-        Q(D + d + 1) * (1 - s * Q(2 * i + 2 * t)) * (1 - s * Q(1 + 2 * i + 2 * t)))
-    bs[at] = hstar * (Q(2 * d - 2 * i) - 1) * (1 - s2 * Q(2 + 2 * i + 4 * t)) / (
-        Q(D + d - 2 * i) * (1 - s * Q(2 + 2 * i + 2 * t)) * (1 - s * Q(1 + 2 * i + 2 * t)))
+    # exponents shared between the bands: u = t + i, w = 2u, v = 2(d - i), x = 2t + 2, y = x + w
+    u = t + i
+    w, v, x = 2 * u, 2 * (d - i), 2 * t + 2
+    y = x + w
+    den = Q(u) * (Q(v + 1) - 1)
+    c[at] = h * (1 - Q(i)) * (1 + s * Q(x + v + i)) / den
+    b[at] = h * (Q(v + i + 1) - 1) * (1 + s * Q(u + t + 1)) / den
+    odd = 1 - s * Q(w + 1)
+    cs[at] = hstar * (1 - Q(2 * i)) * (1 - s2 * Q(y + 2 * d)) / (Q(D + d + 1) * (1 - s * Q(w)) * odd)
+    bs[at] = hstar * (Q(v) - 1) * (1 - s2 * Q(y)) / (Q(D + v - d) * (1 - s * Q(w + 2)) * odd)
 
     t, d, _, at = first
     b[at] = h * Q(-t) * (s * Q(2 * t + 1) + 1)
@@ -309,15 +317,17 @@ def _qs_grid(params: QSParams) -> tuple:
     t, _, _, at = single
     a[at] = h * Q(-t) * (1 + s * Q(2 * t + 1))
 
-    theta_star_r = np.array([qs_theta_star(params, k) for k in range(D + 1)])[D - d_all]
+    theta_star_r = qs_theta_star(params, np.arange(D + 1))[D - d_all]
     as_ = theta_star_r.real - bs.real - cs.real
-    return _grid(D, cells, first_entry, (c, a, b), (cs, as_, bs)), theta_star_r
+    return _grid(layout, (c, a, b), (cs, as_, bs)), theta_star_r
 
 
-def qs_band_grid(params: QSParams) -> BandGrid:
-    """The real bands of every feasible cell in the q, s coordinates.
+def qs_band_grid(params: QSParams, layout: GridLayout | None = None) -> BandGrid:
+    """The real bands of every feasible cell in the q, s coordinates, laid out by ``layout``.
 
-    One realness gate reads every complex value of the grid: c, a and b
+    ``layout`` is ``band_entries(params.D)``, built here when not given;
+    ``SpectralData.layout`` shares one with the predicted grid.  One
+    realness gate reads every complex value of the grid: c, a and b
     against the scale |h| max(1, |s|), theta*_r of each entry against
     |h*|, and c* and b* against |h*| max(1, |s|)^2, each imaginary part
     within ``IMAG_TOL`` times that scale floored at 1 (a NaN passes); a*
@@ -326,7 +336,7 @@ def qs_band_grid(params: QSParams) -> BandGrid:
     band), which is the order the cells are read one by one in: c_0, b_d
     and a_i for i < d are exact zeros and never fail.
     """
-    grid, theta_star_r = _qs_grid(params)
+    grid, theta_star_r = _qs_grid(params, band_entries(params.D) if layout is None else layout)
     (c, a, b), (cs, as_, bs) = grid.cab, grid.cab_star
     values = np.stack([c, a, b, theta_star_r, cs, bs])
     s = max(1.0, abs(params.s))
@@ -389,5 +399,5 @@ def qs_multiplicity(params: QSParams, t: int, d: int) -> float:
 
 def closed_form_multiplicities(params: QSParams) -> dict:
     """:func:`qs_multiplicity` on the six cells with d >= D - 3, in sorted (t, d) order; each has t <= D - d <= 3."""
-    D = params.D
-    return {(t, d): qs_multiplicity(params, t, d) for t in range(4) for d in range(D - 3, D + 1) if in_upsilon(t, d, D)}
+    D = params.D  # the feasible d >= D - 3 for one t run from max(D - 3, D - 2t) to D - t
+    return {(t, d): qs_multiplicity(params, t, d) for t in range(4) for d in range(max(D - 3, D - 2 * t), D - t + 1)}

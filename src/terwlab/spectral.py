@@ -66,7 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSpectrum, NotPPolynomial, NumericalCheckFailure
-from .predictor import BandGrid, band_grid, tridiagonal
+from .predictor import BandGrid, GridLayout, band_entries, band_grid, tridiagonal
 from .scheme import AssociationScheme, IntersectionTensor, PPolyArray, relabel_classes
 
 #: spacing under which two eigenvalues count as equal (scaled by 1 + |theta|)
@@ -119,9 +119,18 @@ class SpectralData:
         return self.P[:, 0]
 
     @cached_property
+    def layout(self) -> GridLayout:
+        """The cells of the feasible grid and the places of their band entries (:func:`band_entries`).
+
+        Formed on first use and shared by every stage that works on the
+        grid: the predicted and q,s bands, the trace check and the recurrence.
+        """
+        return band_entries(self.D)
+
+    @cached_property
     def bands(self) -> BandGrid:
-        """The predicted bands of every feasible cell (:func:`band_grid`), formed on first use."""
-        return band_grid(self.theta, self.theta_star, self.D)
+        """The predicted bands of every feasible cell (:func:`band_grid`) on :attr:`layout`, formed on first use."""
+        return band_grid(self.theta, self.theta_star, self.D, self.layout)
 
     @cached_property
     def closed_traces(self) -> np.ndarray:
@@ -154,7 +163,8 @@ def _orderings(nonzero: np.ndarray):
 
     Candidates for position 1 are tried in increasing order and extended
     greedily: the next label must be the unique unused one linked to the
-    previous by the position-1 label c1.  A completed candidate passes when
+    previous by the position-1 label c1, read off one ``nonzero`` of the
+    slice and followed on Python ints.  A completed candidate passes when
     the slice ``nonzero[:, c1, :]``, rows and columns in its order, vanishes
     off its three bands and nowhere on its sub- and superdiagonals (module
     docstring).  It is yielded as soon as it passes, so a caller that needs
@@ -166,22 +176,21 @@ def _orderings(nonzero: np.ndarray):
             yield (0,)
         return
     for c1 in range(1, D + 1):
-        order = [0, c1]
-        used = np.zeros(D + 1, dtype=bool)
-        used[order] = True
+        # the labels linked to j by c1 are links[ends[j]:ends[j + 1]], in increasing order
+        j, links = np.nonzero(nonzero[:, c1, :].T)
+        ends, links = np.searchsorted(j, np.arange(D + 2)).tolist(), links.tolist()
+        order, used = [0, c1], {0, c1}
         while len(order) < D + 1:
-            nxt = np.flatnonzero(nonzero[:, c1, order[-1]] & ~used)
+            nxt = [h for h in links[ends[order[-1]]:ends[order[-1] + 1]] if h not in used]
             if len(nxt) != 1:
-                order = None
                 break
-            order.append(int(nxt[0]))
-            used[nxt[0]] = True
-        if order is None:
-            continue
-        S = nonzero[:, c1, :][np.ix_(order, order)]
-        off_bands = np.triu(S, 2).any() or np.tril(S, -2).any()
-        if not off_bands and np.diagonal(S, 1).all() and np.diagonal(S, -1).all():
-            yield tuple(order)
+            order.append(nxt[0])
+            used.add(nxt[0])
+        else:
+            S = nonzero[:, c1, :][np.ix_(order, order)]
+            off_bands = np.triu(S, 2).any() or np.tril(S, -2).any()
+            if not off_bands and np.diagonal(S, 1).all() and np.diagonal(S, -1).all():
+                yield tuple(order)
 
 
 def _krein_support(krein: np.ndarray) -> np.ndarray:
@@ -278,8 +287,18 @@ def _eigenspace_bases(Q: np.ndarray, relation: np.ndarray, m: np.ndarray) -> np.
 
 
 def _orthogonality_bounds(U: np.ndarray, spread: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Bounds on |U_s^T U_t - [s = t] I|_max: delta_t for s = t, else the module docstring's bound over ``spread``."""
-    delta = np.array([np.abs(Ut.T @ Ut - np.eye(len(Ut.T))).max() for Ut in np.split(U, np.cumsum(m)[:-1], axis=1)])
+    """Bounds on |U_s^T U_t - [s = t] I|_max: delta_t for s = t, else the module docstring's bound over ``spread``.
+
+    The Gram matrices U_t^T U_t of the eigenspaces of one multiplicity
+    are one ``matmul`` on the stack of their bases, each taken as the
+    product of that basis alone would be.
+    """
+    delta = np.empty(len(m))
+    starts = np.cumsum(m) - m
+    for size in sorted(set(m.tolist())):
+        at = np.flatnonzero(m == size)
+        V = U.T[starts[at, None] + np.arange(size)]  # (eigenspaces, size, n): the rows U_t^T
+        delta[at] = np.abs(np.matmul(V, V.transpose(0, 2, 1)) - np.eye(size)).max(axis=(1, 2))
     norm = np.sqrt(1.0 + m * delta)
     return (np.outer(norm, r) + np.outer(r, norm)) / spread + np.diag(delta)
 

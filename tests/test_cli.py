@@ -725,13 +725,38 @@ def _nan_star_band(grid):
     return replace(grid, cab_star=(c, np.where(np.arange(len(a)) == 1, np.nan, a), b))
 
 
+def _nan_band(grid):
+    # a of the cell (0, D) at i = 1: realized on every scheme, and read by the predictor and q,s stages only
+    from dataclasses import replace
+
+    c, a, b = grid.cab
+    return replace(grid, cab=(c, np.where(np.arange(len(a)) == 1, np.nan, a), b))
+
+
+def _nan_eigenvalue(eig):
+    eig[0, -1] = np.nan
+    return eig
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the bare tokens NaN, Infinity and -Infinity, as RFC 8259 parsers do."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize(
     "scheme, module, name, inject, stage",
     [("c7_file", "terwlab.multiplicity", "trace_ladders", _nan_cell, "trace_formula"),
      ("o4_file", "terwlab.predictor", "band_gap", lambda gap: float("nan"), "predictor_vs_oracle"),
      ("o4_file", "terwlab.cli", "decompose_standard_module", _nan_module, "module_structure"),
      ("c7_file", "terwlab.qs", "fit_qs", _nan_fit, "qs_engine"),
-     ("c7_file", "terwlab.qs", "qs_band_grid", _nan_star_band, "qs_engine")],
+     ("c7_file", "terwlab.qs", "qs_band_grid", _nan_star_band, "qs_engine"),
+     # the eigenvalues of one stack of feasibility matrices
+     ("c7_file", "terwlab.predictor", "_sorted_eigenvalues", _nan_eigenvalue, "predictor_vs_oracle"),
+     # the predicted grid on the layout the grid stages share, read by both of its band stages
+     ("c7_file", "terwlab.spectral", "band_grid", _nan_band, "predictor_vs_oracle qs_engine")],
 )
 def test_a_nan_residual_fails_its_stage(scheme, module, name, inject, stage, request, capsys, monkeypatch):
     import importlib
@@ -740,7 +765,77 @@ def test_a_nan_residual_fails_its_stage(scheme, module, name, inject, stage, req
     real = getattr(target, name)
     monkeypatch.setattr(target, name, lambda *args, **kwargs: inject(real(*args, **kwargs)))
     assert main(["verify", "--scheme", request.getfixturevalue(scheme), "--json"]) == 1
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks[stage]["status"] == "fail"
-    assert np.isnan(checks[stage]["residual"])
-    assert [c["name"] for c in checks.values() if c["status"] == "fail"] == [stage]
+    # strict JSON: the NaN residual is written as null
+    checks = {c["name"]: c for c in strict_json(capsys.readouterr().out)["checks"]}
+    for failed in stage.split():
+        assert checks[failed]["status"] == "fail"
+        assert "residual" in checks[failed] and checks[failed]["residual"] is None
+    assert [c["name"] for c in checks.values() if c["status"] == "fail"] == stage.split()
+
+
+def test_json_reports_write_no_bare_nan(c7_file, capsys):
+    # every report that carries a residual nulls one that is not finite, and a NaN
+    # anywhere else makes the report raise instead of printing a bare token
+    from dataclasses import replace
+
+    import terwlab.cli as cli
+    from terwlab.context import CheckResult
+    from terwlab.predictor import FeasibilityReport
+
+    assert CheckResult("x", float("nan"), 1.0).as_dict()["residual"] is None
+    report = FeasibilityReport(t=0, d=1, products=(1.0,), dual_products=(1.0,), eig_B_error=float("inf"),
+                               eig_Bstar_error=float("nan"), trace_B_error=0.0, trace_Bstar_error=-float("inf"))
+    doc = report.as_dict()
+    assert [doc[k] for k in ("eig_B_error", "eig_Bstar_error", "trace_B_error", "trace_Bstar_error")] == \
+        [None, None, 0.0, None]
+    params = tw.fit_qs(*(lambda sp: (sp.theta, sp.theta_star, sp.D))(tw.spectral_data(tw.odd_cycle(3))))
+    assert replace(params, fit_residual=float("nan")).as_dict()["fit_residual"] is None
+    table = tw.solve_multiplicities(tw.spectral_data(tw.odd_cycle(3)))
+    table = replace(table, pre_rounding={cell: float("nan") for cell in table.pre_rounding})
+    assert all(row["pre_rounding"] is None for row in table.as_dict()["mult"])
+    with pytest.raises(ValueError):
+        cli._emit({"B": [[float("nan")]]}, True, None)
+    cli._emit({"residual": None}, True, None)
+    assert strict_json(capsys.readouterr().out) == {"schema": cli.SCHEMA, "residual": None}
+
+
+_OUT_OF_MEMORY = MemoryError("Unable to allocate 116. GiB for an array with shape (2500, 2500, 2500) and data type float64")
+
+
+def test_a_stage_out_of_memory_fails_as_a_resource_limit(c7_file, capsys, monkeypatch):
+    import terwlab.cli as cli
+
+    monkeypatch.setattr(cli, "spectral_data", _raise(_OUT_OF_MEMORY))
+    assert main(["verify", "--scheme", c7_file, "--json"]) == 1
+    checks = {c["name"]: c for c in strict_json(capsys.readouterr().out)["checks"]}
+    assert checks["axioms"]["status"] == "pass"
+    assert checks["pq_orderings"] == {
+        "name": "pq_orderings", "status": "fail",
+        "detail": f"ResourceLimit: stage pq_orderings ran out of memory: {_OUT_OF_MEMORY}"}
+    assert {c["status"] for name, c in checks.items() if name not in ("axioms", "pq_orderings")} == {"skip"}
+    # the other subcommands run the same stages, and exit 2 with no report
+    for argv in (["analyze"], ["qs"], ["multiplicities"], ["decompose"], ["predict", "--t", "1", "--d", "2"]):
+        assert main([*argv, "--scheme", c7_file, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: stage pq_orderings ran out of memory: {_OUT_OF_MEMORY}\n"
+
+
+def test_verify_builds_the_grid_layout_once(c7_file, capsys, monkeypatch):
+    # the predicted grid, the q,s grid, the trace check and the recurrence share one layout
+    import terwlab.predictor as predictor
+    import terwlab.spectral as spectral
+
+    calls = []
+    real = predictor.band_entries
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    for module in (predictor, spectral):
+        monkeypatch.setattr(module, "band_entries", counted)
+    assert main(["verify", "--scheme", c7_file, "--json"]) == 0
+    assert calls == [3]
+    checks = {c["name"]: c["status"] for c in strict_json(capsys.readouterr().out)["checks"]}
+    assert set(checks.values()) == {"pass"}

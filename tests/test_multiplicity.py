@@ -105,6 +105,30 @@ def test_trace_ladder_equals_per_cell_products(all_bundles):
                 assert ladders[t][d] == pytest.approx(float(np.sum(M * M)), rel=1e-12), (bundle.name, t, d)
 
 
+def reference_trace_ladders(ctx):
+    """Reference: the walk of ``trace_ladders`` with one ``bincount`` per step, appended cell by cell."""
+    sp = ctx.spectral
+    lab, m = sp.eigenspace_labels(), sp.m.tolist()
+    ends = np.cumsum(sp.m)
+    ladders = [[] for _ in range(sp.D + 1)]
+    H = np.eye(m[0])
+    for k in range(sp.D + 1):
+        if k:
+            H = np.hstack([ctx.below[k - 1][: m[k]] @ H, np.eye(m[k])])
+        for t, value in enumerate(np.bincount(lab[: ends[k]], np.einsum("ij,ij->j", H, H)).tolist()):
+            ladders[t].append(value)
+    return ladders
+
+
+def test_trace_ladders_are_the_per_step_reference(all_bundles, cycle_contexts):
+    # one bincount after the walk sums each cell's columns in the order the per-step one did: equal to the bit
+    contexts = [bundle.ctx for bundle in all_bundles] + list(cycle_contexts.values())
+    trivial = tw.validate_scheme([[0]])
+    contexts.append(tw.build_context(trivial, tw.spectral_data(trivial), 0))
+    for ctx in contexts:
+        assert tw.trace_ladders(ctx) == reference_trace_ladders(ctx), ctx.n
+
+
 def test_trace_identity_sweep(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import terwlab as tw
 from terwlab.errors import InvalidCell
-from terwlab.predictor import band_gap, band_grid, tridiagonal
+from terwlab.predictor import band_gap, band_grid, feasibility_reports, tridiagonal
 
 
 def predict_a0star(r, t, theta, theta_star):
@@ -251,3 +251,77 @@ def test_per_cell_bands_reject_cells_off_the_grid(c9):
         for read in (sp.bands.bands, sp.bands.bands_star):
             with pytest.raises(InvalidCell):
                 read(t, d)
+
+
+def reference_feasibility(spectral, t, d):
+    """Reference: the former per-cell check, two dense tridiagonals and two ``eigvals`` calls."""
+    bands, bands_star = spectral.bands.bands(t, d), spectral.bands.bands_star(t, d)
+    (c, a, b), (cs, as_, bs) = bands, bands_star
+    r = spectral.D - d
+    th, ths = spectral.theta[t : t + d + 1], spectral.theta_star[r : r + d + 1]
+    eig_B = np.sort(np.linalg.eigvals(tridiagonal(*bands)).real)
+    eig_Bs = np.sort(np.linalg.eigvals(tridiagonal(*bands_star)).real)
+    return {
+        "products": tuple((b[:-1] * c[1:]).tolist()),
+        "dual_products": tuple((bs[:-1] * cs[1:]).tolist()),
+        "eig_B_error": float(np.abs(eig_B - np.sort(th)).max()),
+        "eig_Bstar_error": float(np.abs(eig_Bs - np.sort(ths)).max()),
+        "trace_B_error": abs(float(a.sum()) - float(th.sum())),
+        "trace_Bstar_error": abs(float(as_.sum()) - float(ths.sum())),
+    }
+
+
+def _assert_feasibility_is_per_cell_reference(sp, name):
+    # every cell at once, and one at a time: equal to the bit, as LAPACK runs the same geev on each
+    # matrix of a stack and the products, sums and maxima are the same operations in the same order
+    cells = list(sp.bands.cells)
+    for report, (t, d) in zip(feasibility_reports(sp, cells), cells):
+        want = reference_feasibility(sp, t, d)
+        assert (report.t, report.d) == (t, d)
+        for got in (report, tw.feasibility(sp, t, d)):
+            assert {key: getattr(got, key) for key in want} == want, (name, t, d)
+
+
+def test_feasibility_reports_are_the_per_cell_reference_on_bundles(all_bundles):
+    for bundle in all_bundles:
+        _assert_feasibility_is_per_cell_reference(bundle.spectral, bundle.name)
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_feasibility_reports_are_the_per_cell_reference_on_cycles(D):
+    _assert_feasibility_is_per_cell_reference(tw.spectral_data(tw.odd_cycle(D)), f"C{2 * D + 1}")
+
+
+def test_feasibility_reports_keep_the_order_asked_and_reject_cells_off_the_grid(c9):
+    sp = c9.spectral
+    cells = [(2, 1), (0, 4), (2, 1), (3, 0), (1, 2)]
+    assert [(r.t, r.d) for r in feasibility_reports(sp, cells)] == cells
+    assert feasibility_reports(sp, []) == []
+    with pytest.raises(InvalidCell, match=r"\(0, 1\)"):
+        feasibility_reports(sp, [(0, 4), (0, 1), (9, 9)])
+
+
+def test_a_matrix_that_is_not_finite_gets_nan_eigenvalues():
+    # eigvals refuses a stack holding a NaN; the other matrices of the stack keep their eigenvalues
+    from terwlab.predictor import _sorted_eigenvalues
+
+    M = np.stack([np.diag([2.0, 1.0]), np.array([[0.0, np.nan], [1.0, 0.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    eig = _sorted_eigenvalues(M)
+    assert eig[0].tolist() == [1.0, 2.0]
+    assert np.isnan(eig[1]).all()
+    assert eig[2].tolist() == pytest.approx([-1.0, 1.0])
+
+
+def test_band_entries_lays_out_upsilon_cells(c9):
+    from terwlab.predictor import band_entries
+
+    for D in (0, 1, 4, 9):
+        layout = band_entries(D)
+        assert layout.cells == tw.upsilon_cells(D)
+        assert list(zip(layout.t.tolist(), layout.d.tolist())) == list(layout.cells)
+        assert (layout.first[layout.t, layout.d] == layout.start).all()
+        assert (layout.first >= 0).sum() == len(layout.cells)
+        assert np.array_equal(layout.entry_d, np.repeat(layout.d, layout.d + 1))
+        positions = np.sort(np.concatenate([kind[3] for kind in layout.kinds]))
+        assert np.array_equal(positions, np.arange(len(layout.entry_d)))
+    assert c9.spectral.bands.layout is c9.spectral.layout

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -346,3 +347,146 @@ def test_closed_form_multiplicities_are_the_cells_of_diameter_at_least_D_minus_3
         assert main(["qs", "--scheme", str(path), "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)["closed_form_mult"]
         assert [((r["t"], r["d"]), r["mult"]) for r in rows] == list(closed.items()), name
+
+
+def reference_fit_qs(theta, theta_star, D):
+    """Reference: the former fit, its least-squares rows, model columns and residuals built by loops over i."""
+    from terwlab.qs import FIT_TOL, QSParams
+
+    th, ths = np.asarray(theta, dtype=np.float64), np.asarray(theta_star, dtype=np.float64)
+    scale = max(1.0, float(np.abs(th).max()), float(np.abs(ths).max()))
+    rows, rhs = [], []
+    for i in range(1, D):
+        rows.append([th[i], 1.0, 0.0])
+        rhs.append(th[i - 1] + th[i + 1])
+        rows.append([ths[i], 0.0, 1.0])
+        rhs.append(ths[i - 1] + ths[i + 1])
+    rows, rhs = np.array(rows), np.array(rhs)
+    (beta, gamma, gamma_star), *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    root = np.sqrt(complex(beta) ** 2 - 4)
+    q1, q2 = (beta + root) / 2, (beta - root) / 2
+    q = q1 if abs(q1) >= abs(q2) else q2
+    if abs(abs(q) - 1.0) < 1e-9:
+        q = q1 if q1.imag >= 0 else q2
+
+    def fit_primal(q):
+        M = np.empty((D, 2), dtype=complex)
+        for i in range(1, D + 1):
+            M[i - 1] = [(1 - q**i) * q ** (-i), -q * (1 - q**i)]
+        sol, *_ = np.linalg.lstsq(M, (th[1:] - th[0]).astype(complex), rcond=None)
+        return sol[0], sol[1]
+
+    h, hs_prod = fit_primal(q)
+    if abs(h) < 1e-10 * scale:
+        q = 1 / q
+        h, hs_prod = fit_primal(q)
+    s = hs_prod / h
+    col = np.array([(1 - q**i) * (1 - q ** (i - 2 * D - 1)) * q ** (-i) for i in range(1, D + 1)])
+    sol, *_ = np.linalg.lstsq(col[:, None], (ths[1:] - ths[0]).astype(complex), rcond=None)
+    params = QSParams(q=complex(q), s=complex(s), h=complex(h), hstar=complex(sol[0]), beta=float(beta),
+                      gamma=float(gamma), gamma_star=float(gamma_star), theta0=float(th[0]),
+                      theta_star0=float(ths[0]), D=D, fit_residual=0.0)
+    resid = max(
+        max(abs(th[i] - th[0] - h * (1 - q**i) * (1 - s * q ** (i + 1)) * q ** (-i)) for i in range(D + 1)),
+        max(abs(ths[i] - qs_theta_star(params, i)) for i in range(D + 1)),
+        max(abs(th[i] - qs_theta(params, i)) for i in range(D + 1)),
+    )
+    assert resid <= FIT_TOL * scale
+    return replace(params, fit_residual=float(resid))
+
+
+def reference_guard_failure(params):
+    """Reference: the former guards as scalar tests in a loop over i; the message of the first failing one, or None."""
+    from terwlab.qs import GUARD_TOL
+
+    q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
+    if min(abs(q), abs(h), abs(hstar)) < GUARD_TOL:
+        return "q, h, h* must be nonzero"
+    for i in range(1, 2 * D + 1):
+        if abs(q**i - 1) < GUARD_TOL:
+            return f"q^{i} = 1 violates the eigenvalue distinctness guard"
+    for i in range(2, 2 * D + 1):
+        if abs(s * q**i - 1) < GUARD_TOL:
+            return f"s q^{i} = 1 violates the eigenvalue distinctness guard"
+    for i in range(1, 2 * D + 2):
+        if abs(s * q**i + 1) < GUARD_TOL:
+            return f"s q^{i} = -1 violates the module nonvanishing guard"
+    return None
+
+
+def reference_qs_grid(params):
+    """Reference: the q,s grid with its q-power table and theta*_r built by list comprehensions."""
+    from terwlab.predictor import band_entries
+
+    q, s, h, hstar, D = params.q, params.s, params.h, params.hstar, params.D
+    K = 4 * D + 2
+    table = np.array([q**k for k in range(-K, K + 1)])
+    layout = band_entries(D)
+    t, d, i, _ = layout.kinds[0]
+    Q = lambda k: table[k + K]  # noqa: E731
+    inner_c = h * (1 - Q(i)) * (1 + s * Q(2 + 2 * d + 2 * t - i)) / (Q(t + i) * (Q(2 * d - 2 * i + 1) - 1))
+    theta_star_r = np.array([qs_theta_star(params, k) for k in range(D + 1)])[D - layout.entry_d]
+    return table, inner_c, theta_star_r
+
+
+def _qs_params(D):
+    sp = tw.spectral_data(tw.odd_cycle(D))
+    return sp, tw.fit_qs(sp.theta, sp.theta_star, D)
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_fit_qs_is_the_loop_reference(D):
+    # numpy's complex powers and products round apart from Python's scalar ones: equal up to rounding
+    sp, params = _qs_params(D)
+    want = reference_fit_qs(sp.theta, sp.theta_star, D)
+    assert (params.beta, params.gamma, params.gamma_star) == (want.beta, want.gamma, want.gamma_star)
+    assert (params.theta0, params.theta_star0, params.D) == (want.theta0, want.theta_star0, want.D)
+    for name in ("q", "s", "h", "hstar"):
+        assert abs(getattr(params, name) - getattr(want, name)) <= 1e-12 * max(1.0, abs(getattr(want, name))), name
+    assert abs(params.fit_residual - want.fit_residual) <= 1e-11 * max(1.0, float(np.abs(sp.theta).max()))
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_guards_name_the_first_failing_exponent_as_the_loop_does(D):
+    # each guard is forced at every exponent it covers, just inside and just outside GUARD_TOL: the
+    # array form raises when the loop does, naming the same exponent, and passes when it passes
+    from terwlab.qs import GUARD_TOL, _verify_guards
+
+    _, params = _qs_params(D)
+    q = params.q
+    cases = [params, replace(params, h=0.5e-6), replace(params, q=complex(np.exp(2j * np.pi / (2 * D))))]
+    for k in range(0, 2 * D + 3):
+        for margin in (0.5, 2.0):
+            nudge = 1 + margin * GUARD_TOL
+            cases += [replace(params, s=nudge / q**k), replace(params, s=-nudge / q**k)]
+    raised, exponents = set(), set()
+    for case in cases:
+        want = reference_guard_failure(case)
+        if want is None:
+            _verify_guards(case)
+            continue
+        raised.add(re.sub(r"\^\d+", "^i", want))
+        exponents.add(want)
+        with pytest.raises(FitFailure) as got:
+            _verify_guards(case)
+        assert str(got.value) == want
+    assert raised == {"q, h, h* must be nonzero", "q^i = 1 violates the eigenvalue distinctness guard",
+                      "s q^i = 1 violates the eigenvalue distinctness guard",
+                      "s q^i = -1 violates the module nonvanishing guard"}
+    assert len(exponents) == 2 + (2 * D - 1) + (2 * D + 1)  # every exponent of both s guards is named
+
+
+@pytest.mark.parametrize("D", range(3, 31))
+def test_qs_grid_table_and_theta_star_are_the_list_forms(D):
+    from terwlab.qs import _qs_grid
+
+    sp, params = _qs_params(D)
+    table, inner_c, theta_star_r = reference_qs_grid(params)
+    K = 4 * D + 2
+    got = params.q ** np.arange(-K, K + 1)
+    assert np.abs(got - table).max() <= 1e-13
+    grid, got_theta_star_r = _qs_grid(params, sp.layout)
+    assert np.abs(got_theta_star_r - theta_star_r).max() <= 1e-13 * max(1.0, float(np.abs(theta_star_r).max()))
+    at = sp.layout.kinds[0][3]
+    assert np.abs(grid.cab[0][at] - inner_c).max() <= 1e-12 * max(1.0, float(np.abs(inner_c).max()))
+    assert grid.layout is sp.layout

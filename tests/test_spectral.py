@@ -66,6 +66,32 @@ def reference_pattern_orderings(nonzero):
     return found
 
 
+def reference_flatnonzero_orderings(nonzero):
+    """Reference: the former search, its greedy chain stepped by one ``flatnonzero`` per label."""
+    D = nonzero.shape[0] - 1
+    if D == 0:
+        return [(0,)] if nonzero[0, 0, 0] else []
+    found = []
+    for c1 in range(1, D + 1):
+        order = [0, c1]
+        used = np.zeros(D + 1, dtype=bool)
+        used[order] = True
+        while len(order) < D + 1:
+            nxt = np.flatnonzero(nonzero[:, c1, order[-1]] & ~used)
+            if len(nxt) != 1:
+                order = None
+                break
+            order.append(int(nxt[0]))
+            used[nxt[0]] = True
+        if order is None:
+            continue
+        S = nonzero[:, c1, :][np.ix_(order, order)]
+        off_bands = np.triu(S, 2).any() or np.tril(S, -2).any()
+        if not off_bands and np.diagonal(S, 1).all() and np.diagonal(S, -1).all():
+            found.append(tuple(order))
+    return found
+
+
 def reference_slice_ok(nonzero, order):
     """Reference: the slice test as a loop over the position-1 slice, reordered."""
     if len(order) == 1:
@@ -116,6 +142,7 @@ def test_first_found_ordering_is_first_detected(case):
     # the support as a 0/1 Krein tensor: 1 > tol * 1, so the mask is the support
     nonzero, _ = case
     assert _krein_support(nonzero.astype(np.float64)).tolist() == nonzero.tolist()
+    assert list(_orderings(nonzero)) == reference_flatnonzero_orderings(nonzero)
     if nonzero.shape[0] <= 6:  # the references try all D! orderings
         assert list(_orderings(nonzero)) == reference_slice_orderings(nonzero)
         assert reference_pattern_orderings(nonzero) == reference_orderings(nonzero)
@@ -659,6 +686,35 @@ def test_orthogonality_bounds_cover_the_dense_gram_blocks(all_bundles, cycle_con
             assert np.abs(np.diag(bounds) - np.diag(dense)).max() <= sp.n * eps, name
         assert dense[1, 2] >= 0.99e-8, name
         assert _orthogonality_bounds(sp.U, _check_distinct(sp.theta), sp.m, sp.eig_residual).max() <= 1e-9, name
+
+
+def reference_orthogonality_bounds(U, spread, m, r):
+    """Reference: the former bounds, one Gram matrix per eigenspace."""
+    delta = np.array([np.abs(Ut.T @ Ut - np.eye(len(Ut.T))).max() for Ut in np.split(U, np.cumsum(m)[:-1], axis=1)])
+    norm = np.sqrt(1.0 + m * delta)
+    return (np.outer(norm, r) + np.outer(r, norm)) / spread + np.diag(delta)
+
+
+def test_orthogonality_bounds_are_the_per_eigenspace_reference(all_bundles, cycle_contexts):
+    # the Gram matrices of one multiplicity are one matmul on a stack, each the same BLAS product
+    # as alone on a basis laid out as spectral_data builds it (column-major): equal to the bit,
+    # also on a basis that is not the built one; a row-major basis takes another BLAS path
+    from terwlab.spectral import _check_distinct, _orthogonality_bounds
+
+    spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
+    spectra |= {name: ctx.spectral for name, ctx in cycle_contexts.items()}
+    rng = np.random.default_rng(5)
+    eps = np.finfo(np.float64).eps
+    for name, sp in spectra.items():
+        spread = _check_distinct(sp.theta)
+        skewed = np.asfortranarray(sp.U + 1e-9 * rng.standard_normal(sp.U.shape))
+        assert sp.U.flags.f_contiguous, name
+        for U in (sp.U, skewed, np.ascontiguousarray(skewed)):
+            got = _orthogonality_bounds(U, spread, sp.m, sp.eig_residual)
+            want = reference_orthogonality_bounds(U, spread, sp.m, sp.eig_residual)
+            if U.flags.f_contiguous:
+                assert np.array_equal(got, want), name
+            assert np.abs(got - want).max() <= sp.n * eps, name
 
 
 def _projector_gap(sp, A):
