@@ -9,8 +9,8 @@ shell and one shell down.  The context holds A as exactly those shell
 blocks, never as an n x n matrix.  The dual adjacency splits the same way through
 the primitive idempotents: in the eigenspace basis it is the symmetric
 matrix N, and R*, F* and L* are its blocks one eigenspace up, on the same
-eigenspace and one eigenspace down.  The context holds N's blocks below
-its block diagonal, never N itself.
+eigenspace and one eigenspace down.  The context holds R*'s blocks of N
+and the squared norm of N's far blocks, never N itself.
 """
 
 import numpy as np
@@ -38,11 +38,11 @@ print("||A - (R + F + L)|| =", off_band)
 print("edges inside the far shell:", int(flat[D].sum()) // 2)
 
 # Dually, A* never skips an eigenspace: N vanishes off its three block bands.
-# Column block i of N below the diagonal, ctx.below[i], starts with R*'s
-# block (i+1, i); the far blocks under it, mirrored above, are the residual.
-print("R* blocks (rows x columns):", [B[:m].shape for B, m in zip(ctx.below, sp.m[1:])])
-far = [B[m:] for B, m in zip(ctx.below, sp.m[1:])]
-print("||A* - (R* + F* + L*)||_F =", np.sqrt(2 * sum(np.sum(B ** 2) for B in far)))
+# ctx.below[i] is R*'s block (i+1, i) of N.  The far blocks (j, i), j > i+1,
+# are reduced to their squared Frobenius norm as they are formed, and kept as
+# ctx.far2; mirrored above the diagonal, they are the residual.
+print("R* blocks (rows x columns):", [B.shape for B in ctx.below])
+print("||A* - (R* + F* + L*)||_F =", np.sqrt(2 * ctx.far2))
 
 # The identity report holds the checks that read the data: the eigenvalue
 # relation A E_i = theta_i E_i, both splits, and the collapse of F to the

@@ -8,9 +8,10 @@ stdout (human-readable tables by default, JSON with --json); diagnostics
 go to stderr.  Exit codes: 0 all checks passed, 1 a check failed, 2 input
 error.  A stage that runs out of memory raises :class:`ResourceLimit`
 naming it: ``verify`` reports that stage as failed, the other subcommands
-exit 2.  JSON reports carry a schema tag and, given the same scheme and
-vertex, are byte-identical across runs; they are strict JSON, with a
-residual that is not finite written as null.
+exit 2, as they do when a step they run after the stages runs out.  JSON
+reports carry a schema tag and, given the same scheme and vertex, are
+byte-identical across runs; they are strict JSON, with a residual that is
+not finite written as null.
 """
 
 from __future__ import annotations
@@ -257,12 +258,12 @@ STAGES = (
 )
 
 
-def _run_stage(name: str, fn, args, values) -> tuple:
-    """One stage's (status, residual, detail, value); a MemoryError is a :class:`ResourceLimit` naming the stage."""
+def _memory_guarded(what: str, fn, *args):
+    """``fn(*args)``; a MemoryError is a :class:`ResourceLimit` naming ``what``, a stage or a step after the stages."""
     try:
-        return fn(args, values)
+        return fn(*args)
     except MemoryError as exc:
-        raise ResourceLimit(f"stage {name} ran out of memory: {str(exc) or 'MemoryError'}") from None
+        raise ResourceLimit(f"{what} ran out of memory: {str(exc) or 'MemoryError'}") from None
 
 
 def run_verify(scheme_path: str, vertex: int = 0, tol: float | None = None) -> VerifyReport:
@@ -289,7 +290,7 @@ def run_verify(scheme_path: str, vertex: int = 0, tol: float | None = None) -> V
             continue
         t0 = time.perf_counter()
         try:
-            status, residual, detail, value = _run_stage(name, fn, args, values)
+            status, residual, detail, value = _memory_guarded(f"stage {name}", fn, args, values)
         except (ParseError, InvalidParameter):
             raise  # unreadable input or an out-of-range option is not a check failure
         except TerwLabError as exc:
@@ -317,7 +318,7 @@ def _values(args, last: str, values: dict | None = None) -> dict:
     values = {} if values is None else values
     for name, provides, _, fn in STAGES:
         if provides not in values:
-            values[provides] = _run_stage(name, fn, args, values)[3]
+            values[provides] = _memory_guarded(f"stage {name}", fn, args, values)[3]
         if provides == last:
             return values
 
@@ -386,13 +387,14 @@ def _cmd_predict(args) -> int:
         return EXIT_CHECK_FAILED
     sp = values["spectral data"]
     try:
-        fr = predictor.feasibility(sp, args.t, args.d)
+        fr = _memory_guarded("step feasibility", predictor.feasibility, sp, args.t, args.d)
     except InvalidCell as exc:
         raise InvalidParameter(str(exc)) from exc  # an option off the grid, like --vertex out of range
-    Bstar = predictor.tridiagonal(*sp.bands.bands_star(args.t, args.d)).tolist()
+    # feasibility has formed the grid: the steps below read the cell's bands off it
+    Bstar = predictor.tridiagonal(*_memory_guarded("step bands_star", sp.bands.bands_star, args.t, args.d)).tolist()
     doc = {
         "t": args.t, "d": args.d, "r": sp.D - args.d,
-        "B": predictor.tridiagonal(*sp.bands.bands(args.t, args.d)).tolist(),
+        "B": predictor.tridiagonal(*_memory_guarded("step bands", sp.bands.bands, args.t, args.d)).tolist(),
         "Bstar": Bstar,
         "a0star": Bstar[0][0] if args.d else None,
         "feasibility": fr.as_dict(),
@@ -443,7 +445,7 @@ def _cmd_multiplicities(args) -> int:
         return EXIT_CHECK_FAILED
     if args.oracle:
         values = _values(args, "decomposition", values)
-    tab = multiplicity.solve_multiplicities(values["spectral data"])
+    tab = _memory_guarded("step solve_multiplicities", multiplicity.solve_multiplicities, values["spectral data"])
     doc = tab.as_dict()
     if args.oracle:
         observed = module_census(values["decomposition"])
@@ -486,10 +488,10 @@ def _cmd_qs(args) -> int:
 
         _emit(doc, args.json, text)
         return EXIT_OK
-    params = qs.fit_qs(sp.theta, sp.theta_star, sp.D)
+    params = _memory_guarded("step fit_qs", qs.fit_qs, sp.theta, sp.theta_star, sp.D)
+    closed = _memory_guarded("step closed_form_multiplicities", qs.closed_form_multiplicities, params)
     doc["params"] = params.as_dict()
-    doc["closed_form_mult"] = [{"t": t, "d": d, "mult": mult}
-                               for (t, d), mult in qs.closed_form_multiplicities(params).items()]
+    doc["closed_form_mult"] = [{"t": t, "d": d, "mult": mult} for (t, d), mult in closed.items()]
 
     def text(doc):
         p = doc["params"]

@@ -21,21 +21,23 @@ U N_s U^T is formed.  For a Q-polynomial ordering E_j A* E_i = 0 when
 |i - j| > 1 (Terwilliger, "The subconstituent algebra of an association
 scheme I", J. Algebraic Combin. 1992), so A* = R* + F* + L* holds exactly
 when N vanishes off its three block bands.  N is symmetric, as A* is, so
-the context holds only its column blocks strictly below the block
-diagonal: below[i] = U[:, e_i:]^T (A* U_i) for i < D, with
-e_i = m_0 + ... + m_i, one product with each eigenspace's scaled basis
-and sum_{j > i} m_i m_j n flops in all instead of the n^3 of N.  The first
-m_{i+1} rows of below[i] are R*'s block (i + 1, i), L* is R*^T, and the
-rows after them are the far blocks (j, i), j > i + 1.  F* is never read
-and not formed.  The Frobenius norm of N's off-band blocks,
-sqrt(2 sum_i ||far_i||_F^2), is the residual of A* = R* + F* + L*; it
-bounds the max norm of A* - R* - F* - L* from above.  The residual of
-A E_i = theta_i E_i is ``eig_residual``, which :func:`spectral_data` reads
-off its one product A U; the context does not multiply A by U again.
+the context forms only its column blocks strictly below the block
+diagonal, U[:, e_i:]^T (A* U_i) for i < D with e_i = m_0 + ... + m_i: one
+product with each eigenspace's scaled basis and sum_{j > i} m_i m_j n
+flops in all instead of the n^3 of N.  Of column block i it keeps the
+first m_{i+1} rows, R*'s block N_{i+1,i}, as below[i]; L* is R*^T.  The
+rows after them are the far blocks N_ji, j > i + 1: as each column block
+lands their squared Frobenius norm is added to ``far2`` and the block is
+dropped, so one column block is alive at a time.  F* is never read and
+not formed.  The Frobenius norm of N's off-band blocks, sqrt(2 far2), is
+the residual of A* = R* + F* + L*; it bounds the max norm of
+A* - R* - F* - L* from above.  The residual of A E_i = theta_i E_i is
+``eig_residual``, which :func:`spectral_data` reads off the class-1
+neighbour lists; the context does not form A U again.
 
-The context holds ``dist``, A's shell blocks, the diagonal of A* and the
-blocks of N below its block diagonal; no n x n A or N, shell projector,
-dual class matrix or idempotent is stored.
+The context holds ``dist``, A's shell blocks, the diagonal of A*, R*'s
+blocks of N and the far blocks' squared norm; no n x n A or N, far block
+of N, shell projector, dual class matrix or idempotent is stored.
 The identity report keeps only the checks that read data and can fail.
 The identities that hold by the construction above (the shell
 projectors' sum and products, the exchange rules of R, F, L and R*, F*,
@@ -141,6 +143,24 @@ def shell_blocks(A: np.ndarray, dist: np.ndarray, D: int) -> ShellBlocks:
     return ShellBlocks(shells, tuple(up), tuple(F if m else None for F, m in zip(flat, inside)), off_band)
 
 
+def dual_blocks(U: np.ndarray, m: np.ndarray, Astar: np.ndarray) -> tuple[tuple, float]:
+    """R*'s blocks N_{i+1,i} of N = U^T diag(Astar) U, and the squared norm of its far blocks below the diagonal.
+
+    ``U`` holds the bases of the eigenspaces side by side, ``m[i]`` columns
+    for eigenspace i.  Column block i of N below its block diagonal is one
+    product; its far rows are folded into the norm as it lands, in the
+    order of i, and only R*'s rows are kept (module docstring).
+    """
+    m, ends = m.tolist(), np.cumsum(m).tolist()
+    below, far2 = [], 0
+    for i, e in enumerate(ends[:-1]):
+        B = U[:, e:].T @ (Astar[:, None] * U[:, e - m[i]:e])
+        below.append(B[:m[i + 1]].copy())
+        far2 += np.vdot(B[m[i + 1]:], B[m[i + 1]:])
+        del B  # before the next block is formed
+    return tuple(below), float(far2)
+
+
 @dataclass(frozen=True)
 class TerwContext:
     """Base-vertex data for one scheme: the distances, A's shell blocks, A* and A* in the eigenspace bases."""
@@ -151,7 +171,8 @@ class TerwContext:
     dist: np.ndarray      # distance from x, i.e. class of (x, y) in P-order
     blocks: ShellBlocks   # the class-1 adjacency A, as its shell blocks
     Astar: np.ndarray     # diagonal of the dual adjacency A*_1
-    below: tuple          # U[:, e_i:]^T A* U_i for i < D: R*'s block (i+1, i), then the far blocks (j, i)
+    below: tuple          # R*'s blocks N_{i+1, i} = U_{i+1}^T A* U_i for i < D
+    far2: float           # sum of ||N_ji||_F^2 over the far blocks j > i + 1 below N's block diagonal
     identities: IdentityReport | None = None  # set by build_context, at the default tolerance
 
     @property
@@ -181,11 +202,11 @@ def build_context(scheme: AssociationScheme, spectral: SpectralData, x: int = 0)
 
     dist = spectral.relation[x]
     Astar = spectral.Q[1, dist] if D >= 1 else np.zeros(n)
-    U, m, ends = spectral.U, spectral.m.tolist(), np.cumsum(spectral.m).tolist()
-    below = tuple(U[:, e:].T @ (Astar[:, None] * U[:, e - mi:e]) for mi, e in zip(m, ends[:D]))
+    below, far2 = dual_blocks(spectral.U, spectral.m, Astar)
     blocks = shell_blocks(spectral.relation == 1, dist, D)
 
-    ctx = TerwContext(scheme=scheme, spectral=spectral, x=x, dist=dist, blocks=blocks, Astar=Astar, below=below)
+    ctx = TerwContext(scheme=scheme, spectral=spectral, x=x, dist=dist, blocks=blocks, Astar=Astar,
+                      below=below, far2=far2)
     report = verify_operator_identities(ctx)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
@@ -220,8 +241,7 @@ def verify_operator_identities(ctx: TerwContext) -> IdentityReport:
         add("A E_i = theta_i E_i", sp.eig_residual.max())
     add("A = R + F + L", ctx.blocks.off_band)
     # the far blocks of N below its block diagonal, mirrored above it
-    far = [B[m:] for B, m in zip(ctx.below, sp.m[1:].tolist())]
-    add("Astar = Rstar + Fstar + Lstar", np.sqrt(2 * sum(np.vdot(B, B) for B in far)))
+    add("Astar = Rstar + Fstar + Lstar", np.sqrt(2 * ctx.far2))
 
     if D >= 1 and is_almost_bipartite(sp.pp):
         # F keeps the flat blocks, E*_D A E*_D the one of the far shell

@@ -21,7 +21,8 @@ Scheme files are JSON::
 Class indices are 0-based integers; for ``distance_graph`` the classes are
 BFS distances in the listed graph.  Every neighbour and every class entry
 must be a JSON integer: a float, a string or a boolean is a
-:class:`ParseError`.  Neighbour lists of equal length are read into one
+:class:`ParseError`, and so is a neighbour list that names its own vertex
+or one neighbour twice.  Neighbour lists of equal length are read into one
 array; ragged lists, which no scheme file of this module writes, are read
 as lists.
 """
@@ -59,6 +60,12 @@ def distance_relation(adjacency) -> np.ndarray:
     connected graph of diameter D takes D levels of one gather per slot.
     The levels are counted in the unsigned type that holds n; the result
     is one transposed copy in :func:`class_dtype` of the diameter.
+
+    A list that names its own vertex, or one neighbour twice, raises
+    :class:`ParseError` before the search: the distances would be those
+    of the simple graph, and the table would be certified for a graph
+    other than the one listed.  The first such vertex is named, a
+    self-loop before a repeat.
     """
     if isinstance(adjacency, np.ndarray):
         n, k = adjacency.shape
@@ -68,6 +75,14 @@ def distance_relation(adjacency) -> np.ndarray:
         n = len(adjacency)
         src = np.repeat(np.arange(n), [len(row) for row in adjacency])
         dst = np.array([w for row in adjacency for w in row], dtype=np.int64)
+    loop = src == dst
+    if loop.any():
+        raise ParseError(f"vertex {src[loop.argmax()]} lists itself as a neighbour")
+    arcs = np.sort(src * n + dst)
+    twice = arcs[1:] == arcs[:-1]
+    if twice.any():
+        v, w = divmod(int(arcs[twice.argmax()]), n)
+        raise ParseError(f"vertex {v} lists neighbour {w} more than once")
     order = np.argsort(dst, kind="stable")
     indeg = np.bincount(dst, minlength=n)
     slots = np.arange(len(dst)) - np.repeat(np.cumsum(indeg) - indeg, indeg)

@@ -51,15 +51,15 @@ def trace_ladders(ctx: TerwContext) -> list:
     Since L* is the transpose of R*, each trace is the squared Frobenius
     norm of R*^d E_t, and with E_t = U_t U_t^T that is the squared
     Frobenius norm of R*^d U_t.  In the eigenspace basis R* is the band of
-    blocks N_{j+1, j} of N = U^T A* U, the first m_{j+1} rows of the
-    context's ``below[j]``, and U is orthogonal, so R*^d U_t is U times
-    the m_{t+d} x m_t chain N_{t+d, t+d-1} ... N_{t+1, t}.  One walk
-    covers every t: at step k the walk holds the chains that end in block k
-    side by side, one per t <= k, so the next step is one product with
-    N_{k+1, k}, with the identity of block k + 1 appended for t = k + 1.
-    The squared norms of the columns of every step are summed into their
-    cells by one ``bincount`` after the walk: the columns of block t at
-    step k make up the trace of the cell (t, k - t).
+    blocks N_{j+1, j} of N = U^T A* U, the context's ``below[j]``, and U
+    is orthogonal, so R*^d U_t is U times the m_{t+d} x m_t chain
+    N_{t+d, t+d-1} ... N_{t+1, t}.  One walk covers every t: at step k the
+    walk holds the chains that end in block k side by side, one per t <= k,
+    so the next step is one product with N_{k+1, k}, with the identity of
+    block k + 1 appended for t = k + 1.  The squared norms of the columns
+    of every step are summed into their cells by one ``bincount`` after the
+    walk: the columns of block t at step k make up the trace of the cell
+    (t, k - t).
     """
     sp = ctx.spectral
     D, m = sp.D, sp.m.tolist()
@@ -70,7 +70,7 @@ def trace_ladders(ctx: TerwContext) -> list:
         if k:
             # [N_{k, k-1} H, I]: the identity of block k runs down the diagonal from column ends[k - 1]
             H, last = np.zeros((m[k], ends[k])), H
-            np.matmul(ctx.below[k - 1][: m[k]], last, out=H[:, : ends[k - 1]])
+            np.matmul(ctx.below[k - 1], last, out=H[:, : ends[k - 1]])
             H.reshape(-1)[ends[k - 1]::ends[k] + 1] = 1.0
         norms.append(np.einsum("ij,ij->j", H, H))
     # step k holds the columns 0..ends[k] - 1, column c in the block lab[c]: cell (lab[c], k - lab[c])

@@ -20,9 +20,12 @@ of the eigenspaces, E_t = U_t U_t^T, with no n x n eigensolve: a factor G
 of m_t columns with G G^T = E_t = E_t^2 has G^T G = I in exact arithmetic.
 The stages that need the idempotents work through U_t and never hold the
 (D+1) n^2 stack of idempotents.  Nor is an E_t formed to check the bases:
-one product A U gives r_t = ||R_t||_F, R_t = A U_t - theta_t U_t, and as
-the exact idempotents satisfy E_s (A - theta_t) = (theta_s - theta_t) E_s,
-with g_t = min_{s != t} |theta_s - theta_t|, ||(I - E_t) U_t||_F <= r_t / g_t.
+r_t = ||R_t||_F, R_t = A U_t - theta_t U_t, is read off the class-1
+neighbour lists, A U_t as a sum of k row gathers of U_t, one run of
+consecutive eigenspaces of equal multiplicity at a time, so that no n x n
+A, A U or U Theta is formed (:func:`_eig_residual`).  As the exact
+idempotents satisfy E_s (A - theta_t) = (theta_s - theta_t) E_s, with
+g_t = min_{s != t} |theta_s - theta_t|, ||(I - E_t) U_t||_F <= r_t / g_t.
 The dense E'_t = Q[t, relation] / n is sum_s lambda_s E_s with
 lambda = (Q P)[t] / n, so |E'_t U_t - U_t|_max <= |lambda_t - 1| sqrt(m_t)
 + max_{s != t} |1 - lambda_s| r_t / g_t.  The Bose-Mesner gates bound the
@@ -90,7 +93,9 @@ class SpectralData:
     by eigenspace in idempotent order: the ``m[t]`` columns U_t that
     :meth:`eigenspace_labels` marks ``t`` are the pivoted Cholesky factor of
     E_t = Q[t, relation] / n, within the gated bounds of the module
-    docstring; ``eig_residual[t]`` is r_t = ||A U_t - theta_t U_t||_F.
+    docstring; ``eig_residual[t]`` is r_t = ||A U_t - theta_t U_t||_F, formed
+    from the class-1 neighbour lists one run of equal multiplicities at a
+    time (:func:`_eig_residual`), with no n x n A or A U.
     """
 
     n: int
@@ -303,6 +308,36 @@ def _orthogonality_bounds(U: np.ndarray, spread: np.ndarray, m: np.ndarray, r: n
     return (np.outer(norm, r) + np.outer(r, norm)) / spread + np.diag(delta)
 
 
+def _eig_residual(U: np.ndarray, relation: np.ndarray, theta: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """r_t = ||A U_t - theta_t U_t||_F for each eigenspace, from the class-1 neighbour lists.
+
+    A U is a sum of k row gathers of U, one per slot of the k x n
+    neighbour table read off ``relation == 1`` (class 1 is regular), so no
+    n x n A or A U is formed.  The residual is formed for one run of
+    consecutive eigenspaces of equal multiplicity at a time, on W, a
+    C-contiguous copy of the run's columns of U (gathering rows of the
+    F-ordered slice itself is slower): R = sum_s W[nbr[s]] - W Theta, whose
+    squared column norms are summed by eigenspace.  A run of width w holds
+    W, R and one gather, 3 n w floats.  The eigenspaces t >= 1 of a cycle,
+    all of multiplicity 2, are one run.
+    """
+    n = len(relation)
+    nbr = (np.flatnonzero(relation == 1) % n).reshape(n, -1).T.copy()
+    sizes, ends = m.tolist(), np.cumsum(m).tolist()
+    starts = [0] + [t for t in range(1, len(sizes)) if sizes[t] != sizes[t - 1]]  # the first eigenspace of each run
+    scale = np.repeat(theta, m)
+    col2 = np.empty(n)  # squared norm of each column of R
+    for a, b in zip(starts, starts[1:] + [len(sizes)]):
+        cols = slice(ends[a] - sizes[a], ends[b - 1])
+        W = np.ascontiguousarray(U[:, cols])
+        R = W.take(nbr[0], axis=0)
+        for ys in nbr[1:]:
+            R += W.take(ys, axis=0)
+        R -= W * scale[cols]
+        col2[cols] = np.einsum("ij,ij->j", R, R)
+    return np.sqrt(np.bincount(np.repeat(np.arange(len(sizes)), m), col2))
+
+
 def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
     one = np.ones((1, 1))
     pp = PPolyArray(c=np.array([0]), a=np.array([0]), b=np.array([0]))
@@ -377,9 +412,7 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
             raise NumericalCheckFailure("P Q != n I")
 
     # tie the bases to the gated idempotents and to each other (module docstring); a NaN fails both gates
-    R = scheme_p.class_matrix(1) @ U
-    R -= U * np.repeat(theta, m_int)
-    eig_residual = np.sqrt(np.bincount(np.repeat(np.arange(D + 1), m_int), np.einsum("ij,ij->j", R, R)))
+    eig_residual = _eig_residual(U, scheme_p.relation, theta, m_int)
     for what, bound in (("residual", eig_residual / spread.min(axis=1)),
                         ("orthogonality", _orthogonality_bounds(U, spread, m_int, eig_residual))):
         if not bound.max() <= IDEMPOTENT_TOL:

@@ -821,6 +821,34 @@ def test_a_stage_out_of_memory_fails_as_a_resource_limit(c7_file, capsys, monkey
         assert captured.err == f"input error: stage pq_orderings ran out of memory: {_OUT_OF_MEMORY}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, where, step",
+    [(["multiplicities"], ("terwlab.multiplicity", "solve_multiplicities"), "solve_multiplicities"),
+     (["predict", "--t", "1", "--d", "2"], ("terwlab.predictor", "feasibility"), "feasibility"),
+     (["predict", "--t", "1", "--d", "2"], ("terwlab.predictor", "BandGrid.bands_star"), "bands_star"),
+     (["predict", "--t", "1", "--d", "2"], ("terwlab.predictor", "BandGrid.bands"), "bands"),
+     (["qs"], ("terwlab.qs", "fit_qs"), "fit_qs"),
+     (["qs"], ("terwlab.qs", "closed_form_multiplicities"), "closed_form_multiplicities")],
+    ids=["multiplicities", "predict-feasibility", "predict-bands_star", "predict-bands", "qs-fit", "qs-closed-form"],
+)
+def test_a_step_after_the_stages_out_of_memory_is_a_resource_limit(c7_file, capsys, monkeypatch, argv, where, step):
+    # the steps a subcommand runs after the stage runner map a MemoryError
+    # as the runner does: exit 2, one input-error line naming the step, and
+    # no traceback
+    import importlib
+
+    module, name = where
+    target = importlib.import_module(module)
+    *owner, attribute = name.split(".")
+    for part in owner:
+        target = getattr(target, part)
+    monkeypatch.setattr(target, attribute, _raise(_OUT_OF_MEMORY))
+    assert main([*argv, "--scheme", c7_file, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: step {step} ran out of memory: {_OUT_OF_MEMORY}\n"
+
+
 def test_verify_builds_the_grid_layout_once(c7_file, capsys, monkeypatch):
     # the predicted grid, the q,s grid, the trace check and the recurrence share one layout
     import terwlab.predictor as predictor

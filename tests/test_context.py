@@ -7,6 +7,7 @@ import pytest
 
 import terwlab as tw
 from conftest import dense_adjacency, dense_dual_operators, dense_idempotents, split_operators, with_adjacency
+from terwlab.context import dual_blocks
 from terwlab.errors import InvalidParameter, OrderingMissing
 from terwlab.scheme import relabel_classes
 from terwlab.spectral import _krein_support
@@ -54,9 +55,10 @@ def test_shell_blocks_reassemble_A(all_bundles, cycle_contexts):
 
 @pytest.mark.parametrize("make", [tw.odd_graph, tw.folded_cube])
 def test_context_holds_under_nine_tenths_n2_floats(make):
-    # N's blocks below its block diagonal are 0.36 n^2 float64 on O_5 and
-    # 0.33 n^2 on FC_9, the shell blocks 0.39 n^2 and 0.46 n^2: the context
-    # holds no n x n A or N, and building it makes no n x n scaled copy of U
+    # R*'s blocks of N are 0.21 n^2 float64 on O_5 and 0.24 n^2 on FC_9,
+    # the shell blocks 0.39 n^2 and 0.46 n^2: the context holds no n x n A
+    # or N and no far block of N, and building it makes no n x n scaled
+    # copy of U
     scheme = make(5 if make is tw.odd_graph else 4)
     sp = tw.spectral_data(scheme)
     tracemalloc.start()
@@ -245,18 +247,18 @@ def _dense_N(ctx):
     return U.T @ (ctx.Astar[:, None] * U)
 
 
-def _assembled_N(ctx, below):
-    """N from the blocks ``below`` of a context, mirrored above the block diagonal.
+def _banded_N(ctx, below):
+    """N on its three block bands: R*'s blocks ``below`` and their transposes, and F*'s blocks U_i^T A* U_i.
 
-    The diagonal blocks, F*'s, are formed here as U_i^T A* U_i, as the
-    context does not hold them.
+    The diagonal blocks are formed here, as the context does not hold them.
     """
     sp, N = ctx.spectral, np.zeros((ctx.n, ctx.n))
-    for i, s in enumerate(_eigenspaces(sp)):
+    blocks = _eigenspaces(sp)
+    for i, s in enumerate(blocks):
         N[s, s] = sp.U[:, s].T @ (ctx.Astar[:, None] * sp.U[:, s])
         if i < ctx.D:
-            N[s.stop:, s] = below[i]
-            N[s, s.stop:] = below[i].T
+            N[blocks[i + 1], s] = below[i]
+            N[s, blocks[i + 1]] = below[i].T
     return N
 
 
@@ -280,24 +282,35 @@ def _identity(ctx, name):
 
 
 def test_held_blocks_are_dense_N_below_its_block_diagonal(all_bundles, cycle_contexts):
-    # block i holds rows e_i.. of N's column block i: R*'s block (i+1, i),
-    # then the far blocks; their mirrored norm is the dense off-band norm,
-    # also with noise on every held block, where it is far above rounding,
-    # and the walk over R*'s blocks gives the dense walk's traces
+    # the context holds R*'s blocks (i+1, i) of N and the squared norm of
+    # the far blocks below its block diagonal; mirrored, that norm is the
+    # dense off-band norm.  On a basis rotated across eigenspaces, where
+    # every block is far above rounding, dual_blocks still gives the dense
+    # blocks and far norm, and the walk over R*'s blocks gives the dense
+    # walk's traces
     name = "Astar = Rstar + Fstar + Lstar"
     rng = np.random.default_rng(6)
     contexts = {bundle.name: bundle.ctx for bundle in all_bundles} | cycle_contexts
     for key, ctx in contexts.items():
         sp, N, far = ctx.spectral, _dense_N(ctx), np.abs(_dual_step(ctx)) > 1
+        blocks = _eigenspaces(sp)
         assert len(ctx.below) == ctx.D, key
-        for B, s in zip(ctx.below, _eigenspaces(sp)):
-            assert B.shape == (ctx.n - s.stop, s.stop - s.start), key
-            assert np.abs(B - N[s.stop:, s]).max() <= 1e-12 * ctx.n, key
+        for B, s, r in zip(ctx.below, blocks, blocks[1:]):
+            assert B.shape == (r.stop - r.start, s.stop - s.start) and B.base is None, key
+            assert np.abs(B - N[r, s]).max() <= 1e-12 * ctx.n, key
         assert abs(_identity(ctx, name) - np.sqrt(np.sum(N[far] ** 2))) <= _rounding(ctx), key
-        noisy = tuple(B + rng.standard_normal(B.shape) * 1e-4 for B in ctx.below)
-        off_band = np.sqrt(np.sum(_assembled_N(ctx, noisy)[far] ** 2))
-        assert _identity(replace(ctx, below=noisy), name) == pytest.approx(off_band, rel=1e-12), key
+        assert _identity(ctx, name) == np.sqrt(2 * ctx.far2), key
         for held, dense in zip(tw.trace_ladders(ctx), _dense_trace_ladders(ctx, N)):
+            np.testing.assert_allclose(held, dense, rtol=1e-12, atol=0, err_msg=key)
+        U = sp.U @ np.linalg.qr(rng.standard_normal((ctx.n, ctx.n)))[0]
+        below, far2 = dual_blocks(U, sp.m, ctx.Astar)
+        N = U.T @ (ctx.Astar[:, None] * U)
+        for B, s, r in zip(below, blocks, blocks[1:]):
+            assert np.abs(B - N[r, s]).max() <= 1e-12 * ctx.n, key
+        assert far2 == pytest.approx(np.sum(np.tril(N)[far] ** 2), rel=1e-12), key
+        rotated = replace(ctx, spectral=replace(sp, U=U), below=below, far2=far2)
+        assert _identity(rotated, name) == pytest.approx(np.sqrt(np.sum(N[far] ** 2)), rel=1e-12), key
+        for held, dense in zip(tw.trace_ladders(rotated), _dense_trace_ladders(rotated, N)):
             np.testing.assert_allclose(held, dense, rtol=1e-12, atol=0, err_msg=key)
 
 
@@ -307,16 +320,16 @@ def test_dual_operators_match_dense_idempotent_construction(all_bundles):
     # F* from U_i^T A* U_i
     for bundle in all_bundles:
         ctx = bundle.ctx
-        U, step, N = ctx.spectral.U, _dual_step(ctx), _assembled_N(ctx, ctx.below)
+        U, step, N = ctx.spectral.U, _dual_step(ctx), _banded_N(ctx, ctx.below)
         for dense, s in zip(dense_dual_operators(ctx), (1, 0, -1)):
             assert np.abs(dense - U @ (N * (step == s)) @ U.T).max() <= 1e-12 * ctx.n, bundle.name
 
 
 def test_off_band_gate_bounds_dense_split_residual(all_bundles, fc7):
     # A* - R* - F* - L* with the dense idempotents: on the schemes it is
-    # rounding, and noise on the held far blocks, mirrored above the block
-    # diagonal, lifts the gate far above rounding while it still bounds the
-    # dense max norm
+    # rounding, and noise on the far blocks of N, mirrored above the block
+    # diagonal and held as its squared norm, lifts the gate far above
+    # rounding while it still bounds the dense max norm
     name = "Astar = Rstar + Fstar + Lstar"
     for bundle in all_bundles:
         ctx = bundle.ctx
@@ -325,10 +338,9 @@ def test_off_band_gate_bounds_dense_split_residual(all_bundles, fc7):
         assert _identity(ctx, name) <= 1e-9 * ctx.n, bundle.name
     ctx, U = fc7.ctx, fc7.spectral.U
     rng = np.random.default_rng(4)
-    below = tuple(np.vstack([B[:m], B[m:] + rng.standard_normal(B[m:].shape) * 1e-4])
-                  for B, m in zip(ctx.below, fc7.spectral.m[1:].tolist()))
-    perturbed = replace(ctx, below=below)
-    Astar = U @ _assembled_N(ctx, below) @ U.T
+    noise = np.tril(rng.standard_normal((ctx.n, ctx.n)) * 1e-4 * (np.abs(_dual_step(ctx)) > 1))
+    perturbed = replace(ctx, far2=float(np.sum(noise ** 2)))
+    Astar = U @ (_banded_N(ctx, ctx.below) + noise + noise.T) @ U.T
     dense = np.abs(Astar - sum(dense_dual_operators(ctx, Astar))).max()
     assert 1e-5 < dense <= _identity(perturbed, name)
     assert _identity(perturbed, name) > 1e-9 * ctx.n

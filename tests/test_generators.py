@@ -16,8 +16,15 @@ from terwlab.scheme import BLOCK_ENTRIES, class_dtype
 
 
 def reference_distance_relation(adjacency):
-    """The per-source Python BFS that ``distance_relation`` replaced."""
+    """The per-source Python BFS that ``distance_relation`` replaced, after a scan for self-loops, then repeats."""
     n = len(adjacency)
+    for v, row in enumerate(adjacency):
+        if v in row:
+            raise ParseError(f"vertex {v} lists itself as a neighbour")
+    for v, row in enumerate(adjacency):
+        repeated = sorted(w for w in set(row) if list(row).count(w) > 1)
+        if repeated:
+            raise ParseError(f"vertex {v} lists neighbour {repeated[0]} more than once")
     rel = np.full((n, n), -1, dtype=np.int64)
     for s in range(n):
         dist = rel[s]
@@ -126,7 +133,13 @@ def undirected_adjacency_lists(draw):
     return rows
 
 
-@given(st.one_of(adjacency_lists(), undirected_adjacency_lists()))
+def _simple(rows):
+    """``rows`` with each list's self-loop and repeated neighbours dropped, so that the search runs."""
+    return [sorted(set(row) - {v}) for v, row in enumerate(rows)]
+
+
+@given(st.one_of(adjacency_lists(), undirected_adjacency_lists(),
+                 adjacency_lists().map(_simple), undirected_adjacency_lists().map(_simple)))
 @settings(max_examples=400, deadline=None)
 def test_distance_relation_matches_reference_bfs(adjacency):
     assert _outcome(distance_relation, adjacency) == _outcome(reference_distance_relation, adjacency)
@@ -136,6 +149,29 @@ def test_distance_relation_edge_cases():
     for adjacency in ([[]], [[0]], [[0, 0]], [[1, 1], [0]], [[1], []], [[1], [2], [0]], [[1], [0], [3], [2]]):
         assert _outcome(distance_relation, adjacency) == _outcome(reference_distance_relation, adjacency)
     assert distance_relation([[1], [2], [0]]).tolist() == [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(lambda v, row: row + [v], "vertex 0 lists itself as a neighbour"),
+     (lambda v, row: row + [v] if v == 2 else row, "vertex 2 lists itself as a neighbour"),
+     (lambda v, row: row + [row[0]], "vertex 0 lists neighbour 1 more than once"),
+     (lambda v, row: row + [4] if v == 3 else row, "vertex 3 lists neighbour 4 more than once")],
+    ids=["loops-equal", "loop-ragged", "repeats-equal", "repeat-ragged"],
+)
+def test_self_loops_and_repeated_neighbours_are_parse_errors(fault, message):
+    # C_7 with a vertex that also lists itself, or one neighbour twice, would
+    # pass as C_7 with valencies [1, 2, 2, 2]; the file loader and
+    # scheme_from_graph both refuse it, from lists of equal length (read as
+    # one array) and from ragged ones
+    rows = [fault(v, list(row)) for v, row in enumerate(C7_ADJACENCY)]
+    doc = {"n": 7, "D": 3, "relation": {"kind": "distance_graph", "adjacency": rows}}
+    with pytest.raises(ParseError, match=message):
+        scheme_from_json(doc)
+    with pytest.raises(ParseError, match=message):
+        tw.scheme_from_graph(rows)
+    with pytest.raises(ParseError, match=message):
+        tw.scheme_from_graph(np.array(rows) if len(set(map(len, rows))) == 1 else rows)
 
 
 def test_empty_distance_graph_is_an_axiom_violation():

@@ -773,3 +773,56 @@ def test_generated_schemes_keep_their_relation(all_bundles, cycle_contexts):
         assert relabel_classes(bundle.scheme, sp.p_ordering) is bundle.scheme, bundle.name
     for name, ctx in cycle_contexts.items():
         assert ctx.spectral.relation is ctx.scheme.relation, name
+
+
+
+def _dense_eig_residual(scheme, sp, U):
+    """Reference: ||A U_t - theta_t U_t||_F for each eigenspace t of ``U``, with the dense class-1 matrix A."""
+    A = relabel_classes(scheme, sp.p_ordering).class_matrix(1)
+    R = A @ U - U * np.repeat(sp.theta, sp.m)
+    return np.sqrt(np.bincount(sp.eigenspace_labels(), np.einsum("ij,ij->j", R, R)))
+
+
+def test_eig_residual_matches_the_dense_reference(all_bundles, cycle_contexts):
+    # r_t is rounding on the schemes, so the gathered sums and the dense
+    # product agree to 1e-12 relative to the size of A U_t they cancel,
+    # |theta_t| sqrt(m_t); on a basis rotated across eigenspaces r_t is far
+    # above rounding and the two agree to 1e-12 relative to r_t itself
+    from terwlab.spectral import _eig_residual
+
+    schemes = {bundle.name: (bundle.scheme, bundle.spectral) for bundle in all_bundles}
+    schemes |= {name: (ctx.scheme, ctx.spectral) for name, ctx in cycle_contexts.items()}
+    rng = np.random.default_rng(7)
+    for name, (scheme, sp) in schemes.items():
+        size = (1.0 + np.abs(sp.theta)) * np.sqrt(sp.m)
+        assert np.abs(sp.eig_residual - _dense_eig_residual(scheme, sp, sp.U)).max() <= 1e-12 * size.min(), name
+        U = sp.U @ np.linalg.qr(rng.standard_normal((sp.n, sp.n)))[0]
+        got, want = _eig_residual(U, sp.relation, sp.theta, sp.m), _dense_eig_residual(scheme, sp, U)
+        assert want.min() > 1e-3, name
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=name)
+
+
+def _largest_run(m):
+    """The most columns of U in one run of consecutive eigenspaces of equal multiplicity."""
+    cuts = [0, *(np.flatnonzero(np.diff(m)) + 1).tolist(), len(m)]
+    return max(int(m[a:b].sum()) for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("make, D", [(tw.odd_graph, 5), (tw.folded_cube, 4)], ids=["O5", "FC9"])
+def test_spectral_data_forms_no_n_by_n_adjacency_or_product(make, D, monkeypatch):
+    # no class matrix is formed, and the traced peak is U, the copy, the
+    # residual and one gather of the largest run of equal multiplicities,
+    # and a slack of 128 KiB for numpy's 64 KiB ufunc buffer, the k x n
+    # neighbour table and the (D+1)-size arrays: the dense A, A U and U Theta
+    # were three n x n float64 arrays more
+    from terwlab.scheme import AssociationScheme
+
+    scheme = make(D)
+    monkeypatch.setattr(AssociationScheme, "class_matrix", lambda self, i: pytest.fail("class matrix formed"))
+    tracemalloc.start()
+    try:
+        sp = tw.spectral_data(scheme)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sp.U.nbytes + 3 * sp.n * _largest_run(sp.m) * 8 + 2**17
