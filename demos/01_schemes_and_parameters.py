@@ -21,7 +21,7 @@ print("intersection array  c =", pp.c, " a =", pp.a, " b =", pp.b)
 print("almost-bipartite:", tw.is_almost_bipartite(pp))
 
 # Eigenvalues come from the tridiagonal intersection matrix; multiplicities
-# from column orthogonality; Krein parameters from the idempotents.
+# from column orthogonality; Krein parameters from the eigenmatrix Q.
 sp = tw.spectral_data(c7)
 print("\ntheta  :", sp.theta)
 print("theta* :", sp.theta_star)
@@ -38,6 +38,11 @@ print("intersection array  c =", pp4.c, " a =", pp4.a, " b =", pp4.b)
 print("theta  :", sp4.theta)
 print("theta* :", sp4.theta_star)
 
-# Both polynomial orderings were detected automatically:
+# Both polynomial orderings were detected automatically.  The Q-ordering
+# is the one under which the Krein parameters q^h_{1j} form a tridiagonal
+# slice; that slice is the dual array (c*, a*, b*), nonnegative as the
+# Krein conditions require.
 print("\nP-ordering:", sp4.p_ordering, " Q-ordering:", sp4.q_ordering)
-print("Krein parameters are nonnegative:", sp4.krein.min() > -1e-8)
+ps4 = sp4.ppstar
+print("Krein array  c* =", ps4.c, " a* =", ps4.a, " b* =", ps4.b)
+print("Krein array is nonnegative:", min(ps4.c.min(), ps4.a.min(), ps4.b.min()) > -1e-8)

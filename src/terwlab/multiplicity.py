@@ -30,7 +30,6 @@ leading coefficient in one segmented product over the flat dual bands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +82,7 @@ def trace_ladders(ctx: TerwContext) -> list:
 def _rung_windows(rungs: np.ndarray) -> np.ndarray:
     """[o, e] = rungs[o] rungs[o+1] ... rungs[e] for o <= e, multiplied left to right (cumprods)."""
     h = np.arange(len(rungs))
-    return np.cumprod(np.where(h[None, :] >= h[:, None], rungs, 1.0), axis=1)
+    return np.multiply.accumulate(np.where(h[None, :] >= h[:, None], rungs, 1.0), axis=1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,10 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
     of its rungs in the order of h, all cells in one segmented product, and
     when a cell is solved with a nonzero multiplicity the cumulative
     products of its rungs give its coefficient as a predecessor of every
-    later cell at once.  The tests of each cell run on Python floats.
+    later cell at once.  Between two such cells the predecessors' part of
+    each trace does not change, so the cells from one to the next are
+    solved in one array pass, each by the float64 operations the one-cell
+    step takes; the first cell that fails raises as that step would.
     """
     if spectral.theta_star is None:
         raise OrderingMissing("the multiplicity recurrence needs a Q-polynomial ordering")
@@ -148,38 +150,49 @@ def solve_multiplicities(spectral: SpectralData) -> MultiplicityTable:
     rungs = np.append(bs[:-1] * cs[1:], 1.0)
     sizes = np.append(np.maximum(1.0, np.abs(bs[:-1])) * np.maximum(1.0, np.abs(cs[1:])), 1.0)
     rungs[start + cell_d] = sizes[start + cell_d] = 1.0
-    lead = np.multiply.reduceat(rungs, start).tolist()
-    scale = np.multiply.reduceat(sizes, start).tolist()
-    lhs = spectral.closed_traces.tolist()
+    lead = np.multiply.reduceat(rungs, start)
+    zero = np.abs(lead) < LEADING_ZERO_TOL * np.multiply.reduceat(sizes, start)
+    lead[zero] = np.inf  # a zero cell's value is then 0, unless its trace is not finite
+    # the most a cell may hold and leave every trace after it as it is: 0 if it precedes
+    # other cells, any count if d = 0, as such a cell precedes none
+    most = np.where(cell_d > 0, 0.0, np.inf)
+    lhs = spectral.closed_traces[cell_t, cell_d]
+    cells = layout.cells  # in a linear extension
     # acc[k]: the solved predecessors' part of cell k's trace, summed in solve order
-    acc = np.zeros(len(layout.cells))
-    solved = acc.tolist()
-    mult: dict = {}
-    pre: dict = {}
-    zero_cells = []
-    for k, (t, d) in enumerate(layout.cells):  # the layout lists the cells in a linear extension
-        if abs(lead[k]) < LEADING_ZERO_TOL * scale[k]:
-            zero_cells.append((t, d))
-            mult[t, d] = 0
-            pre[t, d] = 0.0
-            continue
-        value = (lhs[t][d] - solved[k]) / lead[k]
-        # round() raises on a NaN or an infinity, which fails the gate instead
-        residual = abs(value - round(value)) if math.isfinite(value) else math.nan
-        if not residual <= ROUNDING_TOL:
-            raise NonIntegerMultiplicity(f"mult({t}, {d}) = {value} is not near an integer")
-        rounded = round(value)
-        if rounded < 0:
-            raise NegativeMultiplicity(f"mult({t}, {d}) = {value}")
-        mult[t, d] = rounded
-        pre[t, d] = residual
-        if rounded and d:  # a cell with d = 0 precedes no other cell
-            # a later cell (t', d') takes the rungs t' - t .. t' - t + d' - 1 of this one
-            later = (cell_t >= t) & (cell_t + cell_d <= t + d)
-            offset = np.clip(cell_t - t, 0, d - 1)
-            windows = _rung_windows(rungs[start[k]:start[k] + d])[offset, np.clip(offset + cell_d - 1, 0, d - 1)]
-            acc[later] += rounded * np.where(cell_d == 0, 1.0, windows)[later]
-            solved = acc.tolist()
-    return MultiplicityTable(
-        D=spectral.D, mult=mult, pre_rounding=pre, zero_coefficient_cells=tuple(zero_cells)
-    )
+    acc = np.zeros(len(cells))
+    counts, residuals = np.empty(len(cells)), np.empty(len(cells))
+    k = 0
+    with np.errstate(invalid="ignore"):  # a trace that is not finite
+        while k < len(cells):
+            value = (lhs[k:] - acc[k:]) / lead[k:]
+            rounded = np.rint(value)
+            residual = np.abs(value - rounded)  # NaN for a NaN or an infinity, which fails the gate
+            # the pass ends at the first cell that fails or that changes the traces after it
+            stops = ~(residual <= ROUNDING_TOL) | (rounded < 0) | (rounded > most[k:])
+            at = int(stops.argmax())
+            at = at if stops[at] else len(stops)
+            counts[k:k + at], residuals[k:k + at] = rounded[:at], residual[:at]
+            k += at
+            if k == len(cells):
+                break
+            t, d = cells[k]
+            if zero[k]:  # its trace is not finite, and its multiplicity is forced to 0 all the same
+                counts[k] = residuals[k] = 0.0
+                k += 1
+                continue
+            if not residual[at] <= ROUNDING_TOL:
+                raise NonIntegerMultiplicity(f"mult({t}, {d}) = {float(value[at])} is not near an integer")
+            if rounded[at] < 0:
+                raise NegativeMultiplicity(f"mult({t}, {d}) = {float(value[at])}")
+            counts[k], residuals[k] = rounded[at], residual[at]
+            # a later cell (t', d') with d' > 0 takes the rungs t' - t .. t' - t + d' - 1 of this
+            # one, and a later cell with d' = 0 (whose t' - t may reach d) takes 1
+            later = np.flatnonzero((cell_t >= t) & (cell_t + cell_d <= t + d))
+            offset, span = cell_t[later] - t, cell_d[later]
+            windows = _rung_windows(rungs[start[k]:start[k] + d])[np.minimum(offset, d - 1), np.maximum(offset + span - 1, 0)]
+            acc[later] += int(rounded[at]) * np.where(span == 0, 1.0, windows)
+            k += 1
+    mult = dict(zip(cells, map(int, counts.tolist())))
+    pre = dict(zip(cells, residuals.tolist()))
+    zero_cells = tuple(cell for cell, z in zip(cells, zero.tolist()) if z)
+    return MultiplicityTable(D=spectral.D, mult=mult, pre_rounding=pre, zero_coefficient_cells=zero_cells)

@@ -23,9 +23,11 @@ oracle's measurements.  Two actions are compared by :func:`band_gap`; a
 matrix is assembled with :func:`tridiagonal` only to print it or to
 act with it (the class-1 operator of the Bose-Mesner check).
 Feasibility is taken for all classes at once (:func:`feasibility_reports`):
-the tridiagonals of one size are written into one stack with one
-eigenvalue call, and the products and traces are array operations over
-the flat bands; :func:`feasibility` is that function on one cell.
+the tridiagonals of one size are written into one stack, whose matrices
+with positive products take the symmetric eigenvalue solver on their
+symmetrized form and the rest the general one (:func:`_sorted_eigenvalues`),
+and the products and traces are array operations over the flat bands;
+:func:`feasibility` is that function on one cell.
 """
 
 from __future__ import annotations
@@ -271,7 +273,33 @@ class FeasibilityReport:
 
 
 def _sorted_eigenvalues(M: np.ndarray) -> np.ndarray:
-    """Real parts of the eigenvalues of each matrix of the stack ``M``, ascending; NaN for a matrix that is not finite."""
+    """Real parts of the eigenvalues of each tridiagonal matrix of the stack ``M``, ascending.
+
+    A finite matrix whose rungs M[i, i + 1] M[i + 1, i] are all positive is
+    similar, by a diagonal scaling, to the symmetric tridiagonal matrix with
+    off-diagonal sqrt(M[i, i + 1] M[i + 1, i]), and takes ``eigvalsh`` on
+    that one.  Any other matrix, one with a rung that is not positive or an
+    entry that is not finite, takes ``eigvals``; a matrix that is not finite
+    gets NaN.  Either solver runs LAPACK on each matrix of its part of the
+    stack as a call on that matrix alone would.
+    """
+    rungs = np.diagonal(M, 1, 1, 2) * np.diagonal(M, -1, 1, 2)
+    symmetric = (rungs > 0).all(axis=1) & np.isfinite(M).all(axis=(1, 2))
+    eig = np.empty(M.shape[:2])
+    if symmetric.any():
+        S = M[symmetric]
+        off = np.sqrt(rungs[symmetric])
+        n = M.shape[-1]
+        flat = S.reshape(len(S), -1)  # row-major: the superdiagonal from entry 1, the subdiagonal from n
+        flat[:, 1::n + 1], flat[:, n::n + 1] = off, off
+        eig[symmetric] = np.linalg.eigvalsh(S)
+    if not symmetric.all():
+        eig[~symmetric] = _general_eigenvalues(M[~symmetric])
+    return eig
+
+
+def _general_eigenvalues(M: np.ndarray) -> np.ndarray:
+    """Real parts of the eigenvalues of each matrix of the stack ``M`` by ``eigvals``, ascending; NaN for a matrix that is not finite."""
     try:
         return np.sort(np.linalg.eigvals(M).real, axis=-1)
     except np.linalg.LinAlgError:  # raised for the whole stack when a matrix holds a NaN or an infinity
@@ -279,7 +307,7 @@ def _sorted_eigenvalues(M: np.ndarray) -> np.ndarray:
         if finite.all():
             raise
         eig = np.full(M.shape[:2], np.nan)
-        eig[finite] = _sorted_eigenvalues(M[finite])
+        eig[finite] = _general_eigenvalues(M[finite])
         return eig
 
 
@@ -291,8 +319,8 @@ def feasibility_reports(spectral, cells) -> list:
     theta_t, ..., theta_{t+d} and those of B*(W) must be theta*_r, ...,
     theta*_{r+d}; equivalently the traces match the corresponding
     eigenvalue sums.  The matrices of one size, B(W) and B*(W) of every
-    cell of that d, form one stack with one ``eigvals`` call, which runs
-    LAPACK on each matrix as a call on that matrix alone would; the
+    cell of that d, form one stack for :func:`_sorted_eigenvalues`, which
+    takes the symmetric solver on each matrix with positive products; the
     products, traces and errors are array operations over the flat bands.
     """
     D, grid = spectral.D, spectral.bands

@@ -14,10 +14,14 @@ Q = m P^T / k.  The primitive idempotents are E_j = sum_l Q[j, l] A_l / n,
 so everything that lives in the Bose-Mesner algebra is read off Q and the
 intersection numbers in (D+1)-dimensional work: the Bose-Mesner residuals
 are coefficients of the class matrices, and the Krein parameters (the
-structure constants of the idempotents under the entrywise product) are a
-sum over classes.  A greedy pivoted Cholesky of each E_t gives bases U_t
-of the eigenspaces, E_t = U_t U_t^T, with no n x n eigensolve: a factor G
-of m_t columns with G G^T = E_t = E_t^2 has G^T G = I in exact arithmetic.
+structure constants of the idempotents under the entrywise product) are
+sums over classes, formed one (D+1) x (D+1) slice q[:, i, :] at a time
+where a check reads it (:func:`_krein_slice`), never as the (D+1)^3 array.
+A greedy pivoted Cholesky of each E_t gives bases U_t of the eigenspaces,
+E_t = U_t U_t^T, with no n x n eigensolve: a factor G of m_t columns with
+G G^T = E_t = E_t^2 has G^T G = I in exact arithmetic.  The eigenspaces
+of one run of equal multiplicity (the eigenspaces t >= 1 of a cycle) take
+their pivots in lock-step (:func:`_eigenspace_bases`).
 The stages that need the idempotents work through U_t and never hold the
 (D+1) n^2 stack of idempotents.  Nor is an E_t formed to check the bases:
 r_t = ||R_t||_F, R_t = A U_t - theta_t U_t, is read off the class-1
@@ -43,7 +47,8 @@ p^h_{1j} of its position-1 class, read in that order, is tridiagonal with
 nonzero sub- and superdiagonals (Brouwer-Cohen-Neumaier, Distance-Regular
 Graphs, Prop. 2.7.1); dually, an ordering of the idempotents is
 Q-polynomial exactly when the Krein slice q^h_{1j} is (Bannai-Ito 1984,
-III.1).  Both searches test that slice alone.
+III.1).  Both searches test that slice alone, and the Q-side search forms
+the Krein slice of a candidate only when it reaches it.
 
 All spectral quantities returned here are expressed in the detected
 orderings: classes are relabeled by the first P-polynomial ordering found,
@@ -107,7 +112,6 @@ class SpectralData:
     P: np.ndarray
     Q: np.ndarray | None
     m: np.ndarray
-    krein: np.ndarray
     theta: np.ndarray
     theta_star: np.ndarray | None
     U: np.ndarray
@@ -163,26 +167,29 @@ def krein_products(spectral: SpectralData) -> np.ndarray:
     return np.where(t + d <= D, value, np.nan)
 
 
-def _orderings(nonzero: np.ndarray):
+def _orderings(support, D: int):
     """Relabelings fixing 0 under which the support is tridiagonal, lazily.
 
-    Candidates for position 1 are tried in increasing order and extended
-    greedily: the next label must be the unique unused one linked to the
-    previous by the position-1 label c1, read off one ``nonzero`` of the
-    slice and followed on Python ints.  A completed candidate passes when
-    the slice ``nonzero[:, c1, :]``, rows and columns in its order, vanishes
-    off its three bands and nowhere on its sub- and superdiagonals (module
-    docstring).  It is yielded as soon as it passes, so a caller that needs
-    only the first ordering stops the search there.
+    ``support(c)`` is the (D+1) x (D+1) boolean support ``[h, j]`` of the
+    slice of label c, the nonzero p^h_{cj} or q^h_{cj}; it is asked for
+    once per candidate, when the search reaches it.  Candidates for
+    position 1 are tried in increasing order and extended greedily: the
+    next label must be the unique unused one linked to the previous by the
+    position-1 label c1, read off one ``nonzero`` of its slice and followed
+    on Python ints.  A completed candidate passes when the slice, rows and
+    columns in its order, vanishes off its three bands and nowhere on its
+    sub- and superdiagonals (module docstring).  It is yielded as soon as it
+    passes, so a caller that needs only the first ordering stops the search
+    there.
     """
-    D = nonzero.shape[0] - 1
     if D == 0:
-        if nonzero[0, 0, 0]:
+        if support(0)[0, 0]:
             yield (0,)
         return
     for c1 in range(1, D + 1):
+        nonzero = support(c1)
         # the labels linked to j by c1 are links[ends[j]:ends[j + 1]], in increasing order
-        j, links = np.nonzero(nonzero[:, c1, :].T)
+        j, links = np.nonzero(nonzero.T)
         ends, links = np.searchsorted(j, np.arange(D + 2)).tolist(), links.tolist()
         order, used = [0, c1], {0, c1}
         while len(order) < D + 1:
@@ -192,15 +199,19 @@ def _orderings(nonzero: np.ndarray):
             order.append(nxt[0])
             used.add(nxt[0])
         else:
-            S = nonzero[:, c1, :][np.ix_(order, order)]
+            S = nonzero[np.ix_(order, order)]
             off_bands = np.triu(S, 2).any() or np.tril(S, -2).any()
             if not off_bands and np.diagonal(S, 1).all() and np.diagonal(S, -1).all():
                 yield tuple(order)
 
 
-def _krein_support(krein: np.ndarray) -> np.ndarray:
-    """Nonzero Krein parameters, with :data:`KREIN_ZERO_TOL` relative to the largest one."""
-    return np.abs(krein) > KREIN_ZERO_TOL * max(1.0, float(np.abs(krein).max()))
+def _krein_support(krein: np.ndarray, scale: float) -> np.ndarray:
+    """Nonzero Krein parameters, with :data:`KREIN_ZERO_TOL` relative to ``scale``, the largest one or 1.
+
+    The largest Krein parameter is the largest multiplicity: q^0_{ii} = m_i,
+    and sum_j q^h_{ij} = m_i with every q^h_{ij} >= 0.
+    """
+    return np.abs(krein) > KREIN_ZERO_TOL * scale
 
 
 def _three_term(x: np.ndarray) -> PPolyArray:
@@ -255,8 +266,8 @@ def _eigenmatrix(pp: PPolyArray, theta: np.ndarray) -> np.ndarray:
     return P
 
 
-def _krein_parameters(Q: np.ndarray, k: np.ndarray, m: np.ndarray, n: int) -> np.ndarray:
-    """Structure constants of the idempotents under the entrywise product.
+def _krein_slice(Q: np.ndarray, k: np.ndarray, m: np.ndarray, n: int, i: int) -> np.ndarray:
+    """The (D+1) x (D+1) slice q[:, i, :] of the Krein parameters, in O(D^3) work.
 
     q[h, i, j] = n * sum(E_i o E_j o E_h) / m_h, the coefficient of E_h in
     the expansion of E_i o E_j.  E_i is Q[i, l] / n on the n k_l entries of
@@ -265,10 +276,10 @@ def _krein_parameters(Q: np.ndarray, k: np.ndarray, m: np.ndarray, n: int) -> np
         q[h, i, j] = sum_l k_l Q[i, l] Q[j, l] Q[h, l] / (n m_h),
 
     the eigenmatrix form of Bannai-Ito (1984) and Brouwer-Cohen-Neumaier
-    (1989), in O(D^4) work.
+    (1989).  No (D+1)^3 array of them is formed: each stage reads the
+    slices it needs.
     """
-    Qk = Q * k
-    return np.moveaxis((Q[:, None, :] * Qk[None, :, :]) @ Q.T, 2, 0) / (n * m[:, None, None])
+    return ((Q[i] * (Q * k)) @ Q.T).T / (n * m[:, None])
 
 
 def _eigenspace_bases(Q: np.ndarray, relation: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -276,19 +287,49 @@ def _eigenspace_bases(Q: np.ndarray, relation: np.ndarray, m: np.ndarray) -> np.
 
     The pivot p is the largest residual diagonal entry, the lowest index on
     ties; column p of E_t is Q[t, relation[p]] / n, as the relation is
-    symmetric, gathered by ``take``, which widens a one-byte index row
-    faster than ``[]`` does.  The columns are built as the rows of one
-    n x n buffer.
+    symmetric.  The columns are built as the rows of one n x n buffer.  A
+    run of consecutive eigenspaces of equal multiplicity s (the eigenspaces
+    t >= 1 of a cycle) takes its s steps in lock-step: one ``argmax`` over
+    the run's diagonals, one gather of its pivot rows of the relation, one
+    ``matmul`` on the stack of its rows so far and one diagonal update per
+    step, each eigenspace's step the same arithmetic as alone.  A run of one
+    eigenspace takes its steps one row at a time, gathering its column by
+    ``take``, which widens a one-byte index row faster than ``[]`` does.
     """
-    n, ends = len(relation), np.cumsum(m)
+    n, sizes, ends = len(relation), m.tolist(), np.cumsum(m).tolist()
     rows = np.empty((n, n))
-    for q, start, stop in zip(Q / n, ends - m, ends):
-        diag = np.full(n, q[0])
-        for j in range(start, stop):
-            p = diag.argmax()
-            rows[j] = (q.take(relation[p]) - rows[start:j, p] @ rows[start:j]) / math.sqrt(diag[p])
-            diag -= rows[j] ** 2
+    Qn = Q / n
+    for a, b in _runs(sizes):
+        s, first = sizes[a], ends[a] - sizes[a]
+        if b - a == 1:
+            q, diag = Qn[a], np.full(n, Qn[a, 0])
+            for j in range(first, first + s):
+                p = diag.argmax()
+                rows[j] = (q.take(relation[p]) - rows[first:j, p] @ rows[first:j]) / math.sqrt(diag[p])
+                diag -= rows[j] ** 2
+            continue
+        run, q = rows[first:ends[b - 1]].reshape(b - a, s, n), Qn[a:b]
+        at = np.arange(b - a)
+        diag = np.repeat(q[:, :1], n, axis=1)
+        # the pivot entries of the rows so far sit at every other entry: BLAS then reads them
+        # with a stride, as it reads the column rows[first:j, p] of the one-row step, and not
+        # through the unit-stride kernel, which rounds differently
+        pivots = np.empty((b - a, 1, s, 2))
+        for j in range(s):
+            p = diag.argmax(axis=1)
+            pivots[:, 0, :j, 0] = run[at, :j, p]
+            row = run[:, j]
+            row[...] = np.take_along_axis(q, relation[p], axis=1)
+            row -= np.matmul(pivots[..., :j, 0], run[:, :j])[:, 0]
+            row /= np.sqrt(diag[at, p])[:, None]
+            diag -= row ** 2
     return rows.T
+
+
+def _runs(sizes: list) -> list:
+    """(first, stop) of each run of consecutive eigenspaces of equal multiplicity ``sizes``."""
+    starts = [0] + [t for t in range(1, len(sizes)) if sizes[t] != sizes[t - 1]]
+    return list(zip(starts, starts[1:] + [len(sizes)]))
 
 
 def _orthogonality_bounds(U: np.ndarray, spread: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -324,10 +365,9 @@ def _eig_residual(U: np.ndarray, relation: np.ndarray, theta: np.ndarray, m: np.
     n = len(relation)
     nbr = (np.flatnonzero(relation == 1) % n).reshape(n, -1).T.copy()
     sizes, ends = m.tolist(), np.cumsum(m).tolist()
-    starts = [0] + [t for t in range(1, len(sizes)) if sizes[t] != sizes[t - 1]]  # the first eigenspace of each run
     scale = np.repeat(theta, m)
     col2 = np.empty(n)  # squared norm of each column of R
-    for a, b in zip(starts, starts[1:] + [len(sizes)]):
+    for a, b in _runs(sizes):
         cols = slice(ends[a] - sizes[a], ends[b - 1])
         W = np.ascontiguousarray(U[:, cols])
         R = W.take(nbr[0], axis=0)
@@ -344,13 +384,13 @@ def _trivial_spectral(scheme: AssociationScheme) -> SpectralData:
     return SpectralData(
         n=1, D=0, relation=scheme.relation, p_ordering=(0,), q_ordering=(0,),
         pp=pp, P=one, Q=one, m=np.array([1], dtype=np.int64),
-        krein=np.ones((1, 1, 1)), theta=np.zeros(1), theta_star=np.zeros(1),
+        theta=np.zeros(1), theta_star=np.zeros(1),
         U=np.ones((1, 1)), eig_residual=np.zeros(1), ppstar=PPolyArray(c=np.zeros(1), a=np.zeros(1), b=np.zeros(1)),
     )
 
 
 def spectral_data(scheme: AssociationScheme) -> SpectralData:
-    """Eigenvalues, eigenmatrices, eigenspace bases, Krein parameters and orderings.
+    """Eigenvalues, eigenmatrices, eigenspace bases, the Krein array and orderings.
 
     Takes the first P-polynomial ordering found (raising
     :class:`NotPPolynomial` if none exists), relabels the classes by it,
@@ -358,7 +398,11 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     identity and its array (module docstring).  If a Q-polynomial ordering is
     found the idempotents are relabeled by the first one as well;
     otherwise the dual data are left ``None`` and the idempotents stay
-    sorted by descending eigenvalue.
+    sorted by descending eigenvalue.  The Krein parameters are read slice
+    by slice (:func:`_krein_slice`): q^0 = diag(m) is gated on Q alone, and
+    the Krein conditions q >= 0, which hold for every association scheme,
+    are scanned on a table from the full scan, whose Q no certified array
+    stands behind.
     """
     n, D = scheme.n, scheme.D
 
@@ -369,7 +413,8 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
         # certified in distance order: the identity is the first P-ordering (module docstring)
         p_ordering, scheme_p = tuple(range(D + 1)), scheme
     else:
-        p_ordering = next(_orderings(scheme.tensor.p != 0), None)
+        p = scheme.tensor.p
+        p_ordering = next(_orderings(lambda c: p[:, c, :] != 0, D), None)
         if p_ordering is None:
             raise NotPPolynomial(f"no metric ordering among {D + 1} classes")
         scheme_p = relabel_classes(scheme, p_ordering)
@@ -390,24 +435,29 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
     Q = m[:, None] * P.T / k[None, :]
     _verify_bose_mesner(Q, P, pp, n)
 
-    krein = _krein_parameters(Q, k, m, n)
-    kscale = max(1.0, float(np.abs(krein).max()))
-    if krein.min() < -1e-8 * kscale:
-        raise NumericalCheckFailure(f"Krein parameter significantly negative: {krein.min()}")
-    if np.abs(krein[0] - np.diag(m)).max() > 1e-6 * kscale:
+    # the largest Krein parameter is the largest multiplicity (_krein_support)
+    kscale = max(1.0, float(m.max()))
+    if scheme.tensor.pp is None:
+        # a table from the full scan: the Krein conditions, one slice at a time
+        least = min(float(_krein_slice(Q, k, m, n, i).min()) for i in range(D + 1))
+        if least < -1e-8 * kscale:
+            raise NumericalCheckFailure(f"Krein parameter significantly negative: {least}")
+    # q^0_{ij} = sum_l k_l Q[i, l] Q[j, l] / n, as Q[0] = 1
+    if np.abs((Q * k) @ Q.T / n - np.diag(m)).max() > 1e-6 * kscale:
         raise NumericalCheckFailure("krein[0] != diag(m)")
 
-    q_ordering = next(_orderings(_krein_support(krein)), None)
+    q_ordering = next(_orderings(lambda c: _krein_support(_krein_slice(Q, k, m, n, c), kscale), D), None)
     sg = list(range(D + 1) if q_ordering is None else q_ordering)
+    # the dual array is the winning slice, q^h_{1j} in the new order
+    ppstar = None if q_ordering is None else _three_term(_krein_slice(Q, k, m, n, sg[1])[np.ix_(sg, sg)])
     m_int, theta, P, Q = m_int[sg], theta[sg], P[:, sg], Q[sg]
-    spread, krein = spread[np.ix_(sg, sg)], krein[np.ix_(sg, sg, sg)]
+    spread = spread[np.ix_(sg, sg)]
     U = _eigenspace_bases(Q, scheme_p.relation, m_int)
 
-    theta_star = ppstar = None
+    theta_star = None
     if q_ordering is not None:
         theta_star = Q[1].copy()
         _check_distinct(theta_star)
-        ppstar = _three_term(krein[:, 1, :])
         if np.abs(P @ Q - n * np.eye(D + 1)).max() > 1e-8 * n:
             raise NumericalCheckFailure("P Q != n I")
 
@@ -418,12 +468,12 @@ def spectral_data(scheme: AssociationScheme) -> SpectralData:
         if not bound.max() <= IDEMPOTENT_TOL:
             raise NumericalCheckFailure(f"eigenspace basis {what} {bound.max():.3e} exceeds {IDEMPOTENT_TOL}")
 
-    for arr in (U, P, Q, krein, theta, eig_residual) + (() if theta_star is None else (theta_star,)):
+    for arr in (U, P, Q, theta, eig_residual) + (() if theta_star is None else (theta_star,)):
         arr.flags.writeable = False
     return SpectralData(
         n=n, D=D, relation=scheme_p.relation,
         p_ordering=p_ordering, q_ordering=q_ordering,
-        pp=pp, P=P, Q=None if q_ordering is None else Q, m=m_int, krein=krein,
+        pp=pp, P=P, Q=None if q_ordering is None else Q, m=m_int,
         theta=theta, theta_star=theta_star, U=U, eig_residual=eig_residual, ppstar=ppstar,
     )
 

@@ -19,11 +19,28 @@ import pytest
 
 import terwlab as tw
 from terwlab.context import shell_blocks
+from terwlab.spectral import _orderings
 
 
 def dense_idempotents(spectral):
     """The (D+1, n, n) stack of primitive idempotents, E_j = Q[j, relation] / n."""
     return spectral.Q[:, spectral.relation] / spectral.n
+
+
+def krein_tensor(Q, k, m, n):
+    """The (D+1)^3 Krein parameters q[h, i, j] = sum_l k_l Q[i, l] Q[j, l] Q[h, l] / (n m_h), as one
+    batched product: the program forms only the slices q[:, i, :] it reads."""
+    return np.moveaxis((Q[:, None, :] * (Q * k)[None, :, :]) @ Q.T, 2, 0) / (n * m[:, None, None])
+
+
+def spectral_krein(spectral):
+    """:func:`krein_tensor` of ``spectral``, in its idempotent order."""
+    return krein_tensor(spectral.Q, spectral.k, spectral.m.astype(np.float64), spectral.n)
+
+
+def search(nonzero):
+    """The orderings search on the slices ``nonzero[:, c, :]`` of a boolean (D+1)^3 support."""
+    return _orderings(lambda c: nonzero[:, c, :], nonzero.shape[0] - 1)
 
 
 def dense_adjacency(ctx):

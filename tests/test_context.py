@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 import terwlab as tw
-from conftest import dense_adjacency, dense_dual_operators, dense_idempotents, split_operators, with_adjacency
+from conftest import (
+    dense_adjacency,
+    dense_dual_operators,
+    dense_idempotents,
+    spectral_krein,
+    split_operators,
+    with_adjacency,
+)
 from terwlab.context import dual_blocks
 from terwlab.errors import InvalidParameter, OrderingMissing
 from terwlab.scheme import relabel_classes
@@ -194,7 +201,7 @@ def _triangle_counterexamples(ctx, zero_tol=1e-7):
     # frob2[h, i, j] is the squared norm of block (i, h) of U^T A*_j U
     frob2 = np.stack([_block_norms2(sp.U.T @ (sp.Q[j, dist][:, None] * sp.U), sp).T for j in range(D + 1)], axis=2)
     vanishing = frob2 > zero_tol * max(1.0, float(frob2.max()))
-    bad_q = [tuple(int(v) for v in hij) for hij in np.argwhere(_krein_support(sp.krein) != vanishing)]
+    bad_q = [tuple(int(v) for v in hij) for hij in np.argwhere(_krein_support(spectral_krein(sp), max(1.0, float(sp.m.max()))) != vanishing)]
     return bad_p, bad_q
 
 

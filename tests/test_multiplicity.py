@@ -337,6 +337,18 @@ def test_solver_equals_reference_on_zero_coefficient_branch():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_zero_cell_takes_no_value_from_its_trace(bad):
+    # a vanishing leading coefficient forces multiplicity 0 whatever the cell's trace holds
+    fake = _zero_lead_spectrum()
+    want = tw.solve_multiplicities(fake)
+    assert want.zero_coefficient_cells == ((0, 1),)
+    closed = fake.closed_traces.copy()
+    closed[0, 1] = bad
+    fake.closed_traces = closed
+    _assert_same_table(tw.solve_multiplicities(fake), want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_a_nan_or_infinite_trace_fails_the_rounding_gate(bad):
     # int(round(nan)) raised ValueError, which no stage reports as a failed check
     sp = tw.spectral_data(tw.odd_cycle(3))
@@ -344,6 +356,19 @@ def test_a_nan_or_infinite_trace_fails_the_rounding_gate(bad):
     closed[1, 2] = bad
     sp.__dict__["closed_traces"] = closed  # the cached property, replaced on this instance only
     with pytest.raises(NonIntegerMultiplicity, match=r"mult\(1, 2\)"):
+        tw.solve_multiplicities(sp)
+
+
+def test_a_negative_multiplicity_fails_at_its_cell():
+    # C_7 solves mult(1, 2) = 1 after mult(0, 3) = 1; two leading coefficients less trace there
+    # make it -1, which stops the pass at that cell with NegativeMultiplicity
+    sp = tw.spectral_data(tw.odd_cycle(3))
+    assert tw.solve_multiplicities(sp).nonzero() == {(0, 3): 1, (1, 2): 1}
+    cs, _, bs = sp.bands.bands_star(1, 2)
+    closed = sp.closed_traces.copy()
+    closed[1, 2] -= 2 * (bs[0] * cs[1]) * (bs[1] * cs[2])
+    sp.__dict__["closed_traces"] = closed
+    with pytest.raises(NegativeMultiplicity, match=r"^mult\(1, 2\) = -(1\.0|0\.9999)"):
         tw.solve_multiplicities(sp)
 
 

@@ -253,14 +253,25 @@ def test_per_cell_bands_reject_cells_off_the_grid(c9):
                 read(t, d)
 
 
+def reference_eigenvalues(c, a, b):
+    """Reference: the eigenvalues of one tridiagonal, ascending; ``eigvalsh`` of the symmetric
+    tridiagonal with off-diagonal sqrt(b_i c_{i+1}) when every such product is positive, else
+    the real parts from ``eigvals`` of the matrix itself."""
+    rungs = b[:-1] * c[1:]
+    if (rungs > 0).all():
+        off = np.sqrt(rungs)
+        return np.linalg.eigvalsh(tridiagonal(np.concatenate(([0.0], off)), a, np.concatenate((off, [0.0]))))
+    return np.sort(np.linalg.eigvals(tridiagonal(c, a, b)).real)
+
+
 def reference_feasibility(spectral, t, d):
-    """Reference: the former per-cell check, two dense tridiagonals and two ``eigvals`` calls."""
+    """Reference: the per-cell check, two dense tridiagonals and two eigenvalue calls."""
     bands, bands_star = spectral.bands.bands(t, d), spectral.bands.bands_star(t, d)
     (c, a, b), (cs, as_, bs) = bands, bands_star
     r = spectral.D - d
     th, ths = spectral.theta[t : t + d + 1], spectral.theta_star[r : r + d + 1]
-    eig_B = np.sort(np.linalg.eigvals(tridiagonal(*bands)).real)
-    eig_Bs = np.sort(np.linalg.eigvals(tridiagonal(*bands_star)).real)
+    eig_B = reference_eigenvalues(*bands)
+    eig_Bs = reference_eigenvalues(*bands_star)
     return {
         "products": tuple((b[:-1] * c[1:]).tolist()),
         "dual_products": tuple((bs[:-1] * cs[1:]).tolist()),
@@ -272,7 +283,7 @@ def reference_feasibility(spectral, t, d):
 
 
 def _assert_feasibility_is_per_cell_reference(sp, name):
-    # every cell at once, and one at a time: equal to the bit, as LAPACK runs the same geev on each
+    # every cell at once, and one at a time: equal to the bit, as LAPACK runs the same solver on each
     # matrix of a stack and the products, sums and maxima are the same operations in the same order
     cells = list(sp.bands.cells)
     for report, (t, d) in zip(feasibility_reports(sp, cells), cells):
@@ -310,6 +321,55 @@ def test_a_matrix_that_is_not_finite_gets_nan_eigenvalues():
     assert eig[0].tolist() == [1.0, 2.0]
     assert np.isnan(eig[1]).all()
     assert eig[2].tolist() == pytest.approx([-1.0, 1.0])
+
+
+def _feasibility_stacks(sp):
+    """The stacks of B(W) and B*(W) of every cell, one per size, as :func:`feasibility_reports` forms them."""
+    grid, by_size = sp.bands, {}
+    for t, d in grid.cells:
+        by_size.setdefault(d + 1, []).extend([tridiagonal(*grid.bands(t, d)), tridiagonal(*grid.bands_star(t, d))])
+    return [np.stack(ms) for ms in by_size.values()]
+
+
+def _all_stacks(all_bundles):
+    spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
+    spectra |= {f"C{2 * D + 1}": tw.spectral_data(tw.odd_cycle(D)) for D in range(3, 31)}
+    return {name: _feasibility_stacks(sp) for name, sp in spectra.items()}
+
+
+def _rungs_positive(M):
+    return (np.diagonal(M, 1, 1, 2) * np.diagonal(M, -1, 1, 2) > 0).all(axis=1)
+
+
+def test_module_spectra_of_a_stack_are_those_of_each_matrix(all_bundles):
+    # eigvalsh and eigvals both run LAPACK on each matrix of their part of the stack as on that
+    # matrix alone: equal to the bit, on the stacks of the bundles and of C_7..C_61
+    from terwlab.predictor import _sorted_eigenvalues
+
+    kinds = set()
+    for name, stacks in _all_stacks(all_bundles).items():
+        for M in stacks:
+            eig = _sorted_eigenvalues(M)
+            kinds |= set(_rungs_positive(M).tolist())
+            for i in range(len(M)):
+                assert eig[i].tobytes() == _sorted_eigenvalues(M[i:i + 1])[0].tobytes(), (name, len(M[i]), i)
+    assert kinds == {True, False}  # both solvers ran
+
+
+def test_symmetric_module_spectra_match_the_general_solver(all_bundles):
+    # a matrix with positive products takes eigvalsh on its symmetrized form, within
+    # 1e-12 max(1, |theta|) of geev on the matrix itself; any other takes eigvals, to the bit
+    from terwlab.predictor import _sorted_eigenvalues
+
+    for name, stacks in _all_stacks(all_bundles).items():
+        for M in stacks:
+            eig, general = _sorted_eigenvalues(M), np.sort(np.linalg.eigvals(M).real, axis=-1)
+            positive = _rungs_positive(M)
+            assert (np.abs(eig - general)[positive] <= 1e-12 * np.maximum(1.0, np.abs(general[positive]))).all(), name
+            assert eig[~positive].tobytes() == general[~positive].tobytes(), name
+    M = np.stack([tridiagonal(np.array([0.0, 1.0, -2.0]), np.array([1.0, 0.5, 3.0]), np.array([2.0, 1.0, 0.0])),
+                  tridiagonal(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 3.0]), np.array([2.0, 0.0, 0.0]))])
+    assert _sorted_eigenvalues(M).tobytes() == np.sort(np.linalg.eigvals(M).real, axis=-1).tobytes()
 
 
 def test_band_entries_lays_out_upsilon_cells(c9):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
+from conftest import search
 from terwlab import scheme as scheme_module
 from terwlab.errors import AxiomViolation
 from terwlab.generators import distance_relation
 from terwlab.scheme import _triple_counts, relabel_classes
-from terwlab.spectral import _orderings
 
 
 def cycle_relation(n):
@@ -245,7 +245,7 @@ def test_cycle_ladder_tensor_and_orderings(D):
     # i-th class is the distance min(ij mod n, n - ij mod n)
     multipliers = [j for j in range(1, D + 1) if gcd(j, n) == 1]
     expected = [tuple(min(i * j % n, n - i * j % n) for i in range(D + 1)) for j in multipliers]
-    orderings = list(_orderings(scheme.tensor.p != 0))
+    orderings = list(search(scheme.tensor.p != 0))
     assert len(orderings) == sum(gcd(j, n) == 1 for j in range(1, n)) // 2
     assert orderings[0] == tuple(range(D + 1))
     assert orderings == expected

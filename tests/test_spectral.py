@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import terwlab as tw
-from conftest import dense_idempotents
+from conftest import dense_idempotents, krein_tensor, search, spectral_krein
 from terwlab.errors import NotPPolynomial
 from terwlab.scheme import relabel_classes
 from terwlab.spectral import (
     _eigenmatrix,
     _krein_support,
-    _orderings,
     _tridiagonal_eigenvalues,
 )
+
+
+def tensor_support(krein):
+    """Nonzero entries of a (D+1)^3 Krein tensor, relative to its largest entry or 1."""
+    return _krein_support(krein, max(1.0, float(np.abs(krein).max())))
 
 
 def reference_pattern_ok(nonzero, order):
@@ -141,19 +145,19 @@ def supports_and_orders(draw):
 def test_first_found_ordering_is_first_detected(case):
     # the support as a 0/1 Krein tensor: 1 > tol * 1, so the mask is the support
     nonzero, _ = case
-    assert _krein_support(nonzero.astype(np.float64)).tolist() == nonzero.tolist()
-    assert list(_orderings(nonzero)) == reference_flatnonzero_orderings(nonzero)
+    assert tensor_support(nonzero.astype(np.float64)).tolist() == nonzero.tolist()
+    assert list(search(nonzero)) == reference_flatnonzero_orderings(nonzero)
     if nonzero.shape[0] <= 6:  # the references try all D! orderings
-        assert list(_orderings(nonzero)) == reference_slice_orderings(nonzero)
+        assert list(search(nonzero)) == reference_slice_orderings(nonzero)
         assert reference_pattern_orderings(nonzero) == reference_orderings(nonzero)
 
 
 def test_first_found_orderings_on_bundles(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        p_support, q_support = bundle.scheme.tensor.p != 0, _krein_support(sp.krein)
-        assert next(_orderings(p_support)) == reference_orderings(p_support)[0] == sp.p_ordering
-        assert next(_orderings(q_support)) == reference_orderings(q_support)[0]
+        p_support, q_support = bundle.scheme.tensor.p != 0, tensor_support(spectral_krein(sp))
+        assert next(search(p_support)) == reference_orderings(p_support)[0] == sp.p_ordering
+        assert next(search(q_support)) == reference_orderings(q_support)[0]
 
 
 def _eigenmatrix_krein(tensor):
@@ -175,10 +179,10 @@ def _eigenmatrix_krein(tensor):
 def test_first_found_orderings_on_cycles(D):
     # C_7..C_61, every P-ordering metric and the classes already in P-order
     tensor = tw.odd_cycle(D).tensor
-    p_orders = list(_orderings(tensor.p != 0))
+    p_orders = list(search(tensor.p != 0))
     assert p_orders[0] == tuple(range(D + 1))
     krein = _eigenmatrix_krein(tensor)
-    q_orders = list(_orderings(_krein_support(krein)))
+    q_orders = list(search(tensor_support(krein)))
     assert len(q_orders) == len(p_orders)
     sp = tw.spectral_data(tw.odd_cycle(D))  # it takes the first ordering of each search
     assert (sp.p_ordering, sp.q_ordering) == (p_orders[0], q_orders[0])
@@ -210,18 +214,18 @@ def test_slice_search_matches_the_3d_reference_on_real_supports(name, request):
     scheme = request.getfixturevalue("petersen_line_graph") if name == "Petersen-line-graph" else REAL_SCHEMES[name]()
     supports = [scheme.tensor.p != 0]
     if scheme.tensor.pp is not None:
-        supports.append(_krein_support(_eigenmatrix_krein(scheme.tensor)))
+        supports.append(tensor_support(_eigenmatrix_krein(scheme.tensor)))
     for nonzero in supports:
-        assert list(_orderings(nonzero)) == reference_pattern_orderings(nonzero)
+        assert list(search(nonzero)) == reference_pattern_orderings(nonzero)
 
 
 def test_first_q_ordering_holds_no_pattern_mask():
     # C_201 (D=100): each candidate reads one (D+1)^2 slice, so the first
     # Q-ordering allocates well under one (D+1)^3 boolean mask (1 MB)
-    support = _krein_support(_eigenmatrix_krein(tw.odd_cycle(100).tensor))
+    support = tensor_support(_eigenmatrix_krein(tw.odd_cycle(100).tensor))
     tracemalloc.start()
     try:
-        first = next(_orderings(support), None)
+        first = next(search(support), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -295,8 +299,9 @@ def test_valency_product_formula(all_bundles):
 def test_krein_nonnegative_and_diagonal(all_bundles):
     for bundle in all_bundles:
         sp = bundle.spectral
-        assert sp.krein.min() > -1e-8
-        assert np.abs(sp.krein[0] - np.diag(sp.m)).max() < 1e-8
+        krein = spectral_krein(sp)
+        assert krein.min() > -1e-8
+        assert np.abs(krein[0] - np.diag(sp.m)).max() < 1e-8
 
 
 def test_idempotency(all_bundles):
@@ -311,14 +316,14 @@ def test_idempotency(all_bundles):
 
 def test_detect_p_identity_on_cycle(c7):
     assert c7.spectral.p_ordering == (0, 1, 2, 3)
-    orderings = list(_orderings(c7.scheme.tensor.p != 0))
+    orderings = list(search(c7.scheme.tensor.p != 0))
     # every distance power of an odd cycle is again a cycle
     assert orderings == [(0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2)]
 
 
 def test_detect_p_trivial_scheme():
     scheme = tw.validate_scheme([[0]])
-    assert list(_orderings(scheme.tensor.p != 0)) == [(0,)]
+    assert list(search(scheme.tensor.p != 0)) == [(0,)]
     sp = tw.spectral_data(scheme)
     assert sp.p_ordering == (0,) and sp.q_ordering == (0,)
 
@@ -327,13 +332,13 @@ def test_petersen_both_orderings_metric():
     verts = list(combinations(range(5), 2))
     adj = [[j for j, w in enumerate(verts) if not (set(v) & set(w))] for v in verts]
     scheme = tw.scheme_from_graph(adj)
-    assert list(_orderings(scheme.tensor.p != 0)) == [(0, 1, 2), (0, 2, 1)]
+    assert list(search(scheme.tensor.p != 0)) == [(0, 1, 2), (0, 2, 1)]
 
 
 def test_group_scheme_not_p_polynomial():
     rel = np.array([[x ^ y for y in range(4)] for x in range(4)])
     scheme = tw.validate_scheme(rel)
-    assert list(_orderings(scheme.tensor.p != 0)) == []
+    assert list(search(scheme.tensor.p != 0)) == []
     with pytest.raises(NotPPolynomial):
         tw.spectral_data(scheme)
 
@@ -349,9 +354,9 @@ def test_colliding_eigenvalues_rejected():
 
 def test_detect_q_greedy_matches_full_search(c7, c9):
     for bundle in (c7, c9):
-        krein = bundle.spectral.krein
-        greedy = list(_orderings(_krein_support(krein)))
-        assert greedy == reference_orderings(_krein_support(krein)) and bundle.spectral.q_ordering in greedy
+        support = tensor_support(spectral_krein(bundle.spectral))
+        greedy = list(search(support))
+        assert greedy == reference_orderings(support) and bundle.spectral.q_ordering in greedy
 
 
 def test_line_graph_petersen_not_q_polynomial(petersen_line_graph):
@@ -452,18 +457,20 @@ def _perturbed(Q, size, seed=0):
 def test_krein_parameters_match_stacked_reference(all_bundles):
     # q[h, i, j] = sum_l k_l Q_il Q_jl Q_hl / (n m_h) is the dense entrywise
     # sum grouped by class, for any Q: a perturbed Q gives the same Krein
-    # tensor in both forms and fails the krein[0] = diag(m) gate in both
-    from terwlab.spectral import _krein_parameters
+    # slices in both forms, and fails the gate q^0 = diag(m), which the
+    # program reads as Q diag(k) Q^T / n = diag(m), in both
+    from terwlab.spectral import _krein_slice
 
     for bundle in all_bundles:
         sp = bundle.spectral
         m = sp.m.astype(np.float64)
         for Q in (sp.Q, _perturbed(sp.Q, 1e-3)):
             reference = reference_krein(Q[:, sp.relation] / sp.n, m, sp.n)
-            krein = _krein_parameters(Q, sp.k, m, sp.n)
+            krein = np.stack([_krein_slice(Q, sp.k, m, sp.n, i) for i in range(sp.D + 1)], axis=1)
             scale = max(1.0, float(np.abs(reference).max()))
             assert np.abs(krein - reference).max() < 1e-12 * scale, bundle.name
-            off_diag = [np.abs(kr[0] - np.diag(m)).max() > 1e-6 * scale for kr in (krein, reference)]
+            gate = (Q * sp.k) @ Q.T / sp.n
+            off_diag = [np.abs(q0 - np.diag(m)).max() > 1e-6 * scale for q0 in (gate, reference[0])]
             assert off_diag == [Q is not sp.Q] * 2, bundle.name
 
 
@@ -546,7 +553,7 @@ def test_certified_identity_is_the_first_p_ordering(family, D):
     # test_scheme.py's cycle ladder test checks the same on C_7..C_61
     tensor = family(D).tensor
     assert tensor.pp is not None
-    assert next(_orderings(tensor.p != 0)) == tuple(range(D + 1))
+    assert next(search(tensor.p != 0)) == tuple(range(D + 1))
 
 
 def test_spectral_data_never_forms_the_tensor_of_a_certified_scheme(monkeypatch):
@@ -826,3 +833,120 @@ def test_spectral_data_forms_no_n_by_n_adjacency_or_product(make, D, monkeypatch
     finally:
         tracemalloc.stop()
     assert peak <= sp.U.nbytes + 3 * sp.n * _largest_run(sp.m) * 8 + 2**17
+
+
+def reference_eigenspace_bases(Q, relation, m):
+    """Reference: the greedy pivoted Cholesky one eigenspace and one row at a time."""
+    import math
+
+    n, ends = len(relation), np.cumsum(m)
+    rows = np.empty((n, n))
+    for q, start, stop in zip(Q / n, ends - m, ends):
+        diag = np.full(n, q[0])
+        for j in range(start, stop):
+            p = diag.argmax()
+            rows[j] = (q.take(relation[p]) - rows[start:j, p] @ rows[start:j]) / math.sqrt(diag[p])
+            diag -= rows[j] ** 2
+    return rows.T
+
+
+def test_eigenspace_bases_are_the_per_eigenspace_reference(all_bundles, cycle_contexts):
+    # a run of eigenspaces of equal multiplicity takes its steps in lock-step (O4's two of
+    # multiplicity 14, the cycles' D of multiplicity 2), each eigenspace's step the same
+    # arithmetic as alone: equal to the bit, also on a perturbed Q
+    from terwlab.spectral import _eigenspace_bases
+
+    spectra = {bundle.name: bundle.spectral for bundle in all_bundles}
+    spectra |= {name: ctx.spectral for name, ctx in cycle_contexts.items()}
+    spectra["C201"] = tw.spectral_data(tw.odd_cycle(100))
+    for name, sp in spectra.items():
+        want = reference_eigenspace_bases(sp.Q, sp.relation, sp.m)
+        assert sp.U.tobytes() == want.tobytes(), name
+        Q = _perturbed(sp.Q, 1e-9, seed=3)
+        assert _eigenspace_bases(Q, sp.relation, sp.m).tobytes() == reference_eigenspace_bases(Q, sp.relation, sp.m).tobytes(), name
+
+
+def _before_the_q_ordering(scheme):
+    """(Q, k, m, n) of a scheme in P-order as spectral_data forms them, idempotents by descending eigenvalue."""
+    pp = tw.intersection_array(scheme.tensor)
+    P = _eigenmatrix(pp, _tridiagonal_eigenvalues(pp))
+    k = scheme.tensor.k.astype(np.float64)
+    m = scheme.n / np.sum(P * P / k[:, None], axis=0)
+    return m[:, None] * P.T / k[None, :], k, m, scheme.n
+
+
+KREIN_SCHEMES = {
+    **{f"C{2 * D + 1}": (lambda D=D: tw.odd_cycle(D)) for D in (*range(3, 31), 100)},
+    "O4": lambda: tw.odd_graph(3), "O5": lambda: tw.odd_graph(4), "FC7": lambda: tw.folded_cube(3),
+    "FC9": lambda: tw.folded_cube(4),
+}
+
+
+@pytest.mark.parametrize("name", KREIN_SCHEMES)
+def test_krein_slices_are_the_full_tensor_reference(name):
+    # each slice is the full tensor's slice to the bit; the supports under the scale
+    # max(1, max m) are those under the largest parameter, and so are the first
+    # Q-ordering and the dual array read off the winning slice
+    from terwlab.spectral import _krein_slice, _three_term
+
+    scheme = KREIN_SCHEMES[name]()
+    Q, k, m, n = _before_the_q_ordering(scheme)
+    krein = krein_tensor(Q, k, m, n)
+    for i in range(len(Q)):
+        assert _krein_slice(Q, k, m, n, i).tobytes() == np.ascontiguousarray(krein[:, i, :]).tobytes(), (name, i)
+    assert float(np.abs(krein).max()) == pytest.approx(float(m.max()), rel=1e-12)
+    support = tensor_support(krein)
+    assert np.array_equal(_krein_support(krein, max(1.0, float(m.max()))), support), name
+    sp = tw.spectral_data(scheme)
+    sg = list(sp.q_ordering)
+    assert sp.q_ordering == next(search(support)), name
+    want = _three_term(krein[np.ix_(sg, sg, sg)][:, 1, :])
+    for x, y in zip((sp.ppstar.c, sp.ppstar.a, sp.ppstar.b), (want.c, want.a, want.b)):
+        assert x.tobytes() == y.tobytes(), name
+
+
+def test_spectral_data_forms_no_krein_tensor_on_c201(monkeypatch):
+    # C_201 (D=100): the Bose-Mesner gate holds the (D+1)^3 coefficients of its class
+    # recurrence; from its end on, the Krein stage reads (D+1)^2 slices, and the traced peak,
+    # U and four n x 200 arrays of the residual's run (1.6 MB), stays under a quarter of one
+    # (D+1)^3 float64 array (8.2 MB), where the Krein tensor and its temporaries were three
+    import terwlab.spectral as spectral
+
+    scheme = tw.odd_cycle(100)
+    gate = spectral._verify_bose_mesner
+
+    def then_reset(*args):
+        result = gate(*args)
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr(spectral, "_verify_bose_mesner", then_reset)
+    tracemalloc.start()
+    try:
+        sp = tw.spectral_data(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (sp.D + 1) ** 3 * 8 / 4, peak
+
+
+def test_full_scan_tables_take_the_nonnegativity_scan(monkeypatch):
+    # the Krein conditions are read slice by slice on a table from the full scan, and a
+    # negative slice fails it with the least parameter; a certified scheme skips the scan
+    import terwlab.spectral as spectral
+    from terwlab.errors import NumericalCheckFailure
+
+    certified, scanned = tw.odd_cycle(4), tw.validate_scheme(relabel_classes(tw.odd_cycle(4), (0, 2, 4, 1, 3)).relation)
+    assert certified.tensor.pp is not None and scanned.tensor.pp is None
+    calls = []
+    real = spectral._krein_slice
+    monkeypatch.setattr(spectral, "_krein_slice", lambda *args: calls.append(args[-1]) or real(*args))
+    tw.spectral_data(certified)
+    assert calls == [1, 1]  # the first candidate passes; the dual array reads its slice again
+    calls.clear()
+    tw.spectral_data(scanned)
+    assert calls[:5] == [0, 1, 2, 3, 4]
+    monkeypatch.setattr(spectral, "_krein_slice", lambda *args: real(*args) - (args[-1] == 3))
+    with pytest.raises(NumericalCheckFailure, match="Krein parameter significantly negative: -1"):
+        tw.spectral_data(scanned)
+    tw.spectral_data(certified)
