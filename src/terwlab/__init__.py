@@ -8,7 +8,7 @@ multiplicities against their closed forms.
 """
 
 from .context import IdentityReport, TerwContext, build_context, verify_operator_identities
-from .decomposer import IrreducibleModule, census, decompose, norm_ladder_check
+from .decomposer import IrreducibleModule, ModuleTable, census, decompose
 from .generators import folded_cube, load_scheme, odd_cycle, odd_graph, save_scheme, scheme_from_graph
 from .multiplicity import MultiplicityTable, solve_multiplicities, trace_ladders
 from .predictor import feasibility, upsilon_cells
@@ -24,6 +24,7 @@ __all__ = [
     "IdentityReport",
     "IntersectionTensor",
     "IrreducibleModule",
+    "ModuleTable",
     "MultiplicityTable",
     "PPolyArray",
     "QSParams",
@@ -40,7 +41,6 @@ __all__ = [
     "is_almost_bipartite",
     "krein_products",
     "load_scheme",
-    "norm_ladder_check",
     "odd_cycle",
     "odd_graph",
     "qs_band_grid",

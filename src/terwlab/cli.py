@@ -28,7 +28,6 @@ import numpy as np
 
 from . import generators, multiplicity, predictor, qs
 from .context import build_context, check_tol
-from .decomposer import census as module_census
 from .decomposer import decompose as decompose_standard_module
 from .decomposer import RANK_TOL
 from .errors import (
@@ -146,20 +145,24 @@ def _operator_identities(args, values):
 
 
 def _decomposition(args, values):
-    mods = decompose_standard_module(values["context"], tol=RANK_TOL if args.tol is None else args.tol)
-    return "pass", None, f"{len(mods)} modules, census={_census_str(module_census(mods))}", mods
+    table = decompose_standard_module(values["context"], tol=RANK_TOL if args.tol is None else args.tol)
+    return "pass", None, f"{len(table)} modules, census={_census_str(table.census())}", table
 
 
 def _module_structure(args, values):
-    D = values["spectral data"].D
-    endpoints = values["almost-bipartite flag"]  # the endpoint identities are theorems only there
-    # the oracle fills in each module's norm_ladder_check as two fields
-    for mod in values["decomposition"]:
-        if endpoints and (mod.r + mod.d != D or 2 * mod.t + mod.d < D):
-            return "fail", None, f"endpoint identities fail at ({mod.t},{mod.d})", None
-        if not mod.products_positive:
-            return "fail", None, f"nonpositive ladder product at ({mod.t},{mod.d})", None
-    worst = _worst([mod.norm_residual for mod in values["decomposition"]])
+    D, table, endpoints = values["spectral data"].D, values["decomposition"], values["almost-bipartite flag"]
+    # the oracle measures each module's norm balance and the signs of its ladder products; the
+    # endpoint identities are theorems only on the almost-bipartite hypothesis
+    ok = table.products_positive
+    if endpoints:
+        ok = ok & (table.r + table.d == D) & (2 * table.t + table.d >= D)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        r, t, d = (int(x[bad[0]]) for x in (table.r, table.t, table.d))
+        if endpoints and (r + d != D or 2 * t + d < D):
+            return "fail", None, f"endpoint identities fail at ({t},{d})", None
+        return "fail", None, f"nonpositive ladder product at ({t},{d})", None
+    worst = _worst(table.norm_residual)
     if not worst < np.inf:
         return "fail", worst, "norm ladder residual is not finite", None
     return "pass", worst, None, True
@@ -168,21 +171,21 @@ def _module_structure(args, values):
 def _predictor_vs_oracle(args, values):
     if not values["almost-bipartite flag"]:
         return "skip", None, qs.NOT_ALMOST_BIPARTITE, None
-    spectral, mods = values["spectral data"], values["decomposition"]
+    spectral, table = values["spectral data"], values["decomposition"]
     grid = spectral.bands
     # the modules come sorted by class; the first infeasible class fails the stage with the
     # gap of the modules up to and including that class
-    reports = predictor.feasibility_reports(spectral, list(dict.fromkeys((mod.t, mod.d) for mod in mods)))
+    reports = predictor.feasibility_reports(spectral, list(table.census()))
     infeasible = next((fr for fr in reports if not fr.feasible), None)
-    if infeasible is not None:
-        mods = [mod for mod in mods if (mod.t, mod.d) <= (infeasible.t, infeasible.d)]
-    # the measured bands of all modules stacked against their predicted bands gathered alike, exact
-    # because every module's bands end in the boundary zeros c_0 = b_d = 0 on both sides
-    d = np.array([mod.d for mod in mods], dtype=np.int64)
-    ends = np.cumsum(d + 1)
-    at = np.arange(ends[-1]) + np.repeat(grid.first[[mod.t for mod in mods], d] - (ends - d - 1), d + 1)
-    worst = _worst([predictor.band_gap(tuple(np.concatenate(x) for x in zip(*(getattr(mod, side) for mod in mods))),
-                                       tuple(x[at] for x in getattr(grid, side)))
+    # the measured bands of all modules, flat in the table, against their predicted bands gathered
+    # alike: exact because every module's bands end in the boundary zeros c_0 = b_d = 0 on both sides
+    t, d = table.t, table.d
+    at = np.arange(table.cab[0].size) + np.repeat(grid.first[t, d] - table.start, d + 1)
+    kept = slice(None)
+    if infeasible is not None:  # the modules of the classes after it are left out on both sides
+        kept = np.repeat((t < infeasible.t) | ((t == infeasible.t) & (d <= infeasible.d)), d + 1)
+    worst = _worst([predictor.band_gap(tuple(x[kept] for x in getattr(table, side)),
+                                       tuple(x[at[kept]] for x in getattr(grid, side)))
                     for side in ("cab", "cab_star")])
     if infeasible is not None:
         return "fail", worst, f"predicted class ({infeasible.t},{infeasible.d}) infeasible", None
@@ -212,7 +215,7 @@ def _multiplicity_recurrence(args, values):
         return "skip", None, qs.NOT_ALMOST_BIPARTITE, None
     spectral = values["spectral data"]
     tab = multiplicity.solve_multiplicities(spectral)
-    observed = module_census(values["decomposition"])
+    observed = values["decomposition"].census()
     if not tab.matches_census(observed):
         return "fail", None, f"recurrence {tab.nonzero()} != census {observed}", None
     if tab.mult.get((0, spectral.D)) != 1:
@@ -413,20 +416,20 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    mods = _values(args, "decomposition")["decomposition"]
+    table = _values(args, "decomposition")["decomposition"]
     doc = {
         "vertex": args.vertex,
         "census": [
-            {"t": t, "d": d, "count": v} for (t, d), v in sorted(module_census(mods).items())
+            {"t": t, "d": d, "count": v} for (t, d), v in sorted(table.census().items())
         ],
         "modules": [
             {
-                "r": m.r, "t": m.t, "d": m.d, "dim": m.dim,
+                "r": r, "t": t, "d": d, "dim": d + 1,
                 "thin": True, "dual_thin": True,  # the oracle certifies every module thin and dual thin
-                "B": predictor.tridiagonal(*m.cab).tolist(),
-                "Bstar": predictor.tridiagonal(*m.cab_star).tolist(),
+                "B": predictor.tridiagonal(*(x[lo:lo + d + 1] for x in table.cab)).tolist(),
+                "Bstar": predictor.tridiagonal(*(x[lo:lo + d + 1] for x in table.cab_star)).tolist(),
             }
-            for m in mods
+            for r, t, d, lo in zip(table.r.tolist(), table.t.tolist(), table.d.tolist(), table.start.tolist())
         ],
     }
 
@@ -448,7 +451,7 @@ def _cmd_multiplicities(args) -> int:
     tab = _memory_guarded("step solve_multiplicities", multiplicity.solve_multiplicities, values["spectral data"])
     doc = tab.as_dict()
     if args.oracle:
-        observed = module_census(values["decomposition"])
+        observed = values["decomposition"].census()
         doc["oracle_census"] = [
             {"t": t, "d": d, "count": v} for (t, d), v in sorted(observed.items())
         ]

@@ -259,7 +259,7 @@ def scheme_from_json(doc) -> AssociationScheme:
         raise ParseError(f"unknown relation kind {kind!r}")
 
     if int(rel.max(initial=0)) != D:
-        raise ParseError(f"declared D={D} but relation table has max class {int(rel.max())}")
+        raise ParseError(f"declared D={D} but relation table has max class {int(rel.max(initial=0))}")
     return validate_scheme(rel)
 
 

@@ -1,8 +1,9 @@
 """Shared pipelines for the five standard test schemes.
 
 Each bundle carries the validated scheme, its spectral data, the context
-at base vertex 0, the measured module decomposition, and the solved
-multiplicity table.  Building them once per session keeps the suite fast.
+at base vertex 0, the measured module decomposition (the
+:class:`~terwlab.ModuleTable` of :func:`~terwlab.decompose`), and the
+solved multiplicity table.  Building them once per session keeps the suite fast.
 Tests that compare with the dense idempotents build them with
 :func:`dense_idempotents`; the program never holds that stack.  Nor does
 it hold A as an n x n matrix or the split operators: tests that read A,
@@ -108,14 +109,14 @@ class Bundle:
     scheme: object
     spectral: object
     ctx: object
-    modules: tuple
+    modules: object
     table: object
 
 
 def _build(name, scheme) -> Bundle:
     spectral = tw.spectral_data(scheme)
     ctx = tw.build_context(scheme, spectral, 0)
-    modules = tuple(tw.decompose(ctx))
+    modules = tw.decompose(ctx)
     table = tw.solve_multiplicities(spectral)
     return Bundle(name=name, scheme=scheme, spectral=spectral, ctx=ctx,
                   modules=modules, table=table)

@@ -526,50 +526,69 @@ def test_verify_stdout_is_byte_identical_in_and_across_processes(tmp_path, capfd
 
 # ---------------------------------------------------------------- module checks
 
-def _stage(fn, bundle, modules, spectral=None):
-    """(status, residual, detail) of a module stage on ``modules``."""
+def _stage(fn, bundle, table, spectral=None):
+    """(status, residual, detail) of a module stage on the module table ``table``."""
     spectral = bundle.spectral if spectral is None else spectral
     values = {"spectral data": spectral, "almost-bipartite flag": is_almost_bipartite(spectral.pp),
-              "decomposition": modules}
+              "decomposition": table}
     return fn(None, values)[:3]
 
 
-def _changed(bundle, j, **fields):
-    """The bundle's modules with module ``j`` changed by ``dataclasses.replace``."""
+def _set(table, j, **columns):
+    """``table`` with entry ``j`` of each named column set to the given value.
+
+    The stages read the oracle's output as the columns of one table, so a
+    changed module is a changed entry of those columns.
+    """
     from dataclasses import replace
 
-    mods = list(bundle.modules)
-    mods[j] = replace(mods[j], **fields)
-    return mods
+    changed = {}
+    for name, value in columns.items():
+        column = getattr(table, name).copy()
+        column[j] = value
+        changed[name] = column
+    return replace(table, **changed)
+
+
+def _changed(bundle, j, **columns):
+    """The bundle's module table with entry ``j`` of the named columns changed."""
+    return _set(bundle.modules, j, **columns)
+
+
+def _norm_ladder(mod):
+    """The two norm-balance residuals of one module and whether all its ladder products are positive,
+    from its bands and ladder norms alone."""
+    (c, _, b), (cs, _, bs) = mod.cab, mod.cab_star
+    n2, dn2 = mod.ladder_norms2, mod.dual_ladder_norms2
+    residuals = (np.abs(c[1:] * n2[1:] - b[:-1] * n2[:-1]).max(initial=0.0),
+                 np.abs(cs[1:] * dn2[1:] - bs[:-1] * dn2[:-1]).max(initial=0.0))
+    return max(residuals), bool((b[:-1] * c[1:] > 0).all() and (bs[:-1] * cs[1:] > 0).all())
 
 
 def test_module_structure_residual_is_the_largest_norm_ladder_residual(all_bundles):
     from terwlab.cli import _module_structure
 
     for bundle in all_bundles:
-        reports = [tw.norm_ladder_check(m) for m in bundle.modules]
-        worst = max(max(rep.primal_residual, rep.dual_residual) for rep in reports)
+        reports = [_norm_ladder(m) for m in bundle.modules]
+        worst = max(residual for residual, _ in reports)
         assert _stage(_module_structure, bundle, bundle.modules) == ("pass", worst, None), bundle.name
-        for m, rep in zip(bundle.modules, reports):
-            assert m.norm_residual == max(rep.primal_residual, rep.dual_residual)
-            assert m.products_positive == rep.all_positive
+        assert bundle.modules.norm_residual.tolist() == [residual for residual, _ in reports]
+        assert bundle.modules.products_positive.tolist() == [positive for _, positive in reports]
 
 
 def test_module_structure_names_the_first_failing_module(o4):
-    from dataclasses import replace
-
     from terwlab.cli import _module_structure
 
     # the modules come sorted by class: (0,3), (1,1) x2, (1,2) x3, (2,0) x2, (2,1) x6, (3,0) x4
     assert [(m.t, m.d) for m in o4.modules][3] == (1, 2)
-    broken = _changed(o4, 3, r=o4.modules[3].r + 1)  # r + d = D fails
+    broken = _changed(o4, 3, r=o4.modules.r[3] + 1)  # r + d = D fails
     assert _stage(_module_structure, o4, broken) == ("fail", None, "endpoint identities fail at (1,2)")
     low = _changed(o4, 3, t=0)  # 2t + d >= D fails
     assert _stage(_module_structure, o4, low) == ("fail", None, "endpoint identities fail at (0,2)")
     negative = _changed(o4, 9, products_positive=False)
     assert _stage(_module_structure, o4, negative) == ("fail", None, "nonpositive ladder product at (2,1)")
     # the earlier module is named, whichever check it fails
-    negative[3] = replace(negative[3], r=negative[3].r + 1)
+    negative = _set(negative, 3, r=negative.r[3] + 1)
     assert _stage(_module_structure, o4, negative) == ("fail", None, "endpoint identities fail at (1,2)")
 
 
@@ -579,9 +598,11 @@ def test_predictor_vs_oracle_failures(o4, fc7):
     from terwlab.cli import _predictor_vs_oracle
 
     assert _stage(_predictor_vs_oracle, o4, o4.modules)[0] == "pass"
-    # a band moved by 1e-3
-    c, a, b = o4.modules[3].cab
-    moved = _changed(o4, 3, cab=(c, a + np.array([0.0, 0.0, 1e-3]), b))
+    # a band moved by 1e-3: a_2 of module 3, in the table's flat bands
+    c, a, b = o4.modules.cab
+    a = a.copy()
+    a[o4.modules.start[3] + 2] += 1e-3
+    moved = replace(o4.modules, cab=(c, a, b))
     status, residual, detail = _stage(_predictor_vs_oracle, o4, moved)
     assert (status, detail) == ("fail", "measured vs predicted exceeds 1e-6")
     assert residual == pytest.approx(1e-3, abs=1e-9)
@@ -597,6 +618,17 @@ def test_predictor_vs_oracle_failures(o4, fc7):
                                       spectral=replace(o4.spectral, theta=theta))
     assert (status, detail) == ("fail", "spectral identities of predictions exceed 1e-8")
     assert 1e-8 < residual < 1e-6
+
+
+def test_no_stage_or_report_builds_module_objects(o4_file, capsys, monkeypatch):
+    # verify's stages, and the decompose and multiplicities --oracle reports, read the
+    # oracle's table as columns: no IrreducibleModule is built on their path
+    from terwlab import decomposer
+
+    monkeypatch.setattr(decomposer, "IrreducibleModule", lambda **fields: pytest.fail("module object built"))
+    for argv in (["verify"], ["decompose"], ["multiplicities", "--oracle"]):
+        assert main([*argv, "--scheme", o4_file, "--json"]) == 0
+        assert strict_json(capsys.readouterr().out)["schema"] == "terw-lab/1"
 
 
 # ---------------------------------------------------------------- almost-bipartite hypothesis
@@ -693,7 +725,7 @@ def test_module_structure_off_the_hypothesis_checks_positivity_and_norms_only(o4
         return _module_structure(None, values)[:3]
 
     residual = _stage(_module_structure, o4, o4.modules)[1]
-    assert stage(_changed(o4, 3, r=o4.modules[3].r + 1)) == ("pass", residual, None)  # r + d = D fails
+    assert stage(_changed(o4, 3, r=o4.modules.r[3] + 1)) == ("pass", residual, None)  # r + d = D fails
     assert stage(_changed(o4, 3, t=0)) == ("pass", residual, None)  # 2t + d >= D fails
     negative = _changed(o4, 9, products_positive=False)
     assert stage(negative) == ("fail", None, "nonpositive ladder product at (2,1)")
@@ -706,10 +738,8 @@ def _nan_cell(ladders):
     return ladders
 
 
-def _nan_module(modules):
-    from dataclasses import replace
-
-    return [modules[0], replace(modules[1], norm_residual=float("nan")), *modules[2:]]
+def _nan_module(table):
+    return _set(table, 1, norm_residual=float("nan"))  # the second module, where a running max would drop it
 
 
 def _nan_fit(params):

@@ -35,10 +35,10 @@ def test_dimensions_cover_space(all_bundles):
 
 def test_pairwise_orthogonality(all_bundles):
     for bundle in all_bundles:
-        mods = bundle.modules
-        for i in range(len(mods)):
-            for j in range(i + 1, len(mods)):
-                overlap = mods[i].basis.T @ mods[j].basis
+        bases = [m.basis for m in bundle.modules]
+        for i in range(len(bases)):
+            for j in range(i + 1, len(bases)):
+                overlap = bases[i].T @ bases[j]
                 assert np.abs(overlap).max() < 1e-8
 
 
@@ -121,13 +121,18 @@ def test_measured_boundary_zeros(all_bundles):
 
 
 def test_norm_ladder(all_bundles):
+    # c_i |w_i|^2 = b_{i-1} |w_{i-1}|^2 on both ladders, and b_{i-1} c_i > 0, for i = 1..d:
+    # the table's norm_residual and products_positive are these, per module
     for bundle in all_bundles:
         for m in bundle.modules:
-            report = tw.norm_ladder_check(m)
-            assert report.primal_residual < 1e-8
-            assert report.dual_residual < 1e-8
-            assert report.all_positive
-            assert len(report.products) == m.d
+            (c, _, b), (cs, _, bs) = m.cab, m.cab_star
+            n2, dn2 = m.ladder_norms2, m.dual_ladder_norms2
+            primal = np.abs(c[1:] * n2[1:] - b[:-1] * n2[:-1]).max(initial=0.0)
+            dual = np.abs(cs[1:] * dn2[1:] - bs[:-1] * dn2[:-1]).max(initial=0.0)
+            products = np.concatenate([b[:-1] * c[1:], bs[:-1] * cs[1:]])
+            assert primal < 1e-8 and dual < 1e-8
+            assert (products > 0).all() and products.size == 2 * m.d
+            assert m.norm_residual == max(primal, dual) and m.products_positive
 
 
 def test_isomorphic_modules_have_equal_measurements(o4, fc9):
@@ -171,28 +176,35 @@ def test_modules_sorted_by_class(all_bundles):
 
 
 def _certify_modules(ctx, modules, tol):
-    """Certify the bases of ``modules``, one ladder each, on the shell blocks of ``ctx``."""
-    from terwlab.decomposer import _actions, _certify
+    """Certify the bases of ``modules``, one ladder each in that order, on the shell blocks of ``ctx``."""
+    from terwlab.decomposer import _certify
 
-    shells, up, flat, _ = ctx.blocks
-    ladders = [(m.r, [w[:, None] for _, w in m.rungs]) for m in modules]
-    return _certify(ctx, shells, ladders, _actions(shells, up, flat, ladders), tol)
+    cols = [[] for _ in range(ctx.D + 1)]
+    for m in modules:
+        for s, (_, w) in enumerate(m.rungs, m.r):
+            cols[s].append(w[:, None])
+    return _certify(ctx, cols, [(m.r, 1, m.dim) for m in modules], tol)
+
+
+def _support(ranks):
+    """(first index, support length - 1) of eigenspace ranks whose support is an interval."""
+    nz = np.flatnonzero(ranks)
+    assert nz.size and nz.tolist() == list(range(nz[0], nz[-1] + 1)), ranks
+    return int(nz[0]), int(nz[-1] - nz[0])
 
 
 def _first_non_dual_thin(ctx, modules, tol):
     """The witness of the first module, in order, that a per-module pass finds not dual thin, gap first."""
-    from terwlab.decomposer import _actions, _support
-
-    shells, up, flat, _ = ctx.blocks
     theta = ctx.spectral.theta
+    A = dense_adjacency(ctx)
     for m in modules:
-        (T,), _ = _actions(shells, up, flat, [(m.r, [w[:, None] for _, w in m.rungs])])[0]
+        T = m.basis.T @ A @ m.basis
         off = np.abs(np.linalg.eigvalsh(T)[:, None] - theta)
         if off.min(axis=1).max() > tol * ctx.n:
             return (m.r, 1, "E", float(off.min(axis=1).max()))
         ranks = np.bincount(off.argmin(axis=1), minlength=len(theta))
-        dstar = _support(ranks)[1]
-        if ranks.max() > 1 or dstar != m.d:
+        nz = np.flatnonzero(ranks)
+        if ranks.max() > 1 or nz[-1] - nz[0] != m.d or nz.size != m.d + 1:
             return (m.r, 1, "E", ranks.tolist())
     return None
 
@@ -218,7 +230,8 @@ def test_certify_rejects_non_dual_thin(c7, o4):
     assert info.value.witness == (0, 1, "E", [1, 2, 1, 0])
     # on O_4 with the trivial module last (it meets every E_i, so it would
     # fail first), the gate names the module a per-module pass names
-    mods = list(o4.modules[1:]) + [o4.modules[0]]
+    mods = list(o4.modules)
+    mods = mods[1:] + mods[:1]
     theta = o4.spectral.theta.copy()
     theta[3] += 1e-3  # every module meeting E_3: (1, 2), (2, 1), (3, 0) and the trivial one
     moved = replace(o4.ctx, spectral=replace(o4.spectral, theta=theta))
@@ -236,6 +249,56 @@ def test_certify_rejects_non_dual_thin(c7, o4):
     with pytest.raises(NotThin, match="not dual thin: eigenspace ranks") as info:
         _certify_modules(relabelled, mods, 1.0)
     assert info.value.witness == expected
+
+
+def test_eigenspace_support_that_is_no_interval_raises_not_thin(o4):
+    # with theta = (theta_1, 100, theta_2, 200) the two eigenvalues theta_1 and theta_2 of a (1, 1)
+    # module's T are labelled 0 and 2: E_0 W and E_2 W have rank 1 and E_1 W none, a support with
+    # a hole, which is not dual thin like any other rank pattern
+    from terwlab.errors import NotThin
+
+    mods = list(o4.modules)
+    j = [(m.t, m.d) for m in mods].index((1, 1))
+    theta = o4.spectral.theta
+    relabelled = replace(o4.ctx, spectral=replace(o4.spectral, theta=np.array([theta[1], 100.0, theta[2], 200.0])))
+    with pytest.raises(NotThin, match="not dual thin: eigenspace ranks \\[1, 0, 1, 0\\]") as info:
+        _certify_modules(relabelled, [mods[j]] + mods[:j] + mods[j + 1:], 1e-8)
+    assert info.value.witness == (mods[j].r, 1, "E", [1, 0, 1, 0])
+
+
+def test_module_table_columns_match_its_items(all_bundles):
+    # the items are built from the columns: their bands are views of the flat bands,
+    # and their rungs views of the shell bases' columns
+    for bundle in all_bundles:
+        table = bundle.modules
+        items = list(table)
+        assert len(items) == len(table) == table.r.size
+        assert table.census() == tw.census(items) == EXPECTED_CENSUS[bundle.name]
+        keys = list(zip(table.t.tolist(), table.d.tolist(), table.r.tolist()))
+        assert keys == sorted(keys)
+        assert table.start.tolist() == (np.cumsum(table.dim) - table.dim).tolist()
+        assert table.cab[0].size == table.column.size == table.dim.sum() == bundle.scheme.n
+        for j, m in enumerate(items):
+            at = slice(table.start[j], table.start[j] + m.d + 1)
+            assert (m.r, m.t, m.d, m.dim) == (table.r[j], table.t[j], table.d[j], table.dim[j])
+            for x, y in zip(m.cab + m.cab_star + (m.ladder_norms2, m.dual_ladder_norms2),
+                            table.cab + table.cab_star + (table.ladder_norms2, table.dual_ladder_norms2)):
+                assert np.shares_memory(x, y) and np.array_equal(x, y[at])
+            assert (m.norm_residual, m.products_positive) == (table.norm_residual[j], table.products_positive[j])
+            for s, (on, w) in enumerate(m.rungs, m.r):
+                assert on is table.shells[s]
+                assert np.shares_memory(w, table.bases[s])
+                assert np.array_equal(w, table.bases[s][:, table.column[at][s - m.r]])
+
+
+def test_shell_bases_are_square_orthonormal_and_hold_each_rung_once(all_bundles, cycle_contexts):
+    tables = [b.modules for b in all_bundles] + [tw.decompose(ctx) for ctx in cycle_contexts.values()]
+    for table in tables:
+        on_shell = np.repeat(table.r, table.dim) + np.arange(table.column.size) - np.repeat(table.start, table.dim)
+        for s, (S, B) in enumerate(zip(table.shells, table.bases)):
+            assert B.shape == (S.size, S.size)
+            assert np.abs(B.T @ B - np.eye(S.size)).max() < 1e-12
+            assert sorted(table.column[on_shell == s].tolist()) == list(range(S.size))
 
 
 def _without_edge(ctx, x, y):
@@ -423,7 +486,7 @@ def test_shell_blocks_bound_memory_and_dims_need_no_basis(monkeypatch):
         tracemalloc.stop()
     assert peak < 8 * scheme.n ** 2
     monkeypatch.setattr(tw.IrreducibleModule, "basis", property(lambda m: pytest.fail("basis assembled")))
-    assert sum(m.dim for m in mods) == scheme.n
+    assert sum(m.dim for m in mods) == mods.dim.sum() == scheme.n
 
 
 @pytest.mark.parametrize("D", range(3, 18))
@@ -518,7 +581,7 @@ def test_certified_ranks_match_dense_idempotents(all_bundles):
     # rank(E_i W) from the dense n x n idempotents, the form the eigenspace
     # bases replaced: same dual endpoints, dual thin with dual diameter d,
     # and the same census
-    from terwlab.decomposer import RANK_TOL, _support
+    from terwlab.decomposer import RANK_TOL
 
     for bundle in all_bundles:
         E = dense_idempotents(bundle.spectral)
